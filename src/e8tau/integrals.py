@@ -73,18 +73,47 @@ def _prefactor(params: EllipticParams) -> complex:
     )
 
 
-def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand values at the N-th roots of unity, sharing gamma arrays.
+# The folded log-series serves parameters with rho_k = max(|u_k|, |pq/u_k|)
+# at most this; it diverges at rho_k >= 1, where the product formula serves.
+_SPECTRAL_RHO_MAX = 0.99
+_SERIES_TAIL = 1e-17
 
-    Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected node index, so each
-    parameter costs one vectorized gamma evaluation.
+
+def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand values at the N-th roots of unity.
+
+    On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
+    series sum_{m>=1} c_m (z^m + z^-m) with
+    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). The series of all
+    parameters with rho_k <= _SPECTRAL_RHO_MAX are summed, cut where rho^M is
+    below _SERIES_TAIL, and folded mod N, so one FFT pair gives every node.
+    Each other parameter costs one vectorized gamma evaluation:
+    Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected node index.
     """
     p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    pq = p * q
     m = np.arange(N)
     zs = np.exp(2j * np.pi * m / N)
     rev = (-m) % N
     vals = -(zs**-2) * theta(zs**2, p, tol) * theta(zs**2, q, tol)
-    for uk in ctx.u:
+    u = np.asarray(ctx.u)
+    with np.errstate(divide="ignore"):
+        rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
+    spectral = rho <= _SPECTRAL_RHO_MAX
+    if spectral.any():
+        M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho[spectral].max())))
+        us = u[spectral]
+        k = us.size
+        # row-wise powers b^1 .. b^M of the bases u_k, pq/u_k, p and q
+        bases = np.concatenate([us, pq / us, [p, q]])
+        pw = np.cumprod(np.repeat(bases[:, None], M, axis=1), axis=1)
+        c = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
+        c[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
+            np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
+        )
+        a = c.reshape(-1, N).sum(axis=0)
+        vals = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
+    for uk in u[~spectral]:
         g = elliptic_gamma(uk * zs, p, q, tol)
         vals = vals * g * g[rev]
     return vals, zs
@@ -246,25 +275,35 @@ def bailey_residual(
     return Residual(abs(lhs - rhs) / abs(lhs))
 
 
+_PAIRS = np.triu_indices(8, 1)
+# Pairs whose two indices share a coordinate block, 0..3 or 4..7.
+_SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
+
+
+def _pair_gamma(
+    u, params: EllipticParams, scale=1.0, r: complex | None = None
+) -> complex:
+    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q, r), r
+    defaulting to q, from one vectorized call; scale is one number or one
+    per pair in np.triu_indices(8, 1) order."""
+    u = np.asarray(u, dtype=complex)
+    i, j = _PAIRS
+    r = params.q if r is None else r
+    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, r, params.trunc_tol)
+    return complex(np.prod(vals))
+
+
 def psi_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
     """Triple-gamma weighted integral, invariant under both transformations."""
     r = ctx.params.r
     if r is None:
         raise ValueError("needs a third base r")
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
-    out = I(ctx, quad_tol=quad_tol)
-    for a, b in itertools.combinations(range(8), 2):
-        out *= triple_gamma(ctx.u[a] * ctx.u[b], p, q, r, tol)
-    return out
+    return I(ctx, quad_tol=quad_tol) * _pair_gamma(ctx.u, ctx.params, r=r)
 
 
 def psi_n_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, **kw) -> complex:
     """Multiplicity-n variant, weighted with the (p, q, q) triple gamma."""
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
-    out = I_n(ctx, quad_tol=quad_tol, **kw)
-    for a, b in itertools.combinations(range(8), 2):
-        out *= triple_gamma(ctx.u[a] * ctx.u[b], p, q, q, tol)
-    return out
+    return I_n(ctx, quad_tol=quad_tol, **kw) * _pair_gamma(ctx.u, ctx.params)
 
 
 def In_transform_residual(
@@ -279,22 +318,17 @@ def In_transform_residual(
     s = p * q ** (2 - n)
     if which == "tilde_n":
         image = _tilde(t, s)
-        pairs = list(
-            itertools.chain(
-                itertools.combinations(range(4), 2), itertools.combinations(range(4, 8), 2)
-            )
-        )
+        pairs = _SAME_BLOCK
     elif which == "hat_n":
         root = cmath.sqrt(s)
         image = tuple(root / v for v in t)
-        pairs = list(itertools.combinations(range(8), 2))
+        pairs = slice(None)
     else:
         raise ValueError("which must be 'tilde_n' or 'hat_n'")
-    ratio = 1.0 + 0j
-    for a, b in pairs:
-        ratio *= triple_gamma(q**n * t[a] * t[b], p, q, q, tol) / triple_gamma(
-            t[a] * t[b], p, q, q, tol
-        )
+    i, j = _PAIRS
+    tt = (np.asarray(t)[i] * np.asarray(t)[j])[pairs]
+    shifted = triple_gamma(q**n * tt, p, q, q, tol)
+    ratio = complex(np.prod(shifted / triple_gamma(tt, p, q, q, tol)))
     lhs = I_n(ctx, quad_tol=quad_tol)
     rhs = I_n(ctx.with_u(image), quad_tol=quad_tol) * ratio
     return Residual(abs(lhs - rhs) / abs(lhs))

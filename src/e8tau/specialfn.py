@@ -4,6 +4,7 @@ remaining factors differ from 1 by less than ``trunc_tol``."""
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -89,6 +90,15 @@ def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
     return complex(out[0]) if scalar else out
 
 
+# Chunks of the flat exponent simplex keep every factor temporary near this
+# many elements (256 KiB of complex), so the memory peak does not grow with
+# the node count, and the temporaries are reused from the heap and stay in
+# cache. Much larger ones are mapped fresh from the system on every call: at
+# 2.5e5 elements a batched triple_gamma took about 1 500 page faults and 3.7x
+# the time.
+_CHUNK_ELEMENTS = 16_384
+
+
 def elliptic_gamma(
     z,
     p: complex,
@@ -98,33 +108,35 @@ def elliptic_gamma(
 ):
     """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
 
-    Raises PoleError when some 1 - p^i q^j z factor is within pole_eps of 0;
-    the pole lattice has modulus >= 1, so arguments inside the unit disk are
-    always safe.
+    The exponent simplex |p^i q^j| >= trunc_tol/big is enumerated as one flat
+    array in row-major (i, j) order and multiplied out in chunks. Raises
+    PoleError when some 1 - p^i q^j z factor is within pole_eps of 0, naming
+    the first such (i, j) in that order; the pole lattice has modulus >= 1,
+    so arguments inside the unit disk are always safe.
     """
     zz, scalar = _as_array(z)
     if np.any(zz == 0):
         raise ValueError("gamma argument must be nonzero")
-    ap, aq = abs(p), abs(q)
     pq = p * q
     big = max(float(np.max(np.abs(zz))), float(np.max(abs(pq) / np.abs(zz))), 1.0)
+    pi = _power_column(p, big, trunc_tol)
+    qj = _power_column(q, big, trunc_tol)
+    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * big >= trunc_tol)
+    w = pi[ii] * qj[jj]
+    inv = 1.0 / zz
     out = np.ones_like(zz)
-    p_pow = 1.0 + 0j
-    i = 0
-    while ap**i * big >= trunc_tol:
-        q_pow = 1.0 + 0j
-        j = 0
-        while ap**i * aq**j * big >= trunc_tol:
-            den = 1.0 - p_pow * q_pow * zz
-            small = np.abs(den) < pole_eps
-            if np.any(small):
-                bad = zz[small][0]
-                raise PoleError(complex(bad), i, j)
-            out *= (1.0 - (p_pow * p) * (q_pow * q) / zz) / den
-            j += 1
-            q_pow *= q
-        i += 1
-        p_pow *= p
+    step = max(1, _CHUNK_ELEMENTS // zz.size)
+    for s in range(0, w.size, step):
+        ws = w[s : s + step]
+        den = np.multiply.outer(ws, zz)
+        np.subtract(1.0, den, out=den)
+        small = np.abs(den) < pole_eps
+        if small.any():
+            row = int(np.argmax(small.any(axis=1)))
+            raise PoleError(complex(zz[small[row]][0]), int(ii[s + row]), int(jj[s + row]))
+        num = np.multiply.outer(ws * pq, inv)
+        np.subtract(1.0, num, out=num)
+        out *= np.prod(num, axis=0) / np.prod(den, axis=0)
     return complex(out[0]) if scalar else out
 
 
@@ -156,16 +168,27 @@ def triple_gamma(
     pi = _power_column(p, big, trunc_tol)
     qj = _power_column(q, big, trunc_tol)
     rk = _power_column(r, big, trunc_tol)
-    w = (pi[:, None, None] * qj[None, :, None] * rk[None, None, :]).ravel()
-    w = w[np.abs(w) * big >= trunc_tol]
+    # Row-major (i, j, k) without the full box: each (i, j) keeps the k with
+    # |p^i q^j r^k| * big >= trunc_tol, a prefix since |r^k| decreases.
+    pq = (pi[:, None] * qj[None, :]).ravel()
+    count = np.searchsorted(-np.abs(rk), -trunc_tol / (big * np.abs(pq)), side="right")
+    start = np.cumsum(count) - count
+    w = np.repeat(pq, count) * rk[np.arange(count.sum()) - np.repeat(start, count)]
+    inv = 1.0 / zz
     out = np.ones_like(zz)
-    step = max(1, 2_000_000 // zz.size)
+    step = max(1, _CHUNK_ELEMENTS // zz.size)
     for s in range(0, w.size, step):
         ws = w[s : s + step]
-        out = out * np.prod(
-            (1.0 - ws[:, None] * zz[None, :]) * (1.0 - (ws * pqr)[:, None] / zz[None, :]),
-            axis=0,
-        )
+        fac = np.multiply.outer(ws, zz)
+        np.subtract(1.0, fac, out=fac)
+        dual = np.multiply.outer(ws * pqr, inv)
+        np.subtract(1.0, dual, out=dual)
+        fac *= dual
+        # The running product goes into the chunk's first row rather than
+        # multiplying chunk products, so the chunking moves a value by a few
+        # ulps, not the 1e-13 that separate chunk products gave.
+        fac[0] *= out
+        out = np.prod(fac, axis=0)
     return complex(out[0]) if scalar else out
 
 
@@ -249,16 +272,23 @@ def three_term_residual(
 def detect_termination(
     a: Sequence[complex], q: complex, p: complex, n_max: int = 64, tol: float = 1e-9
 ) -> int:
-    """Smallest N with a_i q^N in the p-power lattice, over all entries."""
+    """Smallest N with a_i q^N in the p-power lattice, over all entries.
+
+    The only candidate exponent for a_i q^n is m = round(log|a_i q^n| / log|p|);
+    p^m is then accepted within relative tolerance tol.
+    """
     best: int | None = None
+    log_p = math.log(abs(p))
     for ai in a:
         val = complex(ai)
+        if val == 0:
+            continue
         for n in range(n_max + 1):
             target = val * q**n
-            for m in range(-4, 13):
-                pm_val = p**m
-                if abs(target - pm_val) < tol * abs(pm_val):
-                    best = n if best is None else min(best, n)
+            pm_val = p ** round(math.log(abs(target)) / log_p)
+            if abs(target - pm_val) < tol * abs(pm_val):
+                best = n if best is None else min(best, n)
+                break
         if best == 0:
             break
     if best is None:

@@ -44,7 +44,6 @@ from .specialfn import (
     bracket_pm,
     theta,
     theta_pochhammer,
-    triple_gamma,
 )
 from .util import (
     AdmissibilityError,
@@ -275,32 +274,15 @@ def _require_level(x: np.ndarray, params: EllipticParams, n: float) -> None:
         raise DomainError(f"point off level varpi + {n}*delta (pairing {got})")
 
 
-def _pair_gamma(u: np.ndarray, params: EllipticParams, scale: complex) -> complex:
-    """Product over pairs i<j of triple_gamma(scale * u_i u_j; p, q, q)."""
-    p, q, tol = params.p, params.q, params.trunc_tol
-    out = complex(1.0)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            out *= triple_gamma(scale * u[i] * u[j], p, q, q, tol)
-    return out
-
-
-def _mixed_gamma(u: np.ndarray, params: EllipticParams, n: int) -> complex:
-    """Same-block pairs at scale q, cross-block pairs at scale q^(1-n)."""
-    p, q, tol = params.p, params.q, params.trunc_tol
-    cross = q ** (1 - n)
-    out = complex(1.0)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            scale = q if (i < 4) == (j < 4) else cross
-            out *= triple_gamma(scale * u[i] * u[j], p, q, q, tol)
-    return out
+def _block_scales(q: complex, n: int) -> np.ndarray:
+    """Per-pair scales: q within a coordinate block, q^(1-n) across blocks."""
+    return np.where(integrals._SAME_BLOCK, q, q ** (1 - n))
 
 
 def pairwise_triple_gamma(x: np.ndarray, params: EllipticParams, shift: int = 0) -> complex:
     """Entire pairwise product prod_{i<j} Gamma(q^shift u_i u_j; p, q, q)."""
     u = np.exp(2j * np.pi * np.asarray(x, dtype=complex))
-    return _pair_gamma(u, params, params.q**shift)
+    return integrals._pair_gamma(u, params, params.q**shift)
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
@@ -318,7 +300,7 @@ def hg_tau1(
     _require_level(x, params, 1)
     u = np.exp(2j * np.pi * x)
     val = integrals.I(IntegrandContext(tuple(u), params), quad_tol=quad_tol)
-    return e(-qform(x, params.delta)) * val * _pair_gamma(u, params, complex(1.0))
+    return e(-qform(x, params.delta)) * val * integrals._pair_gamma(u, params)
 
 
 def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
@@ -645,9 +627,9 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     u = np.exp(2j * np.pi * x)
     pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
     if case == "frame_a0":
-        gam = _mixed_gamma(u, params, n)
+        gam = integrals._pair_gamma(u, params, _block_scales(params.q, n))
     elif case == "frame_a7":
-        gam = _pair_gamma(u, params, params.q ** (1 - n))
+        gam = integrals._pair_gamma(u, params, params.q ** (1 - n))
     else:
         raise ValueError("case must be 'frame_a0' or 'frame_a7'")
     return pre * gam / dfactor_d(n, x, case, params)
@@ -690,10 +672,10 @@ def tau_n_int(
     q = params.q
     if route == "direct":
         t = tuple(q ** (0.5 * (1 - n)) * v for v in u)
-        gam = _pair_gamma(u, params, q ** (1 - n))
+        gam = integrals._pair_gamma(u, params, q ** (1 - n))
     elif route == "tilde":
         t = integrals._tilde(tuple(u), params.p * q)
-        gam = _mixed_gamma(u, params, n)
+        gam = integrals._pair_gamma(u, params, _block_scales(q, n))
     else:
         raise ValueError("route must be 'direct' or 'tilde'")
     pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
@@ -791,7 +773,7 @@ def psi_variant(
 def variant_evaluator(
     variant: str,
     params: EllipticParams,
-    n_max: int = 3,
+    n_max: int = 2,
     quad_tol: float = 1e-10,
 ) -> TauEvaluator:
     """Whole-family evaluator for one column of the closed-form table.
@@ -799,7 +781,9 @@ def variant_evaluator(
     The function lives on the level family ``dir * (lev * varpi + n * delta)``
     of the chosen variant, evaluates the order-``n`` closed form there, and is
     identically zero on the levels below the base one.  Values are memoized per
-    point because bilinear residuals revisit the same shifted arguments.
+    point because bilinear residuals revisit the same shifted arguments.  The
+    default domain stops at level 2: order 3 needs the slow three-dimensional
+    quadrature, so such points fail in ``domain.locate`` with DomainError.
     """
     if variant not in _VARIANT_SIGNS:
         raise ValueError("variant must be one of pp, pm, mp, mm")

@@ -7,12 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from e8tau import sampling
+from e8tau import integrals, sampling
 from e8tau.integrals import (
     I,
     I_n,
     In_transform_residual,
     IntegrandContext,
+    _node_integrand,
     bailey_residual,
     contiguity_residual,
     integrand_H,
@@ -26,6 +27,7 @@ from . import _oracles as O
 from . import _quad_oracles as Q
 
 PARAMS = EllipticParams.from_bases(0.15, 0.1)
+CHAIN_PARAMS = EllipticParams.from_bases(0.03, 0.45)
 U_FIXED = tuple(0.3 * e(k / 11) for k in range(8))
 
 
@@ -82,10 +84,47 @@ def test_permutation_invariance_and_sum_order():
         perm = rng.permutation(8)
         assert _rel(I(_ctx(u=tuple(U_FIXED[int(i)] for i in perm))), base) < 1e-12
     # node summation is pairwise: reversing the accumulation order is inert
-    from e8tau.integrals import _node_integrand
-
     h, _ = _node_integrand(_ctx(), 256)
     assert abs(np.sum(h) - np.sum(h[::-1])) <= 1e-14 * abs(np.sum(h))
+
+
+def _node_vs_reference(ctx, N, monkeypatch):
+    """Node integrand against integrand_H, off the nodes z = +-1 where both
+    vanish, plus the node counts of the product-formula gamma calls it made."""
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(np.size(args[0]))
+        return elliptic_gamma(*args, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(integrals, "elliptic_gamma", counted)
+        h, zs = _node_integrand(ctx, N)
+    ref = integrand_H(zs, ctx)
+    live = ref != 0
+    assert np.all(h[~live] == 0)
+    return float(np.max(np.abs(h[live] - ref[live]) / np.abs(ref[live]))), calls
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_spectral_integrand_matches_product_formula(params, monkeypatch):
+    for mod in (0.3, 0.6, 0.9, 0.97):
+        ctx = _ctx(u=tuple(mod * e(k / 11 + 0.01) for k in range(8)), params=params)
+        for N in (256, 512, 1024):
+            rel, calls = _node_vs_reference(ctx, N, monkeypatch)
+            assert rel < 1e-12, (mod, N)
+            assert calls == []  # every parameter took the series route
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_spectral_integrand_falls_back_per_parameter(params, monkeypatch):
+    pq = params.p * params.q
+    # |u_0| = |pq| and |u_1| < |pq| put rho_k >= 1, |u_2| = 0.995 puts it
+    # above 0.99: these three keep the product formula, the rest the series
+    u = (pq * e(0.2), 0.5 * pq * e(0.7), 0.995 * e(0.35), *U_FIXED[3:])
+    rel, calls = _node_vs_reference(_ctx(u=u, params=params), 512, monkeypatch)
+    assert rel < 1e-12
+    assert calls == [512] * 3
 
 
 def test_real_parameters_give_real_value():

@@ -176,6 +176,10 @@ def test_series_terminates_and_detects():
     assert S.detect_termination([p / q], q, p) == 1
     with pytest.raises(S.TerminationError):
         S.detect_termination([0.3 + 0.1j], q, p)
+    # p-exponents far from zero are found as well
+    p, q = 0.05, 0.15
+    assert S.detect_termination([p**14 * q**-2], q, p) == 2
+    assert S.detect_termination([p**-5 * q**-1], q, p) == 1
 
 
 def test_series_unit_value_at_order_zero():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from e8tau import sampling
+from e8tau import integrals, sampling
 from e8tau import tau as T
 from e8tau.lattice import (
     Frame,
@@ -286,6 +286,25 @@ def test_pair_product_telescopes_under_shift():
         for j in range(i + 1, 8):
             rhs *= elliptic_gamma(u[i] * u[j], p, q)
     assert _rel(lhs, rhs) < 1e-10
+
+
+def test_batched_pair_product_matches_scalar_loop():
+    rng = sampling.make_rng(45)
+    p, q = PARAMS.p, PARAMS.q
+    for n in (1, 2):
+        u = np.exp(2j * np.pi * _x_on(rng, n))
+        for scale in (q ** (1 - n), T._block_scales(q, n)):
+            scales = np.broadcast_to(scale, (28,))
+            loop = 1.0 + 0j
+            for s, i, j in zip(scales, *integrals._PAIRS):
+                loop *= triple_gamma(s * u[i] * u[j], p, q, q)
+            assert _rel(integrals._pair_gamma(u, PARAMS, scale), loop) < 1e-13
+    # the per-pair scales: q inside each coordinate block, q^(1-n) across
+    i, j = integrals._PAIRS
+    same = (i < 4) == (j < 4)
+    assert same.sum() == 12
+    assert np.all(T._block_scales(q, 2)[same] == q)
+    assert np.all(T._block_scales(q, 2)[~same] == q**-1)
 
 
 def test_level1_weyl_invariant():
@@ -609,6 +628,13 @@ def test_variant_order_zero_is_plain_product():
         for b in range(a + 1, 8):
             expect *= triple_gamma(t[a] * t[b], PARAMS.p, PARAMS.q, PARAMS.q)
     assert _rel(got, expect) < 1e-12
+
+
+def test_variant_evaluator_rejects_level_three_at_the_boundary():
+    rng = sampling.make_rng(86)
+    x = _variant_x(rng, "pm", 3)
+    with pytest.raises(DomainError):
+        T.variant_evaluator("pm", PARAMS)(x)
 
 
 def test_variant_validations():
