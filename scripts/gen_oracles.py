@@ -93,6 +93,12 @@ def main():
         mp.mpf("0.4"), mp.mpf("0.1"), mp.mpf("0.15"), mp.mpf("0.12")
     )
 
+    # equal second and third bases, the (p, q, q) weighting of the pair
+    # products, at the chain bases; same naive (i, j, k) product
+    vals["triple_gamma_qq"] = triple_gamma_naive(
+        mp.mpc("0.35", "0.25"), mp.mpf("0.03"), mp.mpf("0.45"), mp.mpf("0.45")
+    )
+
     vals["theta_poch_k3"] = theta_poch_naive(mp.mpf("0.2"), mp.mpf("0.1"), mp.mpf("0.1"), 3)
 
     # additive bracket at p = 0.2: [zeta] = e(-zeta/2) theta(e(zeta); p)

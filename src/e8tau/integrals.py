@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -67,10 +68,69 @@ def integrand_H(z, ctx: IntegrandContext):
     return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
-def _prefactor(params: EllipticParams) -> complex:
-    return qpoch(params.p, params.p, params.trunc_tol) * qpoch(
-        params.q, params.q, params.trunc_tol
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Node tables that depend only on (p, q, trunc_tol, N), shared read-only
+    by every integral on those bases."""
+
+    zs: np.ndarray  # the N-th roots of unity z_m
+    rev: np.ndarray  # index of 1/z_m
+    weight: np.ndarray  # -z^-2 theta(z^2; p) theta(z^2; q) at the nodes
+    pref: complex  # (p;p)(q;q)
+    # n = 2 cross factor sum_{k,l} c_k c_l z^{k+l} w^{k-l}: the weights c_k c_l
+    # and the FFT bins of z^{k+l} and z^{k-l} for |k|, |l| <= K
+    cross_w: np.ndarray
+    cross_s: np.ndarray
+    cross_d: np.ndarray
+
+
+def _jacobi_pair_coeffs(p: complex, trunc_tol: float, pp: complex) -> np.ndarray:
+    """Laurent coefficients c_{-K..K} of theta(z; p) theta(1/z; p).
+
+    By the Jacobi triple product theta(z; p) = sum_n a_n z^n with
+    a_n = (-1)^n p^{n(n-1)/2} / (p;p) (pp is (p;p)), so c_k = sum_n a_{n+k} a_n.
+    a_n is kept on 1 - L <= n <= L, where |p|^{L(L-1)/2} < trunc_tol, and c_k
+    is cut where |c_k| < trunc_tol * max |c|.
+    """
+    L = 1
+    while abs(p) ** (L * (L - 1) / 2) >= trunc_tol:
+        L += 1
+    n = np.arange(1 - L, L + 1)
+    a = (-1.0) ** n * p ** (n * (n - 1) // 2) / pp
+    c = np.convolve(a, a[::-1])  # symmetric, c_0 at index 2L - 1
+    K = 2 * L - 1 - int(np.argmax(np.abs(c) >= trunc_tol * np.abs(c).max()))
+    return c[2 * L - 1 - K : 2 * L + K]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
+    m = np.arange(N)
+    zs = np.exp(2j * np.pi * m / N)
+    pp, qq = qpoch(p, p, trunc_tol), qpoch(q, q, trunc_tol)
+    c = _jacobi_pair_coeffs(p, trunc_tol, pp)
+    K = c.size // 2
+    k = np.repeat(np.arange(-K, K + 1), 2 * K + 1)
+    l = np.tile(np.arange(-K, K + 1), 2 * K + 1)
+    return _Plan(
+        zs=_frozen(zs),
+        rev=_frozen((-m) % N),
+        weight=_frozen(-(zs**-2) * theta(zs**2, p, trunc_tol) * theta(zs**2, q, trunc_tol)),
+        pref=pp * qq,
+        cross_w=_frozen(np.outer(c, c).ravel()),
+        # sum_m h_m z_m^j is bin -j of the FFT
+        cross_s=_frozen(-(k + l) % N),
+        cross_d=_frozen(-(k - l) % N),
     )
+
+
+def _plan_for(params: EllipticParams, N: int) -> _Plan:
+    """The plan of params' bases at N nodes; the third base r plays no part."""
+    return _plan(params.p, params.q, params.trunc_tol, N)
 
 
 # The folded log-series serves parameters with rho_k = max(|u_k|, |pq/u_k|)
@@ -80,7 +140,7 @@ _SERIES_TAIL = 1e-17
 
 
 def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand values at the N-th roots of unity.
+    """Integrand values at the N-th roots of unity, and those roots.
 
     On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
     series sum_{m>=1} c_m (z^m + z^-m) with
@@ -88,14 +148,15 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
     parameters with rho_k <= _SPECTRAL_RHO_MAX are summed, cut where rho^M is
     below _SERIES_TAIL, and folded mod N, so one FFT pair gives every node.
     Each other parameter costs one vectorized gamma evaluation:
-    Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected node index.
+    Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected node index. The
+    values are a fresh array, since every parameter multiplies into the
+    plan's read-only weight; the roots are the plan's read-only table.
     """
     p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
     pq = p * q
-    m = np.arange(N)
-    zs = np.exp(2j * np.pi * m / N)
-    rev = (-m) % N
-    vals = -(zs**-2) * theta(zs**2, p, tol) * theta(zs**2, q, tol)
+    plan = _plan_for(ctx.params, N)
+    zs = plan.zs
+    vals = plan.weight
     u = np.asarray(ctx.u)
     with np.errstate(divide="ignore"):
         rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
@@ -115,7 +176,7 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
         vals = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
     for uk in u[~spectral]:
         g = elliptic_gamma(uk * zs, p, q, tol)
-        vals = vals * g * g[rev]
+        vals = vals * g * g[plan.rev]
     return vals, zs
 
 
@@ -123,23 +184,24 @@ def _quad(ctx: IntegrandContext, N: int) -> complex:
     n = ctx.n
     if n == 0:
         return 1.0 + 0j
-    pref = _prefactor(ctx.params)
+    plan = _plan_for(ctx.params, N)
     h, zs = _node_integrand(ctx, N)
+    scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
-        return pref / (2 * N) * complex(np.sum(h))
-    # cross factor theta(z_i^{+-1} z_j^{+-1}; p): four thetas collapse to a
-    # lookup over node-index sums and differences
-    p, tol = ctx.params.p, ctx.params.trunc_tol
-    m = np.arange(N)
-    tp = theta(zs, p, tol)
-    pair = tp * tp[(-m) % N]
-    scale = pref**n / (2**n * factorial(n) * N**n)
+        return scale * complex(np.sum(h))
     if n == 2:
-        s_idx = (m[:, None] + m[None, :]) % N
-        d_idx = (m[:, None] - m[None, :]) % N
-        total = np.sum(h[:, None] * h[None, :] * pair[s_idx] * pair[d_idx])
-        return scale * complex(total)
+        # the cross factor theta(z^{+-1} w^{+-1}; p) is the Laurent polynomial
+        # sum_{k,l} c_k c_l z^{k+l} w^{k-l}, so the N^2 node sum is a sum over
+        # (k, l) of products of two FFT bins of h
+        H = np.fft.fft(h)
+        return scale * complex(np.sum(plan.cross_w * H[plan.cross_s] * H[plan.cross_d]))
     if n == 3:
+        # cross factor theta(z_i^{+-1} z_j^{+-1}; p): four thetas collapse to a
+        # lookup over node-index sums and differences
+        p, tol = ctx.params.p, ctx.params.trunc_tol
+        m = np.arange(N)
+        tp = theta(zs, p, tol)
+        pair = tp * tp[plan.rev]
         s_idx = (m[:, None] + m[None, :]) % N
         d_idx = (m[:, None] - m[None, :]) % N
         grid23 = pair[s_idx] * pair[d_idx]
@@ -174,16 +236,17 @@ def I_n(
     N = min(ctx.quad_points, cap)
     if not adaptive:
         return _quad(ctx, N)
+    where = dict(u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap)
     prev = _quad(ctx, N)
     while True:
         if 2 * N > cap:
-            raise ConvergenceError(f"node cap {cap} reached", prev, prev)
+            raise ConvergenceError(f"node cap {cap} reached", prev, prev, **where)
         N *= 2
         cur = _quad(ctx, N)
         if abs(cur - prev) <= quad_tol * max(abs(cur), 1e-300):
             return cur
         if 2 * N > cap:
-            raise ConvergenceError(f"node cap {cap} reached before stabilizing", cur, prev)
+            raise ConvergenceError(f"node cap {cap} reached before stabilizing", cur, prev, **where)
         prev = cur
 
 

@@ -158,7 +158,8 @@ def triple_gamma(
     """Entire triple gamma: (z; p,q,r)_inf (pqr/z; p,q,r)_inf.
 
     The exponent simplex |p^i q^j r^k| >= trunc_tol/big is enumerated as one
-    flat array so the factor products run vectorized.
+    flat array so the factor products run vectorized. When r == q the
+    factors with equal j + k coincide and the simplex collapses to (i, j + k).
     """
     zz, scalar = _as_array(z)
     if np.any(zz == 0):
@@ -167,6 +168,9 @@ def triple_gamma(
     big = max(float(np.max(np.abs(zz))), float(np.max(abs(pqr) / np.abs(zz))), 1.0)
     pi = _power_column(p, big, trunc_tol)
     qj = _power_column(q, big, trunc_tol)
+    if r == q:
+        out = _triple_gamma_qq(zz, pi, qj, pqr, big, trunc_tol)
+        return complex(out[0]) if scalar else out
     rk = _power_column(r, big, trunc_tol)
     # Row-major (i, j, k) without the full box: each (i, j) keeps the k with
     # |p^i q^j r^k| * big >= trunc_tol, a prefix since |r^k| decreases.
@@ -190,6 +194,57 @@ def triple_gamma(
         fac[0] *= out
         out = np.prod(fac, axis=0)
     return complex(out[0]) if scalar else out
+
+
+def _triple_gamma_qq(
+    zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: complex, big: float, trunc_tol: float
+) -> np.ndarray:
+    """triple_gamma at r = q. The factor pair at p^i q^s stands for the s + 1
+    pairs (j, k) with j + k = s, so the (i, s) box suffices: each column
+    product g_s enters as g_s^(s + 1).
+
+    A rounded factor 1 - x is off by about one unit roundoff, which the power
+    s + 1 would multiply (to about 1e-13 at q = 0.45). So each factor pair is
+    kept as its deviation d from 1, the rows of a column are combined by
+    (1 + a)(1 + b) = 1 + (a + b + ab) over a pairwise tree, and
+    g_s^(s + 1) = exp((s + 1) log(1 + d_s)). Column s = 0 has power 1 and
+    holds the only zero in |pq^2| < |z| <= 1, at z = 1, so it stays a plain
+    product that keeps that zero exact. Chunks run over z so a factor array
+    stays near _CHUNK_ELEMENTS.
+    """
+    w = pi[:, None] * qs[None, :]
+    w[np.abs(w) * big < trunc_tol] = 0.0  # outside the simplex: factor 1
+    wd = w * pqr
+    ww = (w * wd)[:, :, None]
+    power = np.arange(2, qs.size + 1)[:, None]
+    out = np.empty_like(zz)
+    step = max(1, _CHUNK_ELEMENTS // w.size)
+    for c in range(0, zz.size, step):
+        zc = zz[c : c + step]
+        izc = 1.0 / zc
+        g0 = np.prod(
+            (1.0 - np.multiply.outer(w[:, 0], zc)) * (1.0 - np.multiply.outer(wd[:, 0], izc)), axis=0
+        )
+        # (1 - wz)(1 - wd/z) = 1 + d with d = w wd - (wz + wd/z)
+        d = np.multiply.outer(w, zc)
+        d += np.multiply.outer(wd, izc)
+        np.subtract(ww, d, out=d)
+        while len(d) > 1:
+            h = (len(d) + 1) // 2  # row k meets row k + h; an odd middle row waits
+            d[: len(d) - h] += d[h:] * (1.0 + d[: len(d) - h])
+            d = d[:h]
+        mod, arg = _log1p(d[0, 1:])
+        out[c : c + step] = g0 * np.exp(np.sum(power * mod, axis=0) + 1j * np.sum(power * arg, axis=0))
+    return out
+
+
+def _log1p(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|1 + d| and arg(1 + d), accurate for small d and near d = -1."""
+    a, b = d.real, d.imag
+    t = a * (2.0 + a) + b * b  # |1 + d|^2 - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mod = np.where(t < -0.75, np.log(np.hypot(1.0 + a, b)), 0.5 * np.log1p(t))
+    return mod, np.arctan2(b, 1.0 + a)
 
 
 def theta_pochhammer(z, k: int, p: complex, q: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):

@@ -325,14 +325,17 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
 
 
 class BracketZeroError(ValueError):
-    """A recursion denominator bracket fell under the genericity floor."""
+    """A recursion denominator bracket fell under the genericity floor at the
+    point x, when the raiser supplies it."""
 
-    def __init__(self, label: str, magnitude: float):
+    def __init__(self, label: str, magnitude: float, x: np.ndarray | None = None):
+        where = "" if x is None else f" at x={[complex(v) for v in x]!r}"
         super().__init__(
-            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}"
+            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}{where}"
         )
         self.label = label
         self.magnitude = magnitude
+        self.x = None if x is None else np.array(x, dtype=complex)
 
 
 def toda_step(
@@ -367,7 +370,7 @@ def toda_step(
     den_minus = bracket(pairing_c(ai - aj, x), params)
     for sign, val in (("+", den_plus), ("-", den_minus)):
         if abs(val) < BRACKET_FLOOR:
-            raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val))
+            raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
 
     def shifted_pm(b: LatticeVector) -> complex:
         return bracket(pairing_c(a0 + b, x) - d, params) * bracket(

@@ -45,12 +45,29 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature hit its node cap before stabilizing."""
+    """Adaptive quadrature hit its node cap before stabilizing.
 
-    def __init__(self, message: str, last: complex, previous: complex):
-        super().__init__(f"{message} (last={last!r}, previous={previous!r})")
+    Carries the integral's parameters u, bases p and q, multiplicity n and
+    node cap, when the raiser supplies them, so the failure can be replayed.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        last: complex,
+        previous: complex,
+        *,
+        u: tuple[complex, ...] | None = None,
+        p: complex | None = None,
+        q: complex | None = None,
+        n: int | None = None,
+        cap: int | None = None,
+    ):
+        where = "" if n is None else f" at n={n}, cap={cap}, p={p!r}, q={q!r}, u={u!r}"
+        super().__init__(f"{message} (last={last!r}, previous={previous!r}){where}")
         self.last = last
         self.previous = previous
+        self.u, self.p, self.q, self.n, self.cap = u, p, q, n, cap
 
 
 class TerminationError(ValueError):

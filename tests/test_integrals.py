@@ -13,14 +13,17 @@ from e8tau.integrals import (
     I_n,
     In_transform_residual,
     IntegrandContext,
+    _jacobi_pair_coeffs,
     _node_integrand,
+    _plan_for,
+    _quad,
     bailey_residual,
     contiguity_residual,
     integrand_H,
     psi_value,
     terminating_eval,
 )
-from e8tau.specialfn import EllipticParams, elliptic_gamma, theta
+from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta
 from e8tau.util import AdmissibilityError, ConvergenceError, e
 
 from . import _oracles as O
@@ -127,6 +130,61 @@ def test_spectral_integrand_falls_back_per_parameter(params, monkeypatch):
     assert calls == [512] * 3
 
 
+def test_plan_is_shared_across_third_base_and_read_only():
+    params_r = EllipticParams.from_bases(PARAMS.p, PARAMS.q, r=0.12)
+    plan = _plan_for(PARAMS, 256)
+    assert _plan_for(params_r, 256) is plan
+    for name in ("zs", "rev", "weight", "cross_w", "cross_s", "cross_d"):
+        with pytest.raises(ValueError):
+            getattr(plan, name)[0] = 0
+
+
+def test_node_integrand_output_cannot_reach_later_integrals():
+    ctx = _ctx(quad_points=256)
+    before = I(ctx)
+    h, zs = _node_integrand(ctx, 256)
+    h[:] = 0.0
+    with pytest.raises(ValueError):
+        zs[:] = 0.0
+    assert I(ctx) == before
+
+
+def _tensor_sum_n2(ctx, N):
+    """The n = 2 node sum over the full N x N grid with the cross factor
+    theta(z^{+-1} w^{+-1}; p) from theta values at index sums and differences."""
+    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    h, zs = _node_integrand(ctx, N)
+    m = np.arange(N)
+    tp = theta(zs, p, tol)
+    pair = tp * tp[(-m) % N]
+    s_idx = (m[:, None] + m[None, :]) % N
+    d_idx = (m[:, None] - m[None, :]) % N
+    total = np.sum(h[:, None] * h[None, :] * pair[s_idx] * pair[d_idx])
+    pref = qpoch(p, p, tol) * qpoch(q, q, tol)
+    return pref**2 / (8 * N**2) * complex(total)
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_fourier_n2_sum_matches_tensor_sum(params):
+    for mod in (0.3, 0.9):
+        ctx = _ctx(u=tuple(mod * e(k / 11 + 0.01) for k in range(8)), params=params, n=2)
+        for N in (64, 256, 1024):
+            assert _rel(_quad(ctx, N), _tensor_sum_n2(ctx, N)) < 1e-11, (mod, N)
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_jacobi_coefficients_match_node_fft(params):
+    p, tol = params.p, params.trunc_tol
+    c = _jacobi_pair_coeffs(p, tol, qpoch(p, p, tol))
+    K = c.size // 2
+    N = 64
+    zs = np.exp(2j * np.pi * np.arange(N) / N)
+    fourier = np.fft.fft(theta(zs, p, tol) * theta(1 / zs, p, tol)) / N
+    assert np.max(np.abs(np.roll(fourier, K)[: 2 * K + 1] - c)) < 1e-14 * np.abs(c).max()
+    # the coefficients past K are below the cut
+    assert np.max(np.abs(fourier[K + 1 : N - K])) < 1e-14 * np.abs(c).max()
+
+
 def test_real_parameters_give_real_value():
     u = (0.3, 0.25, -0.2, 0.15, 0.35, -0.4, 0.1, 0.05)
     val = I(_ctx(u=u))
@@ -166,6 +224,21 @@ def test_convergence_error_carries_estimates():
     with pytest.raises(ConvergenceError) as exc:
         I(_ctx(u=u, quad_points=64), quad_tol=1e-14)
     assert exc.value.last != 0 or exc.value.previous != 0
+
+
+@pytest.mark.parametrize("n, cap", [(1, 4096), (2, 1024)])
+def test_convergence_error_replays(n, cap):
+    ctx = _ctx(u=tuple(0.997 * e(k / 13) for k in range(8)), n=n, quad_points=64)
+    with pytest.raises(ConvergenceError) as exc:
+        I_n(ctx, quad_tol=1e-14)
+    err = exc.value
+    assert (err.u, err.p, err.q, err.n, err.cap) == (ctx.u, PARAMS.p, PARAMS.q, n, cap)
+    replay = IntegrandContext(
+        u=err.u, params=EllipticParams.from_bases(err.p, err.q), n=err.n, quad_points=64
+    )
+    with pytest.raises(ConvergenceError) as again:
+        I_n(replay, quad_tol=1e-14)
+    assert (again.value.last, again.value.previous) == (err.last, err.previous)
 
 
 def test_contiguity_residual_both_forms():

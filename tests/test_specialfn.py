@@ -84,6 +84,55 @@ def test_triple_gamma_functional_equations():
         assert _rel(S.triple_gamma(p * q * r / z, p, q, r), t3) < 1e-11
 
 
+def test_triple_gamma_equal_bases_frozen_value():
+    assert _rel(S.triple_gamma(0.35 + 0.25j, 0.03, 0.45, 0.45), O.TRIPLE_GAMMA_QQ) < 1e-13
+
+
+def _triple_gamma_full_simplex(z, p, q, r, trunc_tol=S.DEFAULT_TRUNC_TOL):
+    """Every (i, j, k) factor of the triple gamma, multiplied out in extended
+    precision: in double the product of some 10^4 factors is itself off by
+    about 1e-13 at q = 0.45."""
+    ld, cld = np.longdouble, np.clongdouble
+    z = np.asarray(z, dtype=cld)
+    p, q, r = ld(p), ld(q), ld(r)
+    big = max(float(np.max(np.abs(z))), float(np.max(abs(p * q * r) / np.abs(z))), 1.0)
+
+    def powers(b):
+        n = 1
+        while b**n * big >= trunc_tol:
+            n += 1
+        return b ** np.arange(n, dtype=ld)
+
+    w = np.multiply.outer(np.multiply.outer(powers(p), powers(q)), powers(r)).ravel()
+    w = w[w * big >= trunc_tol]
+    out = np.ones_like(z)
+    for s in range(0, w.size, 512):
+        ws = w[s : s + 512, None]
+        out *= np.prod((1 - ws * z) * (1 - ws * p * q * r / z), axis=0)
+    return out.astype(complex)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+@pytest.mark.parametrize("p, q", [(0.03, 0.45), (0.15, 0.10)], ids=["chain", "bailey"])
+def test_triple_gamma_equal_bases_matches_full_simplex(p, q):
+    rng = np.random.default_rng(np.random.Philox(41))
+    for _ in range(4):
+        z = (0.05 + 1.5 * rng.random(28)) * np.exp(2j * np.pi * rng.random(28))
+        got = S.triple_gamma(z, p, q, q)
+        ref = _triple_gamma_full_simplex(z, p, q, q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+def test_triple_gamma_equal_bases_functional_equations():
+    rng = np.random.default_rng(np.random.Philox(43))
+    for _ in range(30):
+        z = (0.1 + 0.7 * rng.random()) * e(rng.random())
+        p, q = 0.05 + 0.4 * rng.random(2)
+        t3 = S.triple_gamma(z, p, q, q)
+        assert _rel(S.triple_gamma(q * z, p, q, q), S.elliptic_gamma(z, p, q) * t3) < 1e-12
+        assert _rel(S.triple_gamma(p * q * q / z, p, q, q), t3) < 1e-12
+
+
 def test_theta_pochhammer_frozen_and_gamma_ratio():
     assert _rel(S.theta_pochhammer(0.2, 3, 0.1, 0.1), O.THETA_POCH_K3) < 1e-13
     # same object as a ratio of gamma functions

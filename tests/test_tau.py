@@ -388,6 +388,20 @@ def test_toda_flags_degenerate_denominator():
         T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS)
 
 
+def test_bracket_zero_error_replays_at_its_point():
+    c0, c1 = CHAIN2.components[0], CHAIN2.components[1]
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    d = T.ordered_c8_ii(frame8)[2] - T.ordered_c8_ii(frame8)[3]
+    x = _x_on(sampling.make_rng(55), 2)
+    x = x - pairing_c(d, x) * np.asarray(d.true_coords(), dtype=complex) / 2.0
+    with pytest.raises(T.BracketZeroError) as exc:
+        T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS)
+    assert np.array_equal(exc.value.x, x)
+    with pytest.raises(T.BracketZeroError) as again:
+        T.toda_step(c0, c1, frame8, 2, 3, exc.value.x, PARAMS)
+    assert again.value.magnitude == exc.value.magnitude
+
+
 def test_chain_satisfies_all_frame_families():
     rng = sampling.make_rng(54)
     cases = [
