@@ -134,9 +134,27 @@ def _plan_for(params: EllipticParams, N: int) -> _Plan:
 
 
 # The folded log-series serves parameters with rho_k = max(|u_k|, |pq/u_k|)
-# at most this; it diverges at rho_k >= 1, where the product formula serves.
+# at most _SPECTRAL_RHO_MAX; it diverges at rho_k >= 1 and needs thousands of
+# terms just below 1. A parameter with rho_k above _SHIFT_RHO is first moved
+# towards |pq|^(1/2) by the difference equation of the gamma function, at the
+# cost of one theta evaluation over the nodes per step.
 _SPECTRAL_RHO_MAX = 0.99
+_SHIFT_RHO = 0.95
 _SERIES_TAIL = 1e-17
+
+
+def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
+    """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for a
+    parameter of modulus mod, or the s of least rho when none reaches it; 0
+    when rho is already there. rho falls monotonically from s = 0 towards
+    the best s, where |u| |b|^s is nearest to |pq|^(1/2)."""
+    best = round(np.log(mod / np.sqrt(pq_mod)) / -np.log(b_mod))
+    step = 1 if best > 0 else -1
+    for s in range(0, best, step):
+        x = mod * b_mod**s
+        if max(x, pq_mod / x) <= _SHIFT_RHO:
+            return s
+    return best
 
 
 def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,20 +162,35 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
 
     On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
     series sum_{m>=1} c_m (z^m + z^-m) with
-    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). The series of all
-    parameters with rho_k <= _SPECTRAL_RHO_MAX are summed, cut where rho^M is
-    below _SERIES_TAIL, and folded mod N, so one FFT pair gives every node.
-    Each other parameter costs one vectorized gamma evaluation:
-    Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected node index. The
-    values are a fresh array, since every parameter multiplies into the
-    plan's read-only weight; the roots are the plan's read-only table.
+    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). A parameter inside
+    the unit disk whose rho_k exceeds _SHIFT_RHO is first replaced by
+    u_k b^s with Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and
+    |b| >= |c|: the pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c)
+    for s > 0, or prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0. The
+    series of all parameters with rho_k <= _SPECTRAL_RHO_MAX are then summed,
+    cut where rho^M is below _SERIES_TAIL, and folded mod N, so one FFT pair
+    gives every node. Each other parameter (outside the unit disk, or on
+    bases too near 1 for the shift to reach the series) costs one vectorized
+    gamma evaluation: Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected
+    node index, as theta(a / z_m) equals theta(a z) there. The values are a
+    fresh array, since every parameter multiplies into the plan's read-only
+    weight; the roots are the plan's read-only table.
     """
     p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
     pq = p * q
     plan = _plan_for(ctx.params, N)
-    zs = plan.zs
+    zs, rev = plan.zs, plan.rev
     vals = plan.weight
-    u = np.asarray(ctx.u)
+    u = np.array(ctx.u)
+    with np.errstate(divide="ignore"):
+        rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
+    b, c = (q, p) if abs(q) >= abs(p) else (p, q)
+    for i in np.flatnonzero((rho > _SHIFT_RHO) & (np.abs(u) < 1.0) & (u != 0)):
+        s = _shift_count(abs(u[i]), abs(pq), abs(b))
+        for t in range(min(s, 0), max(s, 0)):
+            th = theta(u[i] * b**t * zs, c, tol)
+            vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
+        u[i] = u[i] * b**s
     with np.errstate(divide="ignore"):
         rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
     spectral = rho <= _SPECTRAL_RHO_MAX
@@ -168,15 +201,15 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
         # row-wise powers b^1 .. b^M of the bases u_k, pq/u_k, p and q
         bases = np.concatenate([us, pq / us, [p, q]])
         pw = np.cumprod(np.repeat(bases[:, None], M, axis=1), axis=1)
-        c = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
-        c[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
+        cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
+        cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
             np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
         )
-        a = c.reshape(-1, N).sum(axis=0)
+        a = cm.reshape(-1, N).sum(axis=0)
         vals = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
     for uk in u[~spectral]:
         g = elliptic_gamma(uk * zs, p, q, tol)
-        vals = vals * g * g[plan.rev]
+        vals = vals * g * g[rev]
     return vals, zs
 
 

@@ -90,13 +90,17 @@ def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
     return complex(out[0]) if scalar else out
 
 
-# Chunks of the flat exponent simplex keep every factor temporary near this
-# many elements (256 KiB of complex), so the memory peak does not grow with
-# the node count, and the temporaries are reused from the heap and stay in
-# cache. Much larger ones are mapped fresh from the system on every call: at
-# 2.5e5 elements a batched triple_gamma took about 1 500 page faults and 3.7x
-# the time.
-_CHUNK_ELEMENTS = 16_384
+# Chunks of the flat exponent simplex keep every factor temporary at most
+# this many elements (125 KiB of complex), so the memory peak does not grow
+# with the node count, and the temporaries are reused from the heap and stay
+# in cache. The allocator (glibc malloc) maps blocks of 128 KiB and more fresh
+# from the system on every allocation, and they are page-faulted in again,
+# unless the process has earlier freed a larger mapped block, which raises
+# that threshold; at 256 KiB the cost of a batched triple_gamma therefore
+# depended on what the process had allocated before (about 100 page faults
+# per call when nothing had raised the threshold). At 2.5e5 elements a
+# batched triple_gamma took about 1 500 page faults and 3.7x the time.
+_CHUNK_ELEMENTS = 8_000
 
 
 def elliptic_gamma(

@@ -123,11 +123,38 @@ def test_spectral_integrand_matches_product_formula(params, monkeypatch):
 def test_spectral_integrand_falls_back_per_parameter(params, monkeypatch):
     pq = params.p * params.q
     # |u_0| = |pq| and |u_1| < |pq| put rho_k >= 1, |u_2| = 0.995 puts it
-    # above 0.99: these three keep the product formula, the rest the series
+    # above 0.99: the series cannot take these three as they are, so each is
+    # moved into its reach by the gamma difference equation; no parameter
+    # inside the unit disk needs the product formula
     u = (pq * e(0.2), 0.5 * pq * e(0.7), 0.995 * e(0.35), *U_FIXED[3:])
     rel, calls = _node_vs_reference(_ctx(u=u, params=params), 512, monkeypatch)
     assert rel < 1e-12
-    assert calls == [512] * 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_shifted_parameters_match_product_formula(params, monkeypatch):
+    pq = abs(params.p * params.q)
+    b = max(abs(params.p), abs(params.q))
+    for mod in (0.96, 0.989, 0.997, 0.5 * pq, 0.2 * pq):
+        s = integrals._shift_count(mod, pq, b)
+        x = mod * b**s
+        assert s != 0 and max(x, pq / x) <= integrals._SHIFT_RHO
+        # the fewest steps: one step fewer is still above the threshold
+        x = mod * b ** (s - np.sign(s))
+        assert max(x, pq / x) > integrals._SHIFT_RHO
+        u = (mod * e(0.27), 0.6 * e(0.3), mod * e(0.61), *U_FIXED[3:])
+        for N in (256, 1024, 4096):
+            rel, calls = _node_vs_reference(_ctx(u=u, params=params), N, monkeypatch)
+            assert rel < 1e-12, (mod, N)
+            assert calls == []
+
+
+def test_parameter_outside_unit_disk_keeps_product_formula(monkeypatch):
+    u = (1.02 * e(0.35), *U_FIXED[1:])
+    rel, calls = _node_vs_reference(_ctx(u=u), 512, monkeypatch)
+    assert rel < 1e-12
+    assert calls == [512]
 
 
 def test_plan_is_shared_across_third_base_and_read_only():
