@@ -25,13 +25,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import integrals, lattice, picard, sampling, tau
 from .integrals import IntegrandContext
 from .specialfn import EllipticParams, bracket_pm, three_term_residual
-from .util import AdmissibilityError, ConvergenceError, DomainError, e
+from .util import DomainError, e, rel_diff, resampled
 
 SUITES = ("counts", "specialfn", "hirota", "bailey", "chain", "picard")
 
@@ -144,21 +145,138 @@ def _count_check(cid: str, anchor: str, got: int, want: int) -> dict:
     }
 
 
-def _resampled(draw, tries: int = 8):
-    """Retry a draw-and-evaluate closure across admissibility rejections."""
-    last = None
-    for _ in range(tries):
-        try:
-            return draw()
-        except (tau.BracketZeroError, AdmissibilityError, ConvergenceError) as err:
-            last = err
-    raise RuntimeError(f"no admissible draw in {tries} tries: {last!r}")
-
-
 def _level_modulus(level: complex) -> float:
     # Half the coordinate sum equals level, so the geometric mean of the
     # multiplicative coordinates is |e(level)|^(1/4).
     return abs(e(level)) ** 0.25
+
+
+def _worst(once: Callable[[], float], trials: int) -> float:
+    """Largest of trials residuals drawn in turn (a NaN never wins)."""
+    worst = 0.0
+    for _ in range(trials):
+        worst = max(worst, once())
+    return worst
+
+
+# ------------------------------------------------------ one-trial checks
+#
+# Each body draws one point from rng and returns its residual. The suites
+# below and the acceptance criteria in tests/test_acceptance.py both call
+# them, each with its own seed, trial count, quadrature target and bound.
+
+
+def _three_term_once(rng) -> float:
+    base = (0.05 + 0.45 * rng.random()) * e(rng.random())
+    par = EllipticParams.from_bases(base, 0.3)
+    z, a, b, g = (0.4 * complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
+    return float(three_term_residual(z, a, b, g, par))
+
+
+def _reflection_once(rng, par: EllipticParams, quad_tol: float) -> tuple[float, float]:
+    """Residuals of the tilde and hat reflections, third base r = 0.12."""
+    p, q = par.p, par.q
+    u = sampling.sample_balanced(rng, (p * q) ** 2, abs(p * q) ** 0.25)
+    ctx = IntegrandContext(u=u, params=EllipticParams.from_bases(p, q, r=0.12))
+    return (
+        float(integrals.bailey_residual(ctx, "tilde", quad_tol=quad_tol)),
+        float(integrals.bailey_residual(ctx, "hat", quad_tol=quad_tol)),
+    )
+
+
+def _contiguity_once(rng, par: EllipticParams, quad_tol: float) -> float:
+    u = tuple(0.4 * e(t) for t in rng.random(8))
+    ctx = IntegrandContext(u=u, params=par)
+    return float(integrals.contiguity_residual(ctx, 0, 3, 6, quad_tol=quad_tol))
+
+
+def _ratio_once(rng, par: EllipticParams) -> float:
+    """Level-0 shift ratio of the chain against its bracket ratio."""
+    a0, a1, a2 = tau.oriented_triple(tau.A1_VECTORS[:3])
+    x = sampling.sample_on_level(rng, par, 0)
+    d = par.delta
+    num = tau.hg_tau0(x + d * a1.true_coords(), par) * tau.hg_tau0(x - d * a1.true_coords(), par)
+    den = tau.hg_tau0(x + d * a2.true_coords(), par) * tau.hg_tau0(x - d * a2.true_coords(), par)
+    rhs = bracket_pm(lattice.pairing_c(a0, x), lattice.pairing_c(a1, x), par) / bracket_pm(
+        lattice.pairing_c(a0, x), lattice.pairing_c(a2, x), par
+    )
+    return rel_diff(num / den, rhs)
+
+
+def _det_vs_quad_once(rng, par: EllipticParams, n: int, quad_tol: float) -> float:
+    x = sampling.sample_on_level(rng, par, n)
+    det = tau.tau_n_det(n, x, "frame_a0", par, quad_tol=quad_tol)
+    quad = tau.tau_n_int(n, x, "direct", par, quad_tol=quad_tol)
+    return rel_diff(det, quad)
+
+
+def _transform_once(rng, par: EllipticParams, quad_tol: float) -> tuple[float, float]:
+    """Residuals of the multiplicity-two tilde and hat transformations."""
+    t = sampling.sample_balanced(rng, par.p**2, abs(par.p) ** 0.25)
+    ctx2 = IntegrandContext(u=t, params=par, n=2)
+    return (
+        float(integrals.In_transform_residual(ctx2, "tilde_n", quad_tol=quad_tol)),
+        float(integrals.In_transform_residual(ctx2, "hat_n", quad_tol=quad_tol)),
+    )
+
+
+def _terminating_family(rng, N: int, params: EllipticParams):
+    """u with product q^2, q/u_0 u_1 = q^{-N}, solved last slot."""
+    q = params.q
+    u0 = 0.45 * e(rng.random())
+    u1 = q ** (N + 1) / u0
+    mid_mod = 0.75 if N < 2 else 0.9
+    mid = [mid_mod * e(t) for t in rng.random(5)]
+    prod_mid = 1.0 + 0j
+    for v in mid:
+        prod_mid *= v
+    u7 = q ** (1 - N) / prod_mid
+    return (u0, u1, *mid, u7)
+
+
+def _terminating_once(rng, par: EllipticParams, order: int, quad_tol: float) -> float:
+    u = _terminating_family(rng, order, par)
+    p = par.p
+    lhs_args = (p * u[0], *u[1:7], p * u[7])
+    lhs = integrals.I(IntegrandContext(u=lhs_args, params=par), quad_tol=quad_tol)
+    return rel_diff(lhs, integrals.terminating_eval(u, par, order))
+
+
+def _kac_laws(h: picard.PicardVector) -> list[bool]:
+    """Additivity, the fixed null vector, the isometry and Weyl equivariance
+    of Kac translations, evaluated at h."""
+    a, b = picard.AFFINE_ROOTS[2], picard.AFFINE_ROOTS[5] + picard.AFFINE_ROOTS[0]
+    return [
+        picard.kac_translate(a, picard.kac_translate(b, h)) == picard.kac_translate(a + b, h),
+        picard.kac_translate(picard.C, h) == h,
+        picard.kac_translate(a, picard.C) == picard.C,
+        picard.picard_ip(picard.kac_translate(a, h), picard.kac_translate(a, h))
+        == picard.picard_ip(h, h),
+        picard.apply_word((1, 4), picard.kac_translate(a, picard.apply_word((4, 1), h)))
+        == picard.kac_translate(picard.apply_word((1, 4), a), h),
+    ]
+
+
+def _round_trip_once(rng) -> float:
+    """Largest coordinate error of coords_back after coords_forward."""
+    x = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    mu = complex(rng.standard_normal(), rng.standard_normal())
+    kappa = 0.3 + 0.4 * rng.random()
+    xb, mub, kapb = picard.coords_back(picard.coords_forward(x, mu, kappa))
+    return max(float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa))
+
+
+_LATTICE_QUADS = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
+
+
+def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -> float:
+    """Quadruple bilinear residual of ev's lattice family on the level-2 chart."""
+    lev2 = -par.varpi + 2 * par.delta
+    m2 = _level_modulus(lev2)
+    x = sampling.sample_level_x(rng, lev2, (0.95 * m2, 1.05 * m2), (m2 / 1.2, 1.2 * m2))
+    mu = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
+    eps = picard.coords_forward(x, mu, par.delta)
+    return float(picard.quadruple_hirota_residual(ev, (), eps, quad))
 
 
 # ------------------------------------------------------------------ suites
@@ -199,12 +317,7 @@ def _run_counts(cfg: SuiteConfig) -> list[dict]:
 
 def _run_specialfn(cfg: SuiteConfig) -> list[dict]:
     rng = sampling.make_rng(cfg.seed + 1)
-    worst = 0.0
-    for _ in range(cfg.trials["specialfn"]):
-        base = (0.05 + 0.45 * rng.random()) * e(rng.random())
-        par = EllipticParams.from_bases(base, 0.3)
-        z, a, b, g = (0.4 * complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
-        worst = max(worst, float(three_term_residual(z, a, b, g, par)))
+    worst = _worst(lambda: _three_term_once(rng), cfg.trials["specialfn"])
     return [_residual_check("three-term", "Eq. (three-term)", worst, cfg.tolerances["three_term"])]
 
 
@@ -254,15 +367,10 @@ def _run_hirota(cfg: SuiteConfig, break_tau: bool = False) -> list[dict]:
 
 def _reflection_checks(cfg: SuiteConfig, rng) -> list[dict]:
     par = cfg.elliptic("bailey")
-    p, q = par.p, par.q
-    par_r = EllipticParams.from_bases(p, q, r=0.12)
-    rho = abs(p * q) ** 0.25
     worst_t, worst_h = 0.0, 0.0
     for _ in range(cfg.trials["bailey"]):
-        u = sampling.sample_balanced(rng, (p * q) ** 2, rho)
-        ctx = IntegrandContext(u=u, params=par_r)
-        worst_t = max(worst_t, float(integrals.bailey_residual(ctx, "tilde", quad_tol=cfg.quad_tol)))
-        worst_h = max(worst_h, float(integrals.bailey_residual(ctx, "hat", quad_tol=cfg.quad_tol)))
+        t, h = _reflection_once(rng, par, cfg.quad_tol)
+        worst_t, worst_h = max(worst_t, t), max(worst_h, h)
     return [
         _residual_check("reflection-tilde", "Thm 5A(1)", worst_t, cfg.tolerances["bailey"]),
         _residual_check("reflection-hat", "Thm 5A(2)", worst_h, cfg.tolerances["bailey"]),
@@ -271,60 +379,24 @@ def _reflection_checks(cfg: SuiteConfig, rng) -> list[dict]:
 
 def _contiguity_checks(cfg: SuiteConfig, rng) -> list[dict]:
     par = cfg.elliptic("bailey")
-    worst = 0.0
-    for _ in range(max(3, cfg.trials["bailey"])):
-        u = tuple(0.4 * e(t) for t in rng.random(8))
-        res = integrals.contiguity_residual(
-            IntegrandContext(u=u, params=par), 0, 3, 6, quad_tol=cfg.quad_tol
-        )
-        worst = max(worst, float(res))
+    worst = _worst(lambda: _contiguity_once(rng, par, cfg.quad_tol), max(3, cfg.trials["bailey"]))
     return [_residual_check("contiguity", "Prop 5B", worst, cfg.tolerances["contiguity"])]
 
 
 def _transform_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    par = cfg.elliptic("bailey")
-    t = sampling.sample_balanced(rng, par.p**2, abs(par.p) ** 0.25)
-    ctx2 = IntegrandContext(u=t, params=par, n=2)
+    tilde, hat = _transform_once(rng, cfg.elliptic("bailey"), cfg.quad_tol)
     tol = cfg.tolerances["transform_in"]
     return [
-        _residual_check(
-            "transform-multiplicity-tilde",
-            "Eq. (transIn1)",
-            float(integrals.In_transform_residual(ctx2, "tilde_n", quad_tol=cfg.quad_tol)),
-            tol,
-        ),
-        _residual_check(
-            "transform-multiplicity-hat",
-            "Eq. (transIn2)",
-            float(integrals.In_transform_residual(ctx2, "hat_n", quad_tol=cfg.quad_tol)),
-            tol,
-        ),
+        _residual_check("transform-multiplicity-tilde", "Eq. (transIn1)", tilde, tol),
+        _residual_check("transform-multiplicity-hat", "Eq. (transIn2)", hat, tol),
     ]
-
-
-def _terminating_family(rng, N: int, params: EllipticParams):
-    q = params.q
-    u0 = 0.45 * e(rng.random())
-    u1 = q ** (N + 1) / u0
-    mid_mod = 0.75 if N < 2 else 0.9
-    mid = [mid_mod * e(t) for t in rng.random(5)]
-    prod_mid = 1.0 + 0j
-    for v in mid:
-        prod_mid *= v
-    u7 = q ** (1 - N) / prod_mid
-    return (u0, u1, *mid, u7)
 
 
 def _terminating_checks(cfg: SuiteConfig, rng) -> list[dict]:
     par = cfg.elliptic("terminating")
-    p = par.p
     worst = 0.0
     for order in (1, 2):
-        u = _terminating_family(rng, order, par)
-        lhs_args = (p * u[0], *u[1:7], p * u[7])
-        lhs = integrals.I(IntegrandContext(u=lhs_args, params=par), quad_tol=cfg.quad_tol)
-        rhs = integrals.terminating_eval(u, par, order)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        worst = max(worst, _terminating_once(rng, par, order, cfg.quad_tol))
     return [_residual_check("terminating-series", "Eq. (ItoV)", worst, cfg.tolerances["terminating"])]
 
 
@@ -359,6 +431,12 @@ def _run_chain(cfg: SuiteConfig) -> list[dict]:
     def on_level(n):
         return sampling.sample_on_level(rng, par, n)
 
+    def bilinear_worst(frame, level):
+        return _worst(
+            lambda: float(resampled(lambda: tau.hirota_residual(chain.evaluator, frame, on_level(level), par))),
+            cfg.trials["chain"],
+        )
+
     def spread_once():
         x = on_level(2)
         c0, c1 = chain.components[0], chain.components[1]
@@ -367,7 +445,7 @@ def _run_chain(cfg: SuiteConfig) -> list[dict]:
         vals.append(chain.value(2, x))
         return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
 
-    checks.append(_residual_check("toda-step", "Thm 3C", _resampled(spread_once), cfg.tolerances["toda"]))
+    checks.append(_residual_check("toda-step", "Thm 3C", resampled(spread_once), cfg.tolerances["toda"]))
 
     frames3 = lattice.enumerate_frames(3)
 
@@ -380,46 +458,18 @@ def _run_chain(cfg: SuiteConfig) -> list[dict]:
         ("chain-family-ii0", "Thm 3C (C3)", lattice.FrameType.C3_II0, 2),
     )
     for cid, anchor, ftype, level in families:
-        frame = family_frames(ftype)[0]
-        worst = 0.0
-        for _ in range(cfg.trials["chain"]):
-            r = _resampled(lambda: tau.hirota_residual(chain.evaluator, frame, on_level(level), par))
-            worst = max(worst, float(r))
+        worst = bilinear_worst(family_frames(ftype)[0], level)
         checks.append(_residual_check(cid, anchor, worst, cfg.tolerances["chain_family"]))
 
-    a0, a1, a2 = tau.oriented_triple(tau.A1_VECTORS[:3])
-    worst = 0.0
-    for _ in range(cfg.trials["chain"]):
-        def ratio_once():
-            x = on_level(0)
-            d = par.delta
-            num = tau.hg_tau0(x + d * a1.true_coords(), par) * tau.hg_tau0(x - d * a1.true_coords(), par)
-            den = tau.hg_tau0(x + d * a2.true_coords(), par) * tau.hg_tau0(x - d * a2.true_coords(), par)
-            lhs = num / den
-            rhs = bracket_pm(lattice.pairing_c(a0, x), lattice.pairing_c(a1, x), par) / bracket_pm(
-                lattice.pairing_c(a0, x), lattice.pairing_c(a2, x), par
-            )
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-        worst = max(worst, _resampled(ratio_once))
+    worst = _worst(lambda: resampled(lambda: _ratio_once(rng, par)), cfg.trials["chain"])
     checks.append(_residual_check("level0-shift-ratio", "Eq. (4AII1)", worst, cfg.tolerances["ratio"]))
 
-    frame_i = family_frames(lattice.FrameType.C3_I)[1]
-    worst = 0.0
-    for _ in range(cfg.trials["chain"]):
-        r = _resampled(lambda: tau.hirota_residual(chain.evaluator, frame_i, on_level(1.5), par))
-        worst = max(worst, float(r))
+    worst = bilinear_worst(family_frames(lattice.FrameType.C3_I)[1], 1.5)
     checks.append(_residual_check("half-level-family", "Eq. (4AI)", worst, cfg.tolerances["half_level"]))
 
-    def det_vs_quad():
-        n = min(cfg.n_max, 2)
-        x = on_level(n)
-        det = tau.tau_n_det(n, x, "frame_a0", par, quad_tol=cfg.quad_tol)
-        quad = tau.tau_n_int(n, x, "direct", par, quad_tol=cfg.quad_tol)
-        return abs(det - quad) / max(abs(det), abs(quad))
-
+    det_vs_quad = resampled(lambda: _det_vs_quad_once(rng, par, min(cfg.n_max, 2), cfg.quad_tol))
     checks.append(
-        _residual_check("det-vs-quadrature", "Thm 6B vs Thm 6C", _resampled(det_vs_quad), cfg.tolerances["det_vs_quad"])
+        _residual_check("det-vs-quadrature", "Thm 6B vs Thm 6C", det_vs_quad, cfg.tolerances["det_vs_quad"])
     )
 
     worst = 0.0
@@ -432,9 +482,9 @@ def _run_chain(cfg: SuiteConfig) -> list[dict]:
             x = sampling.sample_level_x(rng, level, (0.95 * m, 1.05 * m), (m / 1.2, 1.2 * m))
             d = tau.psi_variant(1, x, variant, par, route="direct", quad_tol=cfg.quad_tol)
             i = tau.psi_variant(1, x, variant, par, route="inverse", quad_tol=cfg.quad_tol)
-            return abs(d - i) / max(abs(d), abs(i))
+            return rel_diff(d, i)
 
-        worst = max(worst, _resampled(routes_once))
+        worst = max(worst, resampled(routes_once))
     checks.append(_residual_check("variant-routes", "Thm 8A", worst, cfg.tolerances["variant"]))
     return checks
 
@@ -445,41 +495,16 @@ def _run_picard(cfg: SuiteConfig) -> list[dict]:
     ev = tau.variant_evaluator("pm", par, quad_tol=cfg.quad_tol)
     checks = []
 
-    h = picard.pic(*[int(v) for v in rng.integers(-4, 5, size=10)])
-    a, b = picard.AFFINE_ROOTS[2], picard.AFFINE_ROOTS[5] + picard.AFFINE_ROOTS[0]
-    laws = [
-        picard.kac_translate(a, picard.kac_translate(b, h)) == picard.kac_translate(a + b, h),
-        picard.kac_translate(picard.C, h) == h,
-        picard.kac_translate(a, picard.C) == picard.C,
-        picard.picard_ip(picard.kac_translate(a, h), picard.kac_translate(a, h))
-        == picard.picard_ip(h, h),
-        picard.apply_word((1, 4), picard.kac_translate(a, picard.apply_word((4, 1), h)))
-        == picard.kac_translate(picard.apply_word((1, 4), a), h),
-    ]
+    laws = _kac_laws(picard.pic(*[int(v) for v in rng.integers(-4, 5, size=10)]))
     checks.append(_count_check("kac-group-laws", "§9.1", sum(laws), len(laws)))
 
-    worst = 0.0
-    for _ in range(cfg.trials["picard"]):
-        x = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        mu = complex(rng.standard_normal(), rng.standard_normal())
-        kappa = 0.3 + 0.4 * rng.random()
-        eps = picard.coords_forward(x, mu, kappa)
-        xb, mub, kapb = picard.coords_back(eps)
-        worst = max(worst, float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa))
+    worst = _worst(lambda: _round_trip_once(rng), cfg.trials["picard"])
     checks.append(_residual_check("coordinates-round-trip", "§9.2", worst, cfg.tolerances["roundtrip"]))
 
-    quads = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
-    lev2 = -par.varpi + 2 * par.delta
-    m2 = _level_modulus(lev2)
     worst = 0.0
     for k in range(cfg.trials["picard"]):
-        def lattice_once(quad=quads[k % len(quads)]):
-            x = sampling.sample_level_x(rng, lev2, (0.95 * m2, 1.05 * m2), (m2 / 1.2, 1.2 * m2))
-            mu = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-            eps = picard.coords_forward(x, mu, par.delta)
-            return float(picard.quadruple_hirota_residual(ev, (), eps, quad))
-
-        worst = max(worst, _resampled(lattice_once))
+        quad = _LATTICE_QUADS[k % len(_LATTICE_QUADS)]
+        worst = max(worst, resampled(lambda: _lattice_hirota_once(rng, ev, par, quad)))
     checks.append(_residual_check("lattice-hirota", "Eq. (Hirota39)", worst, cfg.tolerances["lattice_hirota"]))
 
     frame = next(
@@ -495,7 +520,7 @@ def _run_picard(cfg: SuiteConfig) -> list[dict]:
         return abs(float(r1) - float(r2))
 
     checks.append(
-        _residual_check("translation-vs-frame", "Prop 9A", _resampled(two_path_once), cfg.tolerances["two_path"])
+        _residual_check("translation-vs-frame", "Prop 9A", resampled(two_path_once), cfg.tolerances["two_path"])
     )
     return checks
 
@@ -581,21 +606,17 @@ def _cmd_tau_build(cfg: SuiteConfig, n: int | None, report_path: str | None, jso
     chain = tau.build_chain(n, params=par, quad_tol=cfg.quad_tol)
     rng = sampling.make_rng(cfg.seed + 7)
     checks = []
-    for k in range(min(n, 2) + 1):
+    for k in range(n + 1):
         def level_diff(k=k):
             x = sampling.sample_on_level(rng, par, k)
             got = chain.value(k, x)
-            ref = tau.tau_n_det(k, x, "frame_a0", par, quad_tol=cfg.quad_tol)
-            return abs(got - ref) / max(abs(got), abs(ref))
+            return rel_diff(got, tau.tau_n_det(k, x, "frame_a0", par, quad_tol=cfg.quad_tol))
 
         checks.append(
-            _residual_check(f"level-{k}-closed-form", "Thm 6B", _resampled(level_diff), cfg.tolerances["build"])
+            _residual_check(f"level-{k}-closed-form", "Thm 6B", resampled(level_diff), cfg.tolerances["build"])
         )
     # The family must keep every shifted level inside [0, n].
-    ftype, level = {
-        1: (lattice.FrameType.C3_I, 0.5),
-        2: (lattice.FrameType.C3_II0, 2),
-    }[min(n, 2)]
+    ftype, level = (lattice.FrameType.C3_I, 0.5) if n == 1 else (lattice.FrameType.C3_II0, n)
     frame = next(f for f in lattice.enumerate_frames(3) if f.frame_type is ftype)
 
     def hirota_once():
@@ -603,7 +624,7 @@ def _cmd_tau_build(cfg: SuiteConfig, n: int | None, report_path: str | None, jso
         return float(tau.hirota_residual(chain.evaluator, frame, x, par))
 
     checks.append(
-        _residual_check("chain-bilinear", "Thm 3C", _resampled(hirota_once), cfg.tolerances["chain_family"])
+        _residual_check("chain-bilinear", "Thm 3C", resampled(hirota_once), cfg.tolerances["chain_family"])
     )
     report = {
         "suite": "tau-build",

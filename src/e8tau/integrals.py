@@ -18,10 +18,10 @@ from math import factorial
 import numpy as np
 
 from .specialfn import EllipticParams, elliptic_gamma, qpoch, theta, triple_gamma, v12_11
-from .util import AdmissibilityError, ConvergenceError, Residual
+from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
-_CAPS = {1: 4096, 2: 1024, 3: 256}
+_CAPS = {1: 4096, 2: 1024, 3: 1024}
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class _Plan:
     cross_w: np.ndarray
     cross_s: np.ndarray
     cross_d: np.ndarray
+    # n = 3: the same cross factor as sum_{a,b} C[a,b] z^a w^b over
+    # |a|, |b| <= 2K, and the FFT bin of z^(a+b) at [b, a]
+    cross_c: np.ndarray
+    cross_ab: np.ndarray
 
 
 def _jacobi_pair_coeffs(p: complex, trunc_tol: float, pp: complex) -> np.ndarray:
@@ -116,6 +120,10 @@ def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
     K = c.size // 2
     k = np.repeat(np.arange(-K, K + 1), 2 * K + 1)
     l = np.tile(np.arange(-K, K + 1), 2 * K + 1)
+    # (k, l) -> (k + l, k - l) is one to one, so no entry is written twice
+    C = np.zeros((4 * K + 1, 4 * K + 1), dtype=complex)
+    C[k + l + 2 * K, k - l + 2 * K] = np.outer(c, c).ravel()
+    a = np.arange(-2 * K, 2 * K + 1)
     return _Plan(
         zs=_frozen(zs),
         rev=_frozen((-m) % N),
@@ -125,6 +133,8 @@ def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
         # sum_m h_m z_m^j is bin -j of the FFT
         cross_s=_frozen(-(k + l) % N),
         cross_d=_frozen(-(k - l) % N),
+        cross_c=_frozen(C),
+        cross_ab=_frozen(-(a[:, None] + a[None, :]) % N),
     )
 
 
@@ -218,31 +228,23 @@ def _quad(ctx: IntegrandContext, N: int) -> complex:
     if n == 0:
         return 1.0 + 0j
     plan = _plan_for(ctx.params, N)
-    h, zs = _node_integrand(ctx, N)
+    h, _ = _node_integrand(ctx, N)
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
         return scale * complex(np.sum(h))
+    H = np.fft.fft(h)
     if n == 2:
         # the cross factor theta(z^{+-1} w^{+-1}; p) is the Laurent polynomial
         # sum_{k,l} c_k c_l z^{k+l} w^{k-l}, so the N^2 node sum is a sum over
         # (k, l) of products of two FFT bins of h
-        H = np.fft.fft(h)
         return scale * complex(np.sum(plan.cross_w * H[plan.cross_s] * H[plan.cross_d]))
     if n == 3:
-        # cross factor theta(z_i^{+-1} z_j^{+-1}; p): four thetas collapse to a
-        # lookup over node-index sums and differences
-        p, tol = ctx.params.p, ctx.params.trunc_tol
-        m = np.arange(N)
-        tp = theta(zs, p, tol)
-        pair = tp * tp[plan.rev]
-        s_idx = (m[:, None] + m[None, :]) % N
-        d_idx = (m[:, None] - m[None, :]) % N
-        grid23 = pair[s_idx] * pair[d_idx]
-        total = 0.0 + 0j
-        for m1 in range(N):
-            f1 = pair[(m1 + m) % N] * pair[(m1 - m) % N]
-            total += h[m1] * np.sum((h * f1)[:, None] * (h * f1)[None, :] * grid23)
-        return scale * complex(total)
+        # with F(z, w) = sum C[a,b] z^a w^b for each of the three cross factors
+        # and S(j) = sum_m h_m z_m^j, the N^3 node sum is
+        # sum C[a1,b1] S(b1+a2) C[a2,b2] S(b2+a3) C[a3,b3] S(b3+a1) = tr((C A)^3)
+        # with A[b,a] = S(a+b)
+        M = plan.cross_c @ H[plan.cross_ab]
+        return scale * complex(np.sum(M * (M @ M).T))
     raise ValueError("multiplicity above 3 is out of scope")
 
 
@@ -251,17 +253,10 @@ def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True) 
     return I_n(dataclasses.replace(ctx, n=1), quad_tol=quad_tol, adaptive=adaptive)
 
 
-def I_n(
-    ctx: IntegrandContext,
-    quad_tol: float = QUAD_TOL,
-    adaptive: bool = True,
-    slow_ok: bool = False,
-) -> complex:
+def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True) -> complex:
     """n-dimensional tensor quadrature with the 2^n n! normalization."""
     if ctx.n == 0:
         return 1.0 + 0j
-    if ctx.n == 3 and not slow_ok:
-        raise ValueError("three-dimensional quadrature is slow; pass slow_ok=True")
     if ctx.n not in _CAPS:
         raise ValueError("multiplicity above 3 is out of scope")
     ctx.check_admissible()
@@ -323,10 +318,7 @@ def contiguity_residual(
         ]
     else:
         raise ValueError("form must be 'multiplicative' or 'additive'")
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(sum(terms)) / scale)
+    return normalized_residual(terms)
 
 
 def _check_balancing(u, target: complex, what: str) -> None:
@@ -397,9 +389,9 @@ def psi_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
     return I(ctx, quad_tol=quad_tol) * _pair_gamma(ctx.u, ctx.params, r=r)
 
 
-def psi_n_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, **kw) -> complex:
+def psi_n_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
     """Multiplicity-n variant, weighted with the (p, q, q) triple gamma."""
-    return I_n(ctx, quad_tol=quad_tol, **kw) * _pair_gamma(ctx.u, ctx.params)
+    return I_n(ctx, quad_tol=quad_tol) * _pair_gamma(ctx.u, ctx.params)
 
 
 def In_transform_residual(

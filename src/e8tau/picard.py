@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lattice
 from .specialfn import bracket, bracket_pm
-from .util import DomainError, Residual
+from .util import DomainError, Residual, normalized_residual
 
 _GRAM = (-1,) + (1,) * 9
 
@@ -282,10 +282,7 @@ def quadruple_hirota_residual(
         t_a = lattice_tau_eval(E[a], tau, w, eps)
         t_al = lattice_tau_eval(E[0] - E[a] - E[l], tau, w, eps)
         terms.append(sig * t_a * t_al)
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(sum(terms)) / scale, degenerate=False)
+    return normalized_residual(terms)
 
 
 def translation_hirota_residual(
@@ -307,7 +304,4 @@ def translation_hirota_residual(
         sig = bracket_pm(lattice.pairing_c(t, x), lattice.pairing_c(u, x), params)
         shift = kap * np.asarray(s.true_coords(), dtype=complex)
         terms.append(sig * tau.eval(x - shift) * tau.eval(x + shift))
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(sum(terms)) / scale, degenerate=False)
+    return normalized_residual(terms)

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .util import PoleError, Residual, TerminationError, e
+from .util import PoleError, Residual, TerminationError, e, normalized_residual
 
 DEFAULT_TRUNC_TOL = 1e-18
 POLE_EPS = 1e-12
@@ -317,15 +317,11 @@ def three_term_residual(
             raise ValueError("need params for the elliptic bracket")
         fn = lambda w: bracket(w, params)
     pm = lambda x, y: fn(x + y) * fn(x - y)
-    terms = [
+    return normalized_residual([
         pm(beta, gamma) * pm(z, alpha),
         pm(gamma, alpha) * pm(z, beta),
         pm(alpha, beta) * pm(z, gamma),
-    ]
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(sum(terms)) / scale)
+    ])
 
 
 def detect_termination(

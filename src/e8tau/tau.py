@@ -14,7 +14,7 @@ single-valued.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Callable, Sequence
 
@@ -34,7 +34,6 @@ from .lattice import (
     inverse_word,
     ip,
     pairing_c,
-    phi_pairing_c,
     sign_normalize,
     vec,
 )
@@ -46,15 +45,16 @@ from .specialfn import (
     theta_pochhammer,
 )
 from .util import (
-    AdmissibilityError,
-    ConvergenceError,
+    BRACKET_FLOOR,
+    RESAMPLE_ERRORS,
+    BracketZeroError,
     DomainError,
     Residual,
     e,
+    normalized_residual,
 )
 
 LEVEL_TOL = 1e-10
-BRACKET_FLOOR = 1e-6
 
 # Orthonormal norm-1 frame splitting into two coordinate blocks; the first and
 # last vectors pair to 1 with the all-half vector and sum to it, the middle six
@@ -94,11 +94,23 @@ class LevelDomain:
         """Index n of the member hyperplane containing x, or DomainError."""
         val = pairing_c(self.direction, np.asarray(x, dtype=complex))
         n = int(round(((val - self.base) / self.step).real))
+        self._check(val, n)
+        return n
+
+    def require(self, x: np.ndarray, n: int) -> None:
+        """DomainError unless x lies on member hyperplane n."""
+        self._check(pairing_c(self.direction, np.asarray(x, dtype=complex)), n)
+
+    def _check(self, val: complex, n: int) -> None:
         if abs(val - self.base - n * self.step) > self.tol:
-            raise DomainError(f"point off the hyperplane family (nearest index {n})")
+            raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
         if not self.n_min <= n <= self.n_max:
             raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
-        return n
+
+
+def _chain_levels(params: EllipticParams, n_min: int = -64, n_max: int = 64) -> LevelDomain:
+    """The chain's level family <phi, x> = varpi + n*delta."""
+    return LevelDomain(PHI, params.varpi, params.delta, n_min, n_max)
 
 
 @dataclass(frozen=True)
@@ -174,10 +186,7 @@ def hirota_residual(
         br = bracket_pm(pairing_c(t, x), pairing_c(w, x), params)
         sh = np.asarray(s.true_coords(), dtype=complex) * d
         terms.append(br * fn(x + sh) * fn(x - sh))
-    m = max(abs(t) for t in terms)
-    if m == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(sum(terms)) / m)
+    return normalized_residual(terms)
 
 
 @dataclass(frozen=True)
@@ -267,13 +276,6 @@ def transform(
     raise TypeError(f"unknown transform spec {spec!r}")
 
 
-def _require_level(x: np.ndarray, params: EllipticParams, n: float) -> None:
-    got = phi_pairing_c(np.asarray(x, dtype=complex))
-    want = params.varpi + n * params.delta
-    if abs(got - want) > LEVEL_TOL:
-        raise DomainError(f"point off level varpi + {n}*delta (pairing {got})")
-
-
 def _block_scales(q: complex, n: int) -> np.ndarray:
     """Per-pair scales: q within a coordinate block, q^(1-n) across blocks."""
     return np.where(integrals._SAME_BLOCK, q, q ** (1 - n))
@@ -288,7 +290,7 @@ def pairwise_triple_gamma(x: np.ndarray, params: EllipticParams, shift: int = 0)
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
     """Level-0 chain component: the pairwise product at unit q-shift."""
     x = np.asarray(x, dtype=complex)
-    _require_level(x, params, 0)
+    _chain_levels(params).require(x, 0)
     return pairwise_triple_gamma(x, params, shift=1)
 
 
@@ -297,7 +299,7 @@ def hg_tau1(
 ) -> complex:
     """Level-1 chain component: gauged contour integral times the product."""
     x = np.asarray(x, dtype=complex)
-    _require_level(x, params, 1)
+    _chain_levels(params).require(x, 1)
     u = np.exp(2j * np.pi * x)
     val = integrals.I(IntegrandContext(tuple(u), params), quad_tol=quad_tol)
     return e(-qform(x, params.delta)) * val * integrals._pair_gamma(u, params)
@@ -322,20 +324,6 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
     pair.sort(key=lambda v: v.coords4, reverse=True)
     zero.sort(key=lambda v: v.coords4, reverse=True)
     return (*pair, *zero)
-
-
-class BracketZeroError(ValueError):
-    """A recursion denominator bracket fell under the genericity floor at the
-    point x, when the raiser supplies it."""
-
-    def __init__(self, label: str, magnitude: float, x: np.ndarray | None = None):
-        where = "" if x is None else f" at x={[complex(v) for v in x]!r}"
-        super().__init__(
-            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}{where}"
-        )
-        self.label = label
-        self.magnitude = magnitude
-        self.x = None if x is None else np.array(x, dtype=complex)
 
 
 def toda_step(
@@ -402,6 +390,7 @@ class TauChain:
     params: EllipticParams
     n_max: int
     evaluator: TauEvaluator
+    _tau_at: Callable[[int, np.ndarray], complex] = field(repr=False)
     case: str | None = None
     gauge: list[Callable[[np.ndarray], complex]] | None = None
     casorati_kernel: Callable[[np.ndarray], complex] | None = None
@@ -409,8 +398,6 @@ class TauChain:
     def value(self, n: int, x: np.ndarray) -> complex:
         """Component value without the per-level domain re-check."""
         return self._tau_at(n, np.asarray(x, dtype=complex))
-
-    _tau_at: Callable[[int, np.ndarray], complex] = None  # set by build_chain
 
 
 def build_chain(
@@ -494,12 +481,11 @@ def build_chain(
                     params,
                     a0_index=a0i,
                 )
-            except (BracketZeroError, AdmissibilityError, ConvergenceError) as err:
+            except RESAMPLE_ERRORS as err:
                 last = err
         raise last
 
-    base = params.varpi
-    full_dom = LevelDomain(PHI, base, params.delta, n_min=-8, n_max=n_max)
+    full_dom = _chain_levels(params, n_min=-8, n_max=n_max)
     evaluator = TauEvaluator(
         lambda x: tau_at(full_dom.locate(np.asarray(x, dtype=complex)), np.asarray(x, dtype=complex)),
         params,
@@ -509,7 +495,7 @@ def build_chain(
         TauEvaluator(
             lambda x, _n=n: tau_at(_n, np.asarray(x, dtype=complex)),
             params,
-            LevelDomain(PHI, base, params.delta, n_min=n, n_max=n),
+            _chain_levels(params, n_min=n, n_max=n),
         )
         for n in range(n_max + 1)
     ]
@@ -530,18 +516,17 @@ def build_chain(
         ]
         kernel = casorati_kernel_fn(case, params, quad_tol=quad_tol)
 
-    chain = TauChain(
+    return TauChain(
         components=components,
         frame=frame,
         params=params,
         n_max=n_max,
         evaluator=evaluator,
+        _tau_at=tau_at,
         case=case,
         gauge=gauge,
         casorati_kernel=kernel,
     )
-    chain._tau_at = tau_at
-    return chain
 
 
 def casorati_K(
@@ -611,7 +596,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     the first block's pairings with the second block's complements.
     """
     x = np.asarray(x, dtype=complex)
-    _require_level(x, params, n)
+    _chain_levels(params).require(x, n)
     p, q, tol = params.p, params.q, params.trunc_tol
     t = _t_coords(np.exp(2j * np.pi * x), case, n, params)
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
@@ -626,7 +611,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
 def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
     """Scalar gauge relating the chain component to the kernel determinant."""
     x = np.asarray(x, dtype=complex)
-    _require_level(x, params, n)
+    _chain_levels(params).require(x, n)
     u = np.exp(2j * np.pi * x)
     pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
     if case == "frame_a0":
@@ -665,12 +650,13 @@ def tau_n_int(
 
     route 'direct' rescales every coordinate by q^((1-n)/2); route 'tilde'
     block-rescales and keeps same-block product factors at unit q-shift.
-    Capped at n = 2 (tensor quadrature cost).
+    Capped at n = 2, the levels on which the checks compare this route with
+    the determinant; level 3 is checked against tau_n_det through the chain.
     """
     if not 0 <= n <= 2:
         raise ValueError("integral route is capped at multiplicity 2")
     x = np.asarray(x, dtype=complex)
-    _require_level(x, params, n)
+    _chain_levels(params).require(x, n)
     u = np.exp(2j * np.pi * x)
     q = params.q
     if route == "direct":
@@ -716,15 +702,22 @@ def warnaar_det_residual(
         for j in range(i + 1, n):
             rhs *= theta(zs[i] * zs[j], p, tol) * theta(zs[i] / zs[j], p, tol) / zs[i]
 
-    m = max(abs(lhs), abs(rhs))
-    if m == 0.0:
-        return Residual(0.0, degenerate=True)
-    return Residual(abs(lhs - rhs) / m)
+    return normalized_residual([lhs, -rhs])
 
 
 # (direction sign, level sign): the hyperplane family is
 # <phi, x> = dir_sign * (level_sign * varpi + n * delta).
 _VARIANT_SIGNS = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
+
+
+def _variant_levels(
+    variant: str, params: EllipticParams, n_min: int = -64, n_max: int = 64
+) -> LevelDomain:
+    """The variant's level family, base dir*lev*varpi and step dir*delta."""
+    if variant not in _VARIANT_SIGNS:
+        raise ValueError("variant must be one of pp, pm, mp, mm")
+    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
+    return LevelDomain(PHI, dir_sign * lev_sign * params.varpi, dir_sign * params.delta, n_min, n_max)
 
 
 def psi_variant(
@@ -734,25 +727,19 @@ def psi_variant(
     params: EllipticParams,
     route: str = "direct",
     quad_tol: float = QUAD_TOL,
-    slow_ok: bool = False,
 ) -> complex:
     """Invariant-product value for the four direction/level sign choices.
 
     Each variant admits two displayed argument routes ('direct' in u,
     'inverse' in 1/u) that must agree; both are exposed for cross-checks.
     """
-    if variant not in _VARIANT_SIGNS:
-        raise ValueError("variant must be one of pp, pm, mp, mm")
+    levels = _variant_levels(variant, params)
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
     if n < 0:
         raise ValueError("level index must be >= 0")
-    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
     x = np.asarray(x, dtype=complex)
-    target = dir_sign * (lev_sign * params.varpi + n * params.delta)
-    got = phi_pairing_c(x)
-    if abs(got - target) > LEVEL_TOL:
-        raise DomainError(f"point off the {variant} level family (pairing {got})")
+    levels.require(x, n)
 
     p, q = params.p, params.q
     rp, rq = cmath.sqrt(p), cmath.sqrt(q)
@@ -770,7 +757,7 @@ def psi_variant(
         t = tuple((rq * v) if direct else (rp * qn / v) for v in u)
     pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta)) if gauged else complex(1.0)
     ctx = IntegrandContext(t, params, n=n)
-    return pre * integrals.psi_n_value(ctx, quad_tol=quad_tol, slow_ok=slow_ok)
+    return pre * integrals.psi_n_value(ctx, quad_tol=quad_tol)
 
 
 def variant_evaluator(
@@ -785,19 +772,12 @@ def variant_evaluator(
     of the chosen variant, evaluates the order-``n`` closed form there, and is
     identically zero on the levels below the base one.  Values are memoized per
     point because bilinear residuals revisit the same shifted arguments.  The
-    default domain stops at level 2: order 3 needs the slow three-dimensional
-    quadrature, so such points fail in ``domain.locate`` with DomainError.
+    default domain stops at level 2, the highest level its checks draw points
+    on, and points above it fail in ``domain.locate`` with DomainError; pass
+    ``n_max=3`` to admit order-3 points, which the three-dimensional
+    quadrature evaluates like the lower orders.
     """
-    if variant not in _VARIANT_SIGNS:
-        raise ValueError("variant must be one of pp, pm, mp, mm")
-    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
-    domain = LevelDomain(
-        PHI,
-        dir_sign * lev_sign * params.varpi,
-        dir_sign * params.delta,
-        n_min=-8,
-        n_max=n_max,
-    )
+    domain = _variant_levels(variant, params, n_min=-8, n_max=n_max)
     cache: dict[bytes, complex] = {}
 
     def fn(x: np.ndarray) -> complex:

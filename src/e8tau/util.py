@@ -1,7 +1,11 @@
-"""Shared numeric helpers: the exponential character, residual type, errors."""
+"""Shared numeric helpers: the exponential character, residual type and its
+normalisations, errors, and the retry of a draw across rejected points."""
 from __future__ import annotations
 
 import cmath
+from typing import Sequence
+
+import numpy as np
 
 
 TWO_PI_I = 2j * cmath.pi
@@ -25,6 +29,20 @@ class Residual(float):
         obj = super().__new__(cls, value)
         obj.degenerate = degenerate
         return obj
+
+
+def normalized_residual(terms: Sequence[complex]) -> Residual:
+    """|sum of the terms| / max |term|, in the given term order; degenerate 0
+    when every term vanishes."""
+    m = max(abs(t) for t in terms)
+    if m == 0.0:
+        return Residual(0.0, degenerate=True)
+    return Residual(abs(sum(terms)) / m)
+
+
+def rel_diff(a: complex, b: complex) -> float:
+    """Symmetric relative difference |a - b| / max(|a|, |b|)."""
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 class PoleError(ValueError):
@@ -72,3 +90,36 @@ class ConvergenceError(RuntimeError):
 
 class TerminationError(ValueError):
     """Series parameters do not terminate the sum as required."""
+
+
+BRACKET_FLOOR = 1e-6
+
+
+class BracketZeroError(ValueError):
+    """A recursion denominator bracket fell under the genericity floor at the
+    point x, when the raiser supplies it."""
+
+    def __init__(self, label: str, magnitude: float, x: np.ndarray | None = None):
+        where = "" if x is None else f" at x={[complex(v) for v in x]!r}"
+        super().__init__(
+            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}{where}"
+        )
+        self.label = label
+        self.magnitude = magnitude
+        self.x = None if x is None else np.array(x, dtype=complex)
+
+
+# A point that hits one of these is not generic enough for the check; a fresh
+# draw is taken instead.
+RESAMPLE_ERRORS = (BracketZeroError, AdmissibilityError, ConvergenceError)
+
+
+def resampled(draw, tries: int = 8):
+    """Retry a draw-and-evaluate closure across RESAMPLE_ERRORS."""
+    last = None
+    for _ in range(tries):
+        try:
+            return draw()
+        except RESAMPLE_ERRORS as err:
+            last = err
+    raise RuntimeError(f"no admissible draw in {tries} tries: {last!r}")

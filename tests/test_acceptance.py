@@ -2,7 +2,9 @@
 
 Every test prints `criterion NN <name>: PASS|FAIL` with the measured metric
 and wall time before asserting, so the log carries the evidence either way.
-Bounds and budgets are pinned; loosening them is not a fix.
+Bounds and budgets are pinned; loosening them is not a fix. Where a CLI suite
+runs the same check, the criterion calls the CLI's one-trial body with its
+own seed, trial count and quadrature target.
 """
 import itertools
 import time
@@ -12,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from e8tau import integrals, lattice, picard, sampling, tau
-from e8tau.integrals import IntegrandContext
-from e8tau.specialfn import EllipticParams, bracket_pm, three_term_residual
-from e8tau.util import AdmissibilityError, ConvergenceError, e
+from e8tau import cli, lattice, picard, sampling, tau
+from e8tau.integrals import QUAD_TOL
+from e8tau.specialfn import EllipticParams
+from e8tau.util import e, resampled
 
 CHAIN_PARAMS = EllipticParams.from_bases(0.03, 0.45)
 BAILEY_PARAMS = EllipticParams.from_bases(0.15, 0.10)
@@ -36,16 +38,6 @@ def pm_eval():
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num:02d} {name}: {detail}"
-
-
-def _resampled(draw, tries: int = 8):
-    last = None
-    for _ in range(tries):
-        try:
-            return draw()
-        except (tau.BracketZeroError, AdmissibilityError, ConvergenceError) as err:
-            last = err
-    raise RuntimeError(f"no admissible draw in {tries} tries: {last!r}")
 
 
 def test_criterion_01_exact_counts():
@@ -78,12 +70,7 @@ def test_criterion_01_exact_counts():
 def test_criterion_02_three_term_relation():
     t0 = time.perf_counter()
     rng = sampling.make_rng(201)
-    worst = 0.0
-    for _ in range(1000):
-        base = (0.05 + 0.45 * rng.random()) * e(rng.random())
-        par = EllipticParams.from_bases(base, 0.3)
-        z, a, b, g = (0.4 * complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
-        worst = max(worst, float(three_term_residual(z, a, b, g, par)))
+    worst = cli._worst(lambda: cli._three_term_once(rng), 1000)
     dt = time.perf_counter() - t0
     _line(2, "three-term relation", worst < 1e-10 and dt < 5, f"worst {worst:.3e} < 1e-10, {dt:.1f}s/5s")
 
@@ -112,15 +99,9 @@ def test_criterion_03_canonical_and_transformed():
 def test_criterion_04_reflection_transformations():
     t0 = time.perf_counter()
     rng = sampling.make_rng(203)
-    p, q = BAILEY_PARAMS.p, BAILEY_PARAMS.q
-    par_r = EllipticParams.from_bases(p, q, r=0.12)
-    rho = abs(p * q) ** 0.25
     worst = 0.0
     for _ in range(10):
-        u = sampling.sample_balanced(rng, (p * q) ** 2, rho)
-        ctx = IntegrandContext(u=u, params=par_r)
-        worst = max(worst, float(integrals.bailey_residual(ctx, "tilde")))
-        worst = max(worst, float(integrals.bailey_residual(ctx, "hat")))
+        worst = max(worst, *cli._reflection_once(rng, BAILEY_PARAMS, QUAD_TOL))
     dt = time.perf_counter() - t0
     _line(4, "reflection transformations", worst < 1e-8 and dt < 120, f"worst {worst:.3e} < 1e-8, {dt:.1f}s/120s")
 
@@ -128,11 +109,7 @@ def test_criterion_04_reflection_transformations():
 def test_criterion_05_contiguity():
     t0 = time.perf_counter()
     rng = sampling.make_rng(204)
-    worst = 0.0
-    for _ in range(10):
-        u = tuple(0.4 * e(t) for t in rng.random(8))
-        res = integrals.contiguity_residual(IntegrandContext(u=u, params=BAILEY_PARAMS), 0, 3, 6)
-        worst = max(worst, float(res))
+    worst = cli._worst(lambda: cli._contiguity_once(rng, BAILEY_PARAMS, QUAD_TOL), 10)
     dt = time.perf_counter() - t0
     _line(5, "contiguity", worst < 1e-8 and dt < 60, f"worst {worst:.3e} < 1e-8, {dt:.1f}s/60s")
 
@@ -141,26 +118,12 @@ def test_criterion_06_initial_data_conditions(chain2):
     t0 = time.perf_counter()
     rng = sampling.make_rng(205)
     par = CHAIN_PARAMS
-    a0, a1, a2 = tau.oriented_triple(tau.A1_VECTORS[:3])
-    worst_ratio = 0.0
-    for _ in range(10):
-        def ratio_once():
-            x = sampling.sample_on_level(rng, par, 0)
-            d = par.delta
-            num = tau.hg_tau0(x + d * a1.true_coords(), par) * tau.hg_tau0(x - d * a1.true_coords(), par)
-            den = tau.hg_tau0(x + d * a2.true_coords(), par) * tau.hg_tau0(x - d * a2.true_coords(), par)
-            lhs = num / den
-            rhs = bracket_pm(lattice.pairing_c(a0, x), lattice.pairing_c(a1, x), par) / bracket_pm(
-                lattice.pairing_c(a0, x), lattice.pairing_c(a2, x), par
-            )
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-        worst_ratio = max(worst_ratio, _resampled(ratio_once))
+    worst_ratio = cli._worst(lambda: resampled(lambda: cli._ratio_once(rng, par)), 10)
 
     frame_i = next(f for f in lattice.enumerate_frames(3) if f.frame_type is lattice.FrameType.C3_I)
     worst_half = 0.0
     for _ in range(10):
-        r = _resampled(
+        r = resampled(
             lambda: tau.hirota_residual(chain2.evaluator, frame_i, sampling.sample_on_level(rng, par, 1.5), par)
         )
         worst_half = max(worst_half, float(r))
@@ -184,7 +147,7 @@ def test_criterion_07_recursion_and_chain_families(chain2):
         vals.append(chain2.value(2, x))
         return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
 
-    spread = _resampled(spread_once)
+    spread = resampled(spread_once)
 
     frames3 = lattice.enumerate_frames(3)
     by_type = {t: [f for f in frames3 if f.frame_type is t] for t in lattice.FrameType}
@@ -201,7 +164,7 @@ def test_criterion_07_recursion_and_chain_families(chain2):
                 x = sampling.sample_on_level(rng, par, level)
                 return float(tau.hirota_residual(chain2.evaluator, f, x, par))
 
-            worst = max(worst, _resampled(family_once))
+            worst = max(worst, resampled(family_once))
     dt = time.perf_counter() - t0
     ok = spread < 1e-8 and worst < 1e-7 and dt < 300
     _line(7, "recursion and chain families", ok, f"spread {spread:.3e} < 1e-8, families {worst:.3e} < 1e-7, {dt:.1f}s/300s")
@@ -210,16 +173,7 @@ def test_criterion_07_recursion_and_chain_families(chain2):
 def test_criterion_08_determinant_vs_quadrature():
     t0 = time.perf_counter()
     rng = sampling.make_rng(207)
-    par = CHAIN_PARAMS
-    worst = 0.0
-    for _ in range(3):
-        def once():
-            x = sampling.sample_on_level(rng, par, 2)
-            det = tau.tau_n_det(2, x, "frame_a0", par)
-            quad = tau.tau_n_int(2, x, "direct", par)
-            return abs(det - quad) / max(abs(det), abs(quad))
-
-        worst = max(worst, _resampled(once))
+    worst = cli._worst(lambda: resampled(lambda: cli._det_vs_quad_once(rng, CHAIN_PARAMS, 2, QUAD_TOL)), 3)
     dt = time.perf_counter() - t0
     _line(8, "determinant vs quadrature", worst < 1e-6 and dt < 300, f"worst {worst:.3e} < 1e-6, {dt:.1f}s/300s")
 
@@ -244,13 +198,9 @@ def test_criterion_09_factorial_determinant():
 def test_criterion_10_multiplicity_two_transformations():
     t0 = time.perf_counter()
     rng = sampling.make_rng(209)
-    par = BAILEY_PARAMS
     worst = 0.0
     for _ in range(3):
-        t = sampling.sample_balanced(rng, par.p**2, abs(par.p) ** 0.25)
-        ctx = IntegrandContext(u=t, params=par, n=2)
-        worst = max(worst, float(integrals.In_transform_residual(ctx, "tilde_n")))
-        worst = max(worst, float(integrals.In_transform_residual(ctx, "hat_n")))
+        worst = max(worst, *cli._transform_once(rng, BAILEY_PARAMS, QUAD_TOL))
     dt = time.perf_counter() - t0
     _line(10, "multiplicity-two transformations", worst < 1e-6 and dt < 300, f"worst {worst:.3e} < 1e-6, {dt:.1f}s/300s")
 
@@ -258,21 +208,9 @@ def test_criterion_10_multiplicity_two_transformations():
 def test_criterion_11_terminating_series():
     t0 = time.perf_counter()
     rng = sampling.make_rng(210)
-    par = TERM_PARAMS
-    p, q = par.p, par.q
     worst = 0.0
     for order in (1, 2):
-        u0 = 0.45 * e(rng.random())
-        u1 = q ** (order + 1) / u0
-        mid = [(0.75 if order < 2 else 0.9) * e(t) for t in rng.random(5)]
-        prod_mid = 1.0 + 0j
-        for v in mid:
-            prod_mid *= v
-        u7 = q ** (1 - order) / prod_mid
-        u = (u0, u1, *mid, u7)
-        lhs = integrals.I(IntegrandContext(u=(p * u[0], *u[1:7], p * u[7]), params=par))
-        rhs = integrals.terminating_eval(u, par, order)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        worst = max(worst, cli._terminating_once(rng, TERM_PARAMS, order, QUAD_TOL))
     dt = time.perf_counter() - t0
     _line(11, "terminating series", worst < 1e-9 and dt < 60, f"worst {worst:.3e} < 1e-9, {dt:.1f}s/60s")
 
@@ -283,38 +221,13 @@ def test_criterion_12_rank_ten_lattice(pm_eval):
     par = CHAIN_PARAMS
 
     h = picard.pic(2, -1, 3, 0, 1, -2, 4, 1, -1, 2)
-    a = picard.AFFINE_ROOTS[2]
-    b = picard.AFFINE_ROOTS[5] + picard.AFFINE_ROOTS[0]
-    kac_ok = (
-        picard.kac_translate(a, picard.kac_translate(b, h)) == picard.kac_translate(a + b, h)
-        and picard.kac_translate(picard.C, h) == h
-        and picard.kac_translate(a, picard.C) == picard.C
-        and picard.picard_ip(picard.kac_translate(a, h), picard.kac_translate(a, h))
-        == picard.picard_ip(h, h)
-        and picard.picard_ip(picard.C, picard.D) == Fraction(1)
-    )
+    kac_ok = all(cli._kac_laws(h)) and picard.picard_ip(picard.C, picard.D) == Fraction(1)
 
-    worst_rt = 0.0
-    for _ in range(10):
-        x = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        mu = complex(rng.standard_normal(), rng.standard_normal())
-        kappa = 0.3 + 0.4 * rng.random()
-        eps = picard.coords_forward(x, mu, kappa)
-        xb, mub, kapb = picard.coords_back(eps)
-        worst_rt = max(worst_rt, float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa))
+    worst_rt = cli._worst(lambda: cli._round_trip_once(rng), 10)
 
-    lev2 = -par.varpi + 2 * par.delta
-    m2 = abs(e(lev2)) ** 0.25
-    quads = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
     worst_h = 0.0
-    for quad in quads:
-        def lattice_once(quad=quad):
-            x = sampling.sample_level_x(rng, lev2, (0.95 * m2, 1.05 * m2), (m2 / 1.2, 1.2 * m2))
-            mu = 0.3 * complex(rng.standard_normal(), rng.standard_normal())
-            eps = picard.coords_forward(x, mu, par.delta)
-            return float(picard.quadruple_hirota_residual(pm_eval, (), eps, quad))
-
-        worst_h = max(worst_h, _resampled(lattice_once))
+    for quad in cli._LATTICE_QUADS:
+        worst_h = max(worst_h, resampled(lambda: cli._lattice_hirota_once(rng, pm_eval, par, quad)))
     dt = time.perf_counter() - t0
     ok = kac_ok and worst_rt < 1e-12 and worst_h < 1e-6 and dt < 120
     _line(12, "rank-ten lattice", ok, f"kac exact {kac_ok}, round-trip {worst_rt:.3e} < 1e-12, bilinear {worst_h:.3e} < 1e-6, {dt:.1f}s/120s")

@@ -81,6 +81,21 @@ def test_tau_build_writes_report(tmp_path, capsys):
     assert report["pass"] is True
 
 
+def test_tau_build_checks_level_three(capsys):
+    rc = cli.main(["tau", "build", "--n", "3", "--json", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["n_max"] == 3
+    assert [c["id"] for c in report["checks"]] == [
+        "level-0-closed-form",
+        "level-1-closed-form",
+        "level-2-closed-form",
+        "level-3-closed-form",
+        "chain-bilinear",
+    ]
+    assert report["pass"] is True
+
+
 def test_tau_probe_locates_and_evaluates(capsys):
     par = EllipticParams.from_bases(0.03, 0.45)
     x = sampling.sample_on_level(sampling.make_rng(5), par, 1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from e8tau import integrals, sampling
+from e8tau.cli import _terminating_family
 from e8tau.integrals import (
     I,
     I_n,
@@ -199,6 +200,42 @@ def test_fourier_n2_sum_matches_tensor_sum(params):
             assert _rel(_quad(ctx, N), _tensor_sum_n2(ctx, N)) < 1e-11, (mod, N)
 
 
+def _tensor_sum_n3(ctx, N):
+    """The n = 3 node sum over the full N x N x N grid, one N x N slab per
+    first node, with the cross factors from theta values at node-index sums
+    and differences."""
+    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    h, zs = _node_integrand(ctx, N)
+    m = np.arange(N)
+    tp = theta(zs, p, tol)
+    pair = tp * tp[(-m) % N]
+    grid23 = pair[(m[:, None] + m[None, :]) % N] * pair[(m[:, None] - m[None, :]) % N]
+    total = 0.0 + 0j
+    for m1 in range(N):
+        f1 = pair[(m1 + m) % N] * pair[(m1 - m) % N]
+        total += h[m1] * np.sum((h * f1)[:, None] * (h * f1)[None, :] * grid23)
+    pref = qpoch(p, p, tol) * qpoch(q, q, tol)
+    return pref**3 / (48 * N**3) * complex(total)
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_fourier_n3_contraction_matches_tensor_sum(params):
+    # at |u| = 0.9 the integrand is peaked and the FFT bins carry rounding
+    # of its largest values, as for n = 2
+    for mod, bound in ((0.3, 1e-12), (0.9, 1e-11)):
+        ctx = _ctx(u=tuple(mod * e(k / 11 + 0.01) for k in range(8)), params=params, n=3)
+        for N in (32, 64, 128):
+            assert _rel(_quad(ctx, N), _tensor_sum_n3(ctx, N)) < bound, (mod, N)
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_multiplicity_three_converges_from_default_nodes(params):
+    ctx = _ctx(params=params, n=3)
+    assert ctx.quad_points == 256
+    val = I_n(ctx)
+    assert _rel(val, I_n(dataclasses.replace(ctx, quad_points=1024), adaptive=False)) < 1e-11
+
+
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
 def test_jacobi_coefficients_match_node_fft(params):
     p, tol = params.p, params.trunc_tol
@@ -323,20 +360,6 @@ def test_transform_multiplicity_two():
     ctx = _ctx(u=t, n=2, quad_points=64)
     assert In_transform_residual(ctx, "tilde_n") < 1e-6
     assert In_transform_residual(ctx, "hat_n") < 1e-6
-
-
-def _terminating_family(rng, N: int, params: EllipticParams):
-    """u with product q^2, q/u_0 u_1 = q^{-N}, solved last slot."""
-    p, q = params.p, params.q
-    u0 = 0.45 * e(rng.random())
-    u1 = q ** (N + 1) / u0
-    mid_mod = 0.75 if N < 2 else 0.9
-    mid = [mid_mod * e(t) for t in rng.random(5)]
-    prod_mid = 1.0 + 0j
-    for v in mid:
-        prod_mid *= v
-    u7 = q ** (1 - N) / prod_mid
-    return (u0, u1, *mid, u7)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

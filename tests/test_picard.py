@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from e8tau import cli
 from e8tau import lattice as L
 from e8tau import picard as P
 from e8tau import sampling
@@ -79,6 +82,36 @@ def test_kac_translation_group_laws_exact():
     assert P.kac_translate(a, h0) == h0 - P.picard_ip(a, h0) * P.C
     with pytest.raises(ValueError):
         P.kac_translate(P.E[1], h)
+
+
+# Fixed example sequence, no example database: runs repeat exactly.
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-20, 20), min_size=10, max_size=10))
+def test_kac_laws_hold_at_every_integral_vector(coeffs):
+    assert all(cli._kac_laws(P.pic(*coeffs)))
+
+
+def _complexes(bound):
+    part = st.floats(-bound, bound)
+    return st.builds(complex, part, part)
+
+
+@_PROPERTY
+@given(
+    st.lists(_complexes(0.5), min_size=8, max_size=8),
+    _complexes(1.0),
+    st.floats(0.25, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_chart_round_trip_property(x, mu, kappa_mod, kappa_phase):
+    x = np.array(x)
+    kappa = kappa_mod * np.exp(2j * np.pi * kappa_phase)
+    xb, mub, kapb = P.coords_back(P.coords_forward(x, mu, kappa))
+    assert np.max(np.abs(xb - x)) < 1e-12
+    assert abs(mub - mu) < 1e-12 and abs(kapb - kappa) < 1e-12
 
 
 def test_orbit_classification():

@@ -24,17 +24,13 @@ from e8tau.specialfn import (
     three_term_residual,
     triple_gamma,
 )
-from e8tau.util import AdmissibilityError, ConvergenceError, DomainError, e
+from e8tau.util import RESAMPLE_ERRORS, AdmissibilityError, DomainError, e, rel_diff, resampled
 
 PARAMS = EllipticParams.from_bases(0.03, 0.45)
 
 # Shared across tests: the memo fills as the module runs, so later chain
 # tests reuse level-2 values computed by earlier ones.
 CHAIN2 = T.build_chain(2, params=PARAMS)
-
-
-def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b))
 
 
 def _x_general(rng, scale=0.35):
@@ -64,16 +60,9 @@ def _has_quarter_entries(frame):
     return any(c % 2 for v in frame.vectors for c in v.coords4)
 
 
-def _hirota_resampled(ev, frame, level, rng, tries=8):
+def _hirota_resampled(ev, frame, level, rng):
     """Residual at a generic admissible point of the level hyperplane."""
-    last = None
-    for _ in range(tries):
-        x = _x_on(rng, level)
-        try:
-            return T.hirota_residual(ev, frame, x, PARAMS)
-        except (T.BracketZeroError, AdmissibilityError, ConvergenceError) as err:
-            last = err
-    raise AssertionError(f"no admissible draw in {tries} tries: {last!r}")
+    return resampled(lambda: T.hirota_residual(ev, frame, _x_on(rng, level), PARAMS))
 
 
 # ---------------------------------------------------------------- domains
@@ -88,6 +77,23 @@ def test_level_domain_locates_and_rejects():
         dom.locate(x + 0.01)  # moves the pairing off the family
     with pytest.raises(DomainError):
         dom.locate(_x_on(rng, -4))  # valid family member, index out of range
+
+
+def test_level_domain_requires_the_named_member():
+    dom = T._chain_levels(PARAMS, n_min=0, n_max=3)
+    rng = sampling.make_rng(14)
+    x = _x_on(rng, 2)
+    dom.require(x, 2)
+    for n in (1, 3):
+        with pytest.raises(DomainError):
+            dom.require(x, n)
+    with pytest.raises(DomainError):
+        dom.require(_x_on(rng, 4), 4)  # on the family, index out of range
+    # the closed forms check their level through the same family
+    with pytest.raises(DomainError):
+        T.hg_tau0(x, PARAMS)
+    with pytest.raises(DomainError):
+        T.gauge_g(1, x, "frame_a0", PARAMS)
 
 
 def test_evaluator_domain_enforced():
@@ -141,7 +147,7 @@ def test_canonical_reduces_to_three_term():
         alpha = pairing_c(a, x)
         prod = can.eval(_shifted(x, a)) * can.eval(_shifted(x, a, -1))
         pair[a] = alpha
-        assert _rel(prod, bracket_pm(z, alpha, PARAMS)) < 1e-10
+        assert rel_diff(prod, bracket_pm(z, alpha, PARAMS)) < 1e-10
     a0, a1, a2 = T.oriented_triple(frame)
     assert three_term_residual(z, pair[a0], pair[a1], pair[a2], PARAMS) < 1e-10
 
@@ -183,7 +189,7 @@ def test_weyl_map_fixes_canonical():
     tw = T.transform(can, T.WeylMap((3, 0, 7, 5)))
     for _ in range(3):
         x = _x_general(rng)
-        assert _rel(tw.eval(x), can.eval(x)) < 1e-12
+        assert rel_diff(tw.eval(x), can.eval(x)) < 1e-12
 
 
 def test_weyl_map_transports_domain():
@@ -193,7 +199,7 @@ def test_weyl_map_transports_domain():
     tw = T.transform(comp0, T.WeylMap((7,)))
     x = _x_on(rng, 0)
     y = apply_word_c((7,), x)
-    assert _rel(tw.eval(y), comp0.eval(x)) < 1e-12
+    assert rel_diff(tw.eval(y), comp0.eval(x)) < 1e-12
     with pytest.raises(DomainError):
         tw.eval(x)
 
@@ -233,8 +239,8 @@ def test_period_shifts_compose_up_to_exp_quadratic():
         ratio(x + (k + 2) * h) * ratio(x + k * h) / ratio(x + (k + 1) * h) ** 2
         for k in range(3)
     ]
-    assert _rel(second[0], second[1]) < 1e-9
-    assert _rel(second[1], second[2]) < 1e-9
+    assert rel_diff(second[0], second[1]) < 1e-9
+    assert rel_diff(second[1], second[2]) < 1e-9
     assert abs(ratio(x + h) / ratio(x) - 1.0) > 1e-3
 
 
@@ -247,7 +253,7 @@ def test_level0_product_weyl_invariant():
         x = _x_on(rng, 0)
         base = T.hg_tau0(x, PARAMS)
         for word in ((0,), (3, 1, 4), (6, 2, 0, 5)):
-            assert _rel(T.hg_tau0(apply_word_c(word, x), PARAMS), base) < 1e-10
+            assert rel_diff(T.hg_tau0(apply_word_c(word, x), PARAMS), base) < 1e-10
 
 
 def test_level0_shift_ratio_forms():
@@ -263,13 +269,13 @@ def test_level0_shift_ratio_forms():
         rhs = bracket_pm(pairing_c(a0, x), pairing_c(a1, x), PARAMS) / bracket_pm(
             pairing_c(a0, x), pairing_c(a2, x), PARAMS
         )
-        assert _rel(lhs, rhs) < 1e-9
+        assert rel_diff(lhs, rhs) < 1e-9
         u = np.exp(2j * np.pi * x)
         p = PARAMS.p
         cross = (theta(u[0] * u[1], p) * theta(u[2] * u[3], p)) / (
             theta(u[0] * u[2], p) * theta(u[1] * u[3], p)
         )
-        assert _rel(lhs, cross) < 1e-9
+        assert rel_diff(lhs, cross) < 1e-9
 
 
 def test_pair_product_telescopes_under_shift():
@@ -285,7 +291,7 @@ def test_pair_product_telescopes_under_shift():
     for i in range(8):
         for j in range(i + 1, 8):
             rhs *= elliptic_gamma(u[i] * u[j], p, q)
-    assert _rel(lhs, rhs) < 1e-10
+    assert rel_diff(lhs, rhs) < 1e-10
 
 
 def test_batched_pair_product_matches_scalar_loop():
@@ -298,7 +304,7 @@ def test_batched_pair_product_matches_scalar_loop():
             loop = 1.0 + 0j
             for s, i, j in zip(scales, *integrals._PAIRS):
                 loop *= triple_gamma(s * u[i] * u[j], p, q, q)
-            assert _rel(integrals._pair_gamma(u, PARAMS, scale), loop) < 1e-13
+            assert rel_diff(integrals._pair_gamma(u, PARAMS, scale), loop) < 1e-13
     # the per-pair scales: q inside each coordinate block, q^(1-n) across
     i, j = integrals._PAIRS
     same = (i < 4) == (j < 4)
@@ -318,7 +324,7 @@ def test_level1_weyl_invariant():
                 val = T.hg_tau1(y, PARAMS)
             except AdmissibilityError:
                 continue  # reflection pushed a modulus out of range
-            assert _rel(val, base) < 1e-6
+            assert rel_diff(val, base) < 1e-6
 
 
 def test_type_i_family_on_half_level():
@@ -352,7 +358,7 @@ def test_toda_value_independent_of_index_choice():
             vals = [T.toda_step(c0, c1, frame8, i, j, x, PARAMS) for i, j in pairs]
             vals.append(T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS, a0_index=1))
             vals.append(CHAIN2.value(2, x))
-        except (T.BracketZeroError, AdmissibilityError, ConvergenceError):
+        except RESAMPLE_ERRORS:
             continue
         spread = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
         assert spread < 1e-8
@@ -451,10 +457,10 @@ def test_chain_weyl_invariant_per_level():
             try:
                 base = CHAIN2.value(n, x)
                 vals = [CHAIN2.value(n, apply_word_c(w, x)) for w in words]
-            except (T.BracketZeroError, AdmissibilityError, ConvergenceError):
+            except RESAMPLE_ERRORS:
                 continue
             for v in vals:
-                assert _rel(v, base) < tol
+                assert rel_diff(v, base) < tol
             done = True
             break
         assert done, f"no admissible draw at level {n}"
@@ -475,12 +481,12 @@ def test_casorati_base_cases_and_explicit_two_by_two():
 
     x = 0.1 * rng.standard_normal(8) + 0.05j * rng.standard_normal(8)
     assert T.casorati_K(0, x, psi, triple, PARAMS) == 1.0
-    assert _rel(T.casorati_K(1, x, psi, triple, PARAMS), psi(x)) < 1e-12
+    assert rel_diff(T.casorati_K(1, x, psi, triple, PARAMS), psi(x)) < 1e-12
     k2 = T.casorati_K(2, _shifted(x, a0), psi, triple, PARAMS)
     expl = psi(_shifted(x, a1)) * psi(_shifted(x, a1, -1)) - psi(
         _shifted(x, a2)
     ) * psi(_shifted(x, a2, -1))
-    assert _rel(k2, expl) < 1e-10
+    assert rel_diff(k2, expl) < 1e-10
     with pytest.raises(ValueError):
         T.casorati_K(-1, x, psi, triple, PARAMS)
 
@@ -514,10 +520,10 @@ def test_gauge_base_cases():
     rng = sampling.make_rng(63)
     for case in ("frame_a0", "frame_a7"):
         x0 = _x_on(rng, 0)
-        assert _rel(T.gauge_g(0, x0, case, PARAMS), T.hg_tau0(x0, PARAMS)) < 1e-10
+        assert rel_diff(T.gauge_g(0, x0, case, PARAMS), T.hg_tau0(x0, PARAMS)) < 1e-10
         x1 = _x_on(rng, 1)
-        assert _rel(T.dfactor_d(1, x1, case, PARAMS), 1.0) < 1e-14
-        assert _rel(T.dfactor_d(0, x0, case, PARAMS), 1.0) < 1e-14
+        assert rel_diff(T.dfactor_d(1, x1, case, PARAMS), 1.0) < 1e-14
+        assert rel_diff(T.dfactor_d(0, x0, case, PARAMS), 1.0) < 1e-14
 
 
 def test_gauge_satisfies_transfer_relations():
@@ -539,12 +545,12 @@ def test_gauge_satisfies_transfer_relations():
             rhs = bracket_pm(pairing_c(a0, x), pairing_c(a2, x), PARAMS) / bracket_pm(
                 pairing_c(a1, x), pairing_c(a2, x), PARAMS
             )
-            assert _rel(lhs, rhs) < 1e-9
+            assert rel_diff(lhs, rhs) < 1e-9
             ratio = pm_pair(n, x, a1) / pm_pair(n, x, a2)
             rhs2 = bracket_pm(pairing_c(a0, x), pairing_c(a1, x), PARAMS) / bracket_pm(
                 pairing_c(a0, x), pairing_c(a2, x), PARAMS
             )
-            assert _rel(ratio, rhs2) < 1e-9
+            assert rel_diff(ratio, rhs2) < 1e-9
 
 
 def test_closed_forms_agree_with_chain():
@@ -561,10 +567,10 @@ def test_closed_forms_agree_with_chain():
                     T.tau_n_int(n, x, "direct", PARAMS),
                     T.tau_n_int(n, x, "tilde", PARAMS),
                 ]
-            except (T.BracketZeroError, AdmissibilityError, ConvergenceError):
+            except RESAMPLE_ERRORS:
                 continue
             for v in vals:
-                assert _rel(v, ref) < tol
+                assert rel_diff(v, ref) < tol
             done = True
             break
         assert done, f"no admissible draw at level {n}"
@@ -615,13 +621,13 @@ def test_variant_routes_agree():
         x = _variant_x(rng, variant, 1)
         d = T.psi_variant(1, x, variant, PARAMS, route="direct")
         i = T.psi_variant(1, x, variant, PARAMS, route="inverse")
-        assert _rel(d, i) < 1e-6, variant
+        assert rel_diff(d, i) < 1e-6, variant
 
 
 def test_variant_pp_equals_chain_component():
     rng = sampling.make_rng(82)
     x = _variant_x(rng, "pp", 1)
-    assert _rel(T.psi_variant(1, x, "pp", PARAMS), CHAIN2.value(1, x)) < 1e-10
+    assert rel_diff(T.psi_variant(1, x, "pp", PARAMS), CHAIN2.value(1, x)) < 1e-10
 
 
 def test_variant_reflection_symmetry():
@@ -629,7 +635,7 @@ def test_variant_reflection_symmetry():
     x = _variant_x(rng, "mm", 1)
     lhs = T.psi_variant(1, x, "mm", PARAMS, route="direct")
     rhs = T.psi_variant(1, -x, "pm", PARAMS, route="inverse")
-    assert _rel(lhs, rhs) < 1e-12
+    assert rel_diff(lhs, rhs) < 1e-12
 
 
 def test_variant_order_zero_is_plain_product():
@@ -641,7 +647,7 @@ def test_variant_order_zero_is_plain_product():
     for a in range(8):
         for b in range(a + 1, 8):
             expect *= triple_gamma(t[a] * t[b], PARAMS.p, PARAMS.q, PARAMS.q)
-    assert _rel(got, expect) < 1e-12
+    assert rel_diff(got, expect) < 1e-12
 
 
 def test_variant_evaluator_rejects_level_three_at_the_boundary():
