@@ -282,37 +282,44 @@ def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -
 # ------------------------------------------------------------------ suites
 
 
-def _run_counts(cfg: SuiteConfig) -> list[dict]:
-    checks = [
-        _count_check("roots", "§1 theta series", len(lattice.enumerate_norm(2)), 240),
-        _count_check("norm-4-shell", "§1 theta series", len(lattice.enumerate_norm(4)), 2160),
-    ]
+_SHELL_ORBITS = (
+    (lattice.PHI - lattice.V[0] + lattice.V[1], 126),
+    (lattice.PHI - lattice.V[0].scaled(2), 576),
+    (lattice.PHI - lattice.V[0].scaled(2) - lattice.V[6] - lattice.V[7], 756),
+    (-lattice.V[0].scaled(2), 576),
+    (-lattice.PHI - lattice.V[0] + lattice.V[1], 126),
+)
+
+
+def _exact_counts() -> list[tuple[str, str, int, int]]:
+    """(id, paper anchor, count, expected) for the norm shells, the frame
+    counts and types, and the E7 orbits of the norm-4 shell."""
     c8 = lattice.enumerate_frames(8)
     c3 = lattice.enumerate_frames(3)
-    checks.append(_count_check("c8-frames", "Prop 1A(3)", len(c8), 135))
-    checks.append(_count_check("c3-frames", "§2", len(c3), 7560))
     t8 = Counter(f.frame_type for f in c8)
-    checks.append(_count_check("c8-type-i", "Prop 3A", t8[lattice.FrameType.C8_I], 72))
-    checks.append(_count_check("c8-type-ii", "Prop 3A", t8[lattice.FrameType.C8_II], 63))
     t3 = Counter(f.frame_type for f in c3)
+    counts = [
+        ("roots", "§1 theta series", len(lattice.enumerate_norm(2)), 240),
+        ("norm-4-shell", "§1 theta series", len(lattice.enumerate_norm(4)), 2160),
+        ("c8-frames", "Prop 1A(3)", len(c8), 135),
+        ("c3-frames", "§2", len(c3), 7560),
+        ("c8-type-i", "Prop 3A", t8[lattice.FrameType.C8_I], 72),
+        ("c8-type-ii", "Prop 3A", t8[lattice.FrameType.C8_II], 63),
+    ]
     for ftype, want in (
         (lattice.FrameType.C3_I, 4032),
         (lattice.FrameType.C3_II0, 1260),
         (lattice.FrameType.C3_II1, 1890),
         (lattice.FrameType.C3_II2, 378),
     ):
-        checks.append(_count_check(f"c3-{ftype.name[3:].lower()}", "Prop 3B", t3[ftype], want))
-    seeds = [
-        lattice.PHI - lattice.V[0] + lattice.V[1],
-        lattice.PHI - lattice.V[0].scaled(2),
-        lattice.PHI - lattice.V[0].scaled(2) - lattice.V[6] - lattice.V[7],
-        -lattice.V[0].scaled(2),
-        -lattice.PHI - lattice.V[0] + lattice.V[1],
-    ]
-    sizes = [len(lattice.weyl_orbit(s, "E7")) for s in seeds]
-    for k, (got, want) in enumerate(zip(sizes, (126, 576, 756, 576, 126))):
-        checks.append(_count_check(f"shell-orbit-{k}", "§3 table", got, want))
-    return checks
+        counts.append((f"c3-{ftype.name[3:].lower()}", "Prop 3B", t3[ftype], want))
+    for k, (seed, want) in enumerate(_SHELL_ORBITS):
+        counts.append((f"shell-orbit-{k}", "§3 table", len(lattice.weyl_orbit(seed, "E7")), want))
+    return counts
+
+
+def _run_counts(cfg: SuiteConfig) -> list[dict]:
+    return [_count_check(*c) for c in _exact_counts()]
 
 
 def _run_specialfn(cfg: SuiteConfig) -> list[dict]:

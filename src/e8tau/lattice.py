@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ SIMPLE_ROOTS: tuple[LatticeVector, ...] = (
 
 def ip(a: LatticeVector, b: LatticeVector) -> int:
     """Bilinear pairing, returned as an exact integer equal to 16*<a,b>."""
-    return sum(x * y for x, y in zip(a.coords4, b.coords4))
+    return sum(map(mul, a.coords4, b.coords4))
 
 
 def membership(a: LatticeVector) -> Membership:
@@ -241,14 +242,27 @@ def _norm1_half_vectors() -> tuple[LatticeVector, ...]:
     return tuple(w.half() for w in enumerate_norm(4))
 
 
+@lru_cache(maxsize=None)
+def _norm1_half_table() -> np.ndarray:
+    # The same vectors as one read-only (2160, 8) int64 array, row k = vector k.
+    table = np.array([b.coords4 for b in _norm1_half_vectors()], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def frame_containing(a: LatticeVector) -> Frame:
     """The unique 8-vector frame through a norm-1 vector of the half-lattice."""
     if ip(a, a) != 16 or membership(a) == Membership.NEITHER:
         raise ValueError("need a norm-1 vector of the half-lattice")
-    partners = []
-    for b in _norm1_half_vectors():
-        if ip(a, b) == 0 and _in_lattice((a + b).coords4):
-            partners.append(b)
+    table = _norm1_half_table()
+    c = np.array(a.coords4, dtype=np.int64)
+    # Orthogonal rows first, then the lattice test of _in_lattice on a + b.
+    rows = np.flatnonzero(table @ c == 0)
+    s = table[rows] + c
+    r4 = s % 4
+    in_p = ((r4 == 0).all(axis=1) | (r4 == 2).all(axis=1)) & (s.sum(axis=1) % 8 == 0)
+    vectors = _norm1_half_vectors()
+    partners = [vectors[k] for k in rows[in_p]]
     # Uniqueness of the completion: exactly 7 sign pairs besides ±a.
     assert len(partners) == 14, f"frame completion found {len(partners)} partners"
     distinct = {sign_normalize(b).coords4: sign_normalize(b) for b in partners}
@@ -273,66 +287,99 @@ def enumerate_frames(l: int) -> tuple[Frame, ...]:
             seen.update(v.coords4 for v in f.vectors)
         assert len(frames) == 135 and len(seen) == 1080
         return tuple(frames)
-    out = {
-        Frame.from_vectors(combo).key(): Frame.from_vectors(combo)
-        for f8 in enumerate_frames(8)
-        for combo in itertools.combinations(f8.vectors, l)
-    }
+    out = {}
+    for f8 in enumerate_frames(8):
+        for combo in itertools.combinations(f8.vectors, l):
+            f = Frame.from_vectors(combo)
+            out[f.key()] = f
     frames = tuple(out.values())
     assert len(frames) == 135 * comb(8, l)
     return frames
 
 
 def _phi_profile(f: Frame) -> tuple[int, ...]:
-    # Doubled pairings 2*<phi,a_i>, sorted by absolute value.
-    return tuple(sorted(abs(ip(PHI, a) // 8) for a in f.vectors))
+    # Doubled pairings 2*<phi,a_i>, sorted by absolute value; 16*<phi,a> is
+    # twice the coordinate sum.
+    return tuple(sorted([abs(2 * sum(a.coords4) // 8) for a in f.vectors]))
+
+
+_TYPE_OF_PROFILE = {
+    (1,) * 8: FrameType.C8_I,
+    (0, 0, 0, 0, 0, 0, 2, 2): FrameType.C8_II,
+    (1, 1, 1): FrameType.C3_I,
+    (0, 0, 0): FrameType.C3_II0,
+    (0, 0, 2): FrameType.C3_II1,
+    (0, 2, 2): FrameType.C3_II2,
+}
 
 
 def classify_frame(f: Frame) -> FrameType:
     """Type of an 8-frame or 3-frame from its pairing profile against phi."""
-    prof = _phi_profile(f)
-    if len(f) == 8:
-        if prof == (1,) * 8:
-            return FrameType.C8_I
-        if prof == (0, 0, 0, 0, 0, 0, 2, 2):
-            return FrameType.C8_II
-    elif len(f) == 3:
-        table = {
-            (1, 1, 1): FrameType.C3_I,
-            (0, 0, 0): FrameType.C3_II0,
-            (0, 0, 2): FrameType.C3_II1,
-            (0, 2, 2): FrameType.C3_II2,
-        }
-        if prof in table:
-            return table[prof]
-    else:
+    if len(f) not in (3, 8):
         raise ValueError("only 3-frames and 8-frames carry a type")
-    raise ValueError(f"pairing profile {prof} matches no class")
+    prof = _phi_profile(f)
+    ftype = _TYPE_OF_PROFILE.get(prof)
+    if ftype is None:
+        raise ValueError(f"pairing profile {prof} matches no class")
+    return ftype
+
+
+# Vector orbits run in int64 while every coordinate, inner product and
+# reflection numerator stays far below 2**63; an orbit keeps the norm, so
+# seeds with larger coordinates run on Python integers (object arrays).
+_INT64_COORD_LIMIT = 2**40
+_ROOTS_INT64 = np.array([g.coords4 for g in SIMPLE_ROOTS], dtype=np.int64)
 
 
 def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
-    """Breadth-first orbit closure under the simple reflections of E7 or E8."""
-    gens = SIMPLE_ROOTS[:7] if group == "E7" else SIMPLE_ROOTS
+    """Breadth-first orbit closure under the simple reflections of E7 or E8.
+
+    The orbit lists the seed first, then each new image in the order the
+    breadth-first search meets it: frontier element by element, generator by
+    generator within each element.
+    """
+    if group not in ("E7", "E8"):
+        raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
+    n_gens = 7 if group == "E7" else 8
     if isinstance(seed, LatticeVector):
-        start = seed
-        act = lambda g, v: reflect(g, v)
-        key = lambda v: v.coords4
-    else:
-        start = Frame.from_vectors(seed.vectors, seed.frame_type)
-        act = lambda g, f: Frame.from_vectors([reflect(g, v) for v in f.vectors], f.frame_type)
-        key = lambda f: f.key()
-    orbit = {key(start): start}
+        return _vector_orbit(seed, n_gens)
+    gens = SIMPLE_ROOTS[:n_gens]
+    start = Frame.from_vectors(seed.vectors, seed.frame_type)
+    orbit = {start.key(): start}
     frontier = [start]
     while frontier:
         nxt = []
         for el in frontier:
             for g in gens:
-                im = act(g, el)
-                k = key(im)
+                im = Frame.from_vectors([reflect(g, v) for v in el.vectors], el.frame_type)
+                k = im.key()
                 if k not in orbit:
                     orbit[k] = im
                     nxt.append(im)
         frontier = nxt
+    return tuple(orbit.values())
+
+
+def _vector_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]:
+    # Each round reflects the whole frontier by every generator at once:
+    # s_g(v) = (v*nn - 2<g,v> g) / nn with nn = 16<g,g> = 32 for every root.
+    small = max(abs(c) for c in seed.coords4) < _INT64_COORD_LIMIT
+    gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
+    nn = 32
+    orbit = {seed.coords4: seed}
+    frontier = np.array([seed.coords4], dtype=np.int64 if small else object)
+    while len(frontier):
+        t = 2 * (frontier @ gens.T)  # (m, g)
+        num = frontier[:, None, :] * nn - t[:, :, None] * gens[None, :, :]
+        if (num % nn).any():
+            raise ValueError("reflection left (1/4)Z^8")
+        new = []
+        for row in (num // nn).reshape(-1, 8).tolist():
+            k = tuple(row)
+            if k not in orbit:
+                orbit[k] = LatticeVector(k)
+                new.append(row)
+        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 8)
     return tuple(orbit.values())
 
 

@@ -58,6 +58,8 @@ def _as_array(z) -> tuple[np.ndarray, bool]:
 def theta(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
     """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0."""
     zz, scalar = _as_array(z)
+    if scalar:
+        return _theta_scalar(complex(zz[0]), p, trunc_tol)
     if np.any(zz == 0):
         raise ValueError("theta argument must be nonzero")
     ap = abs(p)
@@ -71,7 +73,26 @@ def theta(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
         pi_pow *= p
         if ap**i * big < trunc_tol:
             break
-    return complex(out[0]) if scalar else out
+    return out
+
+
+def _theta_scalar(z: complex, p: complex, trunc_tol: float) -> complex:
+    # The array loop above at one point, in one pass: the same truncation
+    # (Python's abs of a complex is the same hypot as np.abs), the same powers
+    # p^i and p^i*p from the same recurrence, every factor from the same
+    # array operations, and np.cumprod, which multiplies strictly left to
+    # right from the first factor, for the running product; so the result is
+    # bit-for-bit that of theta(np.array([z]), p)[0].
+    if z == 0:
+        raise ValueError("theta argument must be nonzero")
+    ap = abs(p)
+    big = max(abs(z), ap / abs(z), 1.0)
+    pows = [1.0 + 0j]
+    while ap ** len(pows) * big >= trunc_tol:
+        pows.append(pows[-1] * p)
+    pows_p = [w * p for w in pows]
+    factors = (1.0 - np.array(pows) * z) * (1.0 - np.array(pows_p) / z)
+    return complex(np.cumprod(factors)[-1])
 
 
 def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):

@@ -8,7 +8,6 @@ own seed, trial count and quadrature target.
 """
 import itertools
 import time
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,27 +41,9 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_exact_counts():
     t0 = time.perf_counter()
-    got = [len(lattice.enumerate_norm(2)), len(lattice.enumerate_norm(4))]
-    want = [240, 2160]
-    c8 = lattice.enumerate_frames(8)
-    c3 = lattice.enumerate_frames(3)
-    got += [len(c8), len(c3)]
-    want += [135, 7560]
-    t8 = Counter(f.frame_type for f in c8)
-    got += [t8[lattice.FrameType.C8_I], t8[lattice.FrameType.C8_II]]
-    want += [72, 63]
-    t3 = Counter(f.frame_type for f in c3)
-    got += [t3[lattice.FrameType[k]] for k in ("C3_I", "C3_II0", "C3_II1", "C3_II2")]
-    want += [4032, 1260, 1890, 378]
-    seeds = [
-        lattice.PHI - lattice.V[0] + lattice.V[1],
-        lattice.PHI - lattice.V[0].scaled(2),
-        lattice.PHI - lattice.V[0].scaled(2) - lattice.V[6] - lattice.V[7],
-        -lattice.V[0].scaled(2),
-        -lattice.PHI - lattice.V[0] + lattice.V[1],
-    ]
-    got += [len(lattice.weyl_orbit(s, "E7")) for s in seeds]
-    want += [126, 576, 756, 576, 126]
+    counts = cli._exact_counts()
+    got = [c[2] for c in counts]
+    want = [c[3] for c in counts]
     dt = time.perf_counter() - t0
     _line(1, "exact counts", got == want and dt < 10, f"{sum(g == w for g, w in zip(got, want))}/{len(want)} exact, {dt:.1f}s/10s")
 

@@ -2,11 +2,17 @@
 from __future__ import annotations
 
 import itertools
+from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from e8tau import cli
 from e8tau import lattice as L
+
+SHELL_SEEDS = tuple(seed for seed, _ in cli._SHELL_ORBITS)
 
 
 def test_inner_product_scaling():
@@ -155,14 +161,7 @@ def test_type_one_half_sum_is_highest_root():
 
 
 def test_stabilizer_orbits_of_norm4_shell():
-    seeds = [
-        L.PHI - L.V[0] + L.V[1],
-        L.PHI - L.V[0].scaled(2),
-        L.PHI - L.V[0].scaled(2) - L.V[6] - L.V[7],
-        -L.V[0].scaled(2),
-        -L.PHI - L.V[0] + L.V[1],
-    ]
-    sizes = [len(L.weyl_orbit(s, "E7")) for s in seeds]
+    sizes = [len(L.weyl_orbit(s, "E7")) for s in SHELL_SEEDS]
     assert sizes == [126, 576, 756, 576, 126]
     assert sum(sizes) == 2160
 
@@ -201,3 +200,136 @@ def test_unsupported_norm_raises():
         L.enumerate_norm(6)
     with pytest.raises(ValueError):
         L.classify_frame(L.enumerate_frames(1)[0])
+
+
+# Reference routes: the scalar breadth-first orbit and the scalar frame
+# completion scan that the integer-array kernels replace.
+
+
+def _orbit_reference(seed, group):
+    gens = L.SIMPLE_ROOTS[:7] if group == "E7" else L.SIMPLE_ROOTS
+    orbit = {seed.coords4: seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                im = L.reflect(g, v)
+                if im.coords4 not in orbit:
+                    orbit[im.coords4] = im
+                    nxt.append(im)
+        frontier = nxt
+    return tuple(orbit.values())
+
+
+def _frame_containing_reference(a):
+    c = a.coords4
+    partners = [
+        b
+        for b in L._norm1_half_vectors()
+        if sum(map(mul, c, b.coords4)) == 0 and L._in_lattice(tuple(map(add, c, b.coords4)))
+    ]
+    assert len(partners) == 14
+    distinct = {L.sign_normalize(b).coords4: L.sign_normalize(b) for b in partners}
+    return L.Frame.from_vectors([L.sign_normalize(a), *distinct.values()])
+
+
+def test_vector_orbits_match_scalar_reference():
+    cases = [(s, "E7") for s in SHELL_SEEDS]
+    cases += [(L.SIMPLE_ROOTS[0], "E8"), (L.PHI - L.V[0].scaled(2), "E8")]
+    for seed, group in cases:
+        got = L.weyl_orbit(seed, group)
+        assert got == _orbit_reference(seed, group)  # content and order
+        assert all(type(c) is int for v in got for c in v.coords4)
+    assert len(L.weyl_orbit(L.SIMPLE_ROOTS[0], "E8")) == 240
+    assert len(L.weyl_orbit(L.PHI - L.V[0].scaled(2), "E8")) == 2160
+
+
+def test_vector_orbit_with_large_coordinates_runs_exactly():
+    # Beyond the int64 range the orbit runs on Python integers.
+    seed = L.SIMPLE_ROOTS[3].scaled(2**70)
+    got = L.weyl_orbit(seed, "E7")
+    assert got == _orbit_reference(seed, "E7")
+    assert len(got) == 126
+
+
+def test_orbit_leaving_the_quarter_lattice_raises():
+    for group in ("E7", "E8"):
+        with pytest.raises(ValueError, match="left"):
+            L.weyl_orbit(L.vec(1, 0, 0, 0, 0, 0, 0, 0), group)
+
+
+def test_orbit_rejects_unknown_group():
+    for group in ("E6", "e8", "", None):
+        with pytest.raises(ValueError, match="group"):
+            L.weyl_orbit(L.PHI, group)
+    with pytest.raises(ValueError, match="group"):
+        L.weyl_orbit(L.enumerate_frames(8)[0], "D8")
+
+
+def test_frame_completion_matches_scalar_reference():
+    seen = {L.sign_normalize(w.half()).coords4: L.sign_normalize(w.half()) for w in L.enumerate_norm(4)}
+    assert len(seen) == 1080
+    for a in seen.values():
+        f = L.frame_containing(a)
+        ref = _frame_containing_reference(a)
+        assert f.key() == ref.key() and f.frame_type is ref.frame_type
+
+
+def test_phi_profile_is_the_floored_pairing():
+    for f in L.enumerate_frames(8):
+        assert L._phi_profile(f) == tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in f.vectors))
+
+
+def test_small_frames_keep_their_order():
+    f3 = L.enumerate_frames(3)
+    assert len({f.key() for f in f3}) == len(f3) == 7560
+    # Output order: the 3-subsets of each 8-frame in turn.
+    first = L.enumerate_frames(8)[0]
+    assert [f.key() for f in f3[:56]] == [
+        tuple(v.coords4 for v in c) for c in itertools.combinations(first.vectors, 3)
+    ]
+
+
+# Fixed example sequence, no example database: runs repeat exactly.
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_ROOTS = st.sampled_from(L.enumerate_norm(2))
+
+
+@st.composite
+def _lattice_vectors(draw):
+    """Integral combinations of the simple roots: every point of the lattice."""
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=8, max_size=8))
+    v = L.vec(*([0] * 8))
+    for c, alpha in zip(coeffs, L.SIMPLE_ROOTS):
+        v = v + alpha.scaled(c)
+    return v
+
+
+@_PROPERTY
+@given(_ROOTS, _lattice_vectors(), _lattice_vectors())
+def test_reflection_is_an_isometric_involution_property(alpha, v, w):
+    rv = L.reflect(alpha, v)
+    assert L.reflect(alpha, rv) == v
+    assert L.ip(rv, L.reflect(alpha, w)) == L.ip(v, w)
+    assert L.membership(rv) is L.Membership.P
+
+
+@_PROPERTY
+@given(st.lists(st.integers(0, 7), max_size=16), _lattice_vectors())
+def test_inverse_word_undoes_word_property(word, v):
+    assert L.apply_word(L.inverse_word(word), L.apply_word(word, v)) == v
+
+
+@_PROPERTY
+@given(
+    st.sampled_from((3, 8)),
+    st.integers(0, 134),
+    st.data(),
+)
+def test_frame_canonical_under_reorder_and_sign_property(size, index, data):
+    frame = L.enumerate_frames(size)[index]
+    order = data.draw(st.permutations(range(size)))
+    signs = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    vs = [-frame.vectors[k] if flip else frame.vectors[k] for k, flip in zip(order, signs)]
+    assert L.Frame.from_vectors(vs) == frame

@@ -40,6 +40,21 @@ def test_theta_vectorized_matches_scalar():
         assert _rel(S.theta(complex(zi), 0.2), vi) < 1e-15
 
 
+def test_scalar_theta_is_bitwise_the_one_point_array_route():
+    # The scalar route forms its factors in one array and multiplies them with
+    # np.cumprod; the array route is the reference and must agree exactly.
+    rng = np.random.default_rng(np.random.Philox(29))
+    n = 20_000
+    zs = np.exp(rng.uniform(np.log(0.01), np.log(5.0), n)) * np.exp(2j * np.pi * rng.random(n))
+    aps = np.exp(rng.uniform(np.log(0.005), np.log(0.95), n))
+    phases = np.exp(2j * np.pi * rng.random(n))
+    for k in range(n):
+        z = complex(zs[k])
+        # Odd draws take a complex base, even draws a real one of either sign.
+        p = complex(aps[k] * phases[k]) if k % 2 else float(aps[k] if phases[k].real > 0 else -aps[k])
+        assert S.theta(z, p) == S.theta(np.array([z]), p)[0], (z, p)
+
+
 def test_gamma_frozen_values():
     assert _rel(S.elliptic_gamma(0.4 + 0.2j, 0.1, 0.15), O.GAMMA_Z) < 1e-14
     assert _rel(S.elliptic_gamma(0.1, 0.1, 0.1), O.GAMMA_SELFDUAL) < 1e-14
