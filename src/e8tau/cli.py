@@ -1,9 +1,11 @@
 """Command-line front end: enumeration counts, identity suites, chain builds.
 
 Reports are JSON documents with one entry per check carrying id,
-paper_anchor, residual or count, tolerance, and pass.  All randomness flows
-through the counter-based generator in sampling, so a fixed (config, seed)
-pair reproduces every numeric field; wall time is the one exempt field.
+paper_anchor, residual or count, tolerance, and pass. Each check is one row
+of the table _CHECKS, and one runner (_measure) turns rows into entries.
+All randomness flows through the counter-based generator in sampling, so a
+fixed (config, seed) pair reproduces every numeric field; wall time is the
+one exempt field.
 Exit status is 0 exactly when every check passes.
 
 Config files are JSON with complex numbers as [re, im] pairs:
@@ -19,13 +21,14 @@ Config files are JSON with complex numbers as [re, im] pairs:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -145,25 +148,25 @@ def _count_check(cid: str, anchor: str, got: int, want: int) -> dict:
     }
 
 
-def _level_modulus(level: complex) -> float:
-    # Half the coordinate sum equals level, so the geometric mean of the
-    # multiplicative coordinates is |e(level)|^(1/4).
-    return abs(e(level)) ** 0.25
-
-
-def _worst(once: Callable[[], float], trials: int) -> float:
-    """Largest of trials residuals drawn in turn (a NaN never wins)."""
+def _worst(once: Callable[[], Any], trials: int):
+    """Largest of trials residuals drawn in turn (a NaN never wins). A draw
+    that returns a tuple of residuals keeps a largest per position."""
     worst = 0.0
     for _ in range(trials):
-        worst = max(worst, once())
+        r = once()
+        if isinstance(r, tuple):
+            prev = worst if isinstance(worst, tuple) else (worst,) * len(r)
+            worst = tuple(map(max, prev, r))
+        else:
+            worst = max(worst, r)
     return worst
 
 
 # ------------------------------------------------------ one-trial checks
 #
-# Each body draws one point from rng and returns its residual. The suites
-# below and the acceptance criteria in tests/test_acceptance.py both call
-# them, each with its own seed, trial count, quadrature target and bound.
+# Each body draws one point from rng and returns its residual. The check
+# table below and the acceptance criteria in tests/test_acceptance.py both
+# call them, each with its own seed, trial count, quadrature target and bound.
 
 
 def _three_term_once(rng) -> float:
@@ -242,6 +245,14 @@ def _terminating_once(rng, par: EllipticParams, order: int, quad_tol: float) -> 
     return rel_diff(lhs, integrals.terminating_eval(u, par, order))
 
 
+def _warnaar_once(rng, par: EllipticParams, n: int) -> float:
+    """Theta-factorial determinant of order n at a random a, b and z."""
+    a = 0.40 * e(rng.random())
+    b = 0.55 * e(rng.random())
+    zs = tuple((0.5 + 0.4 * rng.random()) * e(t) for t in rng.random(n))
+    return float(tau.warnaar_det_residual(a, b, zs, n, par))
+
+
 def _kac_laws(h: picard.PicardVector) -> list[bool]:
     """Additivity, the fixed null vector, the isometry and Weyl equivariance
     of Kac translations, evaluated at h."""
@@ -266,20 +277,25 @@ def _round_trip_once(rng) -> float:
     return max(float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa))
 
 
+def _chart_point(rng, level: complex) -> np.ndarray:
+    """Point on level whose moduli |e(x_i)| sit near their geometric mean
+    |e(level)|^(1/4), forced because half the coordinate sum equals level."""
+    m = abs(e(level)) ** 0.25
+    return sampling.sample_level_x(rng, level, (0.95 * m, 1.05 * m), (m / 1.2, 1.2 * m))
+
+
 _LATTICE_QUADS = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
 
 
 def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -> float:
     """Quadruple bilinear residual of ev's lattice family on the level-2 chart."""
-    lev2 = -par.varpi + 2 * par.delta
-    m2 = _level_modulus(lev2)
-    x = sampling.sample_level_x(rng, lev2, (0.95 * m2, 1.05 * m2), (m2 / 1.2, 1.2 * m2))
+    x = _chart_point(rng, -par.varpi + 2 * par.delta)
     mu = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
     eps = picard.coords_forward(x, mu, par.delta)
     return float(picard.quadruple_hirota_residual(ev, (), eps, quad))
 
 
-# ------------------------------------------------------------------ suites
+# -------------------------------------------------------- the check table
 
 
 _SHELL_ORBITS = (
@@ -291,273 +307,286 @@ _SHELL_ORBITS = (
 )
 
 
+class _Run:
+    """What the rows of one run share: the config, the generator every body
+    draws from in table order (seeded cfg.seed + offset), the parameter block
+    they evaluate at, and the objects they check, each built on first use.
+    depth is the chain's top level; break_tau adds 1 to the canonical
+    solution (the --break-tau negative control)."""
+
+    def __init__(self, cfg: SuiteConfig, offset: int, block: str, depth: int | None = None, break_tau: bool = False):
+        self.cfg, self.block = cfg, block
+        self.rng = sampling.make_rng(cfg.seed + offset)
+        self.depth = max(cfg.n_max, 2) if depth is None else depth
+        self.break_tau = break_tau
+
+    @cached_property
+    def par(self) -> EllipticParams:
+        return self.cfg.elliptic(self.block)
+
+    @cached_property
+    def hirota_taus(self) -> dict[str, tuple[tau.TauEvaluator, lattice.Frame | None]]:
+        """The canonical solution and its three transforms, each with the
+        frame it is checked on (None: a random 3-frame per trial)."""
+        base = tau.canonical_tau(0.21 + 0.05j, self.par)
+        if self.break_tau:
+            inner = base.fn
+            base = tau.TauEvaluator(lambda x: inner(x) + 1.0, self.par)
+        gauge = tau.ExpGauge(k=0.3 - 0.1j, v=tuple(0.2j * k for k in range(8)), c=0.7)
+        shift = tau.PeriodShift(lattice.vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0))
+        # Whole-lattice shifts pair integrally with the standard triple only.
+        std = lattice.Frame.from_vectors(tau.A1_VECTORS[:3])
+        return {
+            "canonical": (base, None),
+            "gauged": (tau.transform(base, gauge), None),
+            "weyl-mapped": (tau.transform(base, tau.WeylMap((3, 0, 7, 5))), None),
+            "period-shifted": (tau.transform(base, shift), std),
+        }
+
+    @cached_property
+    def chain(self) -> tau.TauChain:
+        return tau.build_chain(self.depth, params=self.par, quad_tol=self.cfg.quad_tol)
+
+    @cached_property
+    def pm(self) -> tau.TauEvaluator:
+        return tau.variant_evaluator("pm", self.par, quad_tol=self.cfg.quad_tol)
+
+
+@lru_cache(maxsize=None)
+def _frames_of(rank: int, ftype: lattice.FrameType | None = None) -> tuple[lattice.Frame, ...]:
+    """The rank-frames of type ftype (all of them for None), in enumeration order."""
+    return tuple(f for f in lattice.enumerate_frames(rank) if ftype in (None, f.frame_type))
+
+
+def _frame_count(rank: int, ftype, run, k) -> int:
+    return len(_frames_of(rank, ftype))
+
+
+def _orbit_count(seed, run, k) -> int:
+    return len(lattice.weyl_orbit(seed, "E7"))
+
+
+def _frame_hirota_once(which: str, run: _Run, k) -> float:
+    """Bilinear residual of one of the hirota taus at a general point."""
+    ev, frame = run.hirota_taus[which]
+    if frame is None:
+        frames = _frames_of(3)
+        frame = frames[int(run.rng.integers(len(frames)))]
+    # An O(1) corruption is only visible where the canonical values are O(1).
+    scale = 0.1 if run.break_tau else 0.35
+    x = scale * (run.rng.standard_normal(8) + 1j * run.rng.standard_normal(8))
+    return float(tau.hirota_residual(ev, frame, x, run.par))
+
+
+def _toda_spread_once(run: _Run, k) -> float:
+    """Spread of the level-2 value over three Toda pairs and the chain."""
+    x = sampling.sample_on_level(run.rng, run.par, 2)
+    c0, c1 = run.chain.components[0], run.chain.components[1]
+    frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
+    vals = [tau.toda_step(c0, c1, frame8, i, j, x, run.par) for i, j in ((2, 3), (4, 6), (7, 2))]
+    vals.append(run.chain.value(2, x))
+    return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
+
+
+def _chain_bilinear_once(ftype, index: int, level: float, run: _Run, k) -> float:
+    """Bilinear residual of the chain on the index-th frame of type ftype."""
+    x = sampling.sample_on_level(run.rng, run.par, level)
+    return float(tau.hirota_residual(run.chain.evaluator, _frames_of(3, ftype)[index], x, run.par))
+
+
+def _closed_form_once(level: int, run: _Run, k) -> float:
+    """Chain value at level against its determinant closed form."""
+    x = sampling.sample_on_level(run.rng, run.par, level)
+    det = tau.tau_n_det(level, x, "frame_a0", run.par, quad_tol=run.cfg.quad_tol)
+    return rel_diff(run.chain.value(level, x), det)
+
+
+_VARIANTS = ("pp", "pm", "mp", "mm")
+
+
+def _variant_routes_once(run: _Run, k: int) -> float:
+    """Direct against inverse route of variant k at its first level."""
+    variant, par, quad_tol = _VARIANTS[k], run.par, run.cfg.quad_tol
+    dom = tau.variant_evaluator(variant, par, quad_tol=quad_tol).domain
+    x = _chart_point(run.rng, dom.base + dom.step)
+    d = tau.psi_variant(1, x, variant, par, route="direct", quad_tol=quad_tol)
+    i = tau.psi_variant(1, x, variant, par, route="inverse", quad_tol=quad_tol)
+    return rel_diff(d, i)
+
+
+def _two_path_once(run: _Run, k) -> float:
+    """Translation against frame residual of the pm family at level 1."""
+    frame = _frames_of(3, lattice.FrameType.C3_II0)[0]
+    x = _chart_point(run.rng, -run.par.varpi + run.par.delta)
+    r1 = picard.translation_hirota_residual(run.pm, tau.oriented_triple(frame), x)
+    r2 = tau.hirota_residual(run.pm, frame, x, run.par)
+    return abs(float(r1) - float(r2))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    body(run, k) evaluates trial k, drawing from run.rng, and returns one
+    residual per id (one anchor each, or one for all), or a count. bound is
+    the residual's key in cfg.tolerances, or the exact count expected.
+    trials maps cfg.trials to the number of trials, whose largest residual
+    is reported; None means one draw, reported as drawn. retry redraws a
+    trial that lands on a non-generic point. verify names the `e8tau verify`
+    identity that runs the row alone. A transformed row evaluates a
+    transformed tau, whose prefactors can mask the --break-tau corruption,
+    so that control skips it.
+    """
+
+    suite: str
+    ids: str | tuple[str, ...]
+    anchors: str | tuple[str, ...]
+    body: Callable[[_Run, int], Any]
+    bound: str | int
+    trials: Callable[[dict], int] | None = None
+    retry: bool = False
+    verify: str | None = None
+    transformed: bool = False
+
+    def __post_init__(self):
+        ids = (self.ids,) if isinstance(self.ids, str) else self.ids
+        anchors = (self.anchors,) * len(ids) if isinstance(self.anchors, str) else self.anchors
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "anchors", anchors)
+
+
+_FT = lattice.FrameType
+
+_CHECKS = (
+    Check("counts", "roots", "§1 theta series", lambda run, k: len(lattice.enumerate_norm(2)), bound=240),
+    Check("counts", "norm-4-shell", "§1 theta series", lambda run, k: len(lattice.enumerate_norm(4)), bound=2160),
+    Check("counts", "c8-frames", "Prop 1A(3)", partial(_frame_count, 8, None), bound=135),
+    Check("counts", "c3-frames", "§2", partial(_frame_count, 3, None), bound=7560),
+    Check("counts", "c8-type-i", "Prop 3A", partial(_frame_count, 8, _FT.C8_I), bound=72),
+    Check("counts", "c8-type-ii", "Prop 3A", partial(_frame_count, 8, _FT.C8_II), bound=63),
+    *(
+        Check("counts", f"c3-{ftype.name[3:].lower()}", "Prop 3B", partial(_frame_count, 3, ftype), bound=want)
+        for ftype, want in ((_FT.C3_I, 4032), (_FT.C3_II0, 1260), (_FT.C3_II1, 1890), (_FT.C3_II2, 378))
+    ),
+    *(
+        Check("counts", f"shell-orbit-{k}", "§3 table", partial(_orbit_count, seed), bound=want)
+        for k, (seed, want) in enumerate(_SHELL_ORBITS)
+    ),
+    Check("specialfn", "three-term", "Eq. (three-term)", lambda run, k: _three_term_once(run.rng),
+          bound="three_term", trials=lambda t: t["specialfn"]),
+    Check("hirota", "canonical", "Prop 2A", partial(_frame_hirota_once, "canonical"),
+          bound="hirota", trials=lambda t: t["hirota"]),
+    *(
+        Check("hirota", which, anchor, partial(_frame_hirota_once, which),
+              bound="hirota", trials=lambda t: max(1, t["hirota"] // 2), transformed=True)
+        for which, anchor in (("gauged", "Thm 2B(1)"), ("weyl-mapped", "Thm 2B(2)"), ("period-shifted", "Thm 2B(3)"))
+    ),
+    Check("bailey", ("reflection-tilde", "reflection-hat"), ("Thm 5A(1)", "Thm 5A(2)"),
+          lambda run, k: _reflection_once(run.rng, run.par, run.cfg.quad_tol),
+          bound="bailey", trials=lambda t: t["bailey"], verify="bailey"),
+    Check("bailey", "contiguity", "Prop 5B", lambda run, k: _contiguity_once(run.rng, run.par, run.cfg.quad_tol),
+          bound="contiguity", trials=lambda t: max(3, t["bailey"]), verify="contiguity"),
+    Check("bailey", ("transform-multiplicity-tilde", "transform-multiplicity-hat"),
+          ("Eq. (transIn1)", "Eq. (transIn2)"), lambda run, k: _transform_once(run.rng, run.par, run.cfg.quad_tol),
+          bound="transform_in", verify="transform-in"),
+    Check("bailey", "terminating-series", "Eq. (ItoV)",
+          lambda run, k: _terminating_once(run.rng, run.cfg.elliptic("terminating"), k + 1, run.cfg.quad_tol),
+          bound="terminating", trials=lambda t: 2, verify="terminating"),
+    Check("bailey", "theta-factorial-det", "Warnaar lemma",
+          lambda run, k: _warnaar_once(run.rng, run.par, 2 + k // run.cfg.trials["bailey"]),
+          bound="warnaar", trials=lambda t: 2 * t["bailey"]),
+    Check("chain", "toda-step", "Thm 3C", _toda_spread_once, bound="toda", retry=True),
+    Check("chain", "chain-family-ii2", "Thm 3C (C1)", partial(_chain_bilinear_once, _FT.C3_II2, 0, 1),
+          bound="chain_family", trials=lambda t: t["chain"], retry=True),
+    Check("chain", "chain-family-i", "Thm 3C (C2)", partial(_chain_bilinear_once, _FT.C3_I, 0, 1.5),
+          bound="chain_family", trials=lambda t: t["chain"], retry=True),
+    Check("chain", "chain-family-ii0", "Thm 3C (C3)", partial(_chain_bilinear_once, _FT.C3_II0, 0, 2),
+          bound="chain_family", trials=lambda t: t["chain"], retry=True),
+    Check("chain", "level0-shift-ratio", "Eq. (4AII1)", lambda run, k: _ratio_once(run.rng, run.par),
+          bound="ratio", trials=lambda t: t["chain"], retry=True),
+    Check("chain", "half-level-family", "Eq. (4AI)", partial(_chain_bilinear_once, _FT.C3_I, 1, 1.5),
+          bound="half_level", trials=lambda t: t["chain"], retry=True),
+    Check("chain", "det-vs-quadrature", "Thm 6B vs Thm 6C",
+          lambda run, k: _det_vs_quad_once(run.rng, run.par, min(run.cfg.n_max, 2), run.cfg.quad_tol),
+          bound="det_vs_quad", retry=True),
+    Check("chain", "variant-routes", "Thm 8A", _variant_routes_once,
+          bound="variant", trials=lambda t: len(_VARIANTS), retry=True),
+    Check("picard", "kac-group-laws", "§9.1",
+          lambda run, k: sum(_kac_laws(picard.pic(*[int(v) for v in run.rng.integers(-4, 5, size=10)]))), bound=5),
+    Check("picard", "coordinates-round-trip", "§9.2", lambda run, k: _round_trip_once(run.rng),
+          bound="roundtrip", trials=lambda t: t["picard"]),
+    Check("picard", "lattice-hirota", "Eq. (Hirota39)",
+          lambda run, k: _lattice_hirota_once(run.rng, run.pm, run.par, _LATTICE_QUADS[k % len(_LATTICE_QUADS)]),
+          bound="lattice_hirota", trials=lambda t: t["picard"], retry=True),
+    Check("picard", "translation-vs-frame", "Prop 9A", _two_path_once, bound="two_path", retry=True),
+)
+
+
+def _build_rows(n: int) -> list[Check]:
+    """tau build's rows: each level's closed form up to n, then one bilinear
+    family whose shifted levels all stay inside [0, n]."""
+    ftype, level = (_FT.C3_I, 0.5) if n == 1 else (_FT.C3_II0, n)
+    rows = [
+        Check("tau-build", f"level-{k}-closed-form", "Thm 6B", partial(_closed_form_once, k), bound="build", retry=True)
+        for k in range(n + 1)
+    ]
+    rows.append(Check("tau-build", "chain-bilinear", "Thm 3C", partial(_chain_bilinear_once, ftype, 0, level),
+                      bound="chain_family", retry=True))
+    return rows
+
+
 def _exact_counts() -> list[tuple[str, str, int, int]]:
     """(id, paper anchor, count, expected) for the norm shells, the frame
     counts and types, and the E7 orbits of the norm-4 shell."""
-    c8 = lattice.enumerate_frames(8)
-    c3 = lattice.enumerate_frames(3)
-    t8 = Counter(f.frame_type for f in c8)
-    t3 = Counter(f.frame_type for f in c3)
-    counts = [
-        ("roots", "§1 theta series", len(lattice.enumerate_norm(2)), 240),
-        ("norm-4-shell", "§1 theta series", len(lattice.enumerate_norm(4)), 2160),
-        ("c8-frames", "Prop 1A(3)", len(c8), 135),
-        ("c3-frames", "§2", len(c3), 7560),
-        ("c8-type-i", "Prop 3A", t8[lattice.FrameType.C8_I], 72),
-        ("c8-type-ii", "Prop 3A", t8[lattice.FrameType.C8_II], 63),
-    ]
-    for ftype, want in (
-        (lattice.FrameType.C3_I, 4032),
-        (lattice.FrameType.C3_II0, 1260),
-        (lattice.FrameType.C3_II1, 1890),
-        (lattice.FrameType.C3_II2, 378),
-    ):
-        counts.append((f"c3-{ftype.name[3:].lower()}", "Prop 3B", t3[ftype], want))
-    for k, (seed, want) in enumerate(_SHELL_ORBITS):
-        counts.append((f"shell-orbit-{k}", "§3 table", len(lattice.weyl_orbit(seed, "E7")), want))
-    return counts
+    return [(r.ids[0], r.anchors[0], r.body(None, 0), r.bound) for r in _CHECKS if r.suite == "counts"]
 
 
-def _run_counts(cfg: SuiteConfig) -> list[dict]:
-    return [_count_check(*c) for c in _exact_counts()]
+# ----------------------------------------------------------------- runner
 
 
-def _run_specialfn(cfg: SuiteConfig) -> list[dict]:
-    rng = sampling.make_rng(cfg.seed + 1)
-    worst = _worst(lambda: _three_term_once(rng), cfg.trials["specialfn"])
-    return [_residual_check("three-term", "Eq. (three-term)", worst, cfg.tolerances["three_term"])]
+def _measure(row: Check, run: _Run) -> list[dict]:
+    """Report entries of one row: its trials drawn in turn on run."""
+    ks = itertools.count()
+
+    def trial():
+        k = next(ks)
+        return resampled(lambda: row.body(run, k)) if row.retry else row.body(run, k)
+
+    got = trial() if row.trials is None else _worst(trial, row.trials(run.cfg.trials))
+    if isinstance(row.bound, int):
+        return [_count_check(row.ids[0], row.anchors[0], got, row.bound)]
+    if not isinstance(got, tuple):
+        got = (got,) * len(row.ids)  # _worst of no trials is a bare 0.0
+    tol = run.cfg.tolerances[row.bound]
+    return [_residual_check(cid, anchor, v, tol) for cid, anchor, v in zip(row.ids, row.anchors, got)]
 
 
-def _run_hirota(cfg: SuiteConfig, break_tau: bool = False) -> list[dict]:
-    rng = sampling.make_rng(cfg.seed + 2)
-    par = cfg.elliptic("hirota")
-    base = tau.canonical_tau(0.21 + 0.05j, par)
-    if break_tau:
-        inner = base.fn
-        base = tau.TauEvaluator(lambda x: inner(x) + 1.0, par)
-    # An O(1) corruption is only visible where the canonical values are O(1).
-    scale = 0.1 if break_tau else 0.35
-    frames = lattice.enumerate_frames(3)
-    tol = cfg.tolerances["hirota"]
-
-    def worst_residual(ev, n, draw_scale, frame=None):
-        worst = 0.0
-        for _ in range(n):
-            f = frame if frame is not None else frames[int(rng.integers(len(frames)))]
-            x = draw_scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-            r = tau.hirota_residual(ev, f, x, par)
-            if not r.degenerate:
-                worst = max(worst, float(r))
-        return worst
-
-    n = cfg.trials["hirota"]
-    checks = [_residual_check("canonical", "Prop 2A", worst_residual(base, n, scale), tol)]
-    if break_tau:
-        # The corruption targets the canonical identity; the shifted variants
-        # can mask it behind large transform prefactors, so stop here.
-        return checks
-    gauged = tau.transform(
-        base, tau.ExpGauge(k=0.3 - 0.1j, v=tuple(0.2j * k for k in range(8)), c=0.7)
-    )
-    weyl = tau.transform(base, tau.WeylMap((3, 0, 7, 5)))
-    period = tau.transform(base, tau.PeriodShift(lattice.vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0)))
-    half = max(1, n // 2)
-    checks.append(_residual_check("gauged", "Thm 2B(1)", worst_residual(gauged, half, scale), tol))
-    checks.append(_residual_check("weyl-mapped", "Thm 2B(2)", worst_residual(weyl, half, scale), tol))
-    # Whole-lattice shifts pair integrally with the standard triple only.
-    std = lattice.Frame.from_vectors(tau.A1_VECTORS[:3])
-    checks.append(
-        _residual_check("period-shifted", "Thm 2B(3)", worst_residual(period, half, scale, std), tol)
-    )
-    return checks
-
-
-def _reflection_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    par = cfg.elliptic("bailey")
-    worst_t, worst_h = 0.0, 0.0
-    for _ in range(cfg.trials["bailey"]):
-        t, h = _reflection_once(rng, par, cfg.quad_tol)
-        worst_t, worst_h = max(worst_t, t), max(worst_h, h)
-    return [
-        _residual_check("reflection-tilde", "Thm 5A(1)", worst_t, cfg.tolerances["bailey"]),
-        _residual_check("reflection-hat", "Thm 5A(2)", worst_h, cfg.tolerances["bailey"]),
-    ]
-
-
-def _contiguity_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    par = cfg.elliptic("bailey")
-    worst = _worst(lambda: _contiguity_once(rng, par, cfg.quad_tol), max(3, cfg.trials["bailey"]))
-    return [_residual_check("contiguity", "Prop 5B", worst, cfg.tolerances["contiguity"])]
-
-
-def _transform_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    tilde, hat = _transform_once(rng, cfg.elliptic("bailey"), cfg.quad_tol)
-    tol = cfg.tolerances["transform_in"]
-    return [
-        _residual_check("transform-multiplicity-tilde", "Eq. (transIn1)", tilde, tol),
-        _residual_check("transform-multiplicity-hat", "Eq. (transIn2)", hat, tol),
-    ]
-
-
-def _terminating_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    par = cfg.elliptic("terminating")
-    worst = 0.0
-    for order in (1, 2):
-        worst = max(worst, _terminating_once(rng, par, order, cfg.quad_tol))
-    return [_residual_check("terminating-series", "Eq. (ItoV)", worst, cfg.tolerances["terminating"])]
-
-
-def _warnaar_checks(cfg: SuiteConfig, rng) -> list[dict]:
-    par = cfg.elliptic("bailey")
-    worst = 0.0
-    for n in (2, 3):
-        for _ in range(cfg.trials["bailey"]):
-            a = 0.40 * e(rng.random())
-            b = 0.55 * e(rng.random())
-            zs = tuple((0.5 + 0.4 * rng.random()) * e(t) for t in rng.random(n))
-            worst = max(worst, float(tau.warnaar_det_residual(a, b, zs, n, par)))
-    return [_residual_check("theta-factorial-det", "Warnaar lemma", worst, cfg.tolerances["warnaar"])]
-
-
-def _run_bailey(cfg: SuiteConfig) -> list[dict]:
-    rng = sampling.make_rng(cfg.seed + 3)
-    checks = _reflection_checks(cfg, rng)
-    checks.extend(_contiguity_checks(cfg, rng))
-    checks.extend(_transform_checks(cfg, rng))
-    checks.extend(_terminating_checks(cfg, rng))
-    checks.extend(_warnaar_checks(cfg, rng))
-    return checks
-
-
-def _run_chain(cfg: SuiteConfig) -> list[dict]:
-    rng = sampling.make_rng(cfg.seed + 4)
-    par = cfg.elliptic("chain")
-    chain = tau.build_chain(max(cfg.n_max, 2), params=par, quad_tol=cfg.quad_tol)
-    checks = []
-
-    def on_level(n):
-        return sampling.sample_on_level(rng, par, n)
-
-    def bilinear_worst(frame, level):
-        return _worst(
-            lambda: float(resampled(lambda: tau.hirota_residual(chain.evaluator, frame, on_level(level), par))),
-            cfg.trials["chain"],
-        )
-
-    def spread_once():
-        x = on_level(2)
-        c0, c1 = chain.components[0], chain.components[1]
-        frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
-        vals = [tau.toda_step(c0, c1, frame8, i, j, x, par) for i, j in ((2, 3), (4, 6), (7, 2))]
-        vals.append(chain.value(2, x))
-        return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
-
-    checks.append(_residual_check("toda-step", "Thm 3C", resampled(spread_once), cfg.tolerances["toda"]))
-
-    frames3 = lattice.enumerate_frames(3)
-
-    def family_frames(ftype):
-        return [f for f in frames3 if f.frame_type is ftype]
-
-    families = (
-        ("chain-family-ii2", "Thm 3C (C1)", lattice.FrameType.C3_II2, 1),
-        ("chain-family-i", "Thm 3C (C2)", lattice.FrameType.C3_I, 1.5),
-        ("chain-family-ii0", "Thm 3C (C3)", lattice.FrameType.C3_II0, 2),
-    )
-    for cid, anchor, ftype, level in families:
-        worst = bilinear_worst(family_frames(ftype)[0], level)
-        checks.append(_residual_check(cid, anchor, worst, cfg.tolerances["chain_family"]))
-
-    worst = _worst(lambda: resampled(lambda: _ratio_once(rng, par)), cfg.trials["chain"])
-    checks.append(_residual_check("level0-shift-ratio", "Eq. (4AII1)", worst, cfg.tolerances["ratio"]))
-
-    worst = bilinear_worst(family_frames(lattice.FrameType.C3_I)[1], 1.5)
-    checks.append(_residual_check("half-level-family", "Eq. (4AI)", worst, cfg.tolerances["half_level"]))
-
-    det_vs_quad = resampled(lambda: _det_vs_quad_once(rng, par, min(cfg.n_max, 2), cfg.quad_tol))
-    checks.append(
-        _residual_check("det-vs-quadrature", "Thm 6B vs Thm 6C", det_vs_quad, cfg.tolerances["det_vs_quad"])
-    )
-
-    worst = 0.0
-    for variant in ("pp", "pm", "mp", "mm"):
-        dom = tau.variant_evaluator(variant, par, quad_tol=cfg.quad_tol).domain
-        level = dom.base + dom.step
-        m = _level_modulus(level)
-
-        def routes_once():
-            x = sampling.sample_level_x(rng, level, (0.95 * m, 1.05 * m), (m / 1.2, 1.2 * m))
-            d = tau.psi_variant(1, x, variant, par, route="direct", quad_tol=cfg.quad_tol)
-            i = tau.psi_variant(1, x, variant, par, route="inverse", quad_tol=cfg.quad_tol)
-            return rel_diff(d, i)
-
-        worst = max(worst, resampled(routes_once))
-    checks.append(_residual_check("variant-routes", "Thm 8A", worst, cfg.tolerances["variant"]))
-    return checks
-
-
-def _run_picard(cfg: SuiteConfig) -> list[dict]:
-    rng = sampling.make_rng(cfg.seed + 5)
-    par = cfg.elliptic("picard")
-    ev = tau.variant_evaluator("pm", par, quad_tol=cfg.quad_tol)
-    checks = []
-
-    laws = _kac_laws(picard.pic(*[int(v) for v in rng.integers(-4, 5, size=10)]))
-    checks.append(_count_check("kac-group-laws", "§9.1", sum(laws), len(laws)))
-
-    worst = _worst(lambda: _round_trip_once(rng), cfg.trials["picard"])
-    checks.append(_residual_check("coordinates-round-trip", "§9.2", worst, cfg.tolerances["roundtrip"]))
-
-    worst = 0.0
-    for k in range(cfg.trials["picard"]):
-        quad = _LATTICE_QUADS[k % len(_LATTICE_QUADS)]
-        worst = max(worst, resampled(lambda: _lattice_hirota_once(rng, ev, par, quad)))
-    checks.append(_residual_check("lattice-hirota", "Eq. (Hirota39)", worst, cfg.tolerances["lattice_hirota"]))
-
-    frame = next(
-        f for f in lattice.enumerate_frames(3) if f.frame_type is lattice.FrameType.C3_II0
-    )
-    lev1 = -par.varpi + par.delta
-    m1 = _level_modulus(lev1)
-
-    def two_path_once():
-        x = sampling.sample_level_x(rng, lev1, (0.95 * m1, 1.05 * m1), (m1 / 1.2, 1.2 * m1))
-        r1 = picard.translation_hirota_residual(ev, tau.oriented_triple(frame), x)
-        r2 = tau.hirota_residual(ev, frame, x, par)
-        return abs(float(r1) - float(r2))
-
-    checks.append(
-        _residual_check("translation-vs-frame", "Prop 9A", resampled(two_path_once), cfg.tolerances["two_path"])
-    )
-    return checks
-
-
-_SUITE_FNS = {
-    "counts": _run_counts,
-    "specialfn": _run_specialfn,
-    "hirota": _run_hirota,
-    "bailey": _run_bailey,
-    "chain": _run_chain,
-    "picard": _run_picard,
-}
-
-
-def run_suite(name: str, cfg: SuiteConfig, break_tau: bool = False) -> dict:
+def _report(name: str, cfg: SuiteConfig, runs, **extra) -> dict:
+    """Measure the rows of each (run, rows) pair in turn; the one report."""
     t0 = time.perf_counter()
-    names = SUITES if name == "all" else (name,)
-    checks: list[dict] = []
-    for s in names:
-        fn = _SUITE_FNS.get(s)
-        if fn is None:
-            raise ValueError(f"unknown suite '{s}'")
-        checks.extend(fn(cfg, break_tau) if s == "hirota" else fn(cfg))
+    checks = [c for run, rows in runs for row in rows for c in _measure(row, run)]
     return {
         "suite": name,
         "seed": cfg.seed,
+        **extra,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
+
+
+def run_suite(name: str, cfg: SuiteConfig, break_tau: bool = False) -> dict:
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite '{name}'")
+    # A suite draws from cfg.seed + its index in SUITES.
+    runs = (
+        (
+            _Run(cfg, SUITES.index(s), s, break_tau=break_tau),
+            [r for r in _CHECKS if r.suite == s and not (break_tau and r.transformed)],
+        )
+        for s in (SUITES if name == "all" else (name,))
+    )
+    return _report(name, cfg, runs)
 
 
 # ------------------------------------------------------------ subcommands
@@ -581,66 +610,17 @@ def _emit(report: dict, json_path: str | None) -> int:
     return 0 if report["pass"] else 1
 
 
-_VERIFY_FNS = {
-    "bailey": _reflection_checks,
-    "contiguity": _contiguity_checks,
-    "transform-in": _transform_checks,
-    "terminating": _terminating_checks,
-}
-
-
 def _cmd_verify(identity: str, cfg: SuiteConfig, json_path: str | None) -> int:
-    t0 = time.perf_counter()
-    rng = sampling.make_rng(cfg.seed + 3)
-    checks = _VERIFY_FNS[identity](cfg, rng)
-    report = {
-        "suite": f"verify-{identity}",
-        "seed": cfg.seed,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
-    return _emit(report, json_path)
+    rows = [r for r in _CHECKS if r.verify == identity]
+    return _emit(_report(f"verify-{identity}", cfg, [(_Run(cfg, SUITES.index("bailey"), "bailey"), rows)]), json_path)
 
 
 def _cmd_tau_build(cfg: SuiteConfig, n: int | None, report_path: str | None, json_path: str | None) -> int:
-    t0 = time.perf_counter()
     n = cfg.n_max if n is None else n
     if not 1 <= n <= 3:
         print("build level must be between 1 and 3", file=sys.stderr)
         return 2
-    par = cfg.elliptic("chain")
-    chain = tau.build_chain(n, params=par, quad_tol=cfg.quad_tol)
-    rng = sampling.make_rng(cfg.seed + 7)
-    checks = []
-    for k in range(n + 1):
-        def level_diff(k=k):
-            x = sampling.sample_on_level(rng, par, k)
-            got = chain.value(k, x)
-            return rel_diff(got, tau.tau_n_det(k, x, "frame_a0", par, quad_tol=cfg.quad_tol))
-
-        checks.append(
-            _residual_check(f"level-{k}-closed-form", "Thm 6B", resampled(level_diff), cfg.tolerances["build"])
-        )
-    # The family must keep every shifted level inside [0, n].
-    ftype, level = (lattice.FrameType.C3_I, 0.5) if n == 1 else (lattice.FrameType.C3_II0, n)
-    frame = next(f for f in lattice.enumerate_frames(3) if f.frame_type is ftype)
-
-    def hirota_once():
-        x = sampling.sample_on_level(rng, par, level)
-        return float(tau.hirota_residual(chain.evaluator, frame, x, par))
-
-    checks.append(
-        _residual_check("chain-bilinear", "Thm 3C", resampled(hirota_once), cfg.tolerances["chain_family"])
-    )
-    report = {
-        "suite": "tau-build",
-        "seed": cfg.seed,
-        "n_max": n,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
+    report = _report("tau-build", cfg, [(_Run(cfg, 7, "chain", depth=n), _build_rows(n))], n_max=n)
     if report_path:
         Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return _emit(report, json_path)
@@ -708,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("frames", parents=[common], help="frame family counts")
 
     v = sub.add_parser("verify", parents=[common], help="check one integral identity")
-    v.add_argument("identity", choices=sorted(_VERIFY_FNS))
+    v.add_argument("identity", choices=sorted(r.verify for r in _CHECKS if r.verify))
 
     t = sub.add_parser("tau", help="chain construction and point evaluation")
     tsub = t.add_subparsers(dest="tau_command", required=True)

@@ -422,16 +422,12 @@ def In_transform_residual(
     return Residual(abs(lhs - rhs) / abs(lhs))
 
 
-def terminating_eval(
-    u, params: EllipticParams, N: int, variant: str = "u0u7_pshift"
-) -> complex:
+def terminating_eval(u, params: EllipticParams, N: int) -> complex:
     """Closed form of I(p u_0, u_1, ..., u_6, p u_7) as a terminating series.
 
     The parameters must multiply to q^2 and satisfy one of the termination
     conditions q/u_0 u_i = q^{-N} (i in 1..6) or q/u_0 u_7 = p q^{-N}.
     """
-    if variant != "u0u7_pshift":
-        raise ValueError("unknown variant")
     u = tuple(complex(v) for v in u)
     if len(u) != 8:
         raise ValueError("need exactly eight parameters")

@@ -26,58 +26,43 @@ def sample_balanced(rng: np.random.Generator, target: complex, modulus: float):
     return (target / prod, *rest)
 
 
+# Draws rejected before a sampler gives up with RuntimeError.
+_MAX_TRIES = 2000
+
+
 def sample_level_x(
     rng: np.random.Generator,
     level: complex,
     band: tuple[float, float],
     band_last: tuple[float, float] | None = None,
-    max_tries: int = 1000,
-    re_cap: float = 1.25,
 ) -> np.ndarray:
     """Random additive point with half the coordinate sum equal to level.
 
     Coordinates 0..6 get uniform phases and log-uniform |e(x_i)| inside band;
     the last coordinate is solved, and the draw is rejected until |e(x_7)|
     falls inside band_last (band by default). Real parts are centered at 0 and
-    the solved real part is capped by re_cap, keeping the quadratic gauge
-    factors e(n Q(x)) within floating-point range.
+    the solved real part is capped at 1.25 in modulus, keeping the quadratic
+    gauge factors e(n Q(x)) within floating-point range.
     """
     lo, hi = band
     lo_l, hi_l = band_last if band_last is not None else band
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         mods = np.exp(rng.uniform(np.log(lo), np.log(hi), size=7))
         x = (rng.random(7) - 0.5) + 1j * (-np.log(mods) / (2 * np.pi))
         x7 = 2.0 * level - np.sum(x)
         m7 = abs(np.exp(2j * np.pi * x7))
-        if lo_l <= m7 <= hi_l and abs(x7.real) <= re_cap:
+        if lo_l <= m7 <= hi_l and abs(x7.real) <= 1.25:
             return np.append(x, x7)
     raise RuntimeError("rejection sampling failed to place the solved coordinate")
 
 
-def u_from_x(x: np.ndarray) -> np.ndarray:
-    """Multiplicative coordinates e(x_i)."""
-    return np.exp(2j * np.pi * np.asarray(x, dtype=complex))
-
-
-def sample_on_level(
-    rng: np.random.Generator,
-    params,
-    n: float,
-    spread: float = 0.05,
-    last_factor: float = 1.2,
-    cap: float | None = None,
-    max_tries: int = 2000,
-) -> np.ndarray:
+def sample_on_level(rng: np.random.Generator, params, n: float) -> np.ndarray:
     """Point with half the coordinate sum equal to varpi + n*step.
 
-    Moduli |e(x_i)| are drawn near the geometric mean (|p|^2 |q|^(2n))^(1/8)
-    forced by the level, so products u_i*u_j stay well inside the unit disk.
-    cap bounds the solved coordinate's modulus from above when set.
+    Moduli |e(x_i)| are drawn within 5% of the geometric mean
+    (|p|^2 |q|^(2n))^(1/8) forced by the level, and the solved one within a
+    factor 1.2 of it, so products u_i*u_j stay well inside the unit disk.
     """
     level = params.varpi + n * params.delta
     m_star = (abs(params.p) ** 2 * abs(params.q) ** (2.0 * n)) ** 0.125
-    band = (m_star * (1.0 - spread), m_star * (1.0 + spread))
-    hi = m_star * last_factor
-    if cap is not None:
-        hi = min(hi, cap)
-    return sample_level_x(rng, level, band, (m_star / last_factor, hi), max_tries)
+    return sample_level_x(rng, level, (m_star * 0.95, m_star * 1.05), (m_star / 1.2, m_star * 1.2))

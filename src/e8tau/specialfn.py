@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .util import PoleError, Residual, TerminationError, e, normalized_residual
+from .util import DomainError, PoleError, Residual, TerminationError, e, normalized_residual
 
 DEFAULT_TRUNC_TOL = 1e-18
 POLE_EPS = 1e-12
@@ -129,13 +129,12 @@ def elliptic_gamma(
     p: complex,
     q: complex,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    pole_eps: float = POLE_EPS,
 ):
     """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
 
     The exponent simplex |p^i q^j| >= trunc_tol/big is enumerated as one flat
     array in row-major (i, j) order and multiplied out in chunks. Raises
-    PoleError when some 1 - p^i q^j z factor is within pole_eps of 0, naming
+    PoleError when some 1 - p^i q^j z factor is within POLE_EPS of 0, naming
     the first such (i, j) in that order; the pole lattice has modulus >= 1,
     so arguments inside the unit disk are always safe.
     """
@@ -155,7 +154,7 @@ def elliptic_gamma(
         ws = w[s : s + step]
         den = np.multiply.outer(ws, zz)
         np.subtract(1.0, den, out=den)
-        small = np.abs(den) < pole_eps
+        small = np.abs(den) < POLE_EPS
         if small.any():
             row = int(np.argmax(small.any(axis=1)))
             raise PoleError(complex(zz[small[row]][0]), int(ii[s + row]), int(jj[s + row]))
@@ -292,7 +291,8 @@ def bracket(zeta: complex, params: EllipticParams) -> complex:
 
     The argument is first reduced modulo the period varpi into the strip
     |Im(zeta)/Im(varpi)| <= 1/2 using the quasi-periodicity multipliers, so
-    that e(zeta) stays within [sqrt|p|, 1/sqrt|p|] in modulus.
+    that e(zeta) stays within [sqrt|p|, 1/sqrt|p|] in modulus. Raises
+    DomainError when that takes more than _MAX_PERIOD_SHIFTS periods.
     """
     varpi = params.varpi
     mult = 1.0 + 0j
@@ -311,7 +311,7 @@ def bracket(zeta: complex, params: EllipticParams) -> complex:
         else:
             break
     else:
-        raise ValueError("period reduction did not converge")
+        raise DomainError(f"period reduction of {zeta!r} did not converge in {_MAX_PERIOD_SHIFTS} periods")
     return mult * e(-z / 2) * theta(e(z), params.p, params.trunc_tol)
 
 

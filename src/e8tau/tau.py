@@ -88,7 +88,6 @@ class LevelDomain:
     step: complex
     n_min: int = -64
     n_max: int = 64
-    tol: float = LEVEL_TOL
 
     def locate(self, x: np.ndarray) -> int:
         """Index n of the member hyperplane containing x, or DomainError."""
@@ -102,7 +101,7 @@ class LevelDomain:
         self._check(pairing_c(self.direction, np.asarray(x, dtype=complex)), n)
 
     def _check(self, val: complex, n: int) -> None:
-        if abs(val - self.base - n * self.step) > self.tol:
+        if abs(val - self.base - n * self.step) > LEVEL_TOL:
             raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
         if not self.n_min <= n <= self.n_max:
             raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
@@ -380,20 +379,14 @@ class TauChain:
     """Chain of components on the levels varpi + n*delta, 0 <= n <= n_max.
 
     components[n] evaluates level n only; evaluator dispatches across all
-    levels (identically 0 below level 0). gauge and casorati_kernel are set
-    when the recursion frame is one of the two standard coordinate-block
-    triples, and None otherwise.
+    levels (identically 0 below level 0).
     """
 
     components: list[TauEvaluator]
-    frame: Frame
     params: EllipticParams
     n_max: int
     evaluator: TauEvaluator
     _tau_at: Callable[[int, np.ndarray], complex] = field(repr=False)
-    case: str | None = None
-    gauge: list[Callable[[np.ndarray], complex]] | None = None
-    casorati_kernel: Callable[[np.ndarray], complex] | None = None
 
     def value(self, n: int, x: np.ndarray) -> complex:
         """Component value without the per-level domain re-check."""
@@ -500,32 +493,12 @@ def build_chain(
         for n in range(n_max + 1)
     ]
 
-    key = frame.key()
-    if key == Frame.from_vectors(_A0_TRIPLE).key():
-        case = "frame_a0"
-    elif key == Frame.from_vectors(_A7_TRIPLE).key():
-        case = "frame_a7"
-    else:
-        case = None
-    gauge = None
-    kernel = None
-    if case is not None:
-        gauge = [
-            (lambda x, _n=n, _c=case: gauge_g(_n, x, _c, params))
-            for n in range(n_max + 1)
-        ]
-        kernel = casorati_kernel_fn(case, params, quad_tol=quad_tol)
-
     return TauChain(
         components=components,
-        frame=frame,
         params=params,
         n_max=n_max,
         evaluator=evaluator,
         _tau_at=tau_at,
-        case=case,
-        gauge=gauge,
-        casorati_kernel=kernel,
     )
 
 

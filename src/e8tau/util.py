@@ -59,7 +59,9 @@ class AdmissibilityError(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation point off the declared hyperplane family."""
+    """An argument outside the domain a function is evaluated on: a point off
+    the declared hyperplane family, or a bracket argument too many periods
+    from the fundamental strip."""
 
 
 class ConvergenceError(RuntimeError):

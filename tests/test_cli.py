@@ -1,10 +1,12 @@
 """Command-line interface: report shape, exit codes, determinism."""
 import json
 
+import numpy as np
 import pytest
 
-from e8tau import cli, sampling
+from e8tau import cli, integrals, sampling, tau
 from e8tau.specialfn import EllipticParams
+from e8tau.util import e
 
 
 def _strip_time(report: dict) -> dict:
@@ -27,13 +29,21 @@ def test_report_entries_carry_required_fields():
         assert ("residual" in c) != ("count" in c)
 
 
-def test_same_seed_reproduces_every_numeric_field():
-    cfg = cli.load_config(seed=11, trials=2)
-    first = _strip_time(cli.run_suite("specialfn", cfg))
-    second = _strip_time(cli.run_suite("specialfn", cli.load_config(seed=11, trials=2)))
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    other = cli.run_suite("specialfn", cli.load_config(seed=12, trials=2))
-    assert other["checks"][0]["residual"] != first["checks"][0]["residual"]
+def _json_report(capsys, argv: list[str]) -> dict:
+    cli.main(argv + ["--json", "-"])
+    return _strip_time(json.loads(capsys.readouterr().out))
+
+
+def test_same_seed_reproduces_every_numeric_field(capsys):
+    commands = [["suite", "all"], ["tau", "build", "--n", "3"]]
+    commands += [["verify", identity] for identity in ("bailey", "contiguity", "transform-in", "terminating")]
+    for argv in commands:
+        first = _json_report(capsys, argv + ["--seed", "11", "--trials", "1"])
+        second = _json_report(capsys, argv + ["--seed", "11", "--trials", "1"])
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True), argv
+        other = _json_report(capsys, argv + ["--seed", "12", "--trials", "1"])
+        residuals = [[c.get("residual") for c in r["checks"]] for r in (first, other)]
+        assert residuals[0] != residuals[1], argv
 
 
 def test_frames_command_exits_zero(capsys):
@@ -59,6 +69,34 @@ def test_broken_tau_fails_the_suite(capsys):
     assert rc == 1
     assert report["pass"] is False
     assert all(c["residual"] > 1e-2 for c in report["checks"])
+
+
+_W = np.arange(1, 9) / 7
+
+# A relative corruption of one value the suite evaluates, visible at every
+# magnitude, and the checks that must catch it.
+_CORRUPTIONS = {
+    "chain": (tau, "hg_tau1", lambda x, *_: 1 + 0.1 * e(x[0]), {"toda-step", "chain-family-ii2"}),
+    "bailey": (
+        integrals,
+        "I",
+        lambda ctx, *_: 1 + 0.1 * ctx.u[0],
+        {"reflection-tilde", "reflection-hat", "contiguity", "terminating-series"},
+    ),
+    # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
+    "picard": (tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+@pytest.mark.parametrize("suite", sorted(_CORRUPTIONS))
+def test_corrupted_values_fail_the_suite(monkeypatch, suite, seed):
+    module, name, factor, must_fail = _CORRUPTIONS[suite]
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: fn(*a, **kw) * factor(*a))
+    report = cli.run_suite(suite, cli.load_config(seed=seed))
+    assert report["pass"] is False
+    assert must_fail <= {c["id"] for c in report["checks"] if not c["pass"]}
 
 
 def test_verify_terminating(capsys):

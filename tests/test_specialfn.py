@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from e8tau import specialfn as S
-from e8tau.util import PoleError, e
+from e8tau.util import DomainError, PoleError, e
 
 from . import _oracles as O
 
@@ -194,6 +194,12 @@ def test_bracket_quasi_periodicity():
             ref = -e(-w - params.varpi / 2) * ref
             w = w + params.varpi
         assert _rel(deep, ref) < 1e-10
+
+
+def test_bracket_far_argument_is_a_domain_error():
+    params = S.EllipticParams.from_bases(0.2, 0.35)
+    with pytest.raises(DomainError, match="did not converge"):
+        S.bracket(70 * params.varpi + 0.1, params)
 
 
 def test_three_term_relation_elliptic():

@@ -37,8 +37,8 @@ def _x_general(rng, scale=0.35):
     return scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
 
 
-def _x_on(rng, n, **kw):
-    return sampling.sample_on_level(rng, PARAMS, n, **kw)
+def _x_on(rng, n):
+    return sampling.sample_on_level(rng, PARAMS, n)
 
 
 def _shifted(x, a, sign=1):
