@@ -124,11 +124,14 @@ def load_config(
     if tol is not None:
         cfg.tolerances = {k: tol for k in cfg.tolerances}
     if trials is not None:
-        cfg.trials = {k: max(1, trials) for k in cfg.trials}
+        cfg.trials = {k: trials for k in cfg.trials}
     if quad_tol is not None:
         cfg.quad_tol = quad_tol
     if not 1 <= cfg.n_max <= 3:
         raise ValueError("n_max must be between 1 and 3")
+    for k, v in cfg.trials.items():
+        if v < 1:
+            raise ValueError(f"trial count '{k}' must be at least 1, got {v}")
     return cfg
 
 
@@ -507,7 +510,7 @@ _CHECKS = (
     Check("chain", "half-level-family", "Eq. (4AI)", partial(_chain_bilinear_once, _FT.C3_I, 1, 1.5),
           bound="half_level", trials=lambda t: t["chain"], retry=True),
     Check("chain", "det-vs-quadrature", "Thm 6B vs Thm 6C",
-          lambda run, k: _det_vs_quad_once(run.rng, run.par, min(run.cfg.n_max, 2), run.cfg.quad_tol),
+          lambda run, k: _det_vs_quad_once(run.rng, run.par, run.cfg.n_max, run.cfg.quad_tol),
           bound="det_vs_quad", retry=True),
     Check("chain", "variant-routes", "Thm 8A", _variant_routes_once,
           bound="variant", trials=lambda t: len(_VARIANTS), retry=True),

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .specialfn import EllipticParams, elliptic_gamma, qpoch, theta, triple_gamma, v12_11
+from .specialfn import TRUNC_TOL, EllipticParams, elliptic_gamma, qpoch, theta, triple_gamma, v12_11
 from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
@@ -60,17 +60,17 @@ def integrand_H(z, ctx: IntegrandContext):
     The reciprocal of the denominator is expanded into two theta factors, so
     only the eight numerator gamma evaluations remain.
     """
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = -(zz**-2) * theta(zz**2, p, tol) * theta(zz**2, q, tol)
+    out = -(zz**-2) * theta(zz**2, p) * theta(zz**2, q)
     for uk in ctx.u:
-        out = out * elliptic_gamma(uk * zz, p, q, tol) * elliptic_gamma(uk / zz, p, q, tol)
+        out = out * elliptic_gamma(uk * zz, p, q) * elliptic_gamma(uk / zz, p, q)
     return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Node tables that depend only on (p, q, trunc_tol, N), shared read-only
+    """Node tables that depend only on (p, q, N), shared read-only
     by every integral on those bases."""
 
     zs: np.ndarray  # the N-th roots of unity z_m
@@ -88,21 +88,21 @@ class _Plan:
     cross_ab: np.ndarray
 
 
-def _jacobi_pair_coeffs(p: complex, trunc_tol: float, pp: complex) -> np.ndarray:
+def _jacobi_pair_coeffs(p: complex, pp: complex) -> np.ndarray:
     """Laurent coefficients c_{-K..K} of theta(z; p) theta(1/z; p).
 
     By the Jacobi triple product theta(z; p) = sum_n a_n z^n with
     a_n = (-1)^n p^{n(n-1)/2} / (p;p) (pp is (p;p)), so c_k = sum_n a_{n+k} a_n.
-    a_n is kept on 1 - L <= n <= L, where |p|^{L(L-1)/2} < trunc_tol, and c_k
-    is cut where |c_k| < trunc_tol * max |c|.
+    a_n is kept on 1 - L <= n <= L, where |p|^{L(L-1)/2} < TRUNC_TOL, and c_k
+    is cut where |c_k| < TRUNC_TOL * max |c|.
     """
     L = 1
-    while abs(p) ** (L * (L - 1) / 2) >= trunc_tol:
+    while abs(p) ** (L * (L - 1) / 2) >= TRUNC_TOL:
         L += 1
     n = np.arange(1 - L, L + 1)
     a = (-1.0) ** n * p ** (n * (n - 1) // 2) / pp
     c = np.convolve(a, a[::-1])  # symmetric, c_0 at index 2L - 1
-    K = 2 * L - 1 - int(np.argmax(np.abs(c) >= trunc_tol * np.abs(c).max()))
+    K = 2 * L - 1 - int(np.argmax(np.abs(c) >= TRUNC_TOL * np.abs(c).max()))
     return c[2 * L - 1 - K : 2 * L + K]
 
 
@@ -112,11 +112,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
+def _plan(p: complex, q: complex, N: int) -> _Plan:
     m = np.arange(N)
     zs = np.exp(2j * np.pi * m / N)
-    pp, qq = qpoch(p, p, trunc_tol), qpoch(q, q, trunc_tol)
-    c = _jacobi_pair_coeffs(p, trunc_tol, pp)
+    pp, qq = qpoch(p, p), qpoch(q, q)
+    c = _jacobi_pair_coeffs(p, pp)
     K = c.size // 2
     k = np.repeat(np.arange(-K, K + 1), 2 * K + 1)
     l = np.tile(np.arange(-K, K + 1), 2 * K + 1)
@@ -127,7 +127,7 @@ def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
     return _Plan(
         zs=_frozen(zs),
         rev=_frozen((-m) % N),
-        weight=_frozen(-(zs**-2) * theta(zs**2, p, trunc_tol) * theta(zs**2, q, trunc_tol)),
+        weight=_frozen(-(zs**-2) * theta(zs**2, p) * theta(zs**2, q)),
         pref=pp * qq,
         cross_w=_frozen(np.outer(c, c).ravel()),
         # sum_m h_m z_m^j is bin -j of the FFT
@@ -140,7 +140,7 @@ def _plan(p: complex, q: complex, trunc_tol: float, N: int) -> _Plan:
 
 def _plan_for(params: EllipticParams, N: int) -> _Plan:
     """The plan of params' bases at N nodes; the third base r plays no part."""
-    return _plan(params.p, params.q, params.trunc_tol, N)
+    return _plan(params.p, params.q, N)
 
 
 # The folded log-series serves parameters with rho_k = max(|u_k|, |pq/u_k|)
@@ -186,7 +186,7 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
     fresh array, since every parameter multiplies into the plan's read-only
     weight; the roots are the plan's read-only table.
     """
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     pq = p * q
     plan = _plan_for(ctx.params, N)
     zs, rev = plan.zs, plan.rev
@@ -198,7 +198,7 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
     for i in np.flatnonzero((rho > _SHIFT_RHO) & (np.abs(u) < 1.0) & (u != 0)):
         s = _shift_count(abs(u[i]), abs(pq), abs(b))
         for t in range(min(s, 0), max(s, 0)):
-            th = theta(u[i] * b**t * zs, c, tol)
+            th = theta(u[i] * b**t * zs, c)
             vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
         u[i] = u[i] * b**s
     with np.errstate(divide="ignore"):
@@ -218,7 +218,7 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
         a = cm.reshape(-1, N).sum(axis=0)
         vals = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
     for uk in u[~spectral]:
-        g = elliptic_gamma(uk * zs, p, q, tol)
+        g = elliptic_gamma(uk * zs, p, q)
         vals = vals * g * g[rev]
     return vals, zs
 
@@ -278,8 +278,8 @@ def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True
         prev = cur
 
 
-def _theta_pm(a: complex, b: complex, p: complex, tol: float) -> complex:
-    return theta(a * b, p, tol) * theta(a / b, p, tol)
+def _theta_pm(a: complex, b: complex, p: complex) -> complex:
+    return theta(a * b, p) * theta(a / b, p)
 
 
 def contiguity_residual(
@@ -287,14 +287,13 @@ def contiguity_residual(
     i: int,
     j: int,
     k: int,
-    form: str = "multiplicative",
     quad_tol: float = QUAD_TOL,
 ) -> Residual:
     """Residual of the three-term contiguity relation in the q-shifts."""
     if len({i, j, k}) != 3:
         raise ValueError("need three distinct indices")
     u = list(ctx.u)
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
 
     def shifted(idx: int) -> complex:
         v = list(u)
@@ -302,23 +301,11 @@ def contiguity_residual(
         return I(ctx.with_u(v), quad_tol=quad_tol)
 
     Ii, Ij, Ik = shifted(i), shifted(j), shifted(k)
-    if form == "multiplicative":
-        terms = [
-            u[k] * _theta_pm(u[j], u[k], p, tol) * Ii,
-            u[i] * _theta_pm(u[k], u[i], p, tol) * Ij,
-            u[j] * _theta_pm(u[i], u[j], p, tol) * Ik,
-        ]
-    elif form == "additive":
-        # bracket coefficients written multiplicatively:
-        # [x_j +- x_k] = theta(u_j u_k^{+-1}; p) / u_j
-        terms = [
-            _theta_pm(u[j], u[k], p, tol) / u[j] / u[i] * Ii,
-            _theta_pm(u[k], u[i], p, tol) / u[k] / u[j] * Ij,
-            _theta_pm(u[i], u[j], p, tol) / u[i] / u[k] * Ik,
-        ]
-    else:
-        raise ValueError("form must be 'multiplicative' or 'additive'")
-    return normalized_residual(terms)
+    return normalized_residual([
+        u[k] * _theta_pm(u[j], u[k], p) * Ii,
+        u[i] * _theta_pm(u[k], u[i], p) * Ij,
+        u[j] * _theta_pm(u[i], u[j], p) * Ik,
+    ])
 
 
 def _check_balancing(u, target: complex, what: str) -> None:
@@ -341,7 +328,7 @@ def bailey_residual(
 ) -> Residual:
     """Relative error of the two transformation formulas for the 1D integral."""
     u = ctx.u
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     _check_balancing(u, (p * q) ** 2, "p^2 q^2")
     lhs = I(ctx, quad_tol=quad_tol)
     if which == "tilde":
@@ -350,13 +337,13 @@ def bailey_residual(
         for a, b in itertools.chain(
             itertools.combinations(range(4), 2), itertools.combinations(range(4, 8), 2)
         ):
-            pref *= elliptic_gamma(u[a] * u[b], p, q, tol)
+            pref *= elliptic_gamma(u[a] * u[b], p, q)
     elif which == "hat":
         s = cmath.sqrt(p * q)
         image = tuple(s / v for v in u)
         pref = 1.0 + 0j
         for a, b in itertools.combinations(range(8), 2):
-            pref *= elliptic_gamma(u[a] * u[b], p, q, tol)
+            pref *= elliptic_gamma(u[a] * u[b], p, q)
     else:
         raise ValueError("which must be 'tilde' or 'hat'")
     rhs = I(ctx.with_u(image), quad_tol=quad_tol) * pref
@@ -377,7 +364,7 @@ def _pair_gamma(
     u = np.asarray(u, dtype=complex)
     i, j = _PAIRS
     r = params.q if r is None else r
-    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, r, params.trunc_tol)
+    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, r)
     return complex(np.prod(vals))
 
 
@@ -401,7 +388,7 @@ def In_transform_residual(
     n, t = ctx.n, ctx.u
     if n > 2:
         raise ValueError("transforms are checked for multiplicity at most 2")
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     _check_balancing(t, p**2 * q ** (4 - 2 * n), "p^2 q^{4-2n}")
     s = p * q ** (2 - n)
     if which == "tilde_n":
@@ -415,8 +402,8 @@ def In_transform_residual(
         raise ValueError("which must be 'tilde_n' or 'hat_n'")
     i, j = _PAIRS
     tt = (np.asarray(t)[i] * np.asarray(t)[j])[pairs]
-    shifted = triple_gamma(q**n * tt, p, q, q, tol)
-    ratio = complex(np.prod(shifted / triple_gamma(tt, p, q, q, tol)))
+    shifted = triple_gamma(q**n * tt, p, q, q)
+    ratio = complex(np.prod(shifted / triple_gamma(tt, p, q, q)))
     lhs = I_n(ctx, quad_tol=quad_tol)
     rhs = I_n(ctx.with_u(image), quad_tol=quad_tol) * ratio
     return Residual(abs(lhs - rhs) / abs(lhs))
@@ -431,7 +418,7 @@ def terminating_eval(u, params: EllipticParams, N: int) -> complex:
     u = tuple(complex(v) for v in u)
     if len(u) != 8:
         raise ValueError("need exactly eight parameters")
-    p, q, tol = params.p, params.q, params.trunc_tol
+    p, q = params.p, params.q
     _check_balancing(u, q**2, "q^2")
     ok = any(abs(q / (u[0] * u[i]) - q**-N) < 1e-9 * abs(q**-N) for i in range(1, 7))
     ok = ok or abs(q / (u[0] * u[7]) - p * q**-N) < 1e-9 * abs(p * q**-N)
@@ -439,11 +426,9 @@ def terminating_eval(u, params: EllipticParams, N: int) -> complex:
         raise ValueError("no parameter satisfies the termination condition")
     pref = 1.0 + 0j
     for a, b in itertools.combinations(range(1, 7), 2):
-        pref *= elliptic_gamma(u[a] * u[b], p, q, tol)
-    pref *= elliptic_gamma(q**2 / u[0] ** 2, p, q, tol) * elliptic_gamma(u[0] / u[7], p, q, tol)
+        pref *= elliptic_gamma(u[a] * u[b], p, q)
+    pref *= elliptic_gamma(q**2 / u[0] ** 2, p, q) * elliptic_gamma(u[0] / u[7], p, q)
     for k in range(1, 7):
-        pref /= elliptic_gamma(q * u[k] / u[0], p, q, tol) * elliptic_gamma(
-            q / (u[k] * u[7]), p, q, tol
-        )
-    series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p, tol)
+        pref /= elliptic_gamma(q * u[k] / u[0], p, q) * elliptic_gamma(q / (u[k] * u[7]), p, q)
+    series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p)
     return pref * series

@@ -1,6 +1,6 @@
 """Theta functions, elliptic gamma functions, the additive bracket, and the
 very well-poised terminating series. All products are truncated once the
-remaining factors differ from 1 by less than ``trunc_tol``."""
+remaining factors differ from 1 by less than ``TRUNC_TOL``."""
 from __future__ import annotations
 
 import cmath
@@ -12,7 +12,7 @@ import numpy as np
 
 from .util import DomainError, PoleError, Residual, TerminationError, e, normalized_residual
 
-DEFAULT_TRUNC_TOL = 1e-18
+TRUNC_TOL = 1e-18
 POLE_EPS = 1e-12
 
 
@@ -29,12 +29,9 @@ class EllipticParams:
     varpi: complex
     delta: complex
     r: complex | None = None
-    trunc_tol: float = DEFAULT_TRUNC_TOL
 
     @staticmethod
-    def from_bases(
-        p: complex, q: complex, r: complex | None = None, trunc_tol: float = DEFAULT_TRUNC_TOL
-    ) -> "EllipticParams":
+    def from_bases(p: complex, q: complex, r: complex | None = None) -> "EllipticParams":
         if not (0 < abs(p) < 1 and 0 < abs(q) < 1):
             raise ValueError("bases must satisfy 0 < |p|, |q| < 1")
         if r is not None and not 0 < abs(r) < 1:
@@ -46,7 +43,6 @@ class EllipticParams:
             varpi=cmath.log(p) / two_pi_i,
             delta=cmath.log(q) / two_pi_i,
             r=None if r is None else complex(r),
-            trunc_tol=trunc_tol,
         )
 
 
@@ -55,11 +51,11 @@ def _as_array(z) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def theta(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
+def theta(z, p: complex):
     """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0."""
     zz, scalar = _as_array(z)
     if scalar:
-        return _theta_scalar(complex(zz[0]), p, trunc_tol)
+        return _theta_scalar(complex(zz[0]), p)
     if np.any(zz == 0):
         raise ValueError("theta argument must be nonzero")
     ap = abs(p)
@@ -71,12 +67,12 @@ def theta(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
         out *= (1.0 - pi_pow * zz) * (1.0 - pi_pow * p / zz)
         i += 1
         pi_pow *= p
-        if ap**i * big < trunc_tol:
+        if ap**i * big < TRUNC_TOL:
             break
     return out
 
 
-def _theta_scalar(z: complex, p: complex, trunc_tol: float) -> complex:
+def _theta_scalar(z: complex, p: complex) -> complex:
     # The array loop above at one point, in one pass: the same truncation
     # (Python's abs of a complex is the same hypot as np.abs), the same powers
     # p^i and p^i*p from the same recurrence, every factor from the same
@@ -88,14 +84,14 @@ def _theta_scalar(z: complex, p: complex, trunc_tol: float) -> complex:
     ap = abs(p)
     big = max(abs(z), ap / abs(z), 1.0)
     pows = [1.0 + 0j]
-    while ap ** len(pows) * big >= trunc_tol:
+    while ap ** len(pows) * big >= TRUNC_TOL:
         pows.append(pows[-1] * p)
     pows_p = [w * p for w in pows]
     factors = (1.0 - np.array(pows) * z) * (1.0 - np.array(pows_p) / z)
     return complex(np.cumprod(factors)[-1])
 
 
-def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
+def qpoch(z, p: complex):
     """(z; p)_infinity."""
     zz, scalar = _as_array(z)
     big = max(float(np.max(np.abs(zz))), 1.0)
@@ -106,7 +102,7 @@ def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
         out *= 1.0 - pi_pow * zz
         i += 1
         pi_pow *= p
-        if abs(p) ** i * big < trunc_tol:
+        if abs(p) ** i * big < TRUNC_TOL:
             break
     return complex(out[0]) if scalar else out
 
@@ -124,15 +120,10 @@ def qpoch(z, p: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
 _CHUNK_ELEMENTS = 8_000
 
 
-def elliptic_gamma(
-    z,
-    p: complex,
-    q: complex,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-):
+def elliptic_gamma(z, p: complex, q: complex):
     """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
 
-    The exponent simplex |p^i q^j| >= trunc_tol/big is enumerated as one flat
+    The exponent simplex |p^i q^j| >= TRUNC_TOL/big is enumerated as one flat
     array in row-major (i, j) order and multiplied out in chunks. Raises
     PoleError when some 1 - p^i q^j z factor is within POLE_EPS of 0, naming
     the first such (i, j) in that order; the pole lattice has modulus >= 1,
@@ -143,9 +134,9 @@ def elliptic_gamma(
         raise ValueError("gamma argument must be nonzero")
     pq = p * q
     big = max(float(np.max(np.abs(zz))), float(np.max(abs(pq) / np.abs(zz))), 1.0)
-    pi = _power_column(p, big, trunc_tol)
-    qj = _power_column(q, big, trunc_tol)
-    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * big >= trunc_tol)
+    pi = _power_column(p, big)
+    qj = _power_column(q, big)
+    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * big >= TRUNC_TOL)
     w = pi[ii] * qj[jj]
     inv = 1.0 / zz
     out = np.ones_like(zz)
@@ -164,10 +155,10 @@ def elliptic_gamma(
     return complex(out[0]) if scalar else out
 
 
-def _power_column(base: complex, big: float, trunc_tol: float) -> np.ndarray:
-    """Powers base^0..base^m while |base|^m * big stays above trunc_tol."""
+def _power_column(base: complex, big: float) -> np.ndarray:
+    """Powers base^0..base^m while |base|^m * big stays above TRUNC_TOL."""
     count, mag = 1, abs(base)
-    while mag ** count * big >= trunc_tol:
+    while mag ** count * big >= TRUNC_TOL:
         count += 1
     out = np.empty(count, dtype=complex)
     out[0] = 1.0
@@ -176,12 +167,10 @@ def _power_column(base: complex, big: float, trunc_tol: float) -> np.ndarray:
     return out
 
 
-def triple_gamma(
-    z, p: complex, q: complex, r: complex, trunc_tol: float = DEFAULT_TRUNC_TOL
-):
+def triple_gamma(z, p: complex, q: complex, r: complex):
     """Entire triple gamma: (z; p,q,r)_inf (pqr/z; p,q,r)_inf.
 
-    The exponent simplex |p^i q^j r^k| >= trunc_tol/big is enumerated as one
+    The exponent simplex |p^i q^j r^k| >= TRUNC_TOL/big is enumerated as one
     flat array so the factor products run vectorized. When r == q the
     factors with equal j + k coincide and the simplex collapses to (i, j + k).
     """
@@ -190,16 +179,16 @@ def triple_gamma(
         raise ValueError("gamma argument must be nonzero")
     pqr = p * q * r
     big = max(float(np.max(np.abs(zz))), float(np.max(abs(pqr) / np.abs(zz))), 1.0)
-    pi = _power_column(p, big, trunc_tol)
-    qj = _power_column(q, big, trunc_tol)
+    pi = _power_column(p, big)
+    qj = _power_column(q, big)
     if r == q:
-        out = _triple_gamma_qq(zz, pi, qj, pqr, big, trunc_tol)
+        out = _triple_gamma_qq(zz, pi, qj, pqr, big)
         return complex(out[0]) if scalar else out
-    rk = _power_column(r, big, trunc_tol)
+    rk = _power_column(r, big)
     # Row-major (i, j, k) without the full box: each (i, j) keeps the k with
-    # |p^i q^j r^k| * big >= trunc_tol, a prefix since |r^k| decreases.
+    # |p^i q^j r^k| * big >= TRUNC_TOL, a prefix since |r^k| decreases.
     pq = (pi[:, None] * qj[None, :]).ravel()
-    count = np.searchsorted(-np.abs(rk), -trunc_tol / (big * np.abs(pq)), side="right")
+    count = np.searchsorted(-np.abs(rk), -TRUNC_TOL / (big * np.abs(pq)), side="right")
     start = np.cumsum(count) - count
     w = np.repeat(pq, count) * rk[np.arange(count.sum()) - np.repeat(start, count)]
     inv = 1.0 / zz
@@ -220,9 +209,7 @@ def triple_gamma(
     return complex(out[0]) if scalar else out
 
 
-def _triple_gamma_qq(
-    zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: complex, big: float, trunc_tol: float
-) -> np.ndarray:
+def _triple_gamma_qq(zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: complex, big: float) -> np.ndarray:
     """triple_gamma at r = q. The factor pair at p^i q^s stands for the s + 1
     pairs (j, k) with j + k = s, so the (i, s) box suffices: each column
     product g_s enters as g_s^(s + 1).
@@ -237,7 +224,7 @@ def _triple_gamma_qq(
     stays near _CHUNK_ELEMENTS.
     """
     w = pi[:, None] * qs[None, :]
-    w[np.abs(w) * big < trunc_tol] = 0.0  # outside the simplex: factor 1
+    w[np.abs(w) * big < TRUNC_TOL] = 0.0  # outside the simplex: factor 1
     wd = w * pqr
     ww = (w * wd)[:, :, None]
     power = np.arange(2, qs.size + 1)[:, None]
@@ -271,14 +258,14 @@ def _log1p(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mod, np.arctan2(b, 1.0 + a)
 
 
-def theta_pochhammer(z, k: int, p: complex, q: complex, trunc_tol: float = DEFAULT_TRUNC_TOL):
+def theta_pochhammer(z, k: int, p: complex, q: complex):
     """theta(z; p) theta(qz; p) ... theta(q^{k-1} z; p)."""
     if k < 0:
         raise ValueError("nonnegative order required")
     out = 1.0 + 0j
     zz = complex(z)
     for _ in range(k):
-        out *= theta(zz, p, trunc_tol)
+        out *= theta(zz, p)
         zz *= q
     return out
 
@@ -312,7 +299,7 @@ def bracket(zeta: complex, params: EllipticParams) -> complex:
             break
     else:
         raise DomainError(f"period reduction of {zeta!r} did not converge in {_MAX_PERIOD_SHIFTS} periods")
-    return mult * e(-z / 2) * theta(e(z), params.p, params.trunc_tol)
+    return mult * e(-z / 2) * theta(e(z), params.p)
 
 
 def bracket_pm(x: complex, y: complex, params: EllipticParams) -> complex:
@@ -345,13 +332,16 @@ def three_term_residual(
     ])
 
 
-def detect_termination(
-    a: Sequence[complex], q: complex, p: complex, n_max: int = 64, tol: float = 1e-9
-) -> int:
-    """Smallest N with a_i q^N in the p-power lattice, over all entries.
+_TERMINATION_N_MAX = 64
+_TERMINATION_TOL = 1e-9
+
+
+def detect_termination(a: Sequence[complex], q: complex, p: complex) -> int:
+    """Smallest N <= _TERMINATION_N_MAX with a_i q^N in the p-power lattice,
+    over all entries.
 
     The only candidate exponent for a_i q^n is m = round(log|a_i q^n| / log|p|);
-    p^m is then accepted within relative tolerance tol.
+    p^m is then accepted within relative tolerance _TERMINATION_TOL.
     """
     best: int | None = None
     log_p = math.log(abs(p))
@@ -359,10 +349,10 @@ def detect_termination(
         val = complex(ai)
         if val == 0:
             continue
-        for n in range(n_max + 1):
+        for n in range(_TERMINATION_N_MAX + 1):
             target = val * q**n
             pm_val = p ** round(math.log(abs(target)) / log_p)
-            if abs(target - pm_val) < tol * abs(pm_val):
+            if abs(target - pm_val) < _TERMINATION_TOL * abs(pm_val):
                 best = n if best is None else min(best, n)
                 break
         if best == 0:
@@ -372,13 +362,7 @@ def detect_termination(
     return best
 
 
-def v12_11(
-    a0: complex,
-    a: Sequence[complex],
-    q: complex,
-    p: complex,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> complex:
+def v12_11(a0: complex, a: Sequence[complex], q: complex, p: complex) -> complex:
     """Terminating very well-poised series in eight parameters.
 
     a supplies a_1..a_7; termination requires some a_i (i = 0..7) to lie in
@@ -390,10 +374,10 @@ def v12_11(
     n_stop = detect_termination(all_a, q, p)
     total = 0.0 + 0j
     for k in range(n_stop + 1):
-        term = theta(q ** (2 * k) * a0, p, trunc_tol) / theta(a0, p, trunc_tol) * q**k
+        term = theta(q ** (2 * k) * a0, p) / theta(a0, p) * q**k
         for ai in all_a:
-            num = theta_pochhammer(ai, k, p, q, trunc_tol)
-            den = theta_pochhammer(q * a0 / ai, k, p, q, trunc_tol)
+            num = theta_pochhammer(ai, k, p, q)
+            den = theta_pochhammer(q * a0 / ai, k, p, q)
             if abs(den) < 1e-250:
                 raise ZeroDivisionError("vanishing lower factor in series term")
             term *= num / den

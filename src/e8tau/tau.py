@@ -130,8 +130,7 @@ class TauEvaluator:
             self.domain.locate(x)
         return self.fn(x)
 
-    def __call__(self, x: np.ndarray) -> complex:
-        return self.eval(x)
+    __call__ = eval
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
@@ -165,7 +164,7 @@ def oriented_triple(
 
 
 def hirota_residual(
-    tau: TauEvaluator | Callable[[np.ndarray], complex],
+    tau: Callable[[np.ndarray], complex],
     frame: Frame | Sequence[LatticeVector],
     x: np.ndarray,
     params: EllipticParams,
@@ -179,12 +178,11 @@ def hirota_residual(
     a, b, c = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
     d = params.delta
-    fn = tau.eval if isinstance(tau, TauEvaluator) else tau
     terms = []
     for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
         br = bracket_pm(pairing_c(t, x), pairing_c(w, x), params)
         sh = np.asarray(s.true_coords(), dtype=complex) * d
-        terms.append(br * fn(x + sh) * fn(x - sh))
+        terms.append(br * tau(x + sh) * tau(x - sh))
     return normalized_residual(terms)
 
 
@@ -275,33 +273,16 @@ def transform(
     raise TypeError(f"unknown transform spec {spec!r}")
 
 
-def _block_scales(q: complex, n: int) -> np.ndarray:
-    """Per-pair scales: q within a coordinate block, q^(1-n) across blocks."""
-    return np.where(integrals._SAME_BLOCK, q, q ** (1 - n))
-
-
-def pairwise_triple_gamma(x: np.ndarray, params: EllipticParams, shift: int = 0) -> complex:
-    """Entire pairwise product prod_{i<j} Gamma(q^shift u_i u_j; p, q, q)."""
-    u = np.exp(2j * np.pi * np.asarray(x, dtype=complex))
-    return integrals._pair_gamma(u, params, params.q**shift)
-
-
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
-    """Level-0 chain component: the pairwise product at unit q-shift."""
-    x = np.asarray(x, dtype=complex)
-    _chain_levels(params).require(x, 0)
-    return pairwise_triple_gamma(x, params, shift=1)
+    """Level-0 chain component: the pairwise triple-gamma product at unit
+    q-shift, the n = 0 case of the integral route."""
+    return tau_n_int(0, x, "direct", params)
 
 
-def hg_tau1(
-    x: np.ndarray, params: EllipticParams, quad_tol: float = QUAD_TOL
-) -> complex:
-    """Level-1 chain component: gauged contour integral times the product."""
-    x = np.asarray(x, dtype=complex)
-    _chain_levels(params).require(x, 1)
-    u = np.exp(2j * np.pi * x)
-    val = integrals.I(IntegrandContext(tuple(u), params), quad_tol=quad_tol)
-    return e(-qform(x, params.delta)) * val * integrals._pair_gamma(u, params)
+def hg_tau1(x: np.ndarray, params: EllipticParams, quad_tol: float = QUAD_TOL) -> complex:
+    """Level-1 chain component: the gauged contour integral times the pair
+    product, the n = 1 case of the integral route."""
+    return tau_n_int(1, x, "direct", params, quad_tol=quad_tol)
 
 
 def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
@@ -326,8 +307,8 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
 
 
 def toda_step(
-    tau_prev: TauEvaluator | Callable[[np.ndarray], complex],
-    tau_cur: TauEvaluator | Callable[[np.ndarray], complex],
+    tau_prev: Callable[[np.ndarray], complex],
+    tau_cur: Callable[[np.ndarray], complex],
     frame: Frame | Sequence[LatticeVector],
     i: int,
     j: int,
@@ -350,8 +331,6 @@ def toda_step(
     a0, ai, aj = ordered[a0_index], ordered[i], ordered[j]
     x = np.asarray(x, dtype=complex)
     d = params.delta
-    prev = tau_prev.eval if isinstance(tau_prev, TauEvaluator) else tau_prev
-    cur = tau_cur.eval if isinstance(tau_cur, TauEvaluator) else tau_cur
 
     den_plus = bracket(pairing_c(ai + aj, x), params)
     den_minus = bracket(pairing_c(ai - aj, x), params)
@@ -367,11 +346,11 @@ def toda_step(
     def cur_pair(b: LatticeVector) -> complex:
         sp = np.asarray((a0 + b).true_coords(), dtype=complex) * d
         sm = np.asarray((a0 - b).true_coords(), dtype=complex) * d
-        return cur(x - sp) * cur(x - sm)
+        return tau_cur(x - sp) * tau_cur(x - sm)
 
     num = shifted_pm(aj) * cur_pair(ai) - shifted_pm(ai) * cur_pair(aj)
     back = x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d
-    return num / (den_plus * den_minus * prev(back))
+    return num / (den_plus * den_minus * tau_prev(back))
 
 
 @dataclass(eq=False)
@@ -395,27 +374,24 @@ class TauChain:
 
 def build_chain(
     n_max: int,
-    recursion_frame: Frame | None = None,
     params: EllipticParams | None = None,
     quad_tol: float = QUAD_TOL,
 ) -> TauChain:
     """Hypergeometric chain: levels 0 and 1 from the closed forms, higher
     levels by the two-term recursion with memoized evaluations.
 
-    The recursion pair and pivot adapt per point: configurations whose
-    contour arguments leave the unit disk (or hit a vanishing denominator)
-    fall through to the next candidate, which changes nothing but the
-    route since the step is pair-independent.
+    The recursion runs on the 8-frame completing the standard triple
+    (a_0, a_1, a_2), and its pair and pivot adapt per point: configurations
+    whose contour arguments leave the unit disk (or hit a vanishing
+    denominator) fall through to the next candidate, which changes nothing
+    but the route since the step is pair-independent.
     """
     if params is None:
         raise ValueError("params is required")
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
-    frame = recursion_frame if recursion_frame is not None else Frame.from_vectors(_A0_TRIPLE)
-    if classify_frame(frame) is not FrameType.C3_II1:
-        raise ValueError("recursion frame must have exactly one unit-pairing axis")
 
-    a0_req, a1_req, a2_req = oriented_triple(frame)
+    a0_req, a1_req, a2_req = oriented_triple(_A0_TRIPLE)
     c8 = frame_containing(a0_req)
     ordered = ordered_c8_ii(c8)
 
@@ -429,7 +405,7 @@ def build_chain(
     i_req, j_req = zero_index(a1_req), zero_index(a2_req)
     a0_first = 0 if ordered[0].coords4 == a0_req.coords4 else 1
 
-    # Pair preference: the requested pair first, then pairs whose supports
+    # Pair preference: the standard triple's pair first, then pairs whose supports
     # avoid the pivot's block (their shifts move every modulus the least).
     support0 = {k for k in range(8) if a0_req.coords4[k] != 0}
 
@@ -532,52 +508,79 @@ def casorati_K(
     return complex(np.linalg.det(mat))
 
 
+# The determinant cases and the integral routes share two level-n charts:
+# case frame_a0 expands along the standard triple in route tilde's chart,
+# case frame_a7 along the triple through a_7 in route direct's.
+_CASES = {"frame_a0": ("tilde", _A0_TRIPLE), "frame_a7": ("direct", _A7_TRIPLE)}
+
+
+def _case(case: str) -> tuple[str, tuple[LatticeVector, ...]]:
+    """The chart route and the recursion triple of a determinant case."""
+    if case not in _CASES:
+        raise ValueError("case must be 'frame_a0' or 'frame_a7'")
+    return _CASES[case]
+
+
+def _block_scales(q: complex, n: int) -> np.ndarray:
+    """Per-pair scales: q within a coordinate block, q^(1-n) across blocks."""
+    return np.where(integrals._SAME_BLOCK, q, q ** (1 - n))
+
+
+def _chart(
+    route: str, u: np.ndarray, n: int, params: EllipticParams
+) -> tuple[tuple[complex, ...], complex | np.ndarray]:
+    """The level-n chart of u = e(x): the eight integral parameters t, and
+    the per-pair scales of the triple-gamma product over u_i u_j.
+
+    Route 'direct' rescales every coordinate by q^((1-n)/2) and every pair by
+    q^(1-n); route 'tilde' balances each coordinate block to pq and scales
+    the pairs by _block_scales.
+    """
+    q = params.q
+    if route == "direct":
+        s = q ** (0.5 * (1 - n))
+        return tuple(s * v for v in u), q ** (1 - n)
+    if route == "tilde":
+        return integrals._tilde(tuple(u), params.p * q), _block_scales(q, n)
+    raise ValueError("route must be 'direct' or 'tilde'")
+
+
+def _gauge_prefactor(n: int, x: np.ndarray, params: EllipticParams) -> complex:
+    """p^C(n,2) e(-n Q(x)), the gauge of a level-n chain component."""
+    return params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
+
+
 def casorati_kernel_fn(
     case: str, params: EllipticParams, quad_tol: float = QUAD_TOL
 ) -> Callable[[np.ndarray], complex]:
-    """Determinant kernel psi(y): the contour integral at u = e(y), with the
-    arguments block-rescaled to balance for the frame_a0 case."""
-    if case not in ("frame_a0", "frame_a7"):
-        raise ValueError("case must be 'frame_a0' or 'frame_a7'")
+    """Determinant kernel psi(y): the contour integral in the case's level-1
+    chart at u = e(y)."""
+    route, _ = _case(case)
 
     def psi(y: np.ndarray) -> complex:
-        u = np.exp(2j * np.pi * np.asarray(y, dtype=complex))
-        args = (
-            integrals._tilde(tuple(u), params.p * params.q)
-            if case == "frame_a0"
-            else tuple(u)
-        )
-        return integrals.I(IntegrandContext(args, params), quad_tol=quad_tol)
+        t, _ = _chart(route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
+        return integrals.I(IntegrandContext(t, params), quad_tol=quad_tol)
 
     return psi
-
-
-def _t_coords(u: np.ndarray, case: str, n: int, params: EllipticParams) -> tuple[complex, ...]:
-    if case == "frame_a0":
-        return integrals._tilde(tuple(u), params.p * params.q)
-    if case == "frame_a7":
-        s = params.q ** (0.5 * (1 - n))
-        return tuple(s * v for v in u)
-    raise ValueError("case must be 'frame_a0' or 'frame_a7'")
 
 
 def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
     """Scalar divisor extracted from the kernel determinant; 1 at n <= 1.
 
-    Written in the block-rescaled coordinates t the two cases share one
-    formula: a monomial prefactor times four theta-factorial products over
-    the first block's pairings with the second block's complements.
+    Written in the chart's parameters t the two cases share one formula: a
+    monomial prefactor times four theta-factorial products over the first
+    block's pairings with the second block's complements.
     """
     x = np.asarray(x, dtype=complex)
     _chain_levels(params).require(x, n)
-    p, q, tol = params.p, params.q, params.trunc_tol
-    t = _t_coords(np.exp(2j * np.pi * x), case, n, params)
+    p, q = params.p, params.q
+    t, _ = _chart(_case(case)[0], np.exp(2j * np.pi * x), n, params)
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     for k in range(1, n + 1):
-        out *= theta_pochhammer(q ** (k - 1) * t[0] * t[3], n - k, p, q, tol)
-        out *= theta_pochhammer(q ** (1 - k) * t[0] / t[3], n - k, p, q, tol)
-        out *= theta_pochhammer(q ** (k - 1) * t[1] * t[2], n - k, p, q, tol)
-        out *= theta_pochhammer(q ** (1 - k) * t[1] / t[2], n - k, p, q, tol)
+        out *= theta_pochhammer(q ** (k - 1) * t[0] * t[3], n - k, p, q)
+        out *= theta_pochhammer(q ** (1 - k) * t[0] / t[3], n - k, p, q)
+        out *= theta_pochhammer(q ** (k - 1) * t[1] * t[2], n - k, p, q)
+        out *= theta_pochhammer(q ** (1 - k) * t[1] / t[2], n - k, p, q)
     return out
 
 
@@ -586,14 +589,9 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     x = np.asarray(x, dtype=complex)
     _chain_levels(params).require(x, n)
     u = np.exp(2j * np.pi * x)
-    pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
-    if case == "frame_a0":
-        gam = integrals._pair_gamma(u, params, _block_scales(params.q, n))
-    elif case == "frame_a7":
-        gam = integrals._pair_gamma(u, params, params.q ** (1 - n))
-    else:
-        raise ValueError("case must be 'frame_a0' or 'frame_a7'")
-    return pre * gam / dfactor_d(n, x, case, params)
+    _, scales = _chart(_case(case)[0], u, n, params)
+    gam = integrals._pair_gamma(u, params, scales)
+    return _gauge_prefactor(n, x, params) * gam / dfactor_d(n, x, case, params)
 
 
 def tau_n_det(
@@ -604,9 +602,7 @@ def tau_n_det(
     quad_tol: float = QUAD_TOL,
 ) -> complex:
     """Chain component via gauge times kernel determinant."""
-    triple = {"frame_a0": _A0_TRIPLE, "frame_a7": _A7_TRIPLE}.get(case)
-    if triple is None:
-        raise ValueError("case must be 'frame_a0' or 'frame_a7'")
+    _, triple = _case(case)
     kernel = casorati_kernel_fn(case, params, quad_tol=quad_tol)
     x = np.asarray(x, dtype=complex)
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
@@ -619,30 +615,19 @@ def tau_n_int(
     params: EllipticParams,
     quad_tol: float = QUAD_TOL,
 ) -> complex:
-    """Chain component via the n-fold contour integral.
-
-    route 'direct' rescales every coordinate by q^((1-n)/2); route 'tilde'
-    block-rescales and keeps same-block product factors at unit q-shift.
-    Capped at n = 2, the levels on which the checks compare this route with
-    the determinant; level 3 is checked against tau_n_det through the chain.
+    """Chain component via the n-fold contour integral in route's chart:
+    the gauge prefactor times the integral at t times the scaled pair
+    product. Capped at n = 3, the top level of the chain.
     """
-    if not 0 <= n <= 2:
-        raise ValueError("integral route is capped at multiplicity 2")
+    if not 0 <= n <= 3:
+        raise ValueError("integral route is capped at multiplicity 3")
     x = np.asarray(x, dtype=complex)
     _chain_levels(params).require(x, n)
     u = np.exp(2j * np.pi * x)
-    q = params.q
-    if route == "direct":
-        t = tuple(q ** (0.5 * (1 - n)) * v for v in u)
-        gam = integrals._pair_gamma(u, params, q ** (1 - n))
-    elif route == "tilde":
-        t = integrals._tilde(tuple(u), params.p * q)
-        gam = integrals._pair_gamma(u, params, _block_scales(q, n))
-    else:
-        raise ValueError("route must be 'direct' or 'tilde'")
-    pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
+    t, scales = _chart(route, u, n, params)
+    gam = integrals._pair_gamma(u, params, scales)
     val = integrals.I_n(IntegrandContext(t, params, n=n), quad_tol=quad_tol)
-    return pre * val * gam
+    return _gauge_prefactor(n, x, params) * val * gam
 
 
 def warnaar_det_residual(
@@ -655,12 +640,10 @@ def warnaar_det_residual(
     """Relative residual of the theta-factorial determinant evaluation."""
     if n < 1 or len(zs) != n:
         raise ValueError("need n >= 1 points z_1..z_n")
-    p, q, tol = params.p, params.q, params.trunc_tol
+    p, q = params.p, params.q
 
     def poch_pair(c: complex, z: complex, m: int) -> complex:
-        return theta_pochhammer(c * z, m, p, q, tol) * theta_pochhammer(
-            c / z, m, p, q, tol
-        )
+        return theta_pochhammer(c * z, m, p, q) * theta_pochhammer(c / z, m, p, q)
 
     mat = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -673,7 +656,7 @@ def warnaar_det_residual(
         rhs *= poch_pair(b, q ** (k - 1) * a, n - k)
     for i in range(n):
         for j in range(i + 1, n):
-            rhs *= theta(zs[i] * zs[j], p, tol) * theta(zs[i] / zs[j], p, tol) / zs[i]
+            rhs *= theta(zs[i] * zs[j], p) * theta(zs[i] / zs[j], p) / zs[i]
 
     return normalized_residual([lhs, -rhs])
 
@@ -728,7 +711,7 @@ def psi_variant(
         t = tuple((rp * rq * v) if direct else (qn / v) for v in u)
     else:
         t = tuple((rq * v) if direct else (rp * qn / v) for v in u)
-    pre = params.p ** comb(n, 2) * e(-n * qform(x, params.delta)) if gauged else complex(1.0)
+    pre = _gauge_prefactor(n, x, params) if gauged else complex(1.0)
     ctx = IntegrandContext(t, params, n=n)
     return pre * integrals.psi_n_value(ctx, quad_tol=quad_tol)
 

@@ -178,6 +178,21 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_trial_count_below_one_exits_two(tmp_path, capsys, source, count):
+    # a check that draws nothing would report residual 0 and pass
+    argv = ["suite", "all"]
+    if source == "file":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": {"hirota": count, "bailey": count}}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--trials", str(count)]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["suite", "nonsense"])

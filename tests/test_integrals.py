@@ -180,15 +180,15 @@ def test_node_integrand_output_cannot_reach_later_integrals():
 def _tensor_sum_n2(ctx, N):
     """The n = 2 node sum over the full N x N grid with the cross factor
     theta(z^{+-1} w^{+-1}; p) from theta values at index sums and differences."""
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     h, zs = _node_integrand(ctx, N)
     m = np.arange(N)
-    tp = theta(zs, p, tol)
+    tp = theta(zs, p)
     pair = tp * tp[(-m) % N]
     s_idx = (m[:, None] + m[None, :]) % N
     d_idx = (m[:, None] - m[None, :]) % N
     total = np.sum(h[:, None] * h[None, :] * pair[s_idx] * pair[d_idx])
-    pref = qpoch(p, p, tol) * qpoch(q, q, tol)
+    pref = qpoch(p, p) * qpoch(q, q)
     return pref**2 / (8 * N**2) * complex(total)
 
 
@@ -204,17 +204,17 @@ def _tensor_sum_n3(ctx, N):
     """The n = 3 node sum over the full N x N x N grid, one N x N slab per
     first node, with the cross factors from theta values at node-index sums
     and differences."""
-    p, q, tol = ctx.params.p, ctx.params.q, ctx.params.trunc_tol
+    p, q = ctx.params.p, ctx.params.q
     h, zs = _node_integrand(ctx, N)
     m = np.arange(N)
-    tp = theta(zs, p, tol)
+    tp = theta(zs, p)
     pair = tp * tp[(-m) % N]
     grid23 = pair[(m[:, None] + m[None, :]) % N] * pair[(m[:, None] - m[None, :]) % N]
     total = 0.0 + 0j
     for m1 in range(N):
         f1 = pair[(m1 + m) % N] * pair[(m1 - m) % N]
         total += h[m1] * np.sum((h * f1)[:, None] * (h * f1)[None, :] * grid23)
-    pref = qpoch(p, p, tol) * qpoch(q, q, tol)
+    pref = qpoch(p, p) * qpoch(q, q)
     return pref**3 / (48 * N**3) * complex(total)
 
 
@@ -238,12 +238,12 @@ def test_multiplicity_three_converges_from_default_nodes(params):
 
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
 def test_jacobi_coefficients_match_node_fft(params):
-    p, tol = params.p, params.trunc_tol
-    c = _jacobi_pair_coeffs(p, tol, qpoch(p, p, tol))
+    p = params.p
+    c = _jacobi_pair_coeffs(p, qpoch(p, p))
     K = c.size // 2
     N = 64
     zs = np.exp(2j * np.pi * np.arange(N) / N)
-    fourier = np.fft.fft(theta(zs, p, tol) * theta(1 / zs, p, tol)) / N
+    fourier = np.fft.fft(theta(zs, p) * theta(1 / zs, p)) / N
     assert np.max(np.abs(np.roll(fourier, K)[: 2 * K + 1] - c)) < 1e-14 * np.abs(c).max()
     # the coefficients past K are below the cut
     assert np.max(np.abs(fourier[K + 1 : N - K])) < 1e-14 * np.abs(c).max()
@@ -305,13 +305,12 @@ def test_convergence_error_replays(n, cap):
     assert (again.value.last, again.value.previous) == (err.last, err.previous)
 
 
-def test_contiguity_residual_both_forms():
+def test_contiguity_residual_vanishes():
     rng = sampling.make_rng(109)
     for trial in range(3):
         u = tuple(0.4 * e(t) for t in rng.random(8))
-        for form in ("multiplicative", "additive"):
-            res = contiguity_residual(_ctx(u=u), 0, 3, 6, form=form)
-            assert res < 1e-8, (trial, form, float(res))
+        res = contiguity_residual(_ctx(u=u), 0, 3, 6)
+        assert res < 1e-8, (trial, float(res))
 
 
 def test_contiguity_with_coincident_parameters():

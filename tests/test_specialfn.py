@@ -103,7 +103,7 @@ def test_triple_gamma_equal_bases_frozen_value():
     assert _rel(S.triple_gamma(0.35 + 0.25j, 0.03, 0.45, 0.45), O.TRIPLE_GAMMA_QQ) < 1e-13
 
 
-def _triple_gamma_full_simplex(z, p, q, r, trunc_tol=S.DEFAULT_TRUNC_TOL):
+def _triple_gamma_full_simplex(z, p, q, r, trunc_tol=S.TRUNC_TOL):
     """Every (i, j, k) factor of the triple gamma, multiplied out in extended
     precision: in double the product of some 10^4 factors is itself off by
     about 1e-13 at q = 0.45."""

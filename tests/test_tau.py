@@ -286,8 +286,8 @@ def test_pair_product_telescopes_under_shift():
     x += 1j * 0.15 * np.ones(8)  # push all moduli below 1
     u = np.exp(2j * np.pi * x)
     p, q = PARAMS.p, PARAMS.q
-    lhs = T.pairwise_triple_gamma(x, PARAMS, shift=1)
-    rhs = T.pairwise_triple_gamma(x, PARAMS, shift=0)
+    lhs = integrals._pair_gamma(u, PARAMS, q)
+    rhs = integrals._pair_gamma(u, PARAMS)
     for i in range(8):
         for j in range(i + 1, 8):
             rhs *= elliptic_gamma(u[i] * u[j], p, q)
@@ -442,9 +442,6 @@ def test_chain_rejects_bad_construction():
         T.build_chain(4, params=PARAMS)
     with pytest.raises(ValueError):
         T.build_chain(2, params=None)
-    type_i = Frame.from_vectors((V[0], V[1], V[2]))
-    with pytest.raises(ValueError):
-        T.build_chain(2, recursion_frame=type_i, params=PARAMS)
 
 
 def test_chain_weyl_invariant_per_level():
@@ -576,11 +573,25 @@ def test_closed_forms_agree_with_chain():
         assert done, f"no admissible draw at level {n}"
 
 
+def test_level3_integral_routes_match_determinant():
+    # The three-fold integral in both charts against the Casorati closed form,
+    # independently of the chain's recursion.
+    rng = sampling.make_rng(67)
+
+    def draw():
+        x = _x_on(rng, 3)
+        det = T.tau_n_det(3, x, "frame_a0", PARAMS)
+        return [rel_diff(T.tau_n_int(3, x, route, PARAMS), det) for route in ("direct", "tilde")]
+
+    for _ in range(3):
+        assert max(resampled(draw)) < 1e-10
+
+
 def test_tau_n_int_validations():
     rng = sampling.make_rng(66)
     x = _x_on(rng, 1)
     with pytest.raises(ValueError):
-        T.tau_n_int(3, _x_on(rng, 3), "direct", PARAMS)
+        T.tau_n_int(4, _x_on(rng, 4), "direct", PARAMS)
     with pytest.raises(ValueError):
         T.tau_n_int(1, x, "sideways", PARAMS)
     with pytest.raises(ValueError):
