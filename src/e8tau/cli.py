@@ -180,10 +180,10 @@ def _three_term_once(rng) -> float:
 
 
 def _reflection_once(rng, par: EllipticParams, quad_tol: float) -> tuple[float, float]:
-    """Residuals of the tilde and hat reflections, third base r = 0.12."""
+    """Residuals of the tilde and hat reflections at a point balanced to p^2 q^2."""
     p, q = par.p, par.q
     u = sampling.sample_balanced(rng, (p * q) ** 2, abs(p * q) ** 0.25)
-    ctx = IntegrandContext(u=u, params=EllipticParams.from_bases(p, q, r=0.12))
+    ctx = IntegrandContext(u=u, params=par)
     return (
         float(integrals.bailey_residual(ctx, "tilde", quad_tol=quad_tol)),
         float(integrals.bailey_residual(ctx, "hat", quad_tol=quad_tol)),
@@ -410,7 +410,7 @@ _VARIANTS = ("pp", "pm", "mp", "mm")
 def _variant_routes_once(run: _Run, k: int) -> float:
     """Direct against inverse route of variant k at its first level."""
     variant, par, quad_tol = _VARIANTS[k], run.par, run.cfg.quad_tol
-    dom = tau.variant_evaluator(variant, par, quad_tol=quad_tol).domain
+    dom = tau._levels(variant, par)
     x = _chart_point(run.rng, dom.base + dom.step)
     d = tau.psi_variant(1, x, variant, par, route="direct", quad_tol=quad_tol)
     i = tau.psi_variant(1, x, variant, par, route="inverse", quad_tol=quad_tol)
@@ -656,7 +656,9 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
     try:
         if n is None:
             n = chain.evaluator.domain.locate(x)
-        value = chain.value(n, x) if n >= 0 else 0j
+        else:
+            chain.evaluator.domain.require(x, n)
+        value = chain.value(n, x)
     except (DomainError, ValueError) as err:
         print(f"probe failed: {err}", file=sys.stderr)
         return 1

@@ -225,8 +225,6 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
 
 def _quad(ctx: IntegrandContext, N: int) -> complex:
     n = ctx.n
-    if n == 0:
-        return 1.0 + 0j
     plan = _plan_for(ctx.params, N)
     h, _ = _node_integrand(ctx, N)
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
@@ -366,19 +364,6 @@ def _pair_gamma(
     r = params.q if r is None else r
     vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, r)
     return complex(np.prod(vals))
-
-
-def psi_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
-    """Triple-gamma weighted integral, invariant under both transformations."""
-    r = ctx.params.r
-    if r is None:
-        raise ValueError("needs a third base r")
-    return I(ctx, quad_tol=quad_tol) * _pair_gamma(ctx.u, ctx.params, r=r)
-
-
-def psi_n_value(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
-    """Multiplicity-n variant, weighted with the (p, q, q) triple gamma."""
-    return I_n(ctx, quad_tol=quad_tol) * _pair_gamma(ctx.u, ctx.params)
 
 
 def In_transform_residual(

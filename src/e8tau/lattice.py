@@ -54,9 +54,6 @@ class LatticeVector:
     def true_coords(self) -> np.ndarray:
         return np.array(self.coords4, dtype=float) / 4.0
 
-    def __str__(self) -> str:
-        return ",".join(str(a) for a in self.coords4)
-
 
 def vec(*quarters: int) -> LatticeVector:
     return LatticeVector(tuple(quarters))
@@ -223,20 +220,6 @@ class Frame:
         return len(self.vectors)
 
 
-def validate_frame(f: Frame) -> None:
-    """Assert the defining conditions: orthonormal, sums/differences and doubles in P."""
-    for i, a in enumerate(f.vectors):
-        if ip(a, a) != 16:
-            raise ValueError("frame vector of norm != 1")
-        if membership(a.scaled(2)) != Membership.P:
-            raise ValueError("doubled frame vector not in the lattice")
-        for b in f.vectors[i + 1 :]:
-            if ip(a, b) != 0:
-                raise ValueError("frame vectors not orthogonal")
-            if membership(a + b) != Membership.P or membership(a - b) != Membership.P:
-                raise ValueError("frame vector sum/difference not in the lattice")
-
-
 @lru_cache(maxsize=None)
 def _norm1_half_vectors() -> tuple[LatticeVector, ...]:
     return tuple(w.half() for w in enumerate_norm(4))
@@ -381,11 +364,6 @@ def _vector_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]
                 new.append(row)
         frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 8)
     return tuple(orbit.values())
-
-
-def frame_to_text(f: Frame) -> str:
-    """One-line dump: quarter-integer numerators, ';' between vectors."""
-    return ";".join(str(v) for v in f.vectors)
 
 
 def phi_pairing_c(x: np.ndarray) -> complex:

@@ -137,35 +137,6 @@ def project_classical(v: PicardVector) -> tuple[Fraction, ...]:
     return tuple(picard_ip(b, v) for b in V_BASIS)
 
 
-def _eps_of(v: PicardVector) -> np.ndarray:
-    """Canonical coordinates (pairings with e0..e9) of an exact vector."""
-    return np.array([float(g * a) for g, a in zip(_GRAM, v.coeffs)])
-
-
-def pair_eps(v: PicardVector, eps: np.ndarray) -> complex:
-    """Pairing of an exact vector with a point given in canonical coordinates."""
-    return complex(sum(float(a) * w for a, w in zip(v.coeffs, eps)))
-
-
-def translate_eps(alpha: PicardVector, eps: np.ndarray) -> np.ndarray:
-    """kac_translate acting on a complex point in canonical coordinates."""
-    if picard_ip(C, alpha) != 0:
-        raise ValueError("translation direction must pair to zero with c")
-    eps = np.asarray(eps, dtype=complex)
-    lev = pair_eps(C, eps)
-    coef = 0.5 * float(picard_ip(alpha, alpha)) * lev + pair_eps(alpha, eps)
-    return eps + lev * _eps_of(alpha) - coef * _eps_of(C)
-
-
-def reflect_eps(alpha: PicardVector, eps: np.ndarray) -> np.ndarray:
-    """Reflection acting on a complex point in canonical coordinates."""
-    nrm = float(picard_ip(alpha, alpha))
-    if nrm == 0:
-        raise ValueError("cannot reflect in an isotropic direction")
-    eps = np.asarray(eps, dtype=complex)
-    return eps - (2.0 * pair_eps(alpha, eps) / nrm) * _eps_of(alpha)
-
-
 def coords_forward(x: np.ndarray, mu: complex, kappa: complex) -> np.ndarray:
     """Canonical coordinates of the graph point over x on the level-kappa chart.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -107,9 +108,19 @@ class LevelDomain:
             raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
 
 
-def _chain_levels(params: EllipticParams, n_min: int = -64, n_max: int = 64) -> LevelDomain:
-    """The chain's level family <phi, x> = varpi + n*delta."""
-    return LevelDomain(PHI, params.varpi, params.delta, n_min, n_max)
+# (direction sign, level sign): the hyperplane family is
+# <phi, x> = dir_sign * (level_sign * varpi + n * delta); the chain is "pp".
+_VARIANT_SIGNS = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
+
+
+def _levels(
+    variant: str, params: EllipticParams, n_min: int = -64, n_max: int = 64
+) -> LevelDomain:
+    """A sign variant's level family, base dir*lev*varpi and step dir*delta."""
+    if variant not in _VARIANT_SIGNS:
+        raise ValueError("variant must be one of pp, pm, mp, mm")
+    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
+    return LevelDomain(PHI, dir_sign * lev_sign * params.varpi, dir_sign * params.delta, n_min, n_max)
 
 
 @dataclass(frozen=True)
@@ -355,10 +366,12 @@ def toda_step(
 
 @dataclass(eq=False)
 class TauChain:
-    """Chain of components on the levels varpi + n*delta, 0 <= n <= n_max.
+    """A graded tau family on levels 0 <= n <= n_max of one level family.
 
     components[n] evaluates level n only; evaluator dispatches across all
-    levels (identically 0 below level 0).
+    levels (identically 0 below level 0). build_chain gives the
+    hypergeometric chain on varpi + n*delta; variant_evaluator keeps the
+    evaluator of a sign variant's family.
     """
 
     components: list[TauEvaluator]
@@ -372,13 +385,55 @@ class TauChain:
         return self._tau_at(n, np.asarray(x, dtype=complex))
 
 
+# Entries kept by the memo of each graded family. One check reads a few
+# dozen points, so this holds every point a check revisits; full, it takes
+# about 0.33 MB (330 bytes an entry).
+TAU_MEMO_SIZE = 1024
+
+
+def _graded(
+    levels: LevelDomain,
+    value: Callable[[int, np.ndarray], complex],
+    params: EllipticParams,
+) -> TauChain:
+    """The graded family that is value(n, x) on level n >= 0 of levels
+    (n up to levels.n_max) and 0 below level 0.
+
+    Values go through one lru_cache of TAU_MEMO_SIZE entries keyed on
+    (n, the exact bytes of x): a hit returns what value gave at the same
+    point, and an evicted point is recomputed to the same bits. The
+    evaluator's fn carries the memo's cache_info (hits, misses, size).
+    """
+    memo = lru_cache(maxsize=TAU_MEMO_SIZE)(
+        lambda n, key: value(n, np.frombuffer(key, dtype=complex))
+    )
+
+    def tau_at(n: int, x: np.ndarray) -> complex:
+        if n < 0:
+            return complex(0.0)
+        return memo(n, np.asarray(x, dtype=complex).tobytes())
+
+    def at_level(x: np.ndarray) -> complex:
+        x = np.asarray(x, dtype=complex)
+        return tau_at(levels.locate(x), x)
+
+    at_level.cache_info = memo.cache_info
+    components = [
+        TauEvaluator(partial(tau_at, n), params, replace(levels, n_min=n, n_max=n))
+        for n in range(levels.n_max + 1)
+    ]
+    return TauChain(components, params, levels.n_max, TauEvaluator(at_level, params, levels), tau_at)
+
+
 def build_chain(
     n_max: int,
     params: EllipticParams | None = None,
     quad_tol: float = QUAD_TOL,
 ) -> TauChain:
-    """Hypergeometric chain: levels 0 and 1 from the closed forms, higher
-    levels by the two-term recursion with memoized evaluations.
+    """Hypergeometric chain (Thm 3C/6B) on the levels varpi + n*delta up to
+    n_max: level 0 is hg_tau0, level 1 is hg_tau1, and each higher level is
+    the two-term Toda recursion over the two below it, every level read
+    through the family's one memo.
 
     The recursion runs on the 8-frame completing the standard triple
     (a_0, a_1, a_2), and its pair and pivot adapt per point: configurations
@@ -422,21 +477,11 @@ def build_chain(
         candidates.append((a0_first, *pair))
         candidates.append((1 - a0_first, *pair))
 
-    memo: dict[tuple[int, bytes], complex] = {}
-
-    def tau_at(n: int, x: np.ndarray) -> complex:
-        if n < 0:
-            return complex(0.0)
+    def value(n: int, x: np.ndarray) -> complex:
         if n == 0:
             return hg_tau0(x, params)
         if n == 1:
             return hg_tau1(x, params, quad_tol=quad_tol)
-        key = (n, np.round(x, 12).tobytes())
-        if key not in memo:
-            memo[key] = step(n, x)
-        return memo[key]
-
-    def step(n: int, x: np.ndarray) -> complex:
         last: Exception | None = None
         for a0i, i, j in candidates:
             try:
@@ -454,28 +499,9 @@ def build_chain(
                 last = err
         raise last
 
-    full_dom = _chain_levels(params, n_min=-8, n_max=n_max)
-    evaluator = TauEvaluator(
-        lambda x: tau_at(full_dom.locate(np.asarray(x, dtype=complex)), np.asarray(x, dtype=complex)),
-        params,
-        full_dom,
-    )
-    components = [
-        TauEvaluator(
-            lambda x, _n=n: tau_at(_n, np.asarray(x, dtype=complex)),
-            params,
-            _chain_levels(params, n_min=n, n_max=n),
-        )
-        for n in range(n_max + 1)
-    ]
-
-    return TauChain(
-        components=components,
-        params=params,
-        n_max=n_max,
-        evaluator=evaluator,
-        _tau_at=tau_at,
-    )
+    chain = _graded(_levels("pp", params, -8, n_max), value, params)
+    tau_at = chain._tau_at  # the recursion reads the lower levels through the memo
+    return chain
 
 
 def casorati_K(
@@ -572,7 +598,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     block's pairings with the second block's complements.
     """
     x = np.asarray(x, dtype=complex)
-    _chain_levels(params).require(x, n)
+    _levels("pp", params).require(x, n)
     p, q = params.p, params.q
     t, _ = _chart(_case(case)[0], np.exp(2j * np.pi * x), n, params)
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
@@ -587,7 +613,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
 def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
     """Scalar gauge relating the chain component to the kernel determinant."""
     x = np.asarray(x, dtype=complex)
-    _chain_levels(params).require(x, n)
+    _levels("pp", params).require(x, n)
     u = np.exp(2j * np.pi * x)
     _, scales = _chart(_case(case)[0], u, n, params)
     gam = integrals._pair_gamma(u, params, scales)
@@ -622,7 +648,7 @@ def tau_n_int(
     if not 0 <= n <= 3:
         raise ValueError("integral route is capped at multiplicity 3")
     x = np.asarray(x, dtype=complex)
-    _chain_levels(params).require(x, n)
+    _levels("pp", params).require(x, n)
     u = np.exp(2j * np.pi * x)
     t, scales = _chart(route, u, n, params)
     gam = integrals._pair_gamma(u, params, scales)
@@ -661,21 +687,6 @@ def warnaar_det_residual(
     return normalized_residual([lhs, -rhs])
 
 
-# (direction sign, level sign): the hyperplane family is
-# <phi, x> = dir_sign * (level_sign * varpi + n * delta).
-_VARIANT_SIGNS = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
-
-
-def _variant_levels(
-    variant: str, params: EllipticParams, n_min: int = -64, n_max: int = 64
-) -> LevelDomain:
-    """The variant's level family, base dir*lev*varpi and step dir*delta."""
-    if variant not in _VARIANT_SIGNS:
-        raise ValueError("variant must be one of pp, pm, mp, mm")
-    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
-    return LevelDomain(PHI, dir_sign * lev_sign * params.varpi, dir_sign * params.delta, n_min, n_max)
-
-
 def psi_variant(
     n: int,
     x: np.ndarray,
@@ -689,7 +700,7 @@ def psi_variant(
     Each variant admits two displayed argument routes ('direct' in u,
     'inverse' in 1/u) that must agree; both are exposed for cross-checks.
     """
-    levels = _variant_levels(variant, params)
+    levels = _levels(variant, params)
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
     if n < 0:
@@ -713,7 +724,7 @@ def psi_variant(
         t = tuple((rq * v) if direct else (rp * qn / v) for v in u)
     pre = _gauge_prefactor(n, x, params) if gauged else complex(1.0)
     ctx = IntegrandContext(t, params, n=n)
-    return pre * integrals.psi_n_value(ctx, quad_tol=quad_tol)
+    return pre * (integrals.I_n(ctx, quad_tol=quad_tol) * integrals._pair_gamma(ctx.u, params))
 
 
 def variant_evaluator(
@@ -722,28 +733,17 @@ def variant_evaluator(
     n_max: int = 2,
     quad_tol: float = 1e-10,
 ) -> TauEvaluator:
-    """Whole-family evaluator for one column of the closed-form table.
+    """Whole-family evaluator for one sign variant (Thm 8A): psi_variant of
+    order n on level n of the family dir * (lev * varpi + n * delta), and 0
+    below level 0, through the family's one memo.
 
-    The function lives on the level family ``dir * (lev * varpi + n * delta)``
-    of the chosen variant, evaluates the order-``n`` closed form there, and is
-    identically zero on the levels below the base one.  Values are memoized per
-    point because bilinear residuals revisit the same shifted arguments.  The
-    default domain stops at level 2, the highest level its checks draw points
-    on, and points above it fail in ``domain.locate`` with DomainError; pass
-    ``n_max=3`` to admit order-3 points, which the three-dimensional
+    The domain stops at level n_max (2 by default, the highest level the
+    checks draw points on); points above it fail in domain.locate with
+    DomainError. n_max=3 admits order-3 points, which the three-dimensional
     quadrature evaluates like the lower orders.
     """
-    domain = _variant_levels(variant, params, n_min=-8, n_max=n_max)
-    cache: dict[bytes, complex] = {}
-
-    def fn(x: np.ndarray) -> complex:
-        key = np.asarray(x, dtype=complex).tobytes()
-        if key not in cache:
-            n = domain.locate(x)
-            if n < 0:
-                cache[key] = 0j
-            else:
-                cache[key] = psi_variant(n, x, variant, params, quad_tol=quad_tol)
-        return cache[key]
-
-    return TauEvaluator(fn, params, domain)
+    return _graded(
+        _levels(variant, params, -8, n_max),
+        lambda n, x: psi_variant(n, x, variant, params, quad_tol=quad_tol),
+        params,
+    ).evaluator

@@ -151,6 +151,16 @@ def test_tau_probe_rejects_off_level_points(capsys):
     assert "probe failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level, n", [(1, -1), (3, 3)])
+def test_tau_probe_requires_x_on_level_n(capsys, level, n):
+    # level 3 lies outside the default chain, whose top level is 2
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(5), par, level)
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--x", text, "--n", str(n)]) == 1
+    assert "probe failed" in capsys.readouterr().err
+
+
 def test_tau_probe_rejects_malformed_coordinates(capsys):
     assert cli.main(["tau", "probe", "--x", "1,2 3"]) == 2
     capsys.readouterr()
@@ -198,3 +208,17 @@ def test_unknown_suite_is_a_usage_error(capsys):
         cli.main(["suite", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_memo_counters_reproduce_for_a_seed():
+    cfg = cli.load_config(None, seed=5)
+
+    def counters():
+        runs = [(cli._Run(cfg, cli.SUITES.index(s), s), [r for r in cli._CHECKS if r.suite == s])
+                for s in ("chain", "picard")]
+        cli._report("memo", cfg, runs)
+        return runs[0][0].chain.evaluator.fn.cache_info(), runs[1][0].pm.fn.cache_info()
+
+    first = counters()
+    assert first[0].hits > 0 and first[1].hits > 0
+    assert counters() == first

@@ -21,7 +21,6 @@ from e8tau.integrals import (
     bailey_residual,
     contiguity_residual,
     integrand_H,
-    psi_value,
     terminating_eval,
 )
 from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta
@@ -41,6 +40,12 @@ def _ctx(u=U_FIXED, params=PARAMS, **kw):
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _psi_value(ctx):
+    """Reference weighting: the integral times the (p, q, r) triple-gamma
+    product over the parameter pairs, invariant under both reflections."""
+    return I(ctx) * integrals._pair_gamma(ctx.u, ctx.params, r=ctx.params.r)
 
 
 def test_integrand_spot_value():
@@ -333,8 +338,8 @@ def test_bailey_both_variants_and_weighted_invariance():
         assert bailey_residual(ctx, "hat") < 1e-8
         from e8tau.integrals import _tilde
 
-        psi_u = psi_value(ctx)
-        psi_t = psi_value(ctx.with_u(_tilde(u, p * q)))
+        psi_u = _psi_value(ctx)
+        psi_t = _psi_value(ctx.with_u(_tilde(u, p * q)))
         assert _rel(psi_t, psi_u) < 1e-8
 
 

@@ -31,6 +31,30 @@ def _rand_root(rng):
     return out
 
 
+def _eps_of(v):
+    """Canonical coordinates (pairings with e0..e9) of an exact vector."""
+    return np.array([float(g * a) for g, a in zip(P._GRAM, v.coeffs)])
+
+
+def _pair_eps(v, eps):
+    """Pairing of an exact vector with a point given in canonical coordinates."""
+    return complex(sum(float(a) * w for a, w in zip(v.coeffs, eps)))
+
+
+def _translate_eps(alpha, eps):
+    """kac_translate acting on a complex point in canonical coordinates."""
+    assert P.picard_ip(P.C, alpha) == 0
+    lev = _pair_eps(P.C, eps)
+    coef = 0.5 * float(P.picard_ip(alpha, alpha)) * lev + _pair_eps(alpha, eps)
+    return eps + lev * _eps_of(alpha) - coef * _eps_of(P.C)
+
+
+def _reflect_eps(alpha, eps):
+    """Reflection in a non-isotropic vector, on canonical coordinates."""
+    nrm = float(P.picard_ip(alpha, alpha))
+    return eps - (2.0 * _pair_eps(alpha, eps) / nrm) * _eps_of(alpha)
+
+
 def _draw_eps(rng, n, mu=None):
     level = -PARAMS.varpi + n * PARAMS.delta
     m = (abs(PARAMS.q) ** (2 * n) / abs(PARAMS.p) ** 2) ** 0.125
@@ -140,7 +164,7 @@ def test_coordinate_chart_round_trip():
     assert abs(mub - mu) < 1e-12 and abs(kapb - kappa) < 1e-12
     assert np.max(np.abs(P.coords_forward(xb, mub, kapb) - eps)) < 1e-12
     # the pairings with the orthonormal coordinate vectors recover x
-    pv = np.array([P.pair_eps(v, eps) for v in P.V_BASIS])
+    pv = np.array([_pair_eps(v, eps) for v in P.V_BASIS])
     assert np.max(np.abs(pv - x)) < 1e-12
     # mu is minus the canonical-coordinate norm over twice the level
     nrm = -eps[0] ** 2 + np.sum(eps[1:] ** 2)
@@ -148,7 +172,7 @@ def test_coordinate_chart_round_trip():
     with pytest.raises(ValueError):
         P.coords_forward(x, mu, 0.0)
     with pytest.raises(DomainError):
-        P.coords_back(P._eps_of(P.AFFINE_ROOTS[4]))  # null level
+        P.coords_back(_eps_of(P.AFFINE_ROOTS[4]))  # null level
 
 
 def test_projection_compatible_with_pairing_exactly():
@@ -167,7 +191,7 @@ def test_chart_equivariance_under_reflection_and_translation():
     wx = L.apply_word_c((1,), x)
     v_coords = np.array([float(f) for f in P.project_classical(alpha)])
     lhs = P.coords_forward(wx + kappa * v_coords, mu, kappa)
-    rhs = P.translate_eps(alpha, P.reflect_eps(alpha, eps))
+    rhs = _translate_eps(alpha, _reflect_eps(alpha, eps))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -28,8 +28,8 @@ from e8tau.util import RESAMPLE_ERRORS, AdmissibilityError, DomainError, e, rel_
 
 PARAMS = EllipticParams.from_bases(0.03, 0.45)
 
-# Shared across tests: the memo fills as the module runs, so later chain
-# tests reuse level-2 values computed by earlier ones.
+# Shared across tests: the chain's memo keeps the values of the points the
+# module's tests share.
 CHAIN2 = T.build_chain(2, params=PARAMS)
 
 
@@ -80,7 +80,7 @@ def test_level_domain_locates_and_rejects():
 
 
 def test_level_domain_requires_the_named_member():
-    dom = T._chain_levels(PARAMS, n_min=0, n_max=3)
+    dom = T._levels("pp", PARAMS, n_min=0, n_max=3)
     rng = sampling.make_rng(14)
     x = _x_on(rng, 2)
     dom.require(x, 2)
@@ -108,6 +108,29 @@ def test_chain_vanishes_below_base_level():
     rng = sampling.make_rng(13)
     assert CHAIN2.evaluator.eval(_x_on(rng, -1)) == 0
     assert CHAIN2.value(-2, _x_general(rng)) == 0
+
+
+def test_chain_memo_evaluates_a_point_once(monkeypatch):
+    calls = []
+    hg_tau1 = T.hg_tau1
+    monkeypatch.setattr(T, "hg_tau1", lambda *a, **kw: calls.append(a) or hg_tau1(*a, **kw))
+    chain = T.build_chain(1, params=PARAMS)
+    x = _x_on(sampling.make_rng(15), 1)
+    assert chain.evaluator(x) == chain.value(1, x)
+    assert len(calls) == 1
+
+
+def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
+    monkeypatch.setattr(T, "TAU_MEMO_SIZE", 8)
+    chain = T.build_chain(0, params=PARAMS)
+    rng = sampling.make_rng(16)
+    xs = [_x_on(rng, 0) for _ in range(20)]
+    first = [chain.evaluator(x) for x in xs]
+    info = chain.evaluator.fn.cache_info()
+    assert (info.misses, info.maxsize) == (20, 8) and info.currsize <= 8
+    again = chain.evaluator(xs[0])  # evicted, so evaluated afresh
+    assert chain.evaluator.fn.cache_info().misses == 21
+    assert (again.real.hex(), again.imag.hex()) == (first[0].real.hex(), first[0].imag.hex())
 
 
 # -------------------------------------------------------------- canonical
