@@ -404,7 +404,7 @@ def _closed_form_once(level: int, run: _Run, k) -> float:
     return rel_diff(run.chain.value(level, x), det)
 
 
-_VARIANTS = ("pp", "pm", "mp", "mm")
+_VARIANTS = tuple(tau._CHARTS)
 
 
 def _variant_routes_once(run: _Run, k: int) -> float:

@@ -262,18 +262,16 @@ def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True
     N = min(ctx.quad_points, cap)
     if not adaptive:
         return _quad(ctx, N)
-    where = dict(u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap)
-    prev = _quad(ctx, N)
-    while True:
-        if 2 * N > cap:
-            raise ConvergenceError(f"node cap {cap} reached", prev, prev, **where)
+    last = previous = _quad(ctx, N)
+    while 2 * N <= cap:
         N *= 2
-        cur = _quad(ctx, N)
-        if abs(cur - prev) <= quad_tol * max(abs(cur), 1e-300):
-            return cur
-        if 2 * N > cap:
-            raise ConvergenceError(f"node cap {cap} reached before stabilizing", cur, prev, **where)
-        prev = cur
+        previous, last = last, _quad(ctx, N)
+        if abs(last - previous) <= quad_tol * max(abs(last), 1e-300):
+            return last
+    raise ConvergenceError(
+        f"node cap {cap} reached before stabilizing", last, previous,
+        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
+    )
 
 
 def _theta_pm(a: complex, b: complex, p: complex) -> complex:
@@ -324,28 +322,12 @@ def _tilde(u, s: complex):
 def bailey_residual(
     ctx: IntegrandContext, which: str = "tilde", quad_tol: float = QUAD_TOL
 ) -> Residual:
-    """Relative error of the two transformation formulas for the 1D integral."""
-    u = ctx.u
-    p, q = ctx.params.p, ctx.params.q
-    _check_balancing(u, (p * q) ** 2, "p^2 q^2")
-    lhs = I(ctx, quad_tol=quad_tol)
-    if which == "tilde":
-        image = _tilde(u, p * q)
-        pref = 1.0 + 0j
-        for a, b in itertools.chain(
-            itertools.combinations(range(4), 2), itertools.combinations(range(4, 8), 2)
-        ):
-            pref *= elliptic_gamma(u[a] * u[b], p, q)
-    elif which == "hat":
-        s = cmath.sqrt(p * q)
-        image = tuple(s / v for v in u)
-        pref = 1.0 + 0j
-        for a, b in itertools.combinations(range(8), 2):
-            pref *= elliptic_gamma(u[a] * u[b], p, q)
-    else:
+    """Relative error of the two transformation formulas for the 1D integral
+    (the tilde and hat reflections): In_transform_residual at n = 1, where
+    the pair ratio Gamma(q z; p, q, q) / Gamma(z; p, q, q) is Gamma(z; p, q)."""
+    if which not in ("tilde", "hat"):
         raise ValueError("which must be 'tilde' or 'hat'")
-    rhs = I(ctx.with_u(image), quad_tol=quad_tol) * pref
-    return Residual(abs(lhs - rhs) / abs(lhs))
+    return In_transform_residual(dataclasses.replace(ctx, n=1), which + "_n", quad_tol=quad_tol)
 
 
 _PAIRS = np.triu_indices(8, 1)

@@ -34,18 +34,18 @@ def sample_level_x(
     rng: np.random.Generator,
     level: complex,
     band: tuple[float, float],
-    band_last: tuple[float, float] | None = None,
+    band_last: tuple[float, float],
 ) -> np.ndarray:
     """Random additive point with half the coordinate sum equal to level.
 
     Coordinates 0..6 get uniform phases and log-uniform |e(x_i)| inside band;
     the last coordinate is solved, and the draw is rejected until |e(x_7)|
-    falls inside band_last (band by default). Real parts are centered at 0 and
-    the solved real part is capped at 1.25 in modulus, keeping the quadratic
-    gauge factors e(n Q(x)) within floating-point range.
+    falls inside band_last. Real parts are centered at 0 and the solved real
+    part is capped at 1.25 in modulus, keeping the quadratic gauge factors
+    e(n Q(x)) within floating-point range.
     """
     lo, hi = band
-    lo_l, hi_l = band_last if band_last is not None else band
+    lo_l, hi_l = band_last
     for _ in range(_MAX_TRIES):
         mods = np.exp(rng.uniform(np.log(lo), np.log(hi), size=7))
         x = (rng.random(7) - 0.5) + 1j * (-np.log(mods) / (2 * np.pi))

@@ -13,7 +13,6 @@ single-valued.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from math import comb
@@ -108,18 +107,26 @@ class LevelDomain:
             raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
 
 
-# (direction sign, level sign): the hyperplane family is
-# <phi, x> = dir_sign * (level_sign * varpi + n * delta); the chain is "pp".
-_VARIANT_SIGNS = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
+# The chart table of the sign variants (Thm 8A), the chain being "pp":
+# variant -> (direction sign, level sign, exponents (a, b) at level n of the
+# direct route's coefficient p^a q^b). The variant's level family is
+# <phi, x> = dir * (lev * varpi + n * delta), and its direct chart is
+# t = p^a q^b u with u = e(x).
+_CHARTS = {
+    "pp": (1, 1, lambda n: (0.0, 0.5 * (1 - n))),
+    "pm": (1, -1, lambda n: (0.5, 0.5 * (1 - n))),
+    "mp": (-1, 1, lambda n: (0.5, 0.5)),
+    "mm": (-1, -1, lambda n: (0.0, 0.5)),
+}
 
 
 def _levels(
     variant: str, params: EllipticParams, n_min: int = -64, n_max: int = 64
 ) -> LevelDomain:
     """A sign variant's level family, base dir*lev*varpi and step dir*delta."""
-    if variant not in _VARIANT_SIGNS:
+    if variant not in _CHARTS:
         raise ValueError("variant must be one of pp, pm, mp, mm")
-    dir_sign, lev_sign = _VARIANT_SIGNS[variant]
+    dir_sign, lev_sign, _ = _CHARTS[variant]
     return LevelDomain(PHI, dir_sign * lev_sign * params.varpi, dir_sign * params.delta, n_min, n_max)
 
 
@@ -366,7 +373,7 @@ def toda_step(
 
 @dataclass(eq=False)
 class TauChain:
-    """A graded tau family on levels 0 <= n <= n_max of one level family.
+    """A graded tau family on the levels n >= 0 of one level family.
 
     components[n] evaluates level n only; evaluator dispatches across all
     levels (identically 0 below level 0). build_chain gives the
@@ -375,8 +382,6 @@ class TauChain:
     """
 
     components: list[TauEvaluator]
-    params: EllipticParams
-    n_max: int
     evaluator: TauEvaluator
     _tau_at: Callable[[int, np.ndarray], complex] = field(repr=False)
 
@@ -422,7 +427,7 @@ def _graded(
         TauEvaluator(partial(tau_at, n), params, replace(levels, n_min=n, n_max=n))
         for n in range(levels.n_max + 1)
     ]
-    return TauChain(components, params, levels.n_max, TauEvaluator(at_level, params, levels), tau_at)
+    return TauChain(components, TauEvaluator(at_level, params, levels), tau_at)
 
 
 def build_chain(
@@ -553,22 +558,29 @@ def _block_scales(q: complex, n: int) -> np.ndarray:
 
 
 def _chart(
-    route: str, u: np.ndarray, n: int, params: EllipticParams
-) -> tuple[tuple[complex, ...], complex | np.ndarray]:
-    """The level-n chart of u = e(x): the eight integral parameters t, and
-    the per-pair scales of the triple-gamma product over u_i u_j.
+    variant: str, route: str, u: np.ndarray, n: int, params: EllipticParams
+) -> tuple[tuple[complex, ...], np.ndarray, complex | np.ndarray]:
+    """A sign variant's level-n chart of u = e(x): the eight integral
+    parameters t, and the arguments w and per-pair scales s of the pair
+    product over s_ij w_i w_j, which runs over t_i t_j.
 
-    Route 'direct' rescales every coordinate by q^((1-n)/2) and every pair by
-    q^(1-n); route 'tilde' balances each coordinate block to pq and scales
-    the pairs by _block_scales.
+    Route 'direct' is t = c u with the variant's coefficient c = p^a q^b
+    from _CHARTS, so w = u and s = c^2 for every pair. Route 'inverse' is
+    t = c' / u with c' the coefficient of the mirror variant (direction sign
+    flipped), so w = 1/u and s = c'^2. Route 'tilde' is the chain's only: it
+    balances each coordinate block of u to pq, with w = u and the pairs
+    scaled by _block_scales.
     """
-    q = params.q
-    if route == "direct":
-        s = q ** (0.5 * (1 - n))
-        return tuple(s * v for v in u), q ** (1 - n)
+    p, q = params.p, params.q
     if route == "tilde":
-        return integrals._tilde(tuple(u), params.p * q), _block_scales(q, n)
-    raise ValueError("route must be 'direct' or 'tilde'")
+        return integrals._tilde(tuple(u), p * q), u, _block_scales(q, n)
+    if route == "inverse":
+        variant, u = {"p": "m", "m": "p"}[variant[0]] + variant[1], 1 / u
+    elif route != "direct":
+        raise ValueError("route must be 'direct', 'inverse' or 'tilde'")
+    a, b = _CHARTS[variant][2](n)
+    c = p**a * q**b
+    return tuple(c * v for v in u), u, p ** (2 * a) * q ** (2 * b)
 
 
 def _gauge_prefactor(n: int, x: np.ndarray, params: EllipticParams) -> complex:
@@ -584,7 +596,7 @@ def casorati_kernel_fn(
     route, _ = _case(case)
 
     def psi(y: np.ndarray) -> complex:
-        t, _ = _chart(route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
+        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
         return integrals.I(IntegrandContext(t, params), quad_tol=quad_tol)
 
     return psi
@@ -600,7 +612,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
     p, q = params.p, params.q
-    t, _ = _chart(_case(case)[0], np.exp(2j * np.pi * x), n, params)
+    t, _, _ = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     for k in range(1, n + 1):
         out *= theta_pochhammer(q ** (k - 1) * t[0] * t[3], n - k, p, q)
@@ -614,9 +626,8 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     """Scalar gauge relating the chain component to the kernel determinant."""
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
-    u = np.exp(2j * np.pi * x)
-    _, scales = _chart(_case(case)[0], u, n, params)
-    gam = integrals._pair_gamma(u, params, scales)
+    _, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
+    gam = integrals._pair_gamma(w, params, scales)
     return _gauge_prefactor(n, x, params) * gam / dfactor_d(n, x, case, params)
 
 
@@ -634,6 +645,23 @@ def tau_n_det(
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
 
 
+def _integral_value(
+    n: int, x: np.ndarray, variant: str, route: str, params: EllipticParams, quad_tol: float
+) -> complex:
+    """A sign variant's level-n value in route's chart: the gauge prefactor
+    (level sign +1 only) times the n-fold integral at t times the pair
+    product. Capped at n = 3, the highest multiplicity of the quadrature."""
+    if not 0 <= n <= 3:
+        raise ValueError("the integral route covers multiplicities 0 to 3")
+    x = np.asarray(x, dtype=complex)
+    _levels(variant, params).require(x, n)
+    t, w, scales = _chart(variant, route, np.exp(2j * np.pi * x), n, params)
+    gam = integrals._pair_gamma(w, params, scales)
+    val = integrals.I_n(IntegrandContext(t, params, n=n), quad_tol=quad_tol)
+    pre = _gauge_prefactor(n, x, params) if _CHARTS[variant][1] > 0 else complex(1.0)
+    return pre * val * gam
+
+
 def tau_n_int(
     n: int,
     x: np.ndarray,
@@ -641,19 +669,13 @@ def tau_n_int(
     params: EllipticParams,
     quad_tol: float = QUAD_TOL,
 ) -> complex:
-    """Chain component via the n-fold contour integral in route's chart:
-    the gauge prefactor times the integral at t times the scaled pair
-    product. Capped at n = 3, the top level of the chain.
+    """Chain component via the n-fold contour integral in route's chart
+    ('direct' or 'tilde'): the gauge prefactor times the integral at t times
+    the scaled pair product. Capped at n = 3, the top level of the chain.
     """
-    if not 0 <= n <= 3:
-        raise ValueError("integral route is capped at multiplicity 3")
-    x = np.asarray(x, dtype=complex)
-    _levels("pp", params).require(x, n)
-    u = np.exp(2j * np.pi * x)
-    t, scales = _chart(route, u, n, params)
-    gam = integrals._pair_gamma(u, params, scales)
-    val = integrals.I_n(IntegrandContext(t, params, n=n), quad_tol=quad_tol)
-    return _gauge_prefactor(n, x, params) * val * gam
+    if route not in ("direct", "tilde"):
+        raise ValueError("route must be 'direct' or 'tilde'")
+    return _integral_value(n, x, "pp", route, params, quad_tol)
 
 
 def warnaar_det_residual(
@@ -699,51 +721,32 @@ def psi_variant(
 
     Each variant admits two displayed argument routes ('direct' in u,
     'inverse' in 1/u) that must agree; both are exposed for cross-checks.
+    Variant pp's direct route is the chain's (tau_n_int).
     """
-    levels = _levels(variant, params)
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
-    if n < 0:
-        raise ValueError("level index must be >= 0")
-    x = np.asarray(x, dtype=complex)
-    levels.require(x, n)
+    return _integral_value(n, x, variant, route, params, quad_tol)
 
-    p, q = params.p, params.q
-    rp, rq = cmath.sqrt(p), cmath.sqrt(q)
-    qn = q ** (0.5 * (1 - n))
-    u = np.exp(2j * np.pi * x)
-    direct = route == "direct"
-    gauged = variant in ("pp", "mp")
-    if variant == "pp":
-        t = tuple((qn * v) if direct else (rp * rq / v) for v in u)
-    elif variant == "pm":
-        t = tuple((rp * qn * v) if direct else (rq / v) for v in u)
-    elif variant == "mp":
-        t = tuple((rp * rq * v) if direct else (qn / v) for v in u)
-    else:
-        t = tuple((rq * v) if direct else (rp * qn / v) for v in u)
-    pre = _gauge_prefactor(n, x, params) if gauged else complex(1.0)
-    ctx = IntegrandContext(t, params, n=n)
-    return pre * (integrals.I_n(ctx, quad_tol=quad_tol) * integrals._pair_gamma(ctx.u, params))
+
+# Highest level of a variant family's domain: the checks draw points on
+# levels up to 2.
+VARIANT_N_MAX = 2
 
 
 def variant_evaluator(
     variant: str,
     params: EllipticParams,
-    n_max: int = 2,
     quad_tol: float = 1e-10,
 ) -> TauEvaluator:
     """Whole-family evaluator for one sign variant (Thm 8A): psi_variant of
     order n on level n of the family dir * (lev * varpi + n * delta), and 0
     below level 0, through the family's one memo.
 
-    The domain stops at level n_max (2 by default, the highest level the
-    checks draw points on); points above it fail in domain.locate with
-    DomainError. n_max=3 admits order-3 points, which the three-dimensional
-    quadrature evaluates like the lower orders.
+    The domain stops at level VARIANT_N_MAX; points above it fail in
+    domain.locate with DomainError.
     """
     return _graded(
-        _levels(variant, params, -8, n_max),
+        _levels(variant, params, -8, VARIANT_N_MAX),
         lambda n, x: psi_variant(n, x, variant, params, quad_tol=quad_tol),
         params,
     ).evaluator

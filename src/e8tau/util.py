@@ -68,7 +68,7 @@ class ConvergenceError(RuntimeError):
     """Adaptive quadrature hit its node cap before stabilizing.
 
     Carries the integral's parameters u, bases p and q, multiplicity n and
-    node cap, when the raiser supplies them, so the failure can be replayed.
+    node cap, so the failure can be replayed.
     """
 
     def __init__(
@@ -77,14 +77,15 @@ class ConvergenceError(RuntimeError):
         last: complex,
         previous: complex,
         *,
-        u: tuple[complex, ...] | None = None,
-        p: complex | None = None,
-        q: complex | None = None,
-        n: int | None = None,
-        cap: int | None = None,
+        u: tuple[complex, ...],
+        p: complex,
+        q: complex,
+        n: int,
+        cap: int,
     ):
-        where = "" if n is None else f" at n={n}, cap={cap}, p={p!r}, q={q!r}, u={u!r}"
-        super().__init__(f"{message} (last={last!r}, previous={previous!r}){where}")
+        super().__init__(
+            f"{message} (last={last!r}, previous={previous!r}) at n={n}, cap={cap}, p={p!r}, q={q!r}, u={u!r}"
+        )
         self.last = last
         self.previous = previous
         self.u, self.p, self.q, self.n, self.cap = u, p, q, n, cap
@@ -99,16 +100,16 @@ BRACKET_FLOOR = 1e-6
 
 class BracketZeroError(ValueError):
     """A recursion denominator bracket fell under the genericity floor at the
-    point x, when the raiser supplies it."""
+    point x."""
 
-    def __init__(self, label: str, magnitude: float, x: np.ndarray | None = None):
-        where = "" if x is None else f" at x={[complex(v) for v in x]!r}"
+    def __init__(self, label: str, magnitude: float, x: np.ndarray):
         super().__init__(
-            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}{where}"
+            f"bracket {label} has magnitude {magnitude:.3e} < {BRACKET_FLOOR}"
+            f" at x={[complex(v) for v in x]!r}"
         )
         self.label = label
         self.magnitude = magnitude
-        self.x = None if x is None else np.array(x, dtype=complex)
+        self.x = np.array(x, dtype=complex)
 
 
 # A point that hits one of these is not generic enough for the check; a fresh

@@ -79,9 +79,16 @@ _CORRUPTIONS = {
     "chain": (tau, "hg_tau1", lambda x, *_: 1 + 0.1 * e(x[0]), {"toda-step", "chain-family-ii2"}),
     "bailey": (
         integrals,
-        "I",
+        "I_n",
         lambda ctx, *_: 1 + 0.1 * ctx.u[0],
-        {"reflection-tilde", "reflection-hat", "contiguity", "terminating-series"},
+        {
+            "reflection-tilde",
+            "reflection-hat",
+            "contiguity",
+            "transform-multiplicity-tilde",
+            "transform-multiplicity-hat",
+            "terminating-series",
+        },
     ),
     # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
     "picard": (tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),

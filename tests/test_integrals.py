@@ -353,8 +353,10 @@ def test_transform_multiplicity_one_matches_bailey():
     rng = sampling.make_rng(131)
     u = sampling.sample_balanced(rng, p**2 * q**2, abs(p * q) ** 0.25)
     ctx = _ctx(u=u, n=1)
-    assert In_transform_residual(ctx, "tilde_n") < 1e-8
-    assert In_transform_residual(ctx, "hat_n") < 1e-8
+    for which in ("tilde", "hat"):
+        res = In_transform_residual(ctx, which + "_n")
+        assert res < 1e-8
+        assert bailey_residual(ctx, which) == res
 
 
 def test_transform_multiplicity_two():

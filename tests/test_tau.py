@@ -643,7 +643,7 @@ def test_theta_factorial_determinant_evaluation():
 
 
 def _variant_x(rng, variant, n):
-    ds, ls = T._VARIANT_SIGNS[variant]
+    ds, ls, _ = T._CHARTS[variant]
     level = ds * (ls * PARAMS.varpi + n * PARAMS.delta)
     m = (abs(PARAMS.p) ** (2 * ls) * abs(PARAMS.q) ** (2 * n)) ** (ds / 8.0)
     return sampling.sample_level_x(rng, level, (0.95 * m, 1.05 * m), (m / 1.2, 1.2 * m))
@@ -659,9 +659,14 @@ def test_variant_routes_agree():
 
 
 def test_variant_pp_equals_chain_component():
+    # pp's direct route is the chain's integral route, bit for bit.
     rng = sampling.make_rng(82)
-    x = _variant_x(rng, "pp", 1)
-    assert rel_diff(T.psi_variant(1, x, "pp", PARAMS), CHAIN2.value(1, x)) < 1e-10
+    for n in (0, 1, 2):
+        x = _variant_x(rng, "pp", n)
+        got = T.psi_variant(n, x, "pp", PARAMS)
+        assert got == T.tau_n_int(n, x, "direct", PARAMS)
+        if n < 2:
+            assert got == CHAIN2.value(n, x)
 
 
 def test_variant_reflection_symmetry():
