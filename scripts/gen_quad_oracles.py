@@ -1,4 +1,6 @@
-"""Pin the quadrature fixed-point values at 4x the default node count.
+"""Pin the quadrature fixed-point values: I1_FIXED at 4x the default node
+count (1024 nodes), I2_FIXED at 1x (256 nodes per circle), each from the
+fixed-node rule integrals._quad with no convergence test.
 
 These frozen values guard against regressions in the node layout, index
 reflection, and normalization of the contour rule. Run from the repository
@@ -10,15 +12,15 @@ from __future__ import annotations
 
 import pathlib
 
-from e8tau.integrals import I_n, IntegrandContext
+from e8tau.integrals import IntegrandContext, _quad
 from e8tau.specialfn import EllipticParams
 from e8tau.util import e
 
 params = EllipticParams.from_bases(0.15, 0.1)
 u = tuple(0.3 * e(k / 11) for k in range(8))
 
-v1 = I_n(IntegrandContext(u=u, params=params, n=1, quad_points=1024), adaptive=False)
-v2 = I_n(IntegrandContext(u=u, params=params, n=2, quad_points=256), adaptive=False)
+v1 = _quad(IntegrandContext(u=u, params=params, n=1), 1024)
+v2 = _quad(IntegrandContext(u=u, params=params, n=2), 256)
 
 out = pathlib.Path(__file__).resolve().parent.parent / "tests" / "_quad_oracles.py"
 out.write_text(

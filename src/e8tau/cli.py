@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -93,9 +94,18 @@ class SuiteConfig:
 def _complex_of(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
         return complex(v[0], v[1])
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
+
+
+def _checked(what: str, v, kind: type):
+    """v as kind: dict, float (any JSON number) or int (a whole one)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    whole = number and v % 1 == 0
+    if not {dict: isinstance(v, dict), float: number, int: whole}[kind]:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {v!r}")
+    return kind(v)
 
 
 def load_config(
@@ -107,15 +117,18 @@ def load_config(
 ) -> SuiteConfig:
     cfg = SuiteConfig()
     if path is not None:
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError("config root must be a JSON object")
-        cfg.seed = int(raw.get("seed", cfg.seed))
-        cfg.n_max = int(raw.get("n_max", cfg.n_max))
-        cfg.quad_tol = float(raw.get("quad_tol", cfg.quad_tol))
-        cfg.trials.update({k: int(v) for k, v in raw.get("trials", {}).items()})
-        cfg.tolerances.update({k: float(v) for k, v in raw.get("tolerances", {}).items()})
-        for block, pq in raw.get("params", {}).items():
+        raw = _checked("config root", json.loads(Path(path).read_text()), dict)
+        cfg.seed = _checked("seed", raw.get("seed", cfg.seed), int)
+        cfg.n_max = _checked("n_max", raw.get("n_max", cfg.n_max), int)
+        cfg.quad_tol = _checked("quad_tol", raw.get("quad_tol", cfg.quad_tol), float)
+        for k, v in _checked("trials", raw.get("trials", {}), dict).items():
+            cfg.trials[k] = _checked(f"trial count '{k}'", v, int)
+        for k, v in _checked("tolerances", raw.get("tolerances", {}), dict).items():
+            cfg.tolerances[k] = _checked(f"tolerance '{k}'", v, float)
+        for block, pq in _checked("params", raw.get("params", {}), dict).items():
+            pq = _checked(f"params block '{block}'", pq, dict)
+            if "p" not in pq or "q" not in pq:
+                raise ValueError(f"params block '{block}' needs both 'p' and 'q'")
             pair = (_complex_of(pq["p"]), _complex_of(pq["q"]))
             EllipticParams.from_bases(*pair)  # validate moduli now
             cfg.params[block] = pair
@@ -129,6 +142,8 @@ def load_config(
         cfg.quad_tol = quad_tol
     if not 1 <= cfg.n_max <= 3:
         raise ValueError("n_max must be between 1 and 3")
+    if not (math.isfinite(cfg.quad_tol) and cfg.quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and above 0, got {cfg.quad_tol}")
     for k, v in cfg.trials.items():
         if v < 1:
             raise ValueError(f"trial count '{k}' must be at least 1, got {v}")
@@ -233,10 +248,7 @@ def _terminating_family(rng, N: int, params: EllipticParams):
     u1 = q ** (N + 1) / u0
     mid_mod = 0.75 if N < 2 else 0.9
     mid = [mid_mod * e(t) for t in rng.random(5)]
-    prod_mid = 1.0 + 0j
-    for v in mid:
-        prod_mid *= v
-    u7 = q ** (1 - N) / prod_mid
+    u7 = q ** (1 - N) / math.prod(mid)
     return (u0, u1, *mid, u7)
 
 
@@ -636,13 +648,13 @@ def _parse_x(text: str) -> np.ndarray:
     out = []
     for t in toks:
         parts = t.split(",")
-        if len(parts) == 1:
-            out.append(complex(float(parts[0]), 0.0))
-        elif len(parts) == 2:
-            out.append(complex(float(parts[0]), float(parts[1])))
-        else:
+        if len(parts) > 2:
             raise ValueError(f"bad coordinate {t!r}")
-    return np.array(out, dtype=complex)
+        out.append(complex(*map(float, parts)))
+    x = np.array(out, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("every coordinate must be finite")
+    return x
 
 
 def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str | None) -> int:

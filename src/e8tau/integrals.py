@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -21,17 +21,17 @@ from .specialfn import TRUNC_TOL, EllipticParams, elliptic_gamma, qpoch, theta, 
 from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
+_START_NODES = 256
 _CAPS = {1: 4096, 2: 1024, 3: 1024}
 
 
 @dataclass(frozen=True)
 class IntegrandContext:
-    """Eight integral parameters plus bases and quadrature resolution."""
+    """Eight integral parameters, bases and multiplicity."""
 
     u: tuple[complex, ...]
     params: EllipticParams
     n: int = 1
-    quad_points: int = 256
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(complex(v) for v in self.u))
@@ -77,14 +77,10 @@ class _Plan:
     rev: np.ndarray  # index of 1/z_m
     weight: np.ndarray  # -z^-2 theta(z^2; p) theta(z^2; q) at the nodes
     pref: complex  # (p;p)(q;q)
-    # n = 2 cross factor sum_{k,l} c_k c_l z^{k+l} w^{k-l}: the weights c_k c_l
-    # and the FFT bins of z^{k+l} and z^{k-l} for |k|, |l| <= K
-    cross_w: np.ndarray
-    cross_s: np.ndarray
-    cross_d: np.ndarray
-    # n = 3: the same cross factor as sum_{a,b} C[a,b] z^a w^b over
-    # |a|, |b| <= 2K, and the FFT bin of z^(a+b) at [b, a]
+    # the cross factor theta(z^{+-1} w^{+-1}; p) as sum_{a,b} C[a,b] z^a w^b
+    # over |a|, |b| <= 2K, the FFT bin of z^a at [a], and of z^(a+b) at [b, a]
     cross_c: np.ndarray
+    cross_a: np.ndarray
     cross_ab: np.ndarray
 
 
@@ -118,22 +114,19 @@ def _plan(p: complex, q: complex, N: int) -> _Plan:
     pp, qq = qpoch(p, p), qpoch(q, q)
     c = _jacobi_pair_coeffs(p, pp)
     K = c.size // 2
-    k = np.repeat(np.arange(-K, K + 1), 2 * K + 1)
-    l = np.tile(np.arange(-K, K + 1), 2 * K + 1)
+    k, l = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1), indexing="ij")
     # (k, l) -> (k + l, k - l) is one to one, so no entry is written twice
     C = np.zeros((4 * K + 1, 4 * K + 1), dtype=complex)
-    C[k + l + 2 * K, k - l + 2 * K] = np.outer(c, c).ravel()
+    C[k + l + 2 * K, k - l + 2 * K] = np.outer(c, c)
     a = np.arange(-2 * K, 2 * K + 1)
     return _Plan(
         zs=_frozen(zs),
         rev=_frozen((-m) % N),
         weight=_frozen(-(zs**-2) * theta(zs**2, p) * theta(zs**2, q)),
         pref=pp * qq,
-        cross_w=_frozen(np.outer(c, c).ravel()),
-        # sum_m h_m z_m^j is bin -j of the FFT
-        cross_s=_frozen(-(k + l) % N),
-        cross_d=_frozen(-(k - l) % N),
         cross_c=_frozen(C),
+        # sum_m h_m z_m^j is bin -j of the FFT
+        cross_a=_frozen(-a % N),
         cross_ab=_frozen(-(a[:, None] + a[None, :]) % N),
     )
 
@@ -167,8 +160,8 @@ def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
     return best
 
 
-def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand values at the N-th roots of unity, and those roots.
+def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
+    """Integrand values at the N-th roots of unity plan.zs.
 
     On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
     series sum_{m>=1} c_m (z^m + z^-m) with
@@ -184,7 +177,7 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
     gamma evaluation: Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected
     node index, as theta(a / z_m) equals theta(a z) there. The values are a
     fresh array, since every parameter multiplies into the plan's read-only
-    weight; the roots are the plan's read-only table.
+    weight.
     """
     p, q = ctx.params.p, ctx.params.q
     pq = p * q
@@ -220,48 +213,48 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> tuple[np.ndarray, np.ndarr
     for uk in u[~spectral]:
         g = elliptic_gamma(uk * zs, p, q)
         vals = vals * g * g[rev]
-    return vals, zs
+    return vals
 
 
 def _quad(ctx: IntegrandContext, N: int) -> complex:
+    """The tensor trapezoid rule of multiplicity ctx.n (1, 2 or 3) at N
+    nodes per circle, with no convergence test."""
     n = ctx.n
     plan = _plan_for(ctx.params, N)
-    h, _ = _node_integrand(ctx, N)
+    h = _node_integrand(ctx, N)
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
         return scale * complex(np.sum(h))
+    # with each cross factor F(z, w) = sum C[a,b] z^a w^b and S(j) the FFT
+    # bin sum_m h_m z_m^j, the N^2 node sum is sum C[a,b] S(a) S(b) = s C s
+    # with s[a] = S(a), and the N^3 node sum is
+    # sum C[a1,b1] S(b1+a2) C[a2,b2] S(b2+a3) C[a3,b3] S(b3+a1) = tr((C A)^3)
+    # with A[b,a] = S(a+b)
     H = np.fft.fft(h)
     if n == 2:
-        # the cross factor theta(z^{+-1} w^{+-1}; p) is the Laurent polynomial
-        # sum_{k,l} c_k c_l z^{k+l} w^{k-l}, so the N^2 node sum is a sum over
-        # (k, l) of products of two FFT bins of h
-        return scale * complex(np.sum(plan.cross_w * H[plan.cross_s] * H[plan.cross_d]))
-    if n == 3:
-        # with F(z, w) = sum C[a,b] z^a w^b for each of the three cross factors
-        # and S(j) = sum_m h_m z_m^j, the N^3 node sum is
-        # sum C[a1,b1] S(b1+a2) C[a2,b2] S(b2+a3) C[a3,b3] S(b3+a1) = tr((C A)^3)
-        # with A[b,a] = S(a+b)
-        M = plan.cross_c @ H[plan.cross_ab]
-        return scale * complex(np.sum(M * (M @ M).T))
-    raise ValueError("multiplicity above 3 is out of scope")
+        s = H[plan.cross_a]
+        return scale * complex(s @ plan.cross_c @ s)
+    M = plan.cross_c @ H[plan.cross_ab]
+    return scale * complex(np.sum(M * (M @ M).T))
 
 
-def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True) -> complex:
-    """One-dimensional integral by adaptive trapezoid on the unit circle."""
-    return I_n(dataclasses.replace(ctx, n=1), quad_tol=quad_tol, adaptive=adaptive)
+def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
+    """One-dimensional integral: I_n at multiplicity 1."""
+    return I_n(dataclasses.replace(ctx, n=1), quad_tol=quad_tol)
 
 
-def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL, adaptive: bool = True) -> complex:
-    """n-dimensional tensor quadrature with the 2^n n! normalization."""
+def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
+    """n-dimensional tensor quadrature with the 2^n n! normalization: the
+    trapezoid rule from _START_NODES nodes per circle, doubled up to the cap
+    of multiplicity n until two successive values agree to quad_tol, and
+    ConvergenceError when they never do."""
     if ctx.n == 0:
         return 1.0 + 0j
     if ctx.n not in _CAPS:
         raise ValueError("multiplicity above 3 is out of scope")
     ctx.check_admissible()
     cap = _CAPS[ctx.n]
-    N = min(ctx.quad_points, cap)
-    if not adaptive:
-        return _quad(ctx, N)
+    N = _START_NODES
     last = previous = _quad(ctx, N)
     while 2 * N <= cap:
         N *= 2
@@ -305,10 +298,7 @@ def contiguity_residual(
 
 
 def _check_balancing(u, target: complex, what: str) -> None:
-    prod = 1.0 + 0j
-    for v in u:
-        prod *= v
-    if abs(prod - target) > 1e-12 * abs(target):
+    if abs(prod(u) - target) > 1e-12 * abs(target):
         raise ValueError(f"balancing violated: product of parameters != {what}")
 
 
@@ -335,16 +325,13 @@ _PAIRS = np.triu_indices(8, 1)
 _SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
 
 
-def _pair_gamma(
-    u, params: EllipticParams, scale=1.0, r: complex | None = None
-) -> complex:
-    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q, r), r
-    defaulting to q, from one vectorized call; scale is one number or one
-    per pair in np.triu_indices(8, 1) order."""
+def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
+    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q, q) from
+    one vectorized call; scale is one number or one per pair in
+    np.triu_indices(8, 1) order."""
     u = np.asarray(u, dtype=complex)
     i, j = _PAIRS
-    r = params.q if r is None else r
-    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, r)
+    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, params.q)
     return complex(np.prod(vals))
 
 

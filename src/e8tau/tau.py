@@ -736,7 +736,7 @@ VARIANT_N_MAX = 2
 def variant_evaluator(
     variant: str,
     params: EllipticParams,
-    quad_tol: float = 1e-10,
+    quad_tol: float = QUAD_TOL,
 ) -> TauEvaluator:
     """Whole-family evaluator for one sign variant (Thm 8A): psi_variant of
     order n on level n of the family dir * (lev * varpi + n * delta), and 0

@@ -169,8 +169,9 @@ def test_tau_probe_requires_x_on_level_n(capsys, level, n):
 
 
 def test_tau_probe_rejects_malformed_coordinates(capsys):
-    assert cli.main(["tau", "probe", "--x", "1,2 3"]) == 2
-    capsys.readouterr()
+    for text in ("1,2 3", "inf 0 0 0 0 0 0 0", "0 nan,0 0 0 0 0 0 0", "0 0 0 0 0 0 0 0,-inf"):
+        assert cli.main(["tau", "probe", "--x", text]) == 2, text
+        assert "probe failed" not in capsys.readouterr().err, text
 
 
 def test_config_file_overrides(tmp_path):
@@ -188,11 +189,33 @@ def test_config_file_overrides(tmp_path):
     assert cli.load_config(str(path), seed=7).seed == 7
 
 
+# (config file text, extra flags): each must fail at the boundary
+_MALFORMED_CONFIGS = [
+    ('{"seed": [', []),
+    ('{"params": {"hirota": {"p": [0.2, 0.0]}}}', []),
+    ('{"params": {"hirota": 0.2}}', []),
+    ('{"seed": null}', []),
+    ('{"seed": 3.5}', []),
+    ('{"n_max": 2.7}', []),
+    ('{"trials": [1, 2]}', []),
+    ('{"trials": {"specialfn": 2.5}}', []),
+    ('{"tolerances": {"hirota": null}}', []),
+    ('{"params": {"hirota": {"p": [null, 0], "q": [0.3, 0]}}}', []),
+    ('{"quad_tol": 0}', []),
+    ('{"quad_tol": -1e-8}', []),
+    ('{}', ["--quad-tol", "0"]),
+    ('{}', ["--quad-tol", "-1"]),
+    ('{}', ["--quad-tol", "nan"]),
+    ('{}', ["--quad-tol", "inf"]),
+]
+
+
 def test_malformed_config_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{\"seed\": [")
-    assert cli.main(["suite", "specialfn", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for text, flags in _MALFORMED_CONFIGS:
+        path.write_text(text)
+        assert cli.main(["suite", "specialfn", "--config", str(path), *flags]) == 2, (text, flags)
+        assert "config error" in capsys.readouterr().err, (text, flags)
 
 
 @pytest.mark.parametrize("count", [0, -3])

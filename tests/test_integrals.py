@@ -1,7 +1,6 @@
 """Contour quadrature and the integral identities."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -23,7 +22,7 @@ from e8tau.integrals import (
     integrand_H,
     terminating_eval,
 )
-from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta
+from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta, triple_gamma
 from e8tau.util import AdmissibilityError, ConvergenceError, e
 
 from . import _oracles as O
@@ -45,7 +44,9 @@ def _rel(a, b):
 def _psi_value(ctx):
     """Reference weighting: the integral times the (p, q, r) triple-gamma
     product over the parameter pairs, invariant under both reflections."""
-    return I(ctx) * integrals._pair_gamma(ctx.u, ctx.params, r=ctx.params.r)
+    u, par = np.asarray(ctx.u), ctx.params
+    i, j = np.triu_indices(8, 1)
+    return I(ctx) * complex(np.prod(triple_gamma(u[i] * u[j], par.p, par.q, par.r)))
 
 
 def test_integrand_spot_value():
@@ -83,7 +84,7 @@ def test_integrand_q_shift_ratio():
 
 def test_fixed_point_values():
     assert _rel(I(_ctx()), Q.I1_FIXED) < 1e-11
-    assert _rel(I_n(_ctx(n=2, quad_points=64)), Q.I2_FIXED) < 1e-11
+    assert _rel(I_n(_ctx(n=2)), Q.I2_FIXED) < 1e-11
 
 
 def test_permutation_invariance_and_sum_order():
@@ -93,7 +94,7 @@ def test_permutation_invariance_and_sum_order():
         perm = rng.permutation(8)
         assert _rel(I(_ctx(u=tuple(U_FIXED[int(i)] for i in perm))), base) < 1e-12
     # node summation is pairwise: reversing the accumulation order is inert
-    h, _ = _node_integrand(_ctx(), 256)
+    h = _node_integrand(_ctx(), 256)
     assert abs(np.sum(h) - np.sum(h[::-1])) <= 1e-14 * abs(np.sum(h))
 
 
@@ -108,8 +109,8 @@ def _node_vs_reference(ctx, N, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(integrals, "elliptic_gamma", counted)
-        h, zs = _node_integrand(ctx, N)
-    ref = integrand_H(zs, ctx)
+        h = _node_integrand(ctx, N)
+    ref = integrand_H(_plan_for(ctx.params, N).zs, ctx)
     live = ref != 0
     assert np.all(h[~live] == 0)
     return float(np.max(np.abs(h[live] - ref[live]) / np.abs(ref[live]))), calls
@@ -167,18 +168,16 @@ def test_plan_is_shared_across_third_base_and_read_only():
     params_r = EllipticParams.from_bases(PARAMS.p, PARAMS.q, r=0.12)
     plan = _plan_for(PARAMS, 256)
     assert _plan_for(params_r, 256) is plan
-    for name in ("zs", "rev", "weight", "cross_w", "cross_s", "cross_d"):
+    for name in ("zs", "rev", "weight", "cross_c", "cross_a", "cross_ab"):
         with pytest.raises(ValueError):
             getattr(plan, name)[0] = 0
 
 
 def test_node_integrand_output_cannot_reach_later_integrals():
-    ctx = _ctx(quad_points=256)
+    ctx = _ctx()
     before = I(ctx)
-    h, zs = _node_integrand(ctx, 256)
+    h = _node_integrand(ctx, 256)
     h[:] = 0.0
-    with pytest.raises(ValueError):
-        zs[:] = 0.0
     assert I(ctx) == before
 
 
@@ -186,9 +185,9 @@ def _tensor_sum_n2(ctx, N):
     """The n = 2 node sum over the full N x N grid with the cross factor
     theta(z^{+-1} w^{+-1}; p) from theta values at index sums and differences."""
     p, q = ctx.params.p, ctx.params.q
-    h, zs = _node_integrand(ctx, N)
+    h = _node_integrand(ctx, N)
     m = np.arange(N)
-    tp = theta(zs, p)
+    tp = theta(_plan_for(ctx.params, N).zs, p)
     pair = tp * tp[(-m) % N]
     s_idx = (m[:, None] + m[None, :]) % N
     d_idx = (m[:, None] - m[None, :]) % N
@@ -210,9 +209,9 @@ def _tensor_sum_n3(ctx, N):
     first node, with the cross factors from theta values at node-index sums
     and differences."""
     p, q = ctx.params.p, ctx.params.q
-    h, zs = _node_integrand(ctx, N)
+    h = _node_integrand(ctx, N)
     m = np.arange(N)
-    tp = theta(zs, p)
+    tp = theta(_plan_for(ctx.params, N).zs, p)
     pair = tp * tp[(-m) % N]
     grid23 = pair[(m[:, None] + m[None, :]) % N] * pair[(m[:, None] - m[None, :]) % N]
     total = 0.0 + 0j
@@ -236,9 +235,26 @@ def test_fourier_n3_contraction_matches_tensor_sum(params):
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
 def test_multiplicity_three_converges_from_default_nodes(params):
     ctx = _ctx(params=params, n=3)
-    assert ctx.quad_points == 256
-    val = I_n(ctx)
-    assert _rel(val, I_n(dataclasses.replace(ctx, quad_points=1024), adaptive=False)) < 1e-11
+    assert _rel(I_n(ctx), _quad(ctx, 1024)) < 1e-11
+
+
+def _record_nodes(monkeypatch) -> list[int]:
+    """The node counts of the _quad calls I_n makes from here on, in order."""
+    counts = []
+
+    def counted(ctx, N):
+        counts.append(N)
+        return _quad(ctx, N)
+
+    monkeypatch.setattr(integrals, "_quad", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smooth_integrand_stops_at_first_doubling(n, monkeypatch):
+    counts = _record_nodes(monkeypatch)
+    assert I_n(_ctx(n=n)) == _quad(_ctx(n=n), 512)
+    assert counts == [256, 512]
 
 
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
@@ -267,10 +283,8 @@ def test_multiplicity_zero_and_one():
 
 def test_spectral_convergence():
     u = tuple(0.82 * e(k / 13) for k in range(8))
-    ref = I(_ctx(u=u, quad_points=512), adaptive=False)
-    errs = [
-        abs(I(_ctx(u=u, quad_points=N), adaptive=False) - ref) / abs(ref) for N in (32, 64, 128)
-    ]
+    ref = _quad(_ctx(u=u), 512)
+    errs = [abs(_quad(_ctx(u=u), N) - ref) / abs(ref) for N in (32, 64, 128)]
     assert errs[1] < 0.05 * errs[0]
     assert errs[2] < 0.05 * errs[1]
     assert errs[2] > 0.0
@@ -291,20 +305,22 @@ def test_admissibility_guards():
 def test_convergence_error_carries_estimates():
     u = tuple(0.997 * e(k / 13) for k in range(8))
     with pytest.raises(ConvergenceError) as exc:
-        I(_ctx(u=u, quad_points=64), quad_tol=1e-14)
+        I(_ctx(u=u), quad_tol=1e-14)
     assert exc.value.last != 0 or exc.value.previous != 0
 
 
 @pytest.mark.parametrize("n, cap", [(1, 4096), (2, 1024)])
-def test_convergence_error_replays(n, cap):
-    ctx = _ctx(u=tuple(0.997 * e(k / 13) for k in range(8)), n=n, quad_points=64)
+def test_convergence_error_replays(n, cap, monkeypatch):
+    ctx = _ctx(u=tuple(0.997 * e(k / 13) for k in range(8)), n=n)
+    counts = _record_nodes(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         I_n(ctx, quad_tol=1e-14)
+    # the peaked integrand doubles from 256 nodes all the way to the cap
+    assert counts[0] == 256 and counts[-1] == cap
+    assert all(b == 2 * a for a, b in zip(counts, counts[1:]))
     err = exc.value
     assert (err.u, err.p, err.q, err.n, err.cap) == (ctx.u, PARAMS.p, PARAMS.q, n, cap)
-    replay = IntegrandContext(
-        u=err.u, params=EllipticParams.from_bases(err.p, err.q), n=err.n, quad_points=64
-    )
+    replay = IntegrandContext(u=err.u, params=EllipticParams.from_bases(err.p, err.q), n=err.n)
     with pytest.raises(ConvergenceError) as again:
         I_n(replay, quad_tol=1e-14)
     assert (again.value.last, again.value.previous) == (err.last, err.previous)
@@ -363,7 +379,7 @@ def test_transform_multiplicity_two():
     p, q = PARAMS.p, PARAMS.q
     rng = sampling.make_rng(137)
     t = sampling.sample_balanced(rng, p**2, abs(p) ** 0.25)
-    ctx = _ctx(u=t, n=2, quad_points=64)
+    ctx = _ctx(u=t, n=2)
     assert In_transform_residual(ctx, "tilde_n") < 1e-6
     assert In_transform_residual(ctx, "hat_n") < 1e-6
 
