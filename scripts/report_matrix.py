@@ -1,4 +1,4 @@
-"""Write the fixed matrix of CLI reports to OUTDIR.
+"""Write the fixed matrix of CLI reports to OUTDIR, or compare two of them.
 
 One JSON report per (command, seed), without the run's ``wall_time_s``, and
 ``exit_codes.txt`` with every exit status. Two checkouts report the same
@@ -6,6 +6,12 @@ numbers when ``diff -r`` of their OUTDIRs is empty. Run from the repository
 root:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OUTDIR
+
+Given two OUTDIRs written that way, it prints one line per report entry that
+differs (file, check id, residual or count before -> after, both pass flags;
+"-" for an entry on one side only), then every exit status that differs:
+
+    PYTHONPATH=src python3 scripts/report_matrix.py OLD NEW
 """
 from __future__ import annotations
 
@@ -27,9 +33,48 @@ COMMANDS = {
     "picard-check": ["picard", "check"],
 }
 
+
+def _entries(outdir: pathlib.Path) -> dict:
+    """(file, check id) -> report entry, over every report in outdir."""
+    return {
+        (f.name, c["id"]): c
+        for f in sorted(outdir.glob("*.json"))
+        for c in json.loads(f.read_text())["checks"]
+    }
+
+
+def _exit_codes(outdir: pathlib.Path) -> dict:
+    """'command seed=S' -> exit status, from outdir's exit_codes.txt."""
+    lines = (outdir / "exit_codes.txt").read_text().splitlines()
+    return dict(line.rsplit(" ", 1) for line in lines)
+
+
+def _shown(c: dict | None) -> str:
+    if c is None:
+        return "-"
+    return f"{c['residual']:.3e}" if "residual" in c else str(c["count"])
+
+
+def compare(old: pathlib.Path, new: pathlib.Path) -> None:
+    """Print the entries and exit statuses that differ between two OUTDIRs."""
+    a, b = _entries(old), _entries(new)
+    for key in [*a, *(k for k in b if k not in a)]:
+        ca, cb = a.get(key), b.get(key)
+        if ca != cb:
+            flags = " -> ".join("-" if c is None else str(c["pass"]) for c in (ca, cb))
+            print(f"{key[0]} {key[1]}: {_shown(ca)} -> {_shown(cb)} pass {flags}")
+    ea, eb = _exit_codes(old), _exit_codes(new)
+    for run in [*ea, *(r for r in eb if r not in ea)]:
+        if ea.get(run) != eb.get(run):
+            print(f"{run}: {ea.get(run, '-')} -> {eb.get(run, '-')}")
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        compare(pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]))
+        sys.exit()
     if len(sys.argv) != 2:
-        sys.exit("usage: report_matrix.py OUTDIR")
+        sys.exit("usage: report_matrix.py OUTDIR | report_matrix.py OLD NEW")
     out = pathlib.Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
     codes = []

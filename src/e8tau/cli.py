@@ -142,8 +142,11 @@ def load_config(
         cfg.quad_tol = quad_tol
     if not 1 <= cfg.n_max <= 3:
         raise ValueError("n_max must be between 1 and 3")
-    if not (math.isfinite(cfg.quad_tol) and cfg.quad_tol > 0):
-        raise ValueError(f"quad_tol must be finite and above 0, got {cfg.quad_tol}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {cfg.seed}")
+    for what, v in (("quad_tol", cfg.quad_tol), *((f"tolerance '{k}'", v) for k, v in cfg.tolerances.items())):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{what} must be finite and above 0, got {v}")
     for k, v in cfg.trials.items():
         if v < 1:
             raise ValueError(f"trial count '{k}' must be at least 1, got {v}")
@@ -394,12 +397,14 @@ def _frame_hirota_once(which: str, run: _Run, k) -> float:
 
 
 def _toda_spread_once(run: _Run, k) -> float:
-    """Spread of the level-2 value over three Toda pairs and the chain."""
-    x = sampling.sample_on_level(run.rng, run.par, 2)
-    c0, c1 = run.chain.components[0], run.chain.components[1]
+    """Spread of the chain's top-level value and three Toda steps over the
+    two levels below it: the recursion as the integral family's reference."""
+    n = run.depth
+    x = sampling.sample_on_level(run.rng, run.par, n)
+    lower, upper = run.chain.components[n - 2], run.chain.components[n - 1]
     frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
-    vals = [tau.toda_step(c0, c1, frame8, i, j, x, run.par) for i, j in ((2, 3), (4, 6), (7, 2))]
-    vals.append(run.chain.value(2, x))
+    vals = [tau.toda_step(lower, upper, frame8, i, j, x, run.par) for i, j in ((2, 3), (4, 6), (7, 2))]
+    vals.append(run.chain.value(n, x))
     return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
 
 
@@ -539,7 +544,8 @@ _CHECKS = (
 
 def _build_rows(n: int) -> list[Check]:
     """tau build's rows: each level's closed form up to n, then one bilinear
-    family whose shifted levels all stay inside [0, n]."""
+    family whose shifted levels all stay inside [0, n], then from n = 2 the
+    Toda recursion into level n."""
     ftype, level = (_FT.C3_I, 0.5) if n == 1 else (_FT.C3_II0, n)
     rows = [
         Check("tau-build", f"level-{k}-closed-form", "Thm 6B", partial(_closed_form_once, k), bound="build", retry=True)
@@ -547,6 +553,8 @@ def _build_rows(n: int) -> list[Check]:
     ]
     rows.append(Check("tau-build", "chain-bilinear", "Thm 3C", partial(_chain_bilinear_once, ftype, 0, level),
                       bound="chain_family", retry=True))
+    if n >= 2:
+        rows.append(Check("tau-build", "toda-step", "Thm 3C", _toda_spread_once, bound="toda", retry=True))
     return rows
 
 

@@ -2,10 +2,11 @@
 
 Provides the normalized Hirota residual for 3-vector frames, the canonical
 bracket solution, the three symmetry transforms (exponential gauge, Weyl map,
-period shift), the hypergeometric chain on the levels varpi + n*delta with its
-two-term Toda recursion, the Casorati determinant closed forms, the multiple
-integral closed forms, the Krattenthaler-type theta determinant residual, and
-the four direction/sign variants of the invariant product.
+period shift), the hypergeometric chain on the levels varpi + n*delta (the
+n-fold integral family) with the two-term Toda recursion as its reference
+check, the Casorati determinant closed forms, the multiple integral closed
+forms, the Krattenthaler-type theta determinant residual, and the four
+direction/sign variants of the invariant product.
 
 All group actions are performed on the additive coordinates x; multiplicative
 parameters are re-derived as u = e(x), which keeps every half-integer shift
@@ -30,7 +31,6 @@ from .lattice import (
     apply_word,
     apply_word_c,
     classify_frame,
-    frame_containing,
     inverse_word,
     ip,
     pairing_c,
@@ -46,7 +46,6 @@ from .specialfn import (
 )
 from .util import (
     BRACKET_FLOOR,
-    RESAMPLE_ERRORS,
     BracketZeroError,
     DomainError,
     Residual,
@@ -435,78 +434,30 @@ def build_chain(
     params: EllipticParams | None = None,
     quad_tol: float = QUAD_TOL,
 ) -> TauChain:
-    """Hypergeometric chain (Thm 3C/6B) on the levels varpi + n*delta up to
-    n_max: level 0 is hg_tau0, level 1 is hg_tau1, and each higher level is
-    the two-term Toda recursion over the two below it, every level read
-    through the family's one memo.
+    """Hypergeometric chain (Thm 3C/6C) on the levels varpi + n*delta up to
+    n_max: the n-fold integral family, with level 0 hg_tau0, level 1 hg_tau1
+    and each higher level tau_n_int in the direct chart, every level read
+    through the family's one memo. The two-term Toda recursion (toda_step)
+    is its reference check, not its route.
 
-    The recursion runs on the 8-frame completing the standard triple
-    (a_0, a_1, a_2), and its pair and pivot adapt per point: configurations
-    whose contour arguments leave the unit disk (or hit a vanishing
-    denominator) fall through to the next candidate, which changes nothing
-    but the route since the step is pair-independent.
+    Level n is defined where the integral's parameters
+    t = q^((1-n)/2) e(x) all lie in the unit disk; elsewhere a level-n
+    value raises AdmissibilityError. At q = 0.45, for one, a level-2 point
+    needs every |e(x_k)| below q^(1/2) ~ 0.67.
     """
     if params is None:
         raise ValueError("params is required")
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
 
-    a0_req, a1_req, a2_req = oriented_triple(_A0_TRIPLE)
-    c8 = frame_containing(a0_req)
-    ordered = ordered_c8_ii(c8)
-
-    def zero_index(a: LatticeVector) -> int:
-        target = sign_normalize(a).coords4
-        for k in range(2, 8):
-            if ordered[k].coords4 == target:
-                return k
-        raise AssertionError("zero axis missing from the completed frame")
-
-    i_req, j_req = zero_index(a1_req), zero_index(a2_req)
-    a0_first = 0 if ordered[0].coords4 == a0_req.coords4 else 1
-
-    # Pair preference: the standard triple's pair first, then pairs whose supports
-    # avoid the pivot's block (their shifts move every modulus the least).
-    support0 = {k for k in range(8) if a0_req.coords4[k] != 0}
-
-    def overlap(k: int) -> int:
-        return sum(1 for m in support0 if ordered[k].coords4[m] != 0)
-
-    all_pairs = sorted(
-        ((i, j) for i in range(2, 8) for j in range(i + 1, 8)),
-        key=lambda ij: (overlap(ij[0]) + overlap(ij[1]), ij),
-    )
-    req = (min(i_req, j_req), max(i_req, j_req))
-    candidates: list[tuple[int, int, int]] = []
-    for pair in [req] + [ij for ij in all_pairs if ij != req]:
-        candidates.append((a0_first, *pair))
-        candidates.append((1 - a0_first, *pair))
-
     def value(n: int, x: np.ndarray) -> complex:
         if n == 0:
             return hg_tau0(x, params)
         if n == 1:
             return hg_tau1(x, params, quad_tol=quad_tol)
-        last: Exception | None = None
-        for a0i, i, j in candidates:
-            try:
-                return toda_step(
-                    lambda y: tau_at(n - 2, y),
-                    lambda y: tau_at(n - 1, y),
-                    ordered,
-                    i,
-                    j,
-                    x,
-                    params,
-                    a0_index=a0i,
-                )
-            except RESAMPLE_ERRORS as err:
-                last = err
-        raise last
+        return tau_n_int(n, x, "direct", params, quad_tol=quad_tol)
 
-    chain = _graded(_levels("pp", params, -8, n_max), value, params)
-    tau_at = chain._tau_at  # the recursion reads the lower levels through the memo
-    return chain
+    return _graded(_levels("pp", params, -8, n_max), value, params)
 
 
 def casorati_K(

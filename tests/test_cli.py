@@ -6,7 +6,7 @@ import pytest
 
 from e8tau import cli, integrals, sampling, tau
 from e8tau.specialfn import EllipticParams
-from e8tau.util import e
+from e8tau.util import AdmissibilityError, e
 
 
 def _strip_time(report: dict) -> dict:
@@ -73,11 +73,22 @@ def test_broken_tau_fails_the_suite(capsys):
 
 _W = np.arange(1, 9) / 7
 
-# A relative corruption of one value the suite evaluates, visible at every
-# magnitude, and the checks that must catch it.
+# A relative corruption of one value a suite evaluates, visible at every
+# magnitude, and the checks that must catch it: case -> (suite, module,
+# function, factor over its arguments, failing ids).
 _CORRUPTIONS = {
-    "chain": (tau, "hg_tau1", lambda x, *_: 1 + 0.1 * e(x[0]), {"toda-step", "chain-family-ii2"}),
+    "chain": ("chain", tau, "hg_tau1", lambda x, *_: 1 + 0.1 * e(x[0]), {"toda-step", "chain-family-ii2"}),
+    # The chain's levels from 2 up: the recursion, the level-2 bilinear family
+    # and the determinant must each catch it.
+    "chain-upper": (
+        "chain",
+        tau,
+        "tau_n_int",
+        lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))) if n >= 2 else 1,
+        {"toda-step", "chain-family-ii0", "det-vs-quadrature"},
+    ),
     "bailey": (
+        "bailey",
         integrals,
         "I_n",
         lambda ctx, *_: 1 + 0.1 * ctx.u[0],
@@ -91,14 +102,14 @@ _CORRUPTIONS = {
         },
     ),
     # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
-    "picard": (tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),
+    "picard": ("picard", tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),
 }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 1729])
-@pytest.mark.parametrize("suite", sorted(_CORRUPTIONS))
-def test_corrupted_values_fail_the_suite(monkeypatch, suite, seed):
-    module, name, factor, must_fail = _CORRUPTIONS[suite]
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_corrupted_values_fail_the_suite(monkeypatch, case, seed):
+    suite, module, name, factor, must_fail = _CORRUPTIONS[case]
     fn = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a, **kw: fn(*a, **kw) * factor(*a))
     report = cli.run_suite(suite, cli.load_config(seed=seed))
@@ -137,6 +148,7 @@ def test_tau_build_checks_level_three(capsys):
         "level-2-closed-form",
         "level-3-closed-form",
         "chain-bilinear",
+        "toda-step",
     ]
     assert report["pass"] is True
 
@@ -165,6 +177,21 @@ def test_tau_probe_requires_x_on_level_n(capsys, level, n):
     x = sampling.sample_on_level(sampling.make_rng(5), par, level)
     text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
     assert cli.main(["tau", "probe", "--x", text, "--n", str(n)]) == 1
+    assert "probe failed" in capsys.readouterr().err
+
+
+def test_chain_domain_is_the_integral_domain(capsys):
+    # Level 2 is the two-fold integral at t = q^(-1/2) e(x): |e(x_0)| = 0.72
+    # puts |t_0| near 1.07, outside the unit disk. x_7 keeps the level.
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(5), par, 2)
+    dy = -np.log(0.72) / (2 * np.pi) - x[0].imag
+    x[0] += 1j * dy
+    x[7] -= 1j * dy
+    with pytest.raises(AdmissibilityError):
+        tau.build_chain(2, params=par).value(2, x)
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--x", text]) == 1
     assert "probe failed" in capsys.readouterr().err
 
 
@@ -207,6 +234,12 @@ _MALFORMED_CONFIGS = [
     ('{}', ["--quad-tol", "-1"]),
     ('{}', ["--quad-tol", "nan"]),
     ('{}', ["--quad-tol", "inf"]),
+    ('{"seed": -5}', []),
+    ('{"tolerances": {"three_term": NaN}}', []),
+    ('{"tolerances": {"hirota": 0}}', []),
+    ('{}', ["--seed", "-5"]),
+    ('{}', ["--tol", "-1"]),
+    ('{}', ["--tol", "nan"]),
 ]
 
 

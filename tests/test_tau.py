@@ -574,13 +574,16 @@ def test_gauge_satisfies_transfer_relations():
 
 
 def test_closed_forms_agree_with_chain():
+    # Level 2's reference is the Toda recursion over the chain's lower levels.
     rng = sampling.make_rng(65)
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    c0, c1 = CHAIN2.components[0], CHAIN2.components[1]
     for n, tol in ((0, 1e-8), (1, 1e-8), (2, 1e-6)):
         done = False
         for _ in range(6):
             x = _x_on(rng, n)
             try:
-                ref = CHAIN2.value(n, x)
+                ref = T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS) if n == 2 else CHAIN2.value(n, x)
                 vals = [
                     T.tau_n_det(n, x, "frame_a0", PARAMS),
                     T.tau_n_det(n, x, "frame_a7", PARAMS),
@@ -597,8 +600,8 @@ def test_closed_forms_agree_with_chain():
 
 
 def test_level3_integral_routes_match_determinant():
-    # The three-fold integral in both charts against the Casorati closed form,
-    # independently of the chain's recursion.
+    # The three-fold integral, the chain's level 3, in both charts against the
+    # Casorati closed form.
     rng = sampling.make_rng(67)
 
     def draw():
@@ -659,14 +662,16 @@ def test_variant_routes_agree():
 
 
 def test_variant_pp_equals_chain_component():
-    # pp's direct route is the chain's integral route, bit for bit.
+    # pp's direct route is the chain's route at every level, bit for bit.
     rng = sampling.make_rng(82)
-    for n in (0, 1, 2):
+    chain3 = T.build_chain(3, params=PARAMS)
+    pp = T.variant_evaluator("pp", PARAMS)
+    for n in (0, 1, 2, 3):
         x = _variant_x(rng, "pp", n)
         got = T.psi_variant(n, x, "pp", PARAMS)
-        assert got == T.tau_n_int(n, x, "direct", PARAMS)
-        if n < 2:
-            assert got == CHAIN2.value(n, x)
+        assert got == T.tau_n_int(n, x, "direct", PARAMS) == chain3.value(n, x)
+        if n <= T.VARIANT_N_MAX:
+            assert got == pp(x) == CHAIN2.value(n, x)
 
 
 def test_variant_reflection_symmetry():
