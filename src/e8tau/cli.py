@@ -108,6 +108,15 @@ def _checked(what: str, v, kind: type):
     return kind(v)
 
 
+def _known(what: str, raw, names) -> dict:
+    """raw as a JSON object whose keys are all in names: a misspelt key would
+    otherwise leave its default in force without a word."""
+    unknown = sorted(set(_checked(what, raw, dict)) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}; expected one of {sorted(names)}")
+    return raw
+
+
 def load_config(
     path: str | None = None,
     seed: int | None = None,
@@ -117,15 +126,16 @@ def load_config(
 ) -> SuiteConfig:
     cfg = SuiteConfig()
     if path is not None:
-        raw = _checked("config root", json.loads(Path(path).read_text()), dict)
+        keys = ("seed", "n_max", "quad_tol", "trials", "tolerances", "params")
+        raw = _known("config root", json.loads(Path(path).read_text()), keys)
         cfg.seed = _checked("seed", raw.get("seed", cfg.seed), int)
         cfg.n_max = _checked("n_max", raw.get("n_max", cfg.n_max), int)
         cfg.quad_tol = _checked("quad_tol", raw.get("quad_tol", cfg.quad_tol), float)
-        for k, v in _checked("trials", raw.get("trials", {}), dict).items():
+        for k, v in _known("trials", raw.get("trials", {}), _DEFAULT_TRIALS).items():
             cfg.trials[k] = _checked(f"trial count '{k}'", v, int)
-        for k, v in _checked("tolerances", raw.get("tolerances", {}), dict).items():
+        for k, v in _known("tolerances", raw.get("tolerances", {}), _DEFAULT_TOLERANCES).items():
             cfg.tolerances[k] = _checked(f"tolerance '{k}'", v, float)
-        for block, pq in _checked("params", raw.get("params", {}), dict).items():
+        for block, pq in _known("params", raw.get("params", {}), _DEFAULT_PARAMS).items():
             pq = _checked(f"params block '{block}'", pq, dict)
             if "p" not in pq or "q" not in pq:
                 raise ValueError(f"params block '{block}' needs both 'p' and 'q'")

@@ -4,7 +4,7 @@ identities as residual checks.
 
 All integrals run over the positively oriented unit circle with uniform
 trapezoidal nodes; parameters must keep the pole sets strictly inside/outside,
-which is guaranteed by |u_k| < 1.
+which is guaranteed by 0 < |u_k| < 1.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ class IntegrandContext:
 
     def check_admissible(self) -> None:
         for k, uk in enumerate(self.u):
-            if abs(uk) >= 1.0:
-                raise AdmissibilityError(f"|u_{k}| = {abs(uk):.6f} >= 1")
+            if not 0.0 < abs(uk) < 1.0:
+                raise AdmissibilityError(f"|u_{k}| = {abs(uk):.6f} is not in (0, 1)")
         # Genericity u_k u_l not in p^-N q^-N: with every |u_k| < 1 the only
         # reachable lattice point is 1, so a pair product near 1 pinches C.
         for k, l in itertools.combinations(range(8), 2):
@@ -136,12 +136,12 @@ def _plan_for(params: EllipticParams, N: int) -> _Plan:
     return _plan(params.p, params.q, N)
 
 
-# The folded log-series serves parameters with rho_k = max(|u_k|, |pq/u_k|)
-# at most _SPECTRAL_RHO_MAX; it diverges at rho_k >= 1 and needs thousands of
-# terms just below 1. A parameter with rho_k above _SHIFT_RHO is first moved
-# towards |pq|^(1/2) by the difference equation of the gamma function, at the
-# cost of one theta evaluation over the nodes per step.
-_SPECTRAL_RHO_MAX = 0.99
+# The folded log-series diverges at rho_k = max(|u_k|, |pq/u_k|) >= 1 and
+# needs thousands of terms just below 1. A parameter with rho_k above
+# _SHIFT_RHO is first moved towards |pq|^(1/2) by the difference equation of
+# the gamma function, at the cost of one theta evaluation over the nodes per
+# step; after it rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1, with c the smaller
+# base.
 _SHIFT_RHO = 0.95
 _SERIES_TAIL = 1e-17
 
@@ -165,17 +165,13 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
 
     On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
     series sum_{m>=1} c_m (z^m + z^-m) with
-    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). A parameter inside
-    the unit disk whose rho_k exceeds _SHIFT_RHO is first replaced by
-    u_k b^s with Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and
-    |b| >= |c|: the pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c)
-    for s > 0, or prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0. The
-    series of all parameters with rho_k <= _SPECTRAL_RHO_MAX are then summed,
-    cut where rho^M is below _SERIES_TAIL, and folded mod N, so one FFT pair
-    gives every node. Each other parameter (outside the unit disk, or on
-    bases too near 1 for the shift to reach the series) costs one vectorized
-    gamma evaluation: Gamma(u_k / z_m) equals Gamma(u_k z) at the reflected
-    node index, as theta(a / z_m) equals theta(a z) there. The values are a
+    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). A parameter whose
+    rho_k exceeds _SHIFT_RHO is first replaced by u_k b^s with
+    Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and |b| >= |c|: the
+    pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c) for s > 0, or
+    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0. The series of all
+    eight parameters are then summed, cut where rho^M is below _SERIES_TAIL,
+    and folded mod N, so one FFT pair gives every node. The values are a
     fresh array, since every parameter multiplies into the plan's read-only
     weight.
     """
@@ -185,35 +181,26 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
     zs, rev = plan.zs, plan.rev
     vals = plan.weight
     u = np.array(ctx.u)
-    with np.errstate(divide="ignore"):
-        rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
+    rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
     b, c = (q, p) if abs(q) >= abs(p) else (p, q)
-    for i in np.flatnonzero((rho > _SHIFT_RHO) & (np.abs(u) < 1.0) & (u != 0)):
+    for i in np.flatnonzero(rho > _SHIFT_RHO):
         s = _shift_count(abs(u[i]), abs(pq), abs(b))
         for t in range(min(s, 0), max(s, 0)):
             th = theta(u[i] * b**t * zs, c)
             vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
         u[i] = u[i] * b**s
-    with np.errstate(divide="ignore"):
-        rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
-    spectral = rho <= _SPECTRAL_RHO_MAX
-    if spectral.any():
-        M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho[spectral].max())))
-        us = u[spectral]
-        k = us.size
-        # row-wise powers b^1 .. b^M of the bases u_k, pq/u_k, p and q
-        bases = np.concatenate([us, pq / us, [p, q]])
-        pw = np.cumprod(np.repeat(bases[:, None], M, axis=1), axis=1)
-        cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
-        cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
-            np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
-        )
-        a = cm.reshape(-1, N).sum(axis=0)
-        vals = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
-    for uk in u[~spectral]:
-        g = elliptic_gamma(uk * zs, p, q)
-        vals = vals * g * g[rev]
-    return vals
+    rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
+    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho.max())))
+    k = u.size
+    # row-wise powers b^1 .. b^M of the bases u_k, pq/u_k, p and q
+    bases = np.concatenate([u, pq / u, [p, q]])
+    pw = np.cumprod(np.repeat(bases[:, None], M, axis=1), axis=1)
+    cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
+    cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
+        np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
+    )
+    a = cm.reshape(-1, N).sum(axis=0)
+    return vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
 
 
 def _quad(ctx: IntegrandContext, N: int) -> complex:
@@ -326,12 +313,12 @@ _SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
 
 
 def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
-    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q, q) from
+    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q) from
     one vectorized call; scale is one number or one per pair in
     np.triu_indices(8, 1) order."""
     u = np.asarray(u, dtype=complex)
     i, j = _PAIRS
-    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q, params.q)
+    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q)
     return complex(np.prod(vals))
 
 
@@ -356,8 +343,8 @@ def In_transform_residual(
         raise ValueError("which must be 'tilde_n' or 'hat_n'")
     i, j = _PAIRS
     tt = (np.asarray(t)[i] * np.asarray(t)[j])[pairs]
-    shifted = triple_gamma(q**n * tt, p, q, q)
-    ratio = complex(np.prod(shifted / triple_gamma(tt, p, q, q)))
+    shifted = triple_gamma(q**n * tt, p, q)
+    ratio = complex(np.prod(shifted / triple_gamma(tt, p, q)))
     lhs = I_n(ctx, quad_tol=quad_tol)
     rhs = I_n(ctx.with_u(image), quad_tol=quad_tol) * ratio
     return Residual(abs(lhs - rhs) / abs(lhs))
@@ -384,5 +371,5 @@ def terminating_eval(u, params: EllipticParams, N: int) -> complex:
     pref *= elliptic_gamma(q**2 / u[0] ** 2, p, q) * elliptic_gamma(u[0] / u[7], p, q)
     for k in range(1, 7):
         pref /= elliptic_gamma(q * u[k] / u[0], p, q) * elliptic_gamma(q / (u[k] * u[7]), p, q)
-    series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p)
+    series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p, N)
     return pref * series

@@ -4,13 +4,12 @@ remaining factors differ from 1 by less than ``TRUNC_TOL``."""
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .util import DomainError, PoleError, Residual, TerminationError, e, normalized_residual
+from .util import DomainError, PoleError, Residual, e, normalized_residual
 
 TRUNC_TOL = 1e-18
 POLE_EPS = 1e-12
@@ -20,8 +19,10 @@ POLE_EPS = 1e-12
 class EllipticParams:
     """Multiplicative bases with their additive periods.
 
-    p = e(varpi) and q = e(delta); r is an optional third base for the
-    triple-gamma weightings.
+    p = e(varpi) and q = e(delta). r is an optional third base that no
+    library code reads: the pair products weight with Gamma(.; p, q, q). It
+    stays for callers that carry a (p, q, r) weighting of their own, such as
+    the tests' Bailey reference and a perfbench workload.
     """
 
     p: complex
@@ -167,52 +168,14 @@ def _power_column(base: complex, big: float) -> np.ndarray:
     return out
 
 
-def triple_gamma(z, p: complex, q: complex, r: complex):
-    """Entire triple gamma: (z; p,q,r)_inf (pqr/z; p,q,r)_inf.
+def triple_gamma(z, p: complex, q: complex):
+    """Entire triple gamma at equal second and third bases:
+    Gamma(z; p, q, q) = (z; p,q,q)_inf (pq^2/z; p,q,q)_inf, the weighting of
+    the pair products.
 
-    The exponent simplex |p^i q^j r^k| >= TRUNC_TOL/big is enumerated as one
-    flat array so the factor products run vectorized. When r == q the
-    factors with equal j + k coincide and the simplex collapses to (i, j + k).
-    """
-    zz, scalar = _as_array(z)
-    if np.any(zz == 0):
-        raise ValueError("gamma argument must be nonzero")
-    pqr = p * q * r
-    big = max(float(np.max(np.abs(zz))), float(np.max(abs(pqr) / np.abs(zz))), 1.0)
-    pi = _power_column(p, big)
-    qj = _power_column(q, big)
-    if r == q:
-        out = _triple_gamma_qq(zz, pi, qj, pqr, big)
-        return complex(out[0]) if scalar else out
-    rk = _power_column(r, big)
-    # Row-major (i, j, k) without the full box: each (i, j) keeps the k with
-    # |p^i q^j r^k| * big >= TRUNC_TOL, a prefix since |r^k| decreases.
-    pq = (pi[:, None] * qj[None, :]).ravel()
-    count = np.searchsorted(-np.abs(rk), -TRUNC_TOL / (big * np.abs(pq)), side="right")
-    start = np.cumsum(count) - count
-    w = np.repeat(pq, count) * rk[np.arange(count.sum()) - np.repeat(start, count)]
-    inv = 1.0 / zz
-    out = np.ones_like(zz)
-    step = max(1, _CHUNK_ELEMENTS // zz.size)
-    for s in range(0, w.size, step):
-        ws = w[s : s + step]
-        fac = np.multiply.outer(ws, zz)
-        np.subtract(1.0, fac, out=fac)
-        dual = np.multiply.outer(ws * pqr, inv)
-        np.subtract(1.0, dual, out=dual)
-        fac *= dual
-        # The running product goes into the chunk's first row rather than
-        # multiplying chunk products, so the chunking moves a value by a few
-        # ulps, not the 1e-13 that separate chunk products gave.
-        fac[0] *= out
-        out = np.prod(fac, axis=0)
-    return complex(out[0]) if scalar else out
-
-
-def _triple_gamma_qq(zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: complex, big: float) -> np.ndarray:
-    """triple_gamma at r = q. The factor pair at p^i q^s stands for the s + 1
-    pairs (j, k) with j + k = s, so the (i, s) box suffices: each column
-    product g_s enters as g_s^(s + 1).
+    The factor pair at p^i q^j q^k depends on j + k = s only, so it stands
+    for s + 1 pairs and the (i, s) box suffices: each column product g_s
+    enters as g_s^(s + 1), over the simplex |p^i q^s| >= TRUNC_TOL/big.
 
     A rounded factor 1 - x is off by about one unit roundoff, which the power
     s + 1 would multiply (to about 1e-13 at q = 0.45). So each factor pair is
@@ -223,9 +186,15 @@ def _triple_gamma_qq(zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: comple
     product that keeps that zero exact. Chunks run over z so a factor array
     stays near _CHUNK_ELEMENTS.
     """
-    w = pi[:, None] * qs[None, :]
+    zz, scalar = _as_array(z)
+    if np.any(zz == 0):
+        raise ValueError("gamma argument must be nonzero")
+    pqq = p * q * q
+    big = max(float(np.max(np.abs(zz))), float(np.max(abs(pqq) / np.abs(zz))), 1.0)
+    qs = _power_column(q, big)
+    w = _power_column(p, big)[:, None] * qs[None, :]
     w[np.abs(w) * big < TRUNC_TOL] = 0.0  # outside the simplex: factor 1
-    wd = w * pqr
+    wd = w * pqq
     ww = (w * wd)[:, :, None]
     power = np.arange(2, qs.size + 1)[:, None]
     out = np.empty_like(zz)
@@ -246,7 +215,7 @@ def _triple_gamma_qq(zz: np.ndarray, pi: np.ndarray, qs: np.ndarray, pqr: comple
             d = d[:h]
         mod, arg = _log1p(d[0, 1:])
         out[c : c + step] = g0 * np.exp(np.sum(power * mod, axis=0) + 1j * np.sum(power * arg, axis=0))
-    return out
+    return complex(out[0]) if scalar else out
 
 
 def _log1p(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,48 +301,19 @@ def three_term_residual(
     ])
 
 
-_TERMINATION_N_MAX = 64
-_TERMINATION_TOL = 1e-9
+def v12_11(a0: complex, a: Sequence[complex], q: complex, p: complex, N: int) -> complex:
+    """Terminating very well-poised series in eight parameters, summed over
+    k = 0..N.
 
-
-def detect_termination(a: Sequence[complex], q: complex, p: complex) -> int:
-    """Smallest N <= _TERMINATION_N_MAX with a_i q^N in the p-power lattice,
-    over all entries.
-
-    The only candidate exponent for a_i q^n is m = round(log|a_i q^n| / log|p|);
-    p^m is then accepted within relative tolerance _TERMINATION_TOL.
-    """
-    best: int | None = None
-    log_p = math.log(abs(p))
-    for ai in a:
-        val = complex(ai)
-        if val == 0:
-            continue
-        for n in range(_TERMINATION_N_MAX + 1):
-            target = val * q**n
-            pm_val = p ** round(math.log(abs(target)) / log_p)
-            if abs(target - pm_val) < _TERMINATION_TOL * abs(pm_val):
-                best = n if best is None else min(best, n)
-                break
-        if best == 0:
-            break
-    if best is None:
-        raise TerminationError("no parameter lies in the terminating lattice")
-    return best
-
-
-def v12_11(a0: complex, a: Sequence[complex], q: complex, p: complex) -> complex:
-    """Terminating very well-poised series in eight parameters.
-
-    a supplies a_1..a_7; termination requires some a_i (i = 0..7) to lie in
-    p^Z q^{-N}, and the sum then runs over k = 0..N.
+    a supplies a_1..a_7. The caller states the order N at which some a_i
+    (i = 0..7) lies in p^Z q^{-N}, so that every later term vanishes; it is
+    not checked here.
     """
     if len(a) != 7:
         raise ValueError("need exactly seven upper parameters")
     all_a = [complex(a0), *map(complex, a)]
-    n_stop = detect_termination(all_a, q, p)
     total = 0.0 + 0j
-    for k in range(n_stop + 1):
+    for k in range(N + 1):
         term = theta(q ** (2 * k) * a0, p) / theta(a0, p) * q**k
         for ai in all_a:
             num = theta_pochhammer(ai, k, p, q)

@@ -91,10 +91,6 @@ class ConvergenceError(RuntimeError):
         self.u, self.p, self.q, self.n, self.cap = u, p, q, n, cap
 
 
-class TerminationError(ValueError):
-    """Series parameters do not terminate the sum as required."""
-
-
 BRACKET_FLOOR = 1e-6
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from e8tau import cli, integrals, sampling, tau
+from e8tau import cli, integrals, picard, sampling, tau
 from e8tau.specialfn import EllipticParams
 from e8tau.util import AdmissibilityError, e
 
@@ -101,8 +101,13 @@ _CORRUPTIONS = {
             "terminating-series",
         },
     ),
+    # The theta factors of the Warnaar product side; the determinant's
+    # theta_pochhammer entries do not read tau.theta.
+    "warnaar": ("bailey", tau, "theta", lambda z, *_: 1 + 0.1 * z, {"theta-factorial-det"}),
     # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
     "picard": ("picard", tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),
+    # The frame brackets of the translation route, not of the frame route.
+    "picard-bracket": ("picard", picard, "bracket_pm", lambda x, *_: 1 + 0.1 * e(x), {"translation-vs-frame"}),
 }
 
 
@@ -240,6 +245,10 @@ _MALFORMED_CONFIGS = [
     ('{}', ["--seed", "-5"]),
     ('{}', ["--tol", "-1"]),
     ('{}', ["--tol", "nan"]),
+    ('{"sed": 5}', []),
+    ('{"trials": {"hirota_x": 2}}', []),
+    ('{"tolerances": {"hirot": 1e-3}}', []),
+    ('{"params": {"chian": {"p": 0.03, "q": 0.45}}}', []),
 ]
 
 

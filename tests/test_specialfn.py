@@ -85,46 +85,38 @@ def test_gamma_pole_guard():
     assert exc.value.indices == (1, 2)
 
 
-def test_triple_gamma_frozen_value():
-    assert _rel(S.triple_gamma(0.4, 0.1, 0.15, 0.12), O.TRIPLE_GAMMA_Z) < 1e-14
-
-
-def test_triple_gamma_functional_equations():
-    rng = np.random.default_rng(np.random.Philox(31))
-    for _ in range(30):
-        z = (0.1 + 0.7 * rng.random()) * e(rng.random())
-        p, q, r = 0.05 + 0.3 * rng.random(3)
-        t3 = S.triple_gamma(z, p, q, r)
-        assert _rel(S.triple_gamma(r * z, p, q, r), S.elliptic_gamma(z, p, q) * t3) < 1e-11
-        assert _rel(S.triple_gamma(p * q * r / z, p, q, r), t3) < 1e-11
-
-
 def test_triple_gamma_equal_bases_frozen_value():
-    assert _rel(S.triple_gamma(0.35 + 0.25j, 0.03, 0.45, 0.45), O.TRIPLE_GAMMA_QQ) < 1e-13
+    assert _rel(S.triple_gamma(0.35 + 0.25j, 0.03, 0.45), O.TRIPLE_GAMMA_QQ) < 1e-13
 
 
 def _triple_gamma_full_simplex(z, p, q, r, trunc_tol=S.TRUNC_TOL):
-    """Every (i, j, k) factor of the triple gamma, multiplied out in extended
-    precision: in double the product of some 10^4 factors is itself off by
-    about 1e-13 at q = 0.45."""
-    ld, cld = np.longdouble, np.clongdouble
-    z = np.asarray(z, dtype=cld)
-    p, q, r = ld(p), ld(q), ld(r)
+    """Every (i, j, k) factor of the triple gamma Gamma(z; p, q, r), multiplied
+    out in extended precision: in double the product of some 10^4 factors is
+    itself off by about 1e-13 at q = 0.45. The library has r = q only; this
+    is the reference for both that and the tests' (p, q, r) weighting."""
+    cld = np.clongdouble
+    z = np.atleast_1d(np.asarray(z, dtype=cld))
+    p, q, r = cld(p), cld(q), cld(r)
     big = max(float(np.max(np.abs(z))), float(np.max(abs(p * q * r) / np.abs(z))), 1.0)
 
     def powers(b):
         n = 1
-        while b**n * big >= trunc_tol:
+        while abs(b) ** n * big >= trunc_tol:
             n += 1
-        return b ** np.arange(n, dtype=ld)
+        return b ** np.arange(n)
 
     w = np.multiply.outer(np.multiply.outer(powers(p), powers(q)), powers(r)).ravel()
-    w = w[w * big >= trunc_tol]
+    w = w[np.abs(w) * big >= trunc_tol]
     out = np.ones_like(z)
     for s in range(0, w.size, 512):
         ws = w[s : s + 512, None]
         out *= np.prod((1 - ws * z) * (1 - ws * p * q * r / z), axis=0)
     return out.astype(complex)
+
+
+def test_triple_gamma_full_simplex_frozen_value():
+    # the general third base, pinned to the mpmath oracle
+    assert _rel(complex(_triple_gamma_full_simplex(0.4, 0.1, 0.15, 0.12)[0]), O.TRIPLE_GAMMA_Z) < 1e-14
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
@@ -133,7 +125,7 @@ def test_triple_gamma_equal_bases_matches_full_simplex(p, q):
     rng = np.random.default_rng(np.random.Philox(41))
     for _ in range(4):
         z = (0.05 + 1.5 * rng.random(28)) * np.exp(2j * np.pi * rng.random(28))
-        got = S.triple_gamma(z, p, q, q)
+        got = S.triple_gamma(z, p, q)
         ref = _triple_gamma_full_simplex(z, p, q, q)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
@@ -143,9 +135,9 @@ def test_triple_gamma_equal_bases_functional_equations():
     for _ in range(30):
         z = (0.1 + 0.7 * rng.random()) * e(rng.random())
         p, q = 0.05 + 0.4 * rng.random(2)
-        t3 = S.triple_gamma(z, p, q, q)
-        assert _rel(S.triple_gamma(q * z, p, q, q), S.elliptic_gamma(z, p, q) * t3) < 1e-12
-        assert _rel(S.triple_gamma(p * q * q / z, p, q, q), t3) < 1e-12
+        t3 = S.triple_gamma(z, p, q)
+        assert _rel(S.triple_gamma(q * z, p, q), S.elliptic_gamma(z, p, q) * t3) < 1e-12
+        assert _rel(S.triple_gamma(p * q * q / z, p, q), t3) < 1e-12
 
 
 def test_theta_pochhammer_frozen_and_gamma_ratio():
@@ -238,23 +230,9 @@ def test_series_order_one_term():
     assert _rel(term, O.V12_K1_TERM) < 1e-13
 
 
-def test_series_terminates_and_detects():
-    p, q = 0.15, 0.1
-    # a_7 = q^{-2}: terminates at N = 2
-    assert S.detect_termination([0.3, q**-2], q, p) == 2
-    # p q^{-1} also lies in the lattice
-    assert S.detect_termination([p / q], q, p) == 1
-    with pytest.raises(S.TerminationError):
-        S.detect_termination([0.3 + 0.1j], q, p)
-    # p-exponents far from zero are found as well
-    p, q = 0.05, 0.15
-    assert S.detect_termination([p**14 * q**-2], q, p) == 2
-    assert S.detect_termination([p**-5 * q**-1], q, p) == 1
-
-
 def test_series_unit_value_at_order_zero():
     # a_7 = q^0 = 1 terminates immediately; empty sum beyond k = 0 gives 1
     p, q = 0.15, 0.1
     rest = [0.2 * e(i / 9) for i in range(1, 7)] + [1.0 + 0j]
-    val = S.v12_11(0.3, rest, q, p)
+    val = S.v12_11(0.3, rest, q, p, 0)
     assert _rel(val, 1.0) < 1e-14

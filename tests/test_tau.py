@@ -326,7 +326,7 @@ def test_batched_pair_product_matches_scalar_loop():
             scales = np.broadcast_to(scale, (28,))
             loop = 1.0 + 0j
             for s, i, j in zip(scales, *integrals._PAIRS):
-                loop *= triple_gamma(s * u[i] * u[j], p, q, q)
+                loop *= triple_gamma(s * u[i] * u[j], p, q)
             assert rel_diff(integrals._pair_gamma(u, PARAMS, scale), loop) < 1e-13
     # the per-pair scales: q inside each coordinate block, q^(1-n) across
     i, j = integrals._PAIRS
@@ -690,7 +690,7 @@ def test_variant_order_zero_is_plain_product():
     expect = 1.0 + 0j
     for a in range(8):
         for b in range(a + 1, 8):
-            expect *= triple_gamma(t[a] * t[b], PARAMS.p, PARAMS.q, PARAMS.q)
+            expect *= triple_gamma(t[a] * t[b], PARAMS.p, PARAMS.q)
     assert rel_diff(got, expect) < 1e-12
 
 
