@@ -17,7 +17,18 @@ from math import factorial, prod
 
 import numpy as np
 
-from .specialfn import TRUNC_TOL, EllipticParams, elliptic_gamma, qpoch, theta, triple_gamma, v12_11
+from .specialfn import (
+    _SERIES_TAIL,
+    _SHIFT_RHO,
+    TRUNC_TOL,
+    EllipticParams,
+    _shift_count,
+    elliptic_gamma,
+    qpoch,
+    theta,
+    triple_gamma,
+    v12_11,
+)
 from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
@@ -41,7 +52,7 @@ class IntegrandContext:
             raise ValueError("multiplicity must be nonnegative")
 
     def with_u(self, u) -> "IntegrandContext":
-        return dataclasses.replace(self, u=tuple(complex(v) for v in u))
+        return dataclasses.replace(self, u=u)
 
     def check_admissible(self) -> None:
         for k, uk in enumerate(self.u):
@@ -52,20 +63,6 @@ class IntegrandContext:
         for k, l in itertools.combinations(range(8), 2):
             if abs(self.u[k] * self.u[l] - 1.0) < 1e-12:
                 raise AdmissibilityError(f"u_{k} u_{l} within 1e-12 of 1")
-
-
-def integrand_H(z, ctx: IntegrandContext):
-    """Integrand: product of Gamma(u_k z^{+-1}) over Gamma(z^{+-2}).
-
-    The reciprocal of the denominator is expanded into two theta factors, so
-    only the eight numerator gamma evaluations remain.
-    """
-    p, q = ctx.params.p, ctx.params.q
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = -(zz**-2) * theta(zz**2, p) * theta(zz**2, q)
-    for uk in ctx.u:
-        out = out * elliptic_gamma(uk * zz, p, q) * elliptic_gamma(uk / zz, p, q)
-    return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,30 +133,6 @@ def _plan_for(params: EllipticParams, N: int) -> _Plan:
     return _plan(params.p, params.q, N)
 
 
-# The folded log-series diverges at rho_k = max(|u_k|, |pq/u_k|) >= 1 and
-# needs thousands of terms just below 1. A parameter with rho_k above
-# _SHIFT_RHO is first moved towards |pq|^(1/2) by the difference equation of
-# the gamma function, at the cost of one theta evaluation over the nodes per
-# step; after it rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1, with c the smaller
-# base.
-_SHIFT_RHO = 0.95
-_SERIES_TAIL = 1e-17
-
-
-def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
-    """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for a
-    parameter of modulus mod, or the s of least rho when none reaches it; 0
-    when rho is already there. rho falls monotonically from s = 0 towards
-    the best s, where |u| |b|^s is nearest to |pq|^(1/2)."""
-    best = round(np.log(mod / np.sqrt(pq_mod)) / -np.log(b_mod))
-    step = 1 if best > 0 else -1
-    for s in range(0, best, step):
-        x = mod * b_mod**s
-        if max(x, pq_mod / x) <= _SHIFT_RHO:
-            return s
-    return best
-
-
 def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
     """Integrand values at the N-th roots of unity plan.zs.
 
@@ -169,7 +142,8 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
     rho_k exceeds _SHIFT_RHO is first replaced by u_k b^s with
     Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and |b| >= |c|: the
     pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c) for s > 0, or
-    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0. The series of all
+    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0; after it
+    rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1. The series of all
     eight parameters are then summed, cut where rho^M is below _SERIES_TAIL,
     and folded mod N, so one FFT pair gives every node. The values are a
     fresh array, since every parameter multiplies into the plan's read-only

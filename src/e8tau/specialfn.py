@@ -114,10 +114,7 @@ def qpoch(z, p: complex):
 # in cache. The allocator (glibc malloc) maps blocks of 128 KiB and more fresh
 # from the system on every allocation, and they are page-faulted in again,
 # unless the process has earlier freed a larger mapped block, which raises
-# that threshold; at 256 KiB the cost of a batched triple_gamma therefore
-# depended on what the process had allocated before (about 100 page faults
-# per call when nothing had raised the threshold). At 2.5e5 elements a
-# batched triple_gamma took about 1 500 page faults and 3.7x the time.
+# that threshold.
 _CHUNK_ELEMENTS = 8_000
 
 
@@ -168,63 +165,70 @@ def _power_column(base: complex, big: float) -> np.ndarray:
     return out
 
 
+# The log series of the gamma functions diverge at rho = 1 and need
+# thousands of terms just below it. An argument whose rho exceeds _SHIFT_RHO
+# is first moved by a difference equation, and every series is cut where
+# rho^M falls below _SERIES_TAIL.
+_SHIFT_RHO = 0.95
+_SERIES_TAIL = 1e-17
+
+
+def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
+    """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for a
+    parameter of modulus mod, or the s of least rho when none reaches it; 0
+    when rho is already there. rho falls monotonically from s = 0 towards
+    the best s, where |u| |b|^s is nearest to pq_mod^(1/2)."""
+    best = round(np.log(mod / np.sqrt(pq_mod)) / -np.log(b_mod))
+    step = 1 if best > 0 else -1
+    for s in range(0, best, step):
+        x = mod * b_mod**s
+        if max(x, pq_mod / x) <= _SHIFT_RHO:
+            return s
+    return best
+
+
 def triple_gamma(z, p: complex, q: complex):
     """Entire triple gamma at equal second and third bases:
     Gamma(z; p, q, q) = (z; p,q,q)_inf (pq^2/z; p,q,q)_inf, the weighting of
     the pair products.
 
-    The factor pair at p^i q^j q^k depends on j + k = s only, so it stands
-    for s + 1 pairs and the (i, s) box suffices: each column product g_s
-    enters as g_s^(s + 1), over the simplex |p^i q^s| >= TRUNC_TOL/big.
-
-    A rounded factor 1 - x is off by about one unit roundoff, which the power
-    s + 1 would multiply (to about 1e-13 at q = 0.45). So each factor pair is
-    kept as its deviation d from 1, the rows of a column are combined by
-    (1 + a)(1 + b) = 1 + (a + b + ab) over a pairwise tree, and
-    g_s^(s + 1) = exp((s + 1) log(1 + d_s)). Column s = 0 has power 1 and
-    holds the only zero in |pq^2| < |z| <= 1, at z = 1, so it stays a plain
-    product that keeps that zero exact. Chunks run over z so a factor array
-    stays near _CHUNK_ELEMENTS.
+    On |pq^2| < |z| < 1 its log is the series
+    -sum_{m>=1} (z^m + (pq^2/z)^m) / (m (1 - p^m)(1 - q^m)^2), summed for all
+    arguments at once: the powers of every z_k and pq^2/z_k from one cumprod,
+    cut where rho^M is below _SERIES_TAIL with rho = max_k max(|z_k|,
+    |pq^2/z_k|), and contracted with the weights in one mat-vec. An argument
+    with rho above _SHIFT_RHO is moved first: by the reflection
+    Gamma(z) = Gamma(pq^2/z) when |z|^2 < |pq^2|, then by s steps of
+    Gamma(z) = Gamma(q^s z) prod_{0<=t<s} 1/Gamma(q^t z; p, q), each
+    1/Gamma(y; p, q) = Gamma(pq/y; p, q) taken as theta(y; q) Gamma(q/y; p, q).
+    That theta holds the factor 1 - y literally, so the zero at z = 1 is
+    exact, and |q/y| < |q| / _SHIFT_RHO keeps the elliptic gamma off its
+    pole at 1 for |q| < _SHIFT_RHO.
     """
     zz, scalar = _as_array(z)
     if np.any(zz == 0):
         raise ValueError("gamma argument must be nonzero")
     pqq = p * q * q
-    big = max(float(np.max(np.abs(zz))), float(np.max(abs(pqq) / np.abs(zz))), 1.0)
-    qs = _power_column(q, big)
-    w = _power_column(p, big)[:, None] * qs[None, :]
-    w[np.abs(w) * big < TRUNC_TOL] = 0.0  # outside the simplex: factor 1
-    wd = w * pqq
-    ww = (w * wd)[:, :, None]
-    power = np.arange(2, qs.size + 1)[:, None]
-    out = np.empty_like(zz)
-    step = max(1, _CHUNK_ELEMENTS // w.size)
-    for c in range(0, zz.size, step):
-        zc = zz[c : c + step]
-        izc = 1.0 / zc
-        g0 = np.prod(
-            (1.0 - np.multiply.outer(w[:, 0], zc)) * (1.0 - np.multiply.outer(wd[:, 0], izc)), axis=0
-        )
-        # (1 - wz)(1 - wd/z) = 1 + d with d = w wd - (wz + wd/z)
-        d = np.multiply.outer(w, zc)
-        d += np.multiply.outer(wd, izc)
-        np.subtract(ww, d, out=d)
-        while len(d) > 1:
-            h = (len(d) + 1) // 2  # row k meets row k + h; an odd middle row waits
-            d[: len(d) - h] += d[h:] * (1.0 + d[: len(d) - h])
-            d = d[:h]
-        mod, arg = _log1p(d[0, 1:])
-        out[c : c + step] = g0 * np.exp(np.sum(power * mod, axis=0) + 1j * np.sum(power * arg, axis=0))
+    out = np.ones_like(zz)
+    far = np.flatnonzero(np.maximum(np.abs(zz), abs(pqq) / np.abs(zz)) > _SHIFT_RHO)
+    if far.size:
+        zz = zz.copy()
+        inner = far[np.abs(zz[far]) ** 2 < abs(pqq)]
+        zz[inner] = pqq / zz[inner]
+        steps = np.array([_shift_count(abs(v), abs(pqq), abs(q)) for v in zz[far]])
+        for t in range(steps.max()):
+            idx = far[steps > t]
+            y = q**t * zz[idx]
+            out[idx] *= theta(y, q) * elliptic_gamma(q / y, p, q)
+        zz[far] *= q**steps
+    rho = float(np.max(np.maximum(np.abs(zz), abs(pqq) / np.abs(zz))))
+    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho)))
+    bases = np.concatenate([zz, pqq / zz, [p, q]])
+    pw = np.cumprod(np.broadcast_to(bases[:, None], (bases.size, M)), axis=1)
+    w = -1.0 / (np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1]) ** 2)
+    log = pw[:-2] @ w
+    out *= np.exp(log[: zz.size] + log[zz.size :])
     return complex(out[0]) if scalar else out
-
-
-def _log1p(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|1 + d| and arg(1 + d), accurate for small d and near d = -1."""
-    a, b = d.real, d.imag
-    t = a * (2.0 + a) + b * b  # |1 + d|^2 - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mod = np.where(t < -0.75, np.log(np.hypot(1.0 + a, b)), 0.5 * np.log1p(t))
-    return mod, np.arctan2(b, 1.0 + a)
 
 
 def theta_pochhammer(z, k: int, p: complex, q: complex):

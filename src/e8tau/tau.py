@@ -601,13 +601,17 @@ def _integral_value(
 ) -> complex:
     """A sign variant's level-n value in route's chart: the gauge prefactor
     (level sign +1 only) times the n-fold integral at t times the pair
-    product. Capped at n = 3, the highest multiplicity of the quadrature."""
+    product. Capped at n = 3, the highest multiplicity of the quadrature.
+    At n = 0 the integral and the prefactor p^0 e(0) are 1, so the value is
+    the pair product itself."""
     if not 0 <= n <= 3:
         raise ValueError("the integral route covers multiplicities 0 to 3")
     x = np.asarray(x, dtype=complex)
     _levels(variant, params).require(x, n)
     t, w, scales = _chart(variant, route, np.exp(2j * np.pi * x), n, params)
     gam = integrals._pair_gamma(w, params, scales)
+    if n == 0:
+        return gam
     val = integrals.I_n(IntegrandContext(t, params, n=n), quad_tol=quad_tol)
     pre = _gauge_prefactor(n, x, params) if _CHARTS[variant][1] > 0 else complex(1.0)
     return pre * val * gam

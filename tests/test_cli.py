@@ -101,6 +101,30 @@ _CORRUPTIONS = {
             "terminating-series",
         },
     ),
+    # The 28-pair product of every chain value (the integral route and the
+    # determinant's gauge), and the pair ratio of the Rains transformation,
+    # of which the Bailey reflections are the n = 1 case.
+    "chain-pair-gamma": (
+        "chain",
+        integrals,
+        "triple_gamma",
+        lambda z, *_: 1 + 0.1 * z,
+        {
+            "level0-shift-ratio",
+            "chain-family-ii0",
+            "chain-family-ii2",
+            "toda-step",
+            "det-vs-quadrature",
+            "variant-routes",
+        },
+    ),
+    "bailey-pair-gamma": (
+        "bailey",
+        integrals,
+        "triple_gamma",
+        lambda z, *_: 1 + 0.1 * z,
+        {"reflection-tilde", "reflection-hat", "transform-multiplicity-tilde", "transform-multiplicity-hat"},
+    ),
     # The theta factors of the Warnaar product side; the determinant's
     # theta_pochhammer entries do not read tau.theta.
     "warnaar": ("bailey", tau, "theta", lambda z, *_: 1 + 0.1 * z, {"theta-factorial-det"}),

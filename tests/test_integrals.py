@@ -19,7 +19,6 @@ from e8tau.integrals import (
     _quad,
     bailey_residual,
     contiguity_residual,
-    integrand_H,
     terminating_eval,
 )
 from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta
@@ -48,6 +47,18 @@ def _psi_value(ctx):
     u, par = np.asarray(ctx.u), ctx.params
     i, j = np.triu_indices(8, 1)
     return I(ctx) * complex(np.prod(_triple_gamma_full_simplex(u[i] * u[j], par.p, par.q, par.r)))
+
+
+def integrand_H(z, ctx):
+    """Reference integrand, node by node from the product formula: the
+    Gamma(u_k z^{+-1}) over Gamma(z^{+-2}), the reciprocal of the
+    denominator expanded into two theta factors."""
+    p, q = ctx.params.p, ctx.params.q
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = -(zz**-2) * theta(zz**2, p) * theta(zz**2, q)
+    for uk in ctx.u:
+        out = out * elliptic_gamma(uk * zz, p, q) * elliptic_gamma(uk / zz, p, q)
+    return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
 def test_integrand_spot_value():

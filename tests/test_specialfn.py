@@ -128,6 +128,30 @@ def test_triple_gamma_equal_bases_matches_full_simplex(p, q):
         got = S.triple_gamma(z, p, q)
         ref = _triple_gamma_full_simplex(z, p, q, q)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+    # the draws above with |z| > 0.95 take the q-shift; these, with
+    # |pq^2 / z| > 0.95, take the reflection and then the shift
+    z = p * q * q * (0.4 + 0.65 * rng.random(28)) * np.exp(2j * np.pi * rng.random(28))
+    ref = _triple_gamma_full_simplex(z, p, q, q)
+    assert np.max(np.abs(S.triple_gamma(z, p, q) - ref) / np.abs(ref)) < 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+def test_triple_gamma_series_matches_full_simplex_on_chain_annulus():
+    # 28 pair arguments at the chain's bases, log-uniform over rho <= 0.75
+    p, q = 0.03, 0.45
+    rng = np.random.default_rng(np.random.Philox(53))
+    for _ in range(4):
+        mod = np.exp(rng.uniform(np.log(p * q * q / 0.75), np.log(0.75), 28))
+        z = mod * np.exp(2j * np.pi * rng.random(28))
+        ref = _triple_gamma_full_simplex(z, p, q, q)
+        assert np.max(np.abs(S.triple_gamma(z, p, q) - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("p, q", [(0.03, 0.45), (0.15, 0.10)], ids=["chain", "bailey"])
+def test_triple_gamma_zero_at_one_is_exact(p, q):
+    assert S.triple_gamma(1.0, p, q) == 0
+    vals = S.triple_gamma(np.array([0.3, 1.0, 1.2j]), p, q)
+    assert vals[1] == 0 and np.all(vals[[0, 2]] != 0)
 
 
 def test_triple_gamma_equal_bases_functional_equations():

@@ -613,6 +613,22 @@ def test_level3_integral_routes_match_determinant():
         assert max(resampled(draw)) < 1e-10
 
 
+def test_level_zero_integral_value_skips_the_empty_integral_bit_for_bit():
+    # At n = 0 the value is the pair product alone: the full product of the
+    # gauge prefactor, the empty integral and the pair product has the same
+    # bits.
+    rng = sampling.make_rng(68)
+    for route in ("direct", "tilde"):
+        x = _x_on(rng, 0)
+        t, w, scales = T._chart("pp", route, np.exp(2j * np.pi * x), 0, PARAMS)
+        full = (
+            T._gauge_prefactor(0, x, PARAMS)
+            * integrals.I_n(integrals.IntegrandContext(t, PARAMS, n=0))
+            * integrals._pair_gamma(w, PARAMS, scales)
+        )
+        assert T.tau_n_int(0, x, route, PARAMS) == full
+
+
 def test_tau_n_int_validations():
     rng = sampling.make_rng(66)
     x = _x_on(rng, 1)
