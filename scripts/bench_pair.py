@@ -4,8 +4,8 @@
 
 For each workload declared in CHANGE_DIR/BENCHMARK.json it runs
 ``perfbench/run.py --trace 0`` in both checkouts, in --pairs alternating
-pairs (pair k uses seed k + 1 on both sides; even pairs start with the
-parent, odd pairs with the change), then one ``--trace 1`` run per side at
+pairs (pair k = 1, 2, ... uses seed k on both sides; odd pairs start with
+the parent, even pairs with the change), then one ``--trace 1`` run per side at
 seed 1. Every run starts a fresh interpreter in its checkout, so both sides
 build what they run from their own ``src/``. The record holds:
 
@@ -15,8 +15,12 @@ build what they run from their own ``src/``. The record holds:
   quartiles, the change/parent ratio of the medians, the pairs the change
   won (ties count for neither), and whether the medians are further apart
   than the parent's quartile spread;
-* per workload, the traced per-layer metrics of both sides and whether each
-  pair's outcome digests agree.
+* per workload, each run's checks attempted, seconds spent in checks and
+  whether its input pool ran out; whether each pair drew the same inputs
+  and reached the same outcomes (the outcome digest hashes every residual,
+  so a move at round-off changes it, and so does a different number of
+  checks in a time-bound run); and the traced per-layer metrics of both
+  sides.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -58,9 +62,9 @@ def _compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def _side(root: str, first: dict) -> dict:
+def _side(first: dict) -> dict:
     d = first["detail"]
-    return {"dir": os.path.abspath(root), "git_sha": d["git_sha"], "source_sha256": d["source_sha256"]}
+    return {"git_sha": d["git_sha"], "source_sha256": d["source_sha256"]}
 
 
 def main(argv=None) -> int:
@@ -98,19 +102,18 @@ def main(argv=None) -> int:
                 for m in bench["end_to_end"]
             },
             "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in roots},
-            "pool_exhausted": {side: [r["detail"]["runs"][0]["pool_exhausted"] for r in runs[side]]
-                               for side in roots},
-            "outcome_digest_equal": [
-                a["detail"]["runs"][0]["outcome_digest"] == b["detail"]["runs"][0]["outcome_digest"]
-                for a, b in zip(runs["parent"], runs["change"])
-            ],
+            **{key: {side: [r["detail"]["runs"][0][key] for r in runs[side]] for side in roots}
+               for key in ("attempted", "elapsed_s", "pool_exhausted")},
+            **{f"{key}_equal": [a["detail"]["runs"][0][key] == b["detail"]["runs"][0][key]
+                                for a, b in zip(runs["parent"], runs["change"])]
+               for key in ("input_digest", "outcome_digest")},
             "per_layer_seed1": {
                 name: {"unit": v["unit"], "parent": v["value"], "change": traced["change"][name]["value"]}
                 for name, v in traced["parent"].items() if name in traced["change"]
             },
         }
     d = first["change"]["detail"]
-    record["sides"] = {side: _side(roots[side], first[side]) for side in roots}
+    record["sides"] = {side: _side(first[side]) for side in roots}
     record["machine"] = {
         "nproc": d["nproc"],
         "platform": d["platform"],
