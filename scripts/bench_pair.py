@@ -3,8 +3,8 @@
     python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
 For each workload declared in CHANGE_DIR/BENCHMARK.json it runs
-``perfbench/run.py --trace 0`` in both checkouts, in --pairs alternating
-pairs (pair k = 1, 2, ... uses seed k on both sides; odd pairs start with
+``perfbench/run.py --trace 0`` in both checkouts, in PAIRS = 10 alternating
+pairs (pair k = 1, ..., PAIRS uses seed k on both sides; odd pairs start with
 the parent, even pairs with the change), then one ``--trace 1`` run per side at
 seed 1. Every run starts a fresh interpreter in its checkout, so both sides
 build what they run from their own ``src/``. The record holds:
@@ -12,7 +12,8 @@ build what they run from their own ``src/``. The record holds:
 * the sha and source digest of each side, and the machine facts, with the
   host slowdown that perfbench measured for every run;
 * per workload and end-to-end metric, each side's values, median and
-  quartiles, the change/parent ratio of the medians, the pairs the change
+  quartiles (``statistics.quantiles(n=4)``, the spread perfbench/README.md
+  defines), the change/parent ratio of the medians, the pairs the change
   won (ties count for neither), and whether the medians are further apart
   than the parent's quartile spread;
 * per workload, each run's checks attempted, seconds spent in checks and
@@ -33,6 +34,9 @@ import statistics
 import subprocess
 import sys
 
+# The gain rule needs at least ten alternating pairs per workload.
+PAIRS = 10
+
 
 def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in root: its result line and its detail line."""
@@ -44,7 +48,7 @@ def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 
 def _quartiles(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(values, n=4)
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
@@ -72,18 +76,17 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     roots = {"parent": args.parent, "change": args.change}
-    record = {"seconds": seconds, "pairs": args.pairs, "workloads": {}}
+    record = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
     slowdowns, first = [], {}
     for wl in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 r = _run(roots[side], wl, k + 1, seconds, 0)
@@ -93,7 +96,7 @@ def main(argv=None) -> int:
                 print(wl, k + 1, side, r["result"]["metrics"]["checks_per_s"]["value"], file=sys.stderr)
         traced = {side: _run(roots[side], wl, 1, seconds, 1)["result"]["metrics"] for side in roots}
         record["workloads"][wl] = {
-            "seeds": list(range(1, args.pairs + 1)),
+            "seeds": list(range(1, PAIRS + 1)),
             "metrics": {
                 m["name"]: _compare(
                     *([r["result"]["metrics"][m["name"]]["value"] for r in runs[side]] for side in roots),
