@@ -15,6 +15,9 @@ pass flags; "-" for an entry or flag on one side only), then every exit
 status that differs:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OLD NEW
+
+It exits 1 when some pass flag or exit status differs, an entry on one side
+only included, and 0 when the two agree on all of them, whatever values moved.
 """
 from __future__ import annotations
 
@@ -78,24 +81,28 @@ def _shown(c: dict | None) -> str:
     return str(c["count"]) if "count" in c else repr(complex(*c["value"]))
 
 
-def compare(old: pathlib.Path, new: pathlib.Path) -> None:
-    """Print the entries and exit statuses that differ between two OUTDIRs."""
+def compare(old: pathlib.Path, new: pathlib.Path) -> bool:
+    """Print the entries and exit statuses that differ between two OUTDIRs;
+    True when some pass flag or exit status differs."""
     a, b = _entries(old), _entries(new)
+    verdict_moved = False
     for key in [*a, *(k for k in b if k not in a)]:
         ca, cb = a.get(key), b.get(key)
         if ca != cb:
-            flags = " -> ".join(str((c or {}).get("pass", "-")) for c in (ca, cb))
-            print(f"{key[0]} {key[1]}: {_shown(ca)} -> {_shown(cb)} pass {flags}")
+            flags = [str((c or {}).get("pass", "-")) for c in (ca, cb)]
+            verdict_moved |= flags[0] != flags[1]
+            print(f"{key[0]} {key[1]}: {_shown(ca)} -> {_shown(cb)} pass {' -> '.join(flags)}")
     ea, eb = _exit_codes(old), _exit_codes(new)
     for run in [*ea, *(r for r in eb if r not in ea)]:
         if ea.get(run) != eb.get(run):
+            verdict_moved = True
             print(f"{run}: {ea.get(run, '-')} -> {eb.get(run, '-')}")
+    return verdict_moved
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3:
-        compare(pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]))
-        sys.exit()
+        sys.exit(1 if compare(pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])) else 0)
     if len(sys.argv) != 2:
         sys.exit("usage: report_matrix.py OUTDIR | report_matrix.py OLD NEW")
     out = pathlib.Path(sys.argv[1])

@@ -36,7 +36,7 @@ import numpy as np
 from . import integrals, lattice, picard, sampling, tau
 from .integrals import IntegrandContext
 from .specialfn import EllipticParams, bracket_pm, three_term_residual
-from .util import DomainError, e, rel_diff, resampled
+from .util import RESAMPLE_ERRORS, DomainError, e, rel_diff, resampled
 
 SUITES = ("counts", "specialfn", "hirota", "bailey", "chain", "picard")
 
@@ -648,14 +648,12 @@ def _cmd_verify(identity: str, cfg: SuiteConfig, json_path: str | None) -> int:
     return _emit(_report(f"verify-{identity}", cfg, [(_Run(cfg, SUITES.index("bailey"), "bailey"), rows)]), json_path)
 
 
-def _cmd_tau_build(cfg: SuiteConfig, n: int | None, report_path: str | None, json_path: str | None) -> int:
+def _cmd_tau_build(cfg: SuiteConfig, n: int | None, json_path: str | None) -> int:
     n = cfg.n_max if n is None else n
     if not 1 <= n <= 3:
         print("build level must be between 1 and 3", file=sys.stderr)
         return 2
     report = _report("tau-build", cfg, [(_Run(cfg, 7, "chain", depth=n), _build_rows(n))], n_max=n)
-    if report_path:
-        Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return _emit(report, json_path)
 
 
@@ -729,7 +727,6 @@ def main(argv: list[str] | None = None) -> int:
     tsub = t.add_subparsers(dest="tau_command", required=True)
     tb = tsub.add_parser("build", parents=[common])
     tb.add_argument("--n", type=int, help="top chain level (default: config n_max)")
-    tb.add_argument("--report", dest="report_path", help="also write the report to this path")
     tp = tsub.add_parser("probe", parents=[common])
     tp.add_argument("--x", required=True, help="eight coordinates: re,im tokens")
     tp.add_argument("--n", type=int, help="expected level (default: locate from x)")
@@ -756,17 +753,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "frames":
-        return _emit(run_suite("counts", cfg), args.json_path)
-    if args.command == "verify":
-        return _cmd_verify(args.identity, cfg, args.json_path)
-    if args.command == "tau":
-        if args.tau_command == "build":
-            return _cmd_tau_build(cfg, args.n, args.report_path, args.json_path)
-        return _cmd_tau_probe(cfg, args.x, args.n, args.json_path)
-    if args.command == "picard":
-        return _emit(run_suite("picard", cfg), args.json_path)
-    return _emit(run_suite(args.name, cfg, break_tau=args.break_tau), args.json_path)
+    # A check that still fails with a typed error after its redraws, or a
+    # row without redraws that fails once, fails the run.
+    try:
+        if args.command == "frames":
+            return _emit(run_suite("counts", cfg), args.json_path)
+        if args.command == "verify":
+            return _cmd_verify(args.identity, cfg, args.json_path)
+        if args.command == "tau":
+            if args.tau_command == "build":
+                return _cmd_tau_build(cfg, args.n, args.json_path)
+            return _cmd_tau_probe(cfg, args.x, args.n, args.json_path)
+        if args.command == "picard":
+            return _emit(run_suite("picard", cfg), args.json_path)
+        return _emit(run_suite(args.name, cfg, break_tau=args.break_tau), args.json_path)
+    except RESAMPLE_ERRORS as err:
+        print(f"check failed: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

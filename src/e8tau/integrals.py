@@ -18,10 +18,10 @@ from math import factorial, prod
 import numpy as np
 
 from .specialfn import (
-    _SERIES_TAIL,
     _SHIFT_RHO,
     TRUNC_TOL,
     EllipticParams,
+    _series_powers,
     _shift_count,
     elliptic_gamma,
     qpoch,
@@ -144,8 +144,8 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
     pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c) for s > 0, or
     prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0; after it
     rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1. The series of all
-    eight parameters are then summed, cut where rho^M is below _SERIES_TAIL,
-    and folded mod N, so one FFT pair gives every node. The values are a
+    eight parameters are then summed from the _series_powers table and
+    folded mod N, so one FFT pair gives every node. The values are a
     fresh array, since every parameter multiplies into the plan's read-only
     weight.
     """
@@ -163,12 +163,8 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
             th = theta(u[i] * b**t * zs, c)
             vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
         u[i] = u[i] * b**s
-    rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
-    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho.max())))
-    k = u.size
-    # row-wise powers b^1 .. b^M of the bases u_k, pq/u_k, p and q
-    bases = np.concatenate([u, pq / u, [p, q]])
-    pw = np.cumprod(np.repeat(bases[:, None], M, axis=1), axis=1)
+    pw = _series_powers(u, pq, p, q)
+    M, k = pw.shape[1], u.size
     cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
     cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
         np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
@@ -339,11 +335,9 @@ def terminating_eval(u, params: EllipticParams, N: int) -> complex:
     ok = ok or abs(q / (u[0] * u[7]) - p * q**-N) < 1e-9 * abs(p * q**-N)
     if not ok:
         raise ValueError("no parameter satisfies the termination condition")
-    pref = 1.0 + 0j
-    for a, b in itertools.combinations(range(1, 7), 2):
-        pref *= elliptic_gamma(u[a] * u[b], p, q)
-    pref *= elliptic_gamma(q**2 / u[0] ** 2, p, q) * elliptic_gamma(u[0] / u[7], p, q)
-    for k in range(1, 7):
-        pref /= elliptic_gamma(q * u[k] / u[0], p, q) * elliptic_gamma(q / (u[k] * u[7]), p, q)
+    num = [u[a] * u[b] for a, b in itertools.combinations(range(1, 7), 2)]
+    num += [q**2 / u[0] ** 2, u[0] / u[7]]
+    den = [q * u[k] / u[0] for k in range(1, 7)] + [q / (u[k] * u[7]) for k in range(1, 7)]
+    pref = complex(np.prod(elliptic_gamma(num, p, q)) / np.prod(elliptic_gamma(den, p, q)))
     series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p, N)
     return pref * series

@@ -82,7 +82,6 @@ _V8 = E[8] - Fraction(1, 2) * (E[0] - E[9]) + Fraction(1, 2) * C
 V_BASIS = (-_V8,) + tuple(
     E[j] - Fraction(1, 2) * (E[0] - E[9]) + Fraction(1, 2) * C for j in range(1, 8)
 )
-PHI_PIC = C - AFFINE_ROOTS[8]
 
 
 def reflect(alpha: PicardVector, v: PicardVector) -> PicardVector:
@@ -175,39 +174,6 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
     x = np.concatenate([[-x_tail[7]], x_tail[:7]])
     mu = -(-eps[0] ** 2 + np.sum(eps[1:] ** 2)) / (2.0 * kappa)
     return x, complex(mu), complex(kappa)
-
-
-_BLOWUP_IN_E = (
-    E[0] - E[2],
-    E[0] - E[1],
-    E[0] - E[1] - E[2],
-) + tuple(E[j] for j in range(3, 10))
-_E_IN_BLOWUP = (
-    pic(1, 1, -1, 0, 0, 0, 0, 0, 0, 0),
-    pic(1, 0, -1, 0, 0, 0, 0, 0, 0, 0),
-    pic(0, 1, -1, 0, 0, 0, 0, 0, 0, 0),
-) + tuple(E[j] for j in range(3, 10))
-
-
-def basis_change_p1p1(v: PicardVector, direction: str) -> PicardVector:
-    """Exact change of basis to or from the quadric-surface presentation.
-
-    The target basis is (h1, h2, f1, ..., f8) with h1 = e0 - e2,
-    h2 = e0 - e1, f1 = e0 - e1 - e2 and fj = e_{j+1} for j >= 2.  The
-    result is a plain coefficient tuple over the requested basis; the
-    pairing on the blow-up side is hyperbolic on (h1, h2) and identity on
-    the f's.
-    """
-    if direction == "to_p1p1":
-        images = _E_IN_BLOWUP
-    elif direction == "from_p1p1":
-        images = _BLOWUP_IN_E
-    else:
-        raise ValueError("direction must be 'to_p1p1' or 'from_p1p1'")
-    out = pic(*([0] * 10))
-    for a, img in zip(v.coeffs, images):
-        out = out + a * img
-    return out
 
 
 def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:

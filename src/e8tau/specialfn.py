@@ -1,6 +1,7 @@
 """Theta functions, elliptic gamma functions, the additive bracket, and the
 very well-poised terminating series. All products are truncated once the
-remaining factors differ from 1 by less than ``TRUNC_TOL``."""
+remaining factors differ from 1 by less than ``TRUNC_TOL``; the gamma
+functions sum log series instead, cut at ``_SERIES_TAIL``."""
 from __future__ import annotations
 
 import cmath
@@ -108,63 +109,6 @@ def qpoch(z, p: complex):
     return complex(out[0]) if scalar else out
 
 
-# Chunks of the flat exponent simplex keep every factor temporary at most
-# this many elements (125 KiB of complex), so the memory peak does not grow
-# with the node count, and the temporaries are reused from the heap and stay
-# in cache. The allocator (glibc malloc) maps blocks of 128 KiB and more fresh
-# from the system on every allocation, and they are page-faulted in again,
-# unless the process has earlier freed a larger mapped block, which raises
-# that threshold.
-_CHUNK_ELEMENTS = 8_000
-
-
-def elliptic_gamma(z, p: complex, q: complex):
-    """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
-
-    The exponent simplex |p^i q^j| >= TRUNC_TOL/big is enumerated as one flat
-    array in row-major (i, j) order and multiplied out in chunks. Raises
-    PoleError when some 1 - p^i q^j z factor is within POLE_EPS of 0, naming
-    the first such (i, j) in that order; the pole lattice has modulus >= 1,
-    so arguments inside the unit disk are always safe.
-    """
-    zz, scalar = _as_array(z)
-    if np.any(zz == 0):
-        raise ValueError("gamma argument must be nonzero")
-    pq = p * q
-    big = max(float(np.max(np.abs(zz))), float(np.max(abs(pq) / np.abs(zz))), 1.0)
-    pi = _power_column(p, big)
-    qj = _power_column(q, big)
-    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * big >= TRUNC_TOL)
-    w = pi[ii] * qj[jj]
-    inv = 1.0 / zz
-    out = np.ones_like(zz)
-    step = max(1, _CHUNK_ELEMENTS // zz.size)
-    for s in range(0, w.size, step):
-        ws = w[s : s + step]
-        den = np.multiply.outer(ws, zz)
-        np.subtract(1.0, den, out=den)
-        small = np.abs(den) < POLE_EPS
-        if small.any():
-            row = int(np.argmax(small.any(axis=1)))
-            raise PoleError(complex(zz[small[row]][0]), int(ii[s + row]), int(jj[s + row]))
-        num = np.multiply.outer(ws * pq, inv)
-        np.subtract(1.0, num, out=num)
-        out *= np.prod(num, axis=0) / np.prod(den, axis=0)
-    return complex(out[0]) if scalar else out
-
-
-def _power_column(base: complex, big: float) -> np.ndarray:
-    """Powers base^0..base^m while |base|^m * big stays above TRUNC_TOL."""
-    count, mag = 1, abs(base)
-    while mag ** count * big >= TRUNC_TOL:
-        count += 1
-    out = np.empty(count, dtype=complex)
-    out[0] = 1.0
-    for i in range(1, count):
-        out[i] = out[i - 1] * base
-    return out
-
-
 # The log series of the gamma functions diverge at rho = 1 and need
 # thousands of terms just below it. An argument whose rho exceeds _SHIFT_RHO
 # is first moved by a difference equation, and every series is cut where
@@ -187,6 +131,76 @@ def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
     return best
 
 
+def _series_powers(z: np.ndarray, c: complex, p: complex, q: complex) -> np.ndarray:
+    """The power table of the gamma log series on |c| < |z_k| < 1: rows
+    x^1 .. x^M for x = every z_k, then every c/z_k, then p, then q, from one
+    cumprod. M is the first order with rho^M below _SERIES_TAIL, where
+    rho = max_k max(|z_k|, |c/z_k|)."""
+    rho = float(np.max(np.maximum(np.abs(z), abs(c) / np.abs(z))))
+    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho)))
+    bases = np.concatenate([z, c / z, [p, q]])
+    return np.cumprod(np.broadcast_to(bases[:, None], (bases.size, M)), axis=1)
+
+
+def _pole_guard(zz: np.ndarray, p: complex, q: complex) -> None:
+    """PoleError when some factor 1 - p^i q^j z of the gamma denominator is
+    within POLE_EPS of 0, naming the first such (i, j) in row-major order and
+    the first such z. Only |p^i q^j z| near 1 can vanish, so the (i, j) with
+    |p^i q^j| max|z| above 1/2 are all that is checked."""
+    near = zz[np.abs(zz) > 0.5]
+    if not near.size:
+        return
+    top = float(np.max(np.abs(near)))
+
+    def powers(b):  # b^0 .. b^n, the last with |b^n| top > 1/2
+        return np.cumprod(np.r_[1.0, np.full(int(np.log(2 * top) / -np.log(abs(b))), b)])
+
+    pi, qj = powers(p), powers(q)
+    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * top > 0.5)
+    small = np.abs(1.0 - np.multiply.outer(pi[ii] * qj[jj], near)) < POLE_EPS
+    if small.any():
+        row = int(np.argmax(small.any(axis=1)))
+        raise PoleError(complex(near[small[row]][0]), int(ii[row]), int(jj[row]))
+
+
+def elliptic_gamma(z, p: complex, q: complex):
+    """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
+
+    Raises PoleError when some 1 - p^i q^j z factor is within POLE_EPS of 0,
+    naming the first such (i, j) in row-major order; the pole lattice has
+    modulus >= 1, so arguments inside the unit disk are always safe.
+
+    On |pq| < |z| < 1 its log is the series
+    sum_{m>=1} (z^m - (pq/z)^m) / (m (1 - p^m)(1 - q^m)), summed for all
+    arguments at once from the _series_powers table in one mat-vec. An
+    argument with rho = max(|z|, |pq/z|) above _SHIFT_RHO is first moved by
+    s steps of Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and
+    |b| >= |c|: Gamma(z) = Gamma(b^s z) / prod_{0<=t<s} theta(b^t z; c) for
+    s > 0, or Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0.
+    """
+    zz, scalar = _as_array(z)
+    if np.any(zz == 0):
+        raise ValueError("gamma argument must be nonzero")
+    _pole_guard(zz, p, q)
+    pq = p * q
+    out = np.ones_like(zz)
+    far = np.flatnonzero(np.maximum(np.abs(zz), abs(pq) / np.abs(zz)) > _SHIFT_RHO)
+    if far.size:
+        zz = zz.copy()
+        b, c = (q, p) if abs(q) >= abs(p) else (p, q)
+        steps = np.array([_shift_count(abs(v), abs(pq), abs(b)) for v in zz[far]])
+        for t in range(min(steps.min(), 0), max(steps.max(), 0)):
+            idx = far[steps > t] if t >= 0 else far[steps <= t]
+            th = theta(b**t * zz[idx], c)
+            out[idx] = out[idx] / th if t >= 0 else out[idx] * th
+        zz[far] *= b**steps
+    pw = _series_powers(zz, pq, p, q)
+    m = np.arange(1, pw.shape[1] + 1)
+    log = pw[:-2] @ (1.0 / (m * (1.0 - pw[-2]) * (1.0 - pw[-1])))
+    out *= np.exp(log[: zz.size] - log[zz.size :])
+    return complex(out[0]) if scalar else out
+
+
 def triple_gamma(z, p: complex, q: complex):
     """Entire triple gamma at equal second and third bases:
     Gamma(z; p, q, q) = (z; p,q,q)_inf (pq^2/z; p,q,q)_inf, the weighting of
@@ -194,16 +208,14 @@ def triple_gamma(z, p: complex, q: complex):
 
     On |pq^2| < |z| < 1 its log is the series
     -sum_{m>=1} (z^m + (pq^2/z)^m) / (m (1 - p^m)(1 - q^m)^2), summed for all
-    arguments at once: the powers of every z_k and pq^2/z_k from one cumprod,
-    cut where rho^M is below _SERIES_TAIL with rho = max_k max(|z_k|,
-    |pq^2/z_k|), and contracted with the weights in one mat-vec. An argument
-    with rho above _SHIFT_RHO is moved first: by the reflection
-    Gamma(z) = Gamma(pq^2/z) when |z|^2 < |pq^2|, then by s steps of
-    Gamma(z) = Gamma(q^s z) prod_{0<=t<s} 1/Gamma(q^t z; p, q), each
-    1/Gamma(y; p, q) = Gamma(pq/y; p, q) taken as theta(y; q) Gamma(q/y; p, q).
-    That theta holds the factor 1 - y literally, so the zero at z = 1 is
-    exact, and |q/y| < |q| / _SHIFT_RHO keeps the elliptic gamma off its
-    pole at 1 for |q| < _SHIFT_RHO.
+    arguments at once from the _series_powers table in one mat-vec. An
+    argument with rho = max(|z|, |pq^2/z|) above _SHIFT_RHO is moved first:
+    by the reflection Gamma(z) = Gamma(pq^2/z) when |z|^2 < |pq^2|, then by
+    s steps of Gamma(z) = Gamma(q^s z) prod_{0<=t<s} 1/Gamma(q^t z; p, q),
+    each 1/Gamma(y; p, q) = Gamma(pq/y; p, q) taken as
+    theta(y; q) Gamma(q/y; p, q). That theta holds the factor 1 - y
+    literally, so the zero at z = 1 is exact, and |q/y| < |q| / _SHIFT_RHO
+    keeps the elliptic gamma off its pole at 1 for |q| < _SHIFT_RHO.
     """
     zz, scalar = _as_array(z)
     if np.any(zz == 0):
@@ -221,11 +233,8 @@ def triple_gamma(z, p: complex, q: complex):
             y = q**t * zz[idx]
             out[idx] *= theta(y, q) * elliptic_gamma(q / y, p, q)
         zz[far] *= q**steps
-    rho = float(np.max(np.maximum(np.abs(zz), abs(pqq) / np.abs(zz))))
-    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho)))
-    bases = np.concatenate([zz, pqq / zz, [p, q]])
-    pw = np.cumprod(np.broadcast_to(bases[:, None], (bases.size, M)), axis=1)
-    w = -1.0 / (np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1]) ** 2)
+    pw = _series_powers(zz, pqq, p, q)
+    w = -1.0 / (np.arange(1, pw.shape[1] + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1]) ** 2)
     log = pw[:-2] @ w
     out *= np.exp(log[: zz.size] + log[zz.size :])
     return complex(out[0]) if scalar else out

@@ -114,11 +114,11 @@ RESAMPLE_ERRORS = (BracketZeroError, AdmissibilityError, ConvergenceError)
 
 
 def resampled(draw, tries: int = 8):
-    """Retry a draw-and-evaluate closure across RESAMPLE_ERRORS."""
-    last = None
-    for _ in range(tries):
+    """Retry a draw-and-evaluate closure across RESAMPLE_ERRORS, and re-raise
+    the last of them when no draw in tries succeeds."""
+    for _ in range(tries - 1):
         try:
             return draw()
-        except RESAMPLE_ERRORS as err:
-            last = err
-    raise RuntimeError(f"no admissible draw in {tries} tries: {last!r}")
+        except RESAMPLE_ERRORS:
+            pass
+    return draw()

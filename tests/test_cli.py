@@ -153,7 +153,7 @@ def test_verify_terminating(capsys):
 
 def test_tau_build_writes_report(tmp_path, capsys):
     path = tmp_path / "build.json"
-    rc = cli.main(["tau", "build", "--n", "1", "--report", str(path)])
+    rc = cli.main(["tau", "build", "--n", "1", "--json", str(path)])
     capsys.readouterr()
     assert rc == 0
     report = json.loads(path.read_text())
@@ -164,6 +164,16 @@ def test_tau_build_writes_report(tmp_path, capsys):
         "chain-bilinear",
     }
     assert report["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["suite", "all"], ["tau", "build", "--n", "3"]], ids=["suite", "build"])
+def test_unreachable_quad_tol_fails_with_one_line(capsys, argv):
+    # The suite's first failure is a transform row, which takes no redraws;
+    # the build's is a closed-form row, which fails all eight of its draws.
+    assert cli.main([*argv, "--quad-tol", "1e-15"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ConvergenceError: node cap")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_tau_build_checks_level_three(capsys):

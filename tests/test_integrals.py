@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from e8tau import integrals, sampling
-from e8tau.cli import _terminating_family
+from e8tau.cli import SUITES, _terminating_family, load_config
 from e8tau.integrals import (
     I,
     I_n,
@@ -21,12 +21,12 @@ from e8tau.integrals import (
     contiguity_residual,
     terminating_eval,
 )
-from e8tau.specialfn import EllipticParams, elliptic_gamma, qpoch, theta
+from e8tau.specialfn import EllipticParams, qpoch, theta, v12_11
 from e8tau.util import AdmissibilityError, ConvergenceError, e
 
 from . import _oracles as O
 from . import _quad_oracles as Q
-from .test_specialfn import _triple_gamma_full_simplex
+from .test_specialfn import _elliptic_gamma_product, _triple_gamma_full_simplex
 
 PARAMS = EllipticParams.from_bases(0.15, 0.1)
 CHAIN_PARAMS = EllipticParams.from_bases(0.03, 0.45)
@@ -57,7 +57,7 @@ def integrand_H(z, ctx):
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = -(zz**-2) * theta(zz**2, p) * theta(zz**2, q)
     for uk in ctx.u:
-        out = out * elliptic_gamma(uk * zz, p, q) * elliptic_gamma(uk / zz, p, q)
+        out = out * _elliptic_gamma_product(uk * zz, p, q) * _elliptic_gamma_product(uk / zz, p, q)
     return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
@@ -78,7 +78,7 @@ def test_integrand_vanishes_at_unit_argument():
     direct = integrand_H(1.0 + 0j, _ctx())
     composed = -theta(1.0 + 0j, PARAMS.p) * theta(1.0 + 0j, PARAMS.q)
     for uk in U_FIXED:
-        composed *= elliptic_gamma(uk, PARAMS.p, PARAMS.q) ** 2
+        composed *= _elliptic_gamma_product(uk, PARAMS.p, PARAMS.q) ** 2
     assert direct == composed == 0.0
 
 
@@ -406,3 +406,28 @@ def test_terminating_eval_guards():
         terminating_eval(u, params, 3)  # wrong order
     with pytest.raises(ValueError):
         terminating_eval((0.3,) * 8, params, 1)  # unbalanced
+
+
+def _terminating_by_factor(u, params, N):
+    """terminating_eval with each of its 29 gamma factors taken on its own
+    from the product formula."""
+    p, q = params.p, params.q
+    g = lambda z: _elliptic_gamma_product(z, p, q)
+    pref = 1.0 + 0j
+    for a, b in itertools.combinations(range(1, 7), 2):
+        pref *= g(u[a] * u[b])
+    pref *= g(q**2 / u[0] ** 2) * g(u[0] / u[7])
+    for k in range(1, 7):
+        pref /= g(q * u[k] / u[0]) * g(q / (u[k] * u[7]))
+    return pref * v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p, N)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+def test_terminating_eval_matches_factor_by_factor_form(seed):
+    # the draws of `e8tau verify terminating --seed S`: orders 1 and 2, in turn
+    cfg = load_config(seed=seed)
+    rng = sampling.make_rng(cfg.seed + SUITES.index("bailey"))
+    params = cfg.elliptic("terminating")
+    for order in (1, 2):
+        u = _terminating_family(rng, order, params)
+        assert _rel(terminating_eval(u, params, order), _terminating_by_factor(u, params, order)) <= 1e-13

@@ -60,6 +60,55 @@ def test_gamma_frozen_values():
     assert _rel(S.elliptic_gamma(0.1, 0.1, 0.1), O.GAMMA_SELFDUAL) < 1e-14
 
 
+def _elliptic_gamma_product(z, p, q, trunc_tol=S.TRUNC_TOL):
+    """Gamma(z; p, q) = (pq/z; p,q)_inf / (z; p,q)_inf from its product
+    formula: every factor of the exponent simplex |p^i q^j| big >= trunc_tol,
+    in row-major (i, j) order and in chunks of at most 8 000 elements. The
+    library sums the log series; this is its reference route."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    pq = p * q
+    big = max(float(np.max(np.abs(zz))), float(np.max(abs(pq) / np.abs(zz))), 1.0)
+
+    def powers(b):
+        n = 1
+        while abs(b) ** n * big >= trunc_tol:
+            n += 1
+        return np.cumprod(np.r_[1.0, np.full(n - 1, b)])
+
+    pi, qj = powers(p), powers(q)
+    ii, jj = np.nonzero(np.abs(pi)[:, None] * np.abs(qj)[None, :] * big >= trunc_tol)
+    w = pi[ii] * qj[jj]
+    inv = 1.0 / zz
+    out = np.ones_like(zz)
+    step = max(1, 8_000 // zz.size)
+    for s in range(0, w.size, step):
+        ws = w[s : s + step]
+        den = np.multiply.outer(ws, zz)
+        np.subtract(1.0, den, out=den)
+        num = np.multiply.outer(ws * pq, inv)
+        np.subtract(1.0, num, out=num)
+        out *= np.prod(num, axis=0) / np.prod(den, axis=0)
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def test_gamma_product_frozen_values():
+    assert _rel(_elliptic_gamma_product(0.4 + 0.2j, 0.1, 0.15), O.GAMMA_Z) < 1e-14
+    assert _rel(_elliptic_gamma_product(0.1, 0.1, 0.1), O.GAMMA_SELFDUAL) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "p, q", [(0.15, 0.10), (0.03, 0.45), (0.2 * e(0.1), 0.3)], ids=["bailey", "chain", "complex"]
+)
+def test_gamma_series_matches_product(p, q):
+    # log-uniform over |pq|^1.5 < |z| < 30: the draws below |pq| are shifted
+    # up, those above 0.95 down, and the rest summed as they are
+    rng = np.random.default_rng(np.random.Philox(59))
+    z = np.exp(rng.uniform(1.5 * np.log(abs(p * q)), np.log(30.0), 600)) * np.exp(2j * np.pi * rng.random(600))
+    assert np.any(np.abs(z) < abs(p * q)) and np.any(np.abs(z) > 1)
+    ref = _elliptic_gamma_product(z, p, q)
+    assert np.max(np.abs(S.elliptic_gamma(z, p, q) - ref) / np.abs(ref)) <= 1e-13
+
+
 def test_gamma_functional_equations():
     rng = np.random.default_rng(np.random.Philox(29))
     for _ in range(60):
