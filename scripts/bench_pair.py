@@ -6,8 +6,10 @@ For each workload declared in CHANGE_DIR/BENCHMARK.json it runs
 ``perfbench/run.py --trace 0`` in both checkouts, in PAIRS = 10 alternating
 pairs (pair k = 1, ..., PAIRS uses seed k on both sides; odd pairs start with
 the parent, even pairs with the change), then one ``--trace 1`` run per side at
-seed 1. Every run starts a fresh interpreter in its checkout, so both sides
-build what they run from their own ``src/``. The record holds:
+seed 1. Before those, one ``perfbench/worker.py --seed 1 --checks N`` run per
+side counts the outcomes of a fixed number of checks. Every run starts a
+fresh interpreter in its checkout, so both sides build what they run from
+their own ``src/``. The record holds:
 
 * the sha and source digest of each side, and the machine facts, with the
   host slowdown that perfbench measured for every run;
@@ -21,7 +23,10 @@ build what they run from their own ``src/``. The record holds:
   and reached the same outcomes (the outcome digest hashes every residual,
   so a move at round-off changes it, and so does a different number of
   checks in a time-bound run); and the traced per-layer metrics of both
-  sides.
+  sides;
+* per workload, the fixed-count run of each side: checks attempted, failed
+  operations (raised + wrong), raised, wrong, failed checks and the outcome
+  digest, and whether the two sides agree on all of them.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -36,6 +41,11 @@ import sys
 
 # The gain rule needs at least ten alternating pairs per workload.
 PAIRS = 10
+# Check counts of the fixed-count runs, whole cycles of each workload's kinds.
+# A timed run attempts a different number of checks each time, so only these
+# outcomes can be compared between runs of the same code.
+FIXED_CHECKS = {"chain": 240, "quadrature": 400, "exact": 1400}
+_FIXED_KEYS = ("attempted", "failed", "raised", "wrong", "checks_failed", "outcome_digest")
 
 
 def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -45,6 +55,15 @@ def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dic
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     detail, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return {"result": result, "detail": detail["detail"]}
+
+
+def _fixed(root: str, workload: str) -> dict:
+    """The outcome counts and digest of FIXED_CHECKS[workload] checks at seed 1."""
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1",
+           "--checks", str(FIXED_CHECKS[workload])]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {key: result[key] for key in _FIXED_KEYS}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -85,6 +104,7 @@ def main(argv=None) -> int:
     record = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
     slowdowns, first = [], {}
     for wl in (w["name"] for w in bench["workloads"]):
+        fixed = {side: _fixed(roots[side], wl) for side in roots}
         runs = {"parent": [], "change": []}
         for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -110,6 +130,8 @@ def main(argv=None) -> int:
             **{f"{key}_equal": [a["detail"]["runs"][0][key] == b["detail"]["runs"][0][key]
                                 for a, b in zip(runs["parent"], runs["change"])]
                for key in ("input_digest", "outcome_digest")},
+            "fixed_count": {"checks": FIXED_CHECKS[wl], "seed": 1, **fixed,
+                            "equal": fixed["parent"] == fixed["change"]},
             "per_layer_seed1": {
                 name: {"unit": v["unit"], "parent": v["value"], "change": traced["change"][name]["value"]}
                 for name, v in traced["parent"].items() if name in traced["change"]

@@ -1,19 +1,19 @@
 """Rank-10 hyperbolic lattice and the lattice-indexed tau families on it.
 
-Vectors carry exact rational coefficients over the basis (e0; e1, ..., e9)
-with Gram matrix diag(-1, 1, ..., 1).  The isotropic vector
+Vectors carry integer coefficients over the basis (e0; e1, ..., e9) with
+Gram matrix diag(-1, 1, ..., 1).  The isotropic vector
 c = 3 e0 - e1 - ... - e9 spans the null direction: translations are taken
 along its orthogonal complement, level charts are graded by the pairing
 with c, and the orthogonal projection to the root sublattice recovers the
 eight additive coordinates used everywhere else in this package.  Floating
 point enters only through the coordinate charts and tau evaluation; all
-lattice arithmetic is exact.
+lattice arithmetic is on integers.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -25,19 +25,11 @@ from .util import DomainError, Residual, normalized_residual
 _GRAM = (-1,) + (1,) * 9
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, numbers.Integral):
-        return Fraction(int(v))
-    raise TypeError("coefficients must be integers or Fractions")
-
-
 @dataclass(frozen=True)
 class PicardVector:
-    """Exact lattice element; coeffs are coefficients, not pairings."""
+    """Lattice element; coeffs are integer coefficients, not pairings."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != 10:
@@ -52,43 +44,43 @@ class PicardVector:
     def __neg__(self) -> "PicardVector":
         return PicardVector(tuple(-a for a in self.coeffs))
 
-    def __rmul__(self, s) -> "PicardVector":
-        f = _frac(s)
-        return PicardVector(tuple(f * a for a in self.coeffs))
+    def __rmul__(self, k) -> "PicardVector":
+        k = index(k)
+        return PicardVector(tuple(k * a for a in self.coeffs))
 
     __mul__ = __rmul__
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coeffs)
-
 
 def pic(*coeffs) -> PicardVector:
-    return PicardVector(tuple(_frac(v) for v in coeffs))
+    """The lattice vector with these integer coefficients; TypeError otherwise."""
+    return PicardVector(tuple(map(index, coeffs)))
 
 
-def picard_ip(a: PicardVector, b: PicardVector) -> Fraction:
+def picard_ip(a: PicardVector, b: PicardVector) -> int:
     """Bilinear pairing of signature (1, 9)."""
-    return sum((g * x * y for g, x, y in zip(_GRAM, a.coeffs, b.coeffs)), Fraction(0))
+    return sum(g * x * y for g, x, y in zip(_GRAM, a.coeffs, b.coeffs))
 
 
 E = tuple(pic(*(1 if i == j else 0 for i in range(10))) for j in range(10))
 C = pic(3, *([-1] * 9))
-D = -E[9] - Fraction(1, 2) * C
+# D = -e9 - c/2, the one vector here outside the lattice: <c, D> = 1 and
+# <D, D> = 0.  Criterion 12 reads it; no computation does.
+D = PicardVector(tuple(-e - Fraction(c, 2) for e, c in zip(E[9].coeffs, C.coeffs)))
 
 # Simple reflection directions: a triple node plus the chain e_j - e_{j+1}.
 AFFINE_ROOTS = (E[0] - E[1] - E[2] - E[3],) + tuple(E[j] - E[j + 1] for j in range(1, 9))
 
-_V8 = E[8] - Fraction(1, 2) * (E[0] - E[9]) + Fraction(1, 2) * C
-V_BASIS = (-_V8,) + tuple(
-    E[j] - Fraction(1, 2) * (E[0] - E[9]) + Fraction(1, 2) * C for j in range(1, 8)
-)
-
 
 def reflect(alpha: PicardVector, v: PicardVector) -> PicardVector:
+    """Reflection of v in the hyperplane orthogonal to alpha, or ValueError
+    when the image leaves the lattice, which no root (norm 2) allows."""
     nrm = picard_ip(alpha, alpha)
     if nrm == 0:
         raise ValueError("cannot reflect in an isotropic direction")
-    return v - (2 * picard_ip(alpha, v) / nrm) * alpha
+    t = 2 * picard_ip(alpha, v)
+    if any(t * a % nrm for a in alpha.coeffs):
+        raise ValueError("reflection left the lattice")
+    return PicardVector(tuple(x - t * a // nrm for x, a in zip(v.coeffs, alpha.coeffs)))
 
 
 def apply_word(word: Sequence[int], v: PicardVector) -> PicardVector:
@@ -107,7 +99,9 @@ def kac_translate(alpha: PicardVector, h: PicardVector) -> PicardVector:
     if picard_ip(C, alpha) != 0:
         raise ValueError("translation direction must pair to zero with c")
     lev = picard_ip(C, h)
-    coef = Fraction(1, 2) * picard_ip(alpha, alpha) * lev + picard_ip(alpha, h)
+    # c is characteristic (<v, v> = <c, v> mod 2 on the lattice) and
+    # <c, alpha> = 0, so <alpha, alpha> is even and the half is exact.
+    coef = picard_ip(alpha, alpha) // 2 * lev + picard_ip(alpha, h)
     return h + lev * alpha - coef * C
 
 
@@ -118,22 +112,24 @@ def in_orbit_M(lam: PicardVector) -> PicardVector | None:
     lam = e9 + alpha + (1/2)<alpha, alpha> c, or None when lam is not in
     that orbit.
     """
-    if not lam.is_integral():
-        return None
     if picard_ip(lam, lam) != 1 or picard_ip(C, lam) != -1:
         return None
     beta = lam - E[9]
     return beta + picard_ip(E[9], beta) * C
 
 
-def project_classical(v: PicardVector) -> tuple[Fraction, ...]:
-    """Coordinates of the orthogonal projection onto the root sublattice.
+def project_classical(v: PicardVector) -> lattice.LatticeVector:
+    """The orthogonal projection onto the root sublattice, as an E8 vector.
 
-    The eight values are the pairings with the orthonormal coordinate
-    vectors, so <w, v> = sum_j w_j * project_classical(v)_j for any w in
-    their span.
+    Its coordinates are the pairings of v with the orthonormal vectors
+    e_j - (e0 - e9)/2 + c/2 (j = 1..7) and minus that vector at j = 8: with
+    s = v1 + ... + v8 they read x_j = v_j - v0 - s/2 and
+    x_0 = -(v8 - v0 - s/2), the map coords_back applies to canonical
+    coordinates.  So <w, v> = sum_j w_j x_j for any w in their span.
     """
-    return tuple(picard_ip(b, v) for b in V_BASIS)
+    c = v.coeffs
+    t = 4 * c[0] + 2 * sum(c[1:9])
+    return lattice.LatticeVector((t - 4 * c[8],) + tuple(4 * a - t for a in c[1:8]))
 
 
 def coords_forward(x: np.ndarray, mu: complex, kappa: complex) -> np.ndarray:
@@ -191,7 +187,7 @@ def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) 
     x, _, kappa = coords_back(eps)
     if abs(kappa - tau.params.delta) > 1e-9:
         raise DomainError("chart level does not match the tau level step")
-    shift = np.array([float(f) for f in project_classical(alpha)], dtype=complex)
+    shift = project_classical(alpha).true_coords()
     y = lattice.apply_word_c(lattice.inverse_word(tuple(w)), x + kappa * shift)
     return tau.eval(y)
 

@@ -67,8 +67,9 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """Adaptive quadrature hit its node cap before stabilizing.
 
-    Carries the integral's parameters u, bases p and q, multiplicity n and
-    node cap, so the failure can be replayed.
+    Carries the integral's parameters u, bases p and q, multiplicity n, node
+    cap and last two values, so the failure can be replayed; the message
+    gives the reason, then n, the cap and the gap between the two values.
     """
 
     def __init__(
@@ -83,9 +84,7 @@ class ConvergenceError(RuntimeError):
         n: int,
         cap: int,
     ):
-        super().__init__(
-            f"{message} (last={last!r}, previous={previous!r}) at n={n}, cap={cap}, p={p!r}, q={q!r}, u={u!r}"
-        )
+        super().__init__(f"{message}: n={n}, cap={cap}, |last - previous|={abs(last - previous):.3e}")
         self.last = last
         self.previous = previous
         self.u, self.p, self.q, self.n, self.cap = u, p, q, n, cap

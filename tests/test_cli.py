@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from e8tau import cli, integrals, picard, sampling, tau
+from e8tau import cli, integrals, lattice, picard, sampling, tau
 from e8tau.specialfn import EllipticParams
 from e8tau.util import AdmissibilityError, e
 
@@ -146,6 +146,32 @@ def test_corrupted_values_fail_the_suite(monkeypatch, case, seed):
     assert must_fail <= {c["id"] for c in report["checks"] if not c["pass"]}
 
 
+def _swap_12(v: lattice.LatticeVector) -> lattice.LatticeVector:
+    c = list(v.coords4)
+    c[1], c[2] = c[2], c[1]
+    return lattice.LatticeVector(tuple(c))
+
+
+# Exact lattice results have no magnitude to scale: these corrupt what a
+# picard function returns, and name the check that must catch it.
+_EXACT_CORRUPTIONS = {
+    # The classical shift of e1 becomes that of e2, and the reverse.
+    "project-classical-swap": ("project_classical", _swap_12, "lattice-hirota"),
+    "kac-translate-plus-c": ("kac_translate", lambda v: v + picard.C, "kac-group-laws"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+@pytest.mark.parametrize("case", sorted(_EXACT_CORRUPTIONS))
+def test_corrupted_lattice_arithmetic_fails_the_suite(monkeypatch, case, seed):
+    name, corrupt, must_fail = _EXACT_CORRUPTIONS[case]
+    fn = getattr(picard, name)
+    monkeypatch.setattr(picard, name, lambda *a: corrupt(fn(*a)))
+    report = cli.run_suite("picard", cli.load_config(seed=seed))
+    assert report["pass"] is False
+    assert must_fail in {c["id"] for c in report["checks"] if not c["pass"]}
+
+
 def test_verify_terminating(capsys):
     assert cli.main(["verify", "terminating"]) == 0
     assert "terminating-series" in capsys.readouterr().out
@@ -174,6 +200,7 @@ def test_unreachable_quad_tol_fails_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("check failed: ConvergenceError: node cap")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert len(err) < 200
 
 
 def test_tau_build_checks_level_three(capsys):

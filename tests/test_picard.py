@@ -1,7 +1,10 @@
 """Hyperbolic-lattice arithmetic and the lattice-indexed tau residuals."""
+import numbers
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,94 @@ _E_IN_BLOWUP = (
     P.pic(1, 0, -1, 0, 0, 0, 0, 0, 0, 0),
     P.pic(0, 1, -1, 0, 0, 0, 0, 0, 0, 0),
 ) + tuple(P.E[j] for j in range(3, 10))
+
+
+# ------------------------------------------------ the rational reference route
+# The lattice on exact rationals, computed as the library did before its
+# vectors became integers: reflections and translations divide as Fractions,
+# and the classical part is read off as the pairings with the orthonormal
+# coordinate vectors V_BASIS, which lie in (1/2)Z^10.
+
+
+def _frac(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, numbers.Integral):
+        return Fraction(int(v))
+    raise TypeError("coefficients must be integers or Fractions")
+
+
+@dataclass(frozen=True)
+class RefVector:
+    coeffs: tuple[Fraction, ...]
+
+    def __add__(self, other):
+        return RefVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return RefVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return RefVector(tuple(-a for a in self.coeffs))
+
+    def __rmul__(self, s):
+        f = _frac(s)
+        return RefVector(tuple(f * a for a in self.coeffs))
+
+    __mul__ = __rmul__
+
+    def is_integral(self) -> bool:
+        return all(a.denominator == 1 for a in self.coeffs)
+
+
+def _ref(v) -> RefVector:
+    return RefVector(tuple(_frac(a) for a in v.coeffs))
+
+
+def ref_ip(a: RefVector, b: RefVector) -> Fraction:
+    gram = (-1,) + (1,) * 9
+    return sum((g * x * y for g, x, y in zip(gram, a.coeffs, b.coeffs)), Fraction(0))
+
+
+R_E = tuple(RefVector(tuple(Fraction(int(i == j)) for i in range(10))) for j in range(10))
+R_C = 3 * R_E[0] - sum(R_E[2:], R_E[1])
+R_ROOTS = (R_E[0] - R_E[1] - R_E[2] - R_E[3],) + tuple(R_E[j] - R_E[j + 1] for j in range(1, 9))
+_V8 = R_E[8] - Fraction(1, 2) * (R_E[0] - R_E[9]) + Fraction(1, 2) * R_C
+V_BASIS = (-_V8,) + tuple(
+    R_E[j] - Fraction(1, 2) * (R_E[0] - R_E[9]) + Fraction(1, 2) * R_C for j in range(1, 8)
+)
+
+
+def ref_reflect(alpha: RefVector, v: RefVector) -> RefVector:
+    return v - (2 * ref_ip(alpha, v) / ref_ip(alpha, alpha)) * alpha
+
+
+def ref_apply_word(word, v: RefVector) -> RefVector:
+    for i in reversed(word):
+        v = ref_reflect(R_ROOTS[i], v)
+    return v
+
+
+def ref_kac_translate(alpha: RefVector, h: RefVector) -> RefVector:
+    lev = ref_ip(R_C, h)
+    coef = Fraction(1, 2) * ref_ip(alpha, alpha) * lev + ref_ip(alpha, h)
+    return h + lev * alpha - coef * R_C
+
+
+def ref_in_orbit_M(lam: RefVector) -> RefVector | None:
+    if not lam.is_integral():
+        return None
+    if ref_ip(lam, lam) != 1 or ref_ip(R_C, lam) != -1:
+        return None
+    beta = lam - R_E[9]
+    return beta + ref_ip(R_E[9], beta) * R_C
+
+
+def ref_project_classical(v: RefVector) -> tuple[Fraction, ...]:
+    return tuple(ref_ip(b, v) for b in V_BASIS)
+
+
+PHI_REF = _ref(PHI_PIC)
 
 
 def _change_basis(v, images):
@@ -94,20 +185,20 @@ def test_pairing_table_and_constants():
     for a in P.AFFINE_ROOTS:
         assert P.picard_ip(a, a) == 2
         assert P.picard_ip(P.C, a) == 0
-    for i, a in enumerate(P.V_BASIS):
-        assert P.picard_ip(P.C, a) == 0
-        for j, b in enumerate(P.V_BASIS):
-            assert P.picard_ip(a, b) == (1 if i == j else 0)
-    half_sum = Fraction(1, 2) * sum(P.V_BASIS[1:], P.V_BASIS[0])
-    assert half_sum == PHI_PIC
+    assert _ref(P.D) == -R_E[9] - Fraction(1, 2) * R_C
+    for i, a in enumerate(V_BASIS):
+        assert ref_ip(R_C, a) == 0
+        for j, b in enumerate(V_BASIS):
+            assert ref_ip(a, b) == (1 if i == j else 0)
+    half_sum = Fraction(1, 2) * sum(V_BASIS[1:], V_BASIS[0])
+    assert half_sum == PHI_REF
+    assert P.project_classical(PHI_PIC) == L.PHI
 
 
 def test_affine_roots_project_onto_module_simple_roots():
     for j in range(8):
-        proj = np.array([float(f) for f in P.project_classical(P.AFFINE_ROOTS[j])])
-        assert np.allclose(proj, np.asarray(L.SIMPLE_ROOTS[j].coords4, float) / 4.0)
-    proj8 = np.array([float(f) for f in P.project_classical(P.AFFINE_ROOTS[8])])
-    assert np.allclose(proj8, -np.asarray(L.PHI.coords4, float) / 4.0)
+        assert P.project_classical(P.AFFINE_ROOTS[j]) == L.SIMPLE_ROOTS[j]
+    assert P.project_classical(P.AFFINE_ROOTS[8]) == -L.PHI
 
 
 def test_kac_translation_group_laws_exact():
@@ -140,6 +231,50 @@ def test_kac_laws_hold_at_every_integral_vector(coeffs):
     assert all(cli._kac_laws(P.pic(*coeffs)))
 
 
+_VECTORS = st.lists(st.integers(-20, 20), min_size=10, max_size=10).map(lambda c: P.pic(*c))
+_WORDS = st.lists(st.integers(0, 8), max_size=12).map(tuple)
+# Directions orthogonal to c: integer combinations of the nine affine roots.
+_DIRECTIONS = st.lists(st.integers(-3, 3), min_size=9, max_size=9).map(
+    lambda k: sum((a * r for a, r in zip(k, P.AFFINE_ROOTS)), ZERO)
+)
+
+
+@_PROPERTY
+@given(_VECTORS, _VECTORS, _WORDS)
+def test_integer_lattice_matches_rational_reference(v, w, word):
+    rv = _ref(v)
+    assert P.picard_ip(v, w) == ref_ip(rv, _ref(w))
+    for root, ref_root in zip(P.AFFINE_ROOTS, R_ROOTS):
+        assert _ref(P.reflect(root, v)) == ref_reflect(ref_root, rv)
+    assert _ref(P.apply_word(word, v)) == ref_apply_word(word, rv)
+    assert P.project_classical(v).coords4 == tuple(4 * x for x in ref_project_classical(rv))
+
+
+@_PROPERTY
+@given(_DIRECTIONS, _VECTORS, _WORDS)
+def test_kac_translation_and_orbit_match_rational_reference(alpha, v, word):
+    assert _ref(P.kac_translate(alpha, v)) == ref_kac_translate(_ref(alpha), _ref(v))
+    # Weyl images of e9 and their Kac translates lie in the orbit
+    lam = P.apply_word(word, P.E[9])
+    orbit = (lam, P.kac_translate(alpha, lam))
+    assert all(P.in_orbit_M(u) is not None for u in orbit)
+    for u in (*orbit, v):
+        got = P.in_orbit_M(u)
+        assert (None if got is None else _ref(got)) == ref_in_orbit_M(_ref(u))
+
+
+def test_lattice_stays_on_the_integers():
+    with pytest.raises(TypeError):
+        P.pic(0.5, *([0] * 9))
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * P.E[1]
+    # reflections divide exactly, or raise when the image leaves the lattice
+    with pytest.raises(ValueError):
+        P.reflect(P.E[1] + P.E[2] + P.E[3], P.E[1])
+    wide = 2 * (P.E[1] + P.E[2])
+    assert _ref(P.reflect(wide, P.E[1])) == ref_reflect(_ref(wide), R_E[1]) == -R_E[2]
+
+
 def _complexes(bound):
     part = st.floats(-bound, bound)
     return st.builds(complex, part, part)
@@ -162,15 +297,17 @@ def test_chart_round_trip_property(x, mu, kappa_mod, kappa_phase):
 
 def test_orbit_classification():
     alpha = P.in_orbit_M(P.E[1])
-    assert alpha == P.V_BASIS[0] + P.V_BASIS[1] - PHI_PIC
+    assert _ref(alpha) == V_BASIS[0] + V_BASIS[1] - PHI_REF
+    assert P.project_classical(alpha) == L.V[0] + L.V[1] - L.PHI
     assert P.in_orbit_M(P.E[0]) is None
     assert P.in_orbit_M(P.E[9]) == ZERO
     assert P.in_orbit_M(P.E[1] + P.E[2]) is None
-    assert P.in_orbit_M(P.E[9] + Fraction(1, 2) * P.C) is None
+    # e9 + c/2 has norm one and level minus one, but lies off the lattice
+    assert ref_in_orbit_M(R_E[9] + Fraction(1, 2) * R_C) is None
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = _rand_root(rng)
-        lam = P.E[9] + a + Fraction(1, 2) * P.picard_ip(a, a) * P.C
+        lam = P.E[9] + a + P.picard_ip(a, a) // 2 * P.C
         assert P.picard_ip(lam, lam) == 1
         assert P.picard_ip(P.C, lam) == -1
         assert P.in_orbit_M(lam) == a
@@ -186,7 +323,7 @@ def test_coordinate_chart_round_trip():
     assert abs(mub - mu) < 1e-12 and abs(kapb - kappa) < 1e-12
     assert np.max(np.abs(P.coords_forward(xb, mub, kapb) - eps)) < 1e-12
     # the pairings with the orthonormal coordinate vectors recover x
-    pv = np.array([_pair_eps(v, eps) for v in P.V_BASIS])
+    pv = np.array([_pair_eps(v, eps) for v in V_BASIS])
     assert np.max(np.abs(pv - x)) < 1e-12
     # mu is minus the canonical-coordinate norm over twice the level
     nrm = -eps[0] ** 2 + np.sum(eps[1:] ** 2)
@@ -199,9 +336,14 @@ def test_coordinate_chart_round_trip():
 
 def test_projection_compatible_with_pairing_exactly():
     h = P.pic(2, -1, 3, 0, 1, -2, 4, 1, -1, 2)
-    xc = P.project_classical(h)
-    w = P.V_BASIS[2] - 3 * P.V_BASIS[5]
-    assert P.picard_ip(w, h) == xc[2] - 3 * xc[5]
+    xc = P.project_classical(h).coords4
+    w = V_BASIS[2] - 3 * V_BASIS[5]
+    assert 4 * ref_ip(w, _ref(h)) == xc[2] - 3 * xc[5]
+    # on the root sublattice the E8 pairing (16x) is the Picard pairing
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        a = _rand_root(rng)
+        assert L.ip(P.project_classical(a), P.project_classical(h)) == 16 * P.picard_ip(a, h)
 
 
 def test_chart_equivariance_under_reflection_and_translation():
@@ -211,7 +353,7 @@ def test_chart_equivariance_under_reflection_and_translation():
     eps = P.coords_forward(x, mu, kappa)
     alpha = P.AFFINE_ROOTS[1]
     wx = L.apply_word_c((1,), x)
-    v_coords = np.array([float(f) for f in P.project_classical(alpha)])
+    v_coords = P.project_classical(alpha).true_coords()
     lhs = P.coords_forward(wx + kappa * v_coords, mu, kappa)
     rhs = _translate_eps(alpha, _reflect_eps(alpha, eps))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
