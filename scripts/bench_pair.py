@@ -6,8 +6,8 @@ For each workload declared in CHANGE_DIR/BENCHMARK.json it runs
 ``perfbench/run.py --trace 0`` in both checkouts, in PAIRS = 10 alternating
 pairs (pair k = 1, ..., PAIRS uses seed k on both sides; odd pairs start with
 the parent, even pairs with the change), then one ``--trace 1`` run per side at
-seed 1. Before those, one ``perfbench/worker.py --seed 1 --checks N`` run per
-side counts the outcomes of a fixed number of checks. Every run starts a
+seed 1. Before those, ``perfbench/worker.py --seed S --checks N`` runs per side
+at each of FIXED_SEEDS count the outcomes of a fixed number of checks. Every run starts a
 fresh interpreter in its checkout, so both sides build what they run from
 their own ``src/``. The record holds:
 
@@ -24,9 +24,11 @@ their own ``src/``. The record holds:
   so a move at round-off changes it, and so does a different number of
   checks in a time-bound run); and the traced per-layer metrics of both
   sides;
-* per workload, the fixed-count run of each side: checks attempted, failed
-  operations (raised + wrong), raised, wrong, failed checks and the outcome
-  digest, and whether the two sides agree on all of them.
+* per workload and fixed-count seed, the run of each side: checks
+  attempted, failed operations (raised + wrong), raised, wrong, failed
+  checks and the outcome digest, and whether the two sides agree on all of
+  them, seed by seed, so a change in failure counts shows before the timed
+  pairs are read.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -45,6 +47,7 @@ PAIRS = 10
 # A timed run attempts a different number of checks each time, so only these
 # outcomes can be compared between runs of the same code.
 FIXED_CHECKS = {"chain": 240, "quadrature": 400, "exact": 1400}
+FIXED_SEEDS = (1, 2, 3)
 _FIXED_KEYS = ("attempted", "failed", "raised", "wrong", "checks_failed", "outcome_digest")
 
 
@@ -57,9 +60,9 @@ def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dic
     return {"result": result, "detail": detail["detail"]}
 
 
-def _fixed(root: str, workload: str) -> dict:
-    """The outcome counts and digest of FIXED_CHECKS[workload] checks at seed 1."""
-    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1",
+def _fixed(root: str, workload: str, seed: int) -> dict:
+    """The outcome counts and digest of FIXED_CHECKS[workload] checks at seed."""
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
            "--checks", str(FIXED_CHECKS[workload])]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -104,7 +107,7 @@ def main(argv=None) -> int:
     record = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
     slowdowns, first = [], {}
     for wl in (w["name"] for w in bench["workloads"]):
-        fixed = {side: _fixed(roots[side], wl) for side in roots}
+        fixed = {seed: {side: _fixed(roots[side], wl, seed) for side in roots} for seed in FIXED_SEEDS}
         runs = {"parent": [], "change": []}
         for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -130,8 +133,11 @@ def main(argv=None) -> int:
             **{f"{key}_equal": [a["detail"]["runs"][0][key] == b["detail"]["runs"][0][key]
                                 for a, b in zip(runs["parent"], runs["change"])]
                for key in ("input_digest", "outcome_digest")},
-            "fixed_count": {"checks": FIXED_CHECKS[wl], "seed": 1, **fixed,
-                            "equal": fixed["parent"] == fixed["change"]},
+            "fixed_count": {
+                "checks": FIXED_CHECKS[wl],
+                "seeds": {str(seed): {**f, "equal": f["parent"] == f["change"]} for seed, f in fixed.items()},
+                "equal": all(f["parent"] == f["change"] for f in fixed.values()),
+            },
             "per_layer_seed1": {
                 name: {"unit": v["unit"], "parent": v["value"], "change": traced["change"][name]["value"]}
                 for name, v in traced["parent"].items() if name in traced["change"]

@@ -14,14 +14,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial, prod
+from typing import Sequence
 
 import numpy as np
 
 from .specialfn import (
+    _SERIES_TAIL,
     _SHIFT_RHO,
     TRUNC_TOL,
     EllipticParams,
-    _series_powers,
+    _moduli,
     _shift_count,
     elliptic_gamma,
     qpoch,
@@ -29,7 +31,7 @@ from .specialfn import (
     triple_gamma,
     v12_11,
 )
-from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
+from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual, values_or_raise
 
 QUAD_TOL = 1e-11
 _START_NODES = 256
@@ -45,21 +47,28 @@ class IntegrandContext:
     n: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(complex(v) for v in self.u))
+        # a tuple of Python complex, such as another context's u, is kept
+        if type(self.u) is not tuple or not all(type(v) is complex for v in self.u):
+            object.__setattr__(self, "u", tuple(map(complex, self.u)))
         if len(self.u) != 8:
             raise ValueError("need exactly eight parameters")
         if self.n < 0:
             raise ValueError("multiplicity must be nonnegative")
 
     def with_u(self, u) -> "IntegrandContext":
-        return dataclasses.replace(self, u=u)
+        return IntegrandContext(u, self.params, self.n)
 
     def check_admissible(self) -> None:
-        for k, uk in enumerate(self.u):
-            if not 0.0 < abs(uk) < 1.0:
-                raise AdmissibilityError(f"|u_{k}| = {abs(uk):.6f} is not in (0, 1)")
+        mods = [abs(uk) for uk in self.u]
+        for k, m in enumerate(mods):
+            if not 0.0 < m < 1.0:
+                raise AdmissibilityError(f"|u_{k}| = {m:.6f} is not in (0, 1)")
         # Genericity u_k u_l not in p^-N q^-N: with every |u_k| < 1 the only
-        # reachable lattice point is 1, so a pair product near 1 pinches C.
+        # reachable lattice point is 1, so a pair product near 1 pinches C;
+        # that needs |u_k| |u_l| above 1 - 1e-12, so below 1 - 1e-9 none can.
+        top, second = sorted(mods)[-2:][::-1]
+        if top * second < 1.0 - 1e-9:
+            return
         for k, l in itertools.combinations(range(8), 2):
             if abs(self.u[k] * self.u[l] - 1.0) < 1e-12:
                 raise AdmissibilityError(f"u_{k} u_{l} within 1e-12 of 1")
@@ -133,8 +142,22 @@ def _plan_for(params: EllipticParams, N: int) -> _Plan:
     return _plan(params.p, params.q, N)
 
 
-def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
-    """Integrand values at the N-th roots of unity plan.zs.
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Integrals of multiplicity n on one pair of bases, one row each: the
+    parts of their node integrands that do not depend on the node count."""
+
+    params: EllipticParams
+    n: int
+    coef: np.ndarray  # (B, M + 1) log-series coefficients c_0 = 0, c_1 .. c_M
+    shifts: tuple  # per row, the (u_k, s) of each shifted parameter
+
+    def take(self, keep: list[int]) -> "_Rows":
+        return _Rows(self.params, self.n, self.coef[keep], tuple(self.shifts[j] for j in keep))
+
+
+def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
+    """The node-count-free parts of the node integrands of ctxs.
 
     On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
     series sum_{m>=1} c_m (z^m + z^-m) with
@@ -142,57 +165,102 @@ def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
     rho_k exceeds _SHIFT_RHO is first replaced by u_k b^s with
     Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and |b| >= |c|: the
     pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c) for s > 0, or
-    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0; after it
-    rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1. The series of all
-    eight parameters are then summed from the _series_powers table and
-    folded mod N, so one FFT pair gives every node. The values are a
-    fresh array, since every parameter multiplies into the plan's read-only
-    weight.
+    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0, which _node_rows
+    takes at the nodes; after it rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1.
+    Each row then sums the series of its eight parameters to its own
+    length M, where its rho^M falls below _SERIES_TAIL, from one power
+    table of all rows; the coefficients past a row's M are zero.
     """
-    p, q = ctx.params.p, ctx.params.q
+    params, n = ctxs[0].params, ctxs[0].n
+    p, q = params.p, params.q
     pq = p * q
-    plan = _plan_for(ctx.params, N)
+    u = np.array([c.u for c in ctxs])
+    b = q if abs(q) >= abs(p) else p
+    shifts = [[] for _ in ctxs]
+    rows, cols = np.nonzero(np.maximum(np.abs(u), abs(pq) / np.abs(u)) > _SHIFT_RHO)
+    if rows.size:
+        counts = _shift_count(_moduli(u[rows, cols]), abs(pq), abs(b)).tolist()
+        for r, k, s in zip(rows.tolist(), cols.tolist(), counts):
+            shifts[r].append((u[r, k], s))
+            u[r, k] = u[r, k] * b**s
+    rho = np.max(np.maximum(np.abs(u), abs(pq) / np.abs(u)), axis=1)
+    lengths = [int(np.ceil(np.log(_SERIES_TAIL) / np.log(v))) for v in rho.tolist()]
+    M = max(lengths)
+    bases = np.concatenate([u, pq / u], axis=1)
+    pw = np.cumprod(np.broadcast_to(bases[:, :, None], (*bases.shape, M)), axis=2)
+    coef = np.zeros((len(ctxs), M + 1), dtype=complex)
+    coef[:, 1:] = (pw[:, :8].sum(axis=1) - pw[:, 8:].sum(axis=1)) / _series_den(p, q, 1 << (M - 1).bit_length())[:M]
+    for r, m in enumerate(lengths):
+        coef[r, m + 1 :] = 0.0
+    return _Rows(params, n, coef, tuple(shifts))
+
+
+@functools.lru_cache(maxsize=32)
+def _series_den(p: complex, q: complex, M: int) -> np.ndarray:
+    """m (1 - p^m)(1 - q^m) for m = 1 .. M, the powers from one cumprod;
+    a shorter table is a prefix of a longer one, bit for bit."""
+    pw = np.cumprod(np.broadcast_to(np.array([p, q])[:, None], (2, M)), axis=1)
+    return _frozen(np.arange(1, M + 1) * (1.0 - pw[0]) * (1.0 - pw[1]))
+
+
+def _node_rows(rows: _Rows, N: int) -> np.ndarray:
+    """Integrand values of every row at the N-th roots of unity plan.zs,
+    one row each: the coefficients folded mod N, so one batched FFT pair
+    gives every node, times the plan's weight and each row's shift factors.
+    The values are a fresh array."""
+    p, q = rows.params.p, rows.params.q
+    plan = _plan_for(rows.params, N)
     zs, rev = plan.zs, plan.rev
-    vals = plan.weight
-    u = np.array(ctx.u)
-    rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
     b, c = (q, p) if abs(q) >= abs(p) else (p, q)
-    for i in np.flatnonzero(rho > _SHIFT_RHO):
-        s = _shift_count(abs(u[i]), abs(pq), abs(b))
-        for t in range(min(s, 0), max(s, 0)):
-            th = theta(u[i] * b**t * zs, c)
-            vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
-        u[i] = u[i] * b**s
-    pw = _series_powers(u, pq, p, q)
-    M, k = pw.shape[1], u.size
-    cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
-    cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
-        np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
-    )
-    a = cm.reshape(-1, N).sum(axis=0)
-    return vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
+    vals = []
+    for shifts in rows.shifts:
+        v = plan.weight
+        for uk, s in shifts:
+            for t in range(min(s, 0), max(s, 0)):
+                th = theta(uk * b**t * zs, c)
+                v = v / (th * th[rev]) if s > 0 else v * (th * th[rev])
+        vals.append(v)
+    B, width = rows.coef.shape
+    a = np.zeros((B, -(-width // N) * N), dtype=complex)
+    a[:, :width] = rows.coef
+    a = a.reshape(B, -1, N).sum(axis=1)
+    return np.array(vals) * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
 
 
-def _quad(ctx: IntegrandContext, N: int) -> complex:
-    """The tensor trapezoid rule of multiplicity ctx.n (1, 2 or 3) at N
-    nodes per circle, with no convergence test."""
-    n = ctx.n
-    plan = _plan_for(ctx.params, N)
-    h = _node_integrand(ctx, N)
+def _quad_rows(rows: _Rows, N: int) -> list[complex]:
+    """The tensor trapezoid rule of multiplicity rows.n (1, 2 or 3) at N
+    nodes per circle for every row, with no convergence test."""
+    n = rows.n
+    plan = _plan_for(rows.params, N)
+    h = _node_rows(rows, N)
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
-        return scale * complex(np.sum(h))
+        return [scale * complex(np.sum(row)) for row in h]
     # with each cross factor F(z, w) = sum C[a,b] z^a w^b and S(j) the FFT
     # bin sum_m h_m z_m^j, the N^2 node sum is sum C[a,b] S(a) S(b) = s C s
     # with s[a] = S(a), and the N^3 node sum is
     # sum C[a1,b1] S(b1+a2) C[a2,b2] S(b2+a3) C[a3,b3] S(b3+a1) = tr((C A)^3)
-    # with A[b,a] = S(a+b)
-    H = np.fft.fft(h)
-    if n == 2:
-        s = H[plan.cross_a]
-        return scale * complex(s @ plan.cross_c @ s)
-    M = plan.cross_c @ H[plan.cross_ab]
-    return scale * complex(np.sum(M * (M @ M).T))
+    # with A[b,a] = S(a+b); each row contracts on its own, from its own
+    # freshly gathered bins
+    out = []
+    for H in np.fft.fft(h):
+        if n == 2:
+            s = H[plan.cross_a]
+            out.append(scale * complex(s @ plan.cross_c @ s))
+        else:
+            M = plan.cross_c @ H[plan.cross_ab]
+            out.append(scale * complex(np.sum(M * (M @ M).T)))
+    return out
+
+
+def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
+    """The node integrand of one integral at N nodes."""
+    return _node_rows(_rows([ctx]), N)[0]
+
+
+def _quad(ctx: IntegrandContext, N: int) -> complex:
+    """The trapezoid rule of one integral at N nodes per circle."""
+    return _quad_rows(_rows([ctx]), N)[0]
 
 
 def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
@@ -201,27 +269,66 @@ def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
 
 
 def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
-    """n-dimensional tensor quadrature with the 2^n n! normalization: the
-    trapezoid rule from _START_NODES nodes per circle, doubled up to the cap
-    of multiplicity n until two successive values agree to quad_tol, and
-    ConvergenceError when they never do."""
-    if ctx.n == 0:
-        return 1.0 + 0j
-    if ctx.n not in _CAPS:
+    """n-dimensional tensor quadrature with the 2^n n! normalization: I_n_many
+    of the one context."""
+    return values_or_raise(I_n_many([ctx], quad_tol=quad_tol))[0]
+
+
+def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> list:
+    """I_n of contexts that share their bases and multiplicity n, as one
+    batch: per row its value, or the AdmissibilityError or ConvergenceError
+    it raises alone.
+
+    Every row runs the trapezoid rule from _START_NODES nodes per circle,
+    doubled up to the cap of multiplicity n until two successive values
+    agree to quad_tol; each pass evaluates the rows still running in one
+    array pass, and a row leaves once it has stopped. A row's values are
+    bit for bit those of the batch of that row alone at the same node count.
+    """
+    if not ctxs:
+        return []
+    n, p, q = ctxs[0].n, ctxs[0].params.p, ctxs[0].params.q
+    if any((c.params.p, c.params.q, c.n) != (p, q, n) for c in ctxs):
+        raise ValueError("a batch of integrals shares its bases and multiplicity")
+    if n == 0:
+        return [1.0 + 0j] * len(ctxs)
+    if n not in _CAPS:
         raise ValueError("multiplicity above 3 is out of scope")
-    ctx.check_admissible()
-    cap = _CAPS[ctx.n]
+    out: list = [None] * len(ctxs)
+    live = []
+    for r, ctx in enumerate(ctxs):
+        try:
+            ctx.check_admissible()
+            live.append(r)
+        except AdmissibilityError as err:
+            out[r] = err
+    if not live:
+        return out
+    cap = _CAPS[n]
     N = _START_NODES
-    last = previous = _quad(ctx, N)
+    rows = _rows([ctxs[r] for r in live])
+    last = previous = _quad_rows(rows, N)
     while 2 * N <= cap:
         N *= 2
-        previous, last = last, _quad(ctx, N)
-        if abs(last - previous) <= quad_tol * max(abs(last), 1e-300):
-            return last
-    raise ConvergenceError(
-        f"node cap {cap} reached before stabilizing", last, previous,
-        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
-    )
+        previous, last = last, _quad_rows(rows, N)
+        keep = []
+        for j, r in enumerate(live):
+            if abs(last[j] - previous[j]) <= quad_tol * max(abs(last[j]), 1e-300):
+                out[r] = last[j]
+            else:
+                keep.append(j)
+        if not keep:
+            return out
+        if len(keep) < len(live):
+            live, rows = [live[j] for j in keep], rows.take(keep)
+            last, previous = [last[j] for j in keep], [previous[j] for j in keep]
+    for j, r in enumerate(live):
+        ctx = ctxs[r]
+        out[r] = ConvergenceError(
+            f"node cap {cap} reached before stabilizing", last[j], previous[j],
+            u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=n, cap=cap,
+        )
+    return out
 
 
 def _theta_pm(a: complex, b: complex, p: complex) -> complex:
@@ -235,18 +342,19 @@ def contiguity_residual(
     k: int,
     quad_tol: float = QUAD_TOL,
 ) -> Residual:
-    """Residual of the three-term contiguity relation in the q-shifts."""
+    """Residual of the three-term contiguity relation in the q-shifts, its
+    three integrals one batch."""
     if len({i, j, k}) != 3:
         raise ValueError("need three distinct indices")
     u = list(ctx.u)
     p, q = ctx.params.p, ctx.params.q
 
-    def shifted(idx: int) -> complex:
+    def shifted(idx: int) -> IntegrandContext:
         v = list(u)
         v[idx] = q * v[idx]
-        return I(ctx.with_u(v), quad_tol=quad_tol)
+        return IntegrandContext(v, ctx.params)
 
-    Ii, Ij, Ik = shifted(i), shifted(j), shifted(k)
+    Ii, Ij, Ik = values_or_raise(I_n_many([shifted(i), shifted(j), shifted(k)], quad_tol=quad_tol))
     return normalized_residual([
         u[k] * _theta_pm(u[j], u[k], p) * Ii,
         u[i] * _theta_pm(u[k], u[i], p) * Ij,
@@ -282,14 +390,27 @@ _PAIRS = np.triu_indices(8, 1)
 _SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
 
 
-def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
-    """Product over pairs i<j of triple_gamma(scale_ij u_i u_j; p, q) from
-    one vectorized call; scale is one number or one per pair in
-    np.triu_indices(8, 1) order."""
-    u = np.asarray(u, dtype=complex)
+def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list:
+    """Per row w of ws, the product over pairs i<j of
+    triple_gamma(scale_ij w_i w_j; p, q), or the error computing it alone
+    raises; scale is one number or one per pair in np.triu_indices(8, 1)
+    order. All rows go through one triple_gamma call, whose series length
+    follows the largest rho among them; when that call raises, each row is
+    taken on its own."""
+    ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
-    vals = triple_gamma(np.asarray(scale) * u[i] * u[j], params.p, params.q)
-    return complex(np.prod(vals))
+    try:
+        vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
+    except Exception as err:
+        if len(ws) == 1:
+            return [err]
+        return [_pair_gammas(w[None], params, scale)[0] for w in ws]
+    return [complex(np.prod(v)) for v in vals.reshape(len(ws), -1)]
+
+
+def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
+    """_pair_gammas of the one row u."""
+    return values_or_raise(_pair_gammas([u], params, scale))[0]
 
 
 def In_transform_residual(
@@ -315,8 +436,8 @@ def In_transform_residual(
     tt = (np.asarray(t)[i] * np.asarray(t)[j])[pairs]
     shifted = triple_gamma(q**n * tt, p, q)
     ratio = complex(np.prod(shifted / triple_gamma(tt, p, q)))
-    lhs = I_n(ctx, quad_tol=quad_tol)
-    rhs = I_n(ctx.with_u(image), quad_tol=quad_tol) * ratio
+    lhs, rhs = values_or_raise(I_n_many([ctx, ctx.with_u(image)], quad_tol=quad_tol))
+    rhs = rhs * ratio
     return Residual(abs(lhs - rhs) / abs(lhs))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import index
 from typing import Sequence
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import lattice
 from .specialfn import bracket, bracket_pm
+from .tau import in_loop_order
 from .util import DomainError, Residual, normalized_residual
 
 _GRAM = (-1,) + (1,) * 9
@@ -172,14 +174,12 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
     return x, complex(mu), complex(kappa)
 
 
-def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
-    """Evaluate the tau function indexed by lam on the w-translated chart.
+def lattice_tau_point(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> np.ndarray:
+    """The point at which lattice_tau_eval evaluates tau: w^{-1} . (x + kappa * alpha).
 
-    lam must lie in the norm-one, level-minus-one orbit; its classical part
-    alpha produces the value tau(w^{-1} . (x + kappa * alpha)) where
-    (x, mu, kappa) are the chart coordinates of eps.  The chart level must
-    match the step of tau's level grading, and the shifted point must fall
-    in tau's domain.
+    lam must lie in the norm-one, level-minus-one orbit, with classical
+    part alpha, and (x, mu, kappa) are the chart coordinates of eps, whose
+    level must match the step of tau's level grading.
     """
     alpha = in_orbit_M(lam)
     if alpha is None:
@@ -188,8 +188,13 @@ def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) 
     if abs(kappa - tau.params.delta) > 1e-9:
         raise DomainError("chart level does not match the tau level step")
     shift = project_classical(alpha).true_coords()
-    y = lattice.apply_word_c(lattice.inverse_word(tuple(w)), x + kappa * shift)
-    return tau.eval(y)
+    return lattice.apply_word_c(lattice.inverse_word(tuple(w)), x + kappa * shift)
+
+
+def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
+    """Evaluate the tau function indexed by lam on the w-translated chart:
+    tau at lattice_tau_point, which must fall in tau's domain."""
+    return tau.eval(lattice_tau_point(lam, tau, w, eps))
 
 
 def quadruple_hirota_residual(
@@ -200,22 +205,27 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus.
+    Normalized by the largest term modulus. The six tau values come from
+    one batch, raising what evaluating the terms in turn would raise first.
     """
     i, j, k, l = quad
     if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
         raise ValueError("need four distinct indices in 1..9")
     params = tau.params
     eps = np.asarray(eps, dtype=complex)
-    terms = []
+
+    def sig(b: int, c: int) -> complex:
+        return bracket(eps[b] - eps[c], params) * bracket(eps[0] - eps[b] - eps[c] - eps[l], params)
+
+    steps = []
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        sig = bracket(eps[b] - eps[c], params) * bracket(
-            eps[0] - eps[b] - eps[c] - eps[l], params
-        )
-        t_a = lattice_tau_eval(E[a], tau, w, eps)
-        t_al = lattice_tau_eval(E[0] - E[a] - E[l], tau, w, eps)
-        terms.append(sig * t_a * t_al)
-    return normalized_residual(terms)
+        steps += [
+            (partial(sig, b, c), False),
+            (partial(lattice_tau_point, E[a], tau, w, eps), True),
+            (partial(lattice_tau_point, E[0] - E[a] - E[l], tau, w, eps), True),
+        ]
+    v = in_loop_order(tau, steps)
+    return normalized_residual([v[t] * v[t + 1] * v[t + 2] for t in (0, 3, 6)])
 
 
 def translation_hirota_residual(

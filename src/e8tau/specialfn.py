@@ -117,18 +117,34 @@ _SHIFT_RHO = 0.95
 _SERIES_TAIL = 1e-17
 
 
-def _shift_count(mod: float, pq_mod: float, b_mod: float) -> int:
-    """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for a
-    parameter of modulus mod, or the s of least rho when none reaches it; 0
-    when rho is already there. rho falls monotonically from s = 0 towards
-    the best s, where |u| |b|^s is nearest to pq_mod^(1/2)."""
-    best = round(np.log(mod / np.sqrt(pq_mod)) / -np.log(b_mod))
-    step = 1 if best > 0 else -1
-    for s in range(0, best, step):
-        x = mod * b_mod**s
-        if max(x, pq_mod / x) <= _SHIFT_RHO:
-            return s
-    return best
+def _shift_count(mod, pq_mod: float, b_mod: float):
+    """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for
+    each parameter modulus in mod, or the s of least rho when none reaches
+    it; 0 when rho is already there. rho falls monotonically from s = 0
+    towards the best s, where |u| |b|^s is nearest to pq_mod^(1/2).
+
+    Every step 0 <= |s| < |best| is tested at once on the floats
+    mod * b_mod**s, with the powers taken one by one as Python floats, so
+    the counts are those of testing the steps in turn. Returns an int array
+    shaped like mod, or an int for a scalar mod."""
+    m = np.asarray(mod, dtype=float)
+    best = np.rint(np.log(m / np.sqrt(pq_mod)) / -np.log(b_mod)).astype(int)
+    flat, bflat = m.reshape(-1), best.reshape(-1)
+    span = int(np.max(np.abs(bflat), initial=0))
+    steps = np.sign(bflat)[:, None] * np.arange(span)
+    powers = np.array([b_mod**s for s in range(-span, span + 1)])
+    x = flat[:, None] * powers[steps + span]
+    hit = (np.maximum(x, pq_mod / x) <= _SHIFT_RHO) & (np.arange(span) < np.abs(bflat)[:, None])
+    first = steps[np.arange(flat.size), np.argmax(hit, axis=1)] if span else bflat
+    counts = np.where(hit.any(axis=1), first, bflat).reshape(best.shape)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as abs() of each element gives it, libm's hypot: the
+    array np.abs rounds differently in the last place, which can move a
+    step count at rho = _SHIFT_RHO."""
+    return np.hypot(z.real, z.imag)
 
 
 def _series_powers(z: np.ndarray, c: complex, p: complex, q: complex) -> np.ndarray:
@@ -188,7 +204,7 @@ def elliptic_gamma(z, p: complex, q: complex):
     if far.size:
         zz = zz.copy()
         b, c = (q, p) if abs(q) >= abs(p) else (p, q)
-        steps = np.array([_shift_count(abs(v), abs(pq), abs(b)) for v in zz[far]])
+        steps = _shift_count(_moduli(zz[far]), abs(pq), abs(b))
         for t in range(min(steps.min(), 0), max(steps.max(), 0)):
             idx = far[steps > t] if t >= 0 else far[steps <= t]
             th = theta(b**t * zz[idx], c)
@@ -227,7 +243,7 @@ def triple_gamma(z, p: complex, q: complex):
         zz = zz.copy()
         inner = far[np.abs(zz[far]) ** 2 < abs(pqq)]
         zz[inner] = pqq / zz[inner]
-        steps = np.array([_shift_count(abs(v), abs(pqq), abs(q)) for v in zz[far]])
+        steps = _shift_count(_moduli(zz[far]), abs(pqq), abs(q))
         for t in range(steps.max()):
             idx = far[steps > t]
             y = q**t * zz[idx]

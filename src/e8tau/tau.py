@@ -14,8 +14,9 @@ single-valued.
 """
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -51,6 +52,7 @@ from .util import (
     Residual,
     e,
     normalized_residual,
+    values_or_raise,
 )
 
 LEVEL_TOL = 1e-10
@@ -149,6 +151,57 @@ class TauEvaluator:
 
     __call__ = eval
 
+    def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
+        """eval at every point of xs, raising the error that evaluating
+        them in turn would raise first.
+
+        When fn carries a batch hook fn.many (the graded families do), the
+        points are located first, up to the first that fails, and fn.many
+        takes the (level, point) pairs, with that failure last; any other
+        fn is evaluated point by point."""
+        xs = [np.asarray(x, dtype=complex) for x in xs]
+        many = getattr(self.fn, "many", None)
+        if many is None:
+            return [self.eval(x) for x in xs]
+        located = []
+        for x in xs:
+            try:
+                located.append((self.domain.locate(x), x))
+            except Exception as err:
+                located.append(err)
+                break
+        return many(located)
+
+
+def _eval_points(tau: Callable[[np.ndarray], complex], xs: Sequence[np.ndarray]) -> list[complex]:
+    """tau at every point of xs: eval_many for an evaluator, else one call
+    per point."""
+    many = getattr(tau, "eval_many", None)
+    return many(xs) if many is not None else [tau(x) for x in xs]
+
+
+def in_loop_order(tau: Callable[[np.ndarray], complex], steps) -> list:
+    """The values of steps, (item, is_point) pairs, as a loop that takes
+    them in turn would find them: an item is a value, or a callable giving
+    it, and a point's value is tau there.
+
+    The points' tau values come from one _eval_points call. When a step
+    raises, tau is first evaluated at the points before it, so the error
+    raised is the one the loop would meet first."""
+    vals, at = [], []
+    for item, is_point in steps:
+        try:
+            v = item() if callable(item) else item
+        except Exception:
+            _eval_points(tau, [vals[i] for i in at])
+            raise
+        if is_point:
+            at.append(len(vals))
+        vals.append(v)
+    for i, t in zip(at, _eval_points(tau, [vals[i] for i in at])):
+        vals[i] = t
+    return vals
+
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
@@ -190,17 +243,19 @@ def hirota_residual(
 
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
     rotations of the oriented triple, divided by the largest term magnitude.
-    All six shifted points must lie in tau's domain.
+    All six shifted points must lie in tau's domain; their values come from
+    one batch (in_loop_order).
     """
     a, b, c = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
     d = params.delta
-    terms = []
+    steps = []
     for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
-        br = bracket_pm(pairing_c(t, x), pairing_c(w, x), params)
         sh = np.asarray(s.true_coords(), dtype=complex) * d
-        terms.append(br * tau(x + sh) * tau(x - sh))
-    return normalized_residual(terms)
+        br = partial(bracket_pm, pairing_c(t, x), pairing_c(w, x), params)
+        steps += [(br, False), (x + sh, True), (x - sh, True)]
+    v = in_loop_order(tau, steps)
+    return normalized_residual([v[k] * v[k + 1] * v[k + 2] for k in (0, 3, 6)])
 
 
 @dataclass(frozen=True)
@@ -338,7 +393,8 @@ def toda_step(
     frame is an 8-vector paired-type frame (or its pre-ordered axis tuple);
     i, j pick two distinct zero-pairing axes in positions 2..7, and the
     result is independent of that choice. a0_index selects which member of
-    the distinguished pair serves as the level direction.
+    the distinguished pair serves as the level direction. The four values
+    of tau_cur come from one batch (in_loop_order).
     """
     if not (2 <= i <= 7 and 2 <= j <= 7 and i != j):
         raise ValueError("need two distinct zero-pairing indices in 2..7")
@@ -360,12 +416,15 @@ def toda_step(
             pairing_c(a0 - b, x) - d, params
         )
 
-    def cur_pair(b: LatticeVector) -> complex:
+    def cur_pair(b: LatticeVector) -> list:
         sp = np.asarray((a0 + b).true_coords(), dtype=complex) * d
         sm = np.asarray((a0 - b).true_coords(), dtype=complex) * d
-        return tau_cur(x - sp) * tau_cur(x - sm)
+        return [(x - sp, True), (x - sm, True)]
 
-    num = shifted_pm(aj) * cur_pair(ai) - shifted_pm(ai) * cur_pair(aj)
+    # the loop's order: [aj-bracket] tau tau, then [ai-bracket] tau tau
+    v = in_loop_order(tau_cur, [(partial(shifted_pm, aj), False), *cur_pair(ai),
+                                (partial(shifted_pm, ai), False), *cur_pair(aj)])
+    num = v[0] * (v[1] * v[2]) - v[3] * (v[4] * v[5])
     back = x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d
     return num / (den_plus * den_minus * tau_prev(back))
 
@@ -394,38 +453,113 @@ class TauChain:
 # about 0.33 MB (330 bytes an entry).
 TAU_MEMO_SIZE = 1024
 
+MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize")
+
+
+def _lru_misses(memo: OrderedDict, size: int, keys) -> list:
+    """The keys that miss, in turn, when keys are looked up one by one in
+    the LRU memo of at most size entries, each miss inserted and evicting
+    the least recently used entry when the memo is full; memo is left as
+    it is."""
+    oldest = iter(memo)
+    recent: OrderedDict = OrderedDict()  # keys looked up so far, least recent first
+    gone, missed = set(), []
+    free = size - len(memo)
+    for key in keys:
+        if key in recent or (key in memo and key not in gone):
+            recent[key] = None
+            recent.move_to_end(key)
+            continue
+        missed.append(key)
+        recent[key] = None
+        if free > 0:
+            free -= 1
+            continue
+        victim = next((k for k in oldest if k not in recent), None)
+        if victim is None:
+            victim, _ = recent.popitem(last=False)
+        gone.add(victim)
+    return missed
+
 
 def _graded(
     levels: LevelDomain,
     value: Callable[[int, np.ndarray], complex],
     params: EllipticParams,
+    values: Callable[[int, list], list],
 ) -> TauChain:
     """The graded family that is value(n, x) on level n >= 0 of levels
     (n up to levels.n_max) and 0 below level 0.
 
-    Values go through one lru_cache of TAU_MEMO_SIZE entries keyed on
-    (n, the exact bytes of x): a hit returns what value gave at the same
-    point, and an evicted point is recomputed to the same bits. The
-    evaluator's fn carries the memo's cache_info (hits, misses, size).
+    Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
+    (n, the exact bytes of x): a hit returns what was computed at the same
+    point. The evaluator's fn and the components' carry the memo's
+    cache_info() (hits, misses, maxsize, currsize) and a batch hook for
+    TauEvaluator.eval_many. The hook looks the points up in turn as eval
+    would, with the same hits, misses and evictions, but first computes
+    every point that will miss: per level in one call of values(n, xs),
+    which gives each point's value or the error it raises alone. A value
+    is computed again only after its entry is evicted.
     """
-    memo = lru_cache(maxsize=TAU_MEMO_SIZE)(
-        lambda n, key: value(n, np.frombuffer(key, dtype=complex))
-    )
+    memo: OrderedDict = OrderedDict()
+    size = TAU_MEMO_SIZE
+    stats = [0, 0]  # hits, misses
+
+    def lookup(n: int, x: np.ndarray, fresh: dict) -> complex:
+        key = (n, x.tobytes())
+        if key in memo:
+            stats[0] += 1
+            memo.move_to_end(key)
+            return memo[key]
+        stats[1] += 1
+        v = fresh[key] if key in fresh else value(n, x)
+        if isinstance(v, Exception):
+            raise v
+        memo[key] = v
+        if len(memo) > size:
+            memo.popitem(last=False)
+        return v
 
     def tau_at(n: int, x: np.ndarray) -> complex:
         if n < 0:
             return complex(0.0)
-        return memo(n, np.asarray(x, dtype=complex).tobytes())
+        return lookup(n, np.asarray(x, dtype=complex), {})
+
+    def many(located: list) -> list[complex]:
+        points = {}
+        for item in located:
+            if isinstance(item, Exception):
+                break
+            n, x = item
+            if n >= 0:
+                points.setdefault((n, x.tobytes()), x)
+        groups: dict[int, dict] = {}
+        for key in _lru_misses(memo, size, list(points)):
+            groups.setdefault(key[0], {})[key] = points[key]
+        fresh = {}
+        for n, group in groups.items():
+            fresh.update(zip(group, values(n, list(group.values()))))
+        out = []
+        for item in located:
+            if isinstance(item, Exception):
+                raise item
+            n, x = item
+            out.append(complex(0.0) if n < 0 else lookup(n, x, fresh))
+        return out
 
     def at_level(x: np.ndarray) -> complex:
         x = np.asarray(x, dtype=complex)
         return tau_at(levels.locate(x), x)
 
-    at_level.cache_info = memo.cache_info
-    components = [
-        TauEvaluator(partial(tau_at, n), params, replace(levels, n_min=n, n_max=n))
-        for n in range(levels.n_max + 1)
-    ]
+    def cache_info() -> MemoInfo:
+        return MemoInfo(stats[0], stats[1], size, len(memo))
+
+    components = []
+    for n in range(levels.n_max + 1):
+        fn = partial(tau_at, n)
+        fn.cache_info, fn.many = cache_info, many
+        components.append(TauEvaluator(fn, params, replace(levels, n_min=n, n_max=n)))
+    at_level.cache_info, at_level.many = cache_info, many
     return TauChain(components, TauEvaluator(at_level, params, levels), tau_at)
 
 
@@ -457,7 +591,10 @@ def build_chain(
             return hg_tau1(x, params, quad_tol=quad_tol)
         return tau_n_int(n, x, "direct", params, quad_tol=quad_tol)
 
-    return _graded(_levels("pp", params, -8, n_max), value, params)
+    def values(n: int, xs: list) -> list:
+        return _integral_values(n, xs, "pp", "direct", params, quad_tol)
+
+    return _graded(_levels("pp", params, -8, n_max), value, params, values)
 
 
 def casorati_K(
@@ -470,7 +607,8 @@ def casorati_K(
     """Determinant of the kernel over the 2-directional shift grid.
 
     Row i, column j evaluates the kernel at
-    x + delta*((1-n) a_0 + (n+1-i-j) a_1 + (j-i) a_2); n = 0 gives 1.
+    x + delta*((1-n) a_0 + (n+1-i-j) a_1 + (j-i) a_2); n = 0 gives 1. A
+    kernel with a batch hook kernel.many takes all n^2 points at once.
     """
     if n < 0:
         raise ValueError("negative determinant order")
@@ -482,12 +620,14 @@ def casorati_K(
     e0 = np.asarray(a0.true_coords(), dtype=complex)
     e1 = np.asarray(a1.true_coords(), dtype=complex)
     e2 = np.asarray(a2.true_coords(), dtype=complex)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            y = x + d * ((1 - n) * e0 + (n + 1 - i - j) * e1 + (j - i) * e2)
-            mat[i - 1, j - 1] = kernel(y)
-    return complex(np.linalg.det(mat))
+    ys = [
+        x + d * ((1 - n) * e0 + (n + 1 - i - j) * e1 + (j - i) * e2)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+    many = getattr(kernel, "many", None)
+    vals = many(ys) if many is not None else [kernel(y) for y in ys]
+    return complex(np.linalg.det(np.array(vals, dtype=complex).reshape(n, n)))
 
 
 # The determinant cases and the integral routes share two level-n charts:
@@ -543,13 +683,17 @@ def casorati_kernel_fn(
     case: str, params: EllipticParams, quad_tol: float = QUAD_TOL
 ) -> Callable[[np.ndarray], complex]:
     """Determinant kernel psi(y): the contour integral in the case's level-1
-    chart at u = e(y)."""
+    chart at u = e(y); psi.many(ys) takes a list of points in one batch."""
     route, _ = _case(case)
 
-    def psi(y: np.ndarray) -> complex:
+    def ctx(y: np.ndarray) -> IntegrandContext:
         t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
-        return integrals.I(IntegrandContext(t, params), quad_tol=quad_tol)
+        return IntegrandContext(t, params)
 
+    def psi(y: np.ndarray) -> complex:
+        return integrals.I(ctx(y), quad_tol=quad_tol)
+
+    psi.many = lambda ys: values_or_raise(integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol))
     return psi
 
 
@@ -596,25 +740,56 @@ def tau_n_det(
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
 
 
+def _integral_values(
+    n: int, xs: Sequence[np.ndarray], variant: str, route: str, params: EllipticParams, quad_tol: float
+) -> list:
+    """A sign variant's level-n value in route's chart at every point of xs:
+    the gauge prefactor (level sign +1 only) times the n-fold integral at t
+    times the pair product. Capped at n = 3, the highest multiplicity of the
+    quadrature. At n = 0 the integral and the prefactor p^0 e(0) are 1, so
+    the value is the pair product itself.
+
+    Each point gives its value or the error it raises alone: its level
+    check, then its pair product, then its integral. The pair products of
+    all points come from one triple_gamma call and the integrals from one
+    I_n_many batch."""
+    if not 0 <= n <= 3:
+        raise ValueError("the integral route covers multiplicities 0 to 3")
+    dom = _levels(variant, params)
+    out: list = [None] * len(xs)
+    charts = {}
+    for r, x in enumerate(xs):
+        x = np.asarray(x, dtype=complex)
+        try:
+            dom.require(x, n)
+        except DomainError as err:
+            out[r] = err
+            continue
+        charts[r] = (x, *_chart(variant, route, np.exp(2j * np.pi * x), n, params))
+    if not charts:
+        return out
+    scale = next(iter(charts.values()))[3]
+    gams = dict(zip(charts, integrals._pair_gammas([c[2] for c in charts.values()], params, scale)))
+    live = [r for r in charts if not isinstance(gams[r], Exception)]
+    for r in charts:
+        out[r] = gams[r]
+    if n == 0 or not live:
+        return out
+    ctxs = [IntegrandContext(charts[r][1], params, n=n) for r in live]
+    for r, val in zip(live, integrals.I_n_many(ctxs, quad_tol=quad_tol)):
+        if isinstance(val, Exception):
+            out[r] = val
+            continue
+        pre = _gauge_prefactor(n, charts[r][0], params) if _CHARTS[variant][1] > 0 else complex(1.0)
+        out[r] = pre * val * gams[r]
+    return out
+
+
 def _integral_value(
     n: int, x: np.ndarray, variant: str, route: str, params: EllipticParams, quad_tol: float
 ) -> complex:
-    """A sign variant's level-n value in route's chart: the gauge prefactor
-    (level sign +1 only) times the n-fold integral at t times the pair
-    product. Capped at n = 3, the highest multiplicity of the quadrature.
-    At n = 0 the integral and the prefactor p^0 e(0) are 1, so the value is
-    the pair product itself."""
-    if not 0 <= n <= 3:
-        raise ValueError("the integral route covers multiplicities 0 to 3")
-    x = np.asarray(x, dtype=complex)
-    _levels(variant, params).require(x, n)
-    t, w, scales = _chart(variant, route, np.exp(2j * np.pi * x), n, params)
-    gam = integrals._pair_gamma(w, params, scales)
-    if n == 0:
-        return gam
-    val = integrals.I_n(IntegrandContext(t, params, n=n), quad_tol=quad_tol)
-    pre = _gauge_prefactor(n, x, params) if _CHARTS[variant][1] > 0 else complex(1.0)
-    return pre * val * gam
+    """_integral_values at the one point x."""
+    return values_or_raise(_integral_values(n, [x], variant, route, params, quad_tol))[0]
 
 
 def tau_n_int(
@@ -704,4 +879,5 @@ def variant_evaluator(
         _levels(variant, params, -8, VARIANT_N_MAX),
         lambda n, x: psi_variant(n, x, variant, params, quad_tol=quad_tol),
         params,
+        lambda n, xs: _integral_values(n, xs, variant, "direct", params, quad_tol),
     ).evaluator

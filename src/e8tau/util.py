@@ -40,6 +40,15 @@ def normalized_residual(terms: Sequence[complex]) -> Residual:
     return Residual(abs(sum(terms)) / m)
 
 
+def values_or_raise(rows: list) -> list:
+    """rows, each a value or the error that computing it raised, once no row
+    is an error; else the first error in row order is raised."""
+    for v in rows:
+        if isinstance(v, Exception):
+            raise v
+    return rows
+
+
 def rel_diff(a: complex, b: complex) -> float:
     """Symmetric relative difference |a - b| / max(|a|, |b|)."""
     return abs(a - b) / max(abs(a), abs(b))

@@ -73,25 +73,34 @@ def test_broken_tau_fails_the_suite(capsys):
 
 _W = np.arange(1, 9) / 7
 
-# A relative corruption of one value a suite evaluates, visible at every
+# A relative corruption of the values a suite evaluates, visible at every
 # magnitude, and the checks that must catch it: case -> (suite, module,
-# function, factor over its arguments, failing ids).
+# function, factor, failing ids). The factor takes the function's
+# arguments; for a batch function (_BATCHES: its first arguments are the
+# rows, and it returns one value or error per row) it gives one factor per
+# row.
 _CORRUPTIONS = {
-    "chain": ("chain", tau, "hg_tau1", lambda x, *_: 1 + 0.1 * e(x[0]), {"toda-step", "chain-family-ii2"}),
+    "chain": (
+        "chain",
+        tau,
+        "_integral_values",
+        lambda n, xs, *_: [1 + 0.1 * e(x[0]) if n == 1 else 1 for x in xs],
+        {"toda-step", "chain-family-ii2"},
+    ),
     # The chain's levels from 2 up: the recursion, the level-2 bilinear family
     # and the determinant must each catch it.
     "chain-upper": (
         "chain",
         tau,
-        "tau_n_int",
-        lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))) if n >= 2 else 1,
+        "_integral_values",
+        lambda n, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) if n >= 2 else 1 for x in xs],
         {"toda-step", "chain-family-ii0", "det-vs-quadrature"},
     ),
     "bailey": (
         "bailey",
         integrals,
-        "I_n",
-        lambda ctx, *_: 1 + 0.1 * ctx.u[0],
+        "I_n_many",
+        lambda ctxs, *_: [1 + 0.1 * ctx.u[0] for ctx in ctxs],
         {
             "reflection-tilde",
             "reflection-hat",
@@ -129,21 +138,60 @@ _CORRUPTIONS = {
     # theta_pochhammer entries do not read tau.theta.
     "warnaar": ("bailey", tau, "theta", lambda z, *_: 1 + 0.1 * z, {"theta-factorial-det"}),
     # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
-    "picard": ("picard", tau, "psi_variant", lambda n, x, *_: 1 + 0.1 * e(complex(np.dot(_W, x))), {"lattice-hirota"}),
+    "picard": (
+        "picard",
+        tau,
+        "_integral_values",
+        lambda n, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) for x in xs],
+        {"lattice-hirota"},
+    ),
     # The frame brackets of the translation route, not of the frame route.
     "picard-bracket": ("picard", picard, "bracket_pm", lambda x, *_: 1 + 0.1 * e(x), {"translation-vs-frame"}),
 }
+_BATCHES = {"_integral_values", "I_n_many"}
+
+
+def _corrupted(fn, factor, batch: bool):
+    if not batch:
+        return lambda *a, **kw: fn(*a, **kw) * factor(*a)
+
+    def rows(*a, **kw):
+        return [v if isinstance(v, Exception) else v * f for v, f in zip(fn(*a, **kw), factor(*a))]
+
+    return rows
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 1729])
 @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
 def test_corrupted_values_fail_the_suite(monkeypatch, case, seed):
     suite, module, name, factor, must_fail = _CORRUPTIONS[case]
-    fn = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **kw: fn(*a, **kw) * factor(*a))
+    monkeypatch.setattr(module, name, _corrupted(getattr(module, name), factor, name in _BATCHES))
     report = cli.run_suite(suite, cli.load_config(seed=seed))
     assert report["pass"] is False
     assert must_fail <= {c["id"] for c in report["checks"] if not c["pass"]}
+
+
+def _swap_rows(fn):
+    """fn with the first and last rows of its output swapped (a bilinear
+    term's two points often come first, and their product hides a swap)."""
+
+    def swapped(*a, **kw):
+        out = list(fn(*a, **kw))
+        out[0], out[-1] = out[-1], out[0]
+        return out
+
+    return swapped
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+@pytest.mark.parametrize("suite, must_fail", [("chain", "chain-family-ii0"), ("picard", "lattice-hirota"),
+                                              ("bailey", "contiguity")])
+def test_swapped_batch_rows_fail_the_suite(monkeypatch, suite, must_fail, seed):
+    # two integrals of one batch trade values: every batched route must
+    # hand each point its own row
+    monkeypatch.setattr(integrals, "I_n_many", _swap_rows(integrals.I_n_many))
+    report = cli.run_suite(suite, cli.load_config(seed=seed))
+    assert must_fail in {c["id"] for c in report["checks"] if not c["pass"]}
 
 
 def _swap_12(v: lattice.LatticeVector) -> lattice.LatticeVector:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from e8tau import integrals, sampling
 from e8tau.cli import SUITES, _terminating_family, load_config
 from e8tau.integrals import (
+    QUAD_TOL,
     I,
     I_n,
     In_transform_residual,
@@ -21,7 +23,7 @@ from e8tau.integrals import (
     contiguity_residual,
     terminating_eval,
 )
-from e8tau.specialfn import EllipticParams, qpoch, theta, v12_11
+from e8tau.specialfn import _SHIFT_RHO, EllipticParams, _series_powers, _shift_count, qpoch, theta, v12_11
 from e8tau.util import AdmissibilityError, ConvergenceError, e
 
 from . import _oracles as O
@@ -236,22 +238,154 @@ def test_multiplicity_three_converges_from_default_nodes(params):
 
 
 def _record_nodes(monkeypatch) -> list[int]:
-    """The node counts of the _quad calls I_n makes from here on, in order."""
+    """The node counts of the passes I_n makes from here on, in order."""
     counts = []
+    quad_rows = integrals._quad_rows
 
-    def counted(ctx, N):
+    def counted(rows, N):
         counts.append(N)
-        return _quad(ctx, N)
+        return quad_rows(rows, N)
 
-    monkeypatch.setattr(integrals, "_quad", counted)
+    monkeypatch.setattr(integrals, "_quad_rows", counted)
     return counts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smooth_integrand_stops_at_first_doubling(n, monkeypatch):
+    at_512 = _quad(_ctx(n=n), 512)
     counts = _record_nodes(monkeypatch)
-    assert I_n(_ctx(n=n)) == _quad(_ctx(n=n), 512)
+    assert I_n(_ctx(n=n)) == at_512
     assert counts == [256, 512]
+
+
+# ------------------------------------------ the per-point reference route
+#
+# The quadrature one integral at a time, each pass summing its log series
+# afresh: the route I_n took before integrals were batched.
+
+
+def _node_integrand_per_point(ctx, N):
+    p, q = ctx.params.p, ctx.params.q
+    pq = p * q
+    plan = _plan_for(ctx.params, N)
+    zs, rev = plan.zs, plan.rev
+    vals = plan.weight
+    u = np.array(ctx.u)
+    rho = np.maximum(np.abs(u), abs(pq) / np.abs(u))
+    b, c = (q, p) if abs(q) >= abs(p) else (p, q)
+    for i in np.flatnonzero(rho > _SHIFT_RHO):
+        s = _shift_count(abs(u[i]), abs(pq), abs(b))
+        for t in range(min(s, 0), max(s, 0)):
+            th = theta(u[i] * b**t * zs, c)
+            vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
+        u[i] = u[i] * b**s
+    pw = _series_powers(u, pq, p, q)
+    M, k = pw.shape[1], u.size
+    cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
+    cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
+        np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
+    )
+    a = cm.reshape(-1, N).sum(axis=0)
+    return vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
+
+
+def _quad_per_point(ctx, N):
+    n = ctx.n
+    plan = _plan_for(ctx.params, N)
+    h = _node_integrand_per_point(ctx, N)
+    scale = plan.pref**n / (2**n * factorial(n) * N**n)
+    if n == 1:
+        return scale * complex(np.sum(h))
+    H = np.fft.fft(h)
+    if n == 2:
+        s = H[plan.cross_a]
+        return scale * complex(s @ plan.cross_c @ s)
+    M = plan.cross_c @ H[plan.cross_ab]
+    return scale * complex(np.sum(M * (M @ M).T))
+
+
+def _I_n_per_point(ctx, quad_tol):
+    """(value or raised error, node counts of its passes)."""
+    try:
+        ctx.check_admissible()
+    except AdmissibilityError as err:
+        return err, []
+    cap = integrals._CAPS[ctx.n]
+    counts = [integrals._START_NODES]
+    last = previous = _quad_per_point(ctx, counts[-1])
+    while 2 * counts[-1] <= cap:
+        counts.append(2 * counts[-1])
+        previous, last = last, _quad_per_point(ctx, counts[-1])
+        if abs(last - previous) <= quad_tol * max(abs(last), 1e-300):
+            return last, counts
+    err = ConvergenceError(
+        f"node cap {cap} reached before stabilizing", last, previous,
+        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
+    )
+    return err, counts
+
+
+def _mixed_batch(n, params):
+    """Rows that stop at different node counts, one inadmissible row, and one
+    that reaches the cap; the rows moved by a shift step sit among them."""
+    pq = abs(params.p * params.q)
+    mods = [0.3, 0.95, 1.2, 0.97, 0.99] if n == 1 else [0.3, 0.9, 1.2, 0.97]
+    rows = []
+    for r, mod in enumerate(mods):
+        u = [mod * e(k / 13 + 0.02 + 0.1 * r) for k in range(8)]
+        if r == 0:
+            u[3] = 0.5 * pq * e(0.4)  # below |pq|: shifted up
+        if mod == 1.2:
+            u = [0.4 * v / mod for v in u[:7]] + [u[7]]
+        rows.append(_ctx(u=tuple(u), params=params, n=n))
+    return rows
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_rows_are_bitwise_the_per_point_route(n, params):
+    ctxs = _mixed_batch(n, params)
+    ref = [_I_n_per_point(ctx, QUAD_TOL) for ctx in ctxs]
+    # the batch is mixed: rows stop at different node counts, and besides
+    # values there are both kinds of error
+    assert len({len(counts) for _, counts in ref}) >= 3
+    kinds = {type(v) for v, _ in ref}
+    assert {complex, AdmissibilityError, ConvergenceError} <= kinds
+    got = integrals.I_n_many(ctxs)
+    for (want, _), have in zip(ref, got):
+        assert type(have) is type(want)
+        if isinstance(want, Exception):
+            assert str(have) == str(want)
+            assert getattr(have, "__dict__", {}).keys() == getattr(want, "__dict__", {}).keys()
+            if isinstance(want, ConvergenceError):
+                assert (have.last, have.previous, have.u) == (want.last, want.previous, want.u)
+        else:
+            assert (have.real.hex(), have.imag.hex()) == (want.real.hex(), want.imag.hex())
+    # each row alone, and every pass's values and node tables
+    for ctx, (want, _) in zip(ctxs, ref):
+        alone = integrals.I_n_many([ctx])[0]
+        assert type(alone) is type(want) and (isinstance(want, Exception) or alone == want)
+    live = [c for c, (v, _) in zip(ctxs, ref) if not isinstance(v, AdmissibilityError)]
+    rows = integrals._rows(live)
+    for N in (256, 512):
+        h = integrals._node_rows(rows, N)
+        assert integrals._quad_rows(rows, N) == [_quad_per_point(c, N) for c in live]
+        for hr, c in zip(h, live):
+            assert np.array_equal(hr, _node_integrand_per_point(c, N))
+
+
+def test_batch_shares_bases_and_multiplicity():
+    with pytest.raises(ValueError):
+        integrals.I_n_many([_ctx(), _ctx(params=CHAIN_PARAMS)])
+    with pytest.raises(ValueError):
+        integrals.I_n_many([_ctx(), _ctx(n=2)])
+
+
+def test_one_context_is_a_batch_of_one():
+    ctx = _ctx(u=tuple(0.95 * e(k / 13) for k in range(8)))
+    assert I_n(ctx) == integrals.I_n_many([ctx])[0] == _I_n_per_point(ctx, QUAD_TOL)[0]
+    with pytest.raises(AdmissibilityError):
+        I_n(_ctx(u=(1.2, *U_FIXED[1:])))
 
 
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])

@@ -109,6 +109,34 @@ def test_gamma_series_matches_product(p, q):
     assert np.max(np.abs(S.elliptic_gamma(z, p, q) - ref) / np.abs(ref)) <= 1e-13
 
 
+def _shift_count_loop(mod: float, pq_mod: float, b_mod: float) -> int:
+    """Reference step count: the steps tested one at a time, in order."""
+    best = round(np.log(mod / np.sqrt(pq_mod)) / -np.log(b_mod))
+    step = 1 if best > 0 else -1
+    for s in range(0, best, step):
+        x = mod * b_mod**s
+        if max(x, pq_mod / x) <= S._SHIFT_RHO:
+            return s
+    return best
+
+
+@pytest.mark.parametrize("p, q", [(0.15, 0.10), (0.03, 0.45), (0.05, 0.15), (0.9, 0.93)], ids=["bailey", "chain", "terminating", "near-one"])
+def test_shift_count_is_the_loop_on_every_argument(p, q):
+    pq, b = p * q, max(p, q)
+    rng = np.random.default_rng(np.random.Philox(61))
+    mods = list(np.exp(rng.uniform(np.log(pq) - 3.0, 2.0, 400)))
+    # rho exactly at _SHIFT_RHO after s steps, from above and from below,
+    # and the floats either side
+    for s in range(-4, 5):
+        for edge in (S._SHIFT_RHO, pq / S._SHIFT_RHO):
+            m = edge / b**s
+            mods += [m, np.nextafter(m, 0.0), np.nextafter(m, 2.0)]
+    want = [_shift_count_loop(float(m), pq, b) for m in mods]
+    assert S._shift_count(np.array(mods), pq, b).tolist() == want
+    assert [S._shift_count(float(m), pq, b) for m in mods] == want
+    assert any(w != 0 for w in want) and any(w == 0 for w in want)
+
+
 def test_gamma_functional_equations():
     rng = np.random.default_rng(np.random.Philox(29))
     for _ in range(60):

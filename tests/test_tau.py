@@ -133,6 +133,135 @@ def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
     assert (again.real.hex(), again.imag.hex()) == (first[0].real.hex(), first[0].imag.hex())
 
 
+# ------------------------------------------------ batched evaluation
+
+
+def _level_points(seed, levels):
+    rng = sampling.make_rng(seed)
+    return [_x_on(rng, n) for n in levels]
+
+
+def _inadmissible_level2(seed=5):
+    # |e(x_0)| = 0.72 puts |t_0| = q^(-1/2) |e(x_0)| above 1 at level 2
+    x = _x_on(sampling.make_rng(seed), 2)
+    dy = -np.log(0.72) / (2 * np.pi) - x[0].imag
+    x[0] += 1j * dy
+    x[7] -= 1j * dy
+    return x
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex())
+
+
+def test_eval_many_matches_the_point_by_point_eval():
+    xs = _level_points(40, (0, 1, 2, 1, 2, 0, 2, -1))
+    xs.insert(4, xs[1])  # a duplicate: one miss, then a hit
+    batched, looped = T.build_chain(2, params=PARAMS), T.build_chain(2, params=PARAMS)
+    got = batched.evaluator.eval_many(xs)
+    want = [looped.evaluator.eval(x) for x in xs]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * abs(w)
+    assert got[-1] == 0 and _hex(got[4]) == _hex(got[1])
+    info = batched.evaluator.fn.cache_info()
+    assert info == looped.evaluator.fn.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 7, T.TAU_MEMO_SIZE, 7)
+    # a batch of one point is the point-by-point route, bit for bit
+    fresh = T.build_chain(2, params=PARAMS)
+    assert [_hex(fresh.evaluator.eval_many([x])[0]) for x in xs] == [_hex(w) for w in want]
+    # the components share the family's memo: a hit returns the same bits
+    assert [_hex(v) for v in batched.components[2].eval_many([xs[2], xs[7]])] == [_hex(got[2]), _hex(got[7])]
+    assert batched.evaluator.fn.cache_info().hits == 3
+
+
+def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
+    monkeypatch.setattr(T, "TAU_MEMO_SIZE", 8)
+    xs = _level_points(41, [0] * 20)
+    batched, looped = T.build_chain(0, params=PARAMS), T.build_chain(0, params=PARAMS)
+    first = batched.evaluator.eval_many(xs)
+    for x in xs:
+        looped.evaluator.eval(x)
+    assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+    # the last eight are kept, but looking the first twelve up evicts them
+    # before their turn: every point is computed again, to the same bits
+    again = batched.evaluator.eval_many(xs)
+    for x in xs:
+        looped.evaluator.eval(x)
+    info = batched.evaluator.fn.cache_info()
+    assert info == looped.evaluator.fn.cache_info() and (info.hits, info.misses) == (0, 40)
+    assert [_hex(v) for v in again] == [_hex(v) for v in first]
+    # planned hits that an earlier miss of the same batch evicts, and a
+    # revisit of one evicted there: the batch counts what the loop counts
+    # and takes every value from its one batched call
+    mixed = _level_points(42, [0] * 4) + xs[12:16] + xs[:2] + xs[12:13]
+    for x in mixed:
+        looped.evaluator.eval(x)
+    calls = []
+    monkeypatch.setattr(T, "hg_tau0", lambda *a, **kw: calls.append(a))
+    batched.evaluator.eval_many(mixed)
+    assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+    assert calls == []
+
+
+def test_eval_many_raises_what_the_loop_raises_first():
+    good = _level_points(43, (1, 2))
+    bad = _inadmissible_level2()
+    off = good[0] + 0.01  # off the level family: a DomainError from locate
+    for xs, error in (
+        ([good[0], bad, off, good[1]], AdmissibilityError),
+        ([good[0], off, bad, good[1]], DomainError),
+        ([bad, good[1]], AdmissibilityError),
+    ):
+        batched, looped = T.build_chain(2, params=PARAMS), T.build_chain(2, params=PARAMS)
+        with pytest.raises(error) as got:
+            batched.evaluator.eval_many(xs)
+        with pytest.raises(error) as want:
+            for x in xs:
+                looped.evaluator.eval(x)
+        assert str(got.value) == str(want.value)
+        assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+
+
+def test_residual_steps_raise_in_loop_order():
+    # a coefficient that raises after a point whose tau raises: the tau
+    # error comes first, as in a loop over the terms
+    def fn(x):
+        if x[0] == 1.0:
+            raise AdmissibilityError("tau at the first point")
+        return complex(x[0])
+
+    ev = T.TauEvaluator(fn, PARAMS)
+
+    def raise_domain():
+        raise DomainError("coefficient")
+
+    one, two = np.ones(8, dtype=complex), 2 * np.ones(8, dtype=complex)
+    assert T.in_loop_order(ev, [(3.0, False), (two, True), (lambda: 4.0, False)]) == [3.0, 2.0, 4.0]
+    with pytest.raises(AdmissibilityError):
+        T.in_loop_order(ev, [(3.0, False), (one, True), (raise_domain, False), (two, True)])
+    with pytest.raises(DomainError):
+        T.in_loop_order(ev, [(raise_domain, False), (one, True)])
+
+
+def test_batched_residuals_match_the_point_by_point_route():
+    # the same residuals through an evaluator without the batch hook
+    frame = _frames_of(FrameType.C3_II0, 1)[0]
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    rng = sampling.make_rng(44)
+    for _ in range(3):
+        batched, looped = T.build_chain(2, params=PARAMS), T.build_chain(2, params=PARAMS)
+        plain = T.TauEvaluator(lambda y: looped.evaluator.fn(y), PARAMS, looped.evaluator.domain)
+        x = _x_on(rng, 2)
+        r_batch = T.hirota_residual(batched.evaluator, frame, x, PARAMS)
+        r_loop = T.hirota_residual(plain, frame, x, PARAMS)
+        assert abs(r_batch - r_loop) <= 1e-15 * max(1.0, r_loop)
+        t_batch = T.toda_step(batched.components[0], batched.components[1], frame8, 2, 3, x, PARAMS)
+        comps = [T.TauEvaluator(lambda y, c=c: c.fn(y), PARAMS, c.domain) for c in looped.components[:2]]
+        t_loop = T.toda_step(comps[0], comps[1], frame8, 2, 3, x, PARAMS)
+        assert abs(t_batch - t_loop) <= 1e-15 * abs(t_loop)
+        assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+
+
 # -------------------------------------------------------------- canonical
 
 
