@@ -36,7 +36,7 @@ import numpy as np
 from . import integrals, lattice, picard, sampling, tau
 from .integrals import IntegrandContext
 from .specialfn import EllipticParams, bracket_pm, three_term_residual
-from .util import RESAMPLE_ERRORS, DomainError, e, rel_diff, resampled
+from .util import RESAMPLE_ERRORS, ConvergenceError, DomainError, e, rel_diff, resampled
 
 SUITES = ("counts", "specialfn", "hirota", "bailey", "chain", "picard")
 
@@ -689,6 +689,9 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
         value = chain.value(n, x)
     except (DomainError, ValueError) as err:
         print(f"probe failed: {err}", file=sys.stderr)
+        return 1
+    except ConvergenceError as err:
+        print(f"probe failed: ConvergenceError: {err}", file=sys.stderr)
         return 1
     pairing = lattice.phi_pairing_c(x)
     doc = {

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import index
 from typing import Sequence
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from . import lattice
 from .specialfn import bracket, bracket_pm
-from .tau import in_loop_order
 from .util import DomainError, Residual, normalized_residual
 
 _GRAM = (-1,) + (1,) * 9
@@ -174,6 +172,18 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
     return x, complex(mu), complex(kappa)
 
 
+def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
+    """lattice_tau_point at every vector of lams, on one chart of eps."""
+    alphas = [in_orbit_M(lam) for lam in lams]
+    if any(alpha is None for alpha in alphas):
+        raise ValueError("index vector is not in the norm-one, level-minus-one orbit")
+    x, _, kappa = coords_back(eps)
+    if abs(kappa - tau.params.delta) > 1e-9:
+        raise DomainError("chart level does not match the tau level step")
+    inv = lattice.inverse_word(tuple(w))
+    return [lattice.apply_word_c(inv, x + kappa * project_classical(a).true_coords()) for a in alphas]
+
+
 def lattice_tau_point(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> np.ndarray:
     """The point at which lattice_tau_eval evaluates tau: w^{-1} . (x + kappa * alpha).
 
@@ -181,14 +191,7 @@ def lattice_tau_point(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray)
     part alpha, and (x, mu, kappa) are the chart coordinates of eps, whose
     level must match the step of tau's level grading.
     """
-    alpha = in_orbit_M(lam)
-    if alpha is None:
-        raise ValueError("index vector is not in the norm-one, level-minus-one orbit")
-    x, _, kappa = coords_back(eps)
-    if abs(kappa - tau.params.delta) > 1e-9:
-        raise DomainError("chart level does not match the tau level step")
-    shift = project_classical(alpha).true_coords()
-    return lattice.apply_word_c(lattice.inverse_word(tuple(w)), x + kappa * shift)
+    return _lattice_points([lam], tau, w, eps)[0]
 
 
 def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
@@ -205,8 +208,9 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus. The six tau values come from
-    one batch, raising what evaluating the terms in turn would raise first.
+    Normalized by the largest term modulus. The brackets come first, then
+    the six points on one chart of eps, then their tau values in one
+    eval_many batch of the TauEvaluator tau.
     """
     i, j, k, l = quad
     if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
@@ -217,15 +221,10 @@ def quadruple_hirota_residual(
     def sig(b: int, c: int) -> complex:
         return bracket(eps[b] - eps[c], params) * bracket(eps[0] - eps[b] - eps[c] - eps[l], params)
 
-    steps = []
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        steps += [
-            (partial(sig, b, c), False),
-            (partial(lattice_tau_point, E[a], tau, w, eps), True),
-            (partial(lattice_tau_point, E[0] - E[a] - E[l], tau, w, eps), True),
-        ]
-    v = in_loop_order(tau, steps)
-    return normalized_residual([v[t] * v[t + 1] * v[t + 2] for t in (0, 3, 6)])
+    sigs = [sig(b, c) for b, c in ((j, k), (k, i), (i, j))]
+    lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
+    v = tau.eval_many(_lattice_points(lams, tau, w, eps))
+    return normalized_residual([sg * v[2 * t] * v[2 * t + 1] for t, sg in enumerate(sigs)])
 
 
 def translation_hirota_residual(

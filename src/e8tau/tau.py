@@ -156,51 +156,24 @@ class TauEvaluator:
         them in turn would raise first.
 
         When fn carries a batch hook fn.many (the graded families do), the
-        points are located first, up to the first that fails, and fn.many
-        takes the (level, point) pairs, with that failure last; any other
-        fn is evaluated point by point."""
+        points are located first, up to the first that fails; fn.many takes
+        the located (level, point) pairs, and the locate error is raised
+        after them. Any other fn is evaluated point by point."""
         xs = [np.asarray(x, dtype=complex) for x in xs]
         many = getattr(self.fn, "many", None)
         if many is None:
             return [self.eval(x) for x in xs]
-        located = []
+        located, failed = [], None
         for x in xs:
             try:
                 located.append((self.domain.locate(x), x))
             except Exception as err:
-                located.append(err)
+                failed = err
                 break
-        return many(located)
-
-
-def _eval_points(tau: Callable[[np.ndarray], complex], xs: Sequence[np.ndarray]) -> list[complex]:
-    """tau at every point of xs: eval_many for an evaluator, else one call
-    per point."""
-    many = getattr(tau, "eval_many", None)
-    return many(xs) if many is not None else [tau(x) for x in xs]
-
-
-def in_loop_order(tau: Callable[[np.ndarray], complex], steps) -> list:
-    """The values of steps, (item, is_point) pairs, as a loop that takes
-    them in turn would find them: an item is a value, or a callable giving
-    it, and a point's value is tau there.
-
-    The points' tau values come from one _eval_points call. When a step
-    raises, tau is first evaluated at the points before it, so the error
-    raised is the one the loop would meet first."""
-    vals, at = [], []
-    for item, is_point in steps:
-        try:
-            v = item() if callable(item) else item
-        except Exception:
-            _eval_points(tau, [vals[i] for i in at])
-            raise
-        if is_point:
-            at.append(len(vals))
-        vals.append(v)
-    for i, t in zip(at, _eval_points(tau, [vals[i] for i in at])):
-        vals[i] = t
-    return vals
+        out = many(located)
+        if failed is not None:
+            raise failed
+        return out
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
@@ -234,7 +207,7 @@ def oriented_triple(
 
 
 def hirota_residual(
-    tau: Callable[[np.ndarray], complex],
+    tau: TauEvaluator,
     frame: Frame | Sequence[LatticeVector],
     x: np.ndarray,
     params: EllipticParams,
@@ -243,19 +216,19 @@ def hirota_residual(
 
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
     rotations of the oriented triple, divided by the largest term magnitude.
-    All six shifted points must lie in tau's domain; their values come from
-    one batch (in_loop_order).
+    All six shifted points must lie in tau's domain. The three brackets are
+    computed first, then the six tau values in one eval_many batch.
     """
     a, b, c = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
     d = params.delta
-    steps = []
+    brs, pts = [], []
     for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
         sh = np.asarray(s.true_coords(), dtype=complex) * d
-        br = partial(bracket_pm, pairing_c(t, x), pairing_c(w, x), params)
-        steps += [(br, False), (x + sh, True), (x - sh, True)]
-    v = in_loop_order(tau, steps)
-    return normalized_residual([v[k] * v[k + 1] * v[k + 2] for k in (0, 3, 6)])
+        brs.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), params))
+        pts += [x + sh, x - sh]
+    v = tau.eval_many(pts)
+    return normalized_residual([br * v[2 * k] * v[2 * k + 1] for k, br in enumerate(brs)])
 
 
 @dataclass(frozen=True)
@@ -379,8 +352,8 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
 
 
 def toda_step(
-    tau_prev: Callable[[np.ndarray], complex],
-    tau_cur: Callable[[np.ndarray], complex],
+    tau_prev: TauEvaluator,
+    tau_cur: TauEvaluator,
     frame: Frame | Sequence[LatticeVector],
     i: int,
     j: int,
@@ -393,8 +366,8 @@ def toda_step(
     frame is an 8-vector paired-type frame (or its pre-ordered axis tuple);
     i, j pick two distinct zero-pairing axes in positions 2..7, and the
     result is independent of that choice. a0_index selects which member of
-    the distinguished pair serves as the level direction. The four values
-    of tau_cur come from one batch (in_loop_order).
+    the distinguished pair serves as the level direction. The brackets are
+    computed first, then the four values of tau_cur in one eval_many batch.
     """
     if not (2 <= i <= 7 and 2 <= j <= 7 and i != j):
         raise ValueError("need two distinct zero-pairing indices in 2..7")
@@ -419,12 +392,11 @@ def toda_step(
     def cur_pair(b: LatticeVector) -> list:
         sp = np.asarray((a0 + b).true_coords(), dtype=complex) * d
         sm = np.asarray((a0 - b).true_coords(), dtype=complex) * d
-        return [(x - sp, True), (x - sm, True)]
+        return [x - sp, x - sm]
 
-    # the loop's order: [aj-bracket] tau tau, then [ai-bracket] tau tau
-    v = in_loop_order(tau_cur, [(partial(shifted_pm, aj), False), *cur_pair(ai),
-                                (partial(shifted_pm, ai), False), *cur_pair(aj)])
-    num = v[0] * (v[1] * v[2]) - v[3] * (v[4] * v[5])
+    br_j, br_i = shifted_pm(aj), shifted_pm(ai)
+    v = tau_cur.eval_many(cur_pair(ai) + cur_pair(aj))
+    num = br_j * (v[0] * v[1]) - br_i * (v[2] * v[3])
     back = x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d
     return num / (den_plus * den_minus * tau_prev(back))
 
@@ -456,50 +428,24 @@ TAU_MEMO_SIZE = 1024
 MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize")
 
 
-def _lru_misses(memo: OrderedDict, size: int, keys) -> list:
-    """The keys that miss, in turn, when keys are looked up one by one in
-    the LRU memo of at most size entries, each miss inserted and evicting
-    the least recently used entry when the memo is full; memo is left as
-    it is."""
-    oldest = iter(memo)
-    recent: OrderedDict = OrderedDict()  # keys looked up so far, least recent first
-    gone, missed = set(), []
-    free = size - len(memo)
-    for key in keys:
-        if key in recent or (key in memo and key not in gone):
-            recent[key] = None
-            recent.move_to_end(key)
-            continue
-        missed.append(key)
-        recent[key] = None
-        if free > 0:
-            free -= 1
-            continue
-        victim = next((k for k in oldest if k not in recent), None)
-        if victim is None:
-            victim, _ = recent.popitem(last=False)
-        gone.add(victim)
-    return missed
-
-
 def _graded(
     levels: LevelDomain,
-    value: Callable[[int, np.ndarray], complex],
-    params: EllipticParams,
     values: Callable[[int, list], list],
+    params: EllipticParams,
 ) -> TauChain:
-    """The graded family that is value(n, x) on level n >= 0 of levels
-    (n up to levels.n_max) and 0 below level 0.
+    """The graded family that is values(n, [x])[0] on level n >= 0 of levels
+    (n up to levels.n_max) and 0 below level 0; values(n, xs) gives each
+    point's value or the error it raises alone.
 
     Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
     (n, the exact bytes of x): a hit returns what was computed at the same
     point. The evaluator's fn and the components' carry the memo's
     cache_info() (hits, misses, maxsize, currsize) and a batch hook for
-    TauEvaluator.eval_many. The hook looks the points up in turn as eval
-    would, with the same hits, misses and evictions, but first computes
-    every point that will miss: per level in one call of values(n, xs),
-    which gives each point's value or the error it raises alone. A value
-    is computed again only after its entry is evicted.
+    TauEvaluator.eval_many. The hook computes the points not in the memo at
+    the start of the batch, per level in one values call, then looks the
+    points up in turn as eval would, so hits, misses and errors are counted
+    in one place. A point whose entry is evicted before its lookup is
+    computed again alone.
     """
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
@@ -512,7 +458,7 @@ def _graded(
             memo.move_to_end(key)
             return memo[key]
         stats[1] += 1
-        v = fresh[key] if key in fresh else value(n, x)
+        v = fresh[key] if key in fresh else values(n, [x])[0]
         if isinstance(v, Exception):
             raise v
         memo[key] = v
@@ -526,26 +472,15 @@ def _graded(
         return lookup(n, np.asarray(x, dtype=complex), {})
 
     def many(located: list) -> list[complex]:
-        points = {}
-        for item in located:
-            if isinstance(item, Exception):
-                break
-            n, x = item
-            if n >= 0:
-                points.setdefault((n, x.tobytes()), x)
         groups: dict[int, dict] = {}
-        for key in _lru_misses(memo, size, list(points)):
-            groups.setdefault(key[0], {})[key] = points[key]
+        for n, x in located:
+            key = (n, x.tobytes())
+            if n >= 0 and key not in memo:
+                groups.setdefault(n, {})[key] = x
         fresh = {}
         for n, group in groups.items():
             fresh.update(zip(group, values(n, list(group.values()))))
-        out = []
-        for item in located:
-            if isinstance(item, Exception):
-                raise item
-            n, x = item
-            out.append(complex(0.0) if n < 0 else lookup(n, x, fresh))
-        return out
+        return [complex(0.0) if n < 0 else lookup(n, x, fresh) for n, x in located]
 
     def at_level(x: np.ndarray) -> complex:
         x = np.asarray(x, dtype=complex)
@@ -569,10 +504,10 @@ def build_chain(
     quad_tol: float = QUAD_TOL,
 ) -> TauChain:
     """Hypergeometric chain (Thm 3C/6C) on the levels varpi + n*delta up to
-    n_max: the n-fold integral family, with level 0 hg_tau0, level 1 hg_tau1
-    and each higher level tau_n_int in the direct chart, every level read
-    through the family's one memo. The two-term Toda recursion (toda_step)
-    is its reference check, not its route.
+    n_max: the n-fold integral family, level n the value of tau_n_int in
+    the direct chart (hg_tau0 and hg_tau1 at n = 0 and 1), every level
+    computed in batches through the family's one memo. The two-term Toda
+    recursion (toda_step) is its reference check, not its route.
 
     Level n is defined where the integral's parameters
     t = q^((1-n)/2) e(x) all lie in the unit disk; elsewhere a level-n
@@ -584,17 +519,10 @@ def build_chain(
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
 
-    def value(n: int, x: np.ndarray) -> complex:
-        if n == 0:
-            return hg_tau0(x, params)
-        if n == 1:
-            return hg_tau1(x, params, quad_tol=quad_tol)
-        return tau_n_int(n, x, "direct", params, quad_tol=quad_tol)
-
     def values(n: int, xs: list) -> list:
         return _integral_values(n, xs, "pp", "direct", params, quad_tol)
 
-    return _graded(_levels("pp", params, -8, n_max), value, params, values)
+    return _graded(_levels("pp", params, -8, n_max), values, params)
 
 
 def casorati_K(
@@ -877,7 +805,6 @@ def variant_evaluator(
     """
     return _graded(
         _levels(variant, params, -8, VARIANT_N_MAX),
-        lambda n, x: psi_variant(n, x, variant, params, quad_tol=quad_tol),
-        params,
         lambda n, xs: _integral_values(n, xs, variant, "direct", params, quad_tol),
+        params,
     ).evaluator

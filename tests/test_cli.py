@@ -309,6 +309,15 @@ def test_chain_domain_is_the_integral_domain(capsys):
     assert "probe failed" in capsys.readouterr().err
 
 
+def test_tau_probe_reports_a_quadrature_that_does_not_converge(capsys):
+    # no level-2 integral settles to 1e-17 within the node cap
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(102), par, 2)
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--quad-tol", "1e-17", "--x", text]) == 1
+    assert capsys.readouterr().err.startswith("probe failed: ConvergenceError: node cap")
+
+
 def test_tau_probe_rejects_malformed_coordinates(capsys):
     for text in ("1,2 3", "inf 0 0 0 0 0 0 0", "0 nan,0 0 0 0 0 0 0", "0 0 0 0 0 0 0 0,-inf"):
         assert cli.main(["tau", "probe", "--x", text]) == 2, text

@@ -111,13 +111,14 @@ def test_chain_vanishes_below_base_level():
 
 
 def test_chain_memo_evaluates_a_point_once(monkeypatch):
-    calls = []
-    hg_tau1 = T.hg_tau1
-    monkeypatch.setattr(T, "hg_tau1", lambda *a, **kw: calls.append(a) or hg_tau1(*a, **kw))
+    rows = []
+    values = T._integral_values
+    monkeypatch.setattr(T, "_integral_values", lambda n, xs, *a: rows.extend(xs) or values(n, xs, *a))
     chain = T.build_chain(1, params=PARAMS)
     x = _x_on(sampling.make_rng(15), 1)
     assert chain.evaluator(x) == chain.value(1, x)
-    assert len(calls) == 1
+    assert chain.evaluator.eval_many([x, x]) == [chain.value(1, x)] * 2
+    assert len(rows) == 1
 
 
 def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
@@ -190,17 +191,14 @@ def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
     info = batched.evaluator.fn.cache_info()
     assert info == looped.evaluator.fn.cache_info() and (info.hits, info.misses) == (0, 40)
     assert [_hex(v) for v in again] == [_hex(v) for v in first]
-    # planned hits that an earlier miss of the same batch evicts, and a
-    # revisit of one evicted there: the batch counts what the loop counts
-    # and takes every value from its one batched call
+    # hits at the start of the batch that an earlier miss of the same batch
+    # evicts, and a revisit of one evicted there: the batch counts what the
+    # loop counts and gives the loop's values, bit for bit
     mixed = _level_points(42, [0] * 4) + xs[12:16] + xs[:2] + xs[12:13]
-    for x in mixed:
-        looped.evaluator.eval(x)
-    calls = []
-    monkeypatch.setattr(T, "hg_tau0", lambda *a, **kw: calls.append(a))
-    batched.evaluator.eval_many(mixed)
+    want = [looped.evaluator.eval(x) for x in mixed]
+    got = batched.evaluator.eval_many(mixed)
     assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
-    assert calls == []
+    assert [_hex(v) for v in got] == [_hex(v) for v in want]
 
 
 def test_eval_many_raises_what_the_loop_raises_first():
@@ -222,25 +220,24 @@ def test_eval_many_raises_what_the_loop_raises_first():
         assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
 
 
-def test_residual_steps_raise_in_loop_order():
-    # a coefficient that raises after a point whose tau raises: the tau
-    # error comes first, as in a loop over the terms
-    def fn(x):
-        if x[0] == 1.0:
-            raise AdmissibilityError("tau at the first point")
-        return complex(x[0])
+def test_residual_brackets_come_before_the_tau_batch(monkeypatch):
+    # a bracket that raises on its second call: no tau value is looked up
+    chain = T.build_chain(2, params=PARAMS)
+    frame = _frames_of(FrameType.C3_II0, 1)[0]
+    calls, real = [], T.bracket_pm
 
-    ev = T.TauEvaluator(fn, PARAMS)
+    def bracket_pm(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise DomainError("second bracket")
+        return real(*args)
 
-    def raise_domain():
-        raise DomainError("coefficient")
-
-    one, two = np.ones(8, dtype=complex), 2 * np.ones(8, dtype=complex)
-    assert T.in_loop_order(ev, [(3.0, False), (two, True), (lambda: 4.0, False)]) == [3.0, 2.0, 4.0]
-    with pytest.raises(AdmissibilityError):
-        T.in_loop_order(ev, [(3.0, False), (one, True), (raise_domain, False), (two, True)])
-    with pytest.raises(DomainError):
-        T.in_loop_order(ev, [(raise_domain, False), (one, True)])
+    monkeypatch.setattr(T, "bracket_pm", bracket_pm)
+    with pytest.raises(DomainError, match="second bracket"):
+        T.hirota_residual(chain.evaluator, frame, _x_on(sampling.make_rng(45), 2), PARAMS)
+    assert len(calls) == 2
+    info = chain.evaluator.fn.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_batched_residuals_match_the_point_by_point_route():
@@ -310,7 +307,7 @@ def test_negative_control_detects_broken_tau():
     rng = sampling.make_rng(23)
     can = T.canonical_tau(0.17 + 0.05j, PARAMS)
     frame = Frame.from_vectors(T._A7_TRIPLE)
-    broken = lambda y: can.eval(y) + 1.0
+    broken = T.TauEvaluator(lambda y: can.eval(y) + 1.0, PARAMS)
     worst = max(
         T.hirota_residual(broken, frame, _x_general(rng, scale=0.1), PARAMS)
         for _ in range(3)
