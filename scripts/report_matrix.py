@@ -3,21 +3,23 @@
 One JSON report per (command, seed), without the run's ``wall_time_s``; the
 ``tau probe`` document at one fixed point per chain level 0, 1 and 2, so the
 tau values themselves are pinned and not only the residuals; and
-``exit_codes.txt`` with every exit status. Two checkouts report the same
-numbers when ``diff -r`` of their OUTDIRs is empty. Run from the repository
-root:
+``exit_codes.txt`` with every exit status and the first line the run wrote
+to stderr, so a change in which error a run ends in shows. Two checkouts
+report the same numbers when ``diff -r`` of their OUTDIRs is empty. Run from
+the repository root:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OUTDIR
 
 Given two OUTDIRs written that way, it prints one line per report entry that
 differs (file, check id, residual, count or probe value before -> after, both
 pass flags; "-" for an entry or flag on one side only), then every exit
-status that differs:
+status or first stderr line that differs:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OLD NEW
 
-It exits 1 when some pass flag or exit status differs, an entry on one side
-only included, and 0 when the two agree on all of them, whatever values moved.
+It exits 1 when some pass flag, exit status or first stderr line differs, an
+entry on one side only included, and 0 when the two agree on all of them,
+whatever values moved.
 """
 from __future__ import annotations
 
@@ -68,9 +70,10 @@ def _entries(outdir: pathlib.Path) -> dict:
 
 
 def _exit_codes(outdir: pathlib.Path) -> dict:
-    """'command seed=S' -> exit status, from outdir's exit_codes.txt."""
+    """'command seed=S' -> 'exit=N' and the run's first stderr line, from
+    outdir's exit_codes.txt (tab-separated)."""
     lines = (outdir / "exit_codes.txt").read_text().splitlines()
-    return dict(line.rsplit(" ", 1) for line in lines)
+    return dict(line.split("\t", 1) for line in lines)
 
 
 def _shown(c: dict | None) -> str:
@@ -96,7 +99,7 @@ def compare(old: pathlib.Path, new: pathlib.Path) -> bool:
     for run in [*ea, *(r for r in eb if r not in ea)]:
         if ea.get(run) != eb.get(run):
             verdict_moved = True
-            print(f"{run}: {ea.get(run, '-')} -> {eb.get(run, '-')}")
+            print(f"{run}: {ea.get(run, '-')} -> {eb.get(run, '-')}".replace("\t", " "))
     return verdict_moved
 
 
@@ -110,14 +113,17 @@ if __name__ == "__main__":
     runs = [(f"{name}-seed{seed}", f"{name} seed={seed}", [*argv, "--seed", str(seed)])
             for name, argv in COMMANDS.items() for seed in SEEDS]
     runs += [(f"tau-probe-{n}", f"tau-probe-{n}", ["tau", "probe", "--x", x]) for n, x in PROBES.items()]
+    # a quadrature target no integral meets: the run ends in a typed error
+    runs += [("tau-build-3-unreachable-tol", "tau-build-3-unreachable-tol seed=1",
+              ["tau", "build", "--n", "3", "--quad-tol", "1e-17", "--seed", "1"])]
     codes = []
     for stem, label, argv in runs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             rc = cli.main([*argv, "--json", "-"])
         if buf.getvalue():  # a failed probe writes nothing; its exit status still counts
             report = json.loads(buf.getvalue())
             report.pop("wall_time_s", None)
             (out / f"{stem}.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        codes.append(f"{label} exit={rc}\n")
+        codes.append(f"{label}\texit={rc}\t{next(iter(err.getvalue().splitlines()), '')}\n")
     (out / "exit_codes.txt").write_text("".join(codes))

@@ -339,8 +339,9 @@ class _Run:
     """What the rows of one run share: the config, the generator every body
     draws from in table order (seeded cfg.seed + offset), the parameter block
     they evaluate at, and the objects they check, each built on first use.
-    depth is the chain's top level; break_tau adds 1 to the canonical
-    solution (the --break-tau negative control)."""
+    depth is the chain's top level; break_tau multiplies the canonical
+    solution by 1 + 0.1 e(<w, Re x + Im x>), w = (1..8)/7 (the --break-tau
+    negative control)."""
 
     def __init__(self, cfg: SuiteConfig, offset: int, block: str, depth: int | None = None, break_tau: bool = False):
         self.cfg, self.block = cfg, block
@@ -358,8 +359,10 @@ class _Run:
         frame it is checked on (None: a random 3-frame per trial)."""
         base = tau.canonical_tau(0.21 + 0.05j, self.par)
         if self.break_tau:
-            inner = base.fn
-            base = tau.TauEvaluator(lambda x: inner(x) + 1.0, self.par)
+            # a relative corruption of fixed modulus, seen at every magnitude;
+            # one of Re x alone would not be, as delta is imaginary at real q
+            inner, w = base.fn, np.arange(1, 9) / 7
+            base = tau.TauEvaluator(lambda x: inner(x) * (1 + 0.1 * e(np.dot(w, x.real + x.imag))), self.par)
         gauge = tau.ExpGauge(k=0.3 - 0.1j, v=tuple(0.2j * k for k in range(8)), c=0.7)
         shift = tau.PeriodShift(lattice.vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0))
         # Whole-lattice shifts pair integrally with the standard triple only.
@@ -400,9 +403,7 @@ def _frame_hirota_once(which: str, run: _Run, k) -> float:
     if frame is None:
         frames = _frames_of(3)
         frame = frames[int(run.rng.integers(len(frames)))]
-    # An O(1) corruption is only visible where the canonical values are O(1).
-    scale = 0.1 if run.break_tau else 0.35
-    x = scale * (run.rng.standard_normal(8) + 1j * run.rng.standard_normal(8))
+    x = 0.35 * (run.rng.standard_normal(8) + 1j * run.rng.standard_normal(8))
     return float(tau.hirota_residual(ev, frame, x, run.par))
 
 
@@ -463,9 +464,7 @@ class Check:
     trials maps cfg.trials to the number of trials, whose largest residual
     is reported; None means one draw, reported as drawn. retry redraws a
     trial that lands on a non-generic point. verify names the `e8tau verify`
-    identity that runs the row alone. A transformed row evaluates a
-    transformed tau, whose prefactors can mask the --break-tau corruption,
-    so that control skips it.
+    identity that runs the row alone.
     """
 
     suite: str
@@ -476,7 +475,6 @@ class Check:
     trials: Callable[[dict], int] | None = None
     retry: bool = False
     verify: str | None = None
-    transformed: bool = False
 
     def __post_init__(self):
         ids = (self.ids,) if isinstance(self.ids, str) else self.ids
@@ -508,7 +506,7 @@ _CHECKS = (
           bound="hirota", trials=lambda t: t["hirota"]),
     *(
         Check("hirota", which, anchor, partial(_frame_hirota_once, which),
-              bound="hirota", trials=lambda t: max(1, t["hirota"] // 2), transformed=True)
+              bound="hirota", trials=lambda t: max(1, t["hirota"] // 2))
         for which, anchor in (("gauged", "Thm 2B(1)"), ("weyl-mapped", "Thm 2B(2)"), ("period-shifted", "Thm 2B(3)"))
     ),
     Check("bailey", ("reflection-tilde", "reflection-hat"), ("Thm 5A(1)", "Thm 5A(2)"),
@@ -613,10 +611,7 @@ def run_suite(name: str, cfg: SuiteConfig, break_tau: bool = False) -> dict:
         raise ValueError(f"unknown suite '{name}'")
     # A suite draws from cfg.seed + its index in SUITES.
     runs = (
-        (
-            _Run(cfg, SUITES.index(s), s, break_tau=break_tau),
-            [r for r in _CHECKS if r.suite == s and not (break_tau and r.transformed)],
-        )
+        (_Run(cfg, SUITES.index(s), s, break_tau=break_tau), [r for r in _CHECKS if r.suite == s])
         for s in (SUITES if name == "all" else (name,))
     )
     return _report(name, cfg, runs)

@@ -31,7 +31,7 @@ from .specialfn import (
     triple_gamma,
     v12_11,
 )
-from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual, values_or_raise
+from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
 _START_NODES = 256
@@ -271,19 +271,21 @@ def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
 def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
     """n-dimensional tensor quadrature with the 2^n n! normalization: I_n_many
     of the one context."""
-    return values_or_raise(I_n_many([ctx], quad_tol=quad_tol))[0]
+    return I_n_many([ctx], quad_tol=quad_tol)[0]
 
 
-def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> list:
+def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> list[complex]:
     """I_n of contexts that share their bases and multiplicity n, as one
-    batch: per row its value, or the AdmissibilityError or ConvergenceError
-    it raises alone.
+    batch: every value, or one error.
 
-    Every row runs the trapezoid rule from _START_NODES nodes per circle,
-    doubled up to the cap of multiplicity n until two successive values
-    agree to quad_tol; each pass evaluates the rows still running in one
-    array pass, and a row leaves once it has stopped. A row's values are
-    bit for bit those of the batch of that row alone at the same node count.
+    Every context is checked for admissibility first, and the first that
+    fails raises its AdmissibilityError. Then every row runs the trapezoid
+    rule from _START_NODES nodes per circle, doubled up to the cap of
+    multiplicity n until two successive values agree to quad_tol; each pass
+    evaluates the rows still running in one array pass, and a row leaves
+    once it has stopped. At the cap the first row still running raises its
+    ConvergenceError. A row's values are bit for bit those of the batch of
+    that row alone at the same node count.
     """
     if not ctxs:
         return []
@@ -294,19 +296,13 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
         return [1.0 + 0j] * len(ctxs)
     if n not in _CAPS:
         raise ValueError("multiplicity above 3 is out of scope")
+    for ctx in ctxs:
+        ctx.check_admissible()
     out: list = [None] * len(ctxs)
-    live = []
-    for r, ctx in enumerate(ctxs):
-        try:
-            ctx.check_admissible()
-            live.append(r)
-        except AdmissibilityError as err:
-            out[r] = err
-    if not live:
-        return out
+    live = list(range(len(ctxs)))
     cap = _CAPS[n]
     N = _START_NODES
-    rows = _rows([ctxs[r] for r in live])
+    rows = _rows(ctxs)
     last = previous = _quad_rows(rows, N)
     while 2 * N <= cap:
         N *= 2
@@ -322,13 +318,11 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
         if len(keep) < len(live):
             live, rows = [live[j] for j in keep], rows.take(keep)
             last, previous = [last[j] for j in keep], [previous[j] for j in keep]
-    for j, r in enumerate(live):
-        ctx = ctxs[r]
-        out[r] = ConvergenceError(
-            f"node cap {cap} reached before stabilizing", last[j], previous[j],
-            u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=n, cap=cap,
-        )
-    return out
+    ctx = ctxs[live[0]]
+    raise ConvergenceError(
+        f"node cap {cap} reached before stabilizing", last[0], previous[0],
+        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=n, cap=cap,
+    )
 
 
 def _theta_pm(a: complex, b: complex, p: complex) -> complex:
@@ -354,11 +348,11 @@ def contiguity_residual(
         v[idx] = q * v[idx]
         return IntegrandContext(v, ctx.params)
 
-    Ii, Ij, Ik = values_or_raise(I_n_many([shifted(i), shifted(j), shifted(k)], quad_tol=quad_tol))
+    Ii, Ij, Ik = I_n_many([shifted(i), shifted(j), shifted(k)], quad_tol=quad_tol)
     return normalized_residual([
-        u[k] * _theta_pm(u[j], u[k], p) * Ii,
-        u[i] * _theta_pm(u[k], u[i], p) * Ij,
-        u[j] * _theta_pm(u[i], u[j], p) * Ik,
+        (u[k], _theta_pm(u[j], u[k], p), Ii),
+        (u[i], _theta_pm(u[k], u[i], p), Ij),
+        (u[j], _theta_pm(u[i], u[j], p), Ik),
     ])
 
 
@@ -390,27 +384,21 @@ _PAIRS = np.triu_indices(8, 1)
 _SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
 
 
-def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list:
+def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
     """Per row w of ws, the product over pairs i<j of
-    triple_gamma(scale_ij w_i w_j; p, q), or the error computing it alone
-    raises; scale is one number or one per pair in np.triu_indices(8, 1)
-    order. All rows go through one triple_gamma call, whose series length
-    follows the largest rho among them; when that call raises, each row is
-    taken on its own."""
+    triple_gamma(scale_ij w_i w_j; p, q); scale is one number or one per
+    pair in np.triu_indices(8, 1) order. All rows go through one
+    triple_gamma call, whose series length follows the largest rho among
+    them, and whose error is the batch's."""
     ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
-    try:
-        vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
-    except Exception as err:
-        if len(ws) == 1:
-            return [err]
-        return [_pair_gammas(w[None], params, scale)[0] for w in ws]
+    vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
     return [complex(np.prod(v)) for v in vals.reshape(len(ws), -1)]
 
 
 def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
     """_pair_gammas of the one row u."""
-    return values_or_raise(_pair_gammas([u], params, scale))[0]
+    return _pair_gammas([u], params, scale)[0]
 
 
 def In_transform_residual(
@@ -436,7 +424,7 @@ def In_transform_residual(
     tt = (np.asarray(t)[i] * np.asarray(t)[j])[pairs]
     shifted = triple_gamma(q**n * tt, p, q)
     ratio = complex(np.prod(shifted / triple_gamma(tt, p, q)))
-    lhs, rhs = values_or_raise(I_n_many([ctx, ctx.with_u(image)], quad_tol=quad_tol))
+    lhs, rhs = I_n_many([ctx, ctx.with_u(image)], quad_tol=quad_tol)
     rhs = rhs * ratio
     return Residual(abs(lhs - rhs) / abs(lhs))
 

@@ -224,7 +224,7 @@ def quadruple_hirota_residual(
     sigs = [sig(b, c) for b, c in ((j, k), (k, i), (i, j))]
     lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
     v = tau.eval_many(_lattice_points(lams, tau, w, eps))
-    return normalized_residual([sg * v[2 * t] * v[2 * t + 1] for t, sg in enumerate(sigs)])
+    return normalized_residual([(sg, v[2 * t], v[2 * t + 1]) for t, sg in enumerate(sigs)])
 
 
 def translation_hirota_residual(
@@ -245,5 +245,5 @@ def translation_hirota_residual(
     for s, t, u in ((a0, a1, a2), (a1, a2, a0), (a2, a0, a1)):
         sig = bracket_pm(lattice.pairing_c(t, x), lattice.pairing_c(u, x), params)
         shift = kap * np.asarray(s.true_coords(), dtype=complex)
-        terms.append(sig * tau.eval(x - shift) * tau.eval(x + shift))
+        terms.append((sig, tau.eval(x - shift), tau.eval(x + shift)))
     return normalized_residual(terms)

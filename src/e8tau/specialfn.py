@@ -324,9 +324,9 @@ def three_term_residual(
         fn = lambda w: bracket(w, params)
     pm = lambda x, y: fn(x + y) * fn(x - y)
     return normalized_residual([
-        pm(beta, gamma) * pm(z, alpha),
-        pm(gamma, alpha) * pm(z, beta),
-        pm(alpha, beta) * pm(z, gamma),
+        (pm(beta, gamma), pm(z, alpha)),
+        (pm(gamma, alpha), pm(z, beta)),
+        (pm(alpha, beta), pm(z, gamma)),
     ])
 
 

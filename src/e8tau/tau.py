@@ -52,7 +52,6 @@ from .util import (
     Residual,
     e,
     normalized_residual,
-    values_or_raise,
 )
 
 LEVEL_TOL = 1e-10
@@ -152,28 +151,17 @@ class TauEvaluator:
     __call__ = eval
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
-        """eval at every point of xs, raising the error that evaluating
-        them in turn would raise first.
+        """eval at every point of xs, as one batch: every value, or one error.
 
-        When fn carries a batch hook fn.many (the graded families do), the
-        points are located first, up to the first that fails; fn.many takes
-        the located (level, point) pairs, and the locate error is raised
-        after them. Any other fn is evaluated point by point."""
+        When fn carries a batch hook fn.many (the graded families do), every
+        point is located first, so the first point off the domain raises;
+        then fn.many takes the (level, point) pairs in one call. Any other
+        fn is evaluated point by point."""
         xs = [np.asarray(x, dtype=complex) for x in xs]
         many = getattr(self.fn, "many", None)
         if many is None:
             return [self.eval(x) for x in xs]
-        located, failed = [], None
-        for x in xs:
-            try:
-                located.append((self.domain.locate(x), x))
-            except Exception as err:
-                failed = err
-                break
-        out = many(located)
-        if failed is not None:
-            raise failed
-        return out
+        return many([(self.domain.locate(x), x) for x in xs])
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
@@ -228,7 +216,7 @@ def hirota_residual(
         brs.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), params))
         pts += [x + sh, x - sh]
     v = tau.eval_many(pts)
-    return normalized_residual([br * v[2 * k] * v[2 * k + 1] for k, br in enumerate(brs)])
+    return normalized_residual([(br, v[2 * k], v[2 * k + 1]) for k, br in enumerate(brs)])
 
 
 @dataclass(frozen=True)
@@ -416,7 +404,8 @@ class TauChain:
     _tau_at: Callable[[int, np.ndarray], complex] = field(repr=False)
 
     def value(self, n: int, x: np.ndarray) -> complex:
-        """Component value without the per-level domain re-check."""
+        """Component value at level n through the family's memo, without
+        locating x; a miss still requires x on level n."""
         return self._tau_at(n, np.asarray(x, dtype=complex))
 
 
@@ -434,8 +423,8 @@ def _graded(
     params: EllipticParams,
 ) -> TauChain:
     """The graded family that is values(n, [x])[0] on level n >= 0 of levels
-    (n up to levels.n_max) and 0 below level 0; values(n, xs) gives each
-    point's value or the error it raises alone.
+    (n up to levels.n_max) and 0 below level 0; values(n, xs) gives every
+    point's value, or raises one error.
 
     Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
     (n, the exact bytes of x): a hit returns what was computed at the same
@@ -443,9 +432,10 @@ def _graded(
     cache_info() (hits, misses, maxsize, currsize) and a batch hook for
     TauEvaluator.eval_many. The hook computes the points not in the memo at
     the start of the batch, per level in one values call, then looks the
-    points up in turn as eval would, so hits, misses and errors are counted
-    in one place. A point whose entry is evicted before its lookup is
-    computed again alone.
+    points up in turn as eval would, so hits and misses are counted in one
+    place. A point whose entry is evicted before its lookup is computed
+    again alone. A computation that raises leaves the memo and its counts
+    as they were.
     """
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
@@ -457,10 +447,8 @@ def _graded(
             stats[0] += 1
             memo.move_to_end(key)
             return memo[key]
-        stats[1] += 1
         v = fresh[key] if key in fresh else values(n, [x])[0]
-        if isinstance(v, Exception):
-            raise v
+        stats[1] += 1
         memo[key] = v
         if len(memo) > size:
             memo.popitem(last=False)
@@ -621,7 +609,7 @@ def casorati_kernel_fn(
     def psi(y: np.ndarray) -> complex:
         return integrals.I(ctx(y), quad_tol=quad_tol)
 
-    psi.many = lambda ys: values_or_raise(integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol))
+    psi.many = lambda ys: integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol)
     return psi
 
 
@@ -670,54 +658,32 @@ def tau_n_det(
 
 def _integral_values(
     n: int, xs: Sequence[np.ndarray], variant: str, route: str, params: EllipticParams, quad_tol: float
-) -> list:
+) -> list[complex]:
     """A sign variant's level-n value in route's chart at every point of xs:
     the gauge prefactor (level sign +1 only) times the n-fold integral at t
     times the pair product. Capped at n = 3, the highest multiplicity of the
     quadrature. At n = 0 the integral and the prefactor p^0 e(0) are 1, so
     the value is the pair product itself.
 
-    Each point gives its value or the error it raises alone: its level
-    check, then its pair product, then its integral. The pair products of
-    all points come from one triple_gamma call and the integrals from one
-    I_n_many batch."""
+    Every value, or the first error of the steps in turn: the level check
+    of every point, the pair products of all points in one triple_gamma
+    call, then the integrals in one I_n_many batch."""
     if not 0 <= n <= 3:
         raise ValueError("the integral route covers multiplicities 0 to 3")
     dom = _levels(variant, params)
-    out: list = [None] * len(xs)
-    charts = {}
-    for r, x in enumerate(xs):
-        x = np.asarray(x, dtype=complex)
-        try:
-            dom.require(x, n)
-        except DomainError as err:
-            out[r] = err
-            continue
-        charts[r] = (x, *_chart(variant, route, np.exp(2j * np.pi * x), n, params))
-    if not charts:
-        return out
-    scale = next(iter(charts.values()))[3]
-    gams = dict(zip(charts, integrals._pair_gammas([c[2] for c in charts.values()], params, scale)))
-    live = [r for r in charts if not isinstance(gams[r], Exception)]
-    for r in charts:
-        out[r] = gams[r]
-    if n == 0 or not live:
-        return out
-    ctxs = [IntegrandContext(charts[r][1], params, n=n) for r in live]
-    for r, val in zip(live, integrals.I_n_many(ctxs, quad_tol=quad_tol)):
-        if isinstance(val, Exception):
-            out[r] = val
-            continue
-        pre = _gauge_prefactor(n, charts[r][0], params) if _CHARTS[variant][1] > 0 else complex(1.0)
-        out[r] = pre * val * gams[r]
-    return out
-
-
-def _integral_value(
-    n: int, x: np.ndarray, variant: str, route: str, params: EllipticParams, quad_tol: float
-) -> complex:
-    """_integral_values at the one point x."""
-    return values_or_raise(_integral_values(n, [x], variant, route, params, quad_tol))[0]
+    xs = [np.asarray(x, dtype=complex) for x in xs]
+    for x in xs:
+        dom.require(x, n)
+    charts = [_chart(variant, route, np.exp(2j * np.pi * x), n, params) for x in xs]
+    gams = integrals._pair_gammas([w for _, w, _ in charts], params, charts[0][2])
+    if n == 0:
+        return gams
+    vals = integrals.I_n_many([IntegrandContext(t, params, n=n) for t, _, _ in charts], quad_tol=quad_tol)
+    gauged = _CHARTS[variant][1] > 0
+    return [
+        (_gauge_prefactor(n, x, params) if gauged else complex(1.0)) * val * gam
+        for x, val, gam in zip(xs, vals, gams)
+    ]
 
 
 def tau_n_int(
@@ -733,7 +699,7 @@ def tau_n_int(
     """
     if route not in ("direct", "tilde"):
         raise ValueError("route must be 'direct' or 'tilde'")
-    return _integral_value(n, x, "pp", route, params, quad_tol)
+    return _integral_values(n, [x], "pp", route, params, quad_tol)[0]
 
 
 def warnaar_det_residual(
@@ -764,7 +730,7 @@ def warnaar_det_residual(
         for j in range(i + 1, n):
             rhs *= theta(zs[i] * zs[j], p) * theta(zs[i] / zs[j], p) / zs[i]
 
-    return normalized_residual([lhs, -rhs])
+    return normalized_residual([(lhs,), (-rhs,)])
 
 
 def psi_variant(
@@ -783,7 +749,7 @@ def psi_variant(
     """
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
-    return _integral_value(n, x, variant, route, params, quad_tol)
+    return _integral_values(n, [x], variant, route, params, quad_tol)[0]
 
 
 # Highest level of a variant family's domain: the checks draw points on

@@ -3,6 +3,7 @@ normalisations, errors, and the retry of a draw across rejected points."""
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,22 +32,35 @@ class Residual(float):
         return obj
 
 
-def normalized_residual(terms: Sequence[complex]) -> Residual:
-    """|sum of the terms| / max |term|, in the given term order; degenerate 0
-    when every term vanishes."""
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def normalized_residual(terms: Sequence[Sequence[complex]]) -> Residual:
+    """|sum of the terms| / max |term|, in the given term order, each term
+    the product of its factors in order; degenerate 0 when every term
+    vanishes.
+
+    A product may overflow where the residual does not, so every factor is
+    split as f = g 2^k, k the frexp exponent of its larger component; each
+    term is the product of its g times 2^(K - E), K the sum of its k and E
+    the largest K, and the terms are summed at that scale. Scaling by a
+    power of two is exact: a residual whose unscaled products are finite
+    keeps its bits."""
+    scaled = []
+    for factors in terms:
+        t, K = None, 0
+        for f in map(complex, factors):
+            k = math.frexp(max(abs(f.real), abs(f.imag)))[1]
+            t = _ldexp(f, -k) if t is None else t * _ldexp(f, -k)
+            K += k
+        scaled.append((t, K))
+    top = max(K for _, K in scaled)
+    terms = [_ldexp(t, K - top) for t, K in scaled]
     m = max(abs(t) for t in terms)
     if m == 0.0:
         return Residual(0.0, degenerate=True)
     return Residual(abs(sum(terms)) / m)
-
-
-def values_or_raise(rows: list) -> list:
-    """rows, each a value or the error that computing it raised, once no row
-    is an error; else the first error in row order is raised."""
-    for v in rows:
-        if isinstance(v, Exception):
-            raise v
-    return rows
 
 
 def rel_diff(a: complex, b: complex) -> float:

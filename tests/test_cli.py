@@ -77,8 +77,7 @@ _W = np.arange(1, 9) / 7
 # magnitude, and the checks that must catch it: case -> (suite, module,
 # function, factor, failing ids). The factor takes the function's
 # arguments; for a batch function (_BATCHES: its first arguments are the
-# rows, and it returns one value or error per row) it gives one factor per
-# row.
+# rows, and it returns one value per row) it gives one factor per row.
 _CORRUPTIONS = {
     "chain": (
         "chain",
@@ -156,7 +155,7 @@ def _corrupted(fn, factor, batch: bool):
         return lambda *a, **kw: fn(*a, **kw) * factor(*a)
 
     def rows(*a, **kw):
-        return [v if isinstance(v, Exception) else v * f for v, f in zip(fn(*a, **kw), factor(*a))]
+        return [v * f for v, f in zip(fn(*a, **kw), factor(*a))]
 
     return rows
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from math import factorial
 
 import numpy as np
@@ -341,9 +342,13 @@ def _mixed_batch(n, params):
     return rows
 
 
+def _hex(v):
+    return (v.real.hex(), v.imag.hex())
+
+
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_batched_rows_are_bitwise_the_per_point_route(n, params):
+def test_batched_rows_are_bitwise_the_per_point_route(monkeypatch, n, params):
     ctxs = _mixed_batch(n, params)
     ref = [_I_n_per_point(ctx, QUAD_TOL) for ctx in ctxs]
     # the batch is mixed: rows stop at different node counts, and besides
@@ -351,21 +356,33 @@ def test_batched_rows_are_bitwise_the_per_point_route(n, params):
     assert len({len(counts) for _, counts in ref}) >= 3
     kinds = {type(v) for v, _ in ref}
     assert {complex, AdmissibilityError, ConvergenceError} <= kinds
-    got = integrals.I_n_many(ctxs)
-    for (want, _), have in zip(ref, got):
-        assert type(have) is type(want)
-        if isinstance(want, Exception):
-            assert str(have) == str(want)
-            assert getattr(have, "__dict__", {}).keys() == getattr(want, "__dict__", {}).keys()
-            if isinstance(want, ConvergenceError):
-                assert (have.last, have.previous, have.u) == (want.last, want.previous, want.u)
-        else:
-            assert (have.real.hex(), have.imag.hex()) == (want.real.hex(), want.imag.hex())
+    values = [(c, v) for c, (v, _) in zip(ctxs, ref) if type(v) is complex]
+    assert [_hex(v) for v in integrals.I_n_many([c for c, _ in values])] == [_hex(v) for _, v in values]
+    # an inadmissible row fails the batch before any quadrature pass
+    passes = []
+    quad_rows = integrals._quad_rows
+    monkeypatch.setattr(integrals, "_quad_rows", lambda rows, N: passes.append(N) or quad_rows(rows, N))
+    inadmissible = next(v for v, _ in ref if isinstance(v, AdmissibilityError))
+    with pytest.raises(AdmissibilityError, match=re.escape(str(inadmissible))):
+        integrals.I_n_many(ctxs)
+    assert passes == []
+    # a batch that reaches the cap raises its first unconverged row's error
+    # (at n = 3 on the bailey bases two rows reach it, so the order counts)
+    live = [(c, v) for c, (v, _) in zip(ctxs, ref) if not isinstance(v, AdmissibilityError)]
+    for batch in (live, live[::-1]):
+        with pytest.raises(ConvergenceError) as got:
+            integrals.I_n_many([c for c, _ in batch])
+        want = next(v for _, v in batch if isinstance(v, ConvergenceError))
+        assert str(got.value) == str(want) and got.value.__dict__.keys() == want.__dict__.keys()
+        assert (got.value.last, got.value.previous, got.value.u) == (want.last, want.previous, want.u)
     # each row alone, and every pass's values and node tables
     for ctx, (want, _) in zip(ctxs, ref):
-        alone = integrals.I_n_many([ctx])[0]
-        assert type(alone) is type(want) and (isinstance(want, Exception) or alone == want)
-    live = [c for c, (v, _) in zip(ctxs, ref) if not isinstance(v, AdmissibilityError)]
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                integrals.I_n_many([ctx])
+        else:
+            assert _hex(integrals.I_n_many([ctx])[0]) == _hex(want)
+    live = [c for c, _ in live]
     rows = integrals._rows(live)
     for N in (256, 512):
         h = integrals._node_rows(rows, N)

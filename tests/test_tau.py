@@ -201,23 +201,25 @@ def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
     assert [_hex(v) for v in got] == [_hex(v) for v in want]
 
 
-def test_eval_many_raises_what_the_loop_raises_first():
-    good = _level_points(43, (1, 2))
+def test_eval_many_locates_every_point_before_any_value():
+    good = _level_points(43, (1, 2, 1))
     bad = _inadmissible_level2()
     off = good[0] + 0.01  # off the level family: a DomainError from locate
-    for xs, error in (
-        ([good[0], bad, off, good[1]], AdmissibilityError),
-        ([good[0], off, bad, good[1]], DomainError),
-        ([bad, good[1]], AdmissibilityError),
-    ):
-        batched, looped = T.build_chain(2, params=PARAMS), T.build_chain(2, params=PARAMS)
-        with pytest.raises(error) as got:
-            batched.evaluator.eval_many(xs)
-        with pytest.raises(error) as want:
-            for x in xs:
-                looped.evaluator.eval(x)
-        assert str(got.value) == str(want.value)
-        assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+    chain = T.build_chain(2, params=PARAMS)
+    chain.evaluator.eval_many(good[:2])
+    before = chain.evaluator.fn.cache_info()
+    # the level check of every point comes first, though the inadmissible
+    # point comes before the stray one; then each level's values are one
+    # computation, which fails as a whole. A failure leaves the memo and its
+    # counts as they were, in a batch (the new level-1 value computed
+    # before the failing level-2 batch included) and in a single lookup.
+    for xs, error in (([good[0], bad, off, good[1]], DomainError), ([good[2], good[1], bad], AdmissibilityError)):
+        with pytest.raises(error):
+            chain.evaluator.eval_many(xs)
+        assert chain.evaluator.fn.cache_info() == before
+    with pytest.raises(AdmissibilityError):
+        chain.evaluator.eval(bad)
+    assert chain.evaluator.fn.cache_info() == before
 
 
 def test_residual_brackets_come_before_the_tau_batch(monkeypatch):
@@ -366,6 +368,38 @@ def test_period_shift_preserves_hirota():
     t01 = T.transform(can, T.PeriodShift(va, (0, 1)))
     for _ in range(3):
         assert T.hirota_residual(t01, frame, _x_general(rng, scale=0.12), PARAMS) < 1e-9
+
+
+def test_overflowing_products_leave_the_hirota_residual_finite():
+    # criterion 03's 300 draws (seed 202), replayed: the canonical solution
+    # and two of its transforms at 0.35-scale points, where |tau| reaches
+    # 1e150 and more, so an unscaled term can overflow
+    rng = sampling.make_rng(202)
+    par = EllipticParams.from_bases(0.2, 0.35)
+    base = T.canonical_tau(0.21 + 0.05j, par)
+    gauged = T.transform(base, T.ExpGauge(k=0.3 - 0.1j, v=tuple(0.2j * k for k in range(8)), c=0.7))
+    period = T.transform(base, T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0)))
+    frames = enumerate_frames(3)
+    std = Frame.from_vectors(T.A1_VECTORS[:3])
+    rescued = 0
+    for _ in range(100):
+        x = 0.35 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        f = frames[int(rng.integers(len(frames)))]
+        for ev, fr in ((base, f), (gauged, f), (period, std)):
+            r = T.hirota_residual(ev, fr, x, par)
+            # the reference route: the six values and the unscaled products
+            a, b, c = T.oriented_triple(fr)
+            vals, terms = [], []
+            for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
+                sh = np.asarray(s.true_coords(), dtype=complex) * par.delta
+                vals += [ev(x + sh), ev(x - sh)]
+                terms.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), par) * vals[-2] * vals[-1])
+            assert (np.isfinite(r) and r < 1e-9) or not np.all(np.isfinite(vals))
+            if np.all(np.isfinite(terms)):
+                assert float(r).hex() == (abs(sum(terms)) / max(abs(t) for t in terms)).hex()
+            else:
+                rescued += bool(np.isfinite(r))
+    assert rescued > 0
 
 
 def test_period_shifts_compose_up_to_exp_quadratic():
