@@ -447,6 +447,7 @@ def terminating_eval(u, params: EllipticParams, N: int) -> complex:
     num = [u[a] * u[b] for a, b in itertools.combinations(range(1, 7), 2)]
     num += [q**2 / u[0] ** 2, u[0] / u[7]]
     den = [q * u[k] / u[0] for k in range(1, 7)] + [q / (u[k] * u[7]) for k in range(1, 7)]
-    pref = complex(np.prod(elliptic_gamma(num, p, q)) / np.prod(elliptic_gamma(den, p, q)))
+    gam = elliptic_gamma(num + den, p, q)
+    pref = complex(np.prod(gam[: len(num)]) / np.prod(gam[len(num) :]))
     series = v12_11(q / u[0] ** 2, [q / (u[0] * u[i]) for i in range(1, 8)], q, p, N)
     return pref * series

@@ -256,15 +256,24 @@ def triple_gamma(z, p: complex, q: complex):
     return complex(out[0]) if scalar else out
 
 
-def theta_pochhammer(z, k: int, p: complex, q: complex):
-    """theta(z; p) theta(qz; p) ... theta(q^{k-1} z; p)."""
-    if k < 0:
+def theta_pochhammer(z, K: int, p: complex, q: complex) -> np.ndarray:
+    """Table of theta-Pochhammer products: out[..., k] is
+    theta(z; p) theta(qz; p) ... theta(q^{k-1} z; p) for every z and every
+    order k = 0..K, shaped z.shape + (K + 1,).
+
+    One array theta call over all z q^j (j < K), each formed by repeated
+    multiplication by q, then a running product along j. The array theta
+    truncates at the batch's largest modulus, so an entry can differ from a
+    product of scalar thetas in the last bits."""
+    if K < 0:
         raise ValueError("nonnegative order required")
-    out = 1.0 + 0j
-    zz = complex(z)
-    for _ in range(k):
-        out *= theta(zz, p)
-        zz *= q
+    zz = np.asarray(z, dtype=complex)
+    out = np.ones(zz.shape + (K + 1,), dtype=complex)
+    if K and zz.size:
+        steps = np.full(zz.shape + (K,), complex(q))
+        steps[..., 0] = zz
+        args = np.cumprod(steps, axis=-1)
+        out[..., 1:] = np.cumprod(theta(args.reshape(-1), p).reshape(args.shape), axis=-1)
     return out
 
 
@@ -337,18 +346,21 @@ def v12_11(a0: complex, a: Sequence[complex], q: complex, p: complex, N: int) ->
     a supplies a_1..a_7. The caller states the order N at which some a_i
     (i = 0..7) lies in p^Z q^{-N}, so that every later term vanishes; it is
     not checked here.
+
+    Every factor comes from one theta_pochhammer table: the eight upper rows
+    a_i, the eight lower rows q a_0 / a_i, and the rows q^{2k} a_0, whose
+    first column is the lead theta of term k.
     """
     if len(a) != 7:
         raise ValueError("need exactly seven upper parameters")
     all_a = [complex(a0), *map(complex, a)]
-    total = 0.0 + 0j
-    for k in range(N + 1):
-        term = theta(q ** (2 * k) * a0, p) / theta(a0, p) * q**k
-        for ai in all_a:
-            num = theta_pochhammer(ai, k, p, q)
-            den = theta_pochhammer(q * a0 / ai, k, p, q)
-            if abs(den) < 1e-250:
-                raise ZeroDivisionError("vanishing lower factor in series term")
-            term *= num / den
-        total += term
-    return total
+    lower = [q * a0 / ai for ai in all_a]
+    leads = [q ** (2 * k) * a0 for k in range(N + 1)]
+    table = theta_pochhammer(all_a + lower + leads, max(N, 1), p, q)
+    num, den, lead = table[:8, : N + 1], table[8:16, : N + 1], table[16:, 1].tolist()
+    if np.any(np.abs(den) < 1e-250):
+        raise ZeroDivisionError("vanishing lower factor in series term")
+    term = np.array([lead[k] / lead[0] * q**k for k in range(N + 1)])
+    for i in range(8):
+        term *= num[i] / den[i]
+    return complex(np.cumsum(term)[-1])

@@ -625,11 +625,16 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     p, q = params.p, params.q
     t, _, _ = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
-    for k in range(1, n + 1):
-        out *= theta_pochhammer(q ** (k - 1) * t[0] * t[3], n - k, p, q)
-        out *= theta_pochhammer(q ** (1 - k) * t[0] / t[3], n - k, p, q)
-        out *= theta_pochhammer(q ** (k - 1) * t[1] * t[2], n - k, p, q)
-        out *= theta_pochhammer(q ** (1 - k) * t[1] / t[2], n - k, p, q)
+    # the rows of order n - k, four per k = 1..n, from one table
+    z = [
+        w
+        for k in range(1, n + 1)
+        for w in (q ** (k - 1) * t[0] * t[3], q ** (1 - k) * t[0] / t[3],
+                  q ** (k - 1) * t[1] * t[2], q ** (1 - k) * t[1] / t[2])
+    ]
+    table = theta_pochhammer(z, max(n - 1, 0), p, q)
+    for row, entries in enumerate(table):
+        out *= entries[n - 1 - row // 4]
     return out
 
 
@@ -713,22 +718,24 @@ def warnaar_det_residual(
     if n < 1 or len(zs) != n:
         raise ValueError("need n >= 1 points z_1..z_n")
     p, q = params.p, params.q
+    zs = np.asarray(zs, dtype=complex)
 
-    def poch_pair(c: complex, z: complex, m: int) -> complex:
-        return theta_pochhammer(c * z, m, p, q) * theta_pochhammer(c / z, m, p, q)
-
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = poch_pair(a, zs[i], j) * poch_pair(b, zs[i], n - 1 - j)
-    lhs = complex(np.linalg.det(mat))
+    # One table: rows a z_i, a/z_i, b z_i, b/z_i for the matrix, then
+    # b q^{k-1} a and b/(q^{k-1} a) for the right side's k = 1..n.
+    shifts = np.array([q ** (k - 1) * a for k in range(1, n + 1)])
+    table = theta_pochhammer(np.concatenate([a * zs, a / zs, b * zs, b / zs, b * shifts, b / shifts]), n - 1, p, q)
+    az, a_z, bz, b_z, bs, b_s = table.reshape(6, n, n)
+    # entry (i, j) takes order j of the a rows and order n - 1 - j of the b rows
+    lhs = complex(np.linalg.det(az * a_z * (bz[:, ::-1] * b_z[:, ::-1])))
 
     rhs = q ** comb(n, 3) * a ** comb(n, 2)
     for k in range(1, n + 1):
-        rhs *= poch_pair(b, q ** (k - 1) * a, n - k)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs *= theta(zs[i] * zs[j], p) * theta(zs[i] / zs[j], p) / zs[i]
+        rhs *= complex(bs[k - 1, n - k] * b_s[k - 1, n - k])
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        pairs = theta(np.concatenate([zs[i] * zs[j], zs[i] / zs[j]]), p).reshape(2, -1)
+        for plus, minus, zi in zip(*pairs.tolist(), zs[i].tolist()):
+            rhs *= plus * minus / zi
 
     return normalized_residual([(lhs,), (-rhs,)])
 

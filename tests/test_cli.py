@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from e8tau import cli, integrals, lattice, picard, sampling, tau
+from e8tau import cli, integrals, lattice, picard, sampling, specialfn, tau
 from e8tau.specialfn import EllipticParams
 from e8tau.util import AdmissibilityError, e
 
@@ -74,10 +74,11 @@ def test_broken_tau_fails_the_suite(capsys):
 _W = np.arange(1, 9) / 7
 
 # A relative corruption of the values a suite evaluates, visible at every
-# magnitude, and the checks that must catch it: case -> (suite, module,
-# function, factor, failing ids). The factor takes the function's
-# arguments; for a batch function (_BATCHES: its first arguments are the
-# rows, and it returns one value per row) it gives one factor per row.
+# magnitude, and the checks that must catch it: case -> (suite, module or
+# tuple of the modules that call it by name, function, factor, failing
+# ids). The factor takes the function's arguments; for a batch function
+# (_BATCHES: its first arguments are the rows, and it returns one value per
+# row) it gives one factor per row.
 _CORRUPTIONS = {
     "chain": (
         "chain",
@@ -136,6 +137,15 @@ _CORRUPTIONS = {
     # The theta factors of the Warnaar product side; the determinant's
     # theta_pochhammer entries do not read tau.theta.
     "warnaar": ("bailey", tau, "theta", lambda z, *_: 1 + 0.1 * z, {"theta-factorial-det"}),
+    # Every row of the theta-Pochhammer table: the series' upper, lower and
+    # lead rows, and the determinant's entries and right side.
+    "theta-pochhammer": (
+        "bailey",
+        (specialfn, tau),
+        "theta_pochhammer",
+        lambda z, *_: 1 + 0.1 * np.asarray(z, dtype=complex)[..., None],
+        {"terminating-series", "theta-factorial-det"},
+    ),
     # An axis-aligned e(x_0) leaves the pm family's bilinear checks passing.
     "picard": (
         "picard",
@@ -163,8 +173,9 @@ def _corrupted(fn, factor, batch: bool):
 @pytest.mark.parametrize("seed", [1, 2, 3, 1729])
 @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
 def test_corrupted_values_fail_the_suite(monkeypatch, case, seed):
-    suite, module, name, factor, must_fail = _CORRUPTIONS[case]
-    monkeypatch.setattr(module, name, _corrupted(getattr(module, name), factor, name in _BATCHES))
+    suite, modules, name, factor, must_fail = _CORRUPTIONS[case]
+    for module in modules if isinstance(modules, tuple) else (modules,):
+        monkeypatch.setattr(module, name, _corrupted(getattr(module, name), factor, name in _BATCHES))
     report = cli.run_suite(suite, cli.load_config(seed=seed))
     assert report["pass"] is False
     assert must_fail <= {c["id"] for c in report["checks"] if not c["pass"]}
