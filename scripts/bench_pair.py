@@ -18,17 +18,20 @@ their own ``src/``. The record holds:
   defines), the change/parent ratio of the medians, the pairs the change
   won (ties count for neither), and whether the medians are further apart
   than the parent's quartile spread;
-* per workload, each run's checks attempted, seconds spent in checks and
-  whether its input pool ran out; whether each pair drew the same inputs
-  and reached the same outcomes (the outcome digest hashes every residual,
-  so a move at round-off changes it, and so does a different number of
-  checks in a time-bound run); and the traced per-layer metrics of both
-  sides;
+* per workload, each run's checks attempted, seconds spent in checks,
+  whether its input pool ran out, and what the gate reads of its outcomes:
+  failed operations (raised + wrong), raised, and the failure reasons with
+  their counts; whether each pair drew the same inputs and reached the same
+  outcomes (the outcome digest hashes every residual, so a move at
+  round-off changes it, and so does a different number of checks in a
+  time-bound run); and the traced per-layer metrics of both sides;
 * per workload and fixed-count seed, the run of each side: checks
-  attempted, failed operations (raised + wrong), raised, wrong, failed
-  checks and the outcome digest, and whether the two sides agree on all of
-  them, seed by seed, so a change in failure counts shows before the timed
-  pairs are read.
+  attempted, failed operations, raised, wrong, failed checks, each kind's
+  failure reasons and the outcome digest. ``equal`` says whether the two
+  sides agree on all of them but the digest, seed by seed, so a change in
+  failure counts shows before the timed pairs are read;
+  ``outcome_digest_equal`` beside it says whether the residuals kept their
+  bits.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -48,7 +51,9 @@ PAIRS = 10
 # outcomes can be compared between runs of the same code.
 FIXED_CHECKS = {"chain": 240, "quadrature": 400, "exact": 1400}
 FIXED_SEEDS = (1, 2, 3)
-_FIXED_KEYS = ("attempted", "failed", "raised", "wrong", "checks_failed", "outcome_digest")
+_FIXED_KEYS = ("attempted", "failed", "raised", "wrong", "checks_failed")
+# What the gate reads of a time-bound run's outcomes.
+_OUTCOME_KEYS = ("failed", "raised", "failures")
 
 
 def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -61,12 +66,22 @@ def _run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 
 def _fixed(root: str, workload: str, seed: int) -> dict:
-    """The outcome counts and digest of FIXED_CHECKS[workload] checks at seed."""
+    """The outcome counts, each kind's failure reasons and the digest of
+    FIXED_CHECKS[workload] checks at seed."""
     cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
            "--checks", str(FIXED_CHECKS[workload])]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    return {key: result[key] for key in _FIXED_KEYS}
+    return {
+        **{key: result[key] for key in _FIXED_KEYS},
+        "reasons": {kind: rec["reasons"] for kind, rec in result["per_kind"].items() if rec["reasons"]},
+        "outcome_digest": result["outcome_digest"],
+    }
+
+
+def _same_outcomes(f: dict) -> bool:
+    """Whether both sides of a fixed-count run agree on everything but the digest."""
+    return all(f["parent"][key] == f["change"][key] for key in (*_FIXED_KEYS, "reasons"))
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -129,14 +144,21 @@ def main(argv=None) -> int:
             },
             "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in roots},
             **{key: {side: [r["detail"]["runs"][0][key] for r in runs[side]] for side in roots}
-               for key in ("attempted", "elapsed_s", "pool_exhausted")},
+               for key in ("attempted", "elapsed_s", "pool_exhausted", *_OUTCOME_KEYS)},
             **{f"{key}_equal": [a["detail"]["runs"][0][key] == b["detail"]["runs"][0][key]
                                 for a, b in zip(runs["parent"], runs["change"])]
                for key in ("input_digest", "outcome_digest")},
             "fixed_count": {
                 "checks": FIXED_CHECKS[wl],
-                "seeds": {str(seed): {**f, "equal": f["parent"] == f["change"]} for seed, f in fixed.items()},
-                "equal": all(f["parent"] == f["change"] for f in fixed.values()),
+                "seeds": {
+                    str(seed): {
+                        **f,
+                        "equal": _same_outcomes(f),
+                        "outcome_digest_equal": f["parent"]["outcome_digest"] == f["change"]["outcome_digest"],
+                    }
+                    for seed, f in fixed.items()
+                },
+                "equal": all(map(_same_outcomes, fixed.values())),
             },
             "per_layer_seed1": {
                 name: {"unit": v["unit"], "parent": v["value"], "change": traced["change"][name]["value"]}

@@ -27,7 +27,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from pathlib import Path
 from typing import Any, Callable
 
@@ -179,17 +179,22 @@ def _count_check(cid: str, anchor: str, got: int, want: int) -> dict:
     }
 
 
+def _larger(a: float, b: float) -> float:
+    """The larger residual; a NaN wins, so a non-finite residual fails its row."""
+    return b if b > a or math.isnan(b) else a
+
+
 def _worst(once: Callable[[], Any], trials: int):
-    """Largest of trials residuals drawn in turn (a NaN never wins). A draw
-    that returns a tuple of residuals keeps a largest per position."""
+    """Largest of trials residuals drawn in turn (a non-finite one wins). A
+    draw that returns a tuple of residuals keeps a largest per position."""
     worst = 0.0
     for _ in range(trials):
         r = once()
         if isinstance(r, tuple):
             prev = worst if isinstance(worst, tuple) else (worst,) * len(r)
-            worst = tuple(map(max, prev, r))
+            worst = tuple(map(_larger, prev, r))
         else:
-            worst = max(worst, r)
+            worst = _larger(worst, r)
     return worst
 
 
@@ -302,7 +307,7 @@ def _round_trip_once(rng) -> float:
     mu = complex(rng.standard_normal(), rng.standard_normal())
     kappa = 0.3 + 0.4 * rng.random()
     xb, mub, kapb = picard.coords_back(picard.coords_forward(x, mu, kappa))
-    return max(float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa))
+    return reduce(_larger, (float(np.max(np.abs(xb - x))), abs(mub - mu), abs(kapb - kappa)))
 
 
 def _chart_point(rng, level: complex) -> np.ndarray:
@@ -416,7 +421,7 @@ def _toda_spread_once(run: _Run, k) -> float:
     frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
     vals = [tau.toda_step(lower, upper, frame8, i, j, x, run.par) for i, j in ((2, 3), (4, 6), (7, 2))]
     vals.append(run.chain.value(n, x))
-    return max(abs(v - vals[0]) for v in vals) / abs(vals[0])
+    return reduce(_larger, [abs(v - vals[0]) for v in vals]) / abs(vals[0])
 
 
 def _chain_bilinear_once(ftype, index: int, level: float, run: _Run, k) -> float:

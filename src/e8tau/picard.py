@@ -173,7 +173,7 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
 
 
 def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
-    """lattice_tau_point at every vector of lams, on one chart of eps."""
+    """The points w^{-1} . (x + kappa * alpha) of lattice_tau_eval, one per vector of lams."""
     alphas = [in_orbit_M(lam) for lam in lams]
     if any(alpha is None for alpha in alphas):
         raise ValueError("index vector is not in the norm-one, level-minus-one orbit")
@@ -184,20 +184,15 @@ def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np
     return [lattice.apply_word_c(inv, x + kappa * project_classical(a).true_coords()) for a in alphas]
 
 
-def lattice_tau_point(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> np.ndarray:
-    """The point at which lattice_tau_eval evaluates tau: w^{-1} . (x + kappa * alpha).
+def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
+    """Evaluate the tau function indexed by lam on the w-translated chart:
+    tau at w^{-1} . (x + kappa * alpha), which must fall in tau's domain.
 
     lam must lie in the norm-one, level-minus-one orbit, with classical
     part alpha, and (x, mu, kappa) are the chart coordinates of eps, whose
     level must match the step of tau's level grading.
     """
-    return _lattice_points([lam], tau, w, eps)[0]
-
-
-def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
-    """Evaluate the tau function indexed by lam on the w-translated chart:
-    tau at lattice_tau_point, which must fall in tau's domain."""
-    return tau.eval(lattice_tau_point(lam, tau, w, eps))
+    return tau.eval(_lattice_points([lam], tau, w, eps)[0])
 
 
 def quadruple_hirota_residual(
@@ -209,8 +204,8 @@ def quadruple_hirota_residual(
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
     Normalized by the largest term modulus. The brackets come first, then
-    the six points on one chart of eps, then their tau values in one
-    eval_many batch of the TauEvaluator tau.
+    the six points on one chart of eps, then their Scaled tau values in one
+    scaled_many batch of the TauEvaluator tau.
     """
     i, j, k, l = quad
     if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
@@ -223,7 +218,7 @@ def quadruple_hirota_residual(
 
     sigs = [sig(b, c) for b, c in ((j, k), (k, i), (i, j))]
     lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
-    v = tau.eval_many(_lattice_points(lams, tau, w, eps))
+    v = tau.scaled_many(_lattice_points(lams, tau, w, eps))
     return normalized_residual([(sg, v[2 * t], v[2 * t + 1]) for t, sg in enumerate(sigs)])
 
 
@@ -235,15 +230,17 @@ def translation_hirota_residual(
     Each term translates tau forward and backward along one frame axis
     (tau(x -+ kappa a)) and weights the pair with the brackets of the other
     two axes.  Algebraically identical to the frame residual in the tau
-    module; kept as an independent code path.
+    module; kept as an independent code path. The brackets come first, then
+    the six Scaled tau values in one scaled_many batch.
     """
     params = tau.params
     kap = params.delta
     x = np.asarray(x, dtype=complex)
     a0, a1, a2 = axes
-    terms = []
+    sigs, pts = [], []
     for s, t, u in ((a0, a1, a2), (a1, a2, a0), (a2, a0, a1)):
-        sig = bracket_pm(lattice.pairing_c(t, x), lattice.pairing_c(u, x), params)
+        sigs.append(bracket_pm(lattice.pairing_c(t, x), lattice.pairing_c(u, x), params))
         shift = kap * np.asarray(s.true_coords(), dtype=complex)
-        terms.append((sig, tau.eval(x - shift), tau.eval(x + shift)))
-    return normalized_residual(terms)
+        pts += [x - shift, x + shift]
+    v = tau.scaled_many(pts)
+    return normalized_residual([(sg, v[2 * k], v[2 * k + 1]) for k, sg in enumerate(sigs)])

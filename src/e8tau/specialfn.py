@@ -5,15 +5,17 @@ functions sum log series instead, cut at ``_SERIES_TAIL``."""
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .util import DomainError, PoleError, Residual, e, normalized_residual
+from .util import TWO_PI_I, DomainError, PoleError, Residual, Scaled, e, normalized_residual
 
 TRUNC_TOL = 1e-18
 POLE_EPS = 1e-12
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -277,36 +279,31 @@ def theta_pochhammer(z, K: int, p: complex, q: complex) -> np.ndarray:
     return out
 
 
-_MAX_PERIOD_SHIFTS = 64
+def bracket_scaled(zeta: complex, params: EllipticParams) -> Scaled:
+    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p), as a Scaled.
+
+    One step takes zeta into the strip |Im(z)/Im(varpi)| <= 1/2, where |e(z)|
+    lies in [sqrt|p|, 1/sqrt|p|]: z = zeta - n varpi, n = round(Im(zeta)/Im(varpi))
+    (0 in the strip), and [z + n varpi] = (-1)^n e(w) [z], w = -n z - n^2 varpi/2,
+    with |e(w)| taken as 2^k times a remainder. DomainError for a non-finite zeta.
+    """
+    z = complex(zeta)
+    if not cmath.isfinite(z):
+        raise DomainError(f"bracket argument {zeta!r} is not finite")
+    b = z.imag / params.varpi.imag
+    n = round(b) if abs(b) > 0.5 + 1e-12 else 0
+    z -= n * params.varpi
+    body = e(-z / 2) * theta(e(z), params.p)
+    if not n:
+        return Scaled(body, 0)
+    w = -n * z - n * n * params.varpi / 2
+    k = round(-2.0 * math.pi * w.imag / LN2)
+    return Scaled((-1) ** n * cmath.exp(TWO_PI_I * w - k * LN2) * body, k)
 
 
 def bracket(zeta: complex, params: EllipticParams) -> complex:
-    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p).
-
-    The argument is first reduced modulo the period varpi into the strip
-    |Im(zeta)/Im(varpi)| <= 1/2 using the quasi-periodicity multipliers, so
-    that e(zeta) stays within [sqrt|p|, 1/sqrt|p|] in modulus. Raises
-    DomainError when that takes more than _MAX_PERIOD_SHIFTS periods.
-    """
-    varpi = params.varpi
-    mult = 1.0 + 0j
-    z = complex(zeta)
-    for _ in range(_MAX_PERIOD_SHIFTS):
-        # writing z = a + b*varpi with a, b real: b is fixed by imaginary parts
-        b = z.imag / varpi.imag
-        if b > 0.5 + 1e-12:
-            # descend one period: [z] = -e(-z + varpi/2) [z - varpi]
-            mult *= -e(-z + varpi / 2)
-            z -= varpi
-        elif b < -0.5 - 1e-12:
-            # ascend one period: [z] = -e(z + varpi/2) [z + varpi]
-            mult *= -e(z + varpi / 2)
-            z += varpi
-        else:
-            break
-    else:
-        raise DomainError(f"period reduction of {zeta!r} did not converge in {_MAX_PERIOD_SHIFTS} periods")
-    return mult * e(-z / 2) * theta(e(z), params.p)
+    """bracket_scaled recombined: a complex number, infinite where that overflows."""
+    return complex(bracket_scaled(zeta, params))
 
 
 def bracket_pm(x: complex, y: complex, params: EllipticParams) -> complex:

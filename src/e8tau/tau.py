@@ -42,6 +42,7 @@ from .specialfn import (
     EllipticParams,
     bracket,
     bracket_pm,
+    bracket_scaled,
     theta,
     theta_pochhammer,
 )
@@ -50,8 +51,10 @@ from .util import (
     BracketZeroError,
     DomainError,
     Residual,
+    Scaled,
     e,
     normalized_residual,
+    split,
 )
 
 LEVEL_TOL = 1e-10
@@ -136,41 +139,44 @@ class TauEvaluator:
 
     domain is None for functions defined on all of V; otherwise evaluation
     first locates x inside the hyperplane family and rejects stray points.
-    """
+    fn(x) is the value at one point; batch makes every value: it takes the
+    located points as (level, x) pairs (level None without a domain) and
+    returns their Scaled values, or raises one error. Without one, fn is
+    adapted once, point by point."""
 
     fn: Callable[[np.ndarray], complex]
     params: EllipticParams
     domain: LevelDomain | None = None
+    batch: Callable[[list], list[Scaled]] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.batch is None:
+            object.__setattr__(self, "batch", lambda located: [split(complex(self.fn(x))) for _, x in located])
+
+    def scaled_many(self, xs: Sequence[np.ndarray]) -> list[Scaled]:
+        """The Scaled value at every point of xs, as one batch: every point
+        is located first, so the first point off the domain raises."""
+        xs = [np.asarray(x, dtype=complex) for x in xs]
+        return self.batch([(None if self.domain is None else self.domain.locate(x), x) for x in xs])
+
+    def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
+        """scaled_many recombined: a complex infinity where a value overflows."""
+        return [complex(v) for v in self.scaled_many(xs)]
 
     def eval(self, x: np.ndarray) -> complex:
-        x = np.asarray(x, dtype=complex)
-        if self.domain is not None:
-            self.domain.locate(x)
-        return self.fn(x)
+        return self.eval_many([x])[0]
 
     __call__ = eval
 
-    def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
-        """eval at every point of xs, as one batch: every value, or one error.
 
-        When fn carries a batch hook fn.many (the graded families do), every
-        point is located first, so the first point off the domain raises;
-        then fn.many takes the (level, point) pairs in one call. Any other
-        fn is evaluated point by point."""
-        xs = [np.asarray(x, dtype=complex) for x in xs]
-        many = getattr(self.fn, "many", None)
-        if many is None:
-            return [self.eval(x) for x in xs]
-        return many([(self.domain.locate(x), x) for x in xs])
+def _from_batch(batch, params: EllipticParams, domain: LevelDomain | None = None) -> TauEvaluator:
+    """The evaluator whose values batch makes, its fn the batch of one."""
+    return TauEvaluator(lambda x: complex(batch([(None, np.asarray(x, dtype=complex))])[0]), params, domain, batch)
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
-
-    def fn(x: np.ndarray) -> complex:
-        return bracket(qform(x, params.delta) + c, params)
-
-    return TauEvaluator(fn, params)
+    return _from_batch(lambda located: [bracket_scaled(qform(x, params.delta) + c, params) for _, x in located], params)
 
 
 def oriented_triple(
@@ -205,7 +211,7 @@ def hirota_residual(
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
     rotations of the oriented triple, divided by the largest term magnitude.
     All six shifted points must lie in tau's domain. The three brackets are
-    computed first, then the six tau values in one eval_many batch.
+    computed first, then the six Scaled tau values in one scaled_many batch.
     """
     a, b, c = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
@@ -215,7 +221,7 @@ def hirota_residual(
         sh = np.asarray(s.true_coords(), dtype=complex) * d
         brs.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), params))
         pts += [x + sh, x - sh]
-    v = tau.eval_many(pts)
+    v = tau.scaled_many(pts)
     return normalized_residual([(br, v[2 * k], v[2 * k + 1]) for k, br in enumerate(brs)])
 
 
@@ -251,59 +257,38 @@ class PeriodShift:
 def transform(
     tau: TauEvaluator, spec: ExpGauge | WeylMap | PeriodShift
 ) -> TauEvaluator:
-    """New evaluator obtained from tau by one of the three symmetry maps."""
+    """New evaluator obtained from tau by one of the three symmetry maps:
+    tau's batch at the mapped points, each value times its prefactor as a
+    frexp-split factor (none for a Weyl map), on tau's domain moved along."""
     params = tau.params
-
+    pre = None
     if isinstance(spec, ExpGauge):
         if spec.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         vv = np.asarray(spec.v, dtype=complex)
-
-        def fn_g(x: np.ndarray) -> complex:
-            x = np.asarray(x, dtype=complex)
-            pre = e(spec.k * complex(np.sum(x * x)) + complex(np.dot(vv, x)) + spec.c)
-            return pre * tau.eval(spec.eps * x)
-
-        dom = None
-        if tau.domain is not None:
-            dom = replace(
-                tau.domain, base=spec.eps * tau.domain.base, step=spec.eps * tau.domain.step
-            )
-        return TauEvaluator(fn_g, params, dom)
-
-    if isinstance(spec, WeylMap):
-        inv = inverse_word(spec.word)
-
-        def fn_w(x: np.ndarray) -> complex:
-            return tau.eval(apply_word_c(inv, np.asarray(x, dtype=complex)))
-
-        dom = None
-        if tau.domain is not None:
-            dom = replace(
-                tau.domain, direction=apply_word(spec.word, tau.domain.direction)
-            )
-        return TauEvaluator(fn_w, params, dom)
-
-    if isinstance(spec, PeriodShift):
+        point = lambda x: spec.eps * x
+        pre = lambda x: e(spec.k * complex(np.sum(x * x)) + complex(np.dot(vv, x)) + spec.c)
+        move = lambda d: replace(d, base=spec.eps * d.base, step=spec.eps * d.step)
+    elif isinstance(spec, WeylMap):
+        point = partial(apply_word_c, inverse_word(spec.word))
+        move = lambda d: replace(d, direction=apply_word(spec.word, d.direction))
+    elif isinstance(spec, PeriodShift):
         m, l = spec.omega
         omega = m + l * params.varpi
-        eta = -l
         shift = np.asarray(spec.v.true_coords(), dtype=complex) * omega
-        coef = eta / (2.0 * params.delta**2)
+        coef = -l / (2.0 * params.delta**2)
+        point = lambda x: x - shift
+        pre = lambda x: e(coef * pairing_c(spec.v, x) * complex(np.sum(x * (x - shift))))
+        move = lambda d: replace(d, base=d.base + ip(d.direction, spec.v) / 16.0 * omega)
+    else:
+        raise TypeError(f"unknown transform spec {spec!r}")
 
-        def fn_p(x: np.ndarray) -> complex:
-            x = np.asarray(x, dtype=complex)
-            y = x - shift
-            s = coef * pairing_c(spec.v, x) * complex(np.sum(x * y))
-            return e(s) * tau.eval(y)
+    def batch(located: list) -> list[Scaled]:
+        xs = [x for _, x in located]
+        vals = tau.scaled_many([point(x) for x in xs])
+        return vals if pre is None else [split(pre(x)) * v for x, v in zip(xs, vals)]
 
-        dom = None
-        if tau.domain is not None:
-            pv = ip(tau.domain.direction, spec.v) / 16.0
-            dom = replace(tau.domain, base=tau.domain.base + pv * omega)
-        return TauEvaluator(fn_p, params, dom)
-
-    raise TypeError(f"unknown transform spec {spec!r}")
+    return _from_batch(batch, params, None if tau.domain is None else move(tau.domain))
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
@@ -429,37 +414,35 @@ def _graded(
     Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
     (n, the exact bytes of x): a hit returns what was computed at the same
     point. The evaluator's fn and the components' carry the memo's
-    cache_info() (hits, misses, maxsize, currsize) and a batch hook for
-    TauEvaluator.eval_many. The hook computes the points not in the memo at
-    the start of the batch, per level in one values call, then looks the
-    points up in turn as eval would, so hits and misses are counted in one
-    place. A point whose entry is evicted before its lookup is computed
-    again alone. A computation that raises leaves the memo and its counts
-    as they were.
+    cache_info() (hits, misses, maxsize, currsize); their one batch
+    computes the points not in the memo at the start of the batch, per
+    level in one values call, then looks the points up in turn as fn would,
+    so hits and misses are counted in one place, and splits each finite
+    value exactly. A point whose entry is evicted before its lookup is
+    computed again alone. A computation that raises leaves the memo and its
+    counts as they were.
     """
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
     stats = [0, 0]  # hits, misses
 
-    def lookup(n: int, x: np.ndarray, fresh: dict) -> complex:
+    def tau_at(n: int, x: np.ndarray, fresh: dict | None = None) -> complex:
+        if n < 0:
+            return complex(0.0)
+        x = np.asarray(x, dtype=complex)
         key = (n, x.tobytes())
         if key in memo:
             stats[0] += 1
             memo.move_to_end(key)
             return memo[key]
-        v = fresh[key] if key in fresh else values(n, [x])[0]
+        v = fresh[key] if fresh and key in fresh else values(n, [x])[0]
         stats[1] += 1
         memo[key] = v
         if len(memo) > size:
             memo.popitem(last=False)
         return v
 
-    def tau_at(n: int, x: np.ndarray) -> complex:
-        if n < 0:
-            return complex(0.0)
-        return lookup(n, np.asarray(x, dtype=complex), {})
-
-    def many(located: list) -> list[complex]:
+    def batch(located: list) -> list[Scaled]:
         groups: dict[int, dict] = {}
         for n, x in located:
             key = (n, x.tobytes())
@@ -468,7 +451,7 @@ def _graded(
         fresh = {}
         for n, group in groups.items():
             fresh.update(zip(group, values(n, list(group.values()))))
-        return [complex(0.0) if n < 0 else lookup(n, x, fresh) for n, x in located]
+        return [split(tau_at(n, x, fresh)) for n, x in located]
 
     def at_level(x: np.ndarray) -> complex:
         x = np.asarray(x, dtype=complex)
@@ -480,10 +463,10 @@ def _graded(
     components = []
     for n in range(levels.n_max + 1):
         fn = partial(tau_at, n)
-        fn.cache_info, fn.many = cache_info, many
-        components.append(TauEvaluator(fn, params, replace(levels, n_min=n, n_max=n)))
-    at_level.cache_info, at_level.many = cache_info, many
-    return TauChain(components, TauEvaluator(at_level, params, levels), tau_at)
+        fn.cache_info = cache_info
+        components.append(TauEvaluator(fn, params, replace(levels, n_min=n, n_max=n), batch))
+    at_level.cache_info = cache_info
+    return TauChain(components, TauEvaluator(at_level, params, levels, batch), tau_at)
 
 
 def build_chain(
@@ -516,15 +499,15 @@ def build_chain(
 def casorati_K(
     n: int,
     x: np.ndarray,
-    kernel: Callable[[np.ndarray], complex],
+    kernel: Callable[[list], list[complex]],
     frame: Frame | Sequence[LatticeVector],
     params: EllipticParams,
 ) -> complex:
     """Determinant of the kernel over the 2-directional shift grid.
 
-    Row i, column j evaluates the kernel at
-    x + delta*((1-n) a_0 + (n+1-i-j) a_1 + (j-i) a_2); n = 0 gives 1. A
-    kernel with a batch hook kernel.many takes all n^2 points at once.
+    Row i, column j is the kernel's value at
+    x + delta*((1-n) a_0 + (n+1-i-j) a_1 + (j-i) a_2), the kernel a batch
+    function that takes all n^2 points at once; n = 0 gives 1.
     """
     if n < 0:
         raise ValueError("negative determinant order")
@@ -541,9 +524,7 @@ def casorati_K(
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     ]
-    many = getattr(kernel, "many", None)
-    vals = many(ys) if many is not None else [kernel(y) for y in ys]
-    return complex(np.linalg.det(np.array(vals, dtype=complex).reshape(n, n)))
+    return complex(np.linalg.det(np.array(kernel(ys), dtype=complex).reshape(n, n)))
 
 
 # The determinant cases and the integral routes share two level-n charts:
@@ -597,20 +578,17 @@ def _gauge_prefactor(n: int, x: np.ndarray, params: EllipticParams) -> complex:
 
 def casorati_kernel_fn(
     case: str, params: EllipticParams, quad_tol: float = QUAD_TOL
-) -> Callable[[np.ndarray], complex]:
-    """Determinant kernel psi(y): the contour integral in the case's level-1
-    chart at u = e(y); psi.many(ys) takes a list of points in one batch."""
+) -> Callable[[list], list[complex]]:
+    """Determinant kernel psi as a batch function: psi(ys) is the contour
+    integral in the case's level-1 chart at u = e(y), for every y of ys in
+    one I_n_many batch."""
     route, _ = _case(case)
 
     def ctx(y: np.ndarray) -> IntegrandContext:
         t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
         return IntegrandContext(t, params)
 
-    def psi(y: np.ndarray) -> complex:
-        return integrals.I(ctx(y), quad_tol=quad_tol)
-
-    psi.many = lambda ys: integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol)
-    return psi
+    return lambda ys: integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol)
 
 
 def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:

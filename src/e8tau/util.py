@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from functools import reduce
+from operator import mul
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,31 +34,52 @@ class Residual(float):
         return obj
 
 
-def _ldexp(z: complex, k: int) -> complex:
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, or an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
-def normalized_residual(terms: Sequence[Sequence[complex]]) -> Residual:
+class Scaled(NamedTuple):
+    """The complex number m 2^k as a mantissa m and a binary exponent k, so a
+    tau value may lie far outside the float range; complex() of it is the
+    value, with an infinite component where that overflows."""
+
+    m: complex
+    k: int
+
+    def __mul__(self, other: "Scaled") -> "Scaled":
+        return split(self.m * other.m, self.k + other.k)
+
+    def __complex__(self) -> complex:
+        return complex(_ldexp(self.m.real, self.k), _ldexp(self.m.imag, self.k))
+
+
+def split(z: complex, k: int = 0) -> Scaled:
+    """z 2^k as a Scaled whose mantissa has its larger component in [1/2, 1)
+    (0 and non-finite z keep theirs): z scaled by the frexp exponent of that
+    component, which is exact."""
+    j = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return Scaled(complex(math.ldexp(z.real, -j), math.ldexp(z.imag, -j)), k + j)
+
+
+def normalized_residual(terms: Sequence[Sequence[complex | Scaled]]) -> Residual:
     """|sum of the terms| / max |term|, in the given term order, each term
-    the product of its factors in order; degenerate 0 when every term
-    vanishes.
+    the product of its factors in order, a factor a complex number or a
+    Scaled; degenerate 0 when every term vanishes.
 
     A product may overflow where the residual does not, so every factor is
-    split as f = g 2^k, k the frexp exponent of its larger component; each
-    term is the product of its g times 2^(K - E), K the sum of its k and E
-    the largest K, and the terms are summed at that scale. Scaling by a
-    power of two is exact: a residual whose unscaled products are finite
-    keeps its bits."""
-    scaled = []
-    for factors in terms:
-        t, K = None, 0
-        for f in map(complex, factors):
-            k = math.frexp(max(abs(f.real), abs(f.imag)))[1]
-            t = _ldexp(f, -k) if t is None else t * _ldexp(f, -k)
-            K += k
-        scaled.append((t, K))
-    top = max(K for _, K in scaled)
-    terms = [_ldexp(t, K - top) for t, K in scaled]
+    split and each term is a Scaled product; the terms are summed at the
+    scale of the largest exponent. Scaling by a power of two is exact: a
+    residual whose unscaled products are finite keeps its bits."""
+    scaled = [
+        reduce(mul, (split(f.m, f.k) if isinstance(f, Scaled) else split(complex(f)) for f in factors))
+        for factors in terms
+    ]
+    top = max(t.k for t in scaled)
+    terms = [complex(Scaled(t.m, t.k - top)) for t in scaled]
     m = max(abs(t) for t in terms)
     if m == 0.0:
         return Residual(0.0, degenerate=True)
@@ -83,8 +106,7 @@ class AdmissibilityError(ValueError):
 
 class DomainError(ValueError):
     """An argument outside the domain a function is evaluated on: a point off
-    the declared hyperplane family, or a bracket argument too many periods
-    from the fundamental strip."""
+    the declared hyperplane family, or a non-finite bracket argument."""
 
 
 class ConvergenceError(RuntimeError):

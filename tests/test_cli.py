@@ -6,7 +6,7 @@ import pytest
 
 from e8tau import cli, integrals, lattice, picard, sampling, specialfn, tau
 from e8tau.specialfn import EllipticParams
-from e8tau.util import AdmissibilityError, e
+from e8tau.util import AdmissibilityError, e, split
 
 
 def _strip_time(report: dict) -> dict:
@@ -63,6 +63,17 @@ def test_suite_command_writes_json_report(tmp_path, capsys):
     assert {"§9.1", "§9.2", "Eq. (Hirota39)", "Prop 9A"} <= anchors
 
 
+def test_a_nan_residual_fails_its_row(monkeypatch):
+    # one NaN among a row's trials is the row's residual, and fails it
+    draws = iter([1e-15, float("nan")] + [1e-15] * 198)
+    monkeypatch.setattr(cli, "_three_term_once", lambda rng: next(draws))
+    report = cli.run_suite("specialfn", cli.load_config(seed=1))
+    (check,) = report["checks"]
+    assert np.isnan(check["residual"]) and check["pass"] is False and report["pass"] is False
+    pairs = iter([(0.1, float("nan")), (0.2, 0.0), (float("nan"), 0.3)])
+    assert np.isnan(cli._worst(lambda: next(pairs), 3)).all()
+
+
 def test_broken_tau_fails_the_suite(capsys):
     rc = cli.main(["suite", "hirota", "--break-tau", "--trials", "3", "--json", "-"])
     report = json.loads(capsys.readouterr().out)
@@ -72,6 +83,13 @@ def test_broken_tau_fails_the_suite(capsys):
 
 
 _W = np.arange(1, 9) / 7
+
+
+def _period_count(zeta, params) -> int:
+    """The n of bracket_scaled's reduction z = zeta - n varpi."""
+    b = complex(zeta).imag / params.varpi.imag
+    return round(b) if abs(b) > 0.5 + 1e-12 else 0
+
 
 # A relative corruption of the values a suite evaluates, visible at every
 # magnitude, and the checks that must catch it: case -> (suite, module or
@@ -156,6 +174,16 @@ _CORRUPTIONS = {
     ),
     # The frame brackets of the translation route, not of the frame route.
     "picard-bracket": ("picard", picard, "bracket_pm", lambda x, *_: 1 + 0.1 * e(x), {"translation-vs-frame"}),
+    # The one-step period reduction: every bracket n periods from the strip
+    # scaled by 1 + 0.1 n, the canonical solution's values and the frame
+    # brackets alike.
+    "bracket-period": (
+        "hirota",
+        (specialfn, tau),
+        "bracket_scaled",
+        lambda zeta, params: split(1 + 0.1 * _period_count(zeta, params)),
+        {"canonical", "gauged", "weyl-mapped", "period-shifted"},
+    ),
 }
 _BATCHES = {"_integral_values", "I_n_many"}
 

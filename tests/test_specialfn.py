@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from e8tau import specialfn as S
-from e8tau.util import DomainError, PoleError, e
+from e8tau.util import DomainError, PoleError, Scaled, e, split
 
 from . import _oracles as O
 
@@ -290,10 +290,67 @@ def test_bracket_quasi_periodicity():
         assert _rel(deep, ref) < 1e-10
 
 
-def test_bracket_far_argument_is_a_domain_error():
+def _loop_bracket(zeta, params):
+    """The reference bracket: the reduction into the strip one period at a
+    time, the multipliers a running complex product (non-finite once it
+    overflows, DomainError past 64 periods)."""
+    varpi = params.varpi
+    mult = 1.0 + 0j
+    z = complex(zeta)
+    for _ in range(64):
+        b = z.imag / varpi.imag
+        if b > 0.5 + 1e-12:
+            mult *= -e(-z + varpi / 2)
+            z -= varpi
+        elif b < -0.5 - 1e-12:
+            mult *= -e(z + varpi / 2)
+            z += varpi
+        else:
+            break
+    else:
+        raise DomainError(f"period reduction of {zeta!r} did not converge in 64 periods")
+    return mult * e(-z / 2) * S.theta(e(z), params.p)
+
+
+def test_one_step_bracket_matches_the_period_loop():
+    # canonical arguments Q(x) + c at 0.35-scale points, as the hirota suite
+    # draws them: bit for bit in the strip, within 1e-12 wherever the loop's
+    # product is finite, and a finite Scaled value where it is not
     params = S.EllipticParams.from_bases(0.2, 0.35)
-    with pytest.raises(DomainError, match="did not converge"):
-        S.bracket(70 * params.varpi + 0.1, params)
+    rng = np.random.default_rng(np.random.Philox(53))
+    counts = {"strip": 0, "reduced": 0, "overflow": 0}
+    for _ in range(3000):
+        x = 0.35 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        zeta = complex(np.sum(x * x) / (2.0 * params.delta)) + 0.21 + 0.05j
+        ref, got = _loop_bracket(zeta, params), S.bracket(zeta, params)
+        if abs(zeta.imag / params.varpi.imag) <= 0.5 + 1e-12:
+            counts["strip"] += 1
+            assert got == ref, zeta
+        elif cmath.isfinite(ref):
+            counts["reduced"] += 1
+            assert _rel(got, ref) < 1e-12, zeta
+        else:
+            counts["overflow"] += 1
+            assert cmath.isfinite(S.bracket_scaled(zeta, params).m), zeta
+    assert min(counts.values()) > 0, counts
+
+
+def test_bracket_far_argument_reduces_in_one_step():
+    params = S.EllipticParams.from_bases(0.2, 0.35)
+    varpi = params.varpi
+    for bad in (complex("nan"), complex(0.1, float("inf")), complex("inf")):
+        with pytest.raises(DomainError, match="not finite"):
+            S.bracket(bad, params)
+    # [z + varpi] = -e(-z - varpi/2) [z] at z = 69 varpi + 0.1, where |[z]|
+    # is far above the float range
+    z = 69 * varpi + 0.1
+    got = S.bracket_scaled(z + varpi, params)
+    want = split(-e(-z - varpi / 2)) * S.bracket_scaled(z, params)
+    assert want.k > 4000
+    assert _rel(complex(Scaled(got.m, got.k - want.k)), want.m) < 1e-11
+    # the complex bracket there is an infinity, not a NaN
+    far = S.bracket(z + varpi, params)
+    assert cmath.isinf(far) and not cmath.isnan(far)
 
 
 def test_three_term_relation_elliptic():
