@@ -686,7 +686,11 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
             n = chain.evaluator.domain.locate(x)
         else:
             chain.evaluator.domain.require(x, n)
-        value = chain.value(n, x)
+        # an overflow ends in the typed error below, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = chain.value(n, x)
+        if not np.isfinite(value):
+            raise DomainError(f"tau value {value!r} at level {n} is not finite")
     except (DomainError, ValueError) as err:
         print(f"probe failed: {err}", file=sys.stderr)
         return 1

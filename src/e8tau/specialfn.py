@@ -50,65 +50,60 @@ class EllipticParams:
         )
 
 
-def _as_array(z) -> tuple[np.ndarray, bool]:
+def _gamma_argument(z) -> tuple[np.ndarray, bool]:
+    """z as an at least 1-d complex array, and whether z was 0-d."""
     arr = np.asarray(z, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise DomainError("gamma argument is not finite")
+    if np.any(arr == 0):
+        raise ValueError("gamma argument must be nonzero")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def theta(z, p: complex):
-    """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0."""
-    zz, scalar = _as_array(z)
-    if scalar:
-        return _theta_scalar(complex(zz[0]), p)
-    if np.any(zz == 0):
-        raise ValueError("theta argument must be nonzero")
-    ap = abs(p)
-    big = max(float(np.max(np.abs(zz))), float(np.max(ap / np.abs(zz))), 1.0)
-    out = np.ones_like(zz)
-    pi_pow = 1.0 + 0j
-    i = 0
-    while True:
-        out *= (1.0 - pi_pow * zz) * (1.0 - pi_pow * p / zz)
-        i += 1
-        pi_pow *= p
-        if ap**i * big < TRUNC_TOL:
-            break
-    return out
+def _modulus_bounds(zz: np.ndarray, kind: str) -> tuple[float, float]:
+    """Largest and smallest |z| over the batch; DomainError if the largest is not finite."""
+    mod = np.abs(zz)
+    hi = float(np.maximum.reduce(mod, axis=None))  # the ufunc, without ndarray.max's wrapper
+    if not math.isfinite(hi):
+        raise DomainError(f"{kind} argument is not finite")
+    return hi, float(np.minimum.reduce(mod, axis=None))
 
 
-def _theta_scalar(z: complex, p: complex) -> complex:
-    # The array loop above at one point, in one pass: the same truncation
-    # (Python's abs of a complex is the same hypot as np.abs), the same powers
-    # p^i and p^i*p from the same recurrence, every factor from the same
-    # array operations, and np.cumprod, which multiplies strictly left to
-    # right from the first factor, for the running product; so the result is
-    # bit-for-bit that of theta(np.array([z]), p)[0].
-    if z == 0:
-        raise ValueError("theta argument must be nonzero")
+def _powers(p: complex, big: float) -> list[complex]:
+    """p^0 .. p^(L-1) by the recurrence, L the first i >= 1 with |p|^i big < TRUNC_TOL."""
     ap = abs(p)
-    big = max(abs(z), ap / abs(z), 1.0)
     pows = [1.0 + 0j]
     while ap ** len(pows) * big >= TRUNC_TOL:
         pows.append(pows[-1] * p)
-    pows_p = [w * p for w in pows]
-    factors = (1.0 - np.array(pows) * z) * (1.0 - np.array(pows_p) / z)
-    return complex(np.cumprod(factors)[-1])
+    return pows
+
+
+def theta(z, p: complex):
+    """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0, for
+    any shape of z (a complex for a 0-d z): one table of factors multiplied
+    out row by row, cut once for the batch at its largest max(|z|, |p/z|, 1)."""
+    zz = np.asarray(z, dtype=complex)
+    hi, lo = _modulus_bounds(zz, "theta")
+    if lo == 0:
+        raise ValueError("theta argument must be nonzero")
+    # |p| / lo is the largest |p/z|: division by a positive float is monotone
+    pows = _powers(p, max(hi, abs(p) / lo, 1.0))
+    t = np.multiply.outer(pows, zz)
+    np.subtract(1.0, t, out=t)
+    u = np.divide.outer([w * p for w in pows], zz)  # numpy's array * p differs in the last bit
+    np.subtract(1.0, u, out=u)
+    t *= u
+    out = np.multiply.reduce(t, axis=0)  # row by row, as t.prod(axis=0)
+    return complex(out) if zz.ndim == 0 else out
 
 
 def qpoch(z, p: complex):
-    """(z; p)_infinity."""
-    zz, scalar = _as_array(z)
-    big = max(float(np.max(np.abs(zz))), 1.0)
-    out = np.ones_like(zz)
-    pi_pow = 1.0 + 0j
-    i = 0
-    while True:
-        out *= 1.0 - pi_pow * zz
-        i += 1
-        pi_pow *= p
-        if abs(p) ** i * big < TRUNC_TOL:
-            break
-    return complex(out[0]) if scalar else out
+    """(z; p)_infinity, for any shape of z as theta."""
+    zz = np.asarray(z, dtype=complex)
+    t = np.multiply.outer(_powers(p, max(_modulus_bounds(zz, "qpoch")[0], 1.0)), zz)
+    np.subtract(1.0, t, out=t)
+    out = np.multiply.reduce(t, axis=0)
+    return complex(out) if zz.ndim == 0 else out
 
 
 # The log series of the gamma functions diverge at rho = 1 and need
@@ -196,9 +191,7 @@ def elliptic_gamma(z, p: complex, q: complex):
     |b| >= |c|: Gamma(z) = Gamma(b^s z) / prod_{0<=t<s} theta(b^t z; c) for
     s > 0, or Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0.
     """
-    zz, scalar = _as_array(z)
-    if np.any(zz == 0):
-        raise ValueError("gamma argument must be nonzero")
+    zz, scalar = _gamma_argument(z)
     _pole_guard(zz, p, q)
     pq = p * q
     out = np.ones_like(zz)
@@ -210,7 +203,9 @@ def elliptic_gamma(z, p: complex, q: complex):
         for t in range(min(steps.min(), 0), max(steps.max(), 0)):
             idx = far[steps > t] if t >= 0 else far[steps <= t]
             th = theta(b**t * zz[idx], c)
-            out[idx] = out[idx] / th if t >= 0 else out[idx] * th
+            out[idx] = moved = out[idx] / th if t >= 0 else out[idx] * th
+            if not np.isfinite(moved).all():  # no later factor brings it back
+                raise DomainError("elliptic gamma value overflows the float range")
         zz[far] *= b**steps
     pw = _series_powers(zz, pq, p, q)
     m = np.arange(1, pw.shape[1] + 1)
@@ -235,9 +230,7 @@ def triple_gamma(z, p: complex, q: complex):
     literally, so the zero at z = 1 is exact, and |q/y| < |q| / _SHIFT_RHO
     keeps the elliptic gamma off its pole at 1 for |q| < _SHIFT_RHO.
     """
-    zz, scalar = _as_array(z)
-    if np.any(zz == 0):
-        raise ValueError("gamma argument must be nonzero")
+    zz, scalar = _gamma_argument(z)
     pqq = p * q * q
     out = np.ones_like(zz)
     far = np.flatnonzero(np.maximum(np.abs(zz), abs(pqq) / np.abs(zz)) > _SHIFT_RHO)
@@ -249,7 +242,9 @@ def triple_gamma(z, p: complex, q: complex):
         for t in range(steps.max()):
             idx = far[steps > t]
             y = q**t * zz[idx]
-            out[idx] *= theta(y, q) * elliptic_gamma(q / y, p, q)
+            out[idx] = moved = out[idx] * (theta(y, q) * elliptic_gamma(q / y, p, q))
+            if not np.isfinite(moved).all():
+                raise DomainError("triple gamma value overflows the float range")
         zz[far] *= q**steps
     pw = _series_powers(zz, pqq, p, q)
     w = -1.0 / (np.arange(1, pw.shape[1] + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1]) ** 2)
@@ -285,12 +280,16 @@ def bracket_scaled(zeta: complex, params: EllipticParams) -> Scaled:
     One step takes zeta into the strip |Im(z)/Im(varpi)| <= 1/2, where |e(z)|
     lies in [sqrt|p|, 1/sqrt|p|]: z = zeta - n varpi, n = round(Im(zeta)/Im(varpi))
     (0 in the strip), and [z + n varpi] = (-1)^n e(w) [z], w = -n z - n^2 varpi/2,
-    with |e(w)| taken as 2^k times a remainder. DomainError for a non-finite zeta.
+    with |e(w)| taken as 2^k times a remainder. DomainError for a non-finite
+    zeta, and past 2^52 periods, where the float n varpi is spaced wider than
+    varpi and z keeps no correct digit.
     """
     z = complex(zeta)
     if not cmath.isfinite(z):
         raise DomainError(f"bracket argument {zeta!r} is not finite")
     b = z.imag / params.varpi.imag
+    if abs(b) > 2.0**52:
+        raise DomainError(f"bracket argument {zeta!r} lies {b:.3g} periods out, past 2^52")
     n = round(b) if abs(b) > 0.5 + 1e-12 else 0
     z -= n * params.varpi
     body = e(-z / 2) * theta(e(z), params.p)

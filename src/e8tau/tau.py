@@ -192,12 +192,17 @@ def oriented_triple(
     vs = frame.vectors if isinstance(frame, Frame) else tuple(frame)
     if len(vs) != 3:
         raise ValueError("need exactly three frame vectors")
+    return tuple(_oriented(vs))
+
+
+def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
+    """oriented_triple's signs and order, for any number of frame axes."""
     fixed = []
     for a in vs:
         pa = ip(PHI, a)
         fixed.append(-a if pa < 0 else (a if pa > 0 else sign_normalize(a)))
     fixed.sort(key=lambda a: (-ip(PHI, a), tuple(-c for c in a.coords4)))
-    return fixed[0], fixed[1], fixed[2]
+    return fixed
 
 
 def hirota_residual(
@@ -312,16 +317,7 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
     """
     if classify_frame(frame) is not FrameType.C8_II:
         raise ValueError("need an 8-vector frame of the paired type")
-    pair, zero = [], []
-    for a in frame.vectors:
-        pa = ip(PHI, a)
-        if pa == 0:
-            zero.append(sign_normalize(a))
-        else:
-            pair.append(-a if pa < 0 else a)
-    pair.sort(key=lambda v: v.coords4, reverse=True)
-    zero.sort(key=lambda v: v.coords4, reverse=True)
-    return (*pair, *zero)
+    return tuple(_oriented(frame.vectors))
 
 
 def toda_step(

@@ -347,6 +347,20 @@ def test_chain_domain_is_the_integral_domain(capsys):
     assert "probe failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [5, 20, 50, 100, 300])
+def test_tau_probe_fails_where_the_value_overflows(capsys, k):
+    # Im x_0 up by k and Im x_1 down by k keep the point on level 0, where
+    # the pair product leaves the float range: one typed error, no NaN value
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(100), par, 0)
+    x[0] += 1j * k
+    x[1] -= 1j * k
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--x", text]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("probe failed:"), err
+
+
 def test_tau_probe_reports_a_quadrature_that_does_not_converge(capsys):
     # no level-2 integral settles to 1e-17 within the node cap
     par = EllipticParams.from_bases(0.03, 0.45)

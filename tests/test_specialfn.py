@@ -40,19 +40,94 @@ def test_theta_vectorized_matches_scalar():
         assert _rel(S.theta(complex(zi), 0.2), vi) < 1e-15
 
 
-def test_scalar_theta_is_bitwise_the_one_point_array_route():
-    # The scalar route forms its factors in one array and multiplies them with
-    # np.cumprod; the array route is the reference and must agree exactly.
+def _theta_loop(z, p):
+    """The reference theta: one pass of numpy array operations per factor
+    pair, cut at the batch's largest max(|z|, |p/z|, 1)."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    ap = abs(p)
+    big = max(float(np.max(np.abs(zz))), float(np.max(ap / np.abs(zz))), 1.0)
+    out = np.ones_like(zz)
+    pi_pow = 1.0 + 0j
+    i = 0
+    while True:
+        out *= (1.0 - pi_pow * zz) * (1.0 - pi_pow * p / zz)
+        i += 1
+        pi_pow *= p
+        if ap**i * big < S.TRUNC_TOL:
+            return out
+
+
+def _qpoch_loop(z, p):
+    """The reference (z; p)_infinity, cut as _theta_loop at max(|z|, 1)."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    big = max(float(np.max(np.abs(zz))), 1.0)
+    out = np.ones_like(zz)
+    pi_pow = 1.0 + 0j
+    i = 0
+    while True:
+        out *= 1.0 - pi_pow * zz
+        i += 1
+        pi_pow *= p
+        if abs(p) ** i * big < S.TRUNC_TOL:
+            return out
+
+
+def _bits(a):
+    return np.atleast_1d(np.asarray(a, dtype=complex)).view(np.int64).tolist()
+
+
+def test_scalar_theta_and_qpoch_are_bitwise_the_loop():
     rng = np.random.default_rng(np.random.Philox(29))
     n = 20_000
     zs = np.exp(rng.uniform(np.log(0.01), np.log(5.0), n)) * np.exp(2j * np.pi * rng.random(n))
     aps = np.exp(rng.uniform(np.log(0.005), np.log(0.95), n))
     phases = np.exp(2j * np.pi * rng.random(n))
-    for k in range(n):
+    # every 10th draw: at |p| = 0.95 the loop makes about 800 passes
+    for k in range(0, n, 10):
         z = complex(zs[k])
         # Odd draws take a complex base, even draws a real one of either sign.
         p = complex(aps[k] * phases[k]) if k % 2 else float(aps[k] if phases[k].real > 0 else -aps[k])
-        assert S.theta(z, p) == S.theta(np.array([z]), p)[0], (z, p)
+        got = S.theta(z, p)
+        assert type(got) is complex and _bits(got) == _bits(_theta_loop(z, p)[0]), (z, p)
+        got = S.qpoch(z, p)
+        assert type(got) is complex and _bits(got) == _bits(_qpoch_loop(z, p)[0]), (z, p)
+
+
+@pytest.mark.parametrize("p", [0.15, -0.45, 0.3 * e(0.37)], ids=["real", "negative", "complex"])
+def test_array_theta_and_qpoch_are_bitwise_the_loop(p):
+    rng = np.random.default_rng(np.random.Philox(31))
+    for size in (1, 2, 6, 38, 256, 1024, 4096):
+        z = np.exp(rng.uniform(np.log(0.02), np.log(3.0), size)) * np.exp(2j * np.pi * rng.random(size))
+        assert _bits(S.theta(z, p)) == _bits(_theta_loop(z, p)), size
+        assert _bits(S.qpoch(z, p)) == _bits(_qpoch_loop(z, p)), size
+    z = z[:1000].reshape(40, 25)
+    got = S.theta(z, p)
+    assert got.shape == z.shape and _bits(got) == _bits(_theta_loop(z, p))
+
+
+def test_kernels_reject_non_finite_arguments():
+    bad = np.array([0.3 + 0.1j, complex(0.2, np.inf), 0.5])
+    for kernel in (S.theta, S.qpoch):
+        for z in (bad, complex("nan"), complex(np.inf, 0.0)):
+            with pytest.raises(DomainError, match="not finite"):
+                kernel(z, 0.2)
+    for kernel in (S.elliptic_gamma, S.triple_gamma):
+        for z in (bad, complex("nan"), complex(np.inf, 0.0)):
+            with pytest.raises(DomainError, match="not finite"):
+                kernel(z, 0.03, 0.45)
+    with pytest.raises(ValueError, match="nonzero"):
+        S.theta(np.array([0.3, 0.0]), 0.2)
+    with pytest.raises(ValueError):
+        S.theta(np.array([], dtype=complex), 0.2)
+
+
+def test_gamma_shift_products_that_overflow_raise():
+    # |z| = 1e-225 takes some 640 q-shifts, and their theta product leaves
+    # the float range long before the last
+    with pytest.raises(DomainError, match="overflows"):
+        S.elliptic_gamma(1e-225, 0.03, 0.45)
+    with pytest.raises(DomainError, match="overflows"):
+        S.triple_gamma(np.array([0.3, 1e-225j]), 0.03, 0.45)
 
 
 def test_gamma_frozen_values():
@@ -310,6 +385,16 @@ def _loop_bracket(zeta, params):
     else:
         raise DomainError(f"period reduction of {zeta!r} did not converge in 64 periods")
     return mult * e(-z / 2) * S.theta(e(z), params.p)
+
+
+def test_bracket_reduces_up_to_two_to_the_52_periods():
+    params = S.EllipticParams.from_bases(0.2, 0.35)
+    edge = 2.0**52 * params.varpi.imag
+    for im in (edge, -edge):
+        assert cmath.isfinite(S.bracket_scaled(complex(0.3, im), params).m)
+    for im in (np.nextafter(edge, np.inf), -np.nextafter(edge, np.inf), 1e154, 1e160):
+        with pytest.raises(DomainError, match="past 2\\^52"):
+            S.bracket_scaled(complex(0.3, im), params)
 
 
 def test_one_step_bracket_matches_the_period_loop():
