@@ -13,7 +13,10 @@ the repository root:
 Given two OUTDIRs written that way, it prints one line per report entry that
 differs (file, check id, residual, count or probe value before -> after, both
 pass flags; "-" for an entry or flag on one side only), then every exit
-status or first stderr line that differs:
+status or first stderr line that differs, then one summary line: how many
+entries moved, and the largest move |after - before| among the residual
+rows that pass on both sides (a residual is already relative), with its
+file and check id, so a change at rounding level shows its scale:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OLD NEW
 
@@ -89,17 +92,23 @@ def compare(old: pathlib.Path, new: pathlib.Path) -> bool:
     True when some pass flag or exit status differs."""
     a, b = _entries(old), _entries(new)
     verdict_moved = False
+    moved, largest = 0, (0.0, "none")
     for key in [*a, *(k for k in b if k not in a)]:
         ca, cb = a.get(key), b.get(key)
         if ca != cb:
+            moved += 1
             flags = [str((c or {}).get("pass", "-")) for c in (ca, cb)]
             verdict_moved |= flags[0] != flags[1]
             print(f"{key[0]} {key[1]}: {_shown(ca)} -> {_shown(cb)} pass {' -> '.join(flags)}")
+            if flags == ["True", "True"] and "residual" in ca and "residual" in cb:
+                largest = max(largest, (abs(cb["residual"] - ca["residual"]), f"{key[0]} {key[1]}"))
     ea, eb = _exit_codes(old), _exit_codes(new)
     for run in [*ea, *(r for r in eb if r not in ea)]:
         if ea.get(run) != eb.get(run):
             verdict_moved = True
             print(f"{run}: {ea.get(run, '-')} -> {eb.get(run, '-')}".replace("\t", " "))
+    print(f"moved {moved} of {len(a.keys() | b.keys())} entries; largest passing residual move"
+          f" {largest[0]:.3e} ({largest[1]})")
     return verdict_moved
 
 

@@ -419,7 +419,7 @@ def _toda_spread_once(run: _Run, k) -> float:
     x = sampling.sample_on_level(run.rng, run.par, n)
     lower, upper = run.chain.components[n - 2], run.chain.components[n - 1]
     frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
-    vals = [tau.toda_step(lower, upper, frame8, i, j, x, run.par) for i, j in ((2, 3), (4, 6), (7, 2))]
+    vals = tau.toda_steps(lower, upper, frame8, ((2, 3), (4, 6), (7, 2)), x, run.par)
     vals.append(run.chain.value(n, x))
     return reduce(_larger, [abs(v - vals[0]) for v in vals]) / abs(vals[0])
 

@@ -253,11 +253,6 @@ def _quad_rows(rows: _Rows, N: int) -> list[complex]:
     return out
 
 
-def _node_integrand(ctx: IntegrandContext, N: int) -> np.ndarray:
-    """The node integrand of one integral at N nodes."""
-    return _node_rows(_rows([ctx]), N)[0]
-
-
 def _quad(ctx: IntegrandContext, N: int) -> complex:
     """The trapezoid rule of one integral at N nodes per circle."""
     return _quad_rows(_rows([ctx]), N)[0]

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lattice
-from .specialfn import bracket, bracket_pm
+from .specialfn import bracket_scaled_many
 from .util import DomainError, Residual, normalized_residual
 
 _GRAM = (-1,) + (1,) * 9
@@ -173,7 +173,11 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
 
 
 def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
-    """The points w^{-1} . (x + kappa * alpha) of lattice_tau_eval, one per vector of lams."""
+    """The points w^{-1} . (x + kappa * alpha), one per vector of lams: where
+    the tau functions indexed by lams are evaluated on the w-translated
+    chart of eps. Every lam must lie in the norm-one, level-minus-one orbit,
+    alpha its classical part, and (x, mu, kappa) are the chart coordinates
+    of eps, whose level must match the step of tau's level grading."""
     alphas = [in_orbit_M(lam) for lam in lams]
     if any(alpha is None for alpha in alphas):
         raise ValueError("index vector is not in the norm-one, level-minus-one orbit")
@@ -184,17 +188,6 @@ def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np
     return [lattice.apply_word_c(inv, x + kappa * project_classical(a).true_coords()) for a in alphas]
 
 
-def lattice_tau_eval(lam: PicardVector, tau, w: Sequence[int], eps: np.ndarray) -> complex:
-    """Evaluate the tau function indexed by lam on the w-translated chart:
-    tau at w^{-1} . (x + kappa * alpha), which must fall in tau's domain.
-
-    lam must lie in the norm-one, level-minus-one orbit, with classical
-    part alpha, and (x, mu, kappa) are the chart coordinates of eps, whose
-    level must match the step of tau's level grading.
-    """
-    return tau.eval(_lattice_points([lam], tau, w, eps)[0])
-
-
 def quadruple_hirota_residual(
     tau, w: Sequence[int], eps: np.ndarray, quad: tuple[int, int, int, int]
 ) -> Residual:
@@ -203,9 +196,10 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus. The brackets come first, then
-    the six points on one chart of eps, then their Scaled tau values in one
-    scaled_many batch of the TauEvaluator tau.
+    Normalized by the largest term modulus. The six brackets come first,
+    in one bracket_scaled_many batch, then the six points on one chart of
+    eps, then their Scaled tau values in one scaled_many batch of the
+    TauEvaluator tau.
     """
     i, j, k, l = quad
     if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
@@ -213,13 +207,11 @@ def quadruple_hirota_residual(
     params = tau.params
     eps = np.asarray(eps, dtype=complex)
 
-    def sig(b: int, c: int) -> complex:
-        return bracket(eps[b] - eps[c], params) * bracket(eps[0] - eps[b] - eps[c] - eps[l], params)
-
-    sigs = [sig(b, c) for b, c in ((j, k), (k, i), (i, j))]
+    args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (eps[b] - eps[c], eps[0] - eps[b] - eps[c] - eps[l])]
+    br = bracket_scaled_many(args, params)
     lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
     v = tau.scaled_many(_lattice_points(lams, tau, w, eps))
-    return normalized_residual([(sg, v[2 * t], v[2 * t + 1]) for t, sg in enumerate(sigs)])
+    return normalized_residual([(br[2 * t], br[2 * t + 1], v[2 * t], v[2 * t + 1]) for t in range(3)])
 
 
 def translation_hirota_residual(
@@ -230,17 +222,20 @@ def translation_hirota_residual(
     Each term translates tau forward and backward along one frame axis
     (tau(x -+ kappa a)) and weights the pair with the brackets of the other
     two axes.  Algebraically identical to the frame residual in the tau
-    module; kept as an independent code path. The brackets come first, then
-    the six Scaled tau values in one scaled_many batch.
+    module; kept as an independent code path. The six brackets come first,
+    in one bracket_scaled_many batch, then the six Scaled tau values in one
+    scaled_many batch.
     """
     params = tau.params
     kap = params.delta
     x = np.asarray(x, dtype=complex)
     a0, a1, a2 = axes
-    sigs, pts = [], []
+    args, pts = [], []
     for s, t, u in ((a0, a1, a2), (a1, a2, a0), (a2, a0, a1)):
-        sigs.append(bracket_pm(lattice.pairing_c(t, x), lattice.pairing_c(u, x), params))
+        pt, pu = lattice.pairing_c(t, x), lattice.pairing_c(u, x)
+        args += [pt + pu, pt - pu]
         shift = kap * np.asarray(s.true_coords(), dtype=complex)
         pts += [x - shift, x + shift]
+    br = bracket_scaled_many(args, params)
     v = tau.scaled_many(pts)
-    return normalized_residual([(sg, v[2 * k], v[2 * k + 1]) for k, sg in enumerate(sigs)])
+    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])

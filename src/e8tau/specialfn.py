@@ -274,30 +274,50 @@ def theta_pochhammer(z, K: int, p: complex, q: complex) -> np.ndarray:
     return out
 
 
-def bracket_scaled(zeta: complex, params: EllipticParams) -> Scaled:
-    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p), as a Scaled.
+def bracket_scaled_many(zetas: Sequence[complex], params: EllipticParams) -> list[Scaled]:
+    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p) at every zeta
+    of zetas, each a Scaled, from one array theta call.
 
-    One step takes zeta into the strip |Im(z)/Im(varpi)| <= 1/2, where |e(z)|
-    lies in [sqrt|p|, 1/sqrt|p|]: z = zeta - n varpi, n = round(Im(zeta)/Im(varpi))
-    (0 in the strip), and [z + n varpi] = (-1)^n e(w) [z], w = -n z - n^2 varpi/2,
-    with |e(w)| taken as 2^k times a remainder. DomainError for a non-finite
-    zeta, and past 2^52 periods, where the float n varpi is spaced wider than
-    varpi and z keeps no correct digit.
+    One step takes each zeta into the strip |Im(z)/Im(varpi)| <= 1/2, where
+    |e(z)| lies in [sqrt|p|, 1/sqrt|p|]: z = zeta - n varpi,
+    n = round(Im(zeta)/Im(varpi)) (0 in the strip), and
+    [z + n varpi] = (-1)^n e(w) [z], w = -n z - n^2 varpi/2, with |e(w)|
+    taken as 2^k times a remainder. Every entry is reduced before theta is
+    called, so the first non-finite zeta, or the first past 2^52 periods
+    (where the float n varpi is spaced wider than varpi and z keeps no
+    correct digit), raises DomainError first. The array theta truncates at
+    the batch's largest modulus, so an entry can differ from the bracket of
+    that zeta alone in the last bits; a batch of one is that bracket.
     """
-    z = complex(zeta)
-    if not cmath.isfinite(z):
-        raise DomainError(f"bracket argument {zeta!r} is not finite")
-    b = z.imag / params.varpi.imag
-    if abs(b) > 2.0**52:
-        raise DomainError(f"bracket argument {zeta!r} lies {b:.3g} periods out, past 2^52")
-    n = round(b) if abs(b) > 0.5 + 1e-12 else 0
-    z -= n * params.varpi
-    body = e(-z / 2) * theta(e(z), params.p)
-    if not n:
-        return Scaled(body, 0)
-    w = -n * z - n * n * params.varpi / 2
-    k = round(-2.0 * math.pi * w.imag / LN2)
-    return Scaled((-1) ** n * cmath.exp(TWO_PI_I * w - k * LN2) * body, k)
+    varpi = params.varpi
+    reduced = []
+    for zeta in zetas:
+        z = complex(zeta)
+        if not cmath.isfinite(z):
+            raise DomainError(f"bracket argument {zeta!r} is not finite")
+        b = z.imag / varpi.imag
+        if abs(b) > 2.0**52:
+            raise DomainError(f"bracket argument {zeta!r} lies {b:.3g} periods out, past 2^52")
+        n = round(b) if abs(b) > 0.5 + 1e-12 else 0
+        reduced.append((z - n * varpi, n))
+    if not reduced:
+        return []
+    ths = theta([e(z) for z, _ in reduced], params.p).tolist()
+    out = []
+    for (z, n), th in zip(reduced, ths):
+        body = e(-z / 2) * th
+        if not n:
+            out.append(Scaled(body, 0))
+            continue
+        w = -n * z - n * n * varpi / 2
+        k = round(-2.0 * math.pi * w.imag / LN2)
+        out.append(Scaled((-1) ** n * cmath.exp(TWO_PI_I * w - k * LN2) * body, k))
+    return out
+
+
+def bracket_scaled(zeta: complex, params: EllipticParams) -> Scaled:
+    """The bracket at zeta as a Scaled: bracket_scaled_many of one."""
+    return bracket_scaled_many([zeta], params)[0]
 
 
 def bracket(zeta: complex, params: EllipticParams) -> complex:
@@ -306,8 +326,9 @@ def bracket(zeta: complex, params: EllipticParams) -> complex:
 
 
 def bracket_pm(x: complex, y: complex, params: EllipticParams) -> complex:
-    """[x + y][x - y], the two-factor abbreviation."""
-    return bracket(x + y, params) * bracket(x - y, params)
+    """[x + y][x - y], the two-factor abbreviation, from one batch of two."""
+    plus, minus = bracket_scaled_many([x + y, x - y], params)
+    return complex(plus) * complex(minus)
 
 
 def three_term_residual(
@@ -320,19 +341,20 @@ def three_term_residual(
 ) -> Residual:
     """Normalized residual of the fundamental three-term relation.
 
-    Evaluates [b±c][z±a] + [c±a][z±b] + [a±b][z±c] with the elliptic bracket
-    (or any supplied odd function fn) and divides by the largest term.
+    Evaluates [b±c][z±a] + [c±a][z±b] + [a±b][z±c] with the elliptic bracket,
+    its twelve values from one bracket_scaled_many batch (or with any
+    supplied odd function fn), and divides by the largest term.
     """
+    args = [w for x, y in ((beta, gamma), (z, alpha), (gamma, alpha), (z, beta), (alpha, beta), (z, gamma))
+            for w in (x + y, x - y)]
     if fn is None:
         if params is None:
             raise ValueError("need params for the elliptic bracket")
-        fn = lambda w: bracket(w, params)
-    pm = lambda x, y: fn(x + y) * fn(x - y)
-    return normalized_residual([
-        (pm(beta, gamma), pm(z, alpha)),
-        (pm(gamma, alpha), pm(z, beta)),
-        (pm(alpha, beta), pm(z, gamma)),
-    ])
+        vals = [complex(v) for v in bracket_scaled_many(args, params)]
+    else:
+        vals = [fn(w) for w in args]
+    pm = [vals[2 * k] * vals[2 * k + 1] for k in range(6)]
+    return normalized_residual([(pm[0], pm[1]), (pm[2], pm[3]), (pm[4], pm[5])])
 
 
 def v12_11(a0: complex, a: Sequence[complex], q: complex, p: complex, N: int) -> complex:

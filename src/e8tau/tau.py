@@ -40,9 +40,7 @@ from .lattice import (
 )
 from .specialfn import (
     EllipticParams,
-    bracket,
-    bracket_pm,
-    bracket_scaled,
+    bracket_scaled_many,
     theta,
     theta_pochhammer,
 )
@@ -176,7 +174,9 @@ def _from_batch(batch, params: EllipticParams, domain: LevelDomain | None = None
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
-    return _from_batch(lambda located: [bracket_scaled(qform(x, params.delta) + c, params) for _, x in located], params)
+    return _from_batch(
+        lambda located: bracket_scaled_many([qform(x, params.delta) + c for _, x in located], params), params
+    )
 
 
 def oriented_triple(
@@ -215,19 +215,22 @@ def hirota_residual(
 
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
     rotations of the oriented triple, divided by the largest term magnitude.
-    All six shifted points must lie in tau's domain. The three brackets are
-    computed first, then the six Scaled tau values in one scaled_many batch.
+    All six shifted points must lie in tau's domain. The six brackets come
+    first, in one bracket_scaled_many batch, then the six Scaled tau values
+    in one scaled_many batch.
     """
     a, b, c = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
     d = params.delta
-    brs, pts = [], []
+    args, pts = [], []
     for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
         sh = np.asarray(s.true_coords(), dtype=complex) * d
-        brs.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), params))
+        bt, bw = pairing_c(t, x), pairing_c(w, x)
+        args += [bt + bw, bt - bw]
         pts += [x + sh, x - sh]
+    br = bracket_scaled_many(args, params)
     v = tau.scaled_many(pts)
-    return normalized_residual([(br, v[2 * k], v[2 * k + 1]) for k, br in enumerate(brs)])
+    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
 
 
 @dataclass(frozen=True)
@@ -330,44 +333,64 @@ def toda_step(
     params: EllipticParams,
     a0_index: int = 0,
 ) -> complex:
-    """Next chain value at x from the two previous components.
+    """Next chain value at x from the two previous components: toda_steps
+    of the one pair (i, j).
 
     frame is an 8-vector paired-type frame (or its pre-ordered axis tuple);
     i, j pick two distinct zero-pairing axes in positions 2..7, and the
     result is independent of that choice. a0_index selects which member of
-    the distinguished pair serves as the level direction. The brackets are
-    computed first, then the four values of tau_cur in one eval_many batch.
+    the distinguished pair serves as the level direction.
     """
-    if not (2 <= i <= 7 and 2 <= j <= 7 and i != j):
+    return toda_steps(tau_prev, tau_cur, frame, [(i, j)], x, params, a0_index)[0]
+
+
+def toda_steps(
+    tau_prev: TauEvaluator,
+    tau_cur: TauEvaluator,
+    frame: Frame | Sequence[LatticeVector],
+    pairs: Sequence[tuple[int, int]],
+    x: np.ndarray,
+    params: EllipticParams,
+    a0_index: int = 0,
+) -> list[complex]:
+    """The Toda step at x for every index pair (i, j) of pairs, as toda_step
+    gives it for that pair, in one pass: the frame ordered once, the
+    brackets in one bracket_scaled_many batch (two denominators a pair, two
+    numerator brackets an axis, each axis once), then the denominator
+    test pair by pair ([<a_i + a_j, x>] before [<a_i - a_j, x>]; the first
+    under BRACKET_FLOOR raises BracketZeroError), then the values of tau_cur
+    at x - (a_0 +- a_b) delta for every axis b the pairs name in one
+    scaled_many batch, and tau_prev at x - 2 a_0 delta once.
+    """
+    pairs = list(pairs)
+    if not all(2 <= i <= 7 and 2 <= j <= 7 and i != j for i, j in pairs):
         raise ValueError("need two distinct zero-pairing indices in 2..7")
     if a0_index not in (0, 1):
         raise ValueError("a0_index must be 0 or 1")
     ordered = ordered_c8_ii(frame) if isinstance(frame, Frame) else tuple(frame)
-    a0, ai, aj = ordered[a0_index], ordered[i], ordered[j]
+    a0 = ordered[a0_index]
     x = np.asarray(x, dtype=complex)
     d = params.delta
+    axes = list(dict.fromkeys(b for pair in pairs for b in pair))
+    at = {b: k for k, b in enumerate(axes)}
+    shifts = [v for b in axes for v in (a0 + ordered[b], a0 - ordered[b])]
 
-    den_plus = bracket(pairing_c(ai + aj, x), params)
-    den_minus = bracket(pairing_c(ai - aj, x), params)
-    for sign, val in (("+", den_plus), ("-", den_minus)):
-        if abs(val) < BRACKET_FLOOR:
-            raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
+    # [<a_i + a_j, x>], [<a_i - a_j, x>] per pair, then [<a_0 +- a_b, x> - delta] per axis
+    args = [pairing_c(v, x) for i, j in pairs for v in (ordered[i] + ordered[j], ordered[i] - ordered[j])]
+    br = [complex(v) for v in bracket_scaled_many(args + [pairing_c(v, x) - d for v in shifts], params)]
+    for k, (i, j) in enumerate(pairs):
+        for sign, val in zip("+-", br[2 * k : 2 * k + 2]):
+            if abs(val) < BRACKET_FLOOR:
+                raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
 
-    def shifted_pm(b: LatticeVector) -> complex:
-        return bracket(pairing_c(a0 + b, x) - d, params) * bracket(
-            pairing_c(a0 - b, x) - d, params
-        )
-
-    def cur_pair(b: LatticeVector) -> list:
-        sp = np.asarray((a0 + b).true_coords(), dtype=complex) * d
-        sm = np.asarray((a0 - b).true_coords(), dtype=complex) * d
-        return [x - sp, x - sm]
-
-    br_j, br_i = shifted_pm(aj), shifted_pm(ai)
-    v = tau_cur.eval_many(cur_pair(ai) + cur_pair(aj))
-    num = br_j * (v[0] * v[1]) - br_i * (v[2] * v[3])
-    back = x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d
-    return num / (den_plus * den_minus * tau_prev(back))
+    vals = tau_cur.eval_many([x - np.asarray(s.true_coords(), dtype=complex) * d for s in shifts])
+    pm = [br[len(args) + 2 * k] * br[len(args) + 2 * k + 1] for k in range(len(axes))]
+    cur = [vals[2 * k] * vals[2 * k + 1] for k in range(len(axes))]
+    prev = tau_prev(x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d)
+    return [
+        (pm[at[j]] * cur[at[i]] - pm[at[i]] * cur[at[j]]) / (br[2 * k] * br[2 * k + 1] * prev)
+        for k, (i, j) in enumerate(pairs)
+    ]
 
 
 @dataclass(eq=False)

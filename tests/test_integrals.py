@@ -17,9 +17,10 @@ from e8tau.integrals import (
     In_transform_residual,
     IntegrandContext,
     _jacobi_pair_coeffs,
-    _node_integrand,
+    _node_rows,
     _plan_for,
     _quad,
+    _rows,
     bailey_residual,
     contiguity_residual,
     terminating_eval,
@@ -42,6 +43,11 @@ def _ctx(u=U_FIXED, params=PARAMS, **kw):
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _node_integrand(ctx, N):
+    """The node integrand of one integral at N nodes: its row of the batch."""
+    return _node_rows(_rows([ctx]), N)[0]
 
 
 def _psi_value(ctx):

@@ -380,12 +380,18 @@ def test_basis_change_blowup():
         assert blowup_ip(img_v, _change_basis(w, _E_IN_BLOWUP)) == P.picard_ip(v, w)
 
 
+def _lattice_tau_eval(lam, tau, w, eps):
+    """Reference route: the tau function indexed by lam on the w-translated
+    chart of eps, tau at the one point w^{-1} . (x + kappa * alpha)."""
+    return tau.eval(P._lattice_points([lam], tau, w, eps)[0])
+
+
 def test_lattice_tau_base_cases():
     rng = sampling.make_rng(41)
     eps, x, _ = _draw_eps(rng, 2)
-    assert abs(P.lattice_tau_eval(P.E[9], EVAL, (), eps) - EVAL.eval(x)) < 1e-12
+    assert abs(_lattice_tau_eval(P.E[9], EVAL, (), eps) - EVAL.eval(x)) < 1e-12
     word = (3, 1)
-    got = P.lattice_tau_eval(P.E[8], EVAL, word, eps)
+    got = _lattice_tau_eval(P.E[8], EVAL, word, eps)
     phi = np.asarray(L.PHI.coords4, complex) / 4.0
     ref = EVAL.eval(L.apply_word_c(L.inverse_word(word), x - PARAMS.delta * phi))
     assert abs(got - ref) < 1e-12
@@ -395,13 +401,13 @@ def test_lattice_tau_validations():
     rng = sampling.make_rng(43)
     eps, x, mu = _draw_eps(rng, 1)
     with pytest.raises(ValueError):
-        P.lattice_tau_eval(P.E[0], EVAL, (), eps)
+        _lattice_tau_eval(P.E[0], EVAL, (), eps)
     with pytest.raises(DomainError):
         # chart level twice the tau step
-        P.lattice_tau_eval(P.E[9], EVAL, (), P.coords_forward(x, mu, 2 * PARAMS.delta))
+        _lattice_tau_eval(P.E[9], EVAL, (), P.coords_forward(x, mu, 2 * PARAMS.delta))
     off = P.coords_forward(x + 0.03, mu, PARAMS.delta)  # off the level family
     with pytest.raises(DomainError):
-        P.lattice_tau_eval(P.E[9], EVAL, (), off)
+        _lattice_tau_eval(P.E[9], EVAL, (), off)
 
 
 def test_quadruple_residual_uniform_level():

@@ -335,6 +335,9 @@ def test_qpoch_frozen_values():
 def test_bracket_frozen_value_and_oddness():
     params = S.EllipticParams.from_bases(0.2, 0.35)
     assert _rel(S.bracket(0.3 + 0.2j, params), O.BRACKET_Z) < 1e-13
+    (one,) = S.bracket_scaled_many([0.3 + 0.2j], params)
+    assert _rel(complex(one), O.BRACKET_Z) < 1e-13
+    assert S.bracket_scaled_many([], params) == []
     rng = np.random.default_rng(np.random.Philox(37))
     for _ in range(50):
         z = rng.standard_normal() + 1j * rng.standard_normal()
@@ -437,6 +440,37 @@ def test_bracket_far_argument_reduces_in_one_step():
     # the complex bracket there is an infinity, not a NaN
     far = S.bracket(z + varpi, params)
     assert cmath.isinf(far) and not cmath.isnan(far)
+
+
+def test_bracket_batch_matches_the_period_loop():
+    # batches of 1 to 40 arguments, in-strip entries mixed with entries up
+    # to six periods out: every entry within 1e-13 of the loop, whatever
+    # else its batch holds
+    rng = np.random.default_rng(np.random.Philox(59))
+    for p in (0.2, 0.03 * e(0.2), -0.4):
+        params = S.EllipticParams.from_bases(p, 0.35)
+        for size in (1, 2, 6, 12, 40):
+            periods = rng.integers(-6, 7, size) * (rng.random(size) < 0.5)
+            zetas = rng.standard_normal(size) + 1j * params.varpi.imag * (rng.random(size) - 0.5 + periods)
+            got = S.bracket_scaled_many(zetas.tolist(), params)
+            for zeta, g in zip(zetas, got):
+                assert _rel(complex(g), _loop_bracket(zeta, params)) < 1e-13, (p, zeta)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("inf")), complex(0.3, 1e160)])
+def test_bracket_batch_rejects_a_bad_entry_before_theta(monkeypatch, bad):
+    params = S.EllipticParams.from_bases(0.2, 0.35)
+    calls = []
+    real = S.theta
+    monkeypatch.setattr(S, "theta", lambda z, p: calls.append(z) or real(z, p))
+    for at in (0, 3, 6):
+        zetas = [0.1 * k + 0.2j for k in range(6)]
+        zetas.insert(at, bad)
+        with pytest.raises(DomainError, match="not finite|past 2\\^52"):
+            S.bracket_scaled_many(zetas, params)
+    assert calls == []
+    S.bracket_scaled_many([0.3, 0.4], params)
+    assert len(calls) == 1
 
 
 def test_three_term_relation_elliptic():

@@ -19,6 +19,7 @@ from e8tau.lattice import (
 from e8tau.specialfn import (
     EllipticParams,
     bracket_pm,
+    bracket_scaled_many,
     elliptic_gamma,
     theta,
     three_term_residual,
@@ -223,21 +224,24 @@ def test_eval_many_locates_every_point_before_any_value():
 
 
 def test_residual_brackets_come_before_the_tau_batch(monkeypatch):
-    # a bracket that raises on its second call: no tau value is looked up
+    # a bracket batch that raises: no tau value is looked up, by the Hirota
+    # residual (one batch of six) or by the Toda step (one batch of six)
     chain = T.build_chain(2, params=PARAMS)
     frame = _frames_of(FrameType.C3_II0, 1)[0]
-    calls, real = [], T.bracket_pm
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    x = _x_on(sampling.make_rng(45), 2)
+    calls = []
 
-    def bracket_pm(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise DomainError("second bracket")
-        return real(*args)
+    def bracket_scaled_many(zetas, params):
+        calls.append(len(zetas))
+        raise DomainError("bracket batch")
 
-    monkeypatch.setattr(T, "bracket_pm", bracket_pm)
-    with pytest.raises(DomainError, match="second bracket"):
-        T.hirota_residual(chain.evaluator, frame, _x_on(sampling.make_rng(45), 2), PARAMS)
-    assert len(calls) == 2
+    monkeypatch.setattr(T, "bracket_scaled_many", bracket_scaled_many)
+    with pytest.raises(DomainError, match="bracket batch"):
+        T.hirota_residual(chain.evaluator, frame, x, PARAMS)
+    with pytest.raises(DomainError, match="bracket batch"):
+        T.toda_step(chain.components[0], chain.components[1], frame8, 2, 3, x, PARAMS)
+    assert calls == [6, 6]
     info = chain.evaluator.fn.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -389,13 +393,17 @@ def test_overflowing_products_leave_the_hirota_residual_finite():
         f = frames[int(rng.integers(len(frames)))]
         for ev, fr in ((base, f), (gauged, f), (period, std)):
             r = T.hirota_residual(ev, fr, x, par)
-            # the reference route: the six values and the unscaled products
+            # the reference route: the six brackets and the six values
+            # recombined, and the unscaled products
             a, b, c = T.oriented_triple(fr)
-            vals, terms = [], []
+            args, pts = [], []
             for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
                 sh = np.asarray(s.true_coords(), dtype=complex) * par.delta
-                vals += [ev(x + sh), ev(x - sh)]
-                terms.append(bracket_pm(pairing_c(t, x), pairing_c(w, x), par) * vals[-2] * vals[-1])
+                args += [pairing_c(t, x) + pairing_c(w, x), pairing_c(t, x) - pairing_c(w, x)]
+                pts += [x + sh, x - sh]
+            brs = [complex(v) for v in bracket_scaled_many(args, par)]
+            vals = ev.eval_many(pts)
+            terms = [brs[2 * k] * brs[2 * k + 1] * vals[2 * k] * vals[2 * k + 1] for k in range(3)]
             assert np.isfinite(r) and r < 1e-9
             if np.all(np.isfinite(terms)):
                 assert float(r).hex() == (abs(sum(terms)) / max(abs(t) for t in terms)).hex()
@@ -552,6 +560,32 @@ def test_toda_value_independent_of_index_choice():
     assert done, "no admissible level-2 draw for the recursion"
 
 
+def test_toda_steps_match_the_step_of_each_pair():
+    # all 15 pairs in one pass: each within 1e-13 of its own toda_step, with
+    # the twelve level-1 points and the level-0 point each looked up once
+    rng = sampling.make_rng(56)
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    pairs = [(i, j) for i in range(2, 8) for j in range(i + 1, 8)]
+    done = 0
+    for _ in range(8):
+        chain = T.build_chain(2, params=PARAMS)
+        c0, c1 = chain.components[0], chain.components[1]
+        x = _x_on(rng, 2)
+        for a0_index in (0, 1):
+            try:
+                got = T.toda_steps(c0, c1, frame8, pairs, x, PARAMS, a0_index)
+            except RESAMPLE_ERRORS:
+                continue
+            if a0_index == 0:
+                info = chain.evaluator.fn.cache_info()
+                assert (info.hits, info.misses) == (0, 13)
+            for (i, j), v in zip(pairs, got):
+                ref = T.toda_step(c0, c1, frame8, i, j, x, PARAMS, a0_index)
+                assert abs(v - ref) <= 1e-13 * abs(ref), (i, j, a0_index)
+            done += 1
+    assert done >= 4
+
+
 def test_toda_rejects_bad_indices():
     c0, c1 = CHAIN2.components[0], CHAIN2.components[1]
     frame8 = frame_containing(T.A1_VECTORS[0])
@@ -563,6 +597,8 @@ def test_toda_rejects_bad_indices():
         T.toda_step(c0, c1, frame8, 1, 4, x, PARAMS)
     with pytest.raises(ValueError):
         T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS, a0_index=2)
+    with pytest.raises(ValueError):
+        T.toda_steps(c0, c1, frame8, [(2, 3), (4, 4)], x, PARAMS)
 
 
 def test_toda_flags_degenerate_denominator():
