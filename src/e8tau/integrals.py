@@ -5,6 +5,14 @@ identities as residual checks.
 All integrals run over the positively oriented unit circle with uniform
 trapezoidal nodes; parameters must keep the pole sets strictly inside/outside,
 which is guaranteed by 0 < |u_k| < 1.
+
+Every pass bounds its own trapezoid error. The sampled integrand is the node
+weight times exp of a finite Laurent series, analytic on C* unless a shift
+factor puts poles in it, so Cauchy's estimate on an annulus bounds each
+aliased Fourier coefficient (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Rev. 56 (2014)). A value whose bound is
+within quad_tol is certified after that pass; the others double their nodes
+until two successive values agree.
 """
 from __future__ import annotations
 
@@ -12,6 +20,7 @@ import cmath
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Sequence
@@ -151,9 +160,12 @@ class _Rows:
     n: int
     coef: np.ndarray  # (B, M + 1) log-series coefficients c_0 = 0, c_1 .. c_M
     shifts: tuple  # per row, the (u_k, s) of each shifted parameter
+    rho: np.ndarray  # (B,) per row, the largest rho_k after the shifts
 
     def take(self, keep: list[int]) -> "_Rows":
-        return _Rows(self.params, self.n, self.coef[keep], tuple(self.shifts[j] for j in keep))
+        return _Rows(
+            self.params, self.n, self.coef[keep], tuple(self.shifts[j] for j in keep), self.rho[keep]
+        )
 
 
 def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
@@ -192,7 +204,7 @@ def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
     coef[:, 1:] = (pw[:, :8].sum(axis=1) - pw[:, 8:].sum(axis=1)) / _series_den(p, q, 1 << (M - 1).bit_length())[:M]
     for r, m in enumerate(lengths):
         coef[r, m + 1 :] = 0.0
-    return _Rows(params, n, coef, tuple(shifts))
+    return _Rows(params, n, coef, tuple(shifts), rho)
 
 
 @functools.lru_cache(maxsize=32)
@@ -227,15 +239,17 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
     return np.array(vals) * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
 
 
-def _quad_rows(rows: _Rows, N: int) -> list[complex]:
+def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], np.ndarray]:
     """The tensor trapezoid rule of multiplicity rows.n (1, 2 or 3) at N
-    nodes per circle for every row, with no convergence test."""
+    nodes per circle for every row, with no convergence test, and each
+    row's mean |h| over its nodes."""
     n = rows.n
     plan = _plan_for(rows.params, N)
     h = _node_rows(rows, N)
+    mean_abs = np.abs(h).sum(axis=1) / N
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
-        return [scale * complex(np.sum(row)) for row in h]
+        return [scale * complex(np.sum(row)) for row in h], mean_abs
     # with each cross factor F(z, w) = sum C[a,b] z^a w^b and S(j) the FFT
     # bin sum_m h_m z_m^j, the N^2 node sum is sum C[a,b] S(a) S(b) = s C s
     # with s[a] = S(a), and the N^3 node sum is
@@ -250,12 +264,87 @@ def _quad_rows(rows: _Rows, N: int) -> list[complex]:
         else:
             M = plan.cross_c @ H[plan.cross_ab]
             out.append(scale * complex(np.sum(M * (M @ M).T)))
-    return out
+    return out, mean_abs
 
 
 def _quad(ctx: IntegrandContext, N: int) -> complex:
     """The trapezoid rule of one integral at N nodes per circle."""
-    return _quad_rows(_rows([ctx]), N)[0]
+    return _quad_rows(_rows([ctx]), N)[0][0]
+
+
+@functools.lru_cache(maxsize=32)
+def _majorant_terms(ap: float, aq: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The factors of A_a(x) = prod_{i>=0} (1 + a^i x)(1 + a^(i+1) / x),
+    which bounds |theta(w; b)| on |w| = x for |b| = a, for a = |p| and then
+    a = |q|: the powers a^i while a^i >= TRUNC_TOL, the same times a, the
+    count of |p|'s, and log A_|p|(1). The factors cut move log A by less
+    than (x + 1/x) TRUNC_TOL / (1 - a)."""
+    pw = []
+    for a in (ap, aq):
+        L = 1
+        while a**L >= TRUNC_TOL:
+            L += 1
+        pw.append(a ** np.arange(L))
+    lo = np.concatenate(pw)
+    hi = np.concatenate([ap * pw[0], aq * pw[1]])
+    k = pw[0].size
+    log_a1 = float(np.sum(np.log1p(lo[:k]) + np.log1p(hi[:k])))
+    return _frozen(lo), _frozen(hi), k, log_a1
+
+
+_ROUNDING = 64 * float(np.finfo(float).eps)
+
+
+def _error_bounds(rows: _Rows, N: int, mean_abs: np.ndarray) -> list[float]:
+    """Per row, a bound on |T_N - I| for the N-node tensor trapezoid value
+    T_N of its sampled integrand, with mean_abs its mean |h| at those nodes.
+
+    With r = rho^(-1/2) the node integrand h is bounded on |z| = r^(+-1) by
+    M = r^2 A_p(r^2) A_q(r^2) exp(sum_m |c_m| (r^m + r^-m)), and each of the
+    4 C(n, 2) cross thetas by A_p(r^2); Cauchy's estimate then bounds every
+    Fourier coefficient at a nonzero multiple of N, and their sum is
+    |pref|^n / (2^n n!) M^n A_p(r^2)^(4 C(n, 2)) (((1 + x) / (1 - x))^n - 1)
+    with x = r^-N. A rounding term 64 eps |pref|^n / (2^n n!) mean_abs^n
+    A_p(1)^(4 C(n, 2)) is added. A row with shift factors has poles off
+    the circle and gets no bound (inf).
+    """
+    n, params = rows.n, rows.params
+    pairs = 2 * n * (n - 1)
+    lo, hi, k, log_a1 = _majorant_terms(abs(params.p), abs(params.q))
+    rho = rows.rho[:, None]
+    log_r = np.log(rows.rho) * -0.5
+    # m log r stays near 20 up to a row's own length; past it c_m = 0, and
+    # the clip keeps the longer rows' m from overflowing cosh there
+    m = np.arange(rows.coef.shape[1])
+    series = np.vecdot(np.abs(rows.coef), np.cosh(np.minimum(log_r[:, None] * m, 700.0)))
+    log_a = np.log1p(lo / rho) + np.log1p(hi * rho)  # the factors of A_p A_q at r^2 = 1 / rho
+    scale = abs(_plan_for(params, N).pref) ** n / (2**n * factorial(n))
+    rounding = _ROUNDING * math.exp(pairs * log_a1)
+    out = []
+    for lr, s, a_p, a_pq, h, shifted in zip(
+        log_r.tolist(), series.tolist(), log_a[:, :k].sum(axis=1).tolist(), log_a.sum(axis=1).tolist(),
+        mean_abs.tolist(), rows.shifts,
+    ):
+        if shifted:
+            out.append(math.inf)
+            continue
+        x = math.exp(max(-N * lr, -700.0))
+        log_alias = n * (2.0 * (lr + s) + a_pq) + pairs * a_p + math.log(math.expm1(2 * n * math.atanh(x)))
+        out.append(scale * (math.exp(min(log_alias, 700.0)) + rounding * h**n))
+    return out
+
+
+def _certified(rows: _Rows, N: int, values: list[complex], mean_abs: np.ndarray, quad_tol: float) -> list[bool]:
+    """Per row, whether its _error_bounds entry is within quad_tol of its
+    value. That bound is at least 2n x |T_N|: M is at least max |h| on the
+    circle, A_p(r^2) at least A_p(1), and ((1 + x) / (1 - x))^n - 1 at least
+    2n x. So when every row has a shift or 2n x > quad_tol, none can
+    certify and the bounds are not taken."""
+    n = rows.n
+    if all(s or 2 * n * rho ** (N / 2) > quad_tol for s, rho in zip(rows.shifts, rows.rho.tolist())):
+        return [False] * len(values)
+    bounds = _error_bounds(rows, N, mean_abs)
+    return [b <= quad_tol * max(abs(v), 1e-300) for b, v in zip(bounds, values)]
 
 
 def I(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
@@ -276,9 +365,11 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
     Every context is checked for admissibility first, and the first that
     fails raises its AdmissibilityError. Then every row runs the trapezoid
     rule from _START_NODES nodes per circle, doubled up to the cap of
-    multiplicity n until two successive values agree to quad_tol; each pass
-    evaluates the rows still running in one array pass, and a row leaves
-    once it has stopped. At the cap the first row still running raises its
+    multiplicity n. A row stops once two successive values agree to
+    quad_tol, or after a pass that _certified certifies (asked only while
+    a row is left that the values do not stop); each pass evaluates the
+    rows still running in one array pass, and a row leaves once it has
+    stopped. At the cap the first row still running raises its
     ConvergenceError. A row's values are bit for bit those of the batch of
     that row alone at the same node count.
     """
@@ -298,24 +389,32 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
     cap = _CAPS[n]
     N = _START_NODES
     rows = _rows(ctxs)
-    last = previous = _quad_rows(rows, N)
-    while 2 * N <= cap:
-        N *= 2
-        previous, last = last, _quad_rows(rows, N)
+    previous = None
+    while True:
+        last, mean_abs = _quad_rows(rows, N)
+        done = [False] * len(live)
+        if previous is not None:
+            done = [abs(a - b) <= quad_tol * max(abs(a), 1e-300) for a, b in zip(last, previous)]
+        if not all(done):
+            done = [d or c for d, c in zip(done, _certified(rows, N, last, mean_abs, quad_tol))]
         keep = []
         for j, r in enumerate(live):
-            if abs(last[j] - previous[j]) <= quad_tol * max(abs(last[j]), 1e-300):
+            if done[j]:
                 out[r] = last[j]
             else:
                 keep.append(j)
         if not keep:
             return out
+        if 2 * N > cap:
+            break
         if len(keep) < len(live):
             live, rows = [live[j] for j in keep], rows.take(keep)
-            last, previous = [last[j] for j in keep], [previous[j] for j in keep]
-    ctx = ctxs[live[0]]
+        previous = [last[j] for j in keep]
+        N *= 2
+    j = keep[0]
+    ctx = ctxs[live[j]]
     raise ConvergenceError(
-        f"node cap {cap} reached before stabilizing", last[0], previous[0],
+        f"node cap {cap} reached before stabilizing", last[j], previous[j],
         u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=n, cap=cap,
     )
 

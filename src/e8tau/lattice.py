@@ -319,7 +319,9 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
 
     The orbit lists the seed first, then each new image in the order the
     breadth-first search meets it: frontier element by element, generator by
-    generator within each element.
+    generator within each element. E7 fixes phi, so a frame's images keep
+    the seed's frame_type; E8 does not, so each new image of a 3- or 8-frame
+    is classified on its own.
     """
     if group not in ("E7", "E8"):
         raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
@@ -337,6 +339,8 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
                 im = Frame.from_vectors([reflect(g, v) for v in el.vectors], el.frame_type)
                 k = im.key()
                 if k not in orbit:
+                    if n_gens == 8:
+                        im = Frame.from_vectors(im.vectors)
                     orbit[k] = im
                     nxt.append(im)
         frontier = nxt

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -311,12 +311,15 @@ def hg_tau1(x: np.ndarray, params: EllipticParams, quad_tol: float = QUAD_TOL) -
     return tau_n_int(1, x, "direct", params, quad_tol=quad_tol)
 
 
+@lru_cache(maxsize=256)
 def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
     """Index an 8-vector paired-type frame as (pair, pair', z_2 .. z_7).
 
     The distinguished pair is signed to pairing +1 (the two sum to the
     all-half vector); the six zero-pairing axes keep the stored sign
     normalization. Both groups are sorted by descending coordinates.
+    Memoised per frame (Frame is frozen and hashable); a frame of another
+    type raises every time.
     """
     if classify_frame(frame) is not FrameType.C8_II:
         raise ValueError("need an 8-vector frame of the paired type")

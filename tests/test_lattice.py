@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import add, mul
 
 import numpy as np
@@ -185,6 +186,29 @@ def test_full_group_acts_transitively_on_frames():
     f0 = L.enumerate_frames(8)[0]
     orbit = L.weyl_orbit(f0, "E8")
     assert len(orbit) == 135
+
+
+def _census(frames):
+    return {t.value: n for t, n in Counter(f.frame_type for f in frames).items()}
+
+
+@pytest.mark.parametrize("size, census", [
+    (8, {"C8_I": 72, "C8_II": 63}),
+    (3, {"C3_I": 4032, "C3_II0": 1260, "C3_II1": 1890, "C3_II2": 378}),
+])
+def test_e8_frame_orbit_types_each_image(size, census):
+    # E8 moves phi, so an image's type is its own pairing profile, not the
+    # seed's; the orbit is every frame of the size, typed as enumerate_frames
+    orbit = L.weyl_orbit(L.enumerate_frames(size)[0], "E8")
+    assert all(f.frame_type is L.classify_frame(f) for f in orbit)
+    assert _census(orbit) == census == _census(L.enumerate_frames(size))
+
+
+def test_e7_frame_orbit_keeps_the_seed_type():
+    for ftype in (L.FrameType.C8_I, L.FrameType.C8_II):
+        seed = next(f for f in L.enumerate_frames(8) if f.frame_type is ftype)
+        orbit = L.weyl_orbit(seed, "E7")
+        assert all(f.frame_type is ftype is L.classify_frame(f) for f in orbit)
 
 
 def test_complex_pairings_match_exact_ones():

@@ -615,6 +615,23 @@ def test_toda_flags_degenerate_denominator():
         T.toda_step(c0, c1, frame8, 2, 3, x, PARAMS)
 
 
+def test_ordered_c8_ii_is_memoised_per_frame(monkeypatch):
+    frame8 = frame_containing(T.A1_VECTORS[0])
+    first = T.ordered_c8_ii(frame8)
+    classified = []
+    monkeypatch.setattr(T, "classify_frame", lambda f: classified.append(f) or FrameType.C8_II)
+    # an equal frame built afresh hits the memo: no classification, same tuple
+    again = T.ordered_c8_ii(Frame(frame8.vectors, frame8.frame_type))
+    assert again is first and classified == []
+    assert first == tuple(T._oriented(frame8.vectors))
+    monkeypatch.undo()
+    # a frame of another type is not memoised as an ordering: it raises each time
+    c8_i = next(f for f in enumerate_frames(8) if f.frame_type is FrameType.C8_I)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            T.ordered_c8_ii(c8_i)
+
+
 def test_bracket_zero_error_replays_at_its_point():
     c0, c1 = CHAIN2.components[0], CHAIN2.components[1]
     frame8 = frame_containing(T.A1_VECTORS[0])
