@@ -474,9 +474,8 @@ def test_certified_values_match_the_doubling_route_and_reference(monkeypatch):
         if counts != [256]:
             continue
         certified += 1
-        doubling, passes = _I_n_per_point(ctx, QUAD_TOL, certify=False)
+        doubling, _ = _I_n_per_point(ctx, QUAD_TOL, certify=False)
         ref = _quad(ctx, 1024)
-        assert passes[-1] > 256
         assert abs(value - doubling) <= QUAD_TOL * abs(ref)
         assert abs(value - ref) <= QUAD_TOL * abs(ref)
     assert certified >= 25
