@@ -259,14 +259,11 @@ def _record_nodes(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smooth_integrand_stops_at_first_doubling(n, monkeypatch):
-    # at n = 1 and 2 the error bound certifies the first pass; at n = 3 its
-    # rounding term, with A_p(1)^12 of the cross factors, stays near 7e-10
-    # of the value, so the two passes agree first
-    passes = [256, 512] if n == 3 else [256]
-    want = _quad(_ctx(n=n), passes[-1])
+    # the error bound certifies the first pass
+    want = _quad(_ctx(n=n), 256)
     counts = _record_nodes(monkeypatch)
     assert I_n(_ctx(n=n)) == want
-    assert counts == passes
+    assert counts == [256]
 
 
 # ------------------------------------------ the per-point reference route
@@ -316,16 +313,21 @@ def _quad_per_point(ctx, N):
     n = ctx.n
     plan = _plan_for(ctx.params, N)
     h, rows = _per_point_parts(ctx, N)
-    bound = integrals._error_bounds(rows, N, np.array([np.mean(np.abs(h))]))[0]
     scale = plan.pref**n / (2**n * factorial(n) * N**n)
     if n == 1:
-        return scale * complex(np.sum(h)), bound
-    H = np.fft.fft(h)
-    if n == 2:
-        s = H[plan.cross_a]
-        return scale * complex(s @ plan.cross_c @ s), bound
-    M = plan.cross_c @ H[plan.cross_ab]
-    return scale * complex(np.sum(M * (M @ M).T)), bound
+        value, g = scale * complex(np.sum(h)), 1.0
+    else:
+        H = np.fft.fft(h)
+        if n == 2:
+            s = H[plan.cross_a]
+            value = scale * complex(s @ plan.cross_c @ s)
+            g = np.abs(s @ plan.cross_c).sum()
+        else:
+            M = plan.cross_c @ H[plan.cross_ab]
+            value = scale * complex(np.sum(M * (M @ M).T))
+            g = np.abs(M @ M @ plan.cross_c).sum()
+    size = abs(scale) * np.sum(np.abs(h)) * float(g)
+    return value, integrals._error_bounds(rows, N, [size])[0], size
 
 
 def _I_n_per_point(ctx, quad_tol, certify=True):
@@ -338,7 +340,7 @@ def _I_n_per_point(ctx, quad_tol, certify=True):
         return err, []
     cap = integrals._CAPS[ctx.n]
     counts = [integrals._START_NODES]
-    last, bound = _quad_per_point(ctx, counts[-1])
+    last, bound, _ = _quad_per_point(ctx, counts[-1])
     previous = None
     while True:
         tol = quad_tol * max(abs(last), 1e-300)
@@ -347,7 +349,7 @@ def _I_n_per_point(ctx, quad_tol, certify=True):
         if 2 * counts[-1] > cap:
             break
         counts.append(2 * counts[-1])
-        previous, (last, bound) = last, _quad_per_point(ctx, counts[-1])
+        previous, (last, bound, _) = last, _quad_per_point(ctx, counts[-1])
     err = ConvergenceError(
         f"node cap {cap} reached before stabilizing", last, previous,
         u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
@@ -415,9 +417,8 @@ def test_batched_rows_are_bitwise_the_per_point_route(monkeypatch, n, params):
     rows = integrals._rows(live)
     for N in (256, 512):
         h = integrals._node_rows(rows, N)
-        values, mean_abs = integrals._quad_rows(rows, N)
-        assert values == [_quad_per_point(c, N)[0] for c in live]
-        assert mean_abs.tolist() == [np.mean(np.abs(hr)) for hr in h]
+        values, sizes = integrals._quad_rows(rows, N)
+        assert list(zip(values, sizes)) == [_quad_per_point(c, N)[::2] for c in live]
         for hr, c in zip(h, live):
             assert np.array_equal(hr, _node_integrand_per_point(c, N))
 
@@ -428,7 +429,8 @@ def test_batched_rows_are_bitwise_the_per_point_route(monkeypatch, n, params):
 def _sampler_draws():
     """Integrals as the library draws them, seeded: chain points on levels
     1 and 2 in the direct chart, balanced bailey parameters at n = 1 and
-    those of the n = 2 transform, and the terminating series' left sides."""
+    those of the n = 2 transform, the terminating series' left sides, and
+    chain points on level 3."""
     cfg = load_config(seed=1)
     rng = sampling.make_rng(151)
     chain = cfg.elliptic("chain")
@@ -447,6 +449,10 @@ def _sampler_draws():
     for order in (0, 1, 2) * 2:
         u = _terminating_family(rng, order, term)
         ctxs.append(IntegrandContext((term.p * u[0], *u[1:7], term.p * u[7]), term))
+    for _ in range(4):
+        x = sampling.sample_on_level(rng, chain, 3)
+        t, _, _ = tau._chart("pp", "direct", np.exp(2j * np.pi * x), 3, chain)
+        ctxs.append(IntegrandContext(t, chain, 3))
     return ctxs
 
 
@@ -458,11 +464,11 @@ def test_error_bound_is_never_below_the_error():
         rows = _rows([ctx])
         (ref,), _ = integrals._quad_rows(rows, 1024)
         for N in (64, 128, 256):
-            (value,), mean_abs = integrals._quad_rows(rows, N)
-            bound = integrals._error_bounds(rows, N, mean_abs)[0]
+            (value,), sizes = integrals._quad_rows(rows, N)
+            bound = integrals._error_bounds(rows, N, sizes)[0]
             assert bound >= abs(value - ref), (N, ctx.u)
         certified += bound <= QUAD_TOL * abs(value)
-    assert certified >= 25
+    assert certified >= 34
 
 
 def test_certified_values_match_the_doubling_route_and_reference(monkeypatch):
@@ -478,7 +484,7 @@ def test_certified_values_match_the_doubling_route_and_reference(monkeypatch):
         ref = _quad(ctx, 1024)
         assert abs(value - doubling) <= QUAD_TOL * abs(ref)
         assert abs(value - ref) <= QUAD_TOL * abs(ref)
-    assert certified >= 25
+    assert certified >= 34
 
 
 def test_bound_does_not_certify_a_peaked_row_or_an_unreachable_tolerance(monkeypatch):
@@ -490,7 +496,8 @@ def test_bound_does_not_certify_a_peaked_row_or_an_unreachable_tolerance(monkeyp
         counts.clear()
         I_n(_ctx(u=u, n=n))
         assert counts[0] == 256 and len(counts) > 1
-    # no row's rounding term, 64 eps of the node sum's magnitude, is below 1e-15
+    # no row's rounding estimate, 32 eps of a node-sum size at least |T|,
+    # is below 1e-15 of its value
     for ctx in _sampler_draws():
         counts.clear()
         try:
