@@ -93,6 +93,10 @@ class _Plan:
     rev: np.ndarray  # index of 1/z_m
     weight: np.ndarray  # -z^-2 theta(z^2; p) theta(z^2; q) at the nodes
     pref: complex  # (p;p)(q;q)
+    # per multiplicity n = 0..3, the scale pref^n / (2^n n! N^n) of an
+    # N^n-node sum, and |pref|^n / (2^n n!) of the error bound
+    scales: tuple
+    bound_scales: tuple
     # the cross factor theta(z^{+-1} w^{+-1}; p) as sum_{a,b} C[a,b] z^a w^b
     # over |a|, |b| <= 2K, the FFT bin of z^a at [a], and of z^(a+b) at [b, a]
     cross_c: np.ndarray
@@ -135,11 +139,14 @@ def _plan(p: complex, q: complex, N: int) -> _Plan:
     C = np.zeros((4 * K + 1, 4 * K + 1), dtype=complex)
     C[k + l + 2 * K, k - l + 2 * K] = np.outer(c, c)
     a = np.arange(-2 * K, 2 * K + 1)
+    pref = pp * qq
     return _Plan(
         zs=_frozen(zs),
         rev=_frozen((-m) % N),
         weight=_frozen(-(zs**-2) * theta(zs**2, p) * theta(zs**2, q)),
-        pref=pp * qq,
+        pref=pref,
+        scales=tuple(pref**n / (2**n * factorial(n) * N**n) for n in range(4)),
+        bound_scales=tuple(abs(pref) ** n / (2**n * factorial(n)) for n in range(4)),
         cross_c=_frozen(C),
         # sum_m h_m z_m^j is bin -j of the FFT
         cross_a=_frozen(-a % N),
@@ -154,18 +161,23 @@ def _plan_for(params: EllipticParams, N: int) -> _Plan:
 
 @dataclass(frozen=True, eq=False)
 class _Rows:
-    """Integrals of multiplicity n on one pair of bases, one row each: the
-    parts of their node integrands that do not depend on the node count."""
+    """Integrals on one pair of bases, one row each, each of its own
+    multiplicity 1, 2 or 3: the parts of their node integrands that do not
+    depend on the node count."""
 
     params: EllipticParams
-    n: int
+    n: tuple  # per row, its multiplicity
     coef: np.ndarray  # (B, M + 1) log-series coefficients c_0 = 0, c_1 .. c_M
     shifts: tuple  # per row, the (u_k, s) of each shifted parameter
     rho: np.ndarray  # (B,) per row, the largest rho_k after the shifts
 
     def take(self, keep: list[int]) -> "_Rows":
         return _Rows(
-            self.params, self.n, self.coef[keep], tuple(self.shifts[j] for j in keep), self.rho[keep]
+            self.params,
+            tuple(self.n[j] for j in keep),
+            self.coef[keep],
+            tuple(self.shifts[j] for j in keep),
+            self.rho[keep],
         )
 
 
@@ -182,9 +194,10 @@ def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
     takes at the nodes; after it rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1.
     Each row then sums the series of its eight parameters to its own
     length M, where its rho^M falls below _SERIES_TAIL, from one power
-    table of all rows; the coefficients past a row's M are zero.
+    table of all rows; the coefficients past a row's M are zero. None of
+    this depends on a row's multiplicity.
     """
-    params, n = ctxs[0].params, ctxs[0].n
+    params = ctxs[0].params
     p, q = params.p, params.q
     pq = p * q
     u = np.array([c.u for c in ctxs])
@@ -205,7 +218,7 @@ def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
     coef[:, 1:] = (pw[:, :8].sum(axis=1) - pw[:, 8:].sum(axis=1)) / _series_den(p, q, 1 << (M - 1).bit_length())[:M]
     for r, m in enumerate(lengths):
         coef[r, m + 1 :] = 0.0
-    return _Rows(params, n, coef, tuple(shifts), rho)
+    return _Rows(params, tuple(c.n for c in ctxs), coef, tuple(shifts), rho)
 
 
 @functools.lru_cache(maxsize=32)
@@ -241,18 +254,19 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
 
 
 def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
-    """The tensor trapezoid rule of multiplicity rows.n (1, 2 or 3) at N
-    nodes per circle for every row, with no convergence test, and each
-    row's node-sum size: |scale| sum|h| G, where G is the l1 norm of the
-    node sum's derivative in one FFT bin (1 at n = 1, sC at n = 2, and
-    (CA)^2 C at n = 3, below). No value exceeds its size in modulus."""
-    n = rows.n
+    """The tensor trapezoid rule of every row at its multiplicity n (1, 2
+    or 3) at N nodes per circle, with no convergence test, and each row's
+    node-sum size: |scale| sum|h| G, where G is the l1 norm of the node
+    sum's derivative in one FFT bin (1 at n = 1, sC at n = 2, and (CA)^2 C
+    at n = 3, below). No value exceeds its size in modulus.
+
+    One node table serves every row: the n = 1 rows sum their nodes, and
+    the n >= 2 rows contract the FFT bins of theirs."""
     plan = _plan_for(rows.params, N)
     h = _node_rows(rows, N)
     abs_sums = np.abs(h).sum(axis=1).tolist()
-    scale = plan.pref**n / (2**n * factorial(n) * N**n)
-    if n == 1:
-        return [scale * complex(np.sum(row)) for row in h], [abs(scale) * a for a in abs_sums]
+    multi = [j for j, n in enumerate(rows.n) if n > 1]
+    bins = iter(np.fft.fft(h[multi]) if multi else ())  # the n >= 2 rows', in row order
     # with each cross factor F(z, w) = sum C[a,b] z^a w^b and S(j) the FFT
     # bin sum_m h_m z_m^j, the N^2 node sum is sum C[a,b] S(a) S(b) = s C s
     # with s[a] = S(a), and the N^3 node sum is
@@ -260,7 +274,13 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     # with A[b,a] = S(a+b); each row contracts on its own, from its own
     # freshly gathered bins
     out, sizes = [], []
-    for H, a in zip(np.fft.fft(h), abs_sums):
+    for row, n, a in zip(h, rows.n, abs_sums):
+        scale = plan.scales[n]
+        if n == 1:
+            out.append(scale * complex(np.sum(row)))
+            sizes.append(abs(scale) * a)
+            continue
+        H = next(bins)
         if n == 2:
             s = H[plan.cross_a]
             sC = s @ plan.cross_c
@@ -295,8 +315,9 @@ _ROUNDING = 32 * float(np.finfo(float).eps)
 
 def _error_bounds(rows: _Rows, N: int, sizes: list[float]) -> list[float]:
     """Per row, an estimate of |T_N - I| for the N-node tensor trapezoid
-    value T_N of its sampled integrand, with sizes its node-sum sizes at
-    those nodes: an aliasing bound plus a rounding estimate.
+    value T_N of its sampled integrand at the row's own multiplicity n,
+    with sizes its node-sum sizes at those nodes: an aliasing bound plus a
+    rounding estimate.
 
     The aliasing bound is rigorous. The sampled integrand is the node
     weight times exp of a finite Laurent series, analytic on C*. With
@@ -318,25 +339,28 @@ def _error_bounds(rows: _Rows, N: int, sizes: list[float]) -> list[float]:
     """
     if all(rows.shifts):
         return [math.inf] * len(sizes)
-    n, params = rows.n, rows.params
-    pairs = 2 * n * (n - 1)
+    params = rows.params
     ap, aq = abs(params.p), abs(params.q)
     log_r = np.log(rows.rho) * -0.75
     # m log r stays near 30 up to a row's own length; past it c_m = 0, and
     # the clip keeps the longer rows' m from overflowing cosh there
     m = np.arange(rows.coef.shape[1])
     series = (np.abs(rows.coef) * np.cosh(np.minimum(np.multiply.outer(log_r, m), 700.0))).sum(axis=1)
-    scale = abs(_plan_for(params, N).pref) ** n / (2**n * factorial(n))
+    scales = _plan_for(params, N).bound_scales
     out = []
-    for lr, s, size, shifted in zip(log_r.tolist(), series.tolist(), sizes, rows.shifts):
+    for n, lr, s, size, shifted in zip(rows.n, log_r.tolist(), series.tolist(), sizes, rows.shifts):
         if shifted:
             out.append(math.inf)
             continue
         x = math.exp(max(-N * lr, -700.0))
         r2 = math.exp(2.0 * lr)
         a_p, a_q = _log_theta_bound(ap, r2), _log_theta_bound(aq, r2)
-        log_alias = n * (2.0 * (lr + s) + a_p + a_q) + pairs * a_p + math.log(math.expm1(2 * n * math.atanh(x)))
-        out.append(scale * math.exp(min(log_alias, 700.0)) + _ROUNDING * size)
+        log_alias = (
+            n * (2.0 * (lr + s) + a_p + a_q)
+            + 2 * n * (n - 1) * a_p
+            + math.log(math.expm1(2 * n * math.atanh(x)))
+        )
+        out.append(scales[n] * math.exp(min(log_alias, 700.0)) + _ROUNDING * size)
     return out
 
 
@@ -352,37 +376,42 @@ def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
 
 
 def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> list[complex]:
-    """I_n of contexts that share their bases and multiplicity n, as one
-    batch: every value, or one error.
+    """I_n of contexts that share their bases, each at its own multiplicity
+    n (0 to 3), as one batch: every value, or one error.
 
-    Every context is checked for admissibility first, and the first that
-    fails raises its AdmissibilityError. Then every row runs the trapezoid
-    rule from _START_NODES nodes per circle, doubled up to the cap of
-    multiplicity n. A row stops once two successive values agree to
-    quad_tol, or after a pass whose _error_bounds entry is within quad_tol
-    of its value (asked only while a row is left that the values do not
-    stop); each pass evaluates the
-    rows still running in one array pass, and a row leaves once it has
-    stopped. At the cap the first row still running raises its
-    ConvergenceError. A row's values are bit for bit those of the batch of
-    that row alone at the same node count.
+    An n = 0 row is 1. Every other context is checked for admissibility
+    first, and the first that fails raises its AdmissibilityError. Then
+    those rows run the trapezoid rule from _START_NODES nodes per circle,
+    doubled up to the cap of each row's multiplicity (_CAPS). A row stops
+    once two successive values agree to quad_tol, or after a pass whose
+    _error_bounds entry is within quad_tol of its value (asked only while a
+    row is left that the values do not stop); each pass evaluates the rows
+    still running in one array pass, and a row leaves once it has stopped.
+    After the pass at a row's cap, the first row still running whose cap
+    it is raises its ConvergenceError. A row's values are bit for bit those
+    of the batch of that row alone at the same node count, so its value or
+    error is that of the row alone.
     """
     if not ctxs:
         return []
-    n, p, q = ctxs[0].n, ctxs[0].params.p, ctxs[0].params.q
-    if any((c.params.p, c.params.q, c.n) != (p, q, n) for c in ctxs):
-        raise ValueError("a batch of integrals shares its bases and multiplicity")
-    if n == 0:
-        return [1.0 + 0j] * len(ctxs)
-    if n not in _CAPS:
-        raise ValueError("multiplicity above 3 is out of scope")
-    for ctx in ctxs:
-        ctx.check_admissible()
+    p, q = ctxs[0].params.p, ctxs[0].params.q
+    if any((c.params.p, c.params.q) != (p, q) for c in ctxs):
+        raise ValueError("a batch of integrals shares its bases")
     out: list = [None] * len(ctxs)
-    live = list(range(len(ctxs)))
-    cap = _CAPS[n]
+    live = []
+    for r, c in enumerate(ctxs):
+        if c.n > 3:
+            raise ValueError("multiplicity above 3 is out of scope")
+        if c.n:
+            live.append(r)
+        else:
+            out[r] = 1.0 + 0j
+    for r in live:
+        ctxs[r].check_admissible()
+    if not live:
+        return out
     N = _START_NODES
-    rows = _rows(ctxs)
+    rows = _rows([ctxs[r] for r in live])
     previous = None
     while True:
         last, sizes = _quad_rows(rows, N)
@@ -400,17 +429,18 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
                 keep.append(j)
         if not keep:
             return out
-        if 2 * N > cap:
+        capped = next((j for j in keep if 2 * N > _CAPS[rows.n[j]]), None)
+        if capped is not None:
             break
         if len(keep) < len(live):
             live, rows = [live[j] for j in keep], rows.take(keep)
         previous = [last[j] for j in keep]
         N *= 2
-    j = keep[0]
-    ctx = ctxs[live[j]]
+    ctx = ctxs[live[capped]]
+    cap = _CAPS[ctx.n]
     raise ConvergenceError(
-        f"node cap {cap} reached before stabilizing", last[j], previous[j],
-        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=n, cap=cap,
+        f"node cap {cap} reached before stabilizing", last[capped], previous[capped],
+        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
     )
 
 
@@ -475,14 +505,17 @@ _SAME_BLOCK = (_PAIRS[0] < 4) == (_PAIRS[1] < 4)
 
 def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
     """Per row w of ws, the product over pairs i<j of
-    triple_gamma(scale_ij w_i w_j; p, q); scale is one number or one per
-    pair in np.triu_indices(8, 1) order. All rows go through one
-    triple_gamma call, whose series length follows the largest rho among
-    them, and whose error is the batch's."""
+    triple_gamma(scale_ij w_i w_j; p, q); scale is one number, one per
+    pair in np.triu_indices(8, 1) order, or one per row and pair. All rows
+    go through one triple_gamma call, whose series length follows the
+    largest rho among them, and whose error is the batch's. Each row's
+    product runs over its pairs in order."""
     ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
     vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
-    return [complex(np.prod(v)) for v in vals.reshape(len(ws), -1)]
+    # the rows of the fresh (B, 28) array are contiguous, so each product is
+    # taken pair by pair, as np.prod of the row alone
+    return vals.reshape(len(ws), -1).prod(axis=1).tolist()
 
 
 def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:

@@ -78,23 +78,47 @@ def _powers(p: complex, big: float) -> list[complex]:
     return pows
 
 
+# Entries of one factor table of theta. A batch whose table would hold more
+# is multiplied out in blocks of columns of at most this many entries: two
+# such tables of 1 MiB each stay in a 2 MiB core cache, and a sweep over
+# 256-4096 points at p = 0.05, 0.15 and 0.45 showed a larger table up to 2.4x
+# slower (at 4096 points and p = 0.45) and smaller blocks no faster.
+_THETA_BLOCK = 65536
+
+
+def _theta_factors(pows: list, ppows: list, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """prod_i (1 - pows[i] z)(1 - ppows[i] / z) for every z, the table
+    multiplied out row by row, as t.prod(axis=0)."""
+    t = np.multiply.outer(pows, z)
+    np.subtract(1.0, t, out=t)
+    u = np.divide.outer(ppows, z)
+    np.subtract(1.0, u, out=u)
+    t *= u
+    return np.multiply.reduce(t, axis=0, out=out)
+
+
 def theta(z, p: complex):
     """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0, for
     any shape of z (a complex for a 0-d z): one table of factors multiplied
-    out row by row, cut once for the batch at its largest max(|z|, |p/z|, 1)."""
+    out row by row, cut once for the batch at its largest max(|z|, |p/z|, 1).
+    A table above _THETA_BLOCK entries is multiplied out in blocks of
+    columns, each entry as in the whole table, so bit for bit."""
     zz = np.asarray(z, dtype=complex)
     hi, lo = _modulus_bounds(zz, "theta")
     if lo == 0:
         raise ValueError("theta argument must be nonzero")
     # |p| / lo is the largest |p/z|: division by a positive float is monotone
     pows = _powers(p, max(hi, abs(p) / lo, 1.0))
-    t = np.multiply.outer(pows, zz)
-    np.subtract(1.0, t, out=t)
-    u = np.divide.outer([w * p for w in pows], zz)  # numpy's array * p differs in the last bit
-    np.subtract(1.0, u, out=u)
-    t *= u
-    out = np.multiply.reduce(t, axis=0)  # row by row, as t.prod(axis=0)
-    return complex(out) if zz.ndim == 0 else out
+    ppows = [w * p for w in pows]  # numpy's array * p differs in the last bit
+    width = max(_THETA_BLOCK // len(pows), 1)
+    if zz.size <= width:
+        out = _theta_factors(pows, ppows, zz)
+        return complex(out) if zz.ndim == 0 else out
+    flat = zz.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, width):
+        _theta_factors(pows, ppows, flat[start : start + width], out[start : start + width])
+    return out.reshape(zz.shape)
 
 
 def qpoch(z, p: complex):

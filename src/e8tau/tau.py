@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -101,6 +101,21 @@ class LevelDomain:
         """DomainError unless x lies on member hyperplane n."""
         self._check(pairing_c(self.direction, np.asarray(x, dtype=complex)), n)
 
+    def require_many(self, xs: np.ndarray, ns: Sequence[int]) -> None:
+        """require(x, n) for every row x of xs and level n of ns, the first
+        failing point raising. The pairings of all rows come from one array
+        product; only a row more than half of LEVEL_TOL off its hyperplane,
+        or at an index outside the range, is checked as require checks it."""
+        vals = (xs @ self._direction_row).tolist()
+        for k, (val, n) in enumerate(zip(vals, ns)):
+            if abs(val - self.base - n * self.step) > 0.5 * LEVEL_TOL or not self.n_min <= n <= self.n_max:
+                self.require(xs[k], n)
+
+    @cached_property
+    def _direction_row(self) -> np.ndarray:
+        """The direction's true coordinates, which pair with a point."""
+        return np.asarray(self.direction.coords4, dtype=float) / 4.0
+
     def _check(self, val: complex, n: int) -> None:
         if abs(val - self.base - n * self.step) > LEVEL_TOL:
             raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
@@ -121,10 +136,12 @@ _CHARTS = {
 }
 
 
+@lru_cache(maxsize=64)
 def _levels(
     variant: str, params: EllipticParams, n_min: int = -64, n_max: int = 64
 ) -> LevelDomain:
-    """A sign variant's level family, base dir*lev*varpi and step dir*delta."""
+    """A sign variant's level family, base dir*lev*varpi and step dir*delta
+    (LevelDomain is frozen, so one instance serves every caller)."""
     if variant not in _CHARTS:
         raise ValueError("variant must be one of pp, pm, mp, mm")
     dir_sign, lev_sign, _ = _CHARTS[variant]
@@ -426,23 +443,24 @@ MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize")
 
 def _graded(
     levels: LevelDomain,
-    values: Callable[[int, list], list],
+    values: Callable[[list, list], list],
     params: EllipticParams,
 ) -> TauChain:
-    """The graded family that is values(n, [x])[0] on level n >= 0 of levels
-    (n up to levels.n_max) and 0 below level 0; values(n, xs) gives every
-    point's value, or raises one error.
+    """The graded family that is values([n], [x])[0] on level n >= 0 of
+    levels (n up to levels.n_max) and 0 below level 0; values(ns, xs) gives
+    the value of every point x of xs on its level n of ns, or raises one
+    error.
 
     Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
     (n, the exact bytes of x): a hit returns what was computed at the same
     point. The evaluator's fn and the components' carry the memo's
     cache_info() (hits, misses, maxsize, currsize); their one batch
-    computes the points not in the memo at the start of the batch, per
-    level in one values call, then looks the points up in turn as fn would,
-    so hits and misses are counted in one place, and splits each finite
-    value exactly. A point whose entry is evicted before its lookup is
-    computed again alone. A computation that raises leaves the memo and its
-    counts as they were.
+    computes the points not in the memo at the start of the batch, whatever
+    their levels, in one values call, then looks the points up in turn as
+    fn would, so hits and misses are counted in one place, and splits each
+    finite value exactly. A point whose entry is evicted before its lookup
+    is computed again alone. A computation that raises leaves the memo and
+    its counts as they were.
     """
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
@@ -457,7 +475,7 @@ def _graded(
             stats[0] += 1
             memo.move_to_end(key)
             return memo[key]
-        v = fresh[key] if fresh and key in fresh else values(n, [x])[0]
+        v = fresh[key] if fresh and key in fresh else values([n], [x])[0]
         stats[1] += 1
         memo[key] = v
         if len(memo) > size:
@@ -465,14 +483,15 @@ def _graded(
         return v
 
     def batch(located: list) -> list[Scaled]:
-        groups: dict[int, dict] = {}
+        missing: dict = {}
         for n, x in located:
             key = (n, x.tobytes())
             if n >= 0 and key not in memo:
-                groups.setdefault(n, {})[key] = x
+                missing[key] = (n, x)
         fresh = {}
-        for n, group in groups.items():
-            fresh.update(zip(group, values(n, list(group.values()))))
+        if missing:
+            ns, xs = zip(*missing.values())
+            fresh = dict(zip(missing, values(list(ns), list(xs))))
         return [split(tau_at(n, x, fresh)) for n, x in located]
 
     def at_level(x: np.ndarray) -> complex:
@@ -512,8 +531,8 @@ def build_chain(
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
 
-    def values(n: int, xs: list) -> list:
-        return _integral_values(n, xs, "pp", "direct", params, quad_tol)
+    def values(ns: list, xs: list) -> list:
+        return _integral_values(ns, xs, "pp", "direct", params, quad_tol)
 
     return _graded(_levels("pp", params, -8, n_max), values, params)
 
@@ -567,12 +586,23 @@ def _block_scales(q: complex, n: int) -> np.ndarray:
     return np.where(integrals._SAME_BLOCK, q, q ** (1 - n))
 
 
+@lru_cache(maxsize=64)
+def _chart_coefficients(variant: str, n: int, params: EllipticParams) -> tuple[complex, complex]:
+    """A sign variant's direct-chart coefficient c = p^a q^b at level n
+    (_CHARTS), and its pair scale c^2 as p^(2a) q^(2b)."""
+    a, b = _CHARTS[variant][2](n)
+    p, q = params.p, params.q
+    return p**a * q**b, p ** (2 * a) * q ** (2 * b)
+
+
 def _chart(
-    variant: str, route: str, u: np.ndarray, n: int, params: EllipticParams
-) -> tuple[tuple[complex, ...], np.ndarray, complex | np.ndarray]:
-    """A sign variant's level-n chart of u = e(x): the eight integral
-    parameters t, and the arguments w and per-pair scales s of the pair
-    product over s_ij w_i w_j, which runs over t_i t_j.
+    variant: str, route: str, u: np.ndarray, n, params: EllipticParams
+) -> tuple[np.ndarray, np.ndarray, complex | np.ndarray]:
+    """A sign variant's chart of u = e(x) at level n: the eight integral
+    parameters t, shaped as u, and the arguments w and per-pair scales s of
+    the pair product over s_ij w_i w_j, which runs over t_i t_j. u is one
+    point (8,) on level n, or a batch of points (B, 8) with n one level per
+    row; s broadcasts against the 28 pairs of every row.
 
     Route 'direct' is t = c u with the variant's coefficient c = p^a q^b
     from _CHARTS, so w = u and s = c^2 for every pair. Route 'inverse' is
@@ -582,35 +612,47 @@ def _chart(
     scaled by _block_scales.
     """
     p, q = params.p, params.q
+    ns = list(n) if isinstance(n, (list, tuple)) else [n]
+    one_level = len(set(ns)) == 1
     if route == "tilde":
-        return integrals._tilde(tuple(u), p * q), u, _block_scales(q, n)
+        s = _block_scales(q, ns[0]) if one_level else np.array([_block_scales(q, k) for k in ns])
+        if np.ndim(u) == 1:
+            return integrals._tilde(tuple(u), p * q), u, s
+        return np.array([integrals._tilde(tuple(v), p * q) for v in u]), u, s
     if route == "inverse":
         variant, u = {"p": "m", "m": "p"}[variant[0]] + variant[1], 1 / u
     elif route != "direct":
         raise ValueError("route must be 'direct', 'inverse' or 'tilde'")
-    a, b = _CHARTS[variant][2](n)
-    c = p**a * q**b
-    return tuple(c * v for v in u), u, p ** (2 * a) * q ** (2 * b)
+    if one_level:
+        c, s = _chart_coefficients(variant, ns[0], params)
+    else:
+        c, s = np.array([_chart_coefficients(variant, k, params) for k in ns]).T[:, :, None]
+    return c * u, u, s
 
 
-def _gauge_prefactor(n: int, x: np.ndarray, params: EllipticParams) -> complex:
-    """p^C(n,2) e(-n Q(x)), the gauge of a level-n chain component."""
-    return params.p ** comb(n, 2) * e(-n * qform(x, params.delta))
+def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams) -> list[complex]:
+    """p^C(n,2) e(-n Q(x)), the gauge of a level-n chain component, at
+    every row x of xs on its level n of ns: Q of all rows from one array
+    sum, each as qform gives it."""
+    xs = np.asarray(xs, dtype=complex)
+    qs = ((xs * xs).sum(axis=1) / (2.0 * params.delta)).tolist()
+    return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qs)]
 
 
 def casorati_kernel_fn(
     case: str, params: EllipticParams, quad_tol: float = QUAD_TOL
 ) -> Callable[[list], list[complex]]:
     """Determinant kernel psi as a batch function: psi(ys) is the contour
-    integral in the case's level-1 chart at u = e(y), for every y of ys in
-    one I_n_many batch."""
+    integral in the case's level-1 chart at u = e(y), for every y of ys,
+    the charts of all points at once and the integrals in one I_n_many
+    batch."""
     route, _ = _case(case)
 
-    def ctx(y: np.ndarray) -> IntegrandContext:
-        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.asarray(y, dtype=complex)), 1, params)
-        return IntegrandContext(t, params)
+    def kernel(ys: list) -> list[complex]:
+        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.array(ys, dtype=complex)), [1] * len(ys), params)
+        return integrals.I_n_many([IntegrandContext(tuple(v), params) for v in t.tolist()], quad_tol=quad_tol)
 
-    return lambda ys: integrals.I_n_many([ctx(y) for y in ys], quad_tol=quad_tol)
+    return kernel
 
 
 def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
@@ -644,7 +686,7 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     _levels("pp", params).require(x, n)
     _, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
     gam = integrals._pair_gamma(w, params, scales)
-    return _gauge_prefactor(n, x, params) * gam / dfactor_d(n, x, case, params)
+    return _gauge_prefactors([n], [x], params)[0] * gam / dfactor_d(n, x, case, params)
 
 
 def tau_n_det(
@@ -662,33 +704,43 @@ def tau_n_det(
 
 
 def _integral_values(
-    n: int, xs: Sequence[np.ndarray], variant: str, route: str, params: EllipticParams, quad_tol: float
+    ns: Sequence[int],
+    xs: Sequence[np.ndarray],
+    variant: str,
+    route: str,
+    params: EllipticParams,
+    quad_tol: float,
 ) -> list[complex]:
-    """A sign variant's level-n value in route's chart at every point of xs:
-    the gauge prefactor (level sign +1 only) times the n-fold integral at t
-    times the pair product. Capped at n = 3, the highest multiplicity of the
-    quadrature. At n = 0 the integral and the prefactor p^0 e(0) are 1, so
-    the value is the pair product itself.
+    """A sign variant's value in route's chart at every point of xs, each on
+    its own level n of ns: the gauge prefactor (level sign +1 only) times
+    the n-fold integral at t times the pair product. Capped at n = 3, the
+    highest multiplicity of the quadrature. At n = 0 the integral and the
+    prefactor p^0 e(0) are 1, so the value is the pair product itself.
 
-    Every value, or the first error of the steps in turn: the level check
-    of every point, the pair products of all points in one triple_gamma
-    call, then the integrals in one I_n_many batch."""
-    if not 0 <= n <= 3:
+    The batch is one pass whatever its levels, each step over all points
+    at once: the level check, the charts, the pair products in one
+    triple_gamma call, the integrals of the points above level 0 in one
+    I_n_many batch of mixed multiplicities, and the gauge prefactors. Every
+    value, or the first error of those steps in turn: the level checks, the
+    pair products, the admissibility of every integral, the quadrature
+    passes."""
+    ns = list(ns)
+    if not all(0 <= n <= 3 for n in ns):
         raise ValueError("the integral route covers multiplicities 0 to 3")
-    dom = _levels(variant, params)
-    xs = [np.asarray(x, dtype=complex) for x in xs]
-    for x in xs:
-        dom.require(x, n)
-    charts = [_chart(variant, route, np.exp(2j * np.pi * x), n, params) for x in xs]
-    gams = integrals._pair_gammas([w for _, w, _ in charts], params, charts[0][2])
-    if n == 0:
-        return gams
-    vals = integrals.I_n_many([IntegrandContext(t, params, n=n) for t, _, _ in charts], quad_tol=quad_tol)
-    gauged = _CHARTS[variant][1] > 0
-    return [
-        (_gauge_prefactor(n, x, params) if gauged else complex(1.0)) * val * gam
-        for x, val, gam in zip(xs, vals, gams)
-    ]
+    xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
+    _levels(variant, params).require_many(xs, ns)
+    t, w, scales = _chart(variant, route, np.exp(2j * np.pi * xs), ns, params)
+    out = integrals._pair_gammas(w, params, scales)
+    live = [k for k, n in enumerate(ns) if n]
+    if live:
+        t = t.tolist()
+        vals = integrals.I_n_many([IntegrandContext(tuple(t[k]), params, ns[k]) for k in live], quad_tol=quad_tol)
+        if _CHARTS[variant][1] > 0:
+            pres = _gauge_prefactors([ns[k] for k in live], xs[live], params)
+            vals = [pre * val for pre, val in zip(pres, vals)]
+        for k, val in zip(live, vals):
+            out[k] = val * out[k]
+    return out
 
 
 def tau_n_int(
@@ -704,7 +756,7 @@ def tau_n_int(
     """
     if route not in ("direct", "tilde"):
         raise ValueError("route must be 'direct' or 'tilde'")
-    return _integral_values(n, [x], "pp", route, params, quad_tol)[0]
+    return _integral_values([n], [x], "pp", route, params, quad_tol)[0]
 
 
 def warnaar_det_residual(
@@ -756,7 +808,7 @@ def psi_variant(
     """
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
-    return _integral_values(n, [x], variant, route, params, quad_tol)[0]
+    return _integral_values([n], [x], variant, route, params, quad_tol)[0]
 
 
 # Highest level of a variant family's domain: the checks draw points on
@@ -778,6 +830,6 @@ def variant_evaluator(
     """
     return _graded(
         _levels(variant, params, -8, VARIANT_N_MAX),
-        lambda n, xs: _integral_values(n, xs, variant, "direct", params, quad_tol),
+        lambda ns, xs: _integral_values(ns, xs, variant, "direct", params, quad_tol),
         params,
     ).evaluator

@@ -102,7 +102,7 @@ _CORRUPTIONS = {
         "chain",
         tau,
         "_integral_values",
-        lambda n, xs, *_: [1 + 0.1 * e(x[0]) if n == 1 else 1 for x in xs],
+        lambda ns, xs, *_: [1 + 0.1 * e(x[0]) if n == 1 else 1 for n, x in zip(ns, xs)],
         {"toda-step", "chain-family-ii2"},
     ),
     # The chain's levels from 2 up: the recursion, the level-2 bilinear family
@@ -111,7 +111,7 @@ _CORRUPTIONS = {
         "chain",
         tau,
         "_integral_values",
-        lambda n, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) if n >= 2 else 1 for x in xs],
+        lambda ns, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) if n >= 2 else 1 for n, x in zip(ns, xs)],
         {"toda-step", "chain-family-ii0", "det-vs-quadrature"},
     ),
     "bailey": (
@@ -169,7 +169,7 @@ _CORRUPTIONS = {
         "picard",
         tau,
         "_integral_values",
-        lambda n, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) for x in xs],
+        lambda ns, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) for x in xs],
         {"lattice-hirota"},
     ),
     # The brackets of the lattice routes, not of the frame route: the
@@ -236,13 +236,37 @@ def _swap_rows(fn):
     return swapped
 
 
+def _swap_levels(fn):
+    """The batch value function fn with the values of its first level-1 and
+    last level-2 points swapped, where one batch holds both levels (the
+    first of each level are often one bilinear term's two points)."""
+
+    def swapped(ns, *a, **kw):
+        out = list(fn(ns, *a, **kw))
+        ns = list(ns)
+        if 1 in ns and 2 in ns:
+            i, j = ns.index(1), len(ns) - 1 - ns[::-1].index(2)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    return swapped
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 1729])
-@pytest.mark.parametrize("suite, must_fail", [("chain", "chain-family-ii0"), ("picard", "lattice-hirota"),
-                                              ("bailey", "contiguity")])
-def test_swapped_batch_rows_fail_the_suite(monkeypatch, suite, must_fail, seed):
-    # two integrals of one batch trade values: every batched route must
-    # hand each point its own row
-    monkeypatch.setattr(integrals, "I_n_many", _swap_rows(integrals.I_n_many))
+@pytest.mark.parametrize(
+    "suite, must_fail, module, name, swap",
+    [
+        ("chain", "chain-family-ii0", integrals, "I_n_many", _swap_rows),
+        ("picard", "lattice-hirota", integrals, "I_n_many", _swap_rows),
+        ("bailey", "contiguity", integrals, "I_n_many", _swap_rows),
+        ("chain", "chain-family-i", tau, "_integral_values", _swap_levels),
+    ],
+    ids=["chain-chain-family-ii0", "picard-lattice-hirota", "bailey-contiguity", "chain-levels-chain-family-i"],
+)
+def test_swapped_batch_rows_fail_the_suite(monkeypatch, suite, must_fail, module, name, swap, seed):
+    # two values of one batch trade places: every batched route must hand
+    # each point its own row, and a batch of several levels each level's
+    monkeypatch.setattr(module, name, swap(getattr(module, name)))
     report = cli.run_suite(suite, cli.load_config(seed=seed))
     assert must_fail in {c["id"] for c in report["checks"] if not c["pass"]}
 

@@ -301,7 +301,7 @@ def _per_point_parts(ctx, N):
     a = cm.reshape(-1, N).sum(axis=0)
     h = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
     rho = np.max(np.maximum(np.abs(u), abs(pq) / np.abs(u)))
-    return h, integrals._Rows(ctx.params, ctx.n, cm[None, : M + 1], (tuple(shifts),), np.array([rho]))
+    return h, integrals._Rows(ctx.params, (ctx.n,), cm[None, : M + 1], (tuple(shifts),), np.array([rho]))
 
 
 def _node_integrand_per_point(ctx, N):
@@ -507,11 +507,47 @@ def test_bound_does_not_certify_a_peaked_row_or_an_unreachable_tolerance(monkeyp
         assert counts[0] == 256 and len(counts) > 1, ctx.u
 
 
-def test_batch_shares_bases_and_multiplicity():
+def test_batch_shares_its_bases():
     with pytest.raises(ValueError):
         integrals.I_n_many([_ctx(), _ctx(params=CHAIN_PARAMS)])
-    with pytest.raises(ValueError):
-        integrals.I_n_many([_ctx(), _ctx(n=2)])
+
+
+@pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
+def test_mixed_multiplicity_batch_is_each_row_alone(monkeypatch, params):
+    # the mixed batches of every multiplicity, interleaved, with two n = 0
+    # rows, one of them inadmissible (an n = 0 row is 1 and is not checked)
+    by_n = [_mixed_batch(n, params) for n in (1, 2, 3)]
+    ctxs = [_ctx(params=params, n=0)]
+    for k, group in enumerate(itertools.zip_longest(*by_n)):
+        ctxs += [c for c in group if c is not None]
+        if k == 1:
+            ctxs.append(_ctx(u=(1.2, *U_FIXED[1:]), params=params, n=0))
+    ref = [(1.0 + 0j, []) if c.n == 0 else _I_n_per_point(c, QUAD_TOL) for c in ctxs]
+    assert len({c.n for c in ctxs}) == 4
+    # the rows that converge, every multiplicity in one batch: each value
+    # bit for bit the row's lone value
+    values = [(c, v) for c, (v, _) in zip(ctxs, ref) if type(v) is complex]
+    assert len({c.n for c, _ in values}) == 4
+    assert [_hex(v) for v in integrals.I_n_many([c for c, _ in values])] == [_hex(v) for _, v in values]
+    # the first inadmissible row raises before any quadrature pass
+    passes = []
+    quad_rows = integrals._quad_rows
+    monkeypatch.setattr(integrals, "_quad_rows", lambda rows, N: passes.append(N) or quad_rows(rows, N))
+    inadmissible = next(v for v in (r for r, _ in ref) if isinstance(v, AdmissibilityError))
+    with pytest.raises(AdmissibilityError, match=re.escape(str(inadmissible))):
+        integrals.I_n_many(ctxs)
+    assert passes == []
+    # a row raises its lone ConvergenceError at its own cap: an n >= 2 row
+    # at 1024 nodes, before an n = 1 row still running reaches 4096; with
+    # the n >= 2 rows gone, the n = 1 row raises at 4096
+    live = [(c, v) for c, (v, _) in zip(ctxs, ref) if not isinstance(v, AdmissibilityError)]
+    ones = [(c, v) for c, v in live if c.n < 2]
+    assert {v.cap for _, v in live if isinstance(v, ConvergenceError)} == {1024, 4096}
+    for batch in (live, live[::-1], ones):
+        want = min((v for _, v in batch if isinstance(v, ConvergenceError)), key=lambda v: v.cap)
+        with pytest.raises(ConvergenceError) as got:
+            integrals.I_n_many([c for c, _ in batch])
+        assert str(got.value) == str(want) and got.value.__dict__ == want.__dict__
 
 
 def test_one_context_is_a_batch_of_one():

@@ -105,6 +105,22 @@ def test_array_theta_and_qpoch_are_bitwise_the_loop(p):
     assert got.shape == z.shape and _bits(got) == _bits(_theta_loop(z, p))
 
 
+@pytest.mark.parametrize("p", [0.05, 0.15, 0.45])
+def test_blocked_theta_is_bitwise_the_whole_table(monkeypatch, p):
+    # 4096 points of moduli 0.02 .. 3: the default blocks (at p = 0.45),
+    # blocks of a few hundred columns with a short last one, and the whole
+    # table give the same bits
+    rng = np.random.default_rng(np.random.Philox(37))
+    z = (np.exp(rng.uniform(np.log(0.02), np.log(3.0), 4096)) * np.exp(2j * np.pi * rng.random(4096))).reshape(64, 64)
+    default = S.theta(z, p)
+    monkeypatch.setattr(S, "_THETA_BLOCK", 1 << 40)
+    whole = S.theta(z, p)
+    monkeypatch.setattr(S, "_THETA_BLOCK", 10_000)
+    blocked = S.theta(z, p)
+    assert default.shape == whole.shape == blocked.shape == z.shape
+    assert _bits(default) == _bits(whole) == _bits(blocked)
+
+
 def test_kernels_reject_non_finite_arguments():
     bad = np.array([0.3 + 0.1j, complex(0.2, np.inf), 0.5])
     for kernel in (S.theta, S.qpoch):

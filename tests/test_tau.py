@@ -114,12 +114,12 @@ def test_chain_vanishes_below_base_level():
 def test_chain_memo_evaluates_a_point_once(monkeypatch):
     rows = []
     values = T._integral_values
-    monkeypatch.setattr(T, "_integral_values", lambda n, xs, *a: rows.extend(xs) or values(n, xs, *a))
+    monkeypatch.setattr(T, "_integral_values", lambda ns, xs, *a: rows.extend(zip(ns, xs)) or values(ns, xs, *a))
     chain = T.build_chain(1, params=PARAMS)
     x = _x_on(sampling.make_rng(15), 1)
     assert chain.evaluator(x) == chain.value(1, x)
     assert chain.evaluator.eval_many([x, x]) == [chain.value(1, x)] * 2
-    assert len(rows) == 1
+    assert [n for n, _ in rows] == [1]
 
 
 def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
@@ -210,10 +210,10 @@ def test_eval_many_locates_every_point_before_any_value():
     chain.evaluator.eval_many(good[:2])
     before = chain.evaluator.fn.cache_info()
     # the level check of every point comes first, though the inadmissible
-    # point comes before the stray one; then each level's values are one
-    # computation, which fails as a whole. A failure leaves the memo and its
-    # counts as they were, in a batch (the new level-1 value computed
-    # before the failing level-2 batch included) and in a single lookup.
+    # point comes before the stray one; then the values of every level are
+    # one computation, which fails as a whole. A failure leaves the memo and
+    # its counts as they were, in a batch (the new level-1 point that shares
+    # the failing batch included) and in a single lookup.
     for xs, error in (([good[0], bad, off, good[1]], DomainError), ([good[2], good[1], bad], AdmissibilityError)):
         with pytest.raises(error):
             chain.evaluator.eval_many(xs)
@@ -221,6 +221,32 @@ def test_eval_many_locates_every_point_before_any_value():
     with pytest.raises(AdmissibilityError):
         chain.evaluator.eval(bad)
     assert chain.evaluator.fn.cache_info() == before
+
+
+@pytest.mark.parametrize("ftype, levels", [(FrameType.C3_I, 2), (FrameType.C3_II2, 3)], ids=["C3_I", "C3_II2"])
+def test_residual_levels_are_one_integral_pass(monkeypatch, ftype, levels):
+    # a residual's six points lie on two (C3_I) or three (C3_II2) levels:
+    # their values are one _integral_values call and one I_n_many batch,
+    # each within 1e-15 of the point alone (the batch's pair products share
+    # one series length)
+    values, I_n_many = T._integral_values, integrals.I_n_many
+    calls, batches = [], []
+
+    def recorded(ns, xs, *a):
+        calls.append((list(ns), [np.array(x) for x in xs], values(ns, xs, *a)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(T, "_integral_values", recorded)
+    monkeypatch.setattr(integrals, "I_n_many", lambda ctxs, **kw: batches.append(len(ctxs)) or I_n_many(ctxs, **kw))
+    chain = T.build_chain(2, params=PARAMS)
+    level = {FrameType.C3_I: 1.5, FrameType.C3_II2: 1}[ftype]
+    T.hirota_residual(chain.evaluator, _frames_of(ftype, 1)[0], _x_on(sampling.make_rng(46), level), PARAMS)
+    assert len(calls) == 1 and len(batches) == 1
+    ns, xs, out = calls[0]
+    assert len(set(ns)) == levels
+    for n, x, v in zip(ns, xs, out):
+        alone = values([n], [x], "pp", "direct", PARAMS, integrals.QUAD_TOL)[0]
+        assert abs(v - alone) <= 1e-15 * abs(alone)
 
 
 def test_residual_brackets_come_before_the_tau_batch(monkeypatch):
@@ -840,7 +866,7 @@ def test_level_zero_integral_value_skips_the_empty_integral_bit_for_bit():
         x = _x_on(rng, 0)
         t, w, scales = T._chart("pp", route, np.exp(2j * np.pi * x), 0, PARAMS)
         full = (
-            T._gauge_prefactor(0, x, PARAMS)
+            T._gauge_prefactors([0], [x], PARAMS)[0]
             * integrals.I_n(integrals.IntegrandContext(t, PARAMS, n=0))
             * integrals._pair_gamma(w, PARAMS, scales)
         )
