@@ -265,8 +265,9 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     plan = _plan_for(rows.params, N)
     h = _node_rows(rows, N)
     abs_sums = np.abs(h).sum(axis=1).tolist()
+    # the FFT bins of the n >= 2 rows, in row order
     multi = [j for j, n in enumerate(rows.n) if n > 1]
-    bins = iter(np.fft.fft(h[multi]) if multi else ())  # the n >= 2 rows', in row order
+    bins = iter(np.fft.fft(h if len(multi) == len(h) else h[multi]) if multi else ())
     # with each cross factor F(z, w) = sum C[a,b] z^a w^b and S(j) the FFT
     # bin sum_m h_m z_m^j, the N^2 node sum is sum C[a,b] S(a) S(b) = s C s
     # with s[a] = S(a), and the N^3 node sum is
