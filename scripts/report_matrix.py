@@ -2,9 +2,10 @@
 
 One JSON report per (command, seed), without the run's ``wall_time_s``; the
 ``tau probe`` document at one fixed point per chain level 0, 1 and 2, so the
-tau values themselves are pinned and not only the residuals; and
-``exit_codes.txt`` with every exit status and the first line the run wrote
-to stderr, so a change in which error a run ends in shows. Two checkouts
+tau values themselves are pinned and not only the residuals; two probes the
+level check refuses; and ``exit_codes.txt`` with every exit status and the
+first line the run wrote to stderr, so a change in which error a run ends in
+shows. Two checkouts
 report the same numbers when ``diff -r`` of their OUTDIRs is empty. Run from
 the repository root:
 
@@ -59,6 +60,17 @@ PROBES = {
     " -0.4818531923400311,0.20411112358331646 -0.13449855251134724,0.20113598185462733"
     " 0.3650497119040278,0.20991718433055379 0.73257396020629073,0.19543481250391292",
 }
+# The two level-check failures. A dyadic point off every chain hyperplane: its
+# pairing is exact whatever the summation order, so the message is too. And a
+# level-3 point drawn as PROBES are, probed at --n 3, outside the chain's
+# levels [-8, 2] at the default depth.
+OFF_LEVEL = "0.5 0.25 -0.125 0.0625 0 0.375 0 -0.75"
+LEVEL3 = (
+    "0.12504824643581758,0.23036666151901514 0.0092294330244132583,0.23846837064320728"
+    " 0.2131551378572224,0.2424657436826321 -0.023280188473661867,0.23226497139487776"
+    " 0.37494176030803084,0.23299579397594869 -0.37556805938929894,0.23800579591300589"
+    " 0.066822365052406352,0.23416347160909992 -0.39034869481492962,0.22995991815488837"
+)
 
 
 def _entries(outdir: pathlib.Path) -> dict:
@@ -122,6 +134,8 @@ if __name__ == "__main__":
     runs = [(f"{name}-seed{seed}", f"{name} seed={seed}", [*argv, "--seed", str(seed)])
             for name, argv in COMMANDS.items() for seed in SEEDS]
     runs += [(f"tau-probe-{n}", f"tau-probe-{n}", ["tau", "probe", "--x", x]) for n, x in PROBES.items()]
+    runs += [("tau-probe-off-level", "tau-probe-off-level", ["tau", "probe", "--x", OFF_LEVEL]),
+             ("tau-probe-3", "tau-probe-3 --n 3", ["tau", "probe", "--x", LEVEL3, "--n", "3"])]
     # a quadrature target no integral meets: the run ends in a typed error
     runs += [("tau-build-3-unreachable-tol", "tau-build-3-unreachable-tol seed=1",
               ["tau", "build", "--n", "3", "--quad-tol", "1e-17", "--seed", "1"])]

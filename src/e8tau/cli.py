@@ -682,10 +682,7 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
     par = cfg.elliptic("chain")
     chain = tau.build_chain(cfg.n_max, params=par, quad_tol=cfg.quad_tol)
     try:
-        if n is None:
-            n = chain.evaluator.domain.locate(x)
-        else:
-            chain.evaluator.domain.require(x, n)
+        n = chain.evaluator.domain.levels(x[None], None if n is None else [n])[0]
         # an overflow ends in the typed error below, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             value = chain.value(n, x)

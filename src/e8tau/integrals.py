@@ -510,18 +510,13 @@ def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
     pair in np.triu_indices(8, 1) order, or one per row and pair. All rows
     go through one triple_gamma call, whose series length follows the
     largest rho among them, and whose error is the batch's. Each row's
-    product runs over its pairs in order."""
+    product runs over its pairs in order; one row u is the batch [u]."""
     ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
     vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
     # the rows of the fresh (B, 28) array are contiguous, so each product is
     # taken pair by pair, as np.prod of the row alone
     return vals.reshape(len(ws), -1).prod(axis=1).tolist()
-
-
-def _pair_gamma(u, params: EllipticParams, scale=1.0) -> complex:
-    """_pair_gammas of the one row u."""
-    return _pair_gammas([u], params, scale)[0]
 
 
 def In_transform_residual(

@@ -339,14 +339,10 @@ def bracket_scaled_many(zetas: Sequence[complex], params: EllipticParams) -> lis
     return out
 
 
-def bracket_scaled(zeta: complex, params: EllipticParams) -> Scaled:
-    """The bracket at zeta as a Scaled: bracket_scaled_many of one."""
-    return bracket_scaled_many([zeta], params)[0]
-
-
 def bracket(zeta: complex, params: EllipticParams) -> complex:
-    """bracket_scaled recombined: a complex number, infinite where that overflows."""
-    return complex(bracket_scaled(zeta, params))
+    """The bracket at zeta, bracket_scaled_many of one recombined: a complex
+    number, infinite where that overflows."""
+    return complex(bracket_scaled_many([zeta], params)[0])
 
 
 def bracket_pm(x: complex, y: complex, params: EllipticParams) -> complex:

@@ -11,6 +11,10 @@ direction/sign variants of the invariant product.
 All group actions are performed on the additive coordinates x; multiplicative
 parameters are re-derived as u = e(x), which keeps every half-integer shift
 single-valued.
+
+Each step of a tau value (the level check, the chart, Q(x), the pair product
+and the bracket) has one route, over a batch of points; a single point is a
+batch of one.
 """
 from __future__ import annotations
 
@@ -74,10 +78,11 @@ _A0_TRIPLE = (A1_VECTORS[0], A1_VECTORS[1], A1_VECTORS[2])
 _A7_TRIPLE = (A1_VECTORS[7], A1_VECTORS[1], A1_VECTORS[2])
 
 
-def qform(x: np.ndarray, delta: complex) -> complex:
-    """Q(x) = <x,x>/(2*delta) with the complex-bilinear coordinate sum."""
-    x = np.asarray(x, dtype=complex)
-    return complex(np.sum(x * x) / (2.0 * delta))
+def qforms(xs: np.ndarray, delta: complex) -> list[complex]:
+    """Q(x) = <x,x>/(2*delta) at every row x of xs (B, 8), with the
+    complex-bilinear coordinate sum, from one array sum."""
+    xs = np.asarray(xs, dtype=complex).reshape(-1, 8)
+    return ((xs * xs).sum(axis=1) / (2.0 * delta)).tolist()
 
 
 @dataclass(frozen=True)
@@ -90,37 +95,34 @@ class LevelDomain:
     n_min: int = -64
     n_max: int = 64
 
+    def levels(self, xs: np.ndarray, ns: Sequence[int] | None = None) -> list[int]:
+        """The index n of the member hyperplane containing each row x of xs
+        (B, 8), or, given ns, its level n of ns; DomainError for the first
+        row in order that lies off its hyperplane by more than LEVEL_TOL or
+        at an index outside [n_min, n_max]. The pairings of all rows come
+        from one array product."""
+        vals = (np.asarray(xs, dtype=complex) @ self._direction_row).tolist()
+        if ns is None:
+            ns = [round(((val - self.base) / self.step).real) for val in vals]
+        for val, n in zip(vals, ns):
+            if abs(val - self.base - n * self.step) > LEVEL_TOL:
+                raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
+            if not self.n_min <= n <= self.n_max:
+                raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
+        return list(ns)
+
     def locate(self, x: np.ndarray) -> int:
-        """Index n of the member hyperplane containing x, or DomainError."""
-        val = pairing_c(self.direction, np.asarray(x, dtype=complex))
-        n = int(round(((val - self.base) / self.step).real))
-        self._check(val, n)
-        return n
+        """Index n of the member hyperplane containing x: levels of one."""
+        return self.levels(np.asarray(x, dtype=complex)[None])[0]
 
     def require(self, x: np.ndarray, n: int) -> None:
-        """DomainError unless x lies on member hyperplane n."""
-        self._check(pairing_c(self.direction, np.asarray(x, dtype=complex)), n)
-
-    def require_many(self, xs: np.ndarray, ns: Sequence[int]) -> None:
-        """require(x, n) for every row x of xs and level n of ns, the first
-        failing point raising. The pairings of all rows come from one array
-        product; only a row more than half of LEVEL_TOL off its hyperplane,
-        or at an index outside the range, is checked as require checks it."""
-        vals = (xs @ self._direction_row).tolist()
-        for k, (val, n) in enumerate(zip(vals, ns)):
-            if abs(val - self.base - n * self.step) > 0.5 * LEVEL_TOL or not self.n_min <= n <= self.n_max:
-                self.require(xs[k], n)
+        """DomainError unless x lies on member hyperplane n: levels of one."""
+        self.levels(np.asarray(x, dtype=complex)[None], [n])
 
     @cached_property
     def _direction_row(self) -> np.ndarray:
         """The direction's true coordinates, which pair with a point."""
         return np.asarray(self.direction.coords4, dtype=float) / 4.0
-
-    def _check(self, val: complex, n: int) -> None:
-        if abs(val - self.base - n * self.step) > LEVEL_TOL:
-            raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
-        if not self.n_min <= n <= self.n_max:
-            raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
 
 
 # The chart table of the sign variants (Thm 8A), the chain being "pp":
@@ -169,10 +171,12 @@ class TauEvaluator:
             object.__setattr__(self, "batch", lambda located: [split(complex(self.fn(x))) for _, x in located])
 
     def scaled_many(self, xs: Sequence[np.ndarray]) -> list[Scaled]:
-        """The Scaled value at every point of xs, as one batch: every point
-        is located first, so the first point off the domain raises."""
+        """The Scaled value at every point of xs, as one batch: all points
+        are located first, in one domain.levels call, so the first point off
+        the domain raises."""
         xs = [np.asarray(x, dtype=complex) for x in xs]
-        return self.batch([(None if self.domain is None else self.domain.locate(x), x) for x in xs])
+        ns = [None] * len(xs) if self.domain is None else self.domain.levels(np.array(xs).reshape(len(xs), 8))
+        return self.batch(list(zip(ns, xs)))
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
         """scaled_many recombined: a complex infinity where a value overflows."""
@@ -192,7 +196,8 @@ def _from_batch(batch, params: EllipticParams, domain: LevelDomain | None = None
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
     return _from_batch(
-        lambda located: bracket_scaled_many([qform(x, params.delta) + c for _, x in located], params), params
+        lambda located: bracket_scaled_many([q + c for q in qforms([x for _, x in located], params.delta)], params),
+        params,
     )
 
 
@@ -512,7 +517,7 @@ def _graded(
 
 def build_chain(
     n_max: int,
-    params: EllipticParams | None = None,
+    params: EllipticParams,
     quad_tol: float = QUAD_TOL,
 ) -> TauChain:
     """Hypergeometric chain (Thm 3C/6C) on the levels varpi + n*delta up to
@@ -526,8 +531,6 @@ def build_chain(
     value raises AdmissibilityError. At q = 0.45, for one, a level-2 point
     needs every |e(x_k)| below q^(1/2) ~ 0.67.
     """
-    if params is None:
-        raise ValueError("params is required")
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
 
@@ -596,13 +599,13 @@ def _chart_coefficients(variant: str, n: int, params: EllipticParams) -> tuple[c
 
 
 def _chart(
-    variant: str, route: str, u: np.ndarray, n, params: EllipticParams
-) -> tuple[np.ndarray, np.ndarray, complex | np.ndarray]:
-    """A sign variant's chart of u = e(x) at level n: the eight integral
-    parameters t, shaped as u, and the arguments w and per-pair scales s of
-    the pair product over s_ij w_i w_j, which runs over t_i t_j. u is one
-    point (8,) on level n, or a batch of points (B, 8) with n one level per
-    row; s broadcasts against the 28 pairs of every row.
+    variant: str, route: str, u: np.ndarray, ns: Sequence[int], params: EllipticParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sign variant's chart of a batch u = e(x) of points (B, 8), each on
+    its level n of ns: the eight integral parameters t of every row, shaped
+    as u, and the arguments w and per-pair scales s of the pair product over
+    s_ij w_i w_j, which runs over t_i t_j; s broadcasts against the 28 pairs
+    of every row. A single point is the batch u[None] at [n].
 
     Route 'direct' is t = c u with the variant's coefficient c = p^a q^b
     from _CHARTS, so w = u and s = c^2 for every pair. Route 'inverse' is
@@ -612,31 +615,22 @@ def _chart(
     scaled by _block_scales.
     """
     p, q = params.p, params.q
-    ns = list(n) if isinstance(n, (list, tuple)) else [n]
-    one_level = len(set(ns)) == 1
     if route == "tilde":
-        s = _block_scales(q, ns[0]) if one_level else np.array([_block_scales(q, k) for k in ns])
-        if np.ndim(u) == 1:
-            return integrals._tilde(tuple(u), p * q), u, s
+        s = np.array([_block_scales(q, n) for n in ns])
         return np.array([integrals._tilde(tuple(v), p * q) for v in u]), u, s
     if route == "inverse":
         variant, u = {"p": "m", "m": "p"}[variant[0]] + variant[1], 1 / u
     elif route != "direct":
         raise ValueError("route must be 'direct', 'inverse' or 'tilde'")
-    if one_level:
-        c, s = _chart_coefficients(variant, ns[0], params)
-    else:
-        c, s = np.array([_chart_coefficients(variant, k, params) for k in ns]).T[:, :, None]
+    c, s = np.array([_chart_coefficients(variant, n, params) for n in ns]).T[:, :, None]
     return c * u, u, s
 
 
 def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams) -> list[complex]:
     """p^C(n,2) e(-n Q(x)), the gauge of a level-n chain component, at
-    every row x of xs on its level n of ns: Q of all rows from one array
-    sum, each as qform gives it."""
-    xs = np.asarray(xs, dtype=complex)
-    qs = ((xs * xs).sum(axis=1) / (2.0 * params.delta)).tolist()
-    return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qs)]
+    every row x of xs on its level n of ns, Q of all rows from one qforms
+    call."""
+    return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qforms(xs, params.delta))]
 
 
 def casorati_kernel_fn(
@@ -665,7 +659,7 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
     p, q = params.p, params.q
-    t, _, _ = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
+    t = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)[0][0]
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     # the rows of order n - k, four per k = 1..n, from one table
     z = [
@@ -684,8 +678,8 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     """Scalar gauge relating the chain component to the kernel determinant."""
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
-    _, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x), n, params)
-    gam = integrals._pair_gamma(w, params, scales)
+    _, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
+    gam = integrals._pair_gammas(w, params, scales)[0]
     return _gauge_prefactors([n], [x], params)[0] * gam / dfactor_d(n, x, case, params)
 
 
@@ -728,7 +722,7 @@ def _integral_values(
     if not all(0 <= n <= 3 for n in ns):
         raise ValueError("the integral route covers multiplicities 0 to 3")
     xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
-    _levels(variant, params).require_many(xs, ns)
+    _levels(variant, params).levels(xs, ns)
     t, w, scales = _chart(variant, route, np.exp(2j * np.pi * xs), ns, params)
     out = integrals._pair_gammas(w, params, scales)
     live = [k for k, n in enumerate(ns) if n]
@@ -825,8 +819,8 @@ def variant_evaluator(
     order n on level n of the family dir * (lev * varpi + n * delta), and 0
     below level 0, through the family's one memo.
 
-    The domain stops at level VARIANT_N_MAX; points above it fail in
-    domain.locate with DomainError.
+    The domain stops at level VARIANT_N_MAX; points above it fail the
+    domain's level check with DomainError.
     """
     return _graded(
         _levels(variant, params, -8, VARIANT_N_MAX),

@@ -86,7 +86,7 @@ _W = np.arange(1, 9) / 7
 
 
 def _period_count(zeta, params) -> int:
-    """The n of bracket_scaled's reduction z = zeta - n varpi."""
+    """The n of bracket_scaled_many's reduction z = zeta - n varpi."""
     b = complex(zeta).imag / params.varpi.imag
     return round(b) if abs(b) > 0.5 + 1e-12 else 0
 

@@ -438,8 +438,8 @@ def _sampler_draws():
     for n in (1, 2):
         for _ in range(8):
             x = sampling.sample_on_level(rng, chain, n)
-            t, _, _ = tau._chart("pp", "direct", np.exp(2j * np.pi * x), n, chain)
-            ctxs.append(IntegrandContext(t, chain, n))
+            t, _, _ = tau._chart("pp", "direct", np.exp(2j * np.pi * x)[None], [n], chain)
+            ctxs.append(IntegrandContext(t[0], chain, n))
     bailey = cfg.elliptic("bailey")
     p, q = bailey.p, bailey.q
     for _ in range(6):
@@ -451,8 +451,8 @@ def _sampler_draws():
         ctxs.append(IntegrandContext((term.p * u[0], *u[1:7], term.p * u[7]), term))
     for _ in range(4):
         x = sampling.sample_on_level(rng, chain, 3)
-        t, _, _ = tau._chart("pp", "direct", np.exp(2j * np.pi * x), 3, chain)
-        ctxs.append(IntegrandContext(t, chain, 3))
+        t, _, _ = tau._chart("pp", "direct", np.exp(2j * np.pi * x)[None], [3], chain)
+        ctxs.append(IntegrandContext(t[0], chain, 3))
     return ctxs
 
 

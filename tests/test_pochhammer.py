@@ -71,7 +71,7 @@ def warnaar_sides_ref(a: complex, b: complex, zs, n: int, params: EllipticParams
 def dfactor_ref(n: int, x, case: str, params: EllipticParams) -> complex:
     """tau.dfactor_d with each of its 4n products a scalar loop."""
     p, q = params.p, params.q
-    t, _, _ = T._chart("pp", T._case(case)[0], np.exp(2j * np.pi * np.asarray(x, dtype=complex)), n, params)
+    t = T._chart("pp", T._case(case)[0], np.exp(2j * np.pi * np.asarray(x, dtype=complex))[None], [n], params)[0][0]
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     for k in range(1, n + 1):
         out *= poch_ref(q ** (k - 1) * t[0] * t[3], n - k, p, q)

@@ -97,6 +97,71 @@ def test_level_domain_requires_the_named_member():
         T.gauge_g(1, x, "frame_a0", PARAMS)
 
 
+def _level_ref(dom, x, n=None):
+    """The per-point level decision, as the reference route: pairing_c, then
+    the tolerance and the range test."""
+    val = pairing_c(dom.direction, np.asarray(x, dtype=complex))
+    if n is None:
+        n = int(round(((val - dom.base) / dom.step).real))
+    if abs(val - dom.base - n * dom.step) > T.LEVEL_TOL:
+        raise DomainError(f"point off hyperplane {n} of the family")
+    if not dom.n_min <= n <= dom.n_max:
+        raise DomainError(f"hyperplane index {n} outside [{dom.n_min}, {dom.n_max}]")
+    return n
+
+
+def _decision(fn):
+    """The indices fn returns, or the message of the DomainError it raises
+    up to its printed pairing, whose last digits depend on the summation."""
+    try:
+        return list(fn())
+    except DomainError as err:
+        return str(err).split(" (pairing")[0]
+
+
+def _moved_to(dom, x, n, off=0.0):
+    """x moved along the family's direction until it pairs to level n + off."""
+    d = dom.direction.true_coords()
+    return x + (dom.base + n * dom.step + off - pairing_c(dom.direction, x)) * d / (d @ d)
+
+
+def test_level_check_matches_the_per_point_reference():
+    tol = T.LEVEL_TOL
+    domains = [CHAIN2.evaluator.domain] + [T._levels(v, PARAMS, -8, T.VARIANT_N_MAX) for v in T._CHARTS]
+    rng = sampling.make_rng(17)
+    for dom in domains:
+        rows, expect = [], []  # every point, and whether levels must accept it
+        for n in range(dom.n_min, dom.n_max + 1):
+            rows.append((_moved_to(dom, _x_general(rng), n), n))
+            expect.append(True)
+        for k, scale in enumerate((0.5, 0.999, 1.001, 2.0)):
+            for n in (dom.n_min, 0, dom.n_max):
+                off = scale * tol * (1, -1, 1j, -1j)[(k + n) % 4]
+                rows.append((_moved_to(dom, _x_general(rng), n, off), n))
+                expect.append(scale < 1)
+        for n in (dom.n_min - 1, dom.n_max + 1, dom.n_max + 3):
+            rows.append((_moved_to(dom, _x_general(rng), n), n))
+            expect.append(False)
+        for (x, n), ok in zip(rows, expect):
+            want = _decision(lambda: [_level_ref(dom, x)])
+            assert _decision(lambda: dom.levels(x[None])) == want
+            assert (want == [n]) is ok
+            for m in (n, n + 1):
+                assert _decision(lambda: dom.levels(x[None], [m])) == _decision(lambda: [_level_ref(dom, x, m)])
+        # a batch: every row's index, or the first failing row raises and names its n
+        order = rng.permutation(len(rows))
+        xs = np.array([rows[k][0] for k in order])
+        ns = [rows[k][1] for k in order]
+        first = next(i for i, k in enumerate(order) if not expect[k])
+        want = _decision(lambda: [_level_ref(dom, x) for x in xs])
+        assert want.startswith((f"point off hyperplane {ns[first]} ", f"hyperplane index {ns[first]} "))
+        assert _decision(lambda: dom.levels(xs)) == want
+        want = _decision(lambda: [_level_ref(dom, x, n) for x, n in zip(xs, ns)])
+        assert _decision(lambda: dom.levels(xs, ns)) == want
+        good = [i for i, k in enumerate(order) if expect[k]]
+        assert dom.levels(xs[good]) == [ns[i] for i in good] == dom.levels(xs[good], [ns[i] for i in good])
+
+
 def test_evaluator_domain_enforced():
     comp1 = CHAIN2.components[1]
     rng = sampling.make_rng(12)
@@ -323,7 +388,7 @@ def test_canonical_reduces_to_three_term():
     can = T.canonical_tau(c, PARAMS)
     frame = Frame.from_vectors(T._A0_TRIPLE)
     x = _x_general(rng)
-    z = T.qform(x, PARAMS.delta) + PARAMS.delta / 2.0 + c
+    z = T.qforms([x], PARAMS.delta)[0] + PARAMS.delta / 2.0 + c
     pair = {}
     for a in T.oriented_triple(frame):
         alpha = pairing_c(a, x)
@@ -505,8 +570,8 @@ def test_pair_product_telescopes_under_shift():
     x += 1j * 0.15 * np.ones(8)  # push all moduli below 1
     u = np.exp(2j * np.pi * x)
     p, q = PARAMS.p, PARAMS.q
-    lhs = integrals._pair_gamma(u, PARAMS, q)
-    rhs = integrals._pair_gamma(u, PARAMS)
+    lhs = integrals._pair_gammas([u], PARAMS, q)[0]
+    rhs = integrals._pair_gammas([u], PARAMS)[0]
     for i in range(8):
         for j in range(i + 1, 8):
             rhs *= elliptic_gamma(u[i] * u[j], p, q)
@@ -523,7 +588,7 @@ def test_batched_pair_product_matches_scalar_loop():
             loop = 1.0 + 0j
             for s, i, j in zip(scales, *integrals._PAIRS):
                 loop *= triple_gamma(s * u[i] * u[j], p, q)
-            assert rel_diff(integrals._pair_gamma(u, PARAMS, scale), loop) < 1e-13
+            assert rel_diff(integrals._pair_gammas([u], PARAMS, scale)[0], loop) < 1e-13
     # the per-pair scales: q inside each coordinate block, q^(1-n) across
     i, j = integrals._PAIRS
     same = (i < 4) == (j < 4)
@@ -704,8 +769,8 @@ def test_chain_covers_quarter_entry_frames():
 def test_chain_rejects_bad_construction():
     with pytest.raises(ValueError):
         T.build_chain(4, params=PARAMS)
-    with pytest.raises(ValueError):
-        T.build_chain(2, params=None)
+    with pytest.raises(TypeError):
+        T.build_chain(2)  # params is required
 
 
 def test_chain_weyl_invariant_per_level():
@@ -864,11 +929,11 @@ def test_level_zero_integral_value_skips_the_empty_integral_bit_for_bit():
     rng = sampling.make_rng(68)
     for route in ("direct", "tilde"):
         x = _x_on(rng, 0)
-        t, w, scales = T._chart("pp", route, np.exp(2j * np.pi * x), 0, PARAMS)
+        t, w, scales = T._chart("pp", route, np.exp(2j * np.pi * x)[None], [0], PARAMS)
         full = (
             T._gauge_prefactors([0], [x], PARAMS)[0]
-            * integrals.I_n(integrals.IntegrandContext(t, PARAMS, n=0))
-            * integrals._pair_gamma(w, PARAMS, scales)
+            * integrals.I_n(integrals.IntegrandContext(t[0], PARAMS, n=0))
+            * integrals._pair_gammas(w, PARAMS, scales)[0]
         )
         assert T.tau_n_int(0, x, route, PARAMS) == full
 
@@ -910,6 +975,21 @@ def _variant_x(rng, variant, n):
     level = ds * (ls * PARAMS.varpi + n * PARAMS.delta)
     m = (abs(PARAMS.p) ** (2 * ls) * abs(PARAMS.q) ** (2 * n)) ** (ds / 8.0)
     return sampling.sample_level_x(rng, level, (0.95 * m, 1.05 * m), (m / 1.2, 1.2 * m))
+
+
+@pytest.mark.parametrize("route, variants", [("direct", "pp pm mp mm"), ("inverse", "pp pm mp mm"), ("tilde", "pp")])
+def test_chart_rows_are_their_batch_of_one(route, variants):
+    # every row of a mixed-level batch is, bit for bit, the batch of one of
+    # that row: t, w and the row's pair scales
+    rng = sampling.make_rng(72)
+    ns = [0, 3, 1, 2, 2, 0, 1, 3, 1]
+    for variant in variants.split():
+        u = np.exp(2j * np.pi * np.array([_variant_x(rng, variant, n) for n in ns]))
+        batch = T._chart(variant, route, u, ns, PARAMS)
+        for k, n in enumerate(ns):
+            one = T._chart(variant, route, u[k][None], [n], PARAMS)
+            for got, want in zip(batch, one):
+                assert got[k].tobytes() == want[0].tobytes(), (variant, k)
 
 
 def test_variant_routes_agree():
