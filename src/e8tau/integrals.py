@@ -335,8 +335,11 @@ def _error_bounds(rows: _Rows, N: int, sizes: list[float]) -> list[float]:
     whose aliasing is negligible stays below 2 eps of its size. As the
     size is at least |T_N|, no row certifies below 32 eps.
 
-    A row with shift factors has poles off the circle and gets no bound
-    (inf).
+    A row with shift factors gets no bound (inf). The factors of a
+    parameter shifted by s > 0 are 1/theta(b^t u_k z^(+-1); c), with poles
+    off the circle. Those of s < 0 are a product of theta(b^t u_k z^(+-1); c),
+    analytic on C*: such a row has no extra poles, only factors the bound
+    above does not include (every terminating-2 row has s = -1).
     """
     if all(rows.shifts):
         return [math.inf] * len(sizes)

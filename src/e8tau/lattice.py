@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -207,11 +207,15 @@ class Frame:
 
     @staticmethod
     def from_vectors(vs: Iterable[LatticeVector], frame_type: FrameType | None = None) -> "Frame":
-        canon = tuple(sorted((sign_normalize(v) for v in vs), key=lambda v: v.coords4))
-        f = Frame(canon)
-        if frame_type is None and len(canon) in (3, 8):
-            frame_type = classify_frame(f)
-        return Frame(canon, frame_type or FrameType.UNTYPED)
+        return Frame._of(_canonical(vs), frame_type)
+
+    @staticmethod
+    def _of(canon: tuple[LatticeVector, ...], frame_type: FrameType | None = None) -> "Frame":
+        # canon is already sign-normalized and sorted; a missing type is the
+        # pairing profile's for a 3- or 8-frame
+        if frame_type is None:
+            frame_type = _classify(canon) if len(canon) in (3, 8) else FrameType.UNTYPED
+        return Frame(canon, frame_type)
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v.coords4 for v in self.vectors)
@@ -220,70 +224,136 @@ class Frame:
         return len(self.vectors)
 
 
-@lru_cache(maxsize=None)
-def _norm1_half_vectors() -> tuple[LatticeVector, ...]:
-    return tuple(w.half() for w in enumerate_norm(4))
+def _canonical(vs: Iterable[LatticeVector]) -> tuple[LatticeVector, ...]:
+    return tuple(sorted((sign_normalize(v) for v in vs), key=lambda v: v.coords4))
+
+
+class _HalfTable(NamedTuple):
+    """The 1 080 sign-normalized norm-1 vectors of the half-lattice.
+
+    ``rows`` is a read-only (1080, 8) int64 table in order of first
+    appearance in enumerate_norm(4) halved; ``vectors`` holds one
+    LatticeVector per row, shared by every frame that contains it, and
+    ``index`` the row of each coords4. Per row a: ``sums`` is the
+    coordinate sum, and ``cls`` / ``neg_cls`` code the classes of a and -a
+    modulo 4Z^8 + 2Z(1, ..., 1).
+    """
+
+    rows: np.ndarray
+    vectors: tuple[LatticeVector, ...]
+    index: dict[tuple[int, ...], int]
+    sums: np.ndarray
+    cls: np.ndarray
+    neg_cls: np.ndarray
+
+
+def _residue_class(w: np.ndarray) -> np.ndarray:
+    # w mod 4, shifted by 2(1, ..., 1) where that clears bit 1 of the first
+    # coordinate, read as base-4 digits: equal codes, equal classes
+    r = w & 3
+    return (r ^ (r[:, :1] & 2)) @ (4 ** np.arange(8))
 
 
 @lru_cache(maxsize=None)
-def _norm1_half_table() -> np.ndarray:
-    # The same vectors as one read-only (2160, 8) int64 array, row k = vector k.
-    table = np.array([b.coords4 for b in _norm1_half_vectors()], dtype=np.int64)
-    table.flags.writeable = False
-    return table
+def _half_table() -> _HalfTable:
+    w = np.array([v.coords4 for v in enumerate_norm(4)], dtype=np.int64)
+    assert not (w & 1).any()  # every coordinate of 2a is even
+    w //= 2
+    # sign_normalize, every row at once: the first nonzero coordinate > 0
+    w *= np.sign(w[np.arange(len(w)), (w != 0).argmax(axis=1)])[:, None]
+    index = {r: k for k, r in enumerate(dict.fromkeys(map(tuple, w.tolist())))}
+    rows = np.array(list(index), dtype=np.int64)
+    assert len(rows) == 1080
+    sums = rows.sum(axis=1)
+    out = _HalfTable(
+        rows, tuple(map(LatticeVector, index)), index, sums, _residue_class(rows), _residue_class(-rows)
+    )
+    for arr in (out.rows, out.sums, out.cls, out.neg_cls):
+        arr.flags.writeable = False
+    return out
+
+
+def _completion(k: int) -> list[int]:
+    """Rows of the 8-frame through row k of the half table, in canonical order."""
+    h = _half_table()
+    # Orthogonal rows first, then the lattice test of _in_lattice on a + b
+    # and on a - b, for each row b: a +- b has every coordinate = 0 mod 4 or
+    # every one = 2 mod 4 iff the classes of a and -+b agree.
+    orth = h.rows @ h.rows[k] == 0
+    plus = np.flatnonzero(orth & (h.neg_cls == h.cls[k]) & ((h.sums[k] + h.sums) % 8 == 0))
+    minus = np.flatnonzero(orth & (h.cls == h.cls[k]) & ((h.sums[k] - h.sums) % 8 == 0))
+    # Uniqueness of the completion: exactly 7 sign pairs besides ±a.
+    assert len(plus) + len(minus) == 14, f"frame completion found {len(plus) + len(minus)} partners"
+    assert np.array_equal(plus, minus)
+    return sorted([k, *plus.tolist()], key=lambda j: h.vectors[j].coords4)
 
 
 def frame_containing(a: LatticeVector) -> Frame:
     """The unique 8-vector frame through a norm-1 vector of the half-lattice."""
     if ip(a, a) != 16 or membership(a) == Membership.NEITHER:
         raise ValueError("need a norm-1 vector of the half-lattice")
-    table = _norm1_half_table()
-    c = np.array(a.coords4, dtype=np.int64)
-    # Orthogonal rows first, then the lattice test of _in_lattice on a + b.
-    rows = np.flatnonzero(table @ c == 0)
-    s = table[rows] + c
-    r4 = s % 4
-    in_p = ((r4 == 0).all(axis=1) | (r4 == 2).all(axis=1)) & (s.sum(axis=1) % 8 == 0)
-    vectors = _norm1_half_vectors()
-    partners = [vectors[k] for k in rows[in_p]]
-    # Uniqueness of the completion: exactly 7 sign pairs besides ±a.
-    assert len(partners) == 14, f"frame completion found {len(partners)} partners"
-    distinct = {sign_normalize(b).coords4: sign_normalize(b) for b in partners}
-    assert len(distinct) == 7
-    return Frame.from_vectors([sign_normalize(a), *distinct.values()])
+    h = _half_table()
+    return Frame._of(tuple(h.vectors[j] for j in _completion(h.index[sign_normalize(a).coords4])))
+
+
+@lru_cache(maxsize=None)
+def _frame_rows() -> np.ndarray:
+    """The 135 8-frames as a read-only (135, 8) array of half-table rows.
+
+    Frames come in order of their first row in the table, each row list in
+    canonical order. The frames partition the 1 080 rows.
+    """
+    n = len(_half_table().rows)
+    seen = [False] * n
+    frames = []
+    for k in range(n):
+        if seen[k]:
+            continue
+        f = _completion(k)
+        frames.append(f)
+        for j in f:
+            seen[j] = True
+    # 135 frames of 8 rows that cover all 1 080 rows: a partition
+    assert len(frames) == 135 and all(seen)
+    out = np.array(frames)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def enumerate_frames(l: int) -> tuple[Frame, ...]:
-    """All l-vector frames; there are 135 * C(8, l) of them."""
+    """All l-vector frames; there are 135 * C(8, l) of them.
+
+    The l-subsets of each 8-frame in turn, in index order. An 8-frame's
+    vectors are sign-normalized and sorted, so every subset is canonical
+    as it stands, and as the 8-frames partition the vectors no subset
+    repeats. 3- and 8-frames are typed from one array of pairing profiles.
+    """
     if not 1 <= l <= 8:
         raise ValueError("frame size out of range 1..8")
-    if l == 8:
-        seen: set[tuple[int, ...]] = set()
-        frames = []
-        for w in enumerate_norm(4):
-            a = sign_normalize(w.half())
-            if a.coords4 in seen:
-                continue
-            f = frame_containing(a)
-            frames.append(f)
-            seen.update(v.coords4 for v in f.vectors)
-        assert len(frames) == 135 and len(seen) == 1080
-        return tuple(frames)
-    out = {}
-    for f8 in enumerate_frames(8):
-        for combo in itertools.combinations(f8.vectors, l):
-            f = Frame.from_vectors(combo)
-            out[f.key()] = f
-    frames = tuple(out.values())
+    h = _half_table()
+    rows = _frame_rows()
+    if l in (3, 8):
+        # _phi_profile of every frame: 16<phi,a> is twice the coordinate sum
+        combos = list(itertools.combinations(range(8), l))
+        doubled = np.abs(2 * h.sums[rows] // 8)
+        profiles = np.sort(doubled[:, combos], axis=2).reshape(-1, l)
+        types = list(map(_TYPE_OF_PROFILE.get, map(tuple, profiles.tolist())))
+        assert None not in types
+    else:
+        types = itertools.repeat(FrameType.UNTYPED)
+    subsets = (
+        vs for f in rows.tolist() for vs in itertools.combinations([h.vectors[j] for j in f], l)
+    )
+    frames = tuple(map(Frame, subsets, types))
     assert len(frames) == 135 * comb(8, l)
     return frames
 
 
-def _phi_profile(f: Frame) -> tuple[int, ...]:
+def _phi_profile(vectors: Sequence[LatticeVector]) -> tuple[int, ...]:
     # Doubled pairings 2*<phi,a_i>, sorted by absolute value; 16*<phi,a> is
     # twice the coordinate sum.
-    return tuple(sorted([abs(2 * sum(a.coords4) // 8) for a in f.vectors]))
+    return tuple(sorted([abs(2 * sum(a.coords4) // 8) for a in vectors]))
 
 
 _TYPE_OF_PROFILE = {
@@ -296,15 +366,19 @@ _TYPE_OF_PROFILE = {
 }
 
 
-def classify_frame(f: Frame) -> FrameType:
-    """Type of an 8-frame or 3-frame from its pairing profile against phi."""
-    if len(f) not in (3, 8):
+def _classify(vectors: Sequence[LatticeVector]) -> FrameType:
+    if len(vectors) not in (3, 8):
         raise ValueError("only 3-frames and 8-frames carry a type")
-    prof = _phi_profile(f)
+    prof = _phi_profile(vectors)
     ftype = _TYPE_OF_PROFILE.get(prof)
     if ftype is None:
         raise ValueError(f"pairing profile {prof} matches no class")
     return ftype
+
+
+def classify_frame(f: Frame) -> FrameType:
+    """Type of an 8-frame or 3-frame from its pairing profile against phi."""
+    return _classify(f.vectors)
 
 
 # Vector orbits run in int64 while every coordinate, inner product and
@@ -336,11 +410,10 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
         nxt = []
         for el in frontier:
             for g in gens:
-                im = Frame.from_vectors([reflect(g, v) for v in el.vectors], el.frame_type)
-                k = im.key()
+                canon = _canonical([reflect(g, v) for v in el.vectors])
+                k = tuple(v.coords4 for v in canon)
                 if k not in orbit:
-                    if n_gens == 8:
-                        im = Frame.from_vectors(im.vectors)
+                    im = Frame._of(canon, el.frame_type if n_gens == 7 else None)
                     orbit[k] = im
                     nxt.append(im)
         frontier = nxt

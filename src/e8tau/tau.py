@@ -658,8 +658,13 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     """
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
-    p, q = params.p, params.q
     t = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)[0][0]
+    return _dfactor(n, t, params)
+
+
+def _dfactor(n: int, t: np.ndarray, params: EllipticParams) -> complex:
+    # dfactor_d at the chart parameters t of a point already on level n
+    p, q = params.p, params.q
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     # the rows of order n - k, four per k = 1..n, from one table
     z = [
@@ -678,9 +683,9 @@ def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex
     """Scalar gauge relating the chain component to the kernel determinant."""
     x = np.asarray(x, dtype=complex)
     _levels("pp", params).require(x, n)
-    _, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
+    t, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
     gam = integrals._pair_gammas(w, params, scales)[0]
-    return _gauge_prefactors([n], [x], params)[0] * gam / dfactor_d(n, x, case, params)
+    return _gauge_prefactors([n], [x], params)[0] * gam / _dfactor(n, t[0], params)
 
 
 def tau_n_det(

@@ -1,6 +1,7 @@
 """Lattice layer: memberships, enumerations, frames, reflections, orbits."""
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import add, mul
@@ -248,11 +249,16 @@ def _orbit_reference(seed, group):
     return tuple(orbit.values())
 
 
+@functools.lru_cache(maxsize=None)
+def _half_vectors():
+    return tuple(w.half() for w in L.enumerate_norm(4))
+
+
 def _frame_containing_reference(a):
     c = a.coords4
     partners = [
         b
-        for b in L._norm1_half_vectors()
+        for b in _half_vectors()
         if sum(map(mul, c, b.coords4)) == 0 and L._in_lattice(tuple(map(add, c, b.coords4)))
     ]
     assert len(partners) == 14
@@ -304,7 +310,7 @@ def test_frame_completion_matches_scalar_reference():
 
 def test_phi_profile_is_the_floored_pairing():
     for f in L.enumerate_frames(8):
-        assert L._phi_profile(f) == tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in f.vectors))
+        assert L._phi_profile(f.vectors) == tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in f.vectors))
 
 
 def test_small_frames_keep_their_order():
@@ -315,6 +321,42 @@ def test_small_frames_keep_their_order():
     assert [f.key() for f in f3[:56]] == [
         tuple(v.coords4 for v in c) for c in itertools.combinations(first.vectors, 3)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def _frames8_reference():
+    # The 8-frames by the scalar completion of each halved norm-4 vector
+    # not yet covered, in enumerate_norm(4) order.
+    frames8, seen = [], set()
+    for w in _half_vectors():
+        a = L.sign_normalize(w)
+        if a.coords4 not in seen:
+            frames8.append(_frame_containing_reference(a))
+            seen.update(frames8[-1].key())
+    return frames8
+
+
+def _frames_reference(size):
+    # The per-frame route: every size-subset of each 8-frame through
+    # Frame.from_vectors, first key wins, typed by classify_frame.
+    out = {}
+    for f8 in _frames8_reference():
+        for combo in itertools.combinations(f8.vectors, size):
+            f = L.Frame.from_vectors(combo)
+            out.setdefault(f.key(), f)
+    typed = size in (3, 8)
+    return [(k, L.classify_frame(f) if typed else L.FrameType.UNTYPED) for k, f in out.items()]
+
+
+def test_every_frame_table_matches_the_per_frame_route():
+    for size in range(1, 9):
+        frames = L.enumerate_frames(size)
+        assert [(f.key(), f.frame_type) for f in frames] == _frames_reference(size)
+        assert all(type(c) is int for f in frames[:50] for v in f.vectors for c in v.coords4)
+    # one LatticeVector per table row, shared by every frame through it
+    f8 = L.enumerate_frames(8)[0]
+    assert L.enumerate_frames(1)[0].vectors[0] is f8.vectors[0]
+    assert L.frame_containing(f8.vectors[3]).vectors[3] is f8.vectors[3]
 
 
 # Fixed example sequence, no example database: runs repeat exactly.
