@@ -757,8 +757,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    # A check that still fails with a typed error after its redraws, or a
-    # row without redraws that fails once, fails the run.
+    # A check that still fails with a typed error after its redraws, a row
+    # without redraws that fails once, or a DomainError fails the run.
     try:
         if args.command == "frames":
             return _emit(run_suite("counts", cfg), args.json_path)
@@ -771,7 +771,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "picard":
             return _emit(run_suite("picard", cfg), args.json_path)
         return _emit(run_suite(args.name, cfg, break_tau=args.break_tau), args.json_path)
-    except RESAMPLE_ERRORS as err:
+    except (*RESAMPLE_ERRORS, DomainError) as err:
         print(f"check failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -207,12 +207,9 @@ class Frame:
 
     @staticmethod
     def from_vectors(vs: Iterable[LatticeVector], frame_type: FrameType | None = None) -> "Frame":
-        return Frame._of(_canonical(vs), frame_type)
-
-    @staticmethod
-    def _of(canon: tuple[LatticeVector, ...], frame_type: FrameType | None = None) -> "Frame":
-        # canon is already sign-normalized and sorted; a missing type is the
-        # pairing profile's for a 3- or 8-frame
+        """The frame of vs, sign-normalized and sorted; a missing type is the
+        pairing profile's for a 3- or 8-frame."""
+        canon = tuple(sorted(map(sign_normalize, vs), key=lambda v: v.coords4))
         if frame_type is None:
             frame_type = _classify(canon) if len(canon) in (3, 8) else FrameType.UNTYPED
         return Frame(canon, frame_type)
@@ -222,10 +219,6 @@ class Frame:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-def _canonical(vs: Iterable[LatticeVector]) -> tuple[LatticeVector, ...]:
-    return tuple(sorted((sign_normalize(v) for v in vs), key=lambda v: v.coords4))
 
 
 class _HalfTable(NamedTuple):
@@ -254,13 +247,16 @@ def _residue_class(w: np.ndarray) -> np.ndarray:
     return (r ^ (r[:, :1] & 2)) @ (4 ** np.arange(8))
 
 
+def _sign_normalized(w: np.ndarray) -> np.ndarray:
+    """sign_normalize of every row of w (..., 8): the first nonzero coordinate made positive."""
+    return w * np.sign(np.take_along_axis(w, (w != 0).argmax(axis=-1)[..., None], axis=-1))
+
+
 @lru_cache(maxsize=None)
 def _half_table() -> _HalfTable:
     w = np.array([v.coords4 for v in enumerate_norm(4)], dtype=np.int64)
     assert not (w & 1).any()  # every coordinate of 2a is even
-    w //= 2
-    # sign_normalize, every row at once: the first nonzero coordinate > 0
-    w *= np.sign(w[np.arange(len(w)), (w != 0).argmax(axis=1)])[:, None]
+    w = _sign_normalized(w // 2)
     index = {r: k for k, r in enumerate(dict.fromkeys(map(tuple, w.tolist())))}
     rows = np.array(list(index), dtype=np.int64)
     assert len(rows) == 1080
@@ -293,7 +289,8 @@ def frame_containing(a: LatticeVector) -> Frame:
     if ip(a, a) != 16 or membership(a) == Membership.NEITHER:
         raise ValueError("need a norm-1 vector of the half-lattice")
     h = _half_table()
-    return Frame._of(tuple(h.vectors[j] for j in _completion(h.index[sign_normalize(a).coords4])))
+    canon = tuple(h.vectors[j] for j in _completion(h.index[sign_normalize(a).coords4]))
+    return Frame(canon, _classify(canon))
 
 
 @lru_cache(maxsize=None)
@@ -334,12 +331,7 @@ def enumerate_frames(l: int) -> tuple[Frame, ...]:
     h = _half_table()
     rows = _frame_rows()
     if l in (3, 8):
-        # _phi_profile of every frame: 16<phi,a> is twice the coordinate sum
-        combos = list(itertools.combinations(range(8), l))
-        doubled = np.abs(2 * h.sums[rows] // 8)
-        profiles = np.sort(doubled[:, combos], axis=2).reshape(-1, l)
-        types = list(map(_TYPE_OF_PROFILE.get, map(tuple, profiles.tolist())))
-        assert None not in types
+        types = _types_of_sums(h.sums[rows][:, list(itertools.combinations(range(8), l))])
     else:
         types = itertools.repeat(FrameType.UNTYPED)
     subsets = (
@@ -376,14 +368,24 @@ def _classify(vectors: Sequence[LatticeVector]) -> FrameType:
     return ftype
 
 
+def _types_of_sums(sums: np.ndarray) -> list[FrameType]:
+    """_classify of every 3- or 8-frame from the coordinate sums (..., l) of
+    its vectors, in one array pass: 16<phi,a> is twice the coordinate sum."""
+    profiles = np.sort(np.abs(2 * sums // 8), axis=-1).reshape(-1, sums.shape[-1]).tolist()
+    types = list(map(_TYPE_OF_PROFILE.get, map(tuple, profiles)))
+    if None in types:
+        raise ValueError(f"pairing profile {tuple(profiles[types.index(None)])} matches no class")
+    return types
+
+
 def classify_frame(f: Frame) -> FrameType:
     """Type of an 8-frame or 3-frame from its pairing profile against phi."""
     return _classify(f.vectors)
 
 
-# Vector orbits run in int64 while every coordinate, inner product and
-# reflection numerator stays far below 2**63; an orbit keeps the norm, so
-# seeds with larger coordinates run on Python integers (object arrays).
+# Orbits run in int64 while every coordinate, inner product and reflection
+# numerator stays far below 2**63; an orbit keeps the norms, so seeds with
+# larger coordinates run on Python integers (object arrays).
 _INT64_COORD_LIMIT = 2**40
 _ROOTS_INT64 = np.array([g.coords4 for g in SIMPLE_ROOTS], dtype=np.int64)
 
@@ -391,56 +393,53 @@ _ROOTS_INT64 = np.array([g.coords4 for g in SIMPLE_ROOTS], dtype=np.int64)
 def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     """Breadth-first orbit closure under the simple reflections of E7 or E8.
 
-    The orbit lists the seed first, then each new image in the order the
-    breadth-first search meets it: frontier element by element, generator by
-    generator within each element. E7 fixes phi, so a frame's images keep
-    the seed's frame_type; E8 does not, so each new image of a 3- or 8-frame
-    is classified on its own.
+    One search serves vectors and frames: a vector is a stack of one row, an
+    l-frame a stack of l rows (canonical, as Frame.from_vectors makes it),
+    and each round reflects the whole (m, l, 8) frontier by every generator
+    in one exact integer pass. The orbit lists the seed first, then each new
+    image in the order the search meets it: frontier element by element,
+    generator by generator within each element. E7 fixes phi, so a frame's
+    images keep the seed's frame_type; E8 does not, so each new image of a
+    3- or 8-frame is typed from its coordinate sums.
     """
     if group not in ("E7", "E8"):
         raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
     n_gens = 7 if group == "E7" else 8
-    if isinstance(seed, LatticeVector):
-        return _vector_orbit(seed, n_gens)
-    gens = SIMPLE_ROOTS[:n_gens]
-    start = Frame.from_vectors(seed.vectors, seed.frame_type)
-    orbit = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                canon = _canonical([reflect(g, v) for v in el.vectors])
-                k = tuple(v.coords4 for v in canon)
-                if k not in orbit:
-                    im = Frame._of(canon, el.frame_type if n_gens == 7 else None)
-                    orbit[k] = im
-                    nxt.append(im)
-        frontier = nxt
-    return tuple(orbit.values())
-
-
-def _vector_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]:
-    # Each round reflects the whole frontier by every generator at once:
-    # s_g(v) = (v*nn - 2<g,v> g) / nn with nn = 16<g,g> = 32 for every root.
-    small = max(abs(c) for c in seed.coords4) < _INT64_COORD_LIMIT
+    is_frame = isinstance(seed, Frame)
+    if is_frame:
+        seed = Frame.from_vectors(seed.vectors, seed.frame_type)
+    stack = [v.coords4 for v in (seed.vectors if is_frame else (seed,))]
+    l = len(stack)
+    typed = is_frame and n_gens == 8 and l in (3, 8)
+    kept = itertools.repeat(seed.frame_type if is_frame and n_gens == 7 else FrameType.UNTYPED)
+    small = max(abs(c) for row in stack for c in row) < _INT64_COORD_LIMIT
     gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
-    nn = 32
-    orbit = {seed.coords4: seed}
-    frontier = np.array([seed.coords4], dtype=np.int64 if small else object)
+    nn = 32  # s_g(v) = (v*nn - 2<g,v> g) / nn with nn = 16<g,g> for every root
+    seen = {sum(stack, ())}
+    orbit = [seed]
+    frontier = np.array([stack], dtype=np.int64 if small else object)
     while len(frontier):
-        t = 2 * (frontier @ gens.T)  # (m, g)
-        num = frontier[:, None, :] * nn - t[:, :, None] * gens[None, :, :]
+        t = 2 * (frontier @ gens.T)  # (m, l, g)
+        num = frontier[:, None] * nn - t.transpose(0, 2, 1)[..., None] * gens[:, None]  # (m, g, l, 8)
         if (num % nn).any():
             raise ValueError("reflection left (1/4)Z^8")
+        images = (num // nn).reshape(-1, 8)
+        if is_frame:  # each row sign-normalized, each image's rows sorted
+            images = _sign_normalized(images)
+            images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
         new = []
-        for row in (num // nn).reshape(-1, 8).tolist():
+        for row in images.reshape(-1, 8 * l).tolist():
             k = tuple(row)
-            if k not in orbit:
-                orbit[k] = LatticeVector(k)
-                new.append(row)
-        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 8)
-    return tuple(orbit.values())
+            if k not in seen:
+                seen.add(k)
+                new.append(k)
+        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, l, 8)
+        if not is_frame:
+            orbit += map(LatticeVector, new)
+            continue
+        types = _types_of_sums(frontier.sum(axis=2)) if typed else kept
+        orbit += map(Frame, (tuple(LatticeVector(k[i : i + 8]) for i in range(0, 8 * l, 8)) for k in new), types)
+    return tuple(orbit)
 
 
 def phi_pairing_c(x: np.ndarray) -> complex:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .util import e
+from .util import DomainError, e
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -26,7 +26,7 @@ def sample_balanced(rng: np.random.Generator, target: complex, modulus: float):
     return (target / prod, *rest)
 
 
-# Draws rejected before a sampler gives up with RuntimeError.
+# Draws rejected before a sampler gives up with DomainError.
 _MAX_TRIES = 2000
 
 
@@ -42,10 +42,13 @@ def sample_level_x(
     the last coordinate is solved, and the draw is rejected until |e(x_7)|
     falls inside band_last. Real parts are centered at 0 and the solved real
     part is capped at 1.25 in modulus, keeping the quadratic gauge factors
-    e(n Q(x)) within floating-point range.
+    e(n Q(x)) within floating-point range. DomainError when a band bound is
+    not a positive finite float (a modulus that underflows to 0, say), or
+    when no draw lands in band_last.
     """
-    lo, hi = band
-    lo_l, hi_l = band_last
+    lo, hi, lo_l, hi_l = bounds = [float(b) for b in (*band, *band_last)]
+    if not all(0.0 < b < np.inf for b in bounds):
+        raise DomainError(f"sampling band bounds {bounds} are not all positive and finite")
     for _ in range(_MAX_TRIES):
         mods = np.exp(rng.uniform(np.log(lo), np.log(hi), size=7))
         x = (rng.random(7) - 0.5) + 1j * (-np.log(mods) / (2 * np.pi))
@@ -53,7 +56,7 @@ def sample_level_x(
         m7 = abs(np.exp(2j * np.pi * x7))
         if lo_l <= m7 <= hi_l and abs(x7.real) <= 1.25:
             return np.append(x, x7)
-    raise RuntimeError("rejection sampling failed to place the solved coordinate")
+    raise DomainError(f"rejection sampling failed to place the solved coordinate in {_MAX_TRIES} draws")
 
 
 def sample_on_level(rng: np.random.Generator, params, n: float) -> np.ndarray:

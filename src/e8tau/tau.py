@@ -446,32 +446,34 @@ TAU_MEMO_SIZE = 1024
 MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize")
 
 
-def _graded(
-    levels: LevelDomain,
-    values: Callable[[list, list], list],
-    params: EllipticParams,
-) -> TauChain:
-    """The graded family that is values([n], [x])[0] on level n >= 0 of
-    levels (n up to levels.n_max) and 0 below level 0; values(ns, xs) gives
-    the value of every point x of xs on its level n of ns, or raises one
-    error.
+def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -> TauChain:
+    """A sign variant's graded family: on level n >= 0 of its level family
+    (n up to n_max) the value of _integral_values in the direct chart, and 0
+    below level 0.
 
     Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
     (n, the exact bytes of x): a hit returns what was computed at the same
     point. The evaluator's fn and the components' carry the memo's
     cache_info() (hits, misses, maxsize, currsize); their one batch
     computes the points not in the memo at the start of the batch, whatever
-    their levels, in one values call, then looks the points up in turn as
-    fn would, so hits and misses are counted in one place, and splits each
-    finite value exactly. A point whose entry is evicted before its lookup
-    is computed again alone. A computation that raises leaves the memo and
-    its counts as they were.
+    their levels, in one _integral_values call, then looks the points up in
+    turn as fn would, so hits and misses are counted in one place, and
+    splits each finite value exactly. A point whose entry is evicted before
+    its lookup is computed again alone. A computation that raises leaves
+    the memo and its counts as they were. TauChain.value and a component's
+    fn do not locate x, so a miss there first checks it (_require_levels).
     """
+    levels = _levels(variant, params, -8, n_max)
+
+    def values(ns: list, xs: list) -> list:
+        return _integral_values(ns, xs, variant, "direct", params, quad_tol)
+
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
     stats = [0, 0]  # hits, misses
 
     def tau_at(n: int, x: np.ndarray, fresh: dict | None = None) -> complex:
+        # fresh: the values of a located batch, {} for a located x, None else
         if n < 0:
             return complex(0.0)
         x = np.asarray(x, dtype=complex)
@@ -480,6 +482,8 @@ def _graded(
             stats[0] += 1
             memo.move_to_end(key)
             return memo[key]
+        if fresh is None:
+            _require_levels([n], [x], variant, params)
         v = fresh[key] if fresh and key in fresh else values([n], [x])[0]
         stats[1] += 1
         memo[key] = v
@@ -501,7 +505,7 @@ def _graded(
 
     def at_level(x: np.ndarray) -> complex:
         x = np.asarray(x, dtype=complex)
-        return tau_at(levels.locate(x), x)
+        return tau_at(levels.locate(x), x, {})
 
     def cache_info() -> MemoInfo:
         return MemoInfo(stats[0], stats[1], size, len(memo))
@@ -533,11 +537,7 @@ def build_chain(
     """
     if not 0 <= n_max <= 3:
         raise ValueError("chain depth capped at 3")
-
-    def values(ns: list, xs: list) -> list:
-        return _integral_values(ns, xs, "pp", "direct", params, quad_tol)
-
-    return _graded(_levels("pp", params, -8, n_max), values, params)
+    return _graded("pp", n_max, params, quad_tol)
 
 
 def casorati_K(
@@ -702,6 +702,16 @@ def tau_n_det(
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
 
 
+def _require_levels(ns: Sequence[int], xs: Sequence[np.ndarray], variant: str, params: EllipticParams) -> None:
+    """The check of the entries that do not locate their points: ValueError
+    unless every n of ns is 0 to 3, the highest multiplicity of the
+    quadrature, then DomainError unless each x of xs lies on its level n of
+    the variant's family."""
+    if not all(0 <= n <= 3 for n in ns):
+        raise ValueError("the integral route covers multiplicities 0 to 3")
+    _levels(variant, params).levels(np.array(xs, dtype=complex).reshape(len(ns), 8), ns)
+
+
 def _integral_values(
     ns: Sequence[int],
     xs: Sequence[np.ndarray],
@@ -712,22 +722,18 @@ def _integral_values(
 ) -> list[complex]:
     """A sign variant's value in route's chart at every point of xs, each on
     its own level n of ns: the gauge prefactor (level sign +1 only) times
-    the n-fold integral at t times the pair product. Capped at n = 3, the
-    highest multiplicity of the quadrature. At n = 0 the integral and the
-    prefactor p^0 e(0) are 1, so the value is the pair product itself.
+    the n-fold integral at t times the pair product, each x located on its
+    level n of 0 to 3 or checked by _require_levels. At n = 0 the integral
+    and the prefactor p^0 e(0) are 1, so the value is the pair product.
 
     The batch is one pass whatever its levels, each step over all points
-    at once: the level check, the charts, the pair products in one
-    triple_gamma call, the integrals of the points above level 0 in one
-    I_n_many batch of mixed multiplicities, and the gauge prefactors. Every
-    value, or the first error of those steps in turn: the level checks, the
-    pair products, the admissibility of every integral, the quadrature
-    passes."""
+    at once: the charts, the pair products in one triple_gamma call, the
+    integrals of the points above level 0 in one I_n_many batch of mixed
+    multiplicities, and the gauge prefactors. Every value, or the first
+    error of those steps in turn: the pair products, the admissibility of
+    every integral, the quadrature passes."""
     ns = list(ns)
-    if not all(0 <= n <= 3 for n in ns):
-        raise ValueError("the integral route covers multiplicities 0 to 3")
     xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
-    _levels(variant, params).levels(xs, ns)
     t, w, scales = _chart(variant, route, np.exp(2j * np.pi * xs), ns, params)
     out = integrals._pair_gammas(w, params, scales)
     live = [k for k, n in enumerate(ns) if n]
@@ -755,6 +761,7 @@ def tau_n_int(
     """
     if route not in ("direct", "tilde"):
         raise ValueError("route must be 'direct' or 'tilde'")
+    _require_levels([n], [x], "pp", params)
     return _integral_values([n], [x], "pp", route, params, quad_tol)[0]
 
 
@@ -807,6 +814,7 @@ def psi_variant(
     """
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
+    _require_levels([n], [x], variant, params)
     return _integral_values([n], [x], variant, route, params, quad_tol)[0]
 
 
@@ -827,8 +835,4 @@ def variant_evaluator(
     The domain stops at level VARIANT_N_MAX; points above it fail the
     domain's level check with DomainError.
     """
-    return _graded(
-        _levels(variant, params, -8, VARIANT_N_MAX),
-        lambda ns, xs: _integral_values(ns, xs, variant, "direct", params, quad_tol),
-        params,
-    ).evaluator
+    return _graded(variant, VARIANT_N_MAX, params, quad_tol).evaluator

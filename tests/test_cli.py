@@ -328,6 +328,17 @@ def test_unreachable_quad_tol_fails_with_one_line(capsys, argv):
     assert len(err) < 200
 
 
+def test_underflowing_sampling_band_fails_with_one_line(tmp_path, capsys):
+    # |p| = 1e-300 puts the level's modulus (|p|^2 |q|^(2n))^(1/8) below the
+    # float range: the sampler rejects the zero band with a DomainError
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"params": {"chain": {"p": [1e-300, 0], "q": [0.45, 0]}}}))
+    assert cli.main(["suite", "chain", "--trials", "1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: DomainError: sampling band")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_tau_build_checks_level_three(capsys):
     rc = cli.main(["tau", "build", "--n", "3", "--json", "-"])
     report = json.loads(capsys.readouterr().out)

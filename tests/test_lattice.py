@@ -234,16 +234,31 @@ def test_unsupported_norm_raises():
 
 
 def _orbit_reference(seed, group):
+    """The orbit by scalar reflections, one vector at a time. A frame's image
+    is Frame.from_vectors of its reflected vectors, typed by classify_frame
+    on E8 (untyped unless a 3- or 8-frame) and with the seed's type on E7."""
     gens = L.SIMPLE_ROOTS[:7] if group == "E7" else L.SIMPLE_ROOTS
-    orbit = {seed.coords4: seed}
+
+    def image(g, el):
+        if not isinstance(el, L.Frame):
+            im = L.reflect(g, el)
+            return im, im.coords4
+        im = L.Frame.from_vectors([L.reflect(g, v) for v in el.vectors], seed.frame_type)
+        if group == "E8":
+            im = L.Frame(im.vectors, L.classify_frame(im) if len(im) in (3, 8) else L.FrameType.UNTYPED)
+        return im, im.key()
+
+    if isinstance(seed, L.Frame):
+        seed = L.Frame.from_vectors(seed.vectors, seed.frame_type)
+    orbit = {seed.key() if isinstance(seed, L.Frame) else seed.coords4: seed}
     frontier = [seed]
     while frontier:
         nxt = []
-        for v in frontier:
+        for el in frontier:
             for g in gens:
-                im = L.reflect(g, v)
-                if im.coords4 not in orbit:
-                    orbit[im.coords4] = im
+                im, key = image(g, el)
+                if key not in orbit:
+                    orbit[key] = im
                     nxt.append(im)
         frontier = nxt
     return tuple(orbit.values())
@@ -283,6 +298,35 @@ def test_vector_orbit_with_large_coordinates_runs_exactly():
     got = L.weyl_orbit(seed, "E7")
     assert got == _orbit_reference(seed, "E7")
     assert len(got) == 126
+
+
+def _frame_of_type(size, ftype):
+    return next(f for f in L.enumerate_frames(size) if f.frame_type is ftype)
+
+
+def test_frame_orbits_match_scalar_reference():
+    # content, order and types; the 2-frames' E7 orbits have 756 and 63
+    # images, the first on int64 rows, the second on Python integers
+    two = L.enumerate_frames(2)[30]
+    big = L.enumerate_frames(2)[49]
+    big = L.Frame(tuple(v.scaled(2**70) for v in big.vectors))
+    cases = [
+        (L.enumerate_frames(8)[0], "E8"),
+        (_frame_of_type(3, L.FrameType.C3_II2), "E7"),
+        (_frame_of_type(3, L.FrameType.C3_II1), "E7"),
+        (two, "E7"),
+        (big, "E7"),
+    ]
+    sizes = []
+    for seed, group in cases:
+        got = L.weyl_orbit(seed, group)
+        assert got == _orbit_reference(seed, group)  # Frame equality compares the types too
+        sizes.append(len(got))
+    assert sizes == [135, 378, 1890, 756, 63]
+    assert all(type(c) is int for f in got for v in f.vectors for c in v.coords4)
+    # E8 images of a frame that is neither a 3- nor an 8-frame stay untyped
+    ones = L.weyl_orbit(L.enumerate_frames(1)[3], "E8")
+    assert len(ones) == 1080 and {f.frame_type for f in ones} == {L.FrameType.UNTYPED}
 
 
 def test_orbit_leaving_the_quarter_lattice_raises():

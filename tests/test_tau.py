@@ -170,6 +170,25 @@ def test_evaluator_domain_enforced():
     assert comp1.eval(_x_on(rng, 1)) != 0
 
 
+def test_unlocated_entries_check_the_level():
+    # TauChain.value, a component's fn, tau_n_int and psi_variant take a
+    # level without locating x, so each checks x on it before computing
+    chain = T.build_chain(1, params=PARAMS)
+    x = _x_on(sampling.make_rng(14), 1)
+    entries = (
+        lambda n, y: chain.value(n, y),
+        lambda n, y: chain.components[n].fn(y),
+        lambda n, y: T.tau_n_int(n, y, "direct", PARAMS),
+        lambda n, y: T.psi_variant(n, y, "pp", PARAMS),
+    )
+    for entry in entries:
+        with pytest.raises(DomainError, match="off hyperplane 1"):
+            entry(1, x + 0.01)
+        with pytest.raises(DomainError, match="off hyperplane 0"):
+            entry(0, x)
+    assert chain.evaluator.fn.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
+
+
 def test_chain_vanishes_below_base_level():
     rng = sampling.make_rng(13)
     assert CHAIN2.evaluator.eval(_x_on(rng, -1)) == 0
