@@ -395,8 +395,8 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
 
     One search serves vectors and frames: a vector is a stack of one row, an
     l-frame a stack of l rows (canonical, as Frame.from_vectors makes it),
-    and each round reflects the whole (m, l, 8) frontier by every generator
-    in one exact integer pass. The orbit lists the seed first, then each new
+    and each round reflects every row of the whole frontier by every
+    generator in one exact integer pass. The orbit lists the seed first, then each new
     image in the order the search meets it: frontier element by element,
     generator by generator within each element. E7 fixes phi, so a frame's
     images keep the seed's frame_type; E8 does not, so each new image of a
@@ -417,15 +417,15 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     nn = 32  # s_g(v) = (v*nn - 2<g,v> g) / nn with nn = 16<g,g> for every root
     seen = {sum(stack, ())}
     orbit = [seed]
-    frontier = np.array([stack], dtype=np.int64 if small else object)
+    frontier = np.array(stack, dtype=np.int64 if small else object)  # l rows per element
     while len(frontier):
-        t = 2 * (frontier @ gens.T)  # (m, l, g)
-        num = frontier[:, None] * nn - t.transpose(0, 2, 1)[..., None] * gens[:, None]  # (m, g, l, 8)
+        t = 2 * (frontier @ gens.T)  # (m*l, g)
+        num = frontier[:, None, :] * nn - t[:, :, None] * gens  # (m*l, g, 8)
         if (num % nn).any():
             raise ValueError("reflection left (1/4)Z^8")
-        images = (num // nn).reshape(-1, 8)
-        if is_frame:  # each row sign-normalized, each image's rows sorted
-            images = _sign_normalized(images)
+        images = num // nn
+        if is_frame:  # as (m, g, l, 8): each image's rows sign-normalized and sorted
+            images = _sign_normalized(images.reshape(-1, l, n_gens, 8).swapaxes(1, 2)).reshape(-1, 8)
             images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
         new = []
         for row in images.reshape(-1, 8 * l).tolist():
@@ -433,11 +433,11 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
             if k not in seen:
                 seen.add(k)
                 new.append(k)
-        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, l, 8)
+        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 8)
         if not is_frame:
             orbit += map(LatticeVector, new)
             continue
-        types = _types_of_sums(frontier.sum(axis=2)) if typed else kept
+        types = _types_of_sums(frontier.reshape(-1, l, 8).sum(axis=2)) if typed else kept
         orbit += map(Frame, (tuple(LatticeVector(k[i : i + 8]) for i in range(0, 8 * l, 8)) for k in new), types)
     return tuple(orbit)
 

@@ -483,8 +483,9 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
             memo.move_to_end(key)
             return memo[key]
         if fresh is None:
-            _require_levels([n], [x], variant, params)
-        v = fresh[key] if fresh and key in fresh else values([n], [x])[0]
+            v = values([n], _require_levels([n], [x], variant, params))[0]
+        else:
+            v = fresh[key] if key in fresh else values([n], [x])[0]
         stats[1] += 1
         memo[key] = v
         if len(memo) > size:
@@ -702,14 +703,16 @@ def tau_n_det(
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
 
 
-def _require_levels(ns: Sequence[int], xs: Sequence[np.ndarray], variant: str, params: EllipticParams) -> None:
-    """The check of the entries that do not locate their points: ValueError
-    unless every n of ns is 0 to 3, the highest multiplicity of the
-    quadrature, then DomainError unless each x of xs lies on its level n of
-    the variant's family."""
+def _require_levels(ns: Sequence[int], xs: Sequence[np.ndarray], variant: str, params: EllipticParams) -> np.ndarray:
+    """xs as a (B, 8) array, checked as the entries that do not locate their
+    points need: ValueError unless every n of ns is 0 to 3, the highest
+    multiplicity of the quadrature, then DomainError unless each x of xs
+    lies on its level n of the variant's family."""
     if not all(0 <= n <= 3 for n in ns):
         raise ValueError("the integral route covers multiplicities 0 to 3")
-    _levels(variant, params).levels(np.array(xs, dtype=complex).reshape(len(ns), 8), ns)
+    xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
+    _levels(variant, params).levels(xs, ns)
+    return xs
 
 
 def _integral_values(
@@ -733,7 +736,7 @@ def _integral_values(
     error of those steps in turn: the pair products, the admissibility of
     every integral, the quadrature passes."""
     ns = list(ns)
-    xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
+    xs = np.asarray(xs, dtype=complex).reshape(len(ns), 8)
     t, w, scales = _chart(variant, route, np.exp(2j * np.pi * xs), ns, params)
     out = integrals._pair_gammas(w, params, scales)
     live = [k for k, n in enumerate(ns) if n]
@@ -761,8 +764,7 @@ def tau_n_int(
     """
     if route not in ("direct", "tilde"):
         raise ValueError("route must be 'direct' or 'tilde'")
-    _require_levels([n], [x], "pp", params)
-    return _integral_values([n], [x], "pp", route, params, quad_tol)[0]
+    return _integral_values([n], _require_levels([n], [x], "pp", params), "pp", route, params, quad_tol)[0]
 
 
 def warnaar_det_residual(
@@ -814,8 +816,7 @@ def psi_variant(
     """
     if route not in ("direct", "inverse"):
         raise ValueError("route must be 'direct' or 'inverse'")
-    _require_levels([n], [x], variant, params)
-    return _integral_values([n], [x], variant, route, params, quad_tol)[0]
+    return _integral_values([n], _require_levels([n], [x], variant, params), variant, route, params, quad_tol)[0]
 
 
 # Highest level of a variant family's domain: the checks draw points on
