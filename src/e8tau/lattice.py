@@ -414,16 +414,15 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     kept = itertools.repeat(seed.frame_type if is_frame and n_gens == 7 else FrameType.UNTYPED)
     small = max(abs(c) for row in stack for c in row) < _INT64_COORD_LIMIT
     gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
-    nn = 32  # s_g(v) = (v*nn - 2<g,v> g) / nn with nn = 16<g,g> for every root
+    twice = 2 * gens.T  # s_g(v) = v - 2<g,v> g / 16<g,g>, and 16<g,g> = 32 for every root
     seen = {sum(stack, ())}
     orbit = [seed]
     frontier = np.array(stack, dtype=np.int64 if small else object)  # l rows per element
     while len(frontier):
-        t = 2 * (frontier @ gens.T)  # (m*l, g)
-        num = frontier[:, None, :] * nn - t[:, :, None] * gens  # (m*l, g, 8)
-        if (num % nn).any():
+        shift = (frontier @ twice)[:, :, None] * gens  # (m*l, g, 8)
+        if (shift % 32).any():
             raise ValueError("reflection left (1/4)Z^8")
-        images = num // nn
+        images = frontier[:, None, :] - shift // 32
         if is_frame:  # as (m, g, l, 8): each image's rows sign-normalized and sorted
             images = _sign_normalized(images.reshape(-1, l, n_gens, 8).swapaxes(1, 2)).reshape(-1, 8)
             images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
