@@ -18,10 +18,11 @@ their own ``src/``. The record holds:
   defines), the change/parent ratio of the medians, the pairs the change
   won (ties count for neither), and whether the medians are further apart
   than the parent's quartile spread;
-* per workload and check kind, each side's median over the timed runs of
-  the kind's ``time_p50_s``, each divided by that run's host slowdown, and
-  the change/parent ratio, so a move of ``check_p50_s`` can be traced to
-  the kinds that made it;
+* per workload and check kind that every timed run reached, the same
+  comparison of each run's ``time_p50_s`` (the kind's median check time,
+  wall clock as perfbench reports it): values, median and quartiles, the
+  ratio of medians and the pairs the change won, so a move of
+  ``check_p50_s`` can be traced to the kinds that made it;
 * per workload, each run's checks attempted, seconds spent in checks,
   whether its input pool ran out, and what the gate reads of its outcomes:
   failed operations (raised + wrong), raised, and the failure reasons with
@@ -107,22 +108,14 @@ def _compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def _kind_p50(runs: list[dict]) -> dict:
-    """Per check kind, the median over runs of its median check time at
-    nominal host speed: time_p50_s divided by the run's host slowdown."""
-    per_run = [(r["detail"]["runs"][0]["per_kind"], r["detail"]["runs"][0]["host_slowdown"]) for r in runs]
-    return {
-        kind: statistics.median(recs[kind]["time_p50_s"] / slow for recs, slow in per_run)
-        for kind in per_run[0][0]
-        if all(recs[kind]["time_p50_s"] is not None for recs, _ in per_run)
-    }
-
-
 def _kinds(runs: dict) -> dict:
-    parent, change = _kind_p50(runs["parent"]), _kind_p50(runs["change"])
+    """Per check kind with a time_p50_s in every run, _compare of those per-run values."""
+    recs = {side: [r["detail"]["runs"][0]["per_kind"] for r in runs[side]] for side in runs}
+    times = {kind: {side: [rec.get(kind, {}).get("time_p50_s") for rec in recs[side]] for side in recs}
+             for kind in recs["parent"][0]}
     return {
-        kind: {"parent": parent[kind], "change": change[kind], "ratio": change[kind] / parent[kind]}
-        for kind in parent if kind in change
+        kind: _compare(t["parent"], t["change"], "lower")
+        for kind, t in times.items() if None not in t["parent"] + t["change"]
     }
 
 

@@ -29,12 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .specialfn import (
-    _SERIES_TAIL,
-    _SHIFT_RHO,
     TRUNC_TOL,
     EllipticParams,
-    _moduli,
-    _shift_count,
+    _series_den,
+    _series_powers,
+    _shift_bases,
+    _shift_steps,
     elliptic_gamma,
     qpoch,
     theta,
@@ -182,51 +182,27 @@ class _Rows:
 
 
 def _rows(ctxs: Sequence[IntegrandContext]) -> _Rows:
-    """The node-count-free parts of the node integrands of ctxs.
-
-    On |pq| < |u_k z^{+-1}| < 1 the gamma pair of parameter u_k has the log
-    series sum_{m>=1} c_m (z^m + z^-m) with
-    c_m = (u_k^m - (pq/u_k)^m) / (m (1 - p^m)(1 - q^m)). A parameter whose
-    rho_k exceeds _SHIFT_RHO is first replaced by u_k b^s with
-    Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and |b| >= |c|: the
-    pair gains 1 / prod_{0<=t<s} theta(b^t u_k z^{+-1}; c) for s > 0, or
-    prod_{s<=t<0} theta(b^t u_k z^{+-1}; c) for s < 0, which _node_rows
-    takes at the nodes; after it rho_k <= max(_SHIFT_RHO, |c|^(1/2)) < 1.
-    Each row then sums the series of its eight parameters to its own
-    length M, where its rho^M falls below _SERIES_TAIL, from one power
-    table of all rows; the coefficients past a row's M are zero. None of
-    this depends on a row's multiplicity.
-    """
+    """The node-count-free parts of the node integrands of ctxs: per row,
+    the elliptic_gamma series of the pairs Gamma(u_k z^{+-1}) after its
+    shift, as coefficients of z^m + z^-m to the row's own length (zero past
+    it), and the shifts, whose factors _node_rows takes at the nodes."""
     params = ctxs[0].params
     p, q = params.p, params.q
-    pq = p * q
     u = np.array([c.u for c in ctxs])
-    b = q if abs(q) >= abs(p) else p
     shifts = [[] for _ in ctxs]
-    rows, cols = np.nonzero(np.maximum(np.abs(u), abs(pq) / np.abs(u)) > _SHIFT_RHO)
+    (rows, cols), counts = _shift_steps(u, p, q)
     if rows.size:
-        counts = _shift_count(_moduli(u[rows, cols]), abs(pq), abs(b)).tolist()
-        for r, k, s in zip(rows.tolist(), cols.tolist(), counts):
+        b = _shift_bases(p, q)[0]
+        for r, k, s in zip(rows.tolist(), cols.tolist(), counts.tolist()):
             shifts[r].append((u[r, k], s))
             u[r, k] = u[r, k] * b**s
-    rho = np.max(np.maximum(np.abs(u), abs(pq) / np.abs(u)), axis=1)
-    lengths = [int(np.ceil(np.log(_SERIES_TAIL) / np.log(v))) for v in rho.tolist()]
-    M = max(lengths)
-    bases = np.concatenate([u, pq / u], axis=1)
-    pw = np.cumprod(np.broadcast_to(bases[:, :, None], (*bases.shape, M)), axis=2)
+    pw, rho, lengths = _series_powers(u, p * q)
+    M = pw.shape[2]
     coef = np.zeros((len(ctxs), M + 1), dtype=complex)
-    coef[:, 1:] = (pw[:, :8].sum(axis=1) - pw[:, 8:].sum(axis=1)) / _series_den(p, q, 1 << (M - 1).bit_length())[:M]
-    for r, m in enumerate(lengths):
+    coef[:, 1:] = (pw[:, :8].sum(axis=1) - pw[:, 8:].sum(axis=1)) / _series_den(p, q, 1, M)
+    for r, m in enumerate(lengths.tolist()):
         coef[r, m + 1 :] = 0.0
     return _Rows(params, tuple(c.n for c in ctxs), coef, tuple(shifts), rho)
-
-
-@functools.lru_cache(maxsize=32)
-def _series_den(p: complex, q: complex, M: int) -> np.ndarray:
-    """m (1 - p^m)(1 - q^m) for m = 1 .. M, the powers from one cumprod;
-    a shorter table is a prefix of a longer one, bit for bit."""
-    pw = np.cumprod(np.broadcast_to(np.array([p, q])[:, None], (2, M)), axis=1)
-    return _frozen(np.arange(1, M + 1) * (1.0 - pw[0]) * (1.0 - pw[1]))
 
 
 def _node_rows(rows: _Rows, N: int) -> np.ndarray:
@@ -234,10 +210,9 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
     one row each: the coefficients folded mod N, so one batched FFT pair
     gives every node, times the plan's weight and each row's shift factors.
     The values are a fresh array."""
-    p, q = rows.params.p, rows.params.q
     plan = _plan_for(rows.params, N)
     zs, rev = plan.zs, plan.rev
-    b, c = (q, p) if abs(q) >= abs(p) else (p, q)
+    b, c = _shift_bases(rows.params.p, rows.params.q)
     vals = []
     for shifts in rows.shifts:
         v = plan.weight

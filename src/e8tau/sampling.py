@@ -5,6 +5,8 @@ are reproducible from a single integer seed.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .util import DomainError, e
@@ -17,13 +19,17 @@ def make_rng(seed: int) -> np.random.Generator:
 def sample_balanced(rng: np.random.Generator, target: complex, modulus: float):
     """Eight parameters with u_1..u_7 on |u| = modulus and u_0 solving
     u_0 u_1 ... u_7 = target exactly. When |target| = modulus^8 the solved
-    entry lands on the same circle."""
+    entry lands on the same circle. DomainError when the product of u_1..u_7
+    underflows to 0 or u_0 is not finite."""
     phases = rng.random(7)
     rest = [modulus * e(t) for t in phases]
     prod = 1.0 + 0j
     for v in rest:
         prod *= v
-    return (target / prod, *rest)
+    u0 = target / prod if prod else cmath.inf
+    if not cmath.isfinite(u0):
+        raise DomainError(f"balanced draw at modulus {modulus:.3g} has no finite solved entry")
+    return (u0, *rest)
 
 
 # Draws rejected before a sampler gives up with DomainError.

@@ -5,6 +5,7 @@ functions sum log series instead, cut at ``_SERIES_TAIL``."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -130,25 +131,24 @@ def qpoch(z, p: complex):
     return complex(out) if zz.ndim == 0 else out
 
 
-# The log series of the gamma functions diverge at rho = 1 and need
-# thousands of terms just below it. An argument whose rho exceeds _SHIFT_RHO
-# is first moved by a difference equation, and every series is cut where
-# rho^M falls below _SERIES_TAIL.
+# The gamma log series diverge at rho = 1: an argument whose rho exceeds
+# _SHIFT_RHO is moved first, and every series is cut at rho^M < _SERIES_TAIL.
 _SHIFT_RHO = 0.95
 _SERIES_TAIL = 1e-17
 
 
-def _shift_count(mod, pq_mod: float, b_mod: float):
+def _shift_count(z, pq_mod: float, b_mod: float):
     """Fewest steps s, of either sign, with rho(|u| |b|^s) <= _SHIFT_RHO for
-    each parameter modulus in mod, or the s of least rho when none reaches
-    it; 0 when rho is already there. rho falls monotonically from s = 0
-    towards the best s, where |u| |b|^s is nearest to pq_mod^(1/2).
+    each argument (or modulus) u in z, or the s of least rho when none
+    reaches it; 0 when rho is already there. rho falls monotonically from
+    s = 0 towards the best s, where |u| |b|^s is nearest to pq_mod^(1/2).
 
-    Every step 0 <= |s| < |best| is tested at once on the floats
-    mod * b_mod**s, with the powers taken one by one as Python floats, so
+    |u| is libm's hypot, as abs() takes it (np.abs rounds differently in
+    the last place). Every step 0 <= |s| < |best| is tested at once on the
+    floats |u| * b_mod**s, the powers taken one by one as Python floats, so
     the counts are those of testing the steps in turn. Returns an int array
-    shaped like mod, or an int for a scalar mod."""
-    m = np.asarray(mod, dtype=float)
+    shaped like z, or an int for a scalar z."""
+    m = np.hypot(np.real(z), np.imag(z))
     best = np.rint(np.log(m / np.sqrt(pq_mod)) / -np.log(b_mod)).astype(int)
     flat, bflat = m.reshape(-1), best.reshape(-1)
     span = int(np.max(np.abs(bflat), initial=0))
@@ -161,22 +161,50 @@ def _shift_count(mod, pq_mod: float, b_mod: float):
     return int(counts) if counts.ndim == 0 else counts
 
 
-def _moduli(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise as abs() of each element gives it, libm's hypot: the
-    array np.abs rounds differently in the last place, which can move a
-    step count at rho = _SHIFT_RHO."""
-    return np.hypot(z.real, z.imag)
+def _rho(z: np.ndarray, c: complex) -> np.ndarray:
+    """max(|z|, |c/z|) elementwise, which a gamma log series needs below 1."""
+    mod = np.abs(z)
+    return np.maximum(mod, abs(c) / mod)
 
 
-def _series_powers(z: np.ndarray, c: complex, p: complex, q: complex) -> np.ndarray:
-    """The power table of the gamma log series on |c| < |z_k| < 1: rows
-    x^1 .. x^M for x = every z_k, then every c/z_k, then p, then q, from one
-    cumprod. M is the first order with rho^M below _SERIES_TAIL, where
-    rho = max_k max(|z_k|, |c/z_k|)."""
-    rho = float(np.max(np.maximum(np.abs(z), abs(c) / np.abs(z))))
-    M = int(np.ceil(np.log(_SERIES_TAIL) / np.log(rho)))
-    bases = np.concatenate([z, c / z, [p, q]])
-    return np.cumprod(np.broadcast_to(bases[:, None], (bases.size, M)), axis=1)
+def _shift_bases(p: complex, q: complex) -> tuple[complex, complex]:
+    """{b, c} = {p, q} with |b| >= |c|, of the step Gamma(b x) = theta(x; c) Gamma(x)."""
+    return (q, p) if abs(q) >= abs(p) else (p, q)
+
+
+def _shift_steps(z: np.ndarray, p: complex, q: complex) -> tuple:
+    """The elliptic gamma's shift of z: the np.nonzero index of _rho(z, pq)
+    > _SHIFT_RHO, and the _shift_count in steps of b there (None if empty)."""
+    far = np.nonzero(_rho(z, p * q) > _SHIFT_RHO)
+    return far, (_shift_count(z[far], abs(p * q), abs(_shift_bases(p, q)[0])) if far[0].size else None)
+
+
+def _series_powers(z: np.ndarray, c: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power table of the gamma log series on |c| < |z_k| < 1 for the
+    arguments z_k on the last axis of z: x^1 .. x^M for x = every z_k, then
+    every c/z_k, from one cumprod along a new last axis. With it, per row
+    of z, rho = max_k _rho(z_k, c) and the row's own length, the first
+    order with rho^m below _SERIES_TAIL; M is the largest length."""
+    rho = np.maximum.reduce(_rho(z, c), axis=-1)
+    lengths = np.ceil(np.log(_SERIES_TAIL) / np.log(rho)).astype(int)
+    bases = np.concatenate([z, c / z], axis=-1)
+    table = np.cumprod(np.broadcast_to(bases[..., None], (*bases.shape, int(lengths.max()))), axis=-1)
+    return table, rho, lengths
+
+
+def _series_den(p: complex, q: complex, k: int, M: int) -> np.ndarray:
+    """m (1 - p^m)(1 - q^m)^k, m = 1 .. M, the gamma log series' denominators
+    (k = 1 for Gamma(z; p, q), 2 for Gamma(z; p, q, q)): a read-only prefix,
+    bit for bit, of the table cached at the next power of two."""
+    return _den_table(p, q, k, 1 << (M - 1).bit_length())[:M]
+
+
+@functools.lru_cache(maxsize=32)
+def _den_table(p: complex, q: complex, k: int, M: int) -> np.ndarray:
+    pw = np.cumprod(np.broadcast_to(np.array([p, q], dtype=complex)[:, None], (2, M)), axis=1)
+    den = np.arange(1, M + 1) * (1.0 - pw[0]) * (1.0 - pw[1]) ** k
+    den.flags.writeable = False
+    return den
 
 
 def _pole_guard(zz: np.ndarray, p: complex, q: complex) -> None:
@@ -209,21 +237,19 @@ def elliptic_gamma(z, p: complex, q: complex):
 
     On |pq| < |z| < 1 its log is the series
     sum_{m>=1} (z^m - (pq/z)^m) / (m (1 - p^m)(1 - q^m)), summed for all
-    arguments at once from the _series_powers table in one mat-vec. An
-    argument with rho = max(|z|, |pq/z|) above _SHIFT_RHO is first moved by
-    s steps of Gamma(b x) = theta(x; c) Gamma(x), {b, c} = {p, q} and
-    |b| >= |c|: Gamma(z) = Gamma(b^s z) / prod_{0<=t<s} theta(b^t z; c) for
-    s > 0, or Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0.
+    arguments at once as one mat-vec of the _series_powers table and the
+    _series_den denominators. An argument with rho above _SHIFT_RHO is
+    first moved by s steps (_shift_steps) of Gamma(b x) = theta(x; c) Gamma(x):
+    Gamma(z) = Gamma(b^s z) / prod_{0<=t<s} theta(b^t z; c) for s > 0, or
+    Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0.
     """
     zz, scalar = _gamma_argument(z)
     _pole_guard(zz, p, q)
-    pq = p * q
     out = np.ones_like(zz)
-    far = np.flatnonzero(np.maximum(np.abs(zz), abs(pq) / np.abs(zz)) > _SHIFT_RHO)
+    (far,), steps = _shift_steps(zz, p, q)
     if far.size:
         zz = zz.copy()
-        b, c = (q, p) if abs(q) >= abs(p) else (p, q)
-        steps = _shift_count(_moduli(zz[far]), abs(pq), abs(b))
+        b, c = _shift_bases(p, q)
         for t in range(min(steps.min(), 0), max(steps.max(), 0)):
             idx = far[steps > t] if t >= 0 else far[steps <= t]
             th = theta(b**t * zz[idx], c)
@@ -231,9 +257,8 @@ def elliptic_gamma(z, p: complex, q: complex):
             if not np.isfinite(moved).all():  # no later factor brings it back
                 raise DomainError("elliptic gamma value overflows the float range")
         zz[far] *= b**steps
-    pw = _series_powers(zz, pq, p, q)
-    m = np.arange(1, pw.shape[1] + 1)
-    log = pw[:-2] @ (1.0 / (m * (1.0 - pw[-2]) * (1.0 - pw[-1])))
+    pw = _series_powers(zz, p * q)[0]
+    log = pw @ (1.0 / _series_den(p, q, 1, pw.shape[1]))
     out *= np.exp(log[: zz.size] - log[zz.size :])
     return complex(out[0]) if scalar else out
 
@@ -244,10 +269,10 @@ def triple_gamma(z, p: complex, q: complex):
     the pair products.
 
     On |pq^2| < |z| < 1 its log is the series
-    -sum_{m>=1} (z^m + (pq^2/z)^m) / (m (1 - p^m)(1 - q^m)^2), summed for all
-    arguments at once from the _series_powers table in one mat-vec. An
-    argument with rho = max(|z|, |pq^2/z|) above _SHIFT_RHO is moved first:
-    by the reflection Gamma(z) = Gamma(pq^2/z) when |z|^2 < |pq^2|, then by
+    -sum_{m>=1} (z^m + (pq^2/z)^m) / (m (1 - p^m)(1 - q^m)^2), summed as in
+    elliptic_gamma. An argument with rho = max(|z|, |pq^2/z|) above
+    _SHIFT_RHO is moved first: by the reflection Gamma(z) = Gamma(pq^2/z)
+    when |z|^2 < |pq^2|, then by
     s steps of Gamma(z) = Gamma(q^s z) prod_{0<=t<s} 1/Gamma(q^t z; p, q),
     each 1/Gamma(y; p, q) = Gamma(pq/y; p, q) taken as
     theta(y; q) Gamma(q/y; p, q). That theta holds the factor 1 - y
@@ -257,12 +282,12 @@ def triple_gamma(z, p: complex, q: complex):
     zz, scalar = _gamma_argument(z)
     pqq = p * q * q
     out = np.ones_like(zz)
-    far = np.flatnonzero(np.maximum(np.abs(zz), abs(pqq) / np.abs(zz)) > _SHIFT_RHO)
+    (far,) = np.nonzero(_rho(zz, pqq) > _SHIFT_RHO)
     if far.size:
         zz = zz.copy()
         inner = far[np.abs(zz[far]) ** 2 < abs(pqq)]
         zz[inner] = pqq / zz[inner]
-        steps = _shift_count(_moduli(zz[far]), abs(pqq), abs(q))
+        steps = _shift_count(zz[far], abs(pqq), abs(q))
         for t in range(steps.max()):
             idx = far[steps > t]
             y = q**t * zz[idx]
@@ -270,9 +295,8 @@ def triple_gamma(z, p: complex, q: complex):
             if not np.isfinite(moved).all():
                 raise DomainError("triple gamma value overflows the float range")
         zz[far] *= q**steps
-    pw = _series_powers(zz, pqq, p, q)
-    w = -1.0 / (np.arange(1, pw.shape[1] + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1]) ** 2)
-    log = pw[:-2] @ w
+    pw = _series_powers(zz, pqq)[0]
+    log = pw @ (-1.0 / _series_den(p, q, 2, pw.shape[1]))
     out *= np.exp(log[: zz.size] + log[zz.size :])
     return complex(out[0]) if scalar else out
 

@@ -153,14 +153,15 @@ class BracketZeroError(ValueError):
 
 
 # A point that hits one of these is not generic enough for the check; a fresh
-# draw is taken instead.
+# draw is taken instead, up to _RESAMPLE_TRIES draws in all.
 RESAMPLE_ERRORS = (BracketZeroError, AdmissibilityError, ConvergenceError)
+_RESAMPLE_TRIES = 8
 
 
-def resampled(draw, tries: int = 8):
+def resampled(draw):
     """Retry a draw-and-evaluate closure across RESAMPLE_ERRORS, and re-raise
-    the last of them when no draw in tries succeeds."""
-    for _ in range(tries - 1):
+    the last of them when no draw in _RESAMPLE_TRIES succeeds."""
+    for _ in range(_RESAMPLE_TRIES - 1):
         try:
             return draw()
         except RESAMPLE_ERRORS:

@@ -339,6 +339,17 @@ def test_underflowing_sampling_band_fails_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_underflowing_balanced_draw_fails_with_one_line(tmp_path, capsys):
+    # |p| = 1e-300 puts the reflection draw's modulus |pq|^(1/4) near 1e-75,
+    # whose seventh power underflows: the sampler raises DomainError
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"params": {"bailey": {"p": [1e-300, 0], "q": [0.45, 0]}}}))
+    assert cli.main(["suite", "bailey", "--trials", "1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: DomainError: balanced draw")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_tau_build_checks_level_three(capsys):
     rc = cli.main(["tau", "build", "--n", "3", "--json", "-"])
     report = json.loads(capsys.readouterr().out)

@@ -152,12 +152,12 @@ def test_shifted_parameters_match_product_formula(params):
     pq = abs(params.p * params.q)
     b = max(abs(params.p), abs(params.q))
     for mod in (0.96, 0.989, 0.997, 0.5 * pq, 0.2 * pq):
-        s = integrals._shift_count(mod, pq, b)
+        s = _shift_count(mod, pq, b)
         x = mod * b**s
-        assert s != 0 and max(x, pq / x) <= integrals._SHIFT_RHO
+        assert s != 0 and max(x, pq / x) <= _SHIFT_RHO
         # the fewest steps: one step fewer is still above the threshold
         x = mod * b ** (s - np.sign(s))
-        assert max(x, pq / x) > integrals._SHIFT_RHO
+        assert max(x, pq / x) > _SHIFT_RHO
         u = (mod * e(0.27), 0.6 * e(0.3), mod * e(0.61), *U_FIXED[3:])
         for N in (256, 1024, 4096):
             assert _node_vs_reference(_ctx(u=u, params=params), N) < 1e-12, (mod, N)
@@ -292,11 +292,12 @@ def _per_point_parts(ctx, N):
             vals = vals / (th * th[rev]) if s > 0 else vals * (th * th[rev])
         shifts.append((u[i], s))
         u[i] = u[i] * b**s
-    pw = _series_powers(u, pq, p, q)
+    pw = _series_powers(u, pq)[0]
     M, k = pw.shape[1], u.size
+    pp, qq = np.cumprod(np.broadcast_to(np.array([p, q])[:, None], (2, M)), axis=1)
     cm = np.zeros(-(-(M + 1) // N) * N, dtype=complex)
     cm[1 : M + 1] = (pw[:k].sum(axis=0) - pw[k : 2 * k].sum(axis=0)) / (
-        np.arange(1, M + 1) * (1.0 - pw[-2]) * (1.0 - pw[-1])
+        np.arange(1, M + 1) * (1.0 - pp) * (1.0 - qq)
     )
     a = cm.reshape(-1, N).sum(axis=0)
     h = vals * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))

@@ -229,6 +229,34 @@ def test_shift_count_is_the_loop_on_every_argument(p, q):
     assert any(w != 0 for w in want) and any(w == 0 for w in want)
 
 
+def test_shift_count_takes_an_argument_as_abs_does():
+    # moduli at rho = _SHIFT_RHO after s steps and the floats either side,
+    # at many phases: np.abs rounds some of these to the other side
+    pq, b = 0.03 * 0.45, 0.45
+    rng = np.random.default_rng(np.random.Philox(62))
+    edges = [edge / b**s for s in range(-4, 5) for edge in (S._SHIFT_RHO, pq / S._SHIFT_RHO)]
+    mods = [x for m in edges for x in (m, np.nextafter(m, 0.0), np.nextafter(m, 2.0))]
+    z = np.multiply.outer(mods, np.exp(2j * np.pi * rng.random(64))).reshape(-1)
+    want = [_shift_count_loop(abs(v), pq, b) for v in z.tolist()]
+    assert S._shift_count(z, pq, b).tolist() == want
+
+
+@pytest.mark.parametrize("p, q", [(0.15, 0.10), (0.03, 0.45), (0.3 * e(0.07), 0.6)], ids=["bailey", "chain", "complex"])
+def test_series_denominators_are_one_cached_read_only_table(p, q):
+    # elliptic_gamma, triple_gamma and the node integrand all read this table
+    for M in (1, 16, 37, 64, 373, 1000):
+        pw = np.cumprod(np.broadcast_to(np.array([p, q], dtype=complex)[:, None], (2, M)), axis=1)
+        m = np.arange(1, M + 1)
+        assert S._series_den(p, q, 1, M).tobytes() == (m * (1.0 - pw[0]) * (1.0 - pw[1])).tobytes()
+        assert S._series_den(p, q, 2, M).tobytes() == (m * (1.0 - pw[0]) * (1.0 - pw[1]) ** 2).tobytes()
+    for k in (1, 2):
+        # 40 and 1000 entries are prefixes of tables of 64 and 1024
+        assert S._series_den(p, q, k, 40).tobytes() == S._series_den(p, q, k, 1000)[:40].tobytes()
+        den = S._series_den(p, q, k, 40)
+        with pytest.raises(ValueError):
+            den[0] = 1.0
+
+
 def test_gamma_functional_equations():
     rng = np.random.default_rng(np.random.Philox(29))
     for _ in range(60):
