@@ -322,7 +322,7 @@ _LATTICE_QUADS = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2,
 
 def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -> float:
     """Quadruple bilinear residual of ev's lattice family on the level-2 chart."""
-    x = _chart_point(rng, -par.varpi + 2 * par.delta)
+    x = _chart_point(rng, ev.domain.base + 2 * ev.domain.step)
     mu = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
     eps = picard.coords_forward(x, mu, par.delta)
     return float(picard.quadruple_hirota_residual(ev, (), eps, quad))
@@ -430,13 +430,6 @@ def _chain_bilinear_once(ftype, index: int, level: float, run: _Run, k) -> float
     return float(tau.hirota_residual(run.chain.evaluator, _frames_of(3, ftype)[index], x, run.par))
 
 
-def _closed_form_once(level: int, run: _Run, k) -> float:
-    """Chain value at level against its determinant closed form."""
-    x = sampling.sample_on_level(run.rng, run.par, level)
-    det = tau.tau_n_det(level, x, "frame_a0", run.par, quad_tol=run.cfg.quad_tol)
-    return rel_diff(run.chain.value(level, x), det)
-
-
 _VARIANTS = tuple(tau._CHARTS)
 
 
@@ -453,7 +446,7 @@ def _variant_routes_once(run: _Run, k: int) -> float:
 def _two_path_once(run: _Run, k) -> float:
     """Translation against frame residual of the pm family at level 1."""
     frame = _frames_of(3, lattice.FrameType.C3_II0)[0]
-    x = _chart_point(run.rng, -run.par.varpi + run.par.delta)
+    x = _chart_point(run.rng, run.pm.domain.base + run.pm.domain.step)
     r1 = picard.translation_hirota_residual(run.pm, tau.oriented_triple(frame), x)
     r2 = tau.hirota_residual(run.pm, frame, x, run.par)
     return abs(float(r1) - float(r2))
@@ -466,10 +459,10 @@ class Check:
     body(run, k) evaluates trial k, drawing from run.rng, and returns one
     residual per id (one anchor each, or one for all), or a count. bound is
     the residual's key in cfg.tolerances, or the exact count expected.
-    trials maps cfg.trials to the number of trials, whose largest residual
-    is reported; None means one draw, reported as drawn. retry redraws a
-    trial that lands on a non-generic point. verify names the `e8tau verify`
-    identity that runs the row alone.
+    trials maps cfg.trials to the number of trials (one by default), whose
+    largest residual is reported: a single trial's own, as every residual and
+    count is at least +0.0. retry redraws a trial that lands on a non-generic
+    point. verify names the `e8tau verify` identity that runs the row alone.
     """
 
     suite: str
@@ -477,7 +470,7 @@ class Check:
     anchors: str | tuple[str, ...]
     body: Callable[[_Run, int], Any]
     bound: str | int
-    trials: Callable[[dict], int] | None = None
+    trials: Callable[[dict], int] = lambda t: 1
     retry: bool = False
     verify: str | None = None
 
@@ -561,7 +554,8 @@ def _build_rows(n: int) -> list[Check]:
     Toda recursion into level n."""
     ftype, level = (_FT.C3_I, 0.5) if n == 1 else (_FT.C3_II0, n)
     rows = [
-        Check("tau-build", f"level-{k}-closed-form", "Thm 6B", partial(_closed_form_once, k), bound="build", retry=True)
+        Check("tau-build", f"level-{k}-closed-form", "Thm 6B",
+              lambda run, _, k=k: _det_vs_quad_once(run.rng, run.par, k, run.cfg.quad_tol), bound="build", retry=True)
         for k in range(n + 1)
     ]
     rows.append(Check("tau-build", "chain-bilinear", "Thm 3C", partial(_chain_bilinear_once, ftype, 0, level),
@@ -588,11 +582,11 @@ def _measure(row: Check, run: _Run) -> list[dict]:
         k = next(ks)
         return resampled(lambda: row.body(run, k)) if row.retry else row.body(run, k)
 
-    got = trial() if row.trials is None else _worst(trial, row.trials(run.cfg.trials))
+    got = _worst(trial, row.trials(run.cfg.trials))
     if isinstance(row.bound, int):
         return [_count_check(row.ids[0], row.anchors[0], got, row.bound)]
     if not isinstance(got, tuple):
-        got = (got,) * len(row.ids)  # _worst of no trials is a bare 0.0
+        got = (got,) * len(row.ids)  # one residual for every id
     tol = run.cfg.tolerances[row.bound]
     return [_residual_check(cid, anchor, v, tol) for cid, anchor, v in zip(row.ids, row.anchors, got)]
 

@@ -70,9 +70,16 @@ def _modulus_bounds(zz: np.ndarray, kind: str) -> tuple[float, float]:
     return hi, float(np.minimum.reduce(mod, axis=None))
 
 
+# Most factors of a theta or qpoch product (the suites need 60, p = 0.999 41 000).
+FACTOR_CAP = 2**16
+
+
 def _powers(p: complex, big: float) -> list[complex]:
-    """p^0 .. p^(L-1) by the recurrence, L the first i >= 1 with |p|^i big < TRUNC_TOL."""
+    """p^0 .. p^(L-1) by the recurrence, L the first i >= 1 with |p|^i big < TRUNC_TOL
+    (DomainError first if L > FACTOR_CAP)."""
     ap = abs(p)
+    if ap**FACTOR_CAP * big >= TRUNC_TOL:
+        raise DomainError(f"|p| = {ap:.9g} needs more than {FACTOR_CAP} product factors")
     pows = [1.0 + 0j]
     while ap ** len(pows) * big >= TRUNC_TOL:
         pows.append(pows[-1] * p)

@@ -634,20 +634,12 @@ def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams)
     return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qforms(xs, params.delta))]
 
 
-def casorati_kernel_fn(
-    case: str, params: EllipticParams, quad_tol: float = QUAD_TOL
-) -> Callable[[list], list[complex]]:
-    """Determinant kernel psi as a batch function: psi(ys) is the contour
-    integral in the case's level-1 chart at u = e(y), for every y of ys,
-    the charts of all points at once and the integrals in one I_n_many
-    batch."""
-    route, _ = _case(case)
-
-    def kernel(ys: list) -> list[complex]:
-        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.array(ys, dtype=complex)), [1] * len(ys), params)
-        return integrals.I_n_many([IntegrandContext(tuple(v), params) for v in t.tolist()], quad_tol=quad_tol)
-
-    return kernel
+def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams):
+    """x as an array, checked on level n of the chain (DomainError), and the
+    case's level-n chart (t, w, s) at x, the batch of one."""
+    x = np.asarray(x, dtype=complex)
+    _levels("pp", params).require(x, n)
+    return x, _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
 
 
 def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
@@ -657,10 +649,8 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     monomial prefactor times four theta-factorial products over the first
     block's pairings with the second block's complements.
     """
-    x = np.asarray(x, dtype=complex)
-    _levels("pp", params).require(x, n)
-    t = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)[0][0]
-    return _dfactor(n, t, params)
+    _, (t, _, _) = _case_chart(n, x, case, params)
+    return _dfactor(n, t[0], params)
 
 
 def _dfactor(n: int, t: np.ndarray, params: EllipticParams) -> complex:
@@ -682,9 +672,7 @@ def _dfactor(n: int, t: np.ndarray, params: EllipticParams) -> complex:
 
 def gauge_g(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
     """Scalar gauge relating the chain component to the kernel determinant."""
-    x = np.asarray(x, dtype=complex)
-    _levels("pp", params).require(x, n)
-    t, w, scales = _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
+    x, (t, w, scales) = _case_chart(n, x, case, params)
     gam = integrals._pair_gammas(w, params, scales)[0]
     return _gauge_prefactors([n], [x], params)[0] * gam / _dfactor(n, t[0], params)
 
@@ -696,9 +684,14 @@ def tau_n_det(
     params: EllipticParams,
     quad_tol: float = QUAD_TOL,
 ) -> complex:
-    """Chain component via gauge times kernel determinant."""
-    _, triple = _case(case)
-    kernel = casorati_kernel_fn(case, params, quad_tol=quad_tol)
+    """Chain component via gauge times kernel determinant; the kernel takes
+    the integrals at the case's level-1 chart of all n^2 points in one batch."""
+    route, triple = _case(case)
+
+    def kernel(ys: list) -> list[complex]:
+        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.array(ys, dtype=complex)), [1] * len(ys), params)
+        return integrals.I_n_many([IntegrandContext(tuple(v), params) for v in t.tolist()], quad_tol=quad_tol)
+
     x = np.asarray(x, dtype=complex)
     return gauge_g(n, x, case, params) * casorati_K(n, x, kernel, triple, params)
 

@@ -350,6 +350,26 @@ def test_underflowing_balanced_draw_fails_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_theta_factor_cap_fails_the_suite_with_one_line(tmp_path, capsys):
+    # |p| = 0.999999 would take some 4e7 factors in the brackets' theta,
+    # which refuses it with a DomainError before building its table
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps({"params": {"hirota": {"p": [0.999999, 0], "q": [0.35, 0]}}}))
+    assert cli.main(["suite", "hirota", "--trials", "1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: DomainError: |p| = 0.999999 needs more than 65536")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_build_level_above_three_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["tau", "build", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "build level must be between 1 and 3\n"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n_max": 4}))
+    assert cli.main(["tau", "build", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: n_max must be between 1 and 3\n"
+
+
 def test_tau_build_checks_level_three(capsys):
     rc = cli.main(["tau", "build", "--n", "3", "--json", "-"])
     report = json.loads(capsys.readouterr().out)
@@ -375,6 +395,15 @@ def test_tau_probe_locates_and_evaluates(capsys):
     assert rc == 0
     assert doc["level"] == 1
     assert doc["value"] != [0.0, 0.0]
+
+
+def test_tau_probe_prints_one_line_without_json(capsys):
+    # the level-0 point of scripts/report_matrix.py's PROBES, drawn as it was
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(100), par, 0)
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--x", text]) == 0
+    assert capsys.readouterr().out == "level=0 value=+1.112961382478e+00-1.139856583839e-01j\n"
 
 
 def test_tau_probe_rejects_off_level_points(capsys):

@@ -334,6 +334,14 @@ def test_orbit_leaving_the_quarter_lattice_raises():
             L.weyl_orbit(L.vec(1, 0, 0, 0, 0, 0, 0, 0), group)
 
 
+def test_orbit_of_an_untyped_frame_without_a_class_raises():
+    # E8 types each new image of a 3-frame from its pairing profile; the
+    # first 3-frame scaled by 2 pairs to (2, 2, 2), which no class has
+    seed = L.Frame.from_vectors([v.scaled(2) for v in L.enumerate_frames(3)[0].vectors], L.FrameType.UNTYPED)
+    with pytest.raises(ValueError, match=r"^pairing profile \(2, 2, 2\) matches no class$"):
+        L.weyl_orbit(seed, "E8")
+
+
 def test_orbit_rejects_unknown_group():
     for group in ("E6", "e8", "", None):
         with pytest.raises(ValueError, match="group"):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import cmath
+import math
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +147,22 @@ def test_gamma_shift_products_that_overflow_raise():
             S.elliptic_gamma(1e-225, 0.03, 0.45)
         with pytest.raises(DomainError, match="overflows"):
             S.triple_gamma(np.array([0.3, 1e-225j]), 0.03, 0.45)
+
+
+def test_theta_and_qpoch_cap_their_factor_count():
+    # p = 0.999999 would take some 4e7 factors: refused before the table is built
+    for kernel in (S.theta, S.qpoch):
+        for z in (0.5, np.array([0.5, 0.3j])):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match=f"0.999999 needs more than {S.FACTOR_CAP}"):
+                kernel(z, 0.999999)
+            assert time.perf_counter() - t0 < 1.0
+    # p = 0.999 takes about 41 000 factors, inside the cap
+    n = len(S._powers(0.999, 1.0))
+    assert 40_000 < n < S.FACTOR_CAP
+    ref = math.exp(math.fsum(math.log1p(-0.5 * 0.999**i) for i in range(n)))
+    assert _rel(S.qpoch(0.5, 0.999), ref) < 1e-8
+    assert isinstance(S.theta(0.5, 0.999), complex)
 
 
 def test_gamma_frozen_values():
