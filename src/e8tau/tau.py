@@ -634,7 +634,7 @@ def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams)
     return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qforms(xs, params.delta))]
 
 
-def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams):
+def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams) -> tuple[np.ndarray, tuple]:
     """x as an array, checked on level n of the chain (DomainError), and the
     case's level-n chart (t, w, s) at x, the batch of one."""
     x = np.asarray(x, dtype=complex)
