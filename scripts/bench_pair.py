@@ -36,7 +36,9 @@ their own ``src/``. The record holds:
   sides agree on all of them but the digest, seed by seed, so a change in
   failure counts shows before the timed pairs are read;
   ``outcome_digest_equal`` beside it says whether the residuals kept their
-  bits.
+  bits. Each such run also keeps each kind's ``time_p50_s`` (``kind_p50_s``)
+  and its ``host_slowdown``: the same checks timed on both sides, which
+  ``equal`` does not read.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -81,11 +83,14 @@ def _fixed(root: str, workload: str, seed: int) -> dict:
         **{key: result[key] for key in _FIXED_KEYS},
         "reasons": {kind: rec["reasons"] for kind, rec in result["per_kind"].items() if rec["reasons"]},
         "outcome_digest": result["outcome_digest"],
+        "kind_p50_s": {kind: rec["time_p50_s"] for kind, rec in result["per_kind"].items()},
+        "host_slowdown": result["host_slowdown"],
     }
 
 
 def _same_outcomes(f: dict) -> bool:
-    """Whether both sides of a fixed-count run agree on everything but the digest."""
+    """Whether both sides of a fixed-count run agree on everything but the
+    digest and the timings."""
     return all(f["parent"][key] == f["change"][key] for key in (*_FIXED_KEYS, "reasons"))
 
 

@@ -24,11 +24,29 @@ class Membership(Enum):
     NEITHER = "Neither"
 
 
+# The phi code of a vector past level 2: above 8 * 16**2, the most that eight
+# lower codes sum to, so no frame through it matches a class, and 16**level is
+# never formed for a huge level.
+_NO_CLASS = 4096
+
+
+class _PhiCode:
+    """16**|floor(2<phi,a>)|, the vector's digit in a frame's base-16 pairing
+    profile. Computed on first read and stored in the instance __dict__,
+    which then shadows this non-data descriptor."""
+
+    def __get__(self, a, owner=None):
+        level = abs(2 * sum(a.coords4) // 8)
+        a.__dict__["phi_code"] = code = 16**level if level <= 2 else _NO_CLASS
+        return code
+
+
 @dataclass(frozen=True)
 class LatticeVector:
     """A point of (1/4)Z^8; ``coords4`` holds 4x the true coordinates."""
 
     coords4: tuple[int, ...]
+    phi_code = _PhiCode()
 
     def __post_init__(self):
         if len(self.coords4) != 8:
@@ -356,15 +374,21 @@ _TYPE_OF_PROFILE = {
     (0, 0, 2): FrameType.C3_II1,
     (0, 2, 2): FrameType.C3_II2,
 }
+# By frame size, the same table keyed by the sum of the vectors' phi codes:
+# with at most 8 vectors per level the sum's base-16 digits are the profile.
+_TYPE_OF_CODE = {
+    l: {sum(16**level for level in prof): t for prof, t in _TYPE_OF_PROFILE.items() if len(prof) == l}
+    for l in (3, 8)
+}
 
 
 def _classify(vectors: Sequence[LatticeVector]) -> FrameType:
-    if len(vectors) not in (3, 8):
+    table = _TYPE_OF_CODE.get(len(vectors))
+    if table is None:
         raise ValueError("only 3-frames and 8-frames carry a type")
-    prof = _phi_profile(vectors)
-    ftype = _TYPE_OF_PROFILE.get(prof)
+    ftype = table.get(sum([a.phi_code for a in vectors]))
     if ftype is None:
-        raise ValueError(f"pairing profile {prof} matches no class")
+        raise ValueError(f"pairing profile {_phi_profile(vectors)} matches no class")
     return ftype
 
 

@@ -1,8 +1,10 @@
 """Lattice layer: memberships, enumerations, frames, reflections, orbits."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
+import time
 from collections import Counter
 from operator import add, mul
 
@@ -225,7 +227,7 @@ def test_complex_pairings_match_exact_ones():
 def test_unsupported_norm_raises():
     with pytest.raises(ValueError):
         L.enumerate_norm(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^only 3-frames and 8-frames carry a type$"):
         L.classify_frame(L.enumerate_frames(1)[0])
 
 
@@ -278,7 +280,12 @@ def _frame_containing_reference(a):
     ]
     assert len(partners) == 14
     distinct = {L.sign_normalize(b).coords4: L.sign_normalize(b) for b in partners}
-    return L.Frame.from_vectors([L.sign_normalize(a), *distinct.values()])
+    return L.Frame.from_vectors([L.sign_normalize(a), *distinct.values()], L.FrameType.UNTYPED)
+
+
+def _floored_type(vectors):
+    """The type of the floored pairings |floor(2<phi,a>)|, without phi_code."""
+    return L._TYPE_OF_PROFILE[tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in vectors))]
 
 
 def test_vector_orbits_match_scalar_reference():
@@ -351,17 +358,58 @@ def test_orbit_rejects_unknown_group():
 
 
 def test_frame_completion_matches_scalar_reference():
+    # one scalar scan per reference frame; the 135 frames partition the
+    # 1 080 vectors, and every vector's completion is its reference frame
     seen = {L.sign_normalize(w.half()).coords4: L.sign_normalize(w.half()) for w in L.enumerate_norm(4)}
     assert len(seen) == 1080
-    for a in seen.values():
+    refs = _frames8_reference()
+    assert len(refs) == 135 and sorted(k for ref in refs for k in ref.key()) == sorted(seen)
+    ref_of = {k: (ref.key(), _floored_type(ref.vectors)) for ref in refs for k in ref.key()}
+    for k, a in seen.items():
         f = L.frame_containing(a)
-        ref = _frame_containing_reference(a)
-        assert f.key() == ref.key() and f.frame_type is ref.frame_type
+        assert (f.key(), f.frame_type) == ref_of[k]
 
 
 def test_phi_profile_is_the_floored_pairing():
     for f in L.enumerate_frames(8):
         assert L._phi_profile(f.vectors) == tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in f.vectors))
+    frames = L.enumerate_frames(8) + L.enumerate_frames(3)
+    assert len(frames) == 7695
+    assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in frames)
+    # the E8 orbit of a 3-frame, rebuilt from fresh vectors: each phi_code
+    # is first read here
+    orbit = L.weyl_orbit(L.enumerate_frames(3)[0], "E8")
+    fresh = [L.Frame(tuple(L.LatticeVector(tuple(v.coords4)) for v in f.vectors)) for f in orbit]
+    assert len(fresh) == 7560
+    assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in fresh)
+
+
+def test_classify_frame_rejects_pairings_without_a_class():
+    first = L.enumerate_frames(3)[0]
+    with pytest.raises(ValueError, match=r"^pairing profile \(2, 2, 2\) matches no class$"):
+        L.classify_frame(L.Frame(tuple(v.scaled(2) for v in first.vectors)))
+    # a level far above 2 is no class either, and says so at once
+    huge = L.Frame(tuple(v.scaled(2**70) for v in first.vectors))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^pairing profile .* matches no class$"):
+        L.classify_frame(huge)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_phi_code_leaves_the_vector_as_it_was():
+    # 16**|floor(2<phi,a>)| up to level 2, then one code no frame sum can reach
+    cases = [
+        (L.V[0] - L.V[1], 1), (L.vec(1, 0, 0, 0, 0, 0, 0, 0), 1), (L.vec(-1, 0, 0, 0, 0, 0, 0, 0), 16),
+        (L.V[0], 16), (-L.V[0], 16), (L.V[0] + L.V[1], 256), (-L.V[0] - L.V[1], 256),
+        (L.PHI, 4096), (L.V[0].scaled(2**70), 4096),
+    ]
+    for a, code in cases:
+        read = L.LatticeVector(a.coords4)
+        assert read.phi_code == code
+        fresh = L.LatticeVector(a.coords4)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert dataclasses.fields(read) == dataclasses.fields(fresh)
+        assert dataclasses.astuple(read) == dataclasses.astuple(fresh) == (a.coords4,)
 
 
 def test_small_frames_keep_their_order():

@@ -112,6 +112,22 @@ def test_bench_pair_same_outcomes_ignores_the_digest():
     assert not bench_pair._same_outcomes({"parent": side, "change": {**side, "reasons": {}}})
 
 
+def test_bench_pair_fixed_runs_keep_timings_that_same_outcomes_ignores(monkeypatch):
+    def worker(kind_p50_s, host_slowdown):
+        per_kind = {k: {"reasons": {}, "time_p50_s": t} for k, t in kind_p50_s.items()}
+        line = {"attempted": 28, "failed": 0, "raised": 0, "wrong": 0, "checks_failed": 0,
+                "per_kind": per_kind, "outcome_digest": "aa", "host_slowdown": host_slowdown}
+        out = type("Done", (), {"stdout": "set-up line\n" + json.dumps(line) + "\n"})()
+        monkeypatch.setattr(bench_pair.subprocess, "run", lambda *a, **k: out)
+        return bench_pair._fixed("root", "exact", 1)
+
+    parent = worker({"e7-orbit": 3.8e-3, "frame-type-counts": 1.9e-2}, 1.15)
+    change = worker({"e7-orbit": 3.9e-3, "frame-type-counts": 9.0e-3}, 0.70)
+    assert change["kind_p50_s"] == {"e7-orbit": 3.9e-3, "frame-type-counts": 9.0e-3}
+    assert change["host_slowdown"] == 0.70
+    assert bench_pair._same_outcomes({"parent": parent, "change": change})
+
+
 def test_report_matrix_probes_are_the_points_their_comment_names():
     par = EllipticParams.from_bases(0.03, 0.45)
     for n, text in report_matrix.PROBES.items():
