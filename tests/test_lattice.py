@@ -379,7 +379,7 @@ def test_phi_profile_is_the_floored_pairing():
     # the E8 orbit of a 3-frame, rebuilt from fresh vectors: each phi_code
     # is first read here
     orbit = L.weyl_orbit(L.enumerate_frames(3)[0], "E8")
-    fresh = [L.Frame(tuple(L.LatticeVector(tuple(v.coords4)) for v in f.vectors)) for f in orbit]
+    fresh = [L.Frame(tuple(L.LatticeVector(v.coords4) for v in f.vectors)) for f in orbit]
     assert len(fresh) == 7560
     assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in fresh)
 
