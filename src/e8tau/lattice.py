@@ -30,23 +30,45 @@ class Membership(Enum):
 _NO_CLASS = 4096
 
 
-class _PhiCode:
-    """16**|floor(2<phi,a>)|, the vector's digit in a frame's base-16 pairing
-    profile. Computed on first read and stored in the instance __dict__,
-    which then shadows this non-data descriptor."""
+class _OnFirstRead:
+    """A value derived from a vector's coords4, computed on first read and
+    stored in the instance __dict__, which then shadows this non-data
+    descriptor."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, a, owner=None):
-        level = abs(2 * sum(a.coords4) // 8)
-        a.__dict__["phi_code"] = code = 16**level if level <= 2 else _NO_CLASS
-        return code
+        a.__dict__[self.name] = value = self.derive(a.coords4)
+        return value
+
+
+def _phi_code(coords4: tuple[int, ...]) -> int:
+    """16**|floor(2<phi,a>)|, the vector's digit in a frame's base-16
+    pairing profile."""
+    level = abs(2 * sum(coords4) // 8)
+    return 16**level if level <= 2 else _NO_CLASS
+
+
+def _coords4_float(coords4: tuple[int, ...]) -> np.ndarray:
+    """coords4 as a read-only float array."""
+    out = np.array(coords4, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """A point of (1/4)Z^8; ``coords4`` holds 4x the true coordinates."""
+    """A point of (1/4)Z^8; ``coords4`` holds 4x the true coordinates, and
+    ``coords4_float`` the same as a read-only float array, which the
+    pairings and reflections with complex points read."""
 
     coords4: tuple[int, ...]
-    phi_code = _PhiCode()
+    phi_code = _OnFirstRead(_phi_code)
+    coords4_float = _OnFirstRead(_coords4_float)
 
     def __post_init__(self):
         if len(self.coords4) != 8:
@@ -70,7 +92,7 @@ class LatticeVector:
         return LatticeVector(tuple(a // 2 for a in self.coords4))
 
     def true_coords(self) -> np.ndarray:
-        return np.array(self.coords4, dtype=float) / 4.0
+        return self.coords4_float / 4.0
 
 
 def vec(*quarters: int) -> LatticeVector:
@@ -175,7 +197,7 @@ def reflect(alpha: LatticeVector, v: LatticeVector) -> LatticeVector:
 
 def reflect_c(alpha: LatticeVector, x: np.ndarray) -> np.ndarray:
     """The same reflection acting on a complex 8-vector of additive coordinates."""
-    a = np.asarray(alpha.coords4, dtype=float) / 4.0
+    a = alpha.coords4_float / 4.0
     return x - (2.0 * (a @ x) / (a @ a)) * a
 
 
@@ -472,4 +494,4 @@ def phi_pairing_c(x: np.ndarray) -> complex:
 
 def pairing_c(a: LatticeVector, x: np.ndarray) -> complex:
     """<a, x> between a lattice vector and a complex 8-vector."""
-    return complex(np.dot(np.asarray(a.coords4, dtype=float), x)) / 4.0
+    return complex(np.dot(a.coords4_float, x)) / 4.0

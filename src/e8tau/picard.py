@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import add, index, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +36,10 @@ class PicardVector:
             raise ValueError("expected 10 coefficients")
 
     def __add__(self, other: "PicardVector") -> "PicardVector":
-        return PicardVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PicardVector(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PicardVector") -> "PicardVector":
-        return PicardVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return PicardVector(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "PicardVector":
         return PicardVector(tuple(-a for a in self.coeffs))
@@ -57,8 +57,9 @@ def pic(*coeffs) -> PicardVector:
 
 
 def picard_ip(a: PicardVector, b: PicardVector) -> int:
-    """Bilinear pairing of signature (1, 9)."""
-    return sum(g * x * y for g, x, y in zip(_GRAM, a.coeffs, b.coeffs))
+    """Bilinear pairing of signature (1, 9): the Euclidean sum less twice
+    the e0 term."""
+    return sum(map(mul, a.coeffs, b.coeffs)) - 2 * a.coeffs[0] * b.coeffs[0]
 
 
 E = tuple(pic(*(1 if i == j else 0 for i in range(10))) for j in range(10))
@@ -206,8 +207,9 @@ def quadruple_hirota_residual(
         raise ValueError("need four distinct indices in 1..9")
     params = tau.params
     eps = np.asarray(eps, dtype=complex)
+    ev = eps.tolist()  # Python complex differences, the same bits as numpy's
 
-    args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (eps[b] - eps[c], eps[0] - eps[b] - eps[c] - eps[l])]
+    args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (ev[b] - ev[c], ev[0] - ev[b] - ev[c] - ev[l])]
     br = bracket_scaled_many(args, params)
     lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
     v = tau.scaled_many(_lattice_points(lams, tau, w, eps))
@@ -227,14 +229,13 @@ def translation_hirota_residual(
     scaled_many batch.
     """
     params = tau.params
-    kap = params.delta
+    kap4 = params.delta / 4.0
     x = np.asarray(x, dtype=complex)
-    a0, a1, a2 = axes
-    args, pts = [], []
-    for s, t, u in ((a0, a1, a2), (a1, a2, a0), (a2, a0, a1)):
-        pt, pu = lattice.pairing_c(t, x), lattice.pairing_c(u, x)
-        args += [pt + pu, pt - pu]
-        shift = kap * np.asarray(s.true_coords(), dtype=complex)
+    p0, p1, p2 = (lattice.pairing_c(a, x) for a in axes)
+    args = [p1 + p2, p1 - p2, p2 + p0, p2 - p0, p0 + p1, p0 - p1]
+    pts = []
+    for s in axes:
+        shift = kap4 * s.coords4_float  # kappa times the true coordinates, bit for bit
         pts += [x - shift, x + shift]
     br = bracket_scaled_many(args, params)
     v = tau.scaled_many(pts)

@@ -74,16 +74,56 @@ def _modulus_bounds(zz: np.ndarray, kind: str) -> tuple[float, float]:
 FACTOR_CAP = 2**16
 
 
-def _powers(p: complex, big: float) -> list[complex]:
-    """p^0 .. p^(L-1) by the recurrence, L the first i >= 1 with |p|^i big < TRUNC_TOL
-    (DomainError first if L > FACTOR_CAP)."""
-    ap = abs(p)
-    if ap**FACTOR_CAP * big >= TRUNC_TOL:
+def _factor_count(ap: float, big: float) -> int:
+    """L, the first i >= 1 with ap^i big < TRUNC_TOL, for ap = |p|: the
+    closed form ceil(log(TRUNC_TOL / big) / log(ap)), moved by one where the
+    test ap^i big < TRUNC_TOL itself disagrees with it (the rounding of the
+    two logs moves the quotient by far less than one). DomainError first if
+    L > FACTOR_CAP, or if that test cannot hold (a NaN |p|, or an infinite
+    big at a |p|^FACTOR_CAP that underflows)."""
+    if not ap**FACTOR_CAP * big < TRUNC_TOL:
         raise DomainError(f"|p| = {ap:.9g} needs more than {FACTOR_CAP} product factors")
-    pows = [1.0 + 0j]
-    while ap ** len(pows) * big >= TRUNC_TOL:
-        pows.append(pows[-1] * p)
-    return pows
+    if ap * big < TRUNC_TOL:
+        return 1
+    n = math.ceil(math.log(TRUNC_TOL / big) / math.log(ap))
+    if ap**n * big >= TRUNC_TOL:
+        return n + 1
+    return n - 1 if ap ** (n - 1) * big < TRUNC_TOL else n
+
+
+# Power tables kept, one per base and size. A table holds at most 2^17
+# entries (L <= FACTOR_CAP = 2^16 needs L + 1), 2 MiB, so the cache holds at
+# most 64 MiB; at |p| <= 0.5 a table is 64 entries, 1 KiB.
+_POWER_TABLES = 32
+
+
+@functools.lru_cache(maxsize=_POWER_TABLES, typed=True)
+def _power_table(p: complex, size: int) -> np.ndarray:
+    """p^0 .. p^(size - 1) by the recurrence p^(i+1) = p^i p, each step one
+    multiplication of the operands' own types (numpy's array * p differs in
+    the last bit), read-only. typed: a float p and the equal complex p
+    multiply differently in the sign of a zero."""
+    pw = [1.0 + 0j]
+    for _ in range(size - 1):
+        pw.append(pw[-1] * p)
+    table = np.array(pw, dtype=complex)
+    table.flags.writeable = False
+    return table
+
+
+def _power_prefix(p: complex, big: float) -> tuple[np.ndarray, int]:
+    """L (_factor_count) and the cached table of p's powers that holds
+    p^0 .. p^L: the table of the next power of two above L."""
+    n = _factor_count(abs(p), big)
+    return _power_table(p, 1 << n.bit_length()), n
+
+
+def _powers(p: complex, big: float) -> np.ndarray:
+    """p^0 .. p^(L-1), L the first i >= 1 with |p|^i big < TRUNC_TOL: a
+    read-only prefix of the cached table (DomainError first if
+    L > FACTOR_CAP)."""
+    table, n = _power_prefix(p, big)
+    return table[:n]
 
 
 # Entries of one factor table of theta. A batch whose table would hold more
@@ -94,7 +134,7 @@ def _powers(p: complex, big: float) -> list[complex]:
 _THETA_BLOCK = 65536
 
 
-def _theta_factors(pows: list, ppows: list, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _theta_factors(pows: np.ndarray, ppows: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """prod_i (1 - pows[i] z)(1 - ppows[i] / z) for every z, the table
     multiplied out row by row, as t.prod(axis=0)."""
     t = np.multiply.outer(pows, z)
@@ -105,28 +145,48 @@ def _theta_factors(pows: list, ppows: list, z: np.ndarray, out: np.ndarray | Non
     return np.multiply.reduce(t, axis=0, out=out)
 
 
+def _theta_range_guard(pows: np.ndarray, ppows: np.ndarray, z: np.ndarray, out: np.ndarray, p: complex) -> None:
+    """DomainError where the theta product out (at the arguments z) is not
+    finite, or is 0 with no factor 1 - pows[i] z or 1 - ppows[i] / z
+    exactly 0: a product of nonzero factors that left the float range."""
+    out, z = np.reshape(out, -1), np.reshape(z, -1)
+    if not np.isfinite(out).all():
+        raise DomainError(f"theta product overflows the float range at |p| = {abs(p):.9g}")
+    zero = z[out == 0]
+    exact = (np.multiply.outer(pows, zero) == 1) | (np.divide.outer(ppows, zero) == 1)
+    if not exact.any(axis=0).all():
+        raise DomainError(f"theta product of nonzero factors underflows to 0 at |p| = {abs(p):.9g}")
+
+
 def theta(z, p: complex):
     """Jacobi theta: product of (1 - p^i z)(1 - p^{i+1}/z) over i >= 0, for
     any shape of z (a complex for a 0-d z): one table of factors multiplied
-    out row by row, cut once for the batch at its largest max(|z|, |p/z|, 1).
-    A table above _THETA_BLOCK entries is multiplied out in blocks of
-    columns, each entry as in the whole table, so bit for bit."""
+    out row by row, cut once for the batch at its largest max(|z|, |p/z|, 1),
+    the powers of p a prefix of their cached table. A table above
+    _THETA_BLOCK entries is multiplied out in blocks of columns, each entry
+    as in the whole table, so bit for bit.
+
+    A product of nonzero factors that overflows, or underflows to 0, raises
+    DomainError naming |p|; an exact zero factor (theta(1, p)) gives 0."""
     zz = np.asarray(z, dtype=complex)
     hi, lo = _modulus_bounds(zz, "theta")
     if lo == 0:
         raise ValueError("theta argument must be nonzero")
     # |p| / lo is the largest |p/z|: division by a positive float is monotone
-    pows = _powers(p, max(hi, abs(p) / lo, 1.0))
-    ppows = [w * p for w in pows]  # numpy's array * p differs in the last bit
-    width = max(_THETA_BLOCK // len(pows), 1)
+    table, n = _power_prefix(p, max(hi, abs(p) / lo, 1.0))
+    pows, ppows = table[:n], table[1 : n + 1]
+    width = max(_THETA_BLOCK // n, 1)
     if zz.size <= width:
         out = _theta_factors(pows, ppows, zz)
-        return complex(out) if zz.ndim == 0 else out
-    flat = zz.reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    for start in range(0, flat.size, width):
-        _theta_factors(pows, ppows, flat[start : start + width], out[start : start + width])
-    return out.reshape(zz.shape)
+    else:
+        flat = zz.reshape(-1)
+        out = np.empty(flat.shape, dtype=complex)
+        for start in range(0, flat.size, width):
+            _theta_factors(pows, ppows, flat[start : start + width], out[start : start + width])
+        out = out.reshape(zz.shape)
+    if not (np.isfinite(out).all() and out.all()):
+        _theta_range_guard(pows, ppows, zz, out, p)
+    return complex(out) if zz.ndim == 0 else out
 
 
 def qpoch(z, p: complex):
@@ -342,24 +402,29 @@ def bracket_scaled_many(zetas: Sequence[complex], params: EllipticParams) -> lis
     (where the float n varpi is spaced wider than varpi and z keeps no
     correct digit), raises DomainError first. The array theta truncates at
     the batch's largest modulus, so an entry can differ from the bracket of
-    that zeta alone in the last bits; a batch of one is that bracket.
+    that zeta alone in the last bits; a batch of one is that bracket. One
+    pass reduces every zeta, one array theta call follows, one pass makes
+    the values.
     """
     varpi = params.varpi
-    reduced = []
+    vi = varpi.imag
+    zs, ns, us = [], [], []
     for zeta in zetas:
         z = complex(zeta)
         if not cmath.isfinite(z):
             raise DomainError(f"bracket argument {zeta!r} is not finite")
-        b = z.imag / varpi.imag
+        b = z.imag / vi
         if abs(b) > 2.0**52:
             raise DomainError(f"bracket argument {zeta!r} lies {b:.3g} periods out, past 2^52")
         n = round(b) if abs(b) > 0.5 + 1e-12 else 0
-        reduced.append((z - n * varpi, n))
-    if not reduced:
+        z = z - n * varpi
+        zs.append(z)
+        ns.append(n)
+        us.append(e(z))
+    if not zs:
         return []
-    ths = theta([e(z) for z, _ in reduced], params.p).tolist()
     out = []
-    for (z, n), th in zip(reduced, ths):
+    for z, n, th in zip(zs, ns, theta(us, params.p).tolist()):
         body = e(-z / 2) * th
         if not n:
             out.append(Scaled(body, 0))

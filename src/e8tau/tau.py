@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
+from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
 
@@ -56,6 +57,7 @@ from .util import (
     Scaled,
     e,
     normalized_residual,
+    product,
     split,
 )
 
@@ -80,9 +82,10 @@ _A7_TRIPLE = (A1_VECTORS[7], A1_VECTORS[1], A1_VECTORS[2])
 
 def qforms(xs: np.ndarray, delta: complex) -> list[complex]:
     """Q(x) = <x,x>/(2*delta) at every row x of xs (B, 8), with the
-    complex-bilinear coordinate sum, from one array sum."""
+    complex-bilinear coordinate sum, from one array sum (np.add.reduce, the
+    reduction ndarray.sum makes, without its wrapper)."""
     xs = np.asarray(xs, dtype=complex).reshape(-1, 8)
-    return ((xs * xs).sum(axis=1) / (2.0 * delta)).tolist()
+    return (np.add.reduce(xs * xs, axis=1) / (2.0 * delta)).tolist()
 
 
 @dataclass(frozen=True)
@@ -156,27 +159,26 @@ class TauEvaluator:
 
     domain is None for functions defined on all of V; otherwise evaluation
     first locates x inside the hyperplane family and rejects stray points.
-    fn(x) is the value at one point; batch makes every value: it takes the
-    located points as (level, x) pairs (level None without a domain) and
-    returns their Scaled values, or raises one error. Without one, fn is
-    adapted once, point by point."""
+    fn(x) is the value at one point; batch makes every value: batch(ns, xs)
+    takes the located points xs with their levels ns (None without a
+    domain) and returns their Scaled values, or raises one error. Without
+    one, fn is adapted once, point by point."""
 
     fn: Callable[[np.ndarray], complex]
     params: EllipticParams
     domain: LevelDomain | None = None
-    batch: Callable[[list], list[Scaled]] | None = field(default=None, repr=False, compare=False)
+    batch: Callable[[list | None, list], list[Scaled]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.batch is None:
-            object.__setattr__(self, "batch", lambda located: [split(complex(self.fn(x))) for _, x in located])
+            object.__setattr__(self, "batch", lambda ns, xs: [split(complex(self.fn(x))) for x in xs])
 
     def scaled_many(self, xs: Sequence[np.ndarray]) -> list[Scaled]:
         """The Scaled value at every point of xs, as one batch: all points
         are located first, in one domain.levels call, so the first point off
         the domain raises."""
         xs = [np.asarray(x, dtype=complex) for x in xs]
-        ns = [None] * len(xs) if self.domain is None else self.domain.levels(np.array(xs).reshape(len(xs), 8))
-        return self.batch(list(zip(ns, xs)))
+        return self.batch(None if self.domain is None else self.domain.levels(np.array(xs).reshape(len(xs), 8)), xs)
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
         """scaled_many recombined: a complex infinity where a value overflows."""
@@ -190,13 +192,13 @@ class TauEvaluator:
 
 def _from_batch(batch, params: EllipticParams, domain: LevelDomain | None = None) -> TauEvaluator:
     """The evaluator whose values batch makes, its fn the batch of one."""
-    return TauEvaluator(lambda x: complex(batch([(None, np.asarray(x, dtype=complex))])[0]), params, domain, batch)
+    return TauEvaluator(lambda x: complex(batch(None, [np.asarray(x, dtype=complex)])[0]), params, domain, batch)
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
     return _from_batch(
-        lambda located: bracket_scaled_many([q + c for q in qforms([x for _, x in located], params.delta)], params),
+        lambda ns, xs: bracket_scaled_many([q + c for q in qforms(xs, params.delta)], params),
         params,
     )
 
@@ -223,7 +225,8 @@ def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
     for a in vs:
         pa = ip(PHI, a)
         fixed.append(-a if pa < 0 else (a if pa > 0 else sign_normalize(a)))
-    fixed.sort(key=lambda a: (-ip(PHI, a), tuple(-c for c in a.coords4)))
+    # descending (pairing, coordinates): no two axes of a frame tie
+    fixed.sort(key=lambda a: (ip(PHI, a), a.coords4), reverse=True)
     return fixed
 
 
@@ -241,14 +244,14 @@ def hirota_residual(
     first, in one bracket_scaled_many batch, then the six Scaled tau values
     in one scaled_many batch.
     """
-    a, b, c = oriented_triple(frame)
+    axes = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
-    d = params.delta
-    args, pts = [], []
-    for s, t, w in ((a, b, c), (b, c, a), (c, a, b)):
-        sh = np.asarray(s.true_coords(), dtype=complex) * d
-        bt, bw = pairing_c(t, x), pairing_c(w, x)
-        args += [bt + bw, bt - bw]
+    d4 = params.delta / 4.0
+    pa, pb, pc = (pairing_c(v, x) for v in axes)
+    args = [pb + pc, pb - pc, pc + pa, pc - pa, pa + pb, pa - pb]
+    pts = []
+    for s in axes:
+        sh = s.coords4_float * d4  # the true coordinates times delta, bit for bit
         pts += [x + sh, x - sh]
     br = bracket_scaled_many(args, params)
     v = tau.scaled_many(pts)
@@ -289,7 +292,9 @@ def transform(
 ) -> TauEvaluator:
     """New evaluator obtained from tau by one of the three symmetry maps:
     tau's batch at the mapped points, each value times its prefactor as a
-    frexp-split factor (none for a Weyl map), on tau's domain moved along."""
+    Scaled product (none for a Weyl map), on tau's domain moved along. The
+    prefactors' coordinate sums are np.add.reduce, the reduction np.sum
+    makes, without its wrapper."""
     params = tau.params
     pre = None
     if isinstance(spec, ExpGauge):
@@ -297,7 +302,7 @@ def transform(
             raise ValueError("eps must be +1 or -1")
         vv = np.asarray(spec.v, dtype=complex)
         point = lambda x: spec.eps * x
-        pre = lambda x: e(spec.k * complex(np.sum(x * x)) + complex(np.dot(vv, x)) + spec.c)
+        pre = lambda x: e(spec.k * complex(np.add.reduce(x * x, axis=None)) + complex(np.dot(vv, x)) + spec.c)
         move = lambda d: replace(d, base=spec.eps * d.base, step=spec.eps * d.step)
     elif isinstance(spec, WeylMap):
         point = partial(apply_word_c, inverse_word(spec.word))
@@ -308,15 +313,14 @@ def transform(
         shift = np.asarray(spec.v.true_coords(), dtype=complex) * omega
         coef = -l / (2.0 * params.delta**2)
         point = lambda x: x - shift
-        pre = lambda x: e(coef * pairing_c(spec.v, x) * complex(np.sum(x * (x - shift))))
+        pre = lambda x: e(coef * pairing_c(spec.v, x) * complex(np.add.reduce(x * (x - shift), axis=None)))
         move = lambda d: replace(d, base=d.base + ip(d.direction, spec.v) / 16.0 * omega)
     else:
         raise TypeError(f"unknown transform spec {spec!r}")
 
-    def batch(located: list) -> list[Scaled]:
-        xs = [x for _, x in located]
+    def batch(ns: list | None, xs: list) -> list[Scaled]:
         vals = tau.scaled_many([point(x) for x in xs])
-        return vals if pre is None else [split(pre(x)) * v for x, v in zip(xs, vals)]
+        return vals if pre is None else [product((pre(x), v)) for x, v in zip(xs, vals)]
 
     return _from_batch(batch, params, None if tau.domain is None else move(tau.domain))
 
@@ -408,10 +412,10 @@ def toda_steps(
             if abs(val) < BRACKET_FLOOR:
                 raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
 
-    vals = tau_cur.eval_many([x - np.asarray(s.true_coords(), dtype=complex) * d for s in shifts])
+    vals = tau_cur.eval_many([x - s.coords4_float * (d / 4.0) for s in shifts])
     pm = [br[len(args) + 2 * k] * br[len(args) + 2 * k + 1] for k in range(len(axes))]
     cur = [vals[2 * k] * vals[2 * k + 1] for k in range(len(axes))]
-    prev = tau_prev(x - 2.0 * np.asarray(a0.true_coords(), dtype=complex) * d)
+    prev = tau_prev(x - a0.coords4_float * (d / 2.0))
     return [
         (pm[at[j]] * cur[at[i]] - pm[at[i]] * cur[at[j]]) / (br[2 * k] * br[2 * k + 1] * prev)
         for k, (i, j) in enumerate(pairs)
@@ -492,17 +496,17 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
             memo.popitem(last=False)
         return v
 
-    def batch(located: list) -> list[Scaled]:
+    def batch(ns: list, xs: list) -> list[Scaled]:
         missing: dict = {}
-        for n, x in located:
+        for n, x in zip(ns, xs):
             key = (n, x.tobytes())
             if n >= 0 and key not in memo:
                 missing[key] = (n, x)
         fresh = {}
         if missing:
-            ns, xs = zip(*missing.values())
-            fresh = dict(zip(missing, values(list(ns), list(xs))))
-        return [split(tau_at(n, x, fresh)) for n, x in located]
+            new_ns, new_xs = zip(*missing.values())
+            fresh = dict(zip(missing, values(list(new_ns), list(new_xs))))
+        return [split(tau_at(n, x, fresh)) for n, x in zip(ns, xs)]
 
     def at_level(x: np.ndarray) -> complex:
         x = np.asarray(x, dtype=complex)
@@ -785,7 +789,7 @@ def warnaar_det_residual(
     for k in range(1, n + 1):
         rhs *= complex(bs[k - 1, n - k] * b_s[k - 1, n - k])
     if n > 1:
-        i, j = np.triu_indices(n, 1)
+        i, j = map(list, zip(*combinations(range(n), 2)))  # np.triu_indices(n, 1), without its set-up
         pairs = theta(np.concatenate([zs[i] * zs[j], zs[i] / zs[j]]), p).reshape(2, -1)
         for plus, minus, zi in zip(*pairs.tolist(), zs[i].tolist()):
             rhs *= plus * minus / zi

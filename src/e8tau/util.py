@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,21 +63,38 @@ def split(z: complex, k: int = 0) -> Scaled:
     return Scaled(complex(math.ldexp(z.real, -j), math.ldexp(z.imag, -j)), k + j)
 
 
+def product(factors: Sequence[complex | Scaled]) -> Scaled:
+    """The product of the factors in order, each a complex number or a
+    Scaled: every factor split once, the mantissas multiplied in order and
+    the product split once.
+
+    That is the chain of Scaled products, which splits after every step,
+    bit for bit: a split scales by a power of two, which commutes with the
+    rounding of each later product while the mantissas' components stay in
+    the normal float range (or are 0). A split mantissa's modulus lies in
+    [1/2, 2), so a product of n of them lies in [2^-n, 2^n)."""
+    m, k = None, 0
+    for f in factors:
+        z, fk = f if isinstance(f, Scaled) else (complex(f), 0)
+        j = math.frexp(max(abs(z.real), abs(z.imag)))[1]  # split(z), inline on this hot path
+        fm = complex(math.ldexp(z.real, -j), math.ldexp(z.imag, -j))
+        m = fm if m is None else m * fm
+        k += fk + j
+    return split(m, k)
+
+
 def normalized_residual(terms: Sequence[Sequence[complex | Scaled]]) -> Residual:
     """|sum of the terms| / max |term|, in the given term order, each term
     the product of its factors in order, a factor a complex number or a
     Scaled; degenerate 0 when every term vanishes.
 
-    A product may overflow where the residual does not, so every factor is
-    split and each term is a Scaled product; the terms are summed at the
-    scale of the largest exponent. Scaling by a power of two is exact: a
-    residual whose unscaled products are finite keeps its bits."""
-    scaled = [
-        reduce(mul, (split(f.m, f.k) if isinstance(f, Scaled) else split(complex(f)) for f in factors))
-        for factors in terms
-    ]
+    A product may overflow where the residual does not, so each term is a
+    Scaled product; the terms are summed at the scale of the largest
+    exponent. Scaling by a power of two is exact: a residual whose unscaled
+    products are finite keeps its bits."""
+    scaled = [product(factors) for factors in terms]
     top = max(t.k for t in scaled)
-    terms = [complex(Scaled(t.m, t.k - top)) for t in scaled]
+    terms = [complex(_ldexp(m.real, k - top), _ldexp(m.imag, k - top)) for m, k in scaled]
     m = max(abs(t) for t in terms)
     if m == 0.0:
         return Residual(0.0, degenerate=True)

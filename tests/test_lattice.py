@@ -224,6 +224,37 @@ def test_complex_pairings_match_exact_ones():
     assert abs(L.phi_pairing_c(L.PHI.true_coords().astype(complex)) - 2.0) < 1e-14
 
 
+def test_float_coordinates_are_the_converted_route_bit_for_bit():
+    # pairing_c, reflect_c and the tau layer's shift vectors read the cached
+    # float copy of coords4; the reference converts coords4 on every call
+    rng = np.random.default_rng(np.random.Philox(19))
+    vectors = L.enumerate_norm(2) + L.enumerate_norm(4)[:200] + tuple(f.vectors[0] for f in L.enumerate_frames(3)[:200])
+
+    def bits(z):
+        return np.asarray(z, dtype=complex).tobytes()
+
+    for _ in range(2000):
+        a = vectors[int(rng.integers(len(vectors)))]
+        x = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        d = complex(*rng.standard_normal(2))
+        c = np.asarray(a.coords4, dtype=float)
+        assert bits(L.pairing_c(a, x)) == bits(complex(np.dot(c, x)) / 4.0)
+        ref = c / 4.0
+        assert bits(L.reflect_c(a, x)) == bits(x - (2.0 * (ref @ x) / (ref @ ref)) * ref)
+        assert bits(a.coords4_float * (d / 4.0)) == bits(np.asarray(a.true_coords(), dtype=complex) * d)
+        assert bits((d / 4.0) * a.coords4_float) == bits(d * np.asarray(a.true_coords(), dtype=complex))
+        assert bits(a.coords4_float * (d / 2.0)) == bits(2.0 * np.asarray(a.true_coords(), dtype=complex) * d)
+
+
+def test_float_coordinates_are_a_read_only_copy():
+    a = L.vec(2, -2, 2, -2, 0, 0, 0, 0)
+    assert a.coords4_float is a.coords4_float
+    assert a.coords4_float.tolist() == [2.0, -2.0, 2.0, -2.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        a.coords4_float[0] = 5.0
+    assert a == L.vec(2, -2, 2, -2, 0, 0, 0, 0) and hash(a) == hash(L.vec(2, -2, 2, -2, 0, 0, 0, 0))
+
+
 def test_unsupported_norm_raises():
     with pytest.raises(ValueError):
         L.enumerate_norm(6)

@@ -162,7 +162,63 @@ def test_theta_and_qpoch_cap_their_factor_count():
     assert 40_000 < n < S.FACTOR_CAP
     ref = math.exp(math.fsum(math.log1p(-0.5 * 0.999**i) for i in range(n)))
     assert _rel(S.qpoch(0.5, 0.999), ref) < 1e-8
-    assert isinstance(S.theta(0.5, 0.999), complex)
+    with pytest.raises(DomainError, match="underflows to 0 at \\|p\\| = 0.999"):
+        S.theta(0.5, 0.999)
+
+
+def _powers_loop(p, big):
+    """The reference powers: the recurrence run until |p|^L big < TRUNC_TOL,
+    p^0 .. p^(L-1), as _powers computed them by a while loop."""
+    ap = abs(p)
+    pows = [1.0 + 0j]
+    while ap ** len(pows) * big >= S.TRUNC_TOL:
+        pows.append(pows[-1] * p)
+    return pows
+
+
+def test_power_table_prefix_is_the_recurrence_loop():
+    rng = np.random.default_rng(np.random.Philox(41))
+    cases = []
+    for k in range(400):
+        ap = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.9993))))
+        p = complex(ap * e(rng.random())) if k % 2 else ap
+        big = float(np.exp(rng.uniform(0.0, np.log(1e6))))
+        cases.append((p, big))
+        # big a float step either side of a threshold ap^m big = TRUNC_TOL,
+        # where the closed form's rounding matters most
+        lo = math.ceil(math.log(S.TRUNC_TOL) / math.log(ap))
+        hi = math.floor(math.log(S.TRUNC_TOL / 1e6) / math.log(ap))
+        edge = S.TRUNC_TOL / ap ** int(rng.integers(lo, hi + 1)) if hi >= lo else 0.0
+        if 1.0 <= edge <= 1e6:
+            cases += [(p, edge), (p, math.nextafter(edge, 0)), (p, math.nextafter(edge, math.inf))]
+    cases += [(0.99 * e(0.3), 1e6), (0.995, 2.0), (-0.999, 1.0), (0.9993 * e(0.71), 1.0), (0.9993, 1e6)]
+    checked = 0
+    for p, big in cases:
+        if abs(p) ** S.FACTOR_CAP * big >= S.TRUNC_TOL:
+            with pytest.raises(DomainError, match="needs more than"):
+                S._powers(p, big)
+            continue
+        ref = _powers_loop(p, big)
+        got = S._powers(p, big)
+        assert len(got) == len(ref) and _bits(got) == _bits(ref), (p, big)
+        # theta's second factor row p^1 .. p^L: the loop's w * p
+        table, n = S._power_prefix(p, big)
+        assert n == len(ref) and _bits(table[1 : n + 1]) == _bits([w * p for w in ref]), (p, big)
+        checked += 1
+    assert checked > 400
+
+
+def test_power_tables_are_per_base_and_read_only():
+    # equal moduli, different phases (and a float base beside the equal
+    # complex one): each base has its own table, each the loop's
+    bases = (0.3, 0.3 + 0j, 0.3j, -0.3, 0.3 * e(0.1))
+    tables = [S._powers(p, 2.0) for p in bases]
+    for p, t in zip(bases, tables):
+        assert _bits(t) == _bits(_powers_loop(p, 2.0)), p
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 2.0
+    assert len({id(S._power_table(p, 64)) for p in bases}) == len(bases)
+    assert S._power_table(0.3j, 64) is S._power_table(0.3j, 64)
 
 
 def test_gamma_frozen_values():
