@@ -12,8 +12,9 @@ the repository root:
     PYTHONPATH=src python3 scripts/report_matrix.py OUTDIR
 
 Given two OUTDIRs written that way, it prints one line per report entry that
-differs (file, check id, residual, count or probe value before -> after, both
-pass flags; "-" for an entry or flag on one side only), then every exit
+differs (file, check id, residual, count or probe value before -> after, a
+degenerate residual named so, both pass flags; "-" for an entry or flag on
+one side only), then every exit
 status or first stderr line that differs, then one summary line: how many
 entries moved, and the largest move |after - before| among the residual
 rows that pass on both sides (a residual is already relative), with its
@@ -95,7 +96,7 @@ def _shown(c: dict | None) -> str:
     if c is None:
         return "-"
     if "residual" in c:
-        return f"{c['residual']:.3e}"
+        return f"{c['residual']:.3e}" + (" degenerate" if c.get("degenerate") else "")
     return str(c["count"]) if "count" in c else repr(complex(*c["value"]))
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: enumeration counts, identity suites, chain builds.
 
 Reports are JSON documents with one entry per check carrying id,
-paper_anchor, residual or count, tolerance, and pass. Each check is one row
-of the table _CHECKS, and one runner (_measure) turns rows into entries.
+paper_anchor, residual or count, tolerance, and pass; a residual whose
+terms all vanished also carries "degenerate": true, and fails. Each check
+is one row of the table _CHECKS, and one runner (_measure) turns rows into
+entries.
 All randomness flows through the counter-based generator in sampling, so a
 fixed (config, seed) pair reproduces every numeric field; wall time is the
 one exempt field.
@@ -35,8 +37,8 @@ import numpy as np
 
 from . import integrals, lattice, picard, sampling, tau
 from .integrals import IntegrandContext
-from .specialfn import EllipticParams, bracket_pm, three_term_residual
-from .util import RESAMPLE_ERRORS, ConvergenceError, DomainError, e, rel_diff, resampled
+from .specialfn import EllipticParams, bracket_scaled_many, three_term_residual
+from .util import RESAMPLE_ERRORS, ConvergenceError, DomainError, Residual, e, normalized_residual, resampled
 
 SUITES = ("counts", "specialfn", "hirota", "bailey", "chain", "picard")
 
@@ -164,8 +166,13 @@ def load_config(
 
 
 def _residual_check(cid: str, anchor: str, value, tol: float) -> dict:
+    """The entry of one residual: it passes below tol, unless it is a
+    degenerate Residual (every term vanished), which fails and is marked."""
     v = float(value)
-    return {"id": cid, "paper_anchor": anchor, "residual": v, "tolerance": tol, "pass": bool(v < tol)}
+    entry = {"id": cid, "paper_anchor": anchor, "residual": v, "tolerance": tol, "pass": bool(v < tol)}
+    if getattr(value, "degenerate", False):
+        entry["pass"], entry["degenerate"] = False, True
+    return entry
 
 
 def _count_check(cid: str, anchor: str, got: int, want: int) -> dict:
@@ -180,13 +187,18 @@ def _count_check(cid: str, anchor: str, got: int, want: int) -> dict:
 
 
 def _larger(a: float, b: float) -> float:
-    """The larger residual; a NaN wins, so a non-finite residual fails its row."""
-    return b if b > a or math.isnan(b) else a
+    """The larger residual; a NaN wins, so a non-finite residual fails its
+    row. A degenerate Residual on either side makes the result degenerate."""
+    top = b if b > a or math.isnan(b) else a
+    if getattr(a, "degenerate", False) or getattr(b, "degenerate", False):
+        return Residual(top, degenerate=True)
+    return top
 
 
 def _worst(once: Callable[[], Any], trials: int):
-    """Largest of trials residuals drawn in turn (a non-finite one wins). A
-    draw that returns a tuple of residuals keeps a largest per position."""
+    """Largest of trials residuals drawn in turn (a non-finite one wins),
+    degenerate when any trial was. A draw that returns a tuple of residuals
+    keeps a largest per position."""
     worst = 0.0
     for _ in range(trials):
         r = once()
@@ -205,57 +217,57 @@ def _worst(once: Callable[[], Any], trials: int):
 # call them, each with its own seed, trial count, quadrature target and bound.
 
 
-def _three_term_once(rng) -> float:
+def _three_term_once(rng) -> Residual:
     base = (0.05 + 0.45 * rng.random()) * e(rng.random())
     par = EllipticParams.from_bases(base, 0.3)
     z, a, b, g = (0.4 * complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
-    return float(three_term_residual(z, a, b, g, par))
+    return three_term_residual(z, a, b, g, par)
 
 
-def _reflection_once(rng, par: EllipticParams, quad_tol: float) -> tuple[float, float]:
+def _reflection_once(rng, par: EllipticParams, quad_tol: float) -> tuple[Residual, Residual]:
     """Residuals of the tilde and hat reflections at a point balanced to p^2 q^2."""
     p, q = par.p, par.q
     u = sampling.sample_balanced(rng, (p * q) ** 2, abs(p * q) ** 0.25)
     ctx = IntegrandContext(u=u, params=par)
     return (
-        float(integrals.bailey_residual(ctx, "tilde", quad_tol=quad_tol)),
-        float(integrals.bailey_residual(ctx, "hat", quad_tol=quad_tol)),
+        integrals.bailey_residual(ctx, "tilde", quad_tol=quad_tol),
+        integrals.bailey_residual(ctx, "hat", quad_tol=quad_tol),
     )
 
 
-def _contiguity_once(rng, par: EllipticParams, quad_tol: float) -> float:
+def _contiguity_once(rng, par: EllipticParams, quad_tol: float) -> Residual:
     u = tuple(0.4 * e(t) for t in rng.random(8))
     ctx = IntegrandContext(u=u, params=par)
-    return float(integrals.contiguity_residual(ctx, 0, 3, 6, quad_tol=quad_tol))
+    return integrals.contiguity_residual(ctx, 0, 3, 6, quad_tol=quad_tol)
 
 
-def _ratio_once(rng, par: EllipticParams) -> float:
-    """Level-0 shift ratio of the chain against its bracket ratio."""
+def _ratio_once(rng, par: EllipticParams) -> Residual:
+    """Level-0 shift ratio of the chain against its bracket ratio, cross
+    multiplied: tau(x +- a1 delta) [<a0 +- a2, x>] - tau(x +- a2 delta)
+    [<a0 +- a1, x>], the four brackets first, in one batch."""
     a0, a1, a2 = tau.oriented_triple(tau.A1_VECTORS[:3])
     x = sampling.sample_on_level(rng, par, 0)
     d = par.delta
-    num = tau.hg_tau0(x + d * a1.true_coords(), par) * tau.hg_tau0(x - d * a1.true_coords(), par)
-    den = tau.hg_tau0(x + d * a2.true_coords(), par) * tau.hg_tau0(x - d * a2.true_coords(), par)
-    rhs = bracket_pm(lattice.pairing_c(a0, x), lattice.pairing_c(a1, x), par) / bracket_pm(
-        lattice.pairing_c(a0, x), lattice.pairing_c(a2, x), par
-    )
-    return rel_diff(num / den, rhs)
+    p0, p1, p2 = (lattice.pairing_c(v, x) for v in (a0, a1, a2))
+    br = bracket_scaled_many([p0 + p2, p0 - p2, p0 + p1, p0 - p1], par)
+    v1p, v1m, v2p, v2m = (tau.hg_tau0(x + s * d * a.true_coords(), par) for a in (a1, a2) for s in (1, -1))
+    return normalized_residual([(v1p, v1m, br[0], br[1]), (-v2p, v2m, br[2], br[3])])
 
 
-def _det_vs_quad_once(rng, par: EllipticParams, n: int, quad_tol: float) -> float:
+def _det_vs_quad_once(rng, par: EllipticParams, n: int, quad_tol: float) -> Residual:
     x = sampling.sample_on_level(rng, par, n)
     det = tau.tau_n_det(n, x, "frame_a0", par, quad_tol=quad_tol)
     quad = tau.tau_n_int(n, x, "direct", par, quad_tol=quad_tol)
-    return rel_diff(det, quad)
+    return normalized_residual([(det,), (-quad,)])
 
 
-def _transform_once(rng, par: EllipticParams, quad_tol: float) -> tuple[float, float]:
+def _transform_once(rng, par: EllipticParams, quad_tol: float) -> tuple[Residual, Residual]:
     """Residuals of the multiplicity-two tilde and hat transformations."""
     t = sampling.sample_balanced(rng, par.p**2, abs(par.p) ** 0.25)
     ctx2 = IntegrandContext(u=t, params=par, n=2)
     return (
-        float(integrals.In_transform_residual(ctx2, "tilde_n", quad_tol=quad_tol)),
-        float(integrals.In_transform_residual(ctx2, "hat_n", quad_tol=quad_tol)),
+        integrals.In_transform_residual(ctx2, "tilde_n", quad_tol=quad_tol),
+        integrals.In_transform_residual(ctx2, "hat_n", quad_tol=quad_tol),
     )
 
 
@@ -270,20 +282,20 @@ def _terminating_family(rng, N: int, params: EllipticParams):
     return (u0, u1, *mid, u7)
 
 
-def _terminating_once(rng, par: EllipticParams, order: int, quad_tol: float) -> float:
+def _terminating_once(rng, par: EllipticParams, order: int, quad_tol: float) -> Residual:
     u = _terminating_family(rng, order, par)
     p = par.p
     lhs_args = (p * u[0], *u[1:7], p * u[7])
     lhs = integrals.I(IntegrandContext(u=lhs_args, params=par), quad_tol=quad_tol)
-    return rel_diff(lhs, integrals.terminating_eval(u, par, order))
+    return normalized_residual([(lhs,), (-integrals.terminating_eval(u, par, order),)])
 
 
-def _warnaar_once(rng, par: EllipticParams, n: int) -> float:
+def _warnaar_once(rng, par: EllipticParams, n: int) -> Residual:
     """Theta-factorial determinant of order n at a random a, b and z."""
     a = 0.40 * e(rng.random())
     b = 0.55 * e(rng.random())
     zs = tuple((0.5 + 0.4 * rng.random()) * e(t) for t in rng.random(n))
-    return float(tau.warnaar_det_residual(a, b, zs, n, par))
+    return tau.warnaar_det_residual(a, b, zs, n, par)
 
 
 def _kac_laws(h: picard.PicardVector) -> list[bool]:
@@ -320,12 +332,12 @@ def _chart_point(rng, level: complex) -> np.ndarray:
 _LATTICE_QUADS = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
 
 
-def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -> float:
+def _lattice_hirota_once(rng, ev: tau.TauEvaluator, par: EllipticParams, quad) -> Residual:
     """Quadruple bilinear residual of ev's lattice family on the level-2 chart."""
     x = _chart_point(rng, ev.domain.base + 2 * ev.domain.step)
     mu = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
     eps = picard.coords_forward(x, mu, par.delta)
-    return float(picard.quadruple_hirota_residual(ev, (), eps, quad))
+    return picard.quadruple_hirota_residual(ev, (), eps, quad)
 
 
 # -------------------------------------------------------- the check table
@@ -402,54 +414,56 @@ def _orbit_count(seed, run, k) -> int:
     return len(lattice.weyl_orbit(seed, "E7"))
 
 
-def _frame_hirota_once(which: str, run: _Run, k) -> float:
+def _frame_hirota_once(which: str, run: _Run, k) -> Residual:
     """Bilinear residual of one of the hirota taus at a general point."""
     ev, frame = run.hirota_taus[which]
     if frame is None:
         frames = _frames_of(3)
         frame = frames[int(run.rng.integers(len(frames)))]
     x = 0.35 * (run.rng.standard_normal(8) + 1j * run.rng.standard_normal(8))
-    return float(tau.hirota_residual(ev, frame, x, run.par))
+    return tau.hirota_residual(ev, frame, x, run.par)
 
 
-def _toda_spread_once(run: _Run, k) -> float:
+def _toda_spread_once(run: _Run, k) -> Residual:
     """Spread of the chain's top-level value and three Toda steps over the
-    two levels below it: the recursion as the integral family's reference."""
+    two levels below it: the largest two-term residual of each against the
+    first step, the recursion as the integral family's reference."""
     n = run.depth
     x = sampling.sample_on_level(run.rng, run.par, n)
     lower, upper = run.chain.components[n - 2], run.chain.components[n - 1]
     frame8 = lattice.frame_containing(tau.A1_VECTORS[0])
     vals = tau.toda_steps(lower, upper, frame8, ((2, 3), (4, 6), (7, 2)), x, run.par)
     vals.append(run.chain.value(n, x))
-    return reduce(_larger, [abs(v - vals[0]) for v in vals]) / abs(vals[0])
+    return reduce(_larger, [normalized_residual([(v,), (-vals[0],)]) for v in vals[1:]])
 
 
-def _chain_bilinear_once(ftype, index: int, level: float, run: _Run, k) -> float:
+def _chain_bilinear_once(ftype, index: int, level: float, run: _Run, k) -> Residual:
     """Bilinear residual of the chain on the index-th frame of type ftype."""
     x = sampling.sample_on_level(run.rng, run.par, level)
-    return float(tau.hirota_residual(run.chain.evaluator, _frames_of(3, ftype)[index], x, run.par))
+    return tau.hirota_residual(run.chain.evaluator, _frames_of(3, ftype)[index], x, run.par)
 
 
 _VARIANTS = tuple(tau._CHARTS)
 
 
-def _variant_routes_once(run: _Run, k: int) -> float:
+def _variant_routes_once(run: _Run, k: int) -> Residual:
     """Direct against inverse route of variant k at its first level."""
     variant, par, quad_tol = _VARIANTS[k], run.par, run.cfg.quad_tol
     dom = tau._levels(variant, par)
     x = _chart_point(run.rng, dom.base + dom.step)
     d = tau.psi_variant(1, x, variant, par, route="direct", quad_tol=quad_tol)
     i = tau.psi_variant(1, x, variant, par, route="inverse", quad_tol=quad_tol)
-    return rel_diff(d, i)
+    return normalized_residual([(d,), (-i,)])
 
 
-def _two_path_once(run: _Run, k) -> float:
-    """Translation against frame residual of the pm family at level 1."""
+def _two_path_once(run: _Run, k) -> Residual:
+    """Translation against frame residual of the pm family at level 1: their
+    absolute difference, degenerate when either residual is."""
     frame = _frames_of(3, lattice.FrameType.C3_II0)[0]
     x = _chart_point(run.rng, run.pm.domain.base + run.pm.domain.step)
     r1 = picard.translation_hirota_residual(run.pm, tau.oriented_triple(frame), x)
     r2 = tau.hirota_residual(run.pm, frame, x, run.par)
-    return abs(float(r1) - float(r2))
+    return Residual(abs(r1 - r2), degenerate=r1.degenerate or r2.degenerate)
 
 
 @dataclass(frozen=True)
@@ -628,6 +642,7 @@ def _emit(report: dict, json_path: str | None) -> int:
             status = "pass" if c["pass"] else "FAIL"
             if "residual" in c:
                 metric = f"residual={c['residual']:.3e} tol={c['tolerance']:g}"
+                metric += " degenerate" if c.get("degenerate") else ""
             else:
                 metric = f"count={c['count']} expected={c['expected']}"
             print(f"[{status}] {c['id']:<28} {c['paper_anchor']:<18} {metric}")

@@ -500,7 +500,9 @@ def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
 def In_transform_residual(
     ctx: IntegrandContext, which: str = "tilde_n", quad_tol: float = QUAD_TOL
 ) -> Residual:
-    """Relative error of the multiplicity-n transformation formulas."""
+    """Two-term normalized residual of the multiplicity-n transformation
+    formulas: the integral against its transformed image times the pair
+    ratio."""
     n, t = ctx.n, ctx.u
     if n > 2:
         raise ValueError("transforms are checked for multiplicity at most 2")
@@ -523,8 +525,7 @@ def In_transform_residual(
     gam = triple_gamma(np.concatenate([q**n * tt, tt]), p, q)
     ratio = complex(np.prod(gam[: tt.size] / gam[tt.size :]))
     lhs, rhs = I_n_many([ctx, ctx.with_u(image)], quad_tol=quad_tol)
-    rhs = rhs * ratio
-    return Residual(abs(lhs - rhs) / abs(lhs))
+    return normalized_residual([(lhs,), (-(rhs * ratio),)])
 
 
 def terminating_eval(u, params: EllipticParams, N: int) -> complex:

@@ -345,6 +345,9 @@ def triple_gamma(z, p: complex, q: complex):
     theta(y; q) Gamma(q/y; p, q). That theta holds the factor 1 - y
     literally, so the zero at z = 1 is exact, and |q/y| < |q| / _SHIFT_RHO
     keeps the elliptic gamma off its pole at 1 for |q| < _SHIFT_RHO.
+
+    A shifted product that overflows, or an exp of the series that leaves
+    the float range (overflows, or underflows to 0), raises DomainError.
     """
     zz, scalar = _gamma_argument(z)
     pqq = p * q * q
@@ -364,7 +367,13 @@ def triple_gamma(z, p: complex, q: complex):
         zz[far] *= q**steps
     pw = _series_powers(zz, pqq)[0]
     log = pw @ (-1.0 / _series_den(p, q, 2, pw.shape[1]))
-    out *= np.exp(log[: zz.size] + log[zz.size :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(log[: zz.size] + log[zz.size :])
+    if not (np.isfinite(factor).all() and factor.all()):
+        raise DomainError(
+            f"triple gamma series factor leaves the float range at |p| = {abs(p):.9g}, |q| = {abs(q):.9g}"
+        )
+    out *= factor
     return complex(out[0]) if scalar else out
 
 

@@ -389,7 +389,8 @@ def toda_steps(
     test pair by pair ([<a_i + a_j, x>] before [<a_i - a_j, x>]; the first
     under BRACKET_FLOOR raises BracketZeroError), then the values of tau_cur
     at x - (a_0 +- a_b) delta for every axis b the pairs name in one
-    scaled_many batch, and tau_prev at x - 2 a_0 delta once.
+    scaled_many batch, and tau_prev at x - 2 a_0 delta once. That value
+    divides every step, so where it is 0 DomainError names x.
     """
     pairs = list(pairs)
     if not all(2 <= i <= 7 and 2 <= j <= 7 and i != j for i, j in pairs):
@@ -416,6 +417,8 @@ def toda_steps(
     pm = [br[len(args) + 2 * k] * br[len(args) + 2 * k + 1] for k in range(len(axes))]
     cur = [vals[2 * k] * vals[2 * k + 1] for k in range(len(axes))]
     prev = tau_prev(x - a0.coords4_float * (d / 2.0))
+    if prev == 0:
+        raise DomainError(f"tau_prev vanishes at x - 2 a0 delta, x={[complex(v) for v in x]!r}")
     return [
         (pm[at[j]] * cur[at[i]] - pm[at[i]] * cur[at[j]]) / (br[2 * k] * br[2 * k + 1] * prev)
         for k, (i, j) in enumerate(pairs)

@@ -1,5 +1,5 @@
 """Shared numeric helpers: the exponential character, residual type and its
-normalisations, errors, and the retry of a draw across rejected points."""
+one normalisation, errors, and the retry of a draw across rejected points."""
 from __future__ import annotations
 
 import cmath
@@ -99,11 +99,6 @@ def normalized_residual(terms: Sequence[Sequence[complex | Scaled]]) -> Residual
     if m == 0.0:
         return Residual(0.0, degenerate=True)
     return Residual(abs(sum(terms)) / m)
-
-
-def rel_diff(a: complex, b: complex) -> float:
-    """Symmetric relative difference |a - b| / max(|a|, |b|)."""
-    return abs(a - b) / max(abs(a), abs(b))
 
 
 class PoleError(ValueError):

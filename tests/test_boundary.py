@@ -1,0 +1,49 @@
+"""Boundary table: the CLI at bases near 0 and near the unit circle.
+
+Each case runs one suite with one base moved, `--trials 1`, in its own
+process, and must end within _BUDGET_S seconds in one of three ways: exit 0;
+exit 1 with a report whose failing rows all have finite residuals; or one
+stderr line that names a typed error, with exit 1 (a check's DomainError,
+say) or exit 2 (the config refused at load). A NaN row, a numpy warning, a
+traceback or a hang is a failure of the case.
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from e8tau.util import RESAMPLE_ERRORS, DomainError, PoleError
+
+_BUDGET_S = 30
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+_TYPED = tuple(cls.__name__ for cls in (*RESAMPLE_ERRORS, DomainError, PoleError))
+_MODULI = (1e-300, 1e-12, 0.99, 0.997, 0.999, 0.9999, 0.999999)
+# suite -> (the base that moves, the other at its default)
+_CASES = {"hirota": ("p", ("q", 0.35)), "chain": ("q", ("p", 0.03))}
+
+
+@pytest.mark.parametrize("modulus", _MODULI)
+@pytest.mark.parametrize("suite", sorted(_CASES))
+def test_suite_ends_in_a_verdict_or_a_typed_error(tmp_path, suite, modulus):
+    moved, (other, value) = _CASES[suite]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {suite: {moved: [modulus, 0], other: [value, 0]}}}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "e8tau.cli", "suite", suite, "--trials", "1", "--config", str(config), "--json", "-"],
+        capture_output=True, text=True, timeout=_BUDGET_S, env=env,
+    )
+    if run.stdout:
+        report = json.loads(run.stdout)
+        assert run.stderr == "" and run.returncode == (0 if report["pass"] else 1)
+        assert all(math.isfinite(c["residual"]) for c in report["checks"] if not c["pass"])
+    else:  # a check's typed error, or the config refused at load
+        assert run.stderr.count("\n") == 1, run.stderr
+        typed = tuple(f"check failed: {name}: " for name in _TYPED) if run.returncode == 1 else ("config error: ",)
+        assert run.returncode in (1, 2) and run.stderr.startswith(typed), run.stderr

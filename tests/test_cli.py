@@ -6,7 +6,7 @@ import pytest
 
 from e8tau import cli, integrals, lattice, picard, sampling, specialfn, tau
 from e8tau.specialfn import EllipticParams
-from e8tau.util import AdmissibilityError, e, split
+from e8tau.util import RESAMPLE_ERRORS, AdmissibilityError, DomainError, e, split
 
 
 def _strip_time(report: dict) -> dict:
@@ -222,6 +222,39 @@ def test_corrupted_values_fail_the_suite(monkeypatch, case, seed):
     report = cli.run_suite(suite, cli.load_config(seed=seed))
     assert report["pass"] is False
     assert must_fail <= {c["id"] for c in report["checks"] if not c["pass"]}
+
+
+# tau stuck at zero satisfies every bilinear identity, which is homogeneous
+# of degree two, so a residual whose terms all vanish must fail its row.
+_TYPED = (*RESAMPLE_ERRORS, DomainError)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+def test_zero_canonical_tau_fails_every_hirota_row(monkeypatch, seed):
+    monkeypatch.setattr(tau, "canonical_tau", lambda c, params: tau.TauEvaluator(lambda x: 0j, params))
+    report = cli.run_suite("hirota", cli.load_config(seed=seed))
+    assert len(report["checks"]) == 4
+    for c in report["checks"]:
+        assert c["pass"] is False and c["degenerate"] is True and c["residual"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1729])
+def test_zero_chain_values_fail_every_chain_row(monkeypatch, capsys, seed):
+    monkeypatch.setattr(tau, "_integral_values", lambda ns, *a: [0j] * len(ns))
+    cfg = cli.load_config(seed=seed)
+    for row in [r for r in cli._CHECKS if r.suite == "chain"]:  # each alone: a failed entry or a typed error
+        try:
+            entries = cli._measure(row, cli._Run(cfg, cli.SUITES.index("chain"), "chain"))
+        except _TYPED:
+            continue
+        assert not any(c["pass"] for c in entries), entries
+    rc = cli.main(["suite", "chain", "--seed", str(seed), "--json", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    if out:
+        assert not any(c["pass"] for c in json.loads(out)["checks"])
+    else:
+        assert err.startswith("check failed: ") and err.count("\n") == 1
 
 
 def _swap_rows(fn):

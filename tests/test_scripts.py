@@ -53,6 +53,14 @@ def test_report_matrix_allows_a_residual_move(tmp_path, capsys):
     assert out.splitlines()[-1].startswith("moved 1 of 2 entries; largest passing residual move 2.000e-12")
 
 
+def test_report_matrix_names_a_degenerate_entry(tmp_path, capsys):
+    # every term of the residual vanished: 0.0 fails, and the line says why
+    degenerate = [{**_CHECKS[0], "residual": 0.0, "pass": False, "degenerate": True}, _CHECKS[1]]
+    assert _moved(tmp_path, degenerate) is True
+    out = capsys.readouterr().out
+    assert "contiguity: 1.000e-12 -> 0.000e+00 degenerate pass True -> False" in out
+
+
 def test_report_matrix_agrees_with_itself(tmp_path, capsys):
     assert _moved(tmp_path) is False
     assert capsys.readouterr().out.startswith("moved 0 of 2 entries")

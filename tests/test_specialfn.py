@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ def test_gamma_shift_products_that_overflow_raise():
             S.elliptic_gamma(1e-225, 0.03, 0.45)
         with pytest.raises(DomainError, match="overflows"):
             S.triple_gamma(np.array([0.3, 1e-225j]), 0.03, 0.45)
+
+
+def test_triple_gamma_series_factor_out_of_range_raises():
+    # at q = 0.99 the series' (1 - q^m)^2 denominators take its exp out of
+    # the float range: it overflows at z = -0.5 and underflows to 0 at
+    # z = 0.5; each raises, with no numpy warning, and 0.5j stays inside
+    message = r"series factor leaves the float range at \|p\| = 0.03, \|q\| = 0.99$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-0.5, 0.5, np.array([0.5j, -0.5])):
+            with pytest.raises(DomainError, match=message):
+                S.triple_gamma(z, 0.03, 0.99)
+        assert cmath.isfinite(S.triple_gamma(0.5j, 0.03, 0.99))
 
 
 def test_theta_and_qpoch_cap_their_factor_count():
