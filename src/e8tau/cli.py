@@ -697,11 +697,8 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
             value = chain.value(n, x)
         if not np.isfinite(value):
             raise DomainError(f"tau value {value!r} at level {n} is not finite")
-    except (DomainError, ValueError) as err:
-        print(f"probe failed: {err}", file=sys.stderr)
-        return 1
-    except ConvergenceError as err:
-        print(f"probe failed: ConvergenceError: {err}", file=sys.stderr)
+    except (ValueError, ConvergenceError) as err:
+        print(f"probe failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     pairing = lattice.phi_pairing_c(x)
     doc = {

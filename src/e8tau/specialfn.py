@@ -295,6 +295,16 @@ def _pole_guard(zz: np.ndarray, p: complex, q: complex) -> None:
         raise PoleError(complex(near[small[row]][0]), int(ii[row]), int(jj[row]))
 
 
+def _series_exp(name: str, log: np.ndarray, p: complex, q: complex) -> np.ndarray:
+    """exp of a gamma's log series; DomainError naming |p| and |q| where it
+    leaves the float range (overflows, or underflows to 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(log)
+    if not (np.isfinite(factor).all() and factor.all()):
+        raise DomainError(f"{name} series factor leaves the float range at |p| = {abs(p):.9g}, |q| = {abs(q):.9g}")
+    return factor
+
+
 def elliptic_gamma(z, p: complex, q: complex):
     """Ruijsenaars gamma: (pq/z; p,q)_inf / (z; p,q)_inf.
 
@@ -308,7 +318,9 @@ def elliptic_gamma(z, p: complex, q: complex):
     _series_den denominators. An argument with rho above _SHIFT_RHO is
     first moved by s steps (_shift_steps) of Gamma(b x) = theta(x; c) Gamma(x):
     Gamma(z) = Gamma(b^s z) / prod_{0<=t<s} theta(b^t z; c) for s > 0, or
-    Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0.
+    Gamma(b^s z) prod_{s<=t<0} theta(b^t z; c) for s < 0. A shifted
+    product that overflows, or an exp of the series that leaves the float
+    range (_series_exp), raises DomainError.
     """
     zz, scalar = _gamma_argument(z)
     _pole_guard(zz, p, q)
@@ -326,7 +338,7 @@ def elliptic_gamma(z, p: complex, q: complex):
         zz[far] *= b**steps
     pw = _series_powers(zz, p * q)[0]
     log = pw @ (1.0 / _series_den(p, q, 1, pw.shape[1]))
-    out *= np.exp(log[: zz.size] - log[zz.size :])
+    out *= _series_exp("elliptic gamma", log[: zz.size] - log[zz.size :], p, q)
     return complex(out[0]) if scalar else out
 
 
@@ -347,7 +359,7 @@ def triple_gamma(z, p: complex, q: complex):
     keeps the elliptic gamma off its pole at 1 for |q| < _SHIFT_RHO.
 
     A shifted product that overflows, or an exp of the series that leaves
-    the float range (overflows, or underflows to 0), raises DomainError.
+    the float range (_series_exp), raises DomainError.
     """
     zz, scalar = _gamma_argument(z)
     pqq = p * q * q
@@ -367,13 +379,7 @@ def triple_gamma(z, p: complex, q: complex):
         zz[far] *= q**steps
     pw = _series_powers(zz, pqq)[0]
     log = pw @ (-1.0 / _series_den(p, q, 2, pw.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(log[: zz.size] + log[zz.size :])
-    if not (np.isfinite(factor).all() and factor.all()):
-        raise DomainError(
-            f"triple gamma series factor leaves the float range at |p| = {abs(p):.9g}, |q| = {abs(q):.9g}"
-        )
-    out *= factor
+    out *= _series_exp("triple gamma", log[: zz.size] + log[zz.size :], p, q)
     return complex(out[0]) if scalar else out
 
 

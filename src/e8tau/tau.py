@@ -14,7 +14,10 @@ single-valued.
 
 Each step of a tau value (the level check, the chart, Q(x), the pair product
 and the bracket) has one route, over a batch of points; a single point is a
-batch of one.
+batch of one. A TauEvaluator makes its values as batch(ns, xs), two lists;
+its fn(x), when not given, is the batch of one at the located point. The
+evaluators of a graded family share one batch, and batch.cache_info() counts
+the family's memo.
 """
 from __future__ import annotations
 
@@ -101,18 +104,24 @@ class LevelDomain:
     def levels(self, xs: np.ndarray, ns: Sequence[int] | None = None) -> list[int]:
         """The index n of the member hyperplane containing each row x of xs
         (B, 8), or, given ns, its level n of ns; DomainError for the first
-        row in order that lies off its hyperplane by more than LEVEL_TOL or
-        at an index outside [n_min, n_max]. The pairings of all rows come
-        from one array product."""
-        vals = (np.asarray(xs, dtype=complex) @ self._direction_row).tolist()
-        if ns is None:
-            ns = [round(((val - self.base) / self.step).real) for val in vals]
-        for val, n in zip(vals, ns):
+        row in order whose pairing's rounding bound, 8 eps sum_k
+        |x_k direction_k|, reaches LEVEL_TOL, or that lies off its hyperplane
+        by more than LEVEL_TOL, or at an index outside [n_min, n_max]. The
+        pairings and their bounds come from one array product each."""
+        xs = np.asarray(xs, dtype=complex)
+        vals = (xs @ self._direction_row).tolist()
+        slack = (np.abs(xs) @ np.abs(self._direction_row) * (8 * np.finfo(float).eps)).tolist()
+        out = []
+        for k, (val, err) in enumerate(zip(vals, slack)):
+            if not err < LEVEL_TOL:
+                raise DomainError(f"pairing {val} cannot be resolved to the level tolerance (rounding bound {err:.3g})")
+            n = round(((val - self.base) / self.step).real) if ns is None else ns[k]
             if abs(val - self.base - n * self.step) > LEVEL_TOL:
                 raise DomainError(f"point off hyperplane {n} of the family (pairing {val})")
             if not self.n_min <= n <= self.n_max:
                 raise DomainError(f"hyperplane index {n} outside [{self.n_min}, {self.n_max}]")
-        return list(ns)
+            out.append(n)
+        return out
 
     def locate(self, x: np.ndarray) -> int:
         """Index n of the member hyperplane containing x: levels of one."""
@@ -159,19 +168,24 @@ class TauEvaluator:
 
     domain is None for functions defined on all of V; otherwise evaluation
     first locates x inside the hyperplane family and rejects stray points.
-    fn(x) is the value at one point; batch makes every value: batch(ns, xs)
-    takes the located points xs with their levels ns (None without a
-    domain) and returns their Scaled values, or raises one error. Without
-    one, fn is adapted once, point by point."""
+    batch(ns, xs) makes every value: it takes two lists, the located points
+    xs and their levels ns (None without a domain), and returns their Scaled
+    values, or raises one error. fn(x) is the value at one point; a fn of
+    None is the batch of one at the located point (eval), and a missing
+    batch is fn adapted once, point by point. One of them is required."""
 
-    fn: Callable[[np.ndarray], complex]
+    fn: Callable[[np.ndarray], complex] | None
     params: EllipticParams
     domain: LevelDomain | None = None
     batch: Callable[[list | None, list], list[Scaled]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.batch is None:
+            if self.fn is None:
+                raise ValueError("a tau evaluator needs fn or batch")
             object.__setattr__(self, "batch", lambda ns, xs: [split(complex(self.fn(x))) for x in xs])
+        elif self.fn is None:
+            object.__setattr__(self, "fn", self.eval)
 
     def scaled_many(self, xs: Sequence[np.ndarray]) -> list[Scaled]:
         """The Scaled value at every point of xs, as one batch: all points
@@ -190,17 +204,10 @@ class TauEvaluator:
     __call__ = eval
 
 
-def _from_batch(batch, params: EllipticParams, domain: LevelDomain | None = None) -> TauEvaluator:
-    """The evaluator whose values batch makes, its fn the batch of one."""
-    return TauEvaluator(lambda x: complex(batch(None, [np.asarray(x, dtype=complex)])[0]), params, domain, batch)
-
-
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities."""
-    return _from_batch(
-        lambda ns, xs: bracket_scaled_many([q + c for q in qforms(xs, params.delta)], params),
-        params,
-    )
+    batch = lambda ns, xs: bracket_scaled_many([q + c for q in qforms(xs, params.delta)], params)
+    return TauEvaluator(None, params, batch=batch)
 
 
 def oriented_triple(
@@ -322,7 +329,7 @@ def transform(
         vals = tau.scaled_many([point(x) for x in xs])
         return vals if pre is None else [product((pre(x), v)) for x, v in zip(xs, vals)]
 
-    return _from_batch(batch, params, None if tau.domain is None else move(tau.domain))
+    return TauEvaluator(None, params, None if tau.domain is None else move(tau.domain), batch)
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
@@ -458,73 +465,61 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
     (n up to n_max) the value of _integral_values in the direct chart, and 0
     below level 0.
 
-    Values go through one LRU memo of TAU_MEMO_SIZE entries keyed on
-    (n, the exact bytes of x): a hit returns what was computed at the same
-    point. The evaluator's fn and the components' carry the memo's
-    cache_info() (hits, misses, maxsize, currsize); their one batch
-    computes the points not in the memo at the start of the batch, whatever
-    their levels, in one _integral_values call, then looks the points up in
-    turn as fn would, so hits and misses are counted in one place, and
-    splits each finite value exactly. A point whose entry is evicted before
-    its lookup is computed again alone. A computation that raises leaves
-    the memo and its counts as they were. TauChain.value and a component's
-    fn do not locate x, so a miss there first checks it (_require_levels).
+    Values go through one LRU memo of TAU_MEMO_SIZE entries (read once, at
+    build) keyed on (n, the exact bytes of x): a hit returns what was
+    computed at the same point. One lookup reads and fills it for the batch,
+    which every evaluator of the family shares, and for TauChain.value, so
+    hits and misses are counted in one place, batch.cache_info() (hits,
+    misses, maxsize, currsize). The batch computes the points not in the
+    memo at its start, whatever their levels, in one _integral_values call,
+    then looks the points up in turn and splits each finite value exactly;
+    a point whose entry is evicted before its lookup is computed again
+    alone. A computation that raises leaves the memo and its counts as they
+    were. TauChain.value and a component's fn do not locate x, so a miss
+    there first checks it (_require_levels).
     """
     levels = _levels(variant, params, -8, n_max)
-
-    def values(ns: list, xs: list) -> list:
-        return _integral_values(ns, xs, variant, "direct", params, quad_tol)
-
     memo: OrderedDict = OrderedDict()
     size = TAU_MEMO_SIZE
     stats = [0, 0]  # hits, misses
 
-    def tau_at(n: int, x: np.ndarray, fresh: dict | None = None) -> complex:
-        # fresh: the values of a located batch, {} for a located x, None else
-        if n < 0:
-            return complex(0.0)
-        x = np.asarray(x, dtype=complex)
-        key = (n, x.tobytes())
+    def lookup(key: tuple, n: int, x: np.ndarray, fresh: dict) -> complex:
+        # the memo's entry, else fresh's value or x's computed alone, kept
         if key in memo:
             stats[0] += 1
             memo.move_to_end(key)
             return memo[key]
-        if fresh is None:
-            v = values([n], _require_levels([n], [x], variant, params))[0]
-        else:
-            v = fresh[key] if key in fresh else values([n], [x])[0]
+        v = fresh[key] if key in fresh else _integral_values([n], [x], variant, "direct", params, quad_tol)[0]
         stats[1] += 1
         memo[key] = v
         if len(memo) > size:
             memo.popitem(last=False)
         return v
 
+    def tau_at(n: int, x: np.ndarray) -> complex:
+        if n < 0:
+            return complex(0.0)
+        x = np.asarray(x, dtype=complex)
+        key = (n, x.tobytes())
+        if key not in memo:
+            _require_levels([n], [x], variant, params)
+        return lookup(key, n, x, {})
+
     def batch(ns: list, xs: list) -> list[Scaled]:
-        missing: dict = {}
-        for n, x in zip(ns, xs):
-            key = (n, x.tobytes())
-            if n >= 0 and key not in memo:
-                missing[key] = (n, x)
+        keys = [(n, x.tobytes()) for n, x in zip(ns, xs)]
+        missing = {key: (n, x) for key, n, x in zip(keys, ns, xs) if n >= 0 and key not in memo}
         fresh = {}
         if missing:
-            new_ns, new_xs = zip(*missing.values())
-            fresh = dict(zip(missing, values(list(new_ns), list(new_xs))))
-        return [split(tau_at(n, x, fresh)) for n, x in zip(ns, xs)]
+            new_ns, new_xs = map(list, zip(*missing.values()))
+            fresh = dict(zip(missing, _integral_values(new_ns, new_xs, variant, "direct", params, quad_tol)))
+        return [split(lookup(key, n, x, fresh) if n >= 0 else 0j) for key, n, x in zip(keys, ns, xs)]
 
-    def at_level(x: np.ndarray) -> complex:
-        x = np.asarray(x, dtype=complex)
-        return tau_at(levels.locate(x), x, {})
-
-    def cache_info() -> MemoInfo:
-        return MemoInfo(stats[0], stats[1], size, len(memo))
-
-    components = []
-    for n in range(levels.n_max + 1):
-        fn = partial(tau_at, n)
-        fn.cache_info = cache_info
-        components.append(TauEvaluator(fn, params, replace(levels, n_min=n, n_max=n), batch))
-    at_level.cache_info = cache_info
-    return TauChain(components, TauEvaluator(at_level, params, levels, batch), tau_at)
+    batch.cache_info = lambda: MemoInfo(stats[0], stats[1], size, len(memo))
+    components = [
+        TauEvaluator(partial(tau_at, n), params, replace(levels, n_min=n, n_max=n), batch)
+        for n in range(levels.n_max + 1)
+    ]
+    return TauChain(components, TauEvaluator(None, params, levels, batch), tau_at)
 
 
 def build_chain(

@@ -445,6 +445,29 @@ def test_tau_probe_rejects_off_level_points(capsys):
     assert "probe failed" in capsys.readouterr().err
 
 
+def test_tau_probe_names_the_error_type(capsys):
+    # the dyadic point of scripts/report_matrix.py's OFF_LEVEL, whose pairing
+    # is exact in any summation order
+    assert cli.main(["tau", "probe", "--x", "0.5 0.25 -0.125 0.0625 0 0.375 0 -0.75"]) == 1
+    assert capsys.readouterr().err == (
+        "probe failed: DomainError: point off hyperplane -4 of the family (pairing (0.15625+0j))\n"
+    )
+
+
+@pytest.mark.parametrize("d", [1e8, 1e15, 1e300])
+def test_tau_probe_refuses_a_pairing_it_cannot_resolve(capsys, d):
+    # x_0 + d and x_1 - d keep the coordinate sum of a level-0 point, but
+    # the float pairing of the moved point cannot tell its level apart
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(100), par, 0)
+    x[0] += d
+    x[1] -= d
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    assert cli.main(["tau", "probe", "--x", text]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("probe failed: DomainError: "), err
+
+
 @pytest.mark.parametrize("level, n", [(1, -1), (3, 3)])
 def test_tau_probe_requires_x_on_level_n(capsys, level, n):
     # level 3 lies outside the default chain, whose top level is 2
@@ -582,7 +605,7 @@ def test_memo_counters_reproduce_for_a_seed():
         runs = [(cli._Run(cfg, cli.SUITES.index(s), s), [r for r in cli._CHECKS if r.suite == s])
                 for s in ("chain", "picard")]
         cli._report("memo", cfg, runs)
-        return runs[0][0].chain.evaluator.fn.cache_info(), runs[1][0].pm.fn.cache_info()
+        return runs[0][0].chain.evaluator.batch.cache_info(), runs[1][0].pm.batch.cache_info()
 
     first = counters()
     # the chain suite looks each point up once (the Toda row reads its

@@ -163,6 +163,17 @@ def test_triple_gamma_series_factor_out_of_range_raises():
         assert cmath.isfinite(S.triple_gamma(0.5j, 0.03, 0.99))
 
 
+def test_elliptic_gamma_series_factor_out_of_range_raises():
+    # at z = 0.9 with one base 0.999 the series' exp overflows, in either
+    # argument order: DomainError naming both moduli, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, q in ((0.03, 0.999), (0.999, 0.03)):
+            message = rf"^elliptic gamma series factor leaves the float range at \|p\| = {p}, \|q\| = {q}$"
+            with pytest.raises(DomainError, match=message):
+                S.elliptic_gamma(0.9, p, q)
+
+
 def test_theta_and_qpoch_cap_their_factor_count():
     # p = 0.999999 would take some 4e7 factors: refused before the table is built
     for kernel in (S.theta, S.qpoch):

@@ -85,6 +85,11 @@ def test_level_domain_locates_and_rejects():
         dom.locate(x + 0.01)  # moves the pairing off the family
     with pytest.raises(DomainError):
         dom.locate(_x_on(rng, -4))  # valid family member, index out of range
+    # x_0 + 1e15 and x_1 - 1e15 keep the pairing, but its float sum cannot
+    # resolve it to LEVEL_TOL: the first such row of a batch raises
+    far = x + 1e15 * np.eye(8)[0] - 1e15 * np.eye(8)[1]
+    with pytest.raises(DomainError, match="cannot be resolved"):
+        dom.levels(np.array([x, far, x + 0.01]))
 
 
 def test_level_domain_requires_the_named_member():
@@ -193,7 +198,7 @@ def test_unlocated_entries_check_the_level():
             entry(1, x + 0.01)
         with pytest.raises(DomainError, match="off hyperplane 0"):
             entry(0, x)
-    assert chain.evaluator.fn.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
+    assert chain.evaluator.batch.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
 
 
 def test_chain_vanishes_below_base_level():
@@ -210,7 +215,17 @@ def test_chain_memo_evaluates_a_point_once(monkeypatch):
     x = _x_on(sampling.make_rng(15), 1)
     assert chain.evaluator(x) == chain.value(1, x)
     assert chain.evaluator.eval_many([x, x]) == [chain.value(1, x)] * 2
+    # a component's fn and the evaluator's (the batch of one, located) go
+    # through the same lookup: one miss, then hits only
+    assert chain.components[1].fn(x) == chain.evaluator.fn(x) == chain.value(1, x)
     assert [n for n, _ in rows] == [1]
+    assert chain.evaluator.batch.cache_info() == (7, 1, T.TAU_MEMO_SIZE, 1)  # 8 lookups
+    assert all(ev.batch is chain.evaluator.batch for ev in chain.components)
+
+
+def test_an_evaluator_needs_fn_or_batch():
+    with pytest.raises(ValueError, match="needs fn or batch"):
+        T.TauEvaluator(None, PARAMS)
 
 
 def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
@@ -219,10 +234,10 @@ def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
     rng = sampling.make_rng(16)
     xs = [_x_on(rng, 0) for _ in range(20)]
     first = [chain.evaluator(x) for x in xs]
-    info = chain.evaluator.fn.cache_info()
+    info = chain.evaluator.batch.cache_info()
     assert (info.misses, info.maxsize) == (20, 8) and info.currsize <= 8
     again = chain.evaluator(xs[0])  # evicted, so evaluated afresh
-    assert chain.evaluator.fn.cache_info().misses == 21
+    assert chain.evaluator.batch.cache_info().misses == 21
     assert (again.real.hex(), again.imag.hex()) == (first[0].real.hex(), first[0].imag.hex())
 
 
@@ -256,15 +271,15 @@ def test_eval_many_matches_the_point_by_point_eval():
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-15 * abs(w)
     assert got[-1] == 0 and _hex(got[4]) == _hex(got[1])
-    info = batched.evaluator.fn.cache_info()
-    assert info == looped.evaluator.fn.cache_info()
+    info = batched.evaluator.batch.cache_info()
+    assert info == looped.evaluator.batch.cache_info()
     assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 7, T.TAU_MEMO_SIZE, 7)
     # a batch of one point is the point-by-point route, bit for bit
     fresh = T.build_chain(2, params=PARAMS)
     assert [_hex(fresh.evaluator.eval_many([x])[0]) for x in xs] == [_hex(w) for w in want]
     # the components share the family's memo: a hit returns the same bits
     assert [_hex(v) for v in batched.components[2].eval_many([xs[2], xs[7]])] == [_hex(got[2]), _hex(got[7])]
-    assert batched.evaluator.fn.cache_info().hits == 3
+    assert batched.evaluator.batch.cache_info().hits == 3
 
 
 def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
@@ -274,14 +289,14 @@ def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
     first = batched.evaluator.eval_many(xs)
     for x in xs:
         looped.evaluator.eval(x)
-    assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+    assert batched.evaluator.batch.cache_info() == looped.evaluator.batch.cache_info()
     # the last eight are kept, but looking the first twelve up evicts them
     # before their turn: every point is computed again, to the same bits
     again = batched.evaluator.eval_many(xs)
     for x in xs:
         looped.evaluator.eval(x)
-    info = batched.evaluator.fn.cache_info()
-    assert info == looped.evaluator.fn.cache_info() and (info.hits, info.misses) == (0, 40)
+    info = batched.evaluator.batch.cache_info()
+    assert info == looped.evaluator.batch.cache_info() and (info.hits, info.misses) == (0, 40)
     assert [_hex(v) for v in again] == [_hex(v) for v in first]
     # hits at the start of the batch that an earlier miss of the same batch
     # evicts, and a revisit of one evicted there: the batch counts what the
@@ -289,7 +304,7 @@ def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
     mixed = _level_points(42, [0] * 4) + xs[12:16] + xs[:2] + xs[12:13]
     want = [looped.evaluator.eval(x) for x in mixed]
     got = batched.evaluator.eval_many(mixed)
-    assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+    assert batched.evaluator.batch.cache_info() == looped.evaluator.batch.cache_info()
     assert [_hex(v) for v in got] == [_hex(v) for v in want]
 
 
@@ -299,7 +314,7 @@ def test_eval_many_locates_every_point_before_any_value():
     off = good[0] + 0.01  # off the level family: a DomainError from locate
     chain = T.build_chain(2, params=PARAMS)
     chain.evaluator.eval_many(good[:2])
-    before = chain.evaluator.fn.cache_info()
+    before = chain.evaluator.batch.cache_info()
     # the level check of every point comes first, though the inadmissible
     # point comes before the stray one; then the values of every level are
     # one computation, which fails as a whole. A failure leaves the memo and
@@ -308,10 +323,10 @@ def test_eval_many_locates_every_point_before_any_value():
     for xs, error in (([good[0], bad, off, good[1]], DomainError), ([good[2], good[1], bad], AdmissibilityError)):
         with pytest.raises(error):
             chain.evaluator.eval_many(xs)
-        assert chain.evaluator.fn.cache_info() == before
+        assert chain.evaluator.batch.cache_info() == before
     with pytest.raises(AdmissibilityError):
         chain.evaluator.eval(bad)
-    assert chain.evaluator.fn.cache_info() == before
+    assert chain.evaluator.batch.cache_info() == before
 
 
 @pytest.mark.parametrize("ftype, levels", [(FrameType.C3_I, 2), (FrameType.C3_II2, 3)], ids=["C3_I", "C3_II2"])
@@ -359,7 +374,7 @@ def test_residual_brackets_come_before_the_tau_batch(monkeypatch):
     with pytest.raises(DomainError, match="bracket batch"):
         T.toda_step(chain.components[0], chain.components[1], frame8, 2, 3, x, PARAMS)
     assert calls == [6, 6]
-    info = chain.evaluator.fn.cache_info()
+    info = chain.evaluator.batch.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
@@ -380,7 +395,7 @@ def test_batched_residuals_match_the_point_by_point_route():
         comps = [T.TauEvaluator(lambda y, c=c: c.fn(y), PARAMS, c.domain) for c in looped.components[:2]]
         t_loop = T.toda_step(comps[0], comps[1], frame8, 2, 3, x, PARAMS)
         assert abs(t_batch - t_loop) <= 1e-15 * abs(t_loop)
-        assert batched.evaluator.fn.cache_info() == looped.evaluator.fn.cache_info()
+        assert batched.evaluator.batch.cache_info() == looped.evaluator.batch.cache_info()
 
 
 # -------------------------------------------------------------- canonical
@@ -694,7 +709,7 @@ def test_toda_steps_match_the_step_of_each_pair():
             except RESAMPLE_ERRORS:
                 continue
             if a0_index == 0:
-                info = chain.evaluator.fn.cache_info()
+                info = chain.evaluator.batch.cache_info()
                 assert (info.hits, info.misses) == (0, 13)
             for (i, j), v in zip(pairs, got):
                 ref = T.toda_step(c0, c1, frame8, i, j, x, PARAMS, a0_index)
