@@ -137,9 +137,12 @@ if __name__ == "__main__":
     runs += [(f"tau-probe-{n}", f"tau-probe-{n}", ["tau", "probe", "--x", x]) for n, x in PROBES.items()]
     runs += [("tau-probe-off-level", "tau-probe-off-level", ["tau", "probe", "--x", OFF_LEVEL]),
              ("tau-probe-3", "tau-probe-3 --n 3", ["tau", "probe", "--x", LEVEL3, "--n", "3"])]
-    # a quadrature target no integral meets: the run ends in a typed error
+    # a quadrature target no integral meets: the run ends in a typed error,
+    # at n = 3 in the chain and at n = 2 in the transformations
     runs += [("tau-build-3-unreachable-tol", "tau-build-3-unreachable-tol seed=1",
-              ["tau", "build", "--n", "3", "--quad-tol", "1e-17", "--seed", "1"])]
+              ["tau", "build", "--n", "3", "--quad-tol", "1e-17", "--seed", "1"]),
+             ("verify-transform-in-unreachable-tol", "verify-transform-in-unreachable-tol seed=1",
+              ["verify", "transform-in", "--quad-tol", "1e-17", "--seed", "1"])]
     codes = []
     for stem, label, argv in runs:
         buf, err = io.StringIO(), io.StringIO()

@@ -36,7 +36,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import integrals, lattice, picard, sampling, tau
-from .integrals import IntegrandContext
+from .integrals import N_MAX, IntegrandContext
 from .specialfn import EllipticParams, bracket_scaled_many, three_term_residual
 from .util import RESAMPLE_ERRORS, ConvergenceError, DomainError, Residual, e, normalized_residual, resampled
 
@@ -152,8 +152,8 @@ def load_config(
         cfg.trials = {k: trials for k in cfg.trials}
     if quad_tol is not None:
         cfg.quad_tol = quad_tol
-    if not 1 <= cfg.n_max <= 3:
-        raise ValueError("n_max must be between 1 and 3")
+    if not 1 <= cfg.n_max <= N_MAX:
+        raise ValueError(f"n_max must be between 1 and {N_MAX}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be at least 0, got {cfg.seed}")
     for what, v in (("quad_tol", cfg.quad_tol), *((f"tolerance '{k}'", v) for k, v in cfg.tolerances.items())):
@@ -659,8 +659,8 @@ def _cmd_verify(identity: str, cfg: SuiteConfig, json_path: str | None) -> int:
 
 def _cmd_tau_build(cfg: SuiteConfig, n: int | None, json_path: str | None) -> int:
     n = cfg.n_max if n is None else n
-    if not 1 <= n <= 3:
-        print("build level must be between 1 and 3", file=sys.stderr)
+    if not 1 <= n <= N_MAX:
+        print(f"build level must be between 1 and {N_MAX}", file=sys.stderr)
         return 2
     report = _report("tau-build", cfg, [(_Run(cfg, 7, "chain", depth=n), _build_rows(n))], n_max=n)
     return _emit(report, json_path)
@@ -691,7 +691,8 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
     par = cfg.elliptic("chain")
     chain = tau.build_chain(cfg.n_max, params=par, quad_tol=cfg.quad_tol)
     try:
-        n = chain.evaluator.domain.levels(x[None], None if n is None else [n])[0]
+        if n is None:
+            n = chain.evaluator.domain.locate(x)
         # an overflow ends in the typed error below, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             value = chain.value(n, x)

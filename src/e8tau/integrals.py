@@ -45,7 +45,10 @@ from .util import AdmissibilityError, ConvergenceError, Residual, normalized_res
 
 QUAD_TOL = 1e-11
 _START_NODES = 256
-_CAPS = {1: 4096, 2: 1024, 3: 1024}
+_NODE_CAP = 4096
+# The top multiplicity: _quad_rows contracts an n = 3 node sum as the
+# three-cycle trace tr((C A)^3), and has no contraction above it.
+N_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class IntegrandContext:
             raise ValueError("need exactly eight parameters")
         if self.n < 0:
             raise ValueError("multiplicity must be nonnegative")
+        if self.n > N_MAX:
+            raise ValueError(f"multiplicity above {N_MAX} is out of scope")
 
     def with_u(self, u) -> "IntegrandContext":
         return IntegrandContext(u, self.params, self.n)
@@ -93,7 +98,7 @@ class _Plan:
     rev: np.ndarray  # index of 1/z_m
     weight: np.ndarray  # -z^-2 theta(z^2; p) theta(z^2; q) at the nodes
     pref: complex  # (p;p)(q;q)
-    # per multiplicity n = 0..3, the scale pref^n / (2^n n! N^n) of an
+    # per multiplicity n = 0..N_MAX, the scale pref^n / (2^n n! N^n) of an
     # N^n-node sum, and |pref|^n / (2^n n!) of the error bound
     scales: tuple
     bound_scales: tuple
@@ -145,8 +150,8 @@ def _plan(p: complex, q: complex, N: int) -> _Plan:
         rev=_frozen((-m) % N),
         weight=_frozen(-(zs**-2) * theta(zs**2, p) * theta(zs**2, q)),
         pref=pref,
-        scales=tuple(pref**n / (2**n * factorial(n) * N**n) for n in range(4)),
-        bound_scales=tuple(abs(pref) ** n / (2**n * factorial(n)) for n in range(4)),
+        scales=tuple(pref**n / (2**n * factorial(n) * N**n) for n in range(N_MAX + 1)),
+        bound_scales=tuple(abs(pref) ** n / (2**n * factorial(n)) for n in range(N_MAX + 1)),
         cross_c=_frozen(C),
         # sum_m h_m z_m^j is bin -j of the FFT
         cross_a=_frozen(-a % N),
@@ -356,35 +361,28 @@ def I_n(ctx: IntegrandContext, quad_tol: float = QUAD_TOL) -> complex:
 
 def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> list[complex]:
     """I_n of contexts that share their bases, each at its own multiplicity
-    n (0 to 3), as one batch: every value, or one error.
+    n (0 to N_MAX), as one batch: every value, or one error.
 
     An n = 0 row is 1. Every other context is checked for admissibility
     first, and the first that fails raises its AdmissibilityError. Then
     those rows run the trapezoid rule from _START_NODES nodes per circle,
-    doubled up to the cap of each row's multiplicity (_CAPS). A row stops
-    once two successive values agree to quad_tol, or after a pass whose
-    _error_bounds entry is within quad_tol of its value (asked only while a
-    row is left that the values do not stop); each pass evaluates the rows
-    still running in one array pass, and a row leaves once it has stopped.
-    After the pass at a row's cap, the first row still running whose cap
-    it is raises its ConvergenceError. A row's values are bit for bit those
-    of the batch of that row alone at the same node count, so its value or
-    error is that of the row alone.
+    doubled up to _NODE_CAP. A row stops once two successive values agree
+    to quad_tol, or after a pass whose _error_bounds entry is within
+    quad_tol of its value (asked only while a row is left that the values
+    do not stop); each pass evaluates the rows still running in one array
+    pass, and a row leaves once it has stopped. After the pass at the cap,
+    the first row still running, in batch order, raises its
+    ConvergenceError. A row's values are bit for bit those of the batch of
+    that row alone at the same node count, so its value or error is that of
+    the row alone.
     """
     if not ctxs:
         return []
     p, q = ctxs[0].params.p, ctxs[0].params.q
     if any((c.params.p, c.params.q) != (p, q) for c in ctxs):
         raise ValueError("a batch of integrals shares its bases")
-    out: list = [None] * len(ctxs)
-    live = []
-    for r, c in enumerate(ctxs):
-        if c.n > 3:
-            raise ValueError("multiplicity above 3 is out of scope")
-        if c.n:
-            live.append(r)
-        else:
-            out[r] = 1.0 + 0j
+    out: list = [None if c.n else 1.0 + 0j for c in ctxs]
+    live = [r for r, c in enumerate(ctxs) if c.n]
     for r in live:
         ctxs[r].check_admissible()
     if not live:
@@ -408,18 +406,17 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
                 keep.append(j)
         if not keep:
             return out
-        capped = next((j for j in keep if 2 * N > _CAPS[rows.n[j]]), None)
-        if capped is not None:
+        if 2 * N > _NODE_CAP:
             break
         if len(keep) < len(live):
             live, rows = [live[j] for j in keep], rows.take(keep)
         previous = [last[j] for j in keep]
         N *= 2
-    ctx = ctxs[live[capped]]
-    cap = _CAPS[ctx.n]
+    j = keep[0]
+    ctx = ctxs[live[j]]
     raise ConvergenceError(
-        f"node cap {cap} reached before stabilizing", last[capped], previous[capped],
-        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=cap,
+        f"node cap {_NODE_CAP} reached before stabilizing", last[j], previous[j],
+        u=ctx.u, p=ctx.params.p, q=ctx.params.q, n=ctx.n, cap=_NODE_CAP,
     )
 
 
@@ -504,8 +501,6 @@ def In_transform_residual(
     formulas: the integral against its transformed image times the pair
     ratio."""
     n, t = ctx.n, ctx.u
-    if n > 2:
-        raise ValueError("transforms are checked for multiplicity at most 2")
     p, q = ctx.params.p, ctx.params.q
     _check_balancing(t, p**2 * q ** (4 - 2 * n), "p^2 q^{4-2n}")
     s = p * q ** (2 - n)

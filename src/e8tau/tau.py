@@ -16,8 +16,8 @@ Each step of a tau value (the level check, the chart, Q(x), the pair product
 and the bracket) has one route, over a batch of points; a single point is a
 batch of one. A TauEvaluator makes its values as batch(ns, xs), two lists;
 its fn(x), when not given, is the batch of one at the located point. The
-evaluators of a graded family share one batch, and batch.cache_info() counts
-the family's memo.
+evaluators of a graded family share one batch, every tau value of the
+family goes through it, and batch.cache_info() counts the family's memo.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import integrals
-from .integrals import QUAD_TOL, IntegrandContext
+from .integrals import N_MAX, QUAD_TOL, IntegrandContext
 from .lattice import (
     PHI,
     Frame,
@@ -447,8 +447,9 @@ class TauChain:
     _tau_at: Callable[[int, np.ndarray], complex] = field(repr=False)
 
     def value(self, n: int, x: np.ndarray) -> complex:
-        """Component value at level n through the family's memo, without
-        locating x; a miss still requires x on level n."""
+        """Component value at level n: _tau_at, the family's one-point
+        entry, which checks x on level n of the family's domain as the
+        evaluator does and reads the family's batch."""
         return self._tau_at(n, np.asarray(x, dtype=complex))
 
 
@@ -468,15 +469,15 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
     Values go through one LRU memo of TAU_MEMO_SIZE entries (read once, at
     build) keyed on (n, the exact bytes of x): a hit returns what was
     computed at the same point. One lookup reads and fills it for the batch,
-    which every evaluator of the family shares, and for TauChain.value, so
-    hits and misses are counted in one place, batch.cache_info() (hits,
-    misses, maxsize, currsize). The batch computes the points not in the
-    memo at its start, whatever their levels, in one _integral_values call,
-    then looks the points up in turn and splits each finite value exactly;
-    a point whose entry is evicted before its lookup is computed again
-    alone. A computation that raises leaves the memo and its counts as they
-    were. TauChain.value and a component's fn do not locate x, so a miss
-    there first checks it (_require_levels).
+    which every evaluator of the family and TauChain.value share, so hits
+    and misses are counted in one place, batch.cache_info() (hits, misses,
+    maxsize, currsize). The batch computes the points not in the memo at its
+    start, whatever their levels, in one _integral_values call, then looks
+    the points up in turn and splits each finite value exactly; a point
+    whose entry is evicted before its lookup is computed again alone. A
+    computation that raises leaves the memo and its counts as they were.
+    TauChain.value checks x on level n of the family (levels) before the
+    batch, and every evaluator's fn is its batch of one at the located point.
     """
     levels = _levels(variant, params, -8, n_max)
     memo: OrderedDict = OrderedDict()
@@ -496,15 +497,6 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
             memo.popitem(last=False)
         return v
 
-    def tau_at(n: int, x: np.ndarray) -> complex:
-        if n < 0:
-            return complex(0.0)
-        x = np.asarray(x, dtype=complex)
-        key = (n, x.tobytes())
-        if key not in memo:
-            _require_levels([n], [x], variant, params)
-        return lookup(key, n, x, {})
-
     def batch(ns: list, xs: list) -> list[Scaled]:
         keys = [(n, x.tobytes()) for n, x in zip(ns, xs)]
         missing = {key: (n, x) for key, n, x in zip(keys, ns, xs) if n >= 0 and key not in memo}
@@ -514,11 +506,11 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
             fresh = dict(zip(missing, _integral_values(new_ns, new_xs, variant, "direct", params, quad_tol)))
         return [split(lookup(key, n, x, fresh) if n >= 0 else 0j) for key, n, x in zip(keys, ns, xs)]
 
+    def tau_at(n: int, x: np.ndarray) -> complex:
+        return complex(batch(levels.levels(x[None], [n]), [x])[0])
+
     batch.cache_info = lambda: MemoInfo(stats[0], stats[1], size, len(memo))
-    components = [
-        TauEvaluator(partial(tau_at, n), params, replace(levels, n_min=n, n_max=n), batch)
-        for n in range(levels.n_max + 1)
-    ]
+    components = [TauEvaluator(None, params, replace(levels, n_min=n, n_max=n), batch) for n in range(n_max + 1)]
     return TauChain(components, TauEvaluator(None, params, levels, batch), tau_at)
 
 
@@ -538,8 +530,8 @@ def build_chain(
     value raises AdmissibilityError. At q = 0.45, for one, a level-2 point
     needs every |e(x_k)| below q^(1/2) ~ 0.67.
     """
-    if not 0 <= n_max <= 3:
-        raise ValueError("chain depth capped at 3")
+    if not 0 <= n_max <= N_MAX:
+        raise ValueError(f"chain depth capped at {N_MAX}")
     return _graded("pp", n_max, params, quad_tol)
 
 
@@ -700,11 +692,11 @@ def tau_n_det(
 
 def _require_levels(ns: Sequence[int], xs: Sequence[np.ndarray], variant: str, params: EllipticParams) -> np.ndarray:
     """xs as a (B, 8) array, checked as the entries that do not locate their
-    points need: ValueError unless every n of ns is 0 to 3, the highest
+    points need: ValueError unless every n of ns is 0 to N_MAX, the highest
     multiplicity of the quadrature, then DomainError unless each x of xs
     lies on its level n of the variant's family."""
-    if not all(0 <= n <= 3 for n in ns):
-        raise ValueError("the integral route covers multiplicities 0 to 3")
+    if not all(0 <= n <= N_MAX for n in ns):
+        raise ValueError(f"the integral route covers multiplicities 0 to {N_MAX}")
     xs = np.array(xs, dtype=complex).reshape(len(ns), 8)
     _levels(variant, params).levels(xs, ns)
     return xs
@@ -721,7 +713,7 @@ def _integral_values(
     """A sign variant's value in route's chart at every point of xs, each on
     its own level n of ns: the gauge prefactor (level sign +1 only) times
     the n-fold integral at t times the pair product, each x located on its
-    level n of 0 to 3 or checked by _require_levels. At n = 0 the integral
+    level n of 0 to N_MAX or checked by _require_levels. At n = 0 the integral
     and the prefactor p^0 e(0) are 1, so the value is the pair product.
 
     The batch is one pass whatever its levels, each step over all points

@@ -1,8 +1,9 @@
 """Boundary table: the CLI at bases near 0 and near the unit circle, and at
 quadrature targets no node cap reaches.
 
-Each case runs one suite with one base moved, or with one `--quad-tol`,
-`--trials 1`, in its own process, and must end within _BUDGET_S seconds in
+Each case runs one suite with one base moved, or one suite or `verify
+transform-in` (whose n = 2 integrals reach the node cap) with one
+`--quad-tol`, `--trials 1`, in its own process, and must end within _BUDGET_S seconds in
 one of three ways: exit 0; exit 1 with a report whose failing rows all have
 finite residuals; or one stderr line that names a typed error, with exit 1
 (a check's DomainError, say) or exit 2 (the config refused at load). A NaN
@@ -28,21 +29,21 @@ _MODULI = (1e-300, 1e-12, 0.99, 0.997, 0.999, 0.9999, 0.999999)
 # suite -> (the base that moves, the other at its default)
 _MOVED = {"hirota": ("p", ("q", 0.35)), "chain": ("q", ("p", 0.03))}
 _QUAD_TOLS = ("1e-300", "1e-17")
-# (suite, config params or None, extra arguments), one row a case
+# (command, config params or None, extra arguments), one row a case
 _CASES = [
-    pytest.param(suite, {suite: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{suite}-{modulus}")
+    pytest.param(["suite", suite], {suite: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{suite}-{modulus}")
     for suite, (moved, (other, value)) in sorted(_MOVED.items())
     for modulus in _MODULI
 ] + [
-    pytest.param(suite, None, ["--quad-tol", tol], id=f"{suite}-quad-tol-{tol}")
-    for suite in ("bailey", "chain")
+    pytest.param(command, None, ["--quad-tol", tol], id=f"{command[-1]}-quad-tol-{tol}")
+    for command in (["suite", "bailey"], ["suite", "chain"], ["verify", "transform-in"])
     for tol in _QUAD_TOLS
 ]
 
 
-@pytest.mark.parametrize("suite, params, extra", _CASES)
-def test_suite_ends_in_a_verdict_or_a_typed_error(tmp_path, suite, params, extra):
-    args = ["suite", suite, "--trials", "1", *extra, "--json", "-"]
+@pytest.mark.parametrize("command, params, extra", _CASES)
+def test_suite_ends_in_a_verdict_or_a_typed_error(tmp_path, command, params, extra):
+    args = [*command, "--trials", "1", *extra, "--json", "-"]
     if params is not None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"params": params}))

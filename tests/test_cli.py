@@ -516,6 +516,15 @@ def test_tau_probe_reports_a_quadrature_that_does_not_converge(capsys):
     assert capsys.readouterr().err.startswith("probe failed: ConvergenceError: node cap")
 
 
+def test_lattice_hirota_draw_converges_under_the_one_node_cap():
+    # a pm quadruple whose n = 2 integrals need 2 048 nodes at quad_tol 1e-8:
+    # it converges at the node cap every multiplicity shares
+    par = EllipticParams.from_bases(0.03, 0.45)
+    pm = tau.variant_evaluator("pm", par, quad_tol=1e-8)
+    res = cli._lattice_hirota_once(sampling.make_rng(4), pm, par, cli._LATTICE_QUADS[4])
+    assert res < cli._DEFAULT_TOLERANCES["lattice_hirota"]
+
+
 def test_tau_probe_rejects_malformed_coordinates(capsys):
     for text in ("1,2 3", "inf 0 0 0 0 0 0 0", "0 nan,0 0 0 0 0 0 0", "0 0 0 0 0 0 0 0,-inf"):
         assert cli.main(["tau", "probe", "--x", text]) == 2, text

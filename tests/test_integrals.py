@@ -339,7 +339,7 @@ def _I_n_per_point(ctx, quad_tol, certify=True):
         ctx.check_admissible()
     except AdmissibilityError as err:
         return err, []
-    cap = integrals._CAPS[ctx.n]
+    cap = integrals._NODE_CAP
     counts = [integrals._START_NODES]
     last, bound, _ = _quad_per_point(ctx, counts[-1])
     previous = None
@@ -362,9 +362,8 @@ def _mixed_batch(n, params):
     """Rows that stop at different node counts, one inadmissible row, and one
     that reaches the cap; the rows moved by a shift step sit among them."""
     pq = abs(params.p * params.q)
-    mods = [0.3, 0.95, 1.2, 0.97, 0.99] if n == 1 else [0.3, 0.9, 1.2, 0.97]
     rows = []
-    for r, mod in enumerate(mods):
+    for r, mod in enumerate([0.3, 0.95, 1.2, 0.97, 0.99]):
         u = [mod * e(k / 13 + 0.02 + 0.1 * r) for k in range(8)]
         if r == 0:
             u[3] = 0.5 * pq * e(0.4)  # below |pq|: shifted up
@@ -538,14 +537,12 @@ def test_mixed_multiplicity_batch_is_each_row_alone(monkeypatch, params):
     with pytest.raises(AdmissibilityError, match=re.escape(str(inadmissible))):
         integrals.I_n_many(ctxs)
     assert passes == []
-    # a row raises its lone ConvergenceError at its own cap: an n >= 2 row
-    # at 1024 nodes, before an n = 1 row still running reaches 4096; with
-    # the n >= 2 rows gone, the n = 1 row raises at 4096
+    # every multiplicity has the one cap; after the pass at it, the first
+    # row still running in batch order raises its lone ConvergenceError
     live = [(c, v) for c, (v, _) in zip(ctxs, ref) if not isinstance(v, AdmissibilityError)]
-    ones = [(c, v) for c, v in live if c.n < 2]
-    assert {v.cap for _, v in live if isinstance(v, ConvergenceError)} == {1024, 4096}
-    for batch in (live, live[::-1], ones):
-        want = min((v for _, v in batch if isinstance(v, ConvergenceError)), key=lambda v: v.cap)
+    capped = [v for _, v in live if isinstance(v, ConvergenceError)]
+    assert {v.cap for v in capped} == {integrals._NODE_CAP} and capped[0].__dict__ != capped[-1].__dict__
+    for batch, want in ((live, capped[0]), (live[::-1], capped[-1])):
         with pytest.raises(ConvergenceError) as got:
             integrals.I_n_many([c for c, _ in batch])
         assert str(got.value) == str(want) and got.value.__dict__ == want.__dict__
@@ -614,7 +611,7 @@ def test_convergence_error_carries_estimates():
     assert exc.value.last != 0 or exc.value.previous != 0
 
 
-@pytest.mark.parametrize("n, cap", [(1, 4096), (2, 1024)])
+@pytest.mark.parametrize("n, cap", [(1, 4096), (2, 4096)])
 def test_convergence_error_replays(n, cap, monkeypatch):
     ctx = _ctx(u=tuple(0.997 * e(k / 13) for k in range(8)), n=n)
     counts = _record_nodes(monkeypatch)
@@ -687,6 +684,23 @@ def test_transform_multiplicity_two():
     ctx = _ctx(u=t, n=2)
     assert In_transform_residual(ctx, "tilde_n") < 1e-6
     assert In_transform_residual(ctx, "hat_n") < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.03, 0.05])
+def test_transform_multiplicity_three(p):
+    # the balancing p^2 q^-2 of n = 3 lies in the unit disk only for |p| < |q|
+    params = EllipticParams.from_bases(p, 0.45)
+    target = params.p**2 * params.q**-2
+    rng = sampling.make_rng(149)
+    for _ in range(3):
+        ctx = _ctx(u=sampling.sample_balanced(rng, target, abs(target) ** 0.125), params=params, n=3)
+        assert In_transform_residual(ctx, "tilde_n") < 1e-9
+        assert In_transform_residual(ctx, "hat_n") < 1e-9
+
+
+def test_multiplicity_above_the_top_is_refused():
+    with pytest.raises(ValueError, match="multiplicity above 3 is out of scope"):
+        IntegrandContext(U_FIXED, PARAMS, n=integrals.N_MAX + 1)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

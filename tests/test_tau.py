@@ -1,6 +1,8 @@
 """Bilinear identities, the level chain, and its closed forms."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,28 +185,40 @@ def test_evaluator_domain_enforced():
 
 
 def test_unlocated_entries_check_the_level():
-    # TauChain.value, a component's fn, tau_n_int and psi_variant take a
-    # level without locating x, so each checks x on it before computing
+    # TauChain.value, tau_n_int and psi_variant take a level without
+    # locating x, so each checks x on it before computing; a component's fn
+    # locates x in the component's one-level domain
     chain = T.build_chain(1, params=PARAMS)
     x = _x_on(sampling.make_rng(14), 1)
     entries = (
-        lambda n, y: chain.value(n, y),
-        lambda n, y: chain.components[n].fn(y),
-        lambda n, y: T.tau_n_int(n, y, "direct", PARAMS),
-        lambda n, y: T.psi_variant(n, y, "pp", PARAMS),
+        (lambda n, y: chain.value(n, y), "off hyperplane 0"),
+        (lambda n, y: chain.components[n].fn(y), "hyperplane index 1 outside [0, 0]"),
+        (lambda n, y: T.tau_n_int(n, y, "direct", PARAMS), "off hyperplane 0"),
+        (lambda n, y: T.psi_variant(n, y, "pp", PARAMS), "off hyperplane 0"),
     )
-    for entry in entries:
+    for entry, level_0 in entries:
         with pytest.raises(DomainError, match="off hyperplane 1"):
             entry(1, x + 0.01)
-        with pytest.raises(DomainError, match="off hyperplane 0"):
+        with pytest.raises(DomainError, match=re.escape(level_0)):
             entry(0, x)
+    assert chain.evaluator.batch.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
+
+
+def test_chain_value_refuses_a_level_outside_the_chain():
+    # value checks x as the evaluator does: a level-3 point is outside a
+    # depth-2 chain's domain, whichever entry reads it
+    chain = T.build_chain(2, params=PARAMS)
+    x = _x_on(sampling.make_rng(16), 3)
+    for entry in (lambda: chain.value(3, x), lambda: chain.evaluator(x)):
+        with pytest.raises(DomainError, match=re.escape("hyperplane index 3 outside [-8, 2]")):
+            entry()
     assert chain.evaluator.batch.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
 
 
 def test_chain_vanishes_below_base_level():
     rng = sampling.make_rng(13)
     assert CHAIN2.evaluator.eval(_x_on(rng, -1)) == 0
-    assert CHAIN2.value(-2, _x_general(rng)) == 0
+    assert CHAIN2.value(-2, _x_on(rng, -2)) == 0
 
 
 def test_chain_memo_evaluates_a_point_once(monkeypatch):
