@@ -3,11 +3,12 @@ quadrature targets no node cap reaches.
 
 Each case runs one suite with one base moved, or one suite or `verify
 transform-in` (whose n = 2 integrals reach the node cap) with one
-`--quad-tol`, `--trials 1`, in its own process, and must end within _BUDGET_S seconds in
-one of three ways: exit 0; exit 1 with a report whose failing rows all have
-finite residuals; or one stderr line that names a typed error, with exit 1
-(a check's DomainError, say) or exit 2 (the config refused at load). A NaN
-row, a numpy warning, a traceback or a hang is a failure of the case.
+`--quad-tol`, `--trials 1`, in its own process, and must end within
+_BUDGET_S seconds in one of three ways: exit 0; exit 1 with a report whose
+failing rows all have finite residuals; or one stderr line that names a
+typed error, with exit 1 (a check's DomainError, say) or exit 2 (the config
+refused at load). A NaN row, a numpy warning, a traceback or a hang is a
+failure of the case.
 """
 from __future__ import annotations
 
