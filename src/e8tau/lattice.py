@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -251,7 +251,7 @@ class Frame:
         pairing profile's for a 3- or 8-frame."""
         canon = tuple(sorted(map(sign_normalize, vs), key=lambda v: v.coords4))
         if frame_type is None:
-            frame_type = _classify(canon) if len(canon) in (3, 8) else FrameType.UNTYPED
+            frame_type = classify_frame(Frame(canon)) if len(canon) in (3, 8) else FrameType.UNTYPED
         return Frame(canon, frame_type)
 
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -330,7 +330,7 @@ def frame_containing(a: LatticeVector) -> Frame:
         raise ValueError("need a norm-1 vector of the half-lattice")
     h = _half_table()
     canon = tuple(h.vectors[j] for j in _completion(h.index[sign_normalize(a).coords4]))
-    return Frame(canon, _classify(canon))
+    return Frame(canon, classify_frame(Frame(canon)))
 
 
 @lru_cache(maxsize=None)
@@ -402,20 +402,11 @@ _TYPE_OF_CODE = {
     l: {sum(16**level for level in prof): t for prof, t in _TYPE_OF_PROFILE.items() if len(prof) == l}
     for l in (3, 8)
 }
-
-
-def _classify(vectors: Sequence[LatticeVector]) -> FrameType:
-    table = _TYPE_OF_CODE.get(len(vectors))
-    if table is None:
-        raise ValueError("only 3-frames and 8-frames carry a type")
-    ftype = table.get(sum([a.phi_code for a in vectors]))
-    if ftype is None:
-        raise ValueError(f"pairing profile {_phi_profile(vectors)} matches no class")
-    return ftype
+_PHI_CODE = attrgetter("phi_code")
 
 
 def _types_of_sums(sums: np.ndarray) -> list[FrameType]:
-    """_classify of every 3- or 8-frame from the coordinate sums (..., l) of
+    """classify_frame of every 3- or 8-frame from the coordinate sums (..., l) of
     its vectors, in one array pass: 16<phi,a> is twice the coordinate sum."""
     profiles = np.sort(np.abs(2 * sums // 8), axis=-1).reshape(-1, sums.shape[-1]).tolist()
     types = list(map(_TYPE_OF_PROFILE.get, map(tuple, profiles)))
@@ -425,8 +416,15 @@ def _types_of_sums(sums: np.ndarray) -> list[FrameType]:
 
 
 def classify_frame(f: Frame) -> FrameType:
-    """Type of an 8-frame or 3-frame from its pairing profile against phi."""
-    return _classify(f.vectors)
+    """Type of an 8-frame or 3-frame from its pairing profile against phi:
+    the sum of its vectors' phi codes, looked up in the table of its size."""
+    table = _TYPE_OF_CODE.get(len(f.vectors))
+    if table is None:
+        raise ValueError("only 3-frames and 8-frames carry a type")
+    ftype = table.get(sum(map(_PHI_CODE, f.vectors)))
+    if ftype is None:
+        raise ValueError(f"pairing profile {_phi_profile(f.vectors)} matches no class")
+    return ftype
 
 
 # Orbits run in int64 while every coordinate, inner product and reflection
@@ -461,9 +459,12 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     small = max(abs(c) for row in stack for c in row) < _INT64_COORD_LIMIT
     gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
     twice = 2 * gens.T  # s_g(v) = v - 2<g,v> g / 16<g,g>, and 16<g,g> = 32 for every root
-    seen = {sum(stack, ())}
-    orbit = [seed]
     frontier = np.array(stack, dtype=np.int64 if small else object)  # l rows per element
+    # One key per image: the bytes of its 8*l int64 coordinates (as many as
+    # the seed's), read through a void view, or their tuple on the object route.
+    void = np.dtype((np.void, frontier.nbytes))
+    seen = {frontier.tobytes() if small else sum(stack, ())}
+    orbit = [seed]
     while len(frontier):
         shift = (frontier @ twice)[:, :, None] * gens  # (m*l, g, 8)
         if (shift % 32).any():
@@ -472,18 +473,16 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
         if is_frame:  # as (m, g, l, 8): each image's rows sign-normalized and sorted
             images = _sign_normalized(images.reshape(-1, l, n_gens, 8).swapaxes(1, 2)).reshape(-1, 8)
             images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
-        new = []
-        for row in images.reshape(-1, 8 * l).tolist():
-            k = tuple(row)
-            if k not in seen:
-                seen.add(k)
-                new.append(k)
-        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 8)
+        images = images.reshape(-1, 8 * l)
+        keys = images.view(void).ravel().tolist() if small else map(tuple, images.tolist())
+        fresh = [i for i, k in enumerate(keys) if k not in seen and not seen.add(k)]
+        frontier = images[fresh].reshape(-1, 8)
+        vectors = map(LatticeVector, map(tuple, frontier.tolist()))
         if not is_frame:
-            orbit += map(LatticeVector, new)
+            orbit += vectors
             continue
         types = _types_of_sums(frontier.reshape(-1, l, 8).sum(axis=2)) if typed else kept
-        orbit += map(Frame, (tuple(LatticeVector(k[i : i + 8]) for i in range(0, 8 * l, 8)) for k in new), types)
+        orbit += map(Frame, zip(*[vectors] * l), types)  # l vectors per image
     return tuple(orbit)
 
 

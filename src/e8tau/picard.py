@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, index, mul, sub
 from typing import Sequence
 
@@ -173,20 +174,38 @@ def coords_back(eps: np.ndarray) -> tuple[np.ndarray, complex, complex]:
     return x, complex(mu), complex(kappa)
 
 
-def _lattice_points(lams: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
-    """The points w^{-1} . (x + kappa * alpha), one per vector of lams: where
-    the tau functions indexed by lams are evaluated on the w-translated
-    chart of eps. Every lam must lie in the norm-one, level-minus-one orbit,
-    alpha its classical part, and (x, mu, kappa) are the chart coordinates
-    of eps, whose level must match the step of tau's level grading."""
-    alphas = [in_orbit_M(lam) for lam in lams]
+def _classical_parts(lams: Sequence[PicardVector]) -> tuple[PicardVector, ...]:
+    """The classical part alpha of each vector of lams (in_orbit_M), which
+    must lie in the norm-one, level-minus-one orbit."""
+    alphas = tuple(map(in_orbit_M, lams))
     if any(alpha is None for alpha in alphas):
         raise ValueError("index vector is not in the norm-one, level-minus-one orbit")
+    return alphas
+
+
+def _lattice_points(alphas: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
+    """The points w^{-1} . (x + kappa * alpha), one per classical part alpha
+    of the index vectors: where the tau functions indexed by them are
+    evaluated on the w-translated chart of eps. (x, mu, kappa) are the chart
+    coordinates of eps, whose level must match the step of tau's level
+    grading."""
     x, _, kappa = coords_back(eps)
     if abs(kappa - tau.params.delta) > 1e-9:
         raise DomainError("chart level does not match the tau level step")
     inv = lattice.inverse_word(tuple(w))
-    return [lattice.apply_word_c(inv, x + kappa * project_classical(a).true_coords()) for a in alphas]
+    # true coordinates of the projections, one row each, as true_coords gives them
+    shifts = np.array([project_classical(a).coords4 for a in alphas], dtype=float) / 4.0
+    return [lattice.apply_word_c(inv, x + kappa * s) for s in shifts]
+
+
+@lru_cache(maxsize=None)
+def _quadruple_parts(quad: tuple[int, int, int, int]) -> tuple[PicardVector, ...]:
+    """The classical parts of a quadruple's six index vectors
+    e_a, e0 - e_a - e_l (a = i, j, k), computed once per quadruple."""
+    i, j, k, l = quad
+    if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
+        raise ValueError("need four distinct indices in 1..9")
+    return _classical_parts([lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])])
 
 
 def quadruple_hirota_residual(
@@ -200,19 +219,19 @@ def quadruple_hirota_residual(
     Normalized by the largest term modulus. The six brackets come first,
     in one bracket_scaled_many batch, then the six points on one chart of
     eps, then their Scaled tau values in one scaled_many batch of the
-    TauEvaluator tau.
+    TauEvaluator tau. The index vectors' classical parts are the
+    quadruple's alone and computed once; their projections are taken on
+    every call.
     """
+    alphas = _quadruple_parts(tuple(quad))
     i, j, k, l = quad
-    if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
-        raise ValueError("need four distinct indices in 1..9")
     params = tau.params
     eps = np.asarray(eps, dtype=complex)
     ev = eps.tolist()  # Python complex differences, the same bits as numpy's
 
     args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (ev[b] - ev[c], ev[0] - ev[b] - ev[c] - ev[l])]
     br = bracket_scaled_many(args, params)
-    lams = [lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])]
-    v = tau.scaled_many(_lattice_points(lams, tau, w, eps))
+    v = tau.scaled_many(_lattice_points(alphas, tau, w, eps))
     return normalized_residual([(br[2 * t], br[2 * t + 1], v[2 * t], v[2 * t + 1]) for t in range(3)])
 
 
@@ -224,7 +243,10 @@ def translation_hirota_residual(
     Each term translates tau forward and backward along one frame axis
     (tau(x -+ kappa a)) and weights the pair with the brackets of the other
     two axes.  Algebraically identical to the frame residual in the tau
-    module; kept as an independent code path. The six brackets come first,
+    module, and no independent route to it: both evaluate the same six
+    points (on a memoized family the second reads are hits) with the same
+    brackets and normalized_residual, so the two residuals agree whatever
+    the family's values are. The six brackets come first,
     in one bracket_scaled_many batch, then the six Scaled tau values in one
     scaled_many batch.
     """

@@ -181,6 +181,18 @@ def test_stabilizer_orbits_of_norm4_shell():
     assert sum(sizes) == 2160
 
 
+def test_shell_orbits_are_the_phi_pairing_classes():
+    # E7 fixes phi, and on the norm-4 shell the pairing with phi is all an
+    # orbit remembers: each orbit is the set of shell vectors with the
+    # seed's pairing, found here by no search
+    shell = L.enumerate_norm(4)
+    for seed, size in cli._SHELL_ORBITS:
+        want = {v.coords4 for v in shell if L.ip(L.PHI, v) == L.ip(L.PHI, seed)}
+        got = [v.coords4 for v in L.weyl_orbit(seed, "E7")]
+        assert len(got) == len(set(got)) == size
+        assert set(got) == want
+
+
 def test_zero_pairing_roots_count():
     assert sum(1 for a in L.enumerate_norm(2) if L.ip(L.PHI, a) == 0) == 126
 
@@ -413,6 +425,17 @@ def test_phi_profile_is_the_floored_pairing():
     fresh = [L.Frame(tuple(L.LatticeVector(v.coords4) for v in f.vectors)) for f in orbit]
     assert len(fresh) == 7560
     assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in fresh)
+
+
+def test_classify_frame_ignores_the_stored_type():
+    # the type comes from the vectors alone (a C3_II0 frame stored as C3_I
+    # is C3_II0), so f.frame_type is classify_frame(f) above checks the
+    # stored type against the vectors
+    one_per_type = {f.frame_type: f for f in L.enumerate_frames(3) + L.enumerate_frames(8)}
+    assert len(one_per_type) == 6
+    for want, f in one_per_type.items():
+        for stored in L.FrameType:
+            assert L.classify_frame(L.Frame(f.vectors, stored)) is want
 
 
 def test_classify_frame_rejects_pairings_without_a_class():

@@ -383,7 +383,7 @@ def test_basis_change_blowup():
 def _lattice_tau_eval(lam, tau, w, eps):
     """Reference route: the tau function indexed by lam on the w-translated
     chart of eps, tau at the one point w^{-1} . (x + kappa * alpha)."""
-    return tau.eval(P._lattice_points([lam], tau, w, eps)[0])
+    return tau.eval(P._lattice_points(P._classical_parts([lam]), tau, w, eps)[0])
 
 
 def test_lattice_tau_base_cases():
