@@ -41,7 +41,7 @@ from .specialfn import (
     triple_gamma,
     v12_11,
 )
-from .util import AdmissibilityError, ConvergenceError, Residual, normalized_residual
+from .util import AdmissibilityError, ConvergenceError, DomainError, Residual, normalized_residual
 
 QUAD_TOL = 1e-11
 _START_NODES = 256
@@ -115,15 +115,21 @@ def _jacobi_pair_coeffs(p: complex, pp: complex) -> np.ndarray:
     By the Jacobi triple product theta(z; p) = sum_n a_n z^n with
     a_n = (-1)^n p^{n(n-1)/2} / (p;p) (pp is (p;p)), so c_k = sum_n a_{n+k} a_n.
     a_n is kept on 1 - L <= n <= L, where |p|^{L(L-1)/2} < TRUNC_TOL, and c_k
-    is cut where |c_k| < TRUNC_TOL * max |c|.
+    is cut where |c_k| < TRUNC_TOL * max |c|. DomainError where (p;p) has
+    underflowed, or a c_k squared leaves the float range (from |p| near 0.991).
     """
     L = 1
     while abs(p) ** (L * (L - 1) / 2) >= TRUNC_TOL:
         L += 1
     n = np.arange(1 - L, L + 1)
-    a = (-1.0) ** n * p ** (n * (n - 1) // 2) / pp
-    c = np.convolve(a, a[::-1])  # symmetric, c_0 at index 2L - 1
-    K = 2 * L - 1 - int(np.argmax(np.abs(c) >= TRUNC_TOL * np.abs(c).max()))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = (-1.0) ** n * p ** (n * (n - 1) // 2) / pp
+        c = np.convolve(a, a[::-1])  # symmetric, c_0 at index 2L - 1
+    # _plan multiplies them in pairs, so their squares must be finite too
+    top = float(np.abs(c).max())
+    if not top * top < math.inf:
+        raise DomainError(f"theta pair coefficients leave the float range at |p| = {abs(p):.9g}")
+    K = 2 * L - 1 - int(np.argmax(np.abs(c) >= TRUNC_TOL * top))
     return c[2 * L - 1 - K : 2 * L + K]
 
 
@@ -485,13 +491,19 @@ def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
     pair in np.triu_indices(8, 1) order, or one per row and pair. All rows
     go through one triple_gamma call, whose series length follows the
     largest rho among them, and whose error is the batch's. Each row's
-    product runs over its pairs in order; one row u is the batch [u]."""
+    product runs over its pairs in order; one row u is the batch [u]. A
+    product that overflows raises DomainError naming |p| and |q|."""
     ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
     vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
     # the rows of the fresh (B, 28) array are contiguous, so each product is
     # taken pair by pair, as np.prod of the row alone
-    return vals.reshape(len(ws), -1).prod(axis=1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = vals.reshape(len(ws), -1).prod(axis=1).tolist()
+    if not all(map(cmath.isfinite, out)):
+        p, q = abs(params.p), abs(params.q)
+        raise DomainError(f"triple gamma pair product overflows the float range at |p| = {p:.9g}, |q| = {q:.9g}")
+    return out
 
 
 def In_transform_residual(

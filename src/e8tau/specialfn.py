@@ -70,6 +70,10 @@ def _modulus_bounds(zz: np.ndarray, kind: str) -> tuple[float, float]:
     return hi, float(np.minimum.reduce(mod, axis=None))
 
 
+# A product whose log-modulus bound stays below this cannot overflow (the
+# largest float is e^709.78).
+_LOG_FLOAT_RANGE = 700.0
+
 # Most factors of a theta or qpoch product (the suites need 60, p = 0.999 41 000).
 FACTOR_CAP = 2**16
 
@@ -145,6 +149,19 @@ def _theta_factors(pows: np.ndarray, ppows: np.ndarray, z: np.ndarray, out: np.n
     return np.multiply.reduce(t, axis=0, out=out)
 
 
+def _theta_product(pows: np.ndarray, ppows: np.ndarray, zz: np.ndarray) -> np.ndarray:
+    """_theta_factors at every z of zz, in blocks of columns of at most
+    _THETA_BLOCK table entries."""
+    width = max(_THETA_BLOCK // pows.size, 1)
+    if zz.size <= width:
+        return _theta_factors(pows, ppows, zz)
+    flat = zz.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, width):
+        _theta_factors(pows, ppows, flat[start : start + width], out[start : start + width])
+    return out.reshape(zz.shape)
+
+
 def _theta_range_guard(pows: np.ndarray, ppows: np.ndarray, z: np.ndarray, out: np.ndarray, p: complex) -> None:
     """DomainError where the theta product out (at the arguments z) is not
     finite, or is 0 with no factor 1 - pows[i] z or 1 - ppows[i] / z
@@ -175,15 +192,12 @@ def theta(z, p: complex):
     # |p| / lo is the largest |p/z|: division by a positive float is monotone
     table, n = _power_prefix(p, max(hi, abs(p) / lo, 1.0))
     pows, ppows = table[:n], table[1 : n + 1]
-    width = max(_THETA_BLOCK // n, 1)
-    if zz.size <= width:
-        out = _theta_factors(pows, ppows, zz)
-    else:
-        flat = zz.reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        for start in range(0, flat.size, width):
-            _theta_factors(pows, ppows, flat[start : start + width], out[start : start + width])
-        out = out.reshape(zz.shape)
+    # each of the n factor pairs has modulus at most (1 + hi)(1 + |p| / lo)
+    if n * (math.log1p(hi) + math.log1p(abs(p) / lo)) <= _LOG_FLOAT_RANGE:
+        out = _theta_product(pows, ppows, zz)
+    else:  # the product may leave the float range: the guard below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _theta_product(pows, ppows, zz)
     if not (np.isfinite(out).all() and out.all()):
         _theta_range_guard(pows, ppows, zz, out, p)
     return complex(out) if zz.ndim == 0 else out

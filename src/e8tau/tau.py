@@ -21,7 +21,7 @@ family goes through it, and batch.cache_info() counts the family's memo.
 """
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
@@ -466,45 +466,38 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
     (n up to n_max) the value of _integral_values in the direct chart, and 0
     below level 0.
 
-    Values go through one LRU memo of TAU_MEMO_SIZE entries (read once, at
+    Values go through one memo of TAU_MEMO_SIZE entries (read once, at
     build) keyed on (n, the exact bytes of x): a hit returns what was
-    computed at the same point. One lookup reads and fills it for the batch,
-    which every evaluator of the family and TauChain.value share, so hits
+    computed at the same point. The batch, which every evaluator of the
+    family and TauChain.value share, reads and fills it in one pass, so hits
     and misses are counted in one place, batch.cache_info() (hits, misses,
-    maxsize, currsize). The batch computes the points not in the memo at its
-    start, whatever their levels, in one _integral_values call, then looks
-    the points up in turn and splits each finite value exactly; a point
-    whose entry is evicted before its lookup is computed again alone. A
-    computation that raises leaves the memo and its counts as they were.
-    TauChain.value checks x on level n of the family (levels) before the
-    batch, and every evaluator's fn is its batch of one at the located point.
+    maxsize, currsize). It computes the points not in the memo at its start,
+    whatever their levels, in one _integral_values call (each distinct point
+    once, a miss), reads every other point from the memo as it found it (a
+    hit), then stores the new values and drops the oldest entries past the
+    bound; each finite value is split exactly. A computation that raises
+    leaves the memo and its counts as they were. TauChain.value checks x on
+    level n of the family (levels) before the batch, and every evaluator's
+    fn is its batch of one at the located point.
     """
     levels = _levels(variant, params, -8, n_max)
-    memo: OrderedDict = OrderedDict()
+    memo: dict = {}
     size = TAU_MEMO_SIZE
     stats = [0, 0]  # hits, misses
 
-    def lookup(key: tuple, n: int, x: np.ndarray, fresh: dict) -> complex:
-        # the memo's entry, else fresh's value or x's computed alone, kept
-        if key in memo:
-            stats[0] += 1
-            memo.move_to_end(key)
-            return memo[key]
-        v = fresh[key] if key in fresh else _integral_values([n], [x], variant, "direct", params, quad_tol)[0]
-        stats[1] += 1
-        memo[key] = v
-        if len(memo) > size:
-            memo.popitem(last=False)
-        return v
-
     def batch(ns: list, xs: list) -> list[Scaled]:
         keys = [(n, x.tobytes()) for n, x in zip(ns, xs)]
-        missing = {key: (n, x) for key, n, x in zip(keys, ns, xs) if n >= 0 and key not in memo}
-        fresh = {}
-        if missing:
-            new_ns, new_xs = map(list, zip(*missing.values()))
-            fresh = dict(zip(missing, _integral_values(new_ns, new_xs, variant, "direct", params, quad_tol)))
-        return [split(lookup(key, n, x, fresh) if n >= 0 else 0j) for key, n, x in zip(keys, ns, xs)]
+        new = {key: (n, x) for key, n, x in zip(keys, ns, xs) if n >= 0 and key not in memo}
+        if new:
+            new_ns, new_xs = map(list, zip(*new.values()))
+            new = dict(zip(new, _integral_values(new_ns, new_xs, variant, "direct", params, quad_tol)))
+        values = [new[key] if key in new else memo[key] if n >= 0 else 0j for key, n in zip(keys, ns)]
+        stats[0] += sum(n >= 0 for n in ns) - len(new)
+        stats[1] += len(new)
+        memo.update(new)
+        while len(memo) > size:
+            del memo[next(iter(memo))]
+        return [split(v) for v in values]
 
     def tau_at(n: int, x: np.ndarray) -> complex:
         return complex(batch(levels.levels(x[None], [n]), [x])[0])

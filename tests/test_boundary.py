@@ -1,7 +1,8 @@
 """Boundary table: the CLI at bases near 0 and near the unit circle, and at
 quadrature targets no node cap reaches.
 
-Each case runs one suite with one base moved, or one suite or `verify
+Each case runs one suite with one base of one params block moved (the
+terminating block by `suite bailey`), or one suite or `verify
 transform-in` (whose n = 2 integrals reach the node cap) with one
 `--quad-tol`, `--trials 1`, in its own process, and must end within
 _BUDGET_S seconds in one of three ways: exit 0; exit 1 with a report whose
@@ -27,13 +28,19 @@ _BUDGET_S = 30
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _TYPED = tuple(cls.__name__ for cls in (*RESAMPLE_ERRORS, DomainError, PoleError))
 _MODULI = (1e-300, 1e-12, 0.99, 0.997, 0.999, 0.9999, 0.999999)
-# suite -> (the base that moves, the other at its default)
-_MOVED = {"hirota": ("p", ("q", 0.35)), "chain": ("q", ("p", 0.03))}
+# params block -> (the suite that runs it, the base that moves, the other at its default)
+_MOVED = {
+    "hirota": ("hirota", "p", ("q", 0.35)),
+    "chain": ("chain", "q", ("p", 0.03)),
+    "bailey": ("bailey", "p", ("q", 0.10)),
+    "terminating": ("bailey", "q", ("p", 0.05)),
+    "picard": ("picard", "p", ("q", 0.45)),
+}
 _QUAD_TOLS = ("1e-300", "1e-17")
 # (command, config params or None, extra arguments), one row a case
 _CASES = [
-    pytest.param(["suite", suite], {suite: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{suite}-{modulus}")
-    for suite, (moved, (other, value)) in sorted(_MOVED.items())
+    pytest.param(["suite", suite], {block: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{block}-{modulus}")
+    for block, (suite, moved, (other, value)) in sorted(_MOVED.items())
     for modulus in _MODULI
 ] + [
     pytest.param(command, None, ["--quad-tol", tol], id=f"{command[-1]}-quad-tol-{tol}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 from math import factorial
 
 import numpy as np
@@ -26,7 +27,7 @@ from e8tau.integrals import (
     terminating_eval,
 )
 from e8tau.specialfn import _SHIFT_RHO, EllipticParams, _series_powers, _shift_count, qpoch, theta, v12_11
-from e8tau.util import AdmissibilityError, ConvergenceError, e
+from e8tau.util import AdmissibilityError, ConvergenceError, DomainError, e
 
 from . import _oracles as O
 from . import _quad_oracles as Q
@@ -566,6 +567,25 @@ def test_jacobi_coefficients_match_node_fft(params):
     assert np.max(np.abs(np.roll(fourier, K)[: 2 * K + 1] - c)) < 1e-14 * np.abs(c).max()
     # the coefficients past K are below the cut
     assert np.max(np.abs(fourier[K + 1 : N - K])) < 1e-14 * np.abs(c).max()
+
+
+def test_out_of_range_plan_and_pair_products_raise_without_a_warning():
+    # at p = 0.997 the pair coefficients overflow, and at 0.999 (p;p) has
+    # underflowed to 0; at p = 0.99 the row product of 28 triple gammas at
+    # w_k = i (each argument -1) overflows. Each raises DomainError naming
+    # its kernel and bases, with no numpy warning, where a plan or pair
+    # product at p = 0.99 inside the range is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.997, 0.999):
+            with pytest.raises(DomainError, match=rf"^theta pair coefficients leave the float range at \|p\| = {p}$"):
+                _plan_for(EllipticParams.from_bases(p, 0.1), 64)
+        assert np.isfinite(_plan_for(EllipticParams.from_bases(0.99, 0.1), 64).cross_c).all()
+        params = EllipticParams.from_bases(0.99, 0.45)
+        message = r"^triple gamma pair product overflows the float range at \|p\| = 0.99, \|q\| = 0.45$"
+        with pytest.raises(DomainError, match=message):
+            integrals._pair_gammas([[0.5] * 8, [1j] * 8], params)
+        assert all(map(np.isfinite, integrals._pair_gammas([[0.5] * 8], params)))
 
 
 def test_real_parameters_give_real_value():

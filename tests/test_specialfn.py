@@ -174,6 +174,18 @@ def test_elliptic_gamma_series_factor_out_of_range_raises():
                 S.elliptic_gamma(0.9, p, q)
 
 
+def test_theta_product_out_of_range_raises_without_a_warning():
+    # theta multiplies out under np.errstate only where its factor bound
+    # passes _LOG_FLOAT_RANGE; there the range guard names the overflow, with
+    # no numpy warning, and the in-range call at the same z is a plain product
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, p in ((-0.5, 0.999), (1e-300, 0.05), (np.array([0.5, 1e-300]), 0.05)):
+            with pytest.raises(DomainError, match=rf"^theta product overflows the float range at \|p\| = {p}$"):
+                S.theta(z, p)
+        assert cmath.isfinite(S.theta(-0.5, 0.05))
+
+
 def test_theta_and_qpoch_cap_their_factor_count():
     # p = 0.999999 would take some 4e7 factors: refused before the table is built
     for kernel in (S.theta, S.qpoch):

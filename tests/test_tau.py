@@ -222,19 +222,26 @@ def test_chain_vanishes_below_base_level():
 
 
 def test_chain_memo_evaluates_a_point_once(monkeypatch):
-    rows = []
+    calls = []
     values = T._integral_values
-    monkeypatch.setattr(T, "_integral_values", lambda ns, xs, *a: rows.extend(zip(ns, xs)) or values(ns, xs, *a))
+    monkeypatch.setattr(T, "_integral_values", lambda ns, xs, *a: calls.append(list(ns)) or values(ns, xs, *a))
     chain = T.build_chain(1, params=PARAMS)
-    x = _x_on(sampling.make_rng(15), 1)
+    rng = sampling.make_rng(15)
+    x, y = _x_on(rng, 1), _x_on(rng, 0)
     assert chain.evaluator(x) == chain.value(1, x)
+    assert calls == [[1]]
     assert chain.evaluator.eval_many([x, x]) == [chain.value(1, x)] * 2
     # a component's fn and the evaluator's (the batch of one, located) go
-    # through the same lookup: one miss, then hits only
+    # through the same memo: one miss, then hits only, and no value call
     assert chain.components[1].fn(x) == chain.evaluator.fn(x) == chain.value(1, x)
-    assert [n for n, _ in rows] == [1]
-    assert chain.evaluator.batch.cache_info() == (7, 1, T.TAU_MEMO_SIZE, 1)  # 8 lookups
+    assert calls == [[1]]
+    assert chain.evaluator.batch.cache_info() == (7, 1, T.TAU_MEMO_SIZE, 1)  # 8 points read
     assert all(ev.batch is chain.evaluator.batch for ev in chain.components)
+    # a batch with new points makes one value call for them, each once,
+    # whatever their levels; the point it found in the memo is a hit
+    chain.evaluator.eval_many([y, x, y, x])
+    assert calls == [[1], [0]]
+    assert chain.evaluator.batch.cache_info() == (10, 2, T.TAU_MEMO_SIZE, 2)
 
 
 def test_an_evaluator_needs_fn_or_batch():
@@ -296,30 +303,29 @@ def test_eval_many_matches_the_point_by_point_eval():
     assert batched.evaluator.batch.cache_info().hits == 3
 
 
-def test_eval_many_evicts_as_the_point_by_point_eval(monkeypatch):
+def test_eval_many_reads_the_memo_it_found_and_drops_the_oldest(monkeypatch):
     monkeypatch.setattr(T, "TAU_MEMO_SIZE", 8)
+    calls = []
+    values = T._integral_values
+    monkeypatch.setattr(T, "_integral_values", lambda ns, xs, *a: calls.append(len(ns)) or values(ns, xs, *a))
     xs = _level_points(41, [0] * 20)
-    batched, looped = T.build_chain(0, params=PARAMS), T.build_chain(0, params=PARAMS)
-    first = batched.evaluator.eval_many(xs)
-    for x in xs:
-        looped.evaluator.eval(x)
-    assert batched.evaluator.batch.cache_info() == looped.evaluator.batch.cache_info()
-    # the last eight are kept, but looking the first twelve up evicts them
-    # before their turn: every point is computed again, to the same bits
-    again = batched.evaluator.eval_many(xs)
-    for x in xs:
-        looped.evaluator.eval(x)
-    info = batched.evaluator.batch.cache_info()
-    assert info == looped.evaluator.batch.cache_info() and (info.hits, info.misses) == (0, 40)
+    chain = T.build_chain(0, params=PARAMS)
+    first = chain.evaluator.eval_many(xs)
+    # past the bound the oldest go: the last eight are kept
+    assert calls == [20] and chain.evaluator.batch.cache_info() == (0, 20, 8, 8)
+    # the first twelve are one value call; the last eight are read from the
+    # memo as the batch found it, though storing the twelve then drops them
+    again = chain.evaluator.eval_many(xs)
+    assert calls == [20, 12] and chain.evaluator.batch.cache_info() == (8, 32, 8, 8)
     assert [_hex(v) for v in again] == [_hex(v) for v in first]
-    # hits at the start of the batch that an earlier miss of the same batch
-    # evicts, and a revisit of one evicted there: the batch counts what the
-    # loop counts and gives the loop's values, bit for bit
-    mixed = _level_points(42, [0] * 4) + xs[12:16] + xs[:2] + xs[12:13]
-    want = [looped.evaluator.eval(x) for x in mixed]
-    got = batched.evaluator.eval_many(mixed)
-    assert batched.evaluator.batch.cache_info() == looped.evaluator.batch.cache_info()
-    assert [_hex(v) for v in got] == [_hex(v) for v in want]
+    # the memo holds xs[4:12], the newest eight: a hit each, and xs[12] is new
+    chain.evaluator.eval_many(xs[4:13])
+    assert calls == [20, 12, 1] and chain.evaluator.batch.cache_info() == (16, 33, 8, 8)
+    # a batch of more new points than the bound keeps its last eight
+    ys = _level_points(42, [0] * 10)
+    chain.evaluator.eval_many(ys)
+    chain.evaluator.eval_many(ys[2:])
+    assert calls == [20, 12, 1, 10] and chain.evaluator.batch.cache_info() == (24, 43, 8, 8)
 
 
 def test_eval_many_locates_every_point_before_any_value():
@@ -333,7 +339,7 @@ def test_eval_many_locates_every_point_before_any_value():
     # point comes before the stray one; then the values of every level are
     # one computation, which fails as a whole. A failure leaves the memo and
     # its counts as they were, in a batch (the new level-1 point that shares
-    # the failing batch included) and in a single lookup.
+    # the failing batch included) and in a batch of one.
     for xs, error in (([good[0], bad, off, good[1]], DomainError), ([good[2], good[1], bad], AdmissibilityError)):
         with pytest.raises(error):
             chain.evaluator.eval_many(xs)
