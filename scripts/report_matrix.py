@@ -2,12 +2,13 @@
 
 One JSON report per (command, seed), without the run's ``wall_time_s``; the
 ``tau probe`` document at one fixed point per chain level 0, 1 and 2, so the
-tau values themselves are pinned and not only the residuals; two probes the
-level check refuses; and ``exit_codes.txt`` with every exit status and the
-first line the run wrote to stderr, so a change in which error a run ends in
-shows. Two checkouts
-report the same numbers when ``diff -r`` of their OUTDIRs is empty. Run from
-the repository root:
+tau values themselves are pinned and not only the residuals; the level-1
+probe moved along its level to two points where the chain gauge leaves the
+float range; two probes the level check refuses; and ``exit_codes.txt``
+with every exit status and the first line the run wrote to stderr, so a
+change in which error a run ends in shows. Two checkouts report the same
+numbers when ``diff -r`` of their OUTDIRs is empty. Run from the repository
+root:
 
     PYTHONPATH=src python3 scripts/report_matrix.py OUTDIR
 
@@ -61,6 +62,20 @@ PROBES = {
     " -0.4818531923400311,0.20411112358331646 -0.13449855251134724,0.20113598185462733"
     " 0.3650497119040278,0.20991718433055379 0.73257396020629073,0.19543481250391292",
 }
+# PROBES[1] moved by x_0 + r, x_1 - r, on the same level: Im Q(x) falls with
+# r, and at r = 5 and 50 the chain gauge p^C(n,2) e(-n Q(x)) is below the
+# normal float range, so the probe ends in a typed error.
+SHIFTS = (5, 50)
+
+
+def _shifted(text: str, r: float) -> str:
+    """The point of text (the probe's --x) with x_0 + r and x_1 - r."""
+    z = [complex(*map(float, t.split(","))) for t in text.split()]
+    z[0] += r
+    z[1] -= r
+    return " ".join(f"{c.real!r},{c.imag!r}" for c in z)
+
+
 # The two level-check failures. A dyadic point off every chain hyperplane: its
 # pairing is exact whatever the summation order, so the message is too. And a
 # level-3 point drawn as PROBES are, probed at --n 3, outside the chain's
@@ -135,6 +150,8 @@ if __name__ == "__main__":
     runs = [(f"{name}-seed{seed}", f"{name} seed={seed}", [*argv, "--seed", str(seed)])
             for name, argv in COMMANDS.items() for seed in SEEDS]
     runs += [(f"tau-probe-{n}", f"tau-probe-{n}", ["tau", "probe", "--x", x]) for n, x in PROBES.items()]
+    runs += [(f"tau-probe-1-shifted-{r}", f"tau-probe-1-shifted-{r}", ["tau", "probe", "--x", _shifted(PROBES[1], r)])
+             for r in SHIFTS]
     runs += [("tau-probe-off-level", "tau-probe-off-level", ["tau", "probe", "--x", OFF_LEVEL]),
              ("tau-probe-3", "tau-probe-3 --n 3", ["tau", "probe", "--x", LEVEL3, "--n", "3"])]
     # a quadrature target no integral meets: the run ends in a typed error,

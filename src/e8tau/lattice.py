@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -402,7 +402,6 @@ _TYPE_OF_CODE = {
     l: {sum(16**level for level in prof): t for prof, t in _TYPE_OF_PROFILE.items() if len(prof) == l}
     for l in (3, 8)
 }
-_PHI_CODE = attrgetter("phi_code")
 
 
 def _types_of_sums(sums: np.ndarray) -> list[FrameType]:
@@ -421,7 +420,10 @@ def classify_frame(f: Frame) -> FrameType:
     table = _TYPE_OF_CODE.get(len(f.vectors))
     if table is None:
         raise ValueError("only 3-frames and 8-frames carry a type")
-    ftype = table.get(sum(map(_PHI_CODE, f.vectors)))
+    code = 0
+    for a in f.vectors:
+        code += a.phi_code
+    ftype = table.get(code)
     if ftype is None:
         raise ValueError(f"pairing profile {_phi_profile(f.vectors)} matches no class")
     return ftype
@@ -434,22 +436,77 @@ _INT64_COORD_LIMIT = 2**40
 _ROOTS_INT64 = np.array([g.coords4 for g in SIMPLE_ROOTS], dtype=np.int64)
 
 
+class _ShellAction(NamedTuple):
+    """The lattice vectors of squared norm 2 or 4 and the simple reflections
+    acting on them.
+
+    ``vectors`` is enumerate_norm(n), one LatticeVector per row, shared by
+    every orbit through it; ``index`` the row of each coords4; and
+    ``images[g]`` the row of s_g(v) for each row v, one column per simple
+    root g = 0, ..., 7.
+    """
+
+    vectors: tuple[LatticeVector, ...]
+    index: dict[tuple[int, ...], int]
+    images: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _shell_action(n: int) -> _ShellAction:
+    """The table of the norm-n shell, each column from one exact int64 pass
+    over the rows."""
+    vectors = enumerate_norm(n)
+    index = {v.coords4: k for k, v in enumerate(vectors)}
+    rows = np.array(list(index), dtype=np.int64)
+    images = []
+    for g in _ROOTS_INT64:
+        shift = (rows @ (2 * g))[:, None] * g  # as in weyl_orbit's array search, 16<g,g> = 32
+        if (shift % 32).any():
+            raise ValueError("reflection left (1/4)Z^8")
+        images.append(tuple(index[r] for r in map(tuple, (rows - shift // 32).tolist())))
+    return _ShellAction(vectors, index, tuple(images))
+
+
+def _shell_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]:
+    """weyl_orbit of a lattice vector of squared norm 2 or 4: a breadth-first
+    search over the row indices of its shell's reflection table."""
+    table = _shell_action(ip(seed, seed) // 16)
+    cols = table.images[:n_gens]
+    start = table.index[seed.coords4]
+    seen = {start}
+    rows = [start]
+    for k in rows:  # the list is the queue: it grows while it is read
+        for col in cols:
+            j = col[k]
+            if j not in seen:
+                seen.add(j)
+                rows.append(j)
+    vectors = table.vectors
+    return (seed, *[vectors[k] for k in rows[1:]])
+
+
 def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     """Breadth-first orbit closure under the simple reflections of E7 or E8.
 
-    One search serves vectors and frames: a vector is a stack of one row, an
-    l-frame a stack of l rows (canonical, as Frame.from_vectors makes it),
-    and each round reflects every row of the whole frontier by every
-    generator in one exact integer pass. The orbit lists the seed first, then each new
-    image in the order the search meets it: frontier element by element,
-    generator by generator within each element. E7 fixes phi, so a frame's
-    images keep the seed's frame_type; E8 does not, so each new image of a
-    3- or 8-frame is typed from its coordinate sums.
+    The orbit lists the seed first, then each new image in the order the
+    search meets it: frontier element by element, generator by generator
+    within each element. Two searches give it. A lattice vector of squared
+    norm 2 or 4 walks the row indices of its shell's cached reflection
+    table (_shell_action), and its images are the shell's shared
+    LatticeVectors. Every other seed, a frame or a vector off those shells
+    (on Python integers from coordinates of 2**40 up), runs the array
+    search: a vector is a stack of one row, an l-frame a stack of l rows (canonical, as
+    Frame.from_vectors makes it), and each round reflects every row of the
+    whole frontier by every generator in one exact integer pass. E7 fixes
+    phi, so a frame's images keep the seed's frame_type; E8 does not, so
+    each new image of a 3- or 8-frame is typed from its coordinate sums.
     """
     if group not in ("E7", "E8"):
         raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
     n_gens = 7 if group == "E7" else 8
     is_frame = isinstance(seed, Frame)
+    if not is_frame and _in_lattice(seed.coords4) and ip(seed, seed) in (32, 64):
+        return _shell_orbit(seed, n_gens)
     if is_frame:
         seed = Frame.from_vectors(seed.vectors, seed.frame_type)
     stack = [v.coords4 for v in (seed.vectors if is_frame else (seed,))]

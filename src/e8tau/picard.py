@@ -183,14 +183,26 @@ def _classical_parts(lams: Sequence[PicardVector]) -> tuple[PicardVector, ...]:
     return alphas
 
 
+# How far the chart level kappa may lie from the tau level step.
+_KAPPA_TOL = 1e-9
+# The moduli of kappa's coefficients on the canonical coordinates.
+_KAPPA_WEIGHTS = np.array([3.0] + [1.0] * 9)
+
+
 def _lattice_points(alphas: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
     """The points w^{-1} . (x + kappa * alpha), one per classical part alpha
     of the index vectors: where the tau functions indexed by them are
     evaluated on the w-translated chart of eps. (x, mu, kappa) are the chart
     coordinates of eps, whose level must match the step of tau's level
-    grading."""
+    grading: DomainError where the rounding bound of kappa reaches that
+    tolerance, or where kappa is off the step."""
     x, _, kappa = coords_back(eps)
-    if abs(kappa - tau.params.delta) > 1e-9:
+    # kappa = 3 eps_0 - (eps_1 + ... + eps_9) in floats, ten terms: within
+    # 10 eps (3|eps_0| + sum_k |eps_k|) of the exact sum
+    slack = 10 * np.finfo(float).eps * float(np.abs(eps) @ _KAPPA_WEIGHTS)
+    if not slack < _KAPPA_TOL:
+        raise DomainError(f"chart level {kappa} cannot be resolved to the level tolerance (rounding bound {slack:.3g})")
+    if abs(kappa - tau.params.delta) > _KAPPA_TOL:
         raise DomainError("chart level does not match the tau level step")
     inv = lattice.inverse_word(tuple(w))
     # true coordinates of the projections, one row each, as true_coords gives them

@@ -25,7 +25,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
-from math import comb
+from math import comb, log, pi
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -614,11 +615,27 @@ def _chart(
     return c * u, u, s
 
 
+# The logs of the smallest normal float and of the largest float.
+_LOG_NORMAL_RANGE = (log(float_info.min), log(float_info.max))
+
+
 def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams) -> list[complex]:
     """p^C(n,2) e(-n Q(x)), the gauge of a level-n chain component, at
     every row x of xs on its level n of ns, Q of all rows from one qforms
-    call."""
-    return [params.p ** comb(n, 2) * e(-n * q) for n, q in zip(ns, qforms(xs, params.delta))]
+    call. DomainError where the gauge or one of its two factors leaves the
+    normal float range: the log moduli C(n,2) log|p| and 2 pi n Im Q(x) and
+    their sum are tested before the product is formed."""
+    lo, hi = _LOG_NORMAL_RANGE
+    log_p = log(abs(params.p))
+    out = []
+    for n, q in zip(ns, qforms(xs, params.delta)):
+        c = comb(n, 2)
+        logs = (c * log_p, 2 * pi * n * q.imag)
+        log_mod = logs[0] + logs[1]
+        if not all(lo <= v <= hi for v in (*logs, log_mod)):
+            raise DomainError(f"chain gauge at level {n} leaves the normal float range (log modulus {log_mod:.4g})")
+        out.append(params.p**c * e(-n * q))
+    return out
 
 
 def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams) -> tuple[np.ndarray, tuple]:

@@ -28,19 +28,21 @@ _BUDGET_S = 30
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _TYPED = tuple(cls.__name__ for cls in (*RESAMPLE_ERRORS, DomainError, PoleError))
 _MODULI = (1e-300, 1e-12, 0.99, 0.997, 0.999, 0.9999, 0.999999)
-# params block -> (the suite that runs it, the base that moves, the other at its default)
+# case id prefix -> (params block, the suite that runs it, the base that
+# moves, the other at its default)
 _MOVED = {
-    "hirota": ("hirota", "p", ("q", 0.35)),
-    "chain": ("chain", "q", ("p", 0.03)),
-    "bailey": ("bailey", "p", ("q", 0.10)),
-    "terminating": ("bailey", "q", ("p", 0.05)),
-    "picard": ("picard", "p", ("q", 0.45)),
+    "hirota": ("hirota", "hirota", "p", ("q", 0.35)),
+    "chain": ("chain", "chain", "q", ("p", 0.03)),
+    "bailey": ("bailey", "bailey", "p", ("q", 0.10)),
+    "terminating": ("terminating", "bailey", "q", ("p", 0.05)),
+    "picard": ("picard", "picard", "p", ("q", 0.45)),
+    "picard-q": ("picard", "picard", "q", ("p", 0.03)),
 }
 _QUAD_TOLS = ("1e-300", "1e-17")
 # (command, config params or None, extra arguments), one row a case
 _CASES = [
-    pytest.param(["suite", suite], {block: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{block}-{modulus}")
-    for block, (suite, moved, (other, value)) in sorted(_MOVED.items())
+    pytest.param(["suite", suite], {block: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{name}-{modulus}")
+    for name, (block, suite, moved, (other, value)) in sorted(_MOVED.items())
     for modulus in _MODULI
 ] + [
     pytest.param(command, None, ["--quad-tol", tol], id=f"{command[-1]}-quad-tol-{tol}")

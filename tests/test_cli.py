@@ -507,6 +507,25 @@ def test_tau_probe_fails_where_the_value_overflows(capsys, k):
     assert len(err) == 1 and err[0].startswith("probe failed:"), err
 
 
+@pytest.mark.parametrize("r", [1, 5, 50])
+def test_tau_probe_fails_where_the_chain_gauge_underflows(capsys, r):
+    # the level-1 point of scripts/report_matrix.py's PROBES with x_0 + r and
+    # x_1 - r, still on level 1: Im Q(x) falls with r, and from r = 5 the
+    # gauge p^C(n,2) e(-n Q(x)) is below the normal float range
+    par = EllipticParams.from_bases(0.03, 0.45)
+    x = sampling.sample_on_level(sampling.make_rng(101), par, 1)
+    x[0] += r
+    x[1] -= r
+    text = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in x)
+    rc = cli.main(["tau", "probe", "--x", text])
+    out, err = capsys.readouterr()
+    if r == 1:
+        assert (rc, out, err) == (0, "level=1 value=+5.195301727284e-17-2.732892354192e-17j\n", "")
+        return
+    assert rc == 1 and out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("probe failed: DomainError: chain gauge at level 1 leaves the normal float range"), err
+
+
 def test_tau_probe_reports_a_quadrature_that_does_not_converge(capsys):
     # no level-2 integral settles to 1e-17 within the node cap
     par = EllipticParams.from_bases(0.03, 0.45)

@@ -332,14 +332,34 @@ def _floored_type(vectors):
 
 
 def test_vector_orbits_match_scalar_reference():
+    # shell seeds walk the reflection table; a doubled root (norm 8) is off
+    # every shell and runs the int64 array search
     cases = [(s, "E7") for s in SHELL_SEEDS]
     cases += [(L.SIMPLE_ROOTS[0], "E8"), (L.PHI - L.V[0].scaled(2), "E8")]
+    cases += [(L.SIMPLE_ROOTS[3].scaled(2), group) for group in ("E7", "E8")]
     for seed, group in cases:
         got = L.weyl_orbit(seed, group)
         assert got == _orbit_reference(seed, group)  # content and order
         assert all(type(c) is int for v in got for c in v.coords4)
     assert len(L.weyl_orbit(L.SIMPLE_ROOTS[0], "E8")) == 240
     assert len(L.weyl_orbit(L.PHI - L.V[0].scaled(2), "E8")) == 2160
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_shell_table_columns_are_the_simple_reflections(n):
+    # column g is s_g on the shell: an involution that fixes exactly the
+    # rows pairing to 0 with root g
+    table = L._shell_action(n)
+    assert table.vectors is L.enumerate_norm(n)
+    rows = range(len(table.vectors))
+    for g, col in zip(L.SIMPLE_ROOTS, table.images):
+        assert [table.vectors[col[k]] for k in rows] == [L.reflect(g, v) for v in table.vectors]
+        assert [col[col[k]] for k in rows] == list(rows)
+        assert [k for k in rows if col[k] == k] == [k for k in rows if L.ip(g, table.vectors[k]) == 0]
+    # an orbit on the shell returns the seed, then the table's own vectors
+    seed = L.vec(*table.vectors[-1].coords4)
+    orbit = L.weyl_orbit(seed, "E8")
+    assert orbit[0] is seed and all(v is table.vectors[table.index[v.coords4]] for v in orbit[1:])
 
 
 def test_vector_orbit_with_large_coordinates_runs_exactly():

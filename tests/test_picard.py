@@ -408,6 +408,11 @@ def test_lattice_tau_validations():
     off = P.coords_forward(x + 0.03, mu, PARAMS.delta)  # off the level family
     with pytest.raises(DomainError):
         _lattice_tau_eval(P.E[9], EVAL, (), off)
+    # on the level step, but canonical coordinates near 1e7 leave kappa's
+    # rounding bound above the level tolerance
+    far = P.coords_forward(x, mu + 1e7, PARAMS.delta)
+    with pytest.raises(DomainError, match="cannot be resolved"):
+        _lattice_tau_eval(P.E[9], EVAL, (), far)
 
 
 def test_quadruple_residual_uniform_level():

@@ -163,3 +163,8 @@ def test_report_matrix_probes_are_the_points_their_comment_names():
     par = EllipticParams.from_bases(0.03, 0.45)
     for n, text in report_matrix.PROBES.items():
         assert (cli._parse_x(text) == sampling.sample_on_level(sampling.make_rng(100 + n), par, n)).all(), n
+    for r in report_matrix.SHIFTS:
+        x = cli._parse_x(report_matrix.PROBES[1])
+        x[0] += r
+        x[1] -= r
+        assert (cli._parse_x(report_matrix._shifted(report_matrix.PROBES[1], r)) == x).all(), r

@@ -1011,6 +1011,21 @@ def test_level_zero_integral_value_skips_the_empty_integral_bit_for_bit():
         assert T.tau_n_int(0, x, route, PARAMS) == full
 
 
+def test_gauge_prefactor_refuses_to_leave_the_normal_float_range():
+    # log|p^C(n,2) e(-n Q(x))| = C(n,2) log|p| + 2 pi n Im Q(x). At level 3
+    # with |p| = 1e-217 and Im Q = 1500 / (6 pi) the two factors' logs,
+    # -1499 and +1500, sum to about 1, but formed in floats the product is
+    # 0 * inf; the gauge and each factor are tested before the product
+    par = EllipticParams.from_bases(1e-217, 0.45)
+    x = np.zeros(8, dtype=complex)
+    x[0] = np.sqrt(2 * par.delta * 1j * 1500 / (6 * np.pi))
+    with pytest.raises(DomainError, match=r"^chain gauge at level 3 leaves the normal float range"):
+        T._gauge_prefactors([3], [x], par)
+    # where both factors and the gauge stay normal it is the product, bit for bit
+    q = T.qforms([x], par.delta)[0]
+    assert T._gauge_prefactors([1], [x], par) == [par.p**0 * e(-q)]
+
+
 def test_tau_n_int_validations():
     rng = sampling.make_rng(66)
     x = _x_on(rng, 1)
