@@ -451,19 +451,40 @@ class _ShellAction(NamedTuple):
     images: tuple[tuple[int, ...], ...]
 
 
+def _reflected(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """s_g(v) for every row v of rows (m, 8) and every root g of gens (k, 8),
+    as (m, k, 8), exactly in the rows' integer dtype (int64 or object):
+    s_g(v) = v - 2<g,v> g / 16<g,g>, and 16<g,g> = 32 for every root."""
+    shift = (rows @ (2 * gens.T))[:, :, None] * gens
+    if (shift % 32).any():
+        raise ValueError("reflection left (1/4)Z^8")
+    return rows[:, None, :] - shift // 32
+
+
+# A vector of squared norm at most 4 has every coords4 in [-8, 8]: read as
+# balanced base-17 digits they give each row of a shell its own int64 key.
+_SHELL_KEY = 17 ** np.arange(8, dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _shell_action(n: int) -> _ShellAction:
-    """The table of the norm-n shell, each column from one exact int64 pass
-    over the rows."""
+    """The table of the norm-n shell, one column per root from one exact int64
+    pass over the rows. A reflection permutes the shell, so the column is the
+    permutation that sorts the images' keys, read against the sorted rows."""
     vectors = enumerate_norm(n)
     index = {v.coords4: k for k, v in enumerate(vectors)}
-    rows = np.array(list(index), dtype=np.int64)
+    rows = np.fromiter(itertools.chain.from_iterable(index), np.int64, 8 * len(index)).reshape(-1, 8)
+    keys = rows @ _SHELL_KEY
+    order = np.argsort(keys)
+    rank = list(index.values()).__getitem__  # the index's own ints, shared by every column
     images = []
-    for g in _ROOTS_INT64:
-        shift = (rows @ (2 * g))[:, None] * g  # as in weyl_orbit's array search, 16<g,g> = 32
-        if (shift % 32).any():
-            raise ValueError("reflection left (1/4)Z^8")
-        images.append(tuple(index[r] for r in map(tuple, (rows - shift // 32).tolist())))
+    for g in range(8):
+        image_keys = _reflected(rows, _ROOTS_INT64[g : g + 1])[:, 0] @ _SHELL_KEY
+        by_key = np.argsort(image_keys)
+        assert np.array_equal(image_keys[by_key], keys[order]), "a reflection left the shell"
+        col = np.empty_like(order)
+        col[by_key] = order  # row by_key[i] is sent to row order[i]
+        images.append(tuple(map(rank, col.tolist())))
     return _ShellAction(vectors, index, tuple(images))
 
 
@@ -493,7 +514,8 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     within each element. Two searches give it. A lattice vector of squared
     norm 2 or 4 walks the row indices of its shell's cached reflection
     table (_shell_action), and its images are the shell's shared
-    LatticeVectors. Every other seed, a frame or a vector off those shells
+    LatticeVectors; the table is built once, by the first orbit through its
+    shell. Every other seed, a frame or a vector off those shells
     (on Python integers from coordinates of 2**40 up), runs the array
     search: a vector is a stack of one row, an l-frame a stack of l rows (canonical, as
     Frame.from_vectors makes it), and each round reflects every row of the
@@ -515,7 +537,6 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     kept = itertools.repeat(seed.frame_type if is_frame and n_gens == 7 else FrameType.UNTYPED)
     small = max(abs(c) for row in stack for c in row) < _INT64_COORD_LIMIT
     gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
-    twice = 2 * gens.T  # s_g(v) = v - 2<g,v> g / 16<g,g>, and 16<g,g> = 32 for every root
     frontier = np.array(stack, dtype=np.int64 if small else object)  # l rows per element
     # One key per image: the bytes of its 8*l int64 coordinates (as many as
     # the seed's), read through a void view, or their tuple on the object route.
@@ -523,10 +544,7 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     seen = {frontier.tobytes() if small else sum(stack, ())}
     orbit = [seed]
     while len(frontier):
-        shift = (frontier @ twice)[:, :, None] * gens  # (m*l, g, 8)
-        if (shift % 32).any():
-            raise ValueError("reflection left (1/4)Z^8")
-        images = frontier[:, None, :] - shift // 32
+        images = _reflected(frontier, gens)  # (m*l, g, 8)
         if is_frame:  # as (m, g, l, 8): each image's rows sign-normalized and sorted
             images = _sign_normalized(images.reshape(-1, l, n_gens, 8).swapaxes(1, 2)).reshape(-1, 8)
             images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
