@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -429,10 +429,6 @@ def classify_frame(f: Frame) -> FrameType:
     return ftype
 
 
-# Orbits run in int64 while every coordinate, inner product and reflection
-# numerator stays far below 2**63; an orbit keeps the norms, so seeds with
-# larger coordinates run on Python integers (object arrays).
-_INT64_COORD_LIMIT = 2**40
 _ROOTS_INT64 = np.array([g.coords4 for g in SIMPLE_ROOTS], dtype=np.int64)
 
 
@@ -451,14 +447,13 @@ class _ShellAction(NamedTuple):
     images: tuple[tuple[int, ...], ...]
 
 
-def _reflected(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """s_g(v) for every row v of rows (m, 8) and every root g of gens (k, 8),
-    as (m, k, 8), exactly in the rows' integer dtype (int64 or object):
+def _reflected(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s_g(v) for every row v of the int64 rows (m, 8) and one root g, exactly:
     s_g(v) = v - 2<g,v> g / 16<g,g>, and 16<g,g> = 32 for every root."""
-    shift = (rows @ (2 * gens.T))[:, :, None] * gens
+    shift = (rows @ (2 * g))[:, None] * g
     if (shift % 32).any():
         raise ValueError("reflection left (1/4)Z^8")
-    return rows[:, None, :] - shift // 32
+    return rows - shift // 32
 
 
 # A vector of squared norm at most 4 has every coords4 in [-8, 8]: read as
@@ -479,7 +474,7 @@ def _shell_action(n: int) -> _ShellAction:
     rank = list(index.values()).__getitem__  # the index's own ints, shared by every column
     images = []
     for g in range(8):
-        image_keys = _reflected(rows, _ROOTS_INT64[g : g + 1])[:, 0] @ _SHELL_KEY
+        image_keys = _reflected(rows, _ROOTS_INT64[g]) @ _SHELL_KEY
         by_key = np.argsort(image_keys)
         assert np.array_equal(image_keys[by_key], keys[order]), "a reflection left the shell"
         col = np.empty_like(order)
@@ -510,54 +505,40 @@ def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
     """Breadth-first orbit closure under the simple reflections of E7 or E8.
 
     The orbit lists the seed first, then each new image in the order the
-    search meets it: frontier element by element, generator by generator
-    within each element. Two searches give it. A lattice vector of squared
-    norm 2 or 4 walks the row indices of its shell's cached reflection
-    table (_shell_action), and its images are the shell's shared
-    LatticeVectors; the table is built once, by the first orbit through its
-    shell. Every other seed, a frame or a vector off those shells
-    (on Python integers from coordinates of 2**40 up), runs the array
-    search: a vector is a stack of one row, an l-frame a stack of l rows (canonical, as
-    Frame.from_vectors makes it), and each round reflects every row of the
-    whole frontier by every generator in one exact integer pass. E7 fixes
-    phi, so a frame's images keep the seed's frame_type; E8 does not, so
-    each new image of a 3- or 8-frame is typed from its coordinate sums.
+    search meets it: element by element, generator by generator within each
+    element. Two searches give it. A lattice vector of squared norm 2 or 4
+    walks the row indices of its shell's cached reflection table
+    (_shell_orbit), and its images are the shell's shared LatticeVectors.
+    Every other seed, a frame or a vector off those shells, runs the scalar
+    search: a vector's image is reflect(g, v), keyed on its coords4, and a
+    frame's is Frame.from_vectors of its reflected vectors, keyed on
+    Frame.key. E7 fixes phi, so a frame's images keep the seed's
+    frame_type; E8 does not, so from_vectors types each 3- or 8-frame image.
     """
     if group not in ("E7", "E8"):
         raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
     n_gens = 7 if group == "E7" else 8
-    is_frame = isinstance(seed, Frame)
-    if not is_frame and _in_lattice(seed.coords4) and ip(seed, seed) in (32, 64):
-        return _shell_orbit(seed, n_gens)
-    if is_frame:
+    if isinstance(seed, Frame):
+        ftype = seed.frame_type if n_gens == 7 else None
         seed = Frame.from_vectors(seed.vectors, seed.frame_type)
-    stack = [v.coords4 for v in (seed.vectors if is_frame else (seed,))]
-    l = len(stack)
-    typed = is_frame and n_gens == 8 and l in (3, 8)
-    kept = itertools.repeat(seed.frame_type if is_frame and n_gens == 7 else FrameType.UNTYPED)
-    small = max(abs(c) for row in stack for c in row) < _INT64_COORD_LIMIT
-    gens = _ROOTS_INT64[:n_gens] if small else _ROOTS_INT64[:n_gens].astype(object)
-    frontier = np.array(stack, dtype=np.int64 if small else object)  # l rows per element
-    # One key per image: the bytes of its 8*l int64 coordinates (as many as
-    # the seed's), read through a void view, or their tuple on the object route.
-    void = np.dtype((np.void, frontier.nbytes))
-    seen = {frontier.tobytes() if small else sum(stack, ())}
+
+        def image(g: LatticeVector, f: Frame) -> Frame:
+            return Frame.from_vectors([reflect(g, v) for v in f.vectors], ftype)
+
+        key = Frame.key
+    elif _in_lattice(seed.coords4) and ip(seed, seed) in (32, 64):
+        return _shell_orbit(seed, n_gens)
+    else:
+        image, key = reflect, attrgetter("coords4")
+    seen = {key(seed)}
     orbit = [seed]
-    while len(frontier):
-        images = _reflected(frontier, gens)  # (m*l, g, 8)
-        if is_frame:  # as (m, g, l, 8): each image's rows sign-normalized and sorted
-            images = _sign_normalized(images.reshape(-1, l, n_gens, 8).swapaxes(1, 2)).reshape(-1, 8)
-            images = images[np.lexsort((*images.T[::-1], np.arange(len(images)) // l))]
-        images = images.reshape(-1, 8 * l)
-        keys = images.view(void).ravel().tolist() if small else map(tuple, images.tolist())
-        fresh = [i for i, k in enumerate(keys) if k not in seen and not seen.add(k)]
-        frontier = images[fresh].reshape(-1, 8)
-        vectors = map(LatticeVector, map(tuple, frontier.tolist()))
-        if not is_frame:
-            orbit += vectors
-            continue
-        types = _types_of_sums(frontier.reshape(-1, l, 8).sum(axis=2)) if typed else kept
-        orbit += map(Frame, zip(*[vectors] * l), types)  # l vectors per image
+    for el in orbit:  # the list is the queue: it grows while it is read
+        for g in SIMPLE_ROOTS[:n_gens]:
+            im = image(g, el)
+            k = key(im)
+            if k not in seen:
+                seen.add(k)
+                orbit.append(im)
     return tuple(orbit)
 
 

@@ -274,8 +274,9 @@ def test_unsupported_norm_raises():
         L.classify_frame(L.enumerate_frames(1)[0])
 
 
-# Reference routes: the scalar breadth-first orbit and the scalar frame
-# completion scan that the integer-array kernels replace.
+# Reference routes: the scalar breadth-first orbit, which the shell table
+# replaces and which weyl_orbit's own scalar search repeats, and the scalar
+# frame completion scan that the integer-array kernels replace.
 
 
 def _orbit_reference(seed, group):
@@ -333,7 +334,7 @@ def _floored_type(vectors):
 
 def test_vector_orbits_match_scalar_reference():
     # shell seeds walk the reflection table; a doubled root (norm 8) is off
-    # every shell and runs the int64 array search
+    # every shell and runs the scalar search
     cases = [(s, "E7") for s in SHELL_SEEDS]
     cases += [(L.SIMPLE_ROOTS[0], "E8"), (L.PHI - L.V[0].scaled(2), "E8")]
     cases += [(L.SIMPLE_ROOTS[3].scaled(2), group) for group in ("E7", "E8")]
@@ -363,7 +364,7 @@ def test_shell_table_columns_are_the_simple_reflections(n):
 
 
 def test_vector_orbit_with_large_coordinates_runs_exactly():
-    # Beyond the int64 range the orbit runs on Python integers.
+    # Coordinates far beyond the int64 range stay exact Python integers.
     seed = L.SIMPLE_ROOTS[3].scaled(2**70)
     got = L.weyl_orbit(seed, "E7")
     assert got == _orbit_reference(seed, "E7")
@@ -375,8 +376,8 @@ def _frame_of_type(size, ftype):
 
 
 def test_frame_orbits_match_scalar_reference():
-    # content, order and types; the untyped 2-frame's E7 orbit (63 images)
-    # runs on int64 rows, and scaled by 2**70 on Python integers
+    # content, order and types; the untyped 2-frame's E7 orbit (63 images),
+    # also scaled by 2**70
     two = L.enumerate_frames(2)[49]
     big = L.Frame(tuple(v.scaled(2**70) for v in two.vectors))
     cases = [
@@ -396,6 +397,11 @@ def test_frame_orbits_match_scalar_reference():
     # E8 images of a frame that is neither a 3- nor an 8-frame stay untyped
     ones = L.weyl_orbit(L.enumerate_frames(1)[3], "E8")
     assert len(ones) == 1080 and {f.frame_type for f in ones} == {L.FrameType.UNTYPED}
+
+
+def test_orbit_of_the_empty_frame_is_itself():
+    for group in ("E7", "E8"):
+        assert L.weyl_orbit(L.Frame(()), group) == (L.Frame(()),)
 
 
 def test_orbit_leaving_the_quarter_lattice_raises():
@@ -574,3 +580,15 @@ def test_frame_canonical_under_reorder_and_sign_property(size, index, data):
     signs = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
     vs = [-frame.vectors[k] if flip else frame.vectors[k] for k, flip in zip(order, signs)]
     assert L.Frame.from_vectors(vs) == frame
+
+
+@settings(_PROPERTY, max_examples=30)
+@given(
+    st.sampled_from(L.enumerate_norm(2) + L.enumerate_norm(4)),
+    st.sampled_from((2, 3, 2**70)),
+    st.sampled_from(("E7", "E8")),
+)
+def test_scaled_orbit_is_the_scaled_shell_orbit_property(v, k, group):
+    # the scaled seed is off every shell and runs the scalar search; the
+    # shell seed walks the reflection table
+    assert L.weyl_orbit(v.scaled(k), group) == tuple(w.scaled(k) for w in L.weyl_orbit(v, group))
