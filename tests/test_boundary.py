@@ -79,7 +79,7 @@ def test_suite_ends_in_a_verdict_or_a_typed_error(tmp_path, command, params, ext
         report = json.loads(run.stdout)
         assert run.stderr == "" and run.returncode == (0 if report["pass"] else 1)
         assert all(math.isfinite(c["residual"]) for c in report["checks"] if not c["pass"])
-    else:  # a check's typed error, or the config refused at load
+    else:  # a check's or the probe's typed error, or the config refused at load
         assert run.stderr.count("\n") == 1, run.stderr
         typed = (
             tuple(f"{what} failed: {name}: " for what in ("check", "probe") for name in _TYPED)
