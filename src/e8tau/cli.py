@@ -138,7 +138,7 @@ def load_config(
         for k, v in _known("tolerances", raw.get("tolerances", {}), _DEFAULT_TOLERANCES).items():
             cfg.tolerances[k] = _checked(f"tolerance '{k}'", v, float)
         for block, pq in _known("params", raw.get("params", {}), _DEFAULT_PARAMS).items():
-            pq = _checked(f"params block '{block}'", pq, dict)
+            pq = _known(f"params block '{block}'", pq, ("p", "q"))
             if "p" not in pq or "q" not in pq:
                 raise ValueError(f"params block '{block}' needs both 'p' and 'q'")
             pair = (_complex_of(pq["p"]), _complex_of(pq["q"]))
@@ -781,6 +781,9 @@ def main(argv: list[str] | None = None) -> int:
     except (*RESAMPLE_ERRORS, DomainError) as err:
         print(f"check failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # the --json file could not be written
+        print(f"report error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

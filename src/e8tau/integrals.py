@@ -220,23 +220,32 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
     """Integrand values of every row at the N-th roots of unity plan.zs,
     one row each: the coefficients folded mod N, so one batched FFT pair
     gives every node, times the plan's weight and each row's shift factors.
-    The values are a fresh array."""
+    The values are a fresh array. A shift factor's theta pair or a node
+    value that leaves the float range raises DomainError naming |p| and |q|:
+    the nodes of N are among those of 2N, so doubling cannot mend it."""
     plan = _plan_for(rows.params, N)
     zs, rev = plan.zs, plan.rev
     b, c = _shift_bases(rows.params.p, rows.params.q)
-    vals = []
-    for shifts in rows.shifts:
-        v = plan.weight
-        for uk, s in shifts:
-            for t in range(min(s, 0), max(s, 0)):
-                th = theta(uk * b**t * zs, c)
-                v = v / (th * th[rev]) if s > 0 else v * (th * th[rev])
-        vals.append(v)
-    B, width = rows.coef.shape
-    a = np.zeros((B, -(-width // N) * N), dtype=complex)
-    a[:, :width] = rows.coef
-    a = a.reshape(B, -1, N).sum(axis=1)
-    return np.array(vals) * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
+    vals, finite = [], True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shifts in rows.shifts:
+            v = plan.weight
+            for uk, s in shifts:
+                for t in range(min(s, 0), max(s, 0)):
+                    th = theta(uk * b**t * zs, c)
+                    pair = th * th[rev]
+                    finite = finite and bool(np.isfinite(pair).all())
+                    v = v / pair if s > 0 else v * pair
+            vals.append(v)
+        B, width = rows.coef.shape
+        a = np.zeros((B, -(-width // N) * N), dtype=complex)
+        a[:, :width] = rows.coef
+        a = a.reshape(B, -1, N).sum(axis=1)
+        out = np.array(vals) * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
+    if not (finite and np.isfinite(out).all()):
+        p, q = abs(rows.params.p), abs(rows.params.q)
+        raise DomainError(f"integrand node values leave the float range at |p| = {p:.9g}, |q| = {q:.9g}")
+    return out
 
 
 def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:

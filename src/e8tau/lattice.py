@@ -309,52 +309,47 @@ def _half_table() -> _HalfTable:
     return out
 
 
-def _completion(k: int) -> list[int]:
-    """Rows of the 8-frame through row k of the half table, in canonical order."""
-    h = _half_table()
-    # Orthogonal rows first, then the lattice test of _in_lattice on a + b
-    # and on a - b, for each row b: a +- b has every coordinate = 0 mod 4 or
-    # every one = 2 mod 4 iff the classes of a and -+b agree.
-    orth = h.rows @ h.rows[k] == 0
-    plus = np.flatnonzero(orth & (h.neg_cls == h.cls[k]) & ((h.sums[k] + h.sums) % 8 == 0))
-    minus = np.flatnonzero(orth & (h.cls == h.cls[k]) & ((h.sums[k] - h.sums) % 8 == 0))
-    # Uniqueness of the completion: exactly 7 sign pairs besides ±a.
-    assert len(plus) + len(minus) == 14, f"frame completion found {len(plus) + len(minus)} partners"
-    assert np.array_equal(plus, minus)
-    return sorted([k, *plus.tolist()], key=lambda j: h.vectors[j].coords4)
-
-
 def frame_containing(a: LatticeVector) -> Frame:
-    """The unique 8-vector frame through a norm-1 vector of the half-lattice."""
+    """The unique 8-vector frame through a norm-1 vector of the half-lattice:
+    the enumerate_frames(8) entry through a's row of the half table."""
     if ip(a, a) != 16 or membership(a) == Membership.NEITHER:
         raise ValueError("need a norm-1 vector of the half-lattice")
-    h = _half_table()
-    canon = tuple(h.vectors[j] for j in _completion(h.index[sign_normalize(a).coords4]))
-    return Frame(canon, classify_frame(Frame(canon)))
+    frame_of = _frame_rows()[1]
+    return enumerate_frames(8)[frame_of[_half_table().index[sign_normalize(a).coords4]]]
 
 
 @lru_cache(maxsize=None)
-def _frame_rows() -> np.ndarray:
-    """The 135 8-frames as a read-only (135, 8) array of half-table rows.
+def _frame_rows() -> tuple[np.ndarray, tuple[int, ...]]:
+    """The 135 8-frames as a read-only (135, 8) array of half-table rows, and
+    the frame of each half-table row.
 
     Frames come in order of their first row in the table, each row list in
     canonical order. The frames partition the 1 080 rows.
     """
-    n = len(_half_table().rows)
-    seen = [False] * n
+    h = _half_table()
+    frame_of = [None] * len(h.rows)
     frames = []
-    for k in range(n):
-        if seen[k]:
+    for k in range(len(frame_of)):
+        if frame_of[k] is not None:
             continue
-        f = _completion(k)
-        frames.append(f)
+        # Orthogonal rows first, then the lattice test of _in_lattice on a + b
+        # and on a - b, for each row b: a +- b has every coordinate = 0 mod 4 or
+        # every one = 2 mod 4 iff the classes of a and -+b agree.
+        orth = h.rows @ h.rows[k] == 0
+        plus = np.flatnonzero(orth & (h.neg_cls == h.cls[k]) & ((h.sums[k] + h.sums) % 8 == 0))
+        minus = np.flatnonzero(orth & (h.cls == h.cls[k]) & ((h.sums[k] - h.sums) % 8 == 0))
+        # Uniqueness of the completion: exactly 7 sign pairs besides ±a.
+        assert len(plus) + len(minus) == 14, f"frame completion found {len(plus) + len(minus)} partners"
+        assert np.array_equal(plus, minus)
+        f = sorted([k, *plus.tolist()], key=lambda j: h.vectors[j].coords4)
         for j in f:
-            seen[j] = True
+            frame_of[j] = len(frames)
+        frames.append(f)
     # 135 frames of 8 rows that cover all 1 080 rows: a partition
-    assert len(frames) == 135 and all(seen)
+    assert len(frames) == 135 and None not in frame_of
     out = np.array(frames)
     out.flags.writeable = False
-    return out
+    return out, tuple(frame_of)
 
 
 @lru_cache(maxsize=None)
@@ -364,14 +359,17 @@ def enumerate_frames(l: int) -> tuple[Frame, ...]:
     The l-subsets of each 8-frame in turn, in index order. An 8-frame's
     vectors are sign-normalized and sorted, so every subset is canonical
     as it stands, and as the 8-frames partition the vectors no subset
-    repeats. 3- and 8-frames are typed from one array of pairing profiles.
+    repeats. 3- and 8-frames are typed as classify_frame types them: the
+    sum of their vectors' phi codes, looked up in the table of their size.
     """
     if not 1 <= l <= 8:
         raise ValueError("frame size out of range 1..8")
     h = _half_table()
-    rows = _frame_rows()
+    rows = _frame_rows()[0]
     if l in (3, 8):
-        types = _types_of_sums(h.sums[rows][:, list(itertools.combinations(range(8), l))])
+        codes = np.array([v.phi_code for v in h.vectors])
+        sums = codes[rows][:, list(itertools.combinations(range(8), l))].sum(axis=-1)
+        types = map(_TYPE_OF_CODE[l].__getitem__, sums.ravel().tolist())
     else:
         types = itertools.repeat(FrameType.UNTYPED)
     subsets = (
@@ -402,16 +400,6 @@ _TYPE_OF_CODE = {
     l: {sum(16**level for level in prof): t for prof, t in _TYPE_OF_PROFILE.items() if len(prof) == l}
     for l in (3, 8)
 }
-
-
-def _types_of_sums(sums: np.ndarray) -> list[FrameType]:
-    """classify_frame of every 3- or 8-frame from the coordinate sums (..., l) of
-    its vectors, in one array pass: 16<phi,a> is twice the coordinate sum."""
-    profiles = np.sort(np.abs(2 * sums // 8), axis=-1).reshape(-1, sums.shape[-1]).tolist()
-    types = list(map(_TYPE_OF_PROFILE.get, map(tuple, profiles)))
-    if None in types:
-        raise ValueError(f"pairing profile {tuple(profiles[types.index(None)])} matches no class")
-    return types
 
 
 def classify_frame(f: Frame) -> FrameType:

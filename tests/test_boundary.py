@@ -3,7 +3,8 @@ quadrature targets no node cap reaches, and `tau probe` at points far along
 its level.
 
 Each case runs one suite with one base of one params block moved (the
-terminating block by `suite bailey`), or one suite or `verify
+terminating block by `suite bailey`; real, or for the bailey block also at
+phase e(0.1)), or one suite or `verify
 transform-in` (whose n = 2 integrals reach the node cap) with one
 `--quad-tol`, or `tau probe` at scripts/report_matrix.py's level-1 point
 moved by x_0 + r, x_1 - r, `--trials 1`, in its own process, and must end
@@ -25,21 +26,22 @@ import sys
 
 import pytest
 
-from e8tau.util import RESAMPLE_ERRORS, DomainError, PoleError
+from e8tau.util import RESAMPLE_ERRORS, DomainError, PoleError, e
 
 _BUDGET_S = 30
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _TYPED = tuple(cls.__name__ for cls in (*RESAMPLE_ERRORS, DomainError, PoleError))
 _MODULI = (1e-300, 1e-12, 0.99, 0.997, 0.999, 0.9999, 0.999999)
 # case id prefix -> (params block, the suite that runs it, the base that
-# moves, the other at its default)
+# moves, its phase: the base is modulus * e(phase), the other at its default)
 _MOVED = {
-    "hirota": ("hirota", "hirota", "p", ("q", 0.35)),
-    "chain": ("chain", "chain", "q", ("p", 0.03)),
-    "bailey": ("bailey", "bailey", "p", ("q", 0.10)),
-    "terminating": ("terminating", "bailey", "q", ("p", 0.05)),
-    "picard": ("picard", "picard", "p", ("q", 0.45)),
-    "picard-q": ("picard", "picard", "q", ("p", 0.03)),
+    "hirota": ("hirota", "hirota", "p", 0, ("q", 0.35)),
+    "chain": ("chain", "chain", "q", 0, ("p", 0.03)),
+    "bailey": ("bailey", "bailey", "p", 0, ("q", 0.10)),
+    "bailey-complex": ("bailey", "bailey", "p", 0.1, ("q", 0.10)),
+    "terminating": ("terminating", "bailey", "q", 0, ("p", 0.05)),
+    "picard": ("picard", "picard", "p", 0, ("q", 0.45)),
+    "picard-q": ("picard", "picard", "q", 0, ("p", 0.03)),
 }
 _QUAD_TOLS = ("1e-300", "1e-17")
 _SPEC = importlib.util.spec_from_file_location("report_matrix", _SRC.parent / "scripts" / "report_matrix.py")
@@ -50,9 +52,11 @@ _SPEC.loader.exec_module(report_matrix)
 _PROBE_SHIFTS = (5, 50, 1e300, 1e300j)
 # (command, config params or None, extra arguments), one row a case
 _CASES = [
-    pytest.param(["suite", suite], {block: {moved: [modulus, 0], other: [value, 0]}}, [], id=f"{name}-{modulus}")
-    for name, (block, suite, moved, (other, value)) in sorted(_MOVED.items())
+    pytest.param(["suite", suite], {block: {moved: [base.real, base.imag], other: [value, 0]}}, [],
+                 id=f"{name}-{modulus}")
+    for name, (block, suite, moved, phase, (other, value)) in sorted(_MOVED.items())
     for modulus in _MODULI
+    for base in [modulus * e(phase)]
 ] + [
     pytest.param(command, None, ["--quad-tol", tol], id=f"{command[-1]}-quad-tol-{tol}")
     for command in (["suite", "bailey"], ["suite", "chain"], ["verify", "transform-in"])

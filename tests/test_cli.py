@@ -63,6 +63,15 @@ def test_suite_command_writes_json_report(tmp_path, capsys):
     assert {"§9.1", "§9.2", "Eq. (Hirota39)", "Prop 9A"} <= anchors
 
 
+def test_unwritable_json_path_is_one_report_error(tmp_path, capsys):
+    # the report's directory does not exist: one stderr line, no traceback
+    path = tmp_path / "missing" / "report.json"
+    assert cli.main(["frames", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("report error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_a_nan_residual_fails_its_row(monkeypatch):
     # one NaN among a row's trials is the row's residual, and fails it
     draws = iter([1e-15, float("nan")] + [1e-15] * 198)
@@ -593,6 +602,8 @@ _MALFORMED_CONFIGS = [
     ('{"trials": {"hirota_x": 2}}', []),
     ('{"tolerances": {"hirot": 1e-3}}', []),
     ('{"params": {"chian": {"p": 0.03, "q": 0.45}}}', []),
+    ('{"params": {"hirota": {"p": 0.2, "q": 0.35, "r": 0.5}}}', []),
+    ('{"params": {"bailey": {"p": [0.15, 0], "q": [0.1, 0], "tau": 1}}}', []),
 ]
 
 

@@ -207,6 +207,13 @@ def _census(frames):
     return {t.value: n for t, n in Counter(f.frame_type for f in frames).items()}
 
 
+@functools.lru_cache(maxsize=None)
+def _e8_frame_orbit(size):
+    """The E8 orbit of the first size-frame, computed once for the tests
+    that read it (7 560 images for a 3-frame)."""
+    return L.weyl_orbit(L.enumerate_frames(size)[0], "E8")
+
+
 @pytest.mark.parametrize("size, census", [
     (8, {"C8_I": 72, "C8_II": 63}),
     (3, {"C3_I": 4032, "C3_II0": 1260, "C3_II1": 1890, "C3_II2": 378}),
@@ -214,7 +221,7 @@ def _census(frames):
 def test_e8_frame_orbit_types_each_image(size, census):
     # E8 moves phi, so an image's type is its own pairing profile, not the
     # seed's; the orbit is every frame of the size, typed as enumerate_frames
-    orbit = L.weyl_orbit(L.enumerate_frames(size)[0], "E8")
+    orbit = _e8_frame_orbit(size)
     assert all(f.frame_type is L.classify_frame(f) for f in orbit)
     assert _census(orbit) == census == _census(L.enumerate_frames(size))
 
@@ -439,6 +446,16 @@ def test_frame_completion_matches_scalar_reference():
         assert (f.key(), f.frame_type) == ref_of[k]
 
 
+def test_frame_containing_returns_the_table_frame():
+    # the 8-frame through a and through -a is the enumerate_frames(8) entry
+    # itself, for each of the 1 080 half-table vectors
+    frames = L.enumerate_frames(8)
+    assert sum(len(f) for f in frames) == 1080
+    for f in frames:
+        for a in f.vectors:
+            assert L.frame_containing(a) is f and L.frame_containing(-a) is f
+
+
 def test_phi_profile_is_the_floored_pairing():
     for f in L.enumerate_frames(8):
         assert L._phi_profile(f.vectors) == tuple(sorted(abs(L.ip(L.PHI, a) // 8) for a in f.vectors))
@@ -447,7 +464,7 @@ def test_phi_profile_is_the_floored_pairing():
     assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in frames)
     # the E8 orbit of a 3-frame, rebuilt from fresh vectors: each phi_code
     # is first read here
-    orbit = L.weyl_orbit(L.enumerate_frames(3)[0], "E8")
+    orbit = _e8_frame_orbit(3)
     fresh = [L.Frame(tuple(L.LatticeVector(v.coords4) for v in f.vectors)) for f in orbit]
     assert len(fresh) == 7560
     assert all(L.classify_frame(f) is _floored_type(f.vectors) for f in fresh)
