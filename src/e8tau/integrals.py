@@ -220,32 +220,47 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
     """Integrand values of every row at the N-th roots of unity plan.zs,
     one row each: the coefficients folded mod N, so one batched FFT pair
     gives every node, times the plan's weight and each row's shift factors.
-    The values are a fresh array. A shift factor's theta pair or a node
-    value that leaves the float range raises DomainError naming |p| and |q|:
-    the nodes of N are among those of 2N, so doubling cannot mend it."""
+    The values are a fresh array, with no numpy warning: a node value that
+    leaves the float range is inf or nan there, which _quad_rows refuses,
+    and a shift factor's theta pair that does raises _range_error."""
     plan = _plan_for(rows.params, N)
     zs, rev = plan.zs, plan.rev
     b, c = _shift_bases(rows.params.p, rows.params.q)
+    # per row, each shift factor's theta and whether it divides; theta runs
+    # outside np.errstate, under which every ufunc call pays for the
+    # non-default state
+    thetas = [
+        [(theta(uk * b**t * zs, c), s > 0) for uk, s in shifts for t in range(min(s, 0), max(s, 0))]
+        for shifts in rows.shifts
+    ]
+    B, width = rows.coef.shape
+    a = np.zeros((B, -(-width // N) * N), dtype=complex)
+    a[:, :width] = rows.coef
+    a = a.reshape(B, -1, N).sum(axis=1)
+    a = N * np.fft.ifft(a) + np.fft.fft(a)
     vals, finite = [], True
     with np.errstate(over="ignore", invalid="ignore"):
-        for shifts in rows.shifts:
+        for row in thetas:
             v = plan.weight
-            for uk, s in shifts:
-                for t in range(min(s, 0), max(s, 0)):
-                    th = theta(uk * b**t * zs, c)
-                    pair = th * th[rev]
+            for th, divides in row:
+                pair = th * th[rev]
+                if divides:  # a pair out of range would leave 0, not inf or nan
                     finite = finite and bool(np.isfinite(pair).all())
-                    v = v / pair if s > 0 else v * pair
+                    v = v / pair
+                else:
+                    v = v * pair
             vals.append(v)
-        B, width = rows.coef.shape
-        a = np.zeros((B, -(-width // N) * N), dtype=complex)
-        a[:, :width] = rows.coef
-        a = a.reshape(B, -1, N).sum(axis=1)
-        out = np.array(vals) * np.exp(N * np.fft.ifft(a) + np.fft.fft(a))
-    if not (finite and np.isfinite(out).all()):
-        p, q = abs(rows.params.p), abs(rows.params.q)
-        raise DomainError(f"integrand node values leave the float range at |p| = {p:.9g}, |q| = {q:.9g}")
+        out = np.array(vals) * np.exp(a)
+    if not finite:
+        raise _range_error(rows.params)
     return out
+
+
+def _range_error(params: EllipticParams) -> DomainError:
+    """The error of node values out of the float range: the nodes of N are
+    among those of 2N, so doubling cannot mend it."""
+    p, q = abs(params.p), abs(params.q)
+    return DomainError(f"integrand node values leave the float range at |p| = {p:.9g}, |q| = {q:.9g}")
 
 
 def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
@@ -256,10 +271,13 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     at n = 3, below). No value exceeds its size in modulus.
 
     One node table serves every row: the n = 1 rows sum their nodes, and
-    the n >= 2 rows contract the FFT bins of theirs."""
+    the n >= 2 rows contract the FFT bins of theirs. Node values out of the
+    float range raise _range_error."""
     plan = _plan_for(rows.params, N)
     h = _node_rows(rows, N)
     abs_sums = np.abs(h).sum(axis=1).tolist()
+    if not all(map(math.isfinite, abs_sums)):
+        raise _range_error(rows.params)
     # the FFT bins of the n >= 2 rows, in row order
     multi = [j for j, n in enumerate(rows.n) if n > 1]
     bins = iter(np.fft.fft(h if len(multi) == len(h) else h[multi]) if multi else ())
