@@ -309,11 +309,6 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     return out, sizes
 
 
-def _quad(ctx: IntegrandContext, N: int) -> complex:
-    """The trapezoid rule of one integral at N nodes per circle."""
-    return _quad_rows(_rows([ctx]), N)[0][0]
-
-
 def _log_theta_bound(a: float, x: float) -> float:
     """An upper bound on log A_a(x), x >= 1, where
     A_a(x) = prod_{i>=0} (1 + a^i x)(1 + a^(i+1) / x) bounds |theta(w; b)|

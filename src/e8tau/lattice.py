@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,11 +85,6 @@ class LatticeVector:
 
     def scaled(self, k: int) -> "LatticeVector":
         return LatticeVector(tuple(k * a for a in self.coords4))
-
-    def half(self) -> "LatticeVector":
-        if any(a % 2 for a in self.coords4):
-            raise ValueError("halving would leave (1/4)Z^8")
-        return LatticeVector(tuple(a // 2 for a in self.coords4))
 
     def true_coords(self) -> np.ndarray:
         return self.coords4_float / 4.0
@@ -256,9 +251,6 @@ class Frame:
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v.coords4 for v in self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 class _HalfTable(NamedTuple):
@@ -471,11 +463,22 @@ def _shell_action(n: int) -> _ShellAction:
     return _ShellAction(vectors, index, tuple(images))
 
 
-def _shell_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]:
-    """weyl_orbit of a lattice vector of squared norm 2 or 4: a breadth-first
-    search over the row indices of its shell's reflection table."""
+def weyl_orbit(seed: LatticeVector, group: str = "E8") -> tuple[LatticeVector, ...]:
+    """Breadth-first orbit closure of a lattice vector of squared norm 2 or 4
+    under the simple reflections of E7 or E8; any other seed is a ValueError.
+
+    The search walks the row indices of the seed's shell's cached reflection
+    table (_shell_action). The orbit lists the seed first, then each new
+    image in the order the search meets it: element by element, generator
+    by generator within each element, each image the shell's shared
+    LatticeVector.
+    """
+    if group not in ("E7", "E8"):
+        raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
+    if not (isinstance(seed, LatticeVector) and _in_lattice(seed.coords4) and ip(seed, seed) in (32, 64)):
+        raise ValueError("weyl_orbit needs a lattice vector of squared norm 2 or 4")
     table = _shell_action(ip(seed, seed) // 16)
-    cols = table.images[:n_gens]
+    cols = table.images[: 7 if group == "E7" else 8]
     start = table.index[seed.coords4]
     seen = {start}
     rows = [start]
@@ -487,47 +490,6 @@ def _shell_orbit(seed: LatticeVector, n_gens: int) -> tuple[LatticeVector, ...]:
                 rows.append(j)
     vectors = table.vectors
     return (seed, *[vectors[k] for k in rows[1:]])
-
-
-def weyl_orbit(seed: LatticeVector | Frame, group: str = "E8"):
-    """Breadth-first orbit closure under the simple reflections of E7 or E8.
-
-    The orbit lists the seed first, then each new image in the order the
-    search meets it: element by element, generator by generator within each
-    element. Two searches give it. A lattice vector of squared norm 2 or 4
-    walks the row indices of its shell's cached reflection table
-    (_shell_orbit), and its images are the shell's shared LatticeVectors.
-    Every other seed, a frame or a vector off those shells, runs the scalar
-    search: a vector's image is reflect(g, v), keyed on its coords4, and a
-    frame's is Frame.from_vectors of its reflected vectors, keyed on
-    Frame.key. E7 fixes phi, so a frame's images keep the seed's
-    frame_type; E8 does not, so from_vectors types each 3- or 8-frame image.
-    """
-    if group not in ("E7", "E8"):
-        raise ValueError(f"unknown group {group!r}: need 'E7' or 'E8'")
-    n_gens = 7 if group == "E7" else 8
-    if isinstance(seed, Frame):
-        ftype = seed.frame_type if n_gens == 7 else None
-        seed = Frame.from_vectors(seed.vectors, seed.frame_type)
-
-        def image(g: LatticeVector, f: Frame) -> Frame:
-            return Frame.from_vectors([reflect(g, v) for v in f.vectors], ftype)
-
-        key = Frame.key
-    elif _in_lattice(seed.coords4) and ip(seed, seed) in (32, 64):
-        return _shell_orbit(seed, n_gens)
-    else:
-        image, key = reflect, attrgetter("coords4")
-    seen = {key(seed)}
-    orbit = [seed]
-    for el in orbit:  # the list is the queue: it grows while it is read
-        for g in SIMPLE_ROOTS[:n_gens]:
-            im = image(g, el)
-            k = key(im)
-            if k not in seen:
-                seen.add(k)
-                orbit.append(im)
-    return tuple(orbit)
 
 
 def phi_pairing_c(x: np.ndarray) -> complex:

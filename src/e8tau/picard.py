@@ -23,9 +23,6 @@ from . import lattice
 from .specialfn import bracket_scaled_many
 from .util import DomainError, Residual, normalized_residual
 
-_GRAM = (-1,) + (1,) * 9
-
-
 @dataclass(frozen=True)
 class PicardVector:
     """Lattice element; coeffs are integer coefficients, not pairings."""
@@ -41,9 +38,6 @@ class PicardVector:
 
     def __sub__(self, other: "PicardVector") -> "PicardVector":
         return PicardVector(tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "PicardVector":
-        return PicardVector(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k) -> "PicardVector":
         k = index(k)

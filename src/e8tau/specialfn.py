@@ -79,14 +79,15 @@ FACTOR_CAP = 2**16
 
 
 def _factor_count(ap: float, big: float) -> int:
-    """L, the first i >= 1 with ap^i big < TRUNC_TOL, for ap = |p|: the
-    closed form ceil(log(TRUNC_TOL / big) / log(ap)), moved by one where the
-    test ap^i big < TRUNC_TOL itself disagrees with it (the rounding of the
-    two logs moves the quotient by far less than one). DomainError first if
-    L > FACTOR_CAP, or if that test cannot hold (a NaN |p|, or an infinite
-    big at a |p|^FACTOR_CAP that underflows)."""
+    """L, the first i >= 1 with ap^i big < TRUNC_TOL, for ap the modulus of
+    the nome (p or q) whose powers the product takes: the closed form
+    ceil(log(TRUNC_TOL / big) / log(ap)), moved by one where the test
+    ap^i big < TRUNC_TOL itself disagrees with it (the rounding of the two
+    logs moves the quotient by far less than one). DomainError, naming the
+    nome's modulus, first if L > FACTOR_CAP, or if that test cannot hold (a
+    NaN modulus, or an infinite big at an ap^FACTOR_CAP that underflows)."""
     if not ap**FACTOR_CAP * big < TRUNC_TOL:
-        raise DomainError(f"|p| = {ap:.9g} needs more than {FACTOR_CAP} product factors")
+        raise DomainError(f"nome modulus {ap:.9g} needs more than {FACTOR_CAP} product factors")
     if ap * big < TRUNC_TOL:
         return 1
     n = math.ceil(math.log(TRUNC_TOL / big) / math.log(ap))

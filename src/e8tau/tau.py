@@ -646,19 +646,12 @@ def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams) -> tup
     return x, _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
 
 
-def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> complex:
-    """Scalar divisor extracted from the kernel determinant; 1 at n <= 1.
-
-    Written in the chart's parameters t the two cases share one formula: a
-    monomial prefactor times four theta-factorial products over the first
-    block's pairings with the second block's complements.
-    """
-    _, (t, _, _) = _case_chart(n, x, case, params)
-    return _dfactor(n, t[0], params)
-
-
 def _dfactor(n: int, t: np.ndarray, params: EllipticParams) -> complex:
-    # dfactor_d at the chart parameters t of a point already on level n
+    """The scalar divisor extracted from the kernel determinant at the chart
+    parameters t of a point already on level n; 1 at n <= 1. The two cases
+    share one formula: a monomial prefactor times four theta-factorial
+    products over the first block's pairings with the second block's
+    complements."""
     p, q = params.p, params.q
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     # the rows of order n - k, four per k = 1..n, from one table

@@ -399,8 +399,20 @@ def test_theta_factor_cap_fails_the_suite_with_one_line(tmp_path, capsys):
     path.write_text(json.dumps({"params": {"hirota": {"p": [0.999999, 0], "q": [0.35, 0]}}}))
     assert cli.main(["suite", "hirota", "--trials", "1", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("check failed: DomainError: |p| = 0.999999 needs more than 65536")
+    assert err.startswith("check failed: DomainError: nome modulus 0.999999 needs more than 65536")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_factor_cap_names_the_nome_it_was_given(tmp_path, capsys):
+    # on the chain block at q = 0.9999 e(0.1) it is a product in q, not in
+    # p = 0.03, that needs more factors than the cap: the line names q's modulus
+    q = 0.9999 * e(0.1)
+    path = tmp_path / "q_near_one.json"
+    path.write_text(json.dumps({"params": {"chain": {"p": [0.03, 0], "q": [q.real, q.imag]}}}))
+    assert cli.main(["suite", "chain", "--trials", "1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: DomainError: nome modulus 0.9999 needs more than 65536")
+    assert "|p|" not in err and err.count("\n") == 1
 
 
 def test_build_level_above_three_is_a_usage_error(tmp_path, capsys):

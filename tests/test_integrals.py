@@ -20,7 +20,6 @@ from e8tau.integrals import (
     _jacobi_pair_coeffs,
     _node_rows,
     _plan_for,
-    _quad,
     _rows,
     bailey_residual,
     contiguity_residual,
@@ -31,6 +30,7 @@ from e8tau.util import AdmissibilityError, ConvergenceError, DomainError, e
 
 from . import _oracles as O
 from . import _quad_oracles as Q
+from ._reference import quad
 from .test_specialfn import _elliptic_gamma_product, _triple_gamma_full_simplex
 
 PARAMS = EllipticParams.from_bases(0.15, 0.1)
@@ -208,7 +208,7 @@ def test_fourier_n2_sum_matches_tensor_sum(params):
     for mod in (0.3, 0.9):
         ctx = _ctx(u=tuple(mod * e(k / 11 + 0.01) for k in range(8)), params=params, n=2)
         for N in (64, 256, 1024):
-            assert _rel(_quad(ctx, N), _tensor_sum_n2(ctx, N)) < 1e-11, (mod, N)
+            assert _rel(quad(ctx, N), _tensor_sum_n2(ctx, N)) < 1e-11, (mod, N)
 
 
 def _tensor_sum_n3(ctx, N):
@@ -236,13 +236,13 @@ def test_fourier_n3_contraction_matches_tensor_sum(params):
     for mod, bound in ((0.3, 1e-12), (0.9, 1e-11)):
         ctx = _ctx(u=tuple(mod * e(k / 11 + 0.01) for k in range(8)), params=params, n=3)
         for N in (32, 64, 128):
-            assert _rel(_quad(ctx, N), _tensor_sum_n3(ctx, N)) < bound, (mod, N)
+            assert _rel(quad(ctx, N), _tensor_sum_n3(ctx, N)) < bound, (mod, N)
 
 
 @pytest.mark.parametrize("params", [CHAIN_PARAMS, PARAMS], ids=["chain", "bailey"])
 def test_multiplicity_three_converges_from_default_nodes(params):
     ctx = _ctx(params=params, n=3)
-    assert _rel(I_n(ctx), _quad(ctx, 1024)) < 1e-11
+    assert _rel(I_n(ctx), quad(ctx, 1024)) < 1e-11
 
 
 def _record_nodes(monkeypatch) -> list[int]:
@@ -261,7 +261,7 @@ def _record_nodes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_smooth_integrand_stops_at_first_doubling(n, monkeypatch):
     # the error bound certifies the first pass
-    want = _quad(_ctx(n=n), 256)
+    want = quad(_ctx(n=n), 256)
     counts = _record_nodes(monkeypatch)
     assert I_n(_ctx(n=n)) == want
     assert counts == [256]
@@ -482,7 +482,7 @@ def test_certified_values_match_the_doubling_route_and_reference(monkeypatch):
             continue
         certified += 1
         doubling, _ = _I_n_per_point(ctx, QUAD_TOL, certify=False)
-        ref = _quad(ctx, 1024)
+        ref = quad(ctx, 1024)
         assert abs(value - doubling) <= QUAD_TOL * abs(ref)
         assert abs(value - ref) <= QUAD_TOL * abs(ref)
     assert certified >= 34
@@ -601,8 +601,8 @@ def test_multiplicity_zero_and_one():
 
 def test_spectral_convergence():
     u = tuple(0.82 * e(k / 13) for k in range(8))
-    ref = _quad(_ctx(u=u), 512)
-    errs = [abs(_quad(_ctx(u=u), N) - ref) / abs(ref) for N in (32, 64, 128)]
+    ref = quad(_ctx(u=u), 512)
+    errs = [abs(quad(_ctx(u=u), N) - ref) / abs(ref) for N in (32, 64, 128)]
     assert errs[1] < 0.05 * errs[0]
     assert errs[2] < 0.05 * errs[1]
     assert errs[2] > 0.0

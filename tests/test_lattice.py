@@ -19,6 +19,11 @@ from e8tau import lattice as L
 SHELL_SEEDS = tuple(seed for seed, _ in cli._SHELL_ORBITS)
 
 
+def _halved(w):
+    """w with its coords4 halved: a norm-4 lattice vector to a norm-1 frame vector."""
+    return L.LatticeVector(tuple(c // 2 for c in w.coords4))
+
+
 def _validate_frame(f):
     """Assert the defining conditions: orthonormal, sums/differences and doubles in P."""
     for i, a in enumerate(f.vectors):
@@ -41,7 +46,7 @@ def test_inner_product_scaling():
 def test_membership_examples():
     assert L.membership(L.V[0]) is L.Membership.HALF_P_ONLY
     assert L.membership(L.PHI) is L.Membership.P
-    h = (L.V[0] + L.V[1] + L.V[2] + L.V[3]).half()
+    h = _halved(L.V[0] + L.V[1] + L.V[2] + L.V[3])
     assert L.membership(h) is L.Membership.HALF_P_ONLY
     assert L.membership(L.vec(1, 0, 0, 0, 0, 0, 0, 0)) is L.Membership.NEITHER
     assert L.membership(L.vec(2, 1, 0, 0, 0, 0, 0, 0)) is L.Membership.NEITHER
@@ -111,7 +116,7 @@ def test_frame_through_basis_vector():
 
 
 def test_frame_canonical_regardless_of_seed():
-    h = (L.V[0] + L.V[1] + L.V[2] + L.V[3]).half()
+    h = _halved(L.V[0] + L.V[1] + L.V[2] + L.V[3])
     f = L.frame_containing(h)
     assert f.frame_type is L.FrameType.C8_II
     for seed in (-h, f.vectors[3], -f.vectors[5]):
@@ -199,7 +204,7 @@ def test_zero_pairing_roots_count():
 
 def test_full_group_acts_transitively_on_frames():
     f0 = L.enumerate_frames(8)[0]
-    orbit = L.weyl_orbit(f0, "E8")
+    orbit = _orbit_reference(f0, "E8")
     assert len(orbit) == 135
 
 
@@ -209,9 +214,9 @@ def _census(frames):
 
 @functools.lru_cache(maxsize=None)
 def _e8_frame_orbit(size):
-    """The E8 orbit of the first size-frame, computed once for the tests
-    that read it (7 560 images for a 3-frame)."""
-    return L.weyl_orbit(L.enumerate_frames(size)[0], "E8")
+    """The E8 orbit of the first size-frame by the scalar reference search,
+    computed once for the tests that read it (7 560 images for a 3-frame)."""
+    return _orbit_reference(L.enumerate_frames(size)[0], "E8")
 
 
 @pytest.mark.parametrize("size, census", [
@@ -229,7 +234,7 @@ def test_e8_frame_orbit_types_each_image(size, census):
 def test_e7_frame_orbit_keeps_the_seed_type():
     for ftype in (L.FrameType.C8_I, L.FrameType.C8_II):
         seed = next(f for f in L.enumerate_frames(8) if f.frame_type is ftype)
-        orbit = L.weyl_orbit(seed, "E7")
+        orbit = _orbit_reference(seed, "E7")
         assert all(f.frame_type is ftype is L.classify_frame(f) for f in orbit)
 
 
@@ -282,8 +287,8 @@ def test_unsupported_norm_raises():
 
 
 # Reference routes: the scalar breadth-first orbit, which the shell table
-# replaces and which weyl_orbit's own scalar search repeats, and the scalar
-# frame completion scan that the integer-array kernels replace.
+# replaces and which alone computes frame orbits, and the scalar frame
+# completion scan that the integer-array kernels replace.
 
 
 def _orbit_reference(seed, group):
@@ -298,7 +303,7 @@ def _orbit_reference(seed, group):
             return im, im.coords4
         im = L.Frame.from_vectors([L.reflect(g, v) for v in el.vectors], seed.frame_type)
         if group == "E8":
-            im = L.Frame(im.vectors, L.classify_frame(im) if len(im) in (3, 8) else L.FrameType.UNTYPED)
+            im = L.Frame(im.vectors, L.classify_frame(im) if len(im.vectors) in (3, 8) else L.FrameType.UNTYPED)
         return im, im.key()
 
     if isinstance(seed, L.Frame):
@@ -319,7 +324,7 @@ def _orbit_reference(seed, group):
 
 @functools.lru_cache(maxsize=None)
 def _half_vectors():
-    return tuple(w.half() for w in L.enumerate_norm(4))
+    return tuple(map(_halved, L.enumerate_norm(4)))
 
 
 def _frame_containing_reference(a):
@@ -340,11 +345,9 @@ def _floored_type(vectors):
 
 
 def test_vector_orbits_match_scalar_reference():
-    # shell seeds walk the reflection table; a doubled root (norm 8) is off
-    # every shell and runs the scalar search
+    # shell seeds walk the reflection table
     cases = [(s, "E7") for s in SHELL_SEEDS]
     cases += [(L.SIMPLE_ROOTS[0], "E8"), (L.PHI - L.V[0].scaled(2), "E8")]
-    cases += [(L.SIMPLE_ROOTS[3].scaled(2), group) for group in ("E7", "E8")]
     for seed, group in cases:
         got = L.weyl_orbit(seed, group)
         assert got == _orbit_reference(seed, group)  # content and order
@@ -370,59 +373,20 @@ def test_shell_table_columns_are_the_simple_reflections(n):
     assert orbit[0] is seed and all(v is table.vectors[table.index[v.coords4]] for v in orbit[1:])
 
 
-def test_vector_orbit_with_large_coordinates_runs_exactly():
-    # Coordinates far beyond the int64 range stay exact Python integers.
-    seed = L.SIMPLE_ROOTS[3].scaled(2**70)
-    got = L.weyl_orbit(seed, "E7")
-    assert got == _orbit_reference(seed, "E7")
-    assert len(got) == 126
-
-
-def _frame_of_type(size, ftype):
-    return next(f for f in L.enumerate_frames(size) if f.frame_type is ftype)
-
-
-def test_frame_orbits_match_scalar_reference():
-    # content, order and types; the untyped 2-frame's E7 orbit (63 images),
-    # also scaled by 2**70
-    two = L.enumerate_frames(2)[49]
-    big = L.Frame(tuple(v.scaled(2**70) for v in two.vectors))
-    cases = [
-        (L.enumerate_frames(8)[0], "E8"),
-        (_frame_of_type(3, L.FrameType.C3_II2), "E7"),
-        (_frame_of_type(3, L.FrameType.C3_II1), "E7"),
-        (two, "E7"),
-        (big, "E7"),
-    ]
-    sizes = []
-    for seed, group in cases:
-        got = L.weyl_orbit(seed, group)
-        assert got == _orbit_reference(seed, group)  # Frame equality compares the types too
-        sizes.append(len(got))
-    assert sizes == [135, 378, 1890, 63, 63]
-    assert all(type(c) is int for f in got for v in f.vectors for c in v.coords4)
-    # E8 images of a frame that is neither a 3- nor an 8-frame stay untyped
-    ones = L.weyl_orbit(L.enumerate_frames(1)[3], "E8")
-    assert len(ones) == 1080 and {f.frame_type for f in ones} == {L.FrameType.UNTYPED}
-
-
-def test_orbit_of_the_empty_frame_is_itself():
-    for group in ("E7", "E8"):
-        assert L.weyl_orbit(L.Frame(()), group) == (L.Frame(()),)
-
-
-def test_orbit_leaving_the_quarter_lattice_raises():
-    for group in ("E7", "E8"):
-        with pytest.raises(ValueError, match="left"):
-            L.weyl_orbit(L.vec(1, 0, 0, 0, 0, 0, 0, 0), group)
-
-
-def test_orbit_of_an_untyped_frame_without_a_class_raises():
-    # E8 types each new image of a 3-frame from its pairing profile; the
-    # first 3-frame scaled by 2 pairs to (2, 2, 2), which no class has
-    seed = L.Frame.from_vectors([v.scaled(2) for v in L.enumerate_frames(3)[0].vectors], L.FrameType.UNTYPED)
-    with pytest.raises(ValueError, match=r"^pairing profile \(2, 2, 2\) matches no class$"):
-        L.weyl_orbit(seed, "E8")
+def test_orbit_of_a_seed_off_the_shells_raises():
+    # only a lattice vector of squared norm 2 or 4 has an orbit here: the
+    # empty frame, an 8-frame, a doubled root, a root scaled by 2**70 and a
+    # point off the lattice are refused on both groups
+    seeds = (
+        L.Frame(()),
+        L.enumerate_frames(8)[0],
+        L.SIMPLE_ROOTS[3].scaled(2),
+        L.SIMPLE_ROOTS[3].scaled(2**70),
+        L.vec(1, 0, 0, 0, 0, 0, 0, 0),
+    )
+    for seed, group in itertools.product(seeds, ("E7", "E8")):
+        with pytest.raises(ValueError, match="^weyl_orbit needs a lattice vector of squared norm 2 or 4$"):
+            L.weyl_orbit(seed, group)
 
 
 def test_orbit_rejects_unknown_group():
@@ -436,7 +400,7 @@ def test_orbit_rejects_unknown_group():
 def test_frame_completion_matches_scalar_reference():
     # one scalar scan per reference frame; the 135 frames partition the
     # 1 080 vectors, and every vector's completion is its reference frame
-    seen = {L.sign_normalize(w.half()).coords4: L.sign_normalize(w.half()) for w in L.enumerate_norm(4)}
+    seen = {L.sign_normalize(w).coords4: L.sign_normalize(w) for w in _half_vectors()}
     assert len(seen) == 1080
     refs = _frames8_reference()
     assert len(refs) == 135 and sorted(k for ref in refs for k in ref.key()) == sorted(seen)
@@ -450,7 +414,7 @@ def test_frame_containing_returns_the_table_frame():
     # the 8-frame through a and through -a is the enumerate_frames(8) entry
     # itself, for each of the 1 080 half-table vectors
     frames = L.enumerate_frames(8)
-    assert sum(len(f) for f in frames) == 1080
+    assert sum(len(f.vectors) for f in frames) == 1080
     for f in frames:
         for a in f.vectors:
             assert L.frame_containing(a) is f and L.frame_containing(-a) is f
@@ -606,6 +570,6 @@ def test_frame_canonical_under_reorder_and_sign_property(size, index, data):
     st.sampled_from(("E7", "E8")),
 )
 def test_scaled_orbit_is_the_scaled_shell_orbit_property(v, k, group):
-    # the scaled seed is off every shell and runs the scalar search; the
-    # shell seed walks the reflection table
-    assert L.weyl_orbit(v.scaled(k), group) == tuple(w.scaled(k) for w in L.weyl_orbit(v, group))
+    # the scaled seed is off every shell, so only the scalar reference
+    # search takes it; the shell seed walks the reflection table
+    assert _orbit_reference(v.scaled(k), group) == tuple(w.scaled(k) for w in L.weyl_orbit(v, group))

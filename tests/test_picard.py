@@ -21,6 +21,8 @@ PARAMS = EllipticParams.from_bases(0.03, 0.45)
 EVAL = T.variant_evaluator("pm", PARAMS, quad_tol=1e-8)
 
 ZERO = P.pic(*([0] * 10))
+# The Gram matrix's diagonal, diag(-1, 1, ..., 1).
+_GRAM = (-1,) + (1,) * 9
 PHI_PIC = P.C - P.AFFINE_ROOTS[8]
 
 # The P^1 x P^1 presentation of the same lattice, basis (h1, h2, f1, ..., f8)
@@ -146,7 +148,7 @@ def _rand_root(rng):
 
 def _eps_of(v):
     """Canonical coordinates (pairings with e0..e9) of an exact vector."""
-    return np.array([float(g * a) for g, a in zip(P._GRAM, v.coeffs)])
+    return np.array([float(g * a) for g, a in zip(_GRAM, v.coeffs)])
 
 
 def _pair_eps(v, eps):

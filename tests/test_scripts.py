@@ -1,5 +1,6 @@
 """The evidence scripts: report_matrix's comparison of two OUTDIRs and
-bench_pair's statistics, on synthetic inputs (no CLI matrix, no perfbench)."""
+bench_pair's statistics, on synthetic inputs (no CLI matrix, no perfbench),
+and gen_quad_oracles' values against the frozen ones."""
 from __future__ import annotations
 
 import importlib.util
@@ -10,6 +11,8 @@ import pytest
 
 from e8tau import cli, sampling
 from e8tau.specialfn import EllipticParams
+
+from . import _quad_oracles as Q
 
 _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -168,3 +171,13 @@ def test_report_matrix_probes_are_the_points_their_comment_names():
         x[0] += r
         x[1] -= r
         assert (cli._parse_x(report_matrix._shifted(report_matrix.PROBES[1], r)) == x).all(), r
+
+
+def test_gen_quad_oracles_reproduces_the_frozen_values():
+    # loading the script writes nothing; its values are the frozen ones to
+    # their printed digits
+    frozen = pathlib.Path(Q.__file__)
+    stamp = frozen.stat().st_mtime_ns
+    v1, v2 = _load("gen_quad_oracles").values()
+    assert abs(v1 - Q.I1_FIXED) <= 1e-12 and abs(v2 - Q.I2_FIXED) <= 1e-12
+    assert frozen.stat().st_mtime_ns == stamp
