@@ -160,7 +160,5 @@ def test_every_listed_function_gives_its_reason():
 def test_the_guard_fails_each_negative_control(defined, reached, listed, problem):
     assert _verdict(defined, reached, listed) == [problem]
     # the same input with the list mended passes
-    mended = {name: why for name, why in listed.items() if name in defined - reached}
-    mended.update({name: "why" for name in defined - reached})
-    assert _verdict(defined, reached, mended) == []
+    assert _verdict(defined, reached, dict.fromkeys(defined - reached, "why")) == []
 
