@@ -373,20 +373,45 @@ def test_shell_table_columns_are_the_simple_reflections(n):
     assert orbit[0] is seed and all(v is table.vectors[table.index[v.coords4]] for v in orbit[1:])
 
 
+_OFF_SHELL = "^weyl_orbit needs a lattice vector of squared norm 2 or 4$"
+
+
 def test_orbit_of_a_seed_off_the_shells_raises():
-    # only a lattice vector of squared norm 2 or 4 has an orbit here: the
-    # empty frame, an 8-frame, a doubled root, a root scaled by 2**70 and a
-    # point off the lattice are refused on both groups
-    seeds = (
-        L.Frame(()),
-        L.enumerate_frames(8)[0],
-        L.SIMPLE_ROOTS[3].scaled(2),
-        L.SIMPLE_ROOTS[3].scaled(2**70),
-        L.vec(1, 0, 0, 0, 0, 0, 0, 0),
-    )
+    # only a lattice vector of squared norm 2 or 4 has an orbit here: an
+    # 8-frame and a doubled root are refused on both groups
+    seeds = (L.enumerate_frames(8)[0], L.SIMPLE_ROOTS[3].scaled(2))
     for seed, group in itertools.product(seeds, ("E7", "E8")):
-        with pytest.raises(ValueError, match="^weyl_orbit needs a lattice vector of squared norm 2 or 4$"):
+        with pytest.raises(ValueError, match=_OFF_SHELL):
             L.weyl_orbit(seed, group)
+
+
+def test_vector_orbit_with_large_coordinates_runs_exactly():
+    # Coordinates far beyond the int64 range stay exact Python integers on
+    # the reference search; weyl_orbit refuses the scaled root as off-shell.
+    root = L.SIMPLE_ROOTS[3]
+    seed = root.scaled(2**70)
+    got = _orbit_reference(seed, "E7")
+    assert got == tuple(w.scaled(2**70) for w in L.weyl_orbit(root, "E7"))
+    assert len(got) == 126
+    assert all(type(c) is int for v in got for c in v.coords4)
+    for group in ("E7", "E8"):
+        with pytest.raises(ValueError, match=_OFF_SHELL):
+            L.weyl_orbit(seed, group)
+
+
+def test_orbit_of_the_empty_frame_is_itself():
+    # on the reference search; weyl_orbit takes no frame, the empty one included
+    for group in ("E7", "E8"):
+        assert _orbit_reference(L.Frame(()), group) == (L.Frame(()),)
+        with pytest.raises(ValueError, match=_OFF_SHELL):
+            L.weyl_orbit(L.Frame(()), group)
+
+
+def test_orbit_leaving_the_quarter_lattice_raises():
+    # (1, 0, ..., 0) is not in the quarter lattice, so it has no shell orbit
+    for group in ("E7", "E8"):
+        with pytest.raises(ValueError, match=_OFF_SHELL):
+            L.weyl_orbit(L.vec(1, 0, 0, 0, 0, 0, 0, 0), group)
 
 
 def test_orbit_rejects_unknown_group():
