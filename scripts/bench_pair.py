@@ -36,13 +36,10 @@ their own ``src/``. The record holds:
   sides agree on all of them but the digest, seed by seed, so a change in
   failure counts shows before the timed pairs are read;
   ``outcome_digest_equal`` beside it says whether the residuals kept their
-  bits. Each such run also keeps each kind's ``time_p50_s`` (``kind_p50_s``),
-  its ``host_slowdown``, and each kind's time divided by that slowdown
-  (``kind_p50_nominal_s``): the same checks timed on both sides, which
-  ``equal`` does not read. ``kind_ratio`` gives, per kind that every
-  fixed-count run reached, the median over FIXED_SEEDS of the change/parent
-  ratio of those divided times, so a host that slows one side's run moves
-  no kind.
+  bits. Each such run also keeps each kind's ``time_p50_s`` (``kind_p50_s``)
+  and its ``host_slowdown``: the same checks timed on both sides, which
+  ``equal`` does not read. They are raw wall times; dividing by the
+  slowdown does not remove the host's drift at the 5 % level.
 
 Nothing under ``perfbench/`` is changed; this only calls it.
 """
@@ -83,29 +80,12 @@ def _fixed(root: str, workload: str, seed: int) -> dict:
            "--checks", str(FIXED_CHECKS[workload])]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    times = {kind: rec["time_p50_s"] for kind, rec in result["per_kind"].items()}
-    slowdown = result["host_slowdown"]
     return {
         **{key: result[key] for key in _FIXED_KEYS},
         "reasons": {kind: rec["reasons"] for kind, rec in result["per_kind"].items() if rec["reasons"]},
         "outcome_digest": result["outcome_digest"],
-        "kind_p50_s": times,
-        "host_slowdown": slowdown,
-        "kind_p50_nominal_s": {kind: t / slowdown for kind, t in times.items()},
-    }
-
-
-def _fixed_kind_ratios(fixed: dict) -> dict:
-    """Per check kind that every fixed-count run of both sides reached, the
-    median over the seeds of fixed (seed -> side -> _fixed run) of the
-    change/parent ratio of its kind_p50_nominal_s."""
-    runs = [f[side]["kind_p50_nominal_s"] for f in fixed.values() for side in ("parent", "change")]
-    kinds = sorted(set.intersection(*map(set, runs)))
-    return {
-        kind: statistics.median(
-            f["change"]["kind_p50_nominal_s"][kind] / f["parent"]["kind_p50_nominal_s"][kind] for f in fixed.values()
-        )
-        for kind in kinds
+        "kind_p50_s": {kind: rec["time_p50_s"] for kind, rec in result["per_kind"].items()},
+        "host_slowdown": result["host_slowdown"],
     }
 
 
@@ -202,7 +182,6 @@ def main(argv=None) -> int:
                     for seed, f in fixed.items()
                 },
                 "equal": all(map(_same_outcomes, fixed.values())),
-                "kind_ratio": _fixed_kind_ratios(fixed),
             },
             "per_layer_seed1": {
                 name: {"unit": v["unit"], "parent": v["value"], "change": traced["change"][name]["value"]}

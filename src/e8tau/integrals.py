@@ -27,6 +27,7 @@ from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specialfn import (
     TRUNC_TOL,
@@ -103,7 +104,8 @@ class _Plan:
     scales: tuple
     bound_scales: tuple
     # the cross factor theta(z^{+-1} w^{+-1}; p) as sum_{a,b} C[a,b] z^a w^b
-    # over |a|, |b| <= 2K, the FFT bin of z^a at [a], and of z^(a+b) at [b, a]
+    # over |a|, |b| <= 2K (_cross_table, shared by the plans of one p), the
+    # FFT bin of z^a at [a], and of z^(a+b) at [b, a]
     cross_c: np.ndarray
     cross_a: np.ndarray
     cross_ab: np.ndarray
@@ -138,17 +140,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=32)
-def _plan(p: complex, q: complex, N: int) -> _Plan:
-    m = np.arange(N)
-    zs = np.exp(2j * np.pi * m / N)
-    pp, qq = qpoch(p, p), qpoch(q, q)
-    c = _jacobi_pair_coeffs(p, pp)
+@functools.lru_cache(maxsize=8)
+def _cross_table(p: complex) -> np.ndarray:
+    """The cross factor theta(z^{+-1} w^{+-1}; p) as sum_{a,b} C[a,b] z^a w^b
+    over |a|, |b| <= 2K: one read-only table per nome, shared by every plan
+    on it, whatever its q and N."""
+    c = _jacobi_pair_coeffs(p, qpoch(p, p))
     K = c.size // 2
     k, l = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1), indexing="ij")
     # (k, l) -> (k + l, k - l) is one to one, so no entry is written twice
     C = np.zeros((4 * K + 1, 4 * K + 1), dtype=complex)
     C[k + l + 2 * K, k - l + 2 * K] = np.outer(c, c)
+    return _frozen(C)
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(p: complex, q: complex, N: int) -> _Plan:
+    m = np.arange(N)
+    zs = np.exp(2j * np.pi * m / N)
+    pp, qq = qpoch(p, p), qpoch(q, q)
+    C = _cross_table(p)
+    K = C.shape[0] // 4
     a = np.arange(-2 * K, 2 * K + 1)
     pref = pp * qq
     return _Plan(
@@ -158,10 +170,11 @@ def _plan(p: complex, q: complex, N: int) -> _Plan:
         pref=pref,
         scales=tuple(pref**n / (2**n * factorial(n) * N**n) for n in range(N_MAX + 1)),
         bound_scales=tuple(abs(pref) ** n / (2**n * factorial(n)) for n in range(N_MAX + 1)),
-        cross_c=_frozen(C),
-        # sum_m h_m z_m^j is bin -j of the FFT
+        cross_c=C,
+        # sum_m h_m z_m^j is bin -j of the FFT; bin -(a + b) at [a, b] is a
+        # read-only Hankel view of the 8K + 1 bins of -4K..4K
         cross_a=_frozen(-a % N),
-        cross_ab=_frozen(-(a[:, None] + a[None, :]) % N),
+        cross_ab=sliding_window_view(-np.arange(-4 * K, 4 * K + 1) % N, 4 * K + 1),
     )
 
 

@@ -174,36 +174,15 @@ def enumerate_norm(n: int) -> tuple[LatticeVector, ...]:
     raise ValueError(f"norm {n} enumeration not supported (only 2 and 4)")
 
 
-def reflect(alpha: LatticeVector, v: LatticeVector) -> LatticeVector:
-    """Reflection of v in the hyperplane orthogonal to alpha (exact)."""
-    nn = ip(alpha, alpha)
-    if nn == 0:
-        raise ValueError("cannot reflect in a null vector")
-    t = 2 * ip(alpha, v)
-    coords = []
-    for cv, ca in zip(v.coords4, alpha.coords4):
-        num = cv * nn - t * ca
-        q, r = divmod(num, nn)
-        if r:
-            raise ValueError("reflection left (1/4)Z^8")
-        coords.append(q)
-    return LatticeVector(tuple(coords))
-
-
 def reflect_c(alpha: LatticeVector, x: np.ndarray) -> np.ndarray:
-    """The same reflection acting on a complex 8-vector of additive coordinates."""
+    """Reflection of a complex 8-vector of additive coordinates in the
+    hyperplane orthogonal to alpha."""
     a = alpha.coords4_float / 4.0
     return x - (2.0 * (a @ x) / (a @ a)) * a
 
 
-def apply_word(word: Sequence[int], v: LatticeVector) -> LatticeVector:
-    """Apply the group word s_{w0} s_{w1} ... (rightmost generator acts first)."""
-    for i in reversed(word):
-        v = reflect(SIMPLE_ROOTS[i], v)
-    return v
-
-
 def apply_word_c(word: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """Apply the group word s_{w0} s_{w1} ... to x (rightmost generator acts first)."""
     for i in reversed(word):
         x = reflect_c(SIMPLE_ROOTS[i], x)
     return x

@@ -169,11 +169,11 @@ def _theta_range_guard(pows: np.ndarray, ppows: np.ndarray, z: np.ndarray, out: 
     exactly 0: a product of nonzero factors that left the float range."""
     out, z = np.reshape(out, -1), np.reshape(z, -1)
     if not np.isfinite(out).all():
-        raise DomainError(f"theta product overflows the float range at |p| = {abs(p):.9g}")
+        raise DomainError(f"theta product overflows the float range at nome modulus {abs(p):.9g}")
     zero = z[out == 0]
     exact = (np.multiply.outer(pows, zero) == 1) | (np.divide.outer(ppows, zero) == 1)
     if not exact.any(axis=0).all():
-        raise DomainError(f"theta product of nonzero factors underflows to 0 at |p| = {abs(p):.9g}")
+        raise DomainError(f"theta product of nonzero factors underflows to 0 at nome modulus {abs(p):.9g}")
 
 
 def theta(z, p: complex):
@@ -185,7 +185,8 @@ def theta(z, p: complex):
     as in the whole table, so bit for bit.
 
     A product of nonzero factors that overflows, or underflows to 0, raises
-    DomainError naming |p|; an exact zero factor (theta(1, p)) gives 0."""
+    DomainError naming the nome's modulus; an exact zero factor (theta(1, p))
+    gives 0."""
     zz = np.asarray(z, dtype=complex)
     hi, lo = _modulus_bounds(zz, "theta")
     if lo == 0:

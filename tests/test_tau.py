@@ -502,16 +502,13 @@ def test_weyl_map_fixes_canonical():
         assert _rel(tw.eval(x), can.eval(x)) < 1e-12
 
 
-def test_weyl_map_transports_domain():
-    # A reflection outside the level stabilizer relocates the hyperplanes.
-    rng = sampling.make_rng(33)
+def test_transform_refuses_an_evaluator_with_a_domain():
+    # every map refuses a chain component at the boundary rather than move
+    # its level domain; no command transforms one
     comp0 = CHAIN2.components[0]
-    tw = T.transform(comp0, T.WeylMap((7,)))
-    x = _x_on(rng, 0)
-    y = apply_word_c((7,), x)
-    assert _rel(tw.eval(y), comp0.eval(x)) < 1e-12
-    with pytest.raises(DomainError):
-        tw.eval(x)
+    for spec in (T.ExpGauge(k=0.3), T.WeylMap((7,)), T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0))):
+        with pytest.raises(ValueError, match="not one on a level domain"):
+            T.transform(comp0, spec)
 
 
 def test_period_shift_preserves_hirota():
