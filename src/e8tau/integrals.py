@@ -270,10 +270,10 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
 
 
 def _range_error(params: EllipticParams) -> DomainError:
-    """The error of node values out of the float range: the nodes of N are
-    among those of 2N, so doubling cannot mend it."""
+    """The error of node values, or of an n >= 2 node sum, out of the float
+    range: the nodes of N are among those of 2N, so doubling cannot mend it."""
     p, q = abs(params.p), abs(params.q)
-    return DomainError(f"integrand node values leave the float range at |p| = {p:.9g}, |q| = {q:.9g}")
+    return DomainError(f"integrand node values or node sums leave the float range at |p| = {p:.9g}, |q| = {q:.9g}")
 
 
 def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
@@ -284,8 +284,8 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     at n = 3, below). No value exceeds its size in modulus.
 
     One node table serves every row: the n = 1 rows sum their nodes, and
-    the n >= 2 rows contract the FFT bins of theirs. Node values out of the
-    float range raise _range_error."""
+    the n >= 2 rows contract the FFT bins of theirs, under np.errstate. Node
+    values or contractions out of the float range raise _range_error."""
     plan = _plan_for(rows.params, N)
     h = _node_rows(rows, N)
     abs_sums = np.abs(h).sum(axis=1).tolist()
@@ -308,17 +308,20 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
             sizes.append(abs(scale) * a)
             continue
         H = next(bins)
-        if n == 2:
-            s = H[plan.cross_a]
-            sC = s @ plan.cross_c
-            out.append(scale * complex(sC @ s))
-            g = np.abs(sC).sum()
-        else:
-            M = plan.cross_c @ H[plan.cross_ab]
-            MM = M @ M
-            out.append(scale * complex(np.sum(M * MM.T)))
-            g = np.abs(MM @ plan.cross_c).sum()
-        sizes.append(abs(scale) * a * float(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 2:
+                s = H[plan.cross_a]
+                sC = s @ plan.cross_c
+                out.append(scale * complex(sC @ s))
+                g = np.abs(sC).sum()
+            else:
+                M = plan.cross_c @ H[plan.cross_ab]
+                MM = M @ M
+                out.append(scale * complex(np.sum(M * MM.T)))
+                g = np.abs(MM @ plan.cross_c).sum()
+            sizes.append(abs(scale) * a * float(g))
+        if not (cmath.isfinite(out[-1]) and math.isfinite(sizes[-1])):
+            raise _range_error(rows.params)
     return out, sizes
 
 

@@ -175,14 +175,14 @@ def enumerate_norm(n: int) -> tuple[LatticeVector, ...]:
 
 
 def reflect_c(alpha: LatticeVector, x: np.ndarray) -> np.ndarray:
-    """Reflection of a complex 8-vector of additive coordinates in the
-    hyperplane orthogonal to alpha."""
+    """Reflection of x (..., 8) in the hyperplane orthogonal to alpha; row reductions give
+    each row of a C-ordered block its own bits (<a, a> = ip / 16 is exact)."""
     a = alpha.coords4_float / 4.0
-    return x - (2.0 * (a @ x) / (a @ a)) * a
+    return x - (2.0 * np.add.reduce(x * a, axis=-1) / (ip(alpha, alpha) / 16.0))[..., None] * a
 
 
 def apply_word_c(word: Sequence[int], x: np.ndarray) -> np.ndarray:
-    """Apply the group word s_{w0} s_{w1} ... to x (rightmost generator acts first)."""
+    """Apply the group word s_{w0} s_{w1} ... to x (..., 8) (rightmost generator acts first)."""
     for i in reversed(word):
         x = reflect_c(SIMPLE_ROOTS[i], x)
     return x

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import lattice
-from .specialfn import bracket_scaled_many
-from .util import DomainError, Residual, normalized_residual
+from .tau import _axis_rows, _bilinear_residual
+from .util import DomainError, Residual
 
 @dataclass(frozen=True)
 class PicardVector:
@@ -183,13 +183,14 @@ _KAPPA_TOL = 1e-9
 _KAPPA_WEIGHTS = np.array([3.0] + [1.0] * 9)
 
 
-def _lattice_points(alphas: Sequence[PicardVector], tau, w: Sequence[int], eps: np.ndarray) -> list[np.ndarray]:
-    """The points w^{-1} . (x + kappa * alpha), one per classical part alpha
-    of the index vectors: where the tau functions indexed by them are
-    evaluated on the w-translated chart of eps. (x, mu, kappa) are the chart
-    coordinates of eps, whose level must match the step of tau's level
-    grading: DomainError where the rounding bound of kappa reaches that
-    tolerance, or where kappa is off the step."""
+def _lattice_points(shifts: np.ndarray, tau, w: Sequence[int], eps: np.ndarray) -> np.ndarray:
+    """The block of points w^{-1} . (x + kappa * s), one per row s of shifts,
+    the true coordinates of the projected classical parts of index vectors:
+    where the tau functions indexed by them are evaluated on the
+    w-translated chart of eps. (x, mu, kappa) are the chart coordinates of
+    eps, whose level must match the step of tau's level grading: DomainError
+    where the rounding bound of kappa reaches that tolerance, or where kappa
+    is off the step."""
     x, _, kappa = coords_back(eps)
     # kappa = 3 eps_0 - (eps_1 + ... + eps_9) in floats, ten terms: within
     # 10 eps (3|eps_0| + sum_k |eps_k|) of the exact sum
@@ -198,20 +199,21 @@ def _lattice_points(alphas: Sequence[PicardVector], tau, w: Sequence[int], eps: 
         raise DomainError(f"chart level {kappa} cannot be resolved to the level tolerance (rounding bound {slack:.3g})")
     if abs(kappa - tau.params.delta) > _KAPPA_TOL:
         raise DomainError("chart level does not match the tau level step")
-    inv = lattice.inverse_word(tuple(w))
-    # true coordinates of the projections, one row each, as true_coords gives them
-    shifts = np.array([project_classical(a).coords4 for a in alphas], dtype=float) / 4.0
-    return [lattice.apply_word_c(inv, x + kappa * s) for s in shifts]
+    return lattice.apply_word_c(lattice.inverse_word(tuple(w)), x + kappa * shifts)
 
 
 @lru_cache(maxsize=None)
-def _quadruple_parts(quad: tuple[int, int, int, int]) -> tuple[PicardVector, ...]:
-    """The classical parts of a quadruple's six index vectors
-    e_a, e0 - e_a - e_l (a = i, j, k), computed once per quadruple."""
+def _quadruple_parts(quad: tuple[int, int, int, int]) -> np.ndarray:
+    """The classical parts of a quadruple's six index vectors e_a,
+    e0 - e_a - e_l (a = i, j, k), projected (project_classical), as a
+    read-only (6, 8) block of true coordinates computed once per quadruple."""
     i, j, k, l = quad
     if len({i, j, k, l}) != 4 or not all(1 <= m <= 9 for m in quad):
         raise ValueError("need four distinct indices in 1..9")
-    return _classical_parts([lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])])
+    alphas = _classical_parts([lam for a in (i, j, k) for lam in (E[a], E[0] - E[a] - E[l])])
+    out = np.array([project_classical(a).coords4 for a in alphas], dtype=float) / 4.0
+    out.flags.writeable = False
+    return out
 
 
 def quadruple_hirota_residual(
@@ -222,23 +224,18 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus. The six brackets come first,
-    in one bracket_scaled_many batch, then the six points on one chart of
-    eps, then their Scaled tau values in one scaled_many batch of the
-    TauEvaluator tau. The index vectors' classical parts are the
-    quadruple's alone and computed once; their projections are taken on
-    every call.
+    Normalized by the largest term modulus. The six points on one chart of
+    eps come first, one block from the quadruple's projected classical parts
+    (_quadruple_parts, computed once), then the kernel the frame residual
+    runs (tau._bilinear_residual) on the TauEvaluator tau.
     """
-    alphas = _quadruple_parts(tuple(quad))
+    shifts = _quadruple_parts(tuple(quad))
     i, j, k, l = quad
-    params = tau.params
     eps = np.asarray(eps, dtype=complex)
     ev = eps.tolist()  # Python complex differences, the same bits as numpy's
 
     args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (ev[b] - ev[c], ev[0] - ev[b] - ev[c] - ev[l])]
-    br = bracket_scaled_many(args, params)
-    v = tau.scaled_many(_lattice_points(alphas, tau, w, eps))
-    return normalized_residual([(br[2 * t], br[2 * t + 1], v[2 * t], v[2 * t + 1]) for t in range(3)])
+    return _bilinear_residual(tau, args, _lattice_points(shifts, tau, w, eps), tau.params)
 
 
 def translation_hirota_residual(
@@ -249,22 +246,12 @@ def translation_hirota_residual(
     Each term translates tau forward and backward along one frame axis
     (tau(x -+ kappa a)) and weights the pair with the brackets of the other
     two axes.  Algebraically identical to the frame residual in the tau
-    module, and no independent route to it: both evaluate the same six
-    points (on a memoized family the second reads are hits) with the same
-    brackets and normalized_residual, so the two residuals agree whatever
-    the family's values are. The six brackets come first,
-    in one bracket_scaled_many batch, then the six Scaled tau values in one
-    scaled_many batch.
+    module, and no independent route to it: both run one kernel
+    (tau._bilinear_residual) on the same six points and brackets, so they
+    agree whatever the values or brackets are: a consistency check.
     """
     params = tau.params
-    kap4 = params.delta / 4.0
     x = np.asarray(x, dtype=complex)
     p0, p1, p2 = (lattice.pairing_c(a, x) for a in axes)
     args = [p1 + p2, p1 - p2, p2 + p0, p2 - p0, p0 + p1, p0 - p1]
-    pts = []
-    for s in axes:
-        shift = kap4 * s.coords4_float  # kappa times the true coordinates, bit for bit
-        pts += [x - shift, x + shift]
-    br = bracket_scaled_many(args, params)
-    v = tau.scaled_many(pts)
-    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
+    return _bilinear_residual(tau, args, x - _axis_rows(axes) * (params.delta / 4.0), params)

@@ -14,10 +14,10 @@ single-valued.
 
 Each step of a tau value (the level check, the chart, Q(x), the pair product
 and the bracket) has one route, over a batch of points; a single point is a
-batch of one. A TauEvaluator makes its values as batch(ns, xs), two lists;
-its fn(x), when not given, is the batch of one at the located point. The
-evaluators of a graded family share one batch, every tau value of the
-family goes through it, and batch.cache_info() counts the family's memo.
+batch of one. A TauEvaluator makes its values as batch(ns, xs), xs one
+(B, 8) block; its fn(x), when not given, is the batch of one at the located
+point. The evaluators of a graded family share one batch, every tau value
+of the family goes through it, and batch.cache_info() counts the memo.
 """
 from __future__ import annotations
 
@@ -168,16 +168,17 @@ class TauEvaluator:
 
     domain is None for functions defined on all of V; otherwise evaluation
     first locates x inside the hyperplane family and rejects stray points.
-    batch(ns, xs) makes every value: it takes two lists, the located points
-    xs and their levels ns (None without a domain), and returns their Scaled
-    values, or raises one error. fn(x) is the value at one point; a fn of
-    None is the batch of one at the located point (eval), and a missing
-    batch is fn adapted once, point by point. One of them is required."""
+    batch(ns, xs) makes every value: it takes the located points as one
+    C-ordered complex block xs (B, 8) and their levels, a list ns (None
+    without a domain), and returns their Scaled values, or raises one error.
+    fn(x) is the value at one point; a fn of None is the batch of one at the
+    located point (eval), and a missing batch is fn adapted once, row by
+    row. One of them is required."""
 
     fn: Callable[[np.ndarray], complex] | None
     params: EllipticParams
     domain: LevelDomain | None = None
-    batch: Callable[[list | None, list], list[Scaled]] | None = field(default=None, repr=False, compare=False)
+    batch: Callable[[list | None, np.ndarray], list[Scaled]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.batch is None:
@@ -187,12 +188,12 @@ class TauEvaluator:
         elif self.fn is None:
             object.__setattr__(self, "fn", self.eval)
 
-    def scaled_many(self, xs: Sequence[np.ndarray]) -> list[Scaled]:
-        """The Scaled value at every point of xs, as one batch: all points
-        are located first, in one domain.levels call, so the first point off
-        the domain raises."""
-        xs = [np.asarray(x, dtype=complex) for x in xs]
-        return self.batch(None if self.domain is None else self.domain.levels(np.array(xs).reshape(len(xs), 8)), xs)
+    def scaled_many(self, xs: np.ndarray | Sequence[np.ndarray]) -> list[Scaled]:
+        """The Scaled value at every row of xs, a (B, 8) block or a list of
+        points stacked once here, as one batch: all points are located first,
+        in one domain.levels call, so the first point off the domain raises."""
+        xs = np.ascontiguousarray(xs, dtype=complex).reshape(-1, 8)
+        return self.batch(None if self.domain is None else self.domain.levels(xs), xs)
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
         """scaled_many recombined: a complex infinity where a value overflows."""
@@ -237,6 +238,21 @@ def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
     return fixed
 
 
+def _bilinear_residual(tau: TauEvaluator, args: list, pts: np.ndarray, params: EllipticParams) -> Residual:
+    """Every bilinear residual's kernel: sum_k [args[2k]] [args[2k+1]] tau(pts[2k]) tau(pts[2k+1]), k < 3,
+    over its largest term; the six brackets at params in one batch first, then
+    tau at the six rows of the block pts in one scaled_many, then normalized_residual."""
+    br = bracket_scaled_many(args, params)
+    v = tau.scaled_many(pts)
+    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
+
+
+def _axis_rows(axes: Sequence[LatticeVector]) -> np.ndarray:
+    """The coords4 rows a, -a of each axis a in turn, a float block: times
+    delta / 4, the true coordinates times delta, bit for bit."""
+    return np.array([a.coords4 + tuple(-c for c in a.coords4) for a in axes], dtype=float).reshape(-1, 8)
+
+
 def hirota_residual(
     tau: TauEvaluator,
     frame: Frame | Sequence[LatticeVector],
@@ -246,23 +262,15 @@ def hirota_residual(
     """Normalized residual of the three-term bilinear identity at x.
 
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
-    rotations of the oriented triple, divided by the largest term magnitude.
-    All six shifted points must lie in tau's domain. The six brackets come
-    first, in one bracket_scaled_many batch, then the six Scaled tau values
-    in one scaled_many batch.
+    rotations of the oriented triple, divided by the largest term magnitude:
+    _bilinear_residual at the six points x + (+-a) delta, one block. All six
+    must lie in tau's domain.
     """
     axes = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
-    d4 = params.delta / 4.0
     pa, pb, pc = (pairing_c(v, x) for v in axes)
     args = [pb + pc, pb - pc, pc + pa, pc - pa, pa + pb, pa - pb]
-    pts = []
-    for s in axes:
-        sh = s.coords4_float * d4  # the true coordinates times delta, bit for bit
-        pts += [x + sh, x - sh]
-    br = bracket_scaled_many(args, params)
-    v = tau.scaled_many(pts)
-    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
+    return _bilinear_residual(tau, args, x + _axis_rows(axes) * (params.delta / 4.0), params)
 
 
 @dataclass(frozen=True)
@@ -294,41 +302,41 @@ class PeriodShift:
     omega: tuple[int, int]
 
 
-def transform(
-    tau: TauEvaluator, spec: ExpGauge | WeylMap | PeriodShift
-) -> TauEvaluator:
-    """New evaluator obtained from tau by one of the three symmetry maps:
-    tau's batch at the mapped points, each value times its prefactor as a
-    Scaled product (none for a Weyl map). The prefactors' coordinate sums
-    are np.add.reduce, the reduction np.sum makes, without its wrapper.
-    ValueError for a tau with a domain: no map moves one."""
-    if tau.domain is not None:
-        raise ValueError("transform takes an evaluator defined everywhere, not one on a level domain")
-    params = tau.params
-    pre = None
+def _block_maps(spec: ExpGauge | WeylMap | PeriodShift, params: EllipticParams) -> tuple[Callable, Callable | None]:
+    """A symmetry map on a block X (B, 8): the rows tau is read at, and the prefactors'
+    exponents S, e(S) a row (None for a Weyl map). Pairings and squares are row
+    reductions and a Weyl word maps the block whole, so each row has its own bits."""
+    if isinstance(spec, WeylMap):
+        return partial(apply_word_c, inverse_word(spec.word)), None
     if isinstance(spec, ExpGauge):
         if spec.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        vv = np.asarray(spec.v, dtype=complex)
-        point = lambda x: spec.eps * x
-        pre = lambda x: e(spec.k * complex(np.add.reduce(x * x, axis=None)) + complex(np.dot(vv, x)) + spec.c)
-    elif isinstance(spec, WeylMap):
-        point = partial(apply_word_c, inverse_word(spec.word))
-    elif isinstance(spec, PeriodShift):
+        v = np.asarray(spec.v, dtype=complex)
+        return lambda X: spec.eps * X, lambda X: spec.k * np.add.reduce(X * X, 1) + np.add.reduce(X * v, 1) + spec.c
+    if isinstance(spec, PeriodShift):
         m, l = spec.omega
-        omega = m + l * params.varpi
-        shift = np.asarray(spec.v.true_coords(), dtype=complex) * omega
+        v = spec.v.true_coords()
+        shift = v * (m + l * params.varpi)
         coef = -l / (2.0 * params.delta**2)
-        point = lambda x: x - shift
-        pre = lambda x: e(coef * pairing_c(spec.v, x) * complex(np.add.reduce(x * (x - shift), axis=None)))
-    else:
-        raise TypeError(f"unknown transform spec {spec!r}")
+        return lambda X: X - shift, lambda X: coef * np.add.reduce(X * v, 1) * np.add.reduce(X * (X - shift), 1)
+    raise TypeError(f"unknown transform spec {spec!r}")
 
-    def batch(ns: list | None, xs: list) -> list[Scaled]:
-        vals = tau.scaled_many([point(x) for x in xs])
-        return vals if pre is None else [product((pre(x), v)) for x, v in zip(xs, vals)]
 
-    return TauEvaluator(None, params, batch=batch)
+def transform(
+    tau: TauEvaluator, spec: ExpGauge | WeylMap | PeriodShift
+) -> TauEvaluator:
+    """New evaluator obtained from tau by one of the three symmetry maps: tau's batch at the
+    mapped block (_block_maps), each value times its prefactor as a Scaled product (none
+    for a Weyl map). ValueError for a tau with a domain: no map moves one."""
+    if tau.domain is not None:
+        raise ValueError("transform takes an evaluator defined everywhere, not one on a level domain")
+    point, exponent = _block_maps(spec, tau.params)
+
+    def batch(ns: list | None, xs: np.ndarray) -> list[Scaled]:
+        vals = tau.scaled_many(point(xs))
+        return vals if exponent is None else [product((e(s), v)) for s, v in zip(exponent(xs).tolist(), vals)]
+
+    return TauEvaluator(None, tau.params, batch=batch)
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
@@ -419,7 +427,7 @@ def toda_steps(
             if abs(val) < BRACKET_FLOOR:
                 raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
 
-    vals = tau_cur.eval_many([x - s.coords4_float * (d / 4.0) for s in shifts])
+    vals = tau_cur.eval_many(x - np.array([s.coords4_float for s in shifts]) * (d / 4.0))
     pm = [br[len(args) + 2 * k] * br[len(args) + 2 * k + 1] for k in range(len(axes))]
     cur = [vals[2 * k] * vals[2 * k + 1] for k in range(len(axes))]
     prev = tau_prev(x - a0.coords4_float * (d / 2.0))
@@ -484,7 +492,7 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
     size = TAU_MEMO_SIZE
     stats = [0, 0]  # hits, misses
 
-    def batch(ns: list, xs: list) -> list[Scaled]:
+    def batch(ns: list, xs: np.ndarray) -> list[Scaled]:
         keys = [(n, x.tobytes()) for n, x in zip(ns, xs)]
         new = {key: (n, x) for key, n, x in zip(keys, ns, xs) if n >= 0 and key not in memo}
         if new:
@@ -499,7 +507,7 @@ def _graded(variant: str, n_max: int, params: EllipticParams, quad_tol: float) -
         return [split(v) for v in values]
 
     def tau_at(n: int, x: np.ndarray) -> complex:
-        return complex(batch(levels.levels(x[None], [n]), [x])[0])
+        return complex(batch(levels.levels(x[None], [n]), x[None])[0])
 
     batch.cache_info = lambda: MemoInfo(stats[0], stats[1], size, len(memo))
     components = [TauEvaluator(None, params, replace(levels, n_min=n, n_max=n), batch) for n in range(n_max + 1)]

@@ -8,7 +8,7 @@ import numpy as np
 
 from e8tau import integrals, tau
 from e8tau.integrals import IntegrandContext
-from e8tau.lattice import SIMPLE_ROOTS, LatticeVector, ip
+from e8tau.lattice import SIMPLE_ROOTS, LatticeVector, ip, pairing_c
 from e8tau.specialfn import EllipticParams
 
 
@@ -48,3 +48,32 @@ def apply_word(word: Sequence[int], v: LatticeVector) -> LatticeVector:
     for i in reversed(word):
         v = reflect(SIMPLE_ROOTS[i], v)
     return v
+
+
+def reflect_c(alpha: LatticeVector, x: np.ndarray) -> np.ndarray:
+    """Reflection of one complex 8-vector in the hyperplane orthogonal to
+    alpha, its pairings BLAS dot products: the per-point route that the
+    block reflection lattice.reflect_c is checked against."""
+    a = alpha.coords4_float / 4.0
+    return x - (2.0 * (a @ x) / (a @ a)) * a
+
+
+def apply_word_c(word: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """The group word on one complex 8-vector, reflection by reflection
+    (rightmost generator acts first), through reflect_c above."""
+    for i in reversed(word):
+        x = reflect_c(SIMPLE_ROOTS[i], x)
+    return x
+
+
+def prefactor_exponent(spec: tau.ExpGauge | tau.PeriodShift, x: np.ndarray, params: EllipticParams) -> complex:
+    """The exponent S of a transform's prefactor e(S) at one point x, its
+    pairing with the gauge or shift vector a BLAS dot product: the per-point
+    route that the block exponents of tau._block_maps are checked against."""
+    if isinstance(spec, tau.ExpGauge):
+        v = np.asarray(spec.v, dtype=complex)
+        return spec.k * complex(np.add.reduce(x * x, axis=None)) + complex(np.dot(v, x)) + spec.c
+    m, l = spec.omega
+    shift = np.asarray(spec.v.true_coords(), dtype=complex) * (m + l * params.varpi)
+    coef = -l / (2.0 * params.delta**2)
+    return coef * pairing_c(spec.v, x) * complex(np.add.reduce(x * (x - shift), axis=None))

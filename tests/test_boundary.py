@@ -1,17 +1,18 @@
 """Boundary table: the CLI at bases near 0 and near the unit circle, at
 quadrature targets no node cap reaches, and `tau probe` at points far along
-its level.
+its level and off the strip.
 
 Each case runs one suite with one base of one params block moved (the
 terminating block by `suite bailey`; real, or at phase e(0.1)), or one suite
 or `verify transform-in` (whose n = 2 integrals reach the node cap) with one
 `--quad-tol`, or `tau probe` at scripts/report_matrix.py's level-1 point
-moved by x_0 + r, x_1 - r, `--trials 1`. It runs as cli.main in this
-process, with every warning an error, and must end within _BUDGET_S seconds
-in one of three ways: exit 0; exit 1 with a report whose failing rows all
-have finite residuals; or one stderr line that names a typed error, with
-exit 1 (a check's or the probe's DomainError, say) or exit 2 (the config
-refused at load). A NaN row, a numpy warning, any other exception that
+moved by x_0 + r, x_1 - r, or at its level-0 point moved by Im x_0 + d,
+Im x_1 - d, `--trials 1`. It runs as cli.main in this process, with every
+warning an error, and must end within _BUDGET_S seconds in one of three
+ways: exit 0 (a probe with a finite value); exit 1 with a report whose
+failing rows all have finite residuals; or one stderr line that names a
+typed error, with exit 1 (a check's or the probe's DomainError, say) or
+exit 2 (the config refused at load). A NaN row, a numpy warning, any other exception that
 escapes cli.main, or a run past the budget is a failure of the case; the
 budget is read when the call returns, so a hang stops the run.
 
@@ -60,6 +61,10 @@ _QUAD_TOLS = ("1e-300", "1e-17")
 # the gauge leaves the float range at r = 5 and 50; at 1e300, real or
 # imaginary, the pairing cannot resolve the level
 _PROBE_SHIFTS = (5, 50, 1e300, 1e300j)
+# the level-0 point off the strip, Im x_0 + d and Im x_1 - d, and how each
+# ends: at d = 1 a value near 1e132; past it the triple-gamma pair product,
+# the triple gamma and the elliptic gamma leave the float range in turn
+_OFF_STRIP = {1j: "value", 2j: "probe failed: DomainError", 3j: "probe failed: DomainError", 5j: "probe failed: DomainError"}
 # case id -> (command, config params or None, extra arguments)
 _CASES = {
     **{
@@ -76,6 +81,10 @@ _CASES = {
     **{
         f"tau-probe-1-shifted-{r}": (["tau", "probe", "--x", report_matrix._shifted(report_matrix.PROBES[1], r)], None, [])
         for r in _PROBE_SHIFTS
+    },
+    **{
+        f"tau-probe-0-shifted-{d}": (["tau", "probe", "--x", report_matrix._shifted(report_matrix.PROBES[0], d)], None, [])
+        for d in _OFF_STRIP
     },
 }
 # one case of each outcome kind, run in a fresh interpreter as well
@@ -121,8 +130,12 @@ def _check(status: int | None, out: str, err: str, elapsed: float, budget: float
     assert elapsed <= budget, f"{elapsed:.1f} s against a budget of {budget} s"
     if out:
         report = json.loads(out)
-        assert err == "" and status == (0 if report["pass"] else 1)
-        assert all(math.isfinite(c["residual"]) for c in report["checks"] if not c["pass"])
+        assert err == ""
+        if "checks" in report:
+            assert status == (0 if report["pass"] else 1)
+            assert all(math.isfinite(c["residual"]) for c in report["checks"] if not c["pass"])
+        else:  # the probe's document
+            assert status == 0 and all(map(math.isfinite, report["value"]))
     else:  # a check's or the probe's typed error, or the config refused at load
         assert err.count("\n") == 1, err
         typed = (
@@ -147,8 +160,15 @@ def _outcome(status: int | None, out: str, err: str) -> tuple:
 
 def _kind(out: str, err: str) -> str:
     if out:
-        return "pass" if json.loads(out)["pass"] else "failed rows"
+        report = json.loads(out)
+        return "value" if "checks" not in report else "pass" if report["pass"] else "failed rows"
     return ": ".join(err.split(": ")[:2])
+
+
+@pytest.mark.parametrize("d", list(_OFF_STRIP))
+def test_probe_off_the_strip_ends_as_measured(tmp_path, capsys, d):
+    status, out, err, _ = _run(capsys, _argv(tmp_path, *_CASES[f"tau-probe-0-shifted-{d}"]))
+    assert _kind(out, err) == _OFF_STRIP[d], err
 
 
 def test_fresh_interpreter_gives_the_in_process_outcome(tmp_path, capsys):

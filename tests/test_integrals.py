@@ -588,6 +588,28 @@ def test_out_of_range_plan_and_pair_products_raise_without_a_warning():
         assert all(map(np.isfinite, integrals._pair_gammas([[0.5] * 8], params)))
 
 
+def test_overflowing_contractions_raise_without_a_warning():
+    # two seeded n = 3 rows at p = 0.98, q = 0.2, |u| in 0.2-0.6: their node
+    # values are finite, but the n = 3 contraction of the node FFT bins
+    # leaves the float range. DomainError naming the bases, with no numpy
+    # warning, where the contraction used to warn (overflow, invalid value)
+    # and the doubling end in a ConvergenceError with a nan gap at the cap
+    params = EllipticParams.from_bases(0.98, 0.2)
+    rng = sampling.make_rng(3)
+    ctxs = [
+        IntegrandContext(tuple((0.2 + 0.4 * rng.random()) * e(rng.random()) for _ in range(8)), params, 3)
+        for _ in range(2)
+    ]
+    assert all(np.isfinite(_node_rows(_rows(ctxs), 256)).all(axis=1))
+    message = r"^integrand node values or node sums leave the float range at \|p\| = 0.98, \|q\| = 0.2$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            integrals._quad_rows(_rows(ctxs), 256)
+        with pytest.raises(DomainError, match=message):
+            integrals.I_n_many(ctxs)
+
+
 def test_real_parameters_give_real_value():
     u = (0.3, 0.25, -0.2, 0.15, 0.35, -0.4, 0.1, 0.05)
     val = I(_ctx(u=u))

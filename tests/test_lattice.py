@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from e8tau import cli
 from e8tau import lattice as L
 
+from . import _reference as R
 from ._reference import apply_word, reflect
 
 SHELL_SEEDS = tuple(seed for seed, _ in cli._SHELL_ORBITS)
@@ -252,7 +253,9 @@ def test_complex_pairings_match_exact_ones():
 
 def test_float_coordinates_are_the_converted_route_bit_for_bit():
     # pairing_c, reflect_c and the tau layer's shift vectors read the cached
-    # float copy of coords4; the reference converts coords4 on every call
+    # float copy of coords4 (the signed axis rows convert coords4 the same
+    # way); the reference converts coords4 on every call, and reflects by
+    # the row reductions reflect_c makes
     rng = np.random.default_rng(np.random.Philox(19))
     vectors = L.enumerate_norm(2) + L.enumerate_norm(4)[:200] + tuple(f.vectors[0] for f in L.enumerate_frames(3)[:200])
 
@@ -266,10 +269,26 @@ def test_float_coordinates_are_the_converted_route_bit_for_bit():
         c = np.asarray(a.coords4, dtype=float)
         assert bits(L.pairing_c(a, x)) == bits(complex(np.dot(c, x)) / 4.0)
         ref = c / 4.0
-        assert bits(L.reflect_c(a, x)) == bits(x - (2.0 * (ref @ x) / (ref @ ref)) * ref)
+        assert bits(L.reflect_c(a, x)) == bits(x - (2.0 * np.add.reduce(x * ref) / np.add.reduce(ref * ref)) * ref)
         assert bits(a.coords4_float * (d / 4.0)) == bits(np.asarray(a.true_coords(), dtype=complex) * d)
         assert bits((d / 4.0) * a.coords4_float) == bits(d * np.asarray(a.true_coords(), dtype=complex))
         assert bits(a.coords4_float * (d / 2.0)) == bits(2.0 * np.asarray(a.true_coords(), dtype=complex) * d)
+
+
+def test_a_word_on_a_block_is_the_word_on_each_row():
+    # a (6, 8) block gives each row the bits of that row alone, and every
+    # row is within 1e-15 of the per-point BLAS reference, relative to the
+    # row's largest coordinate; seeded words of 1 to 8 generators, rows of
+    # modulus 1e-3 to 1e3
+    rng = np.random.default_rng(np.random.Philox(48))
+    for _ in range(300):
+        X = 10.0 ** rng.uniform(-3, 3, size=(6, 1)) * (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8)))
+        word = tuple(rng.integers(0, 8, size=int(rng.integers(1, 9))).tolist())
+        block = L.apply_word_c(word, X)
+        assert block.tobytes() == np.array([L.apply_word_c(word, x) for x in X]).tobytes()
+        for got, x in zip(block, X):
+            ref = R.apply_word_c(word, x)
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_float_coordinates_are_a_read_only_copy():

@@ -385,7 +385,8 @@ def test_basis_change_blowup():
 def _lattice_tau_eval(lam, tau, w, eps):
     """Reference route: the tau function indexed by lam on the w-translated
     chart of eps, tau at the one point w^{-1} . (x + kappa * alpha)."""
-    return tau.eval(P._lattice_points(P._classical_parts([lam]), tau, w, eps)[0])
+    (alpha,) = P._classical_parts([lam])
+    return tau.eval(P._lattice_points(P.project_classical(alpha).true_coords()[None], tau, w, eps)[0])
 
 
 def test_lattice_tau_base_cases():

@@ -25,7 +25,7 @@ _PACKAGE = _SRC / "e8tau"
 
 # Functions that no command reaches, each with the reason it stays in src.
 _UNREACHED = {
-    "integrals._range_error": "error path: node values out of the float range",
+    "integrals._range_error": "error path: node values or node sums out of the float range",
     "lattice._phi_profile": "error path: builds classify_frame's message for a profile with no class",
     "util.PoleError.__init__": "error path: constructed only where a gamma argument meets a pole",
     "util.ConvergenceError.__init__": "error path: constructed only where a quadrature misses its target",

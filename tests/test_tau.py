@@ -29,6 +29,7 @@ from e8tau.specialfn import (
 )
 from e8tau.util import RESAMPLE_ERRORS, AdmissibilityError, DomainError, e, normalized_residual, resampled
 
+from . import _reference as R
 from ._reference import dfactor_d
 
 PARAMS = EllipticParams.from_bases(0.03, 0.45)
@@ -509,6 +510,67 @@ def test_transform_refuses_an_evaluator_with_a_domain():
     for spec in (T.ExpGauge(k=0.3), T.WeylMap((7,)), T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0))):
         with pytest.raises(ValueError, match="not one on a level domain"):
             T.transform(comp0, spec)
+
+
+_GAUGE = T.ExpGauge(k=0.3 - 0.1j, v=tuple(0.2j * k for k in range(8)), c=0.7)
+_SHIFT = T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (0, 1))
+
+
+def _bits(vals) -> list:
+    return [(v.m.real.hex(), v.m.imag.hex(), v.k) for v in vals]
+
+
+def test_a_block_is_its_list_of_rows_bit_for_bit():
+    # scaled_many takes a (B, 8) block as it is and stacks a list of rows
+    # once: the same values, bit for bit, for the canonical solution, its
+    # three transforms, an evaluator built from fn alone, and a graded
+    # family (two fresh ones, so neither reads the other's memo)
+    rng = sampling.make_rng(48)
+    can = T.canonical_tau(0.21 + 0.05j, PARAMS)
+    evs = [
+        can,
+        T.transform(can, _GAUGE),
+        T.transform(can, T.WeylMap((3, 0, 7, 5))),
+        T.transform(can, _SHIFT),
+        T.TauEvaluator(lambda y: can(y) + 1.0, PARAMS),
+    ]
+    for _ in range(5):
+        X = 0.12 * (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8)))
+        for ev in evs:
+            assert _bits(ev.scaled_many(X)) == _bits(ev.scaled_many(list(X)))
+    X = np.array([_variant_x(rng, "pm", n) for n in (0, 1, 2, 1, 0, 2)])
+    got = T.variant_evaluator("pm", PARAMS).scaled_many(X)
+    assert _bits(got) == _bits(T.variant_evaluator("pm", PARAMS).scaled_many(list(X)))
+
+
+def test_block_prefactors_and_points_match_the_per_point_reference():
+    # the block maps of the three transforms against the per-point BLAS
+    # route: every exponent within 1e-15 of the size of its terms (the
+    # moduli its rounding scales with), every Weyl image within 1e-15 of its
+    # largest coordinate, and the gauge and shift points bit for bit
+    rng = sampling.make_rng(49)
+    word = (3, 0, 7, 5)
+    for spec in (_GAUGE, T.ExpGauge(k=-0.15j, c=0.1 + 0.4j, eps=-1), _SHIFT, T.WeylMap(word)):
+        point, exponent = T._block_maps(spec, PARAMS)
+        for _ in range(50):
+            X = 10.0 ** rng.uniform(-3, 1, size=(6, 1)) * (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8)))
+            P = point(X)
+            if isinstance(spec, T.WeylMap):
+                for got, x in zip(P, X):
+                    ref = R.apply_word_c(tuple(reversed(word)), x)
+                    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+                continue
+            if isinstance(spec, T.ExpGauge):
+                assert P.tobytes() == (spec.eps * X).tobytes()
+                v = np.asarray(spec.v)
+                sizes = abs(spec.k) * (np.abs(X) ** 2).sum(1) + np.abs(X * v).sum(1) + abs(spec.c)
+            else:
+                shift = spec.v.true_coords() * (spec.omega[0] + spec.omega[1] * PARAMS.varpi)
+                assert P.tobytes() == np.array([x - shift for x in X]).tobytes()
+                coef = abs(spec.omega[1] / (2.0 * PARAMS.delta**2))
+                sizes = coef * np.abs(X * spec.v.true_coords()).sum(1) * np.abs(X * (X - shift)).sum(1)
+            for got, x, size in zip(exponent(X).tolist(), X, sizes.tolist()):
+                assert abs(got - R.prefactor_exponent(spec, x, PARAMS)) <= 1e-15 * size
 
 
 def test_period_shift_preserves_hirota():
