@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import lattice
-from .tau import _axis_rows, _bilinear_residual
+from .specialfn import bracket_scaled_many
+from .tau import _bilinear_residual, _shift_rows
 from .util import DomainError, Residual
 
 @dataclass(frozen=True)
@@ -224,10 +225,10 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus. The six points on one chart of
-    eps come first, one block from the quadruple's projected classical parts
-    (_quadruple_parts, computed once), then the kernel the frame residual
-    runs (tau._bilinear_residual) on the TauEvaluator tau.
+    Normalized by the largest term modulus. The six brackets in one batch,
+    then the six points on one chart of eps from the quadruple's projected
+    classical parts (_quadruple_parts, computed once), then the kernel the
+    frame residual runs (tau._bilinear_residual) on the TauEvaluator tau.
     """
     shifts = _quadruple_parts(tuple(quad))
     i, j, k, l = quad
@@ -235,7 +236,7 @@ def quadruple_hirota_residual(
     ev = eps.tolist()  # Python complex differences, the same bits as numpy's
 
     args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (ev[b] - ev[c], ev[0] - ev[b] - ev[c] - ev[l])]
-    return _bilinear_residual(tau, args, _lattice_points(shifts, tau, w, eps), tau.params)
+    return _bilinear_residual(tau, bracket_scaled_many(args, tau.params), _lattice_points(shifts, tau, w, eps))
 
 
 def translation_hirota_residual(
@@ -247,11 +248,12 @@ def translation_hirota_residual(
     (tau(x -+ kappa a)) and weights the pair with the brackets of the other
     two axes.  Algebraically identical to the frame residual in the tau
     module, and no independent route to it: both run one kernel
-    (tau._bilinear_residual) on the same six points and brackets, so they
-    agree whatever the values or brackets are: a consistency check.
+    (tau._bilinear_residual) on the same six points: a consistency check,
+    parted only by brackets, which this module reads through its own import.
     """
     params = tau.params
     x = np.asarray(x, dtype=complex)
     p0, p1, p2 = (lattice.pairing_c(a, x) for a in axes)
     args = [p1 + p2, p1 - p2, p2 + p0, p2 - p0, p0 + p1, p0 - p1]
-    return _bilinear_residual(tau, args, x - _axis_rows(axes) * (params.delta / 4.0), params)
+    br = bracket_scaled_many(args, params)
+    return _bilinear_residual(tau, br, x - _shift_rows(axes, signed=True) * (params.delta / 4.0))

@@ -238,19 +238,18 @@ def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
     return fixed
 
 
-def _bilinear_residual(tau: TauEvaluator, args: list, pts: np.ndarray, params: EllipticParams) -> Residual:
-    """Every bilinear residual's kernel: sum_k [args[2k]] [args[2k+1]] tau(pts[2k]) tau(pts[2k+1]), k < 3,
-    over its largest term; the six brackets at params in one batch first, then
-    tau at the six rows of the block pts in one scaled_many, then normalized_residual."""
-    br = bracket_scaled_many(args, params)
+def _bilinear_residual(tau: TauEvaluator, br: Sequence[Scaled], pts: np.ndarray) -> Residual:
+    """Every bilinear residual's kernel: sum_k br[2k] br[2k+1] tau(pts[2k]) tau(pts[2k+1]), k < 3, over its
+    largest term; the caller's six brackets, tau at the six rows of pts in one scaled_many, one normalized_residual."""
     v = tau.scaled_many(pts)
     return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
 
 
-def _axis_rows(axes: Sequence[LatticeVector]) -> np.ndarray:
-    """The coords4 rows a, -a of each axis a in turn, a float block: times
-    delta / 4, the true coordinates times delta, bit for bit."""
-    return np.array([a.coords4 + tuple(-c for c in a.coords4) for a in axes], dtype=float).reshape(-1, 8)
+def _shift_rows(vectors: Sequence[LatticeVector], signed: bool = False) -> np.ndarray:
+    """The coords4 row of each vector, or where signed its rows v and 0.0 - v (a zero stays +0.0) in turn, a
+    float block: times delta / 4, the true coordinates times delta, bit for bit."""
+    rows = np.array([v.coords4 for v in vectors], dtype=float)
+    return np.concatenate((rows, 0.0 - rows), axis=1).reshape(-1, 8) if signed else rows
 
 
 def hirota_residual(
@@ -262,15 +261,15 @@ def hirota_residual(
     """Normalized residual of the three-term bilinear identity at x.
 
     The sum of [<b+-c, x>] tau(x + a*delta) tau(x - a*delta) over cyclic
-    rotations of the oriented triple, divided by the largest term magnitude:
-    _bilinear_residual at the six points x + (+-a) delta, one block. All six
-    must lie in tau's domain.
+    rotations of the oriented triple, over the largest term magnitude: the
+    kernel _bilinear_residual at the six points x +- a delta, all in tau's domain.
     """
     axes = oriented_triple(frame)
     x = np.asarray(x, dtype=complex)
     pa, pb, pc = (pairing_c(v, x) for v in axes)
     args = [pb + pc, pb - pc, pc + pa, pc - pa, pa + pb, pa - pb]
-    return _bilinear_residual(tau, args, x + _axis_rows(axes) * (params.delta / 4.0), params)
+    br = bracket_scaled_many(args, params)
+    return _bilinear_residual(tau, br, x + _shift_rows(axes, signed=True) * (params.delta / 4.0))
 
 
 @dataclass(frozen=True)
@@ -427,7 +426,7 @@ def toda_steps(
             if abs(val) < BRACKET_FLOOR:
                 raise BracketZeroError(f"[<a{i} {sign} a{j}, x>]", abs(val), x)
 
-    vals = tau_cur.eval_many(x - np.array([s.coords4_float for s in shifts]) * (d / 4.0))
+    vals = tau_cur.eval_many(x - _shift_rows(shifts) * (d / 4.0))
     pm = [br[len(args) + 2 * k] * br[len(args) + 2 * k + 1] for k in range(len(axes))]
     cur = [vals[2 * k] * vals[2 * k + 1] for k in range(len(axes))]
     prev = tau_prev(x - a0.coords4_float * (d / 2.0))

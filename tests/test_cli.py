@@ -181,16 +181,15 @@ _CORRUPTIONS = {
         lambda ns, xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) for x in xs],
         {"lattice-hirota"},
     ),
-    # The brackets of the lattice routes, read where the one bilinear kernel
-    # (tau._bilinear_residual) reads them: the quadruple residual fails. Both
-    # sides of translation-vs-frame run that kernel on the same brackets, so
-    # they move together and that row, a consistency check, passes.
+    # The brackets of the lattice routes, not of the frame route: the
+    # translation residual must part from the frame residual, and the
+    # quadruple residual fails.
     "picard-bracket": (
         "picard",
-        tau,
+        picard,
         "bracket_scaled_many",
         lambda zetas, *_: [split(1 + 0.1 * e(z)) for z in zetas],
-        {"lattice-hirota"},
+        {"translation-vs-frame", "lattice-hirota"},
     ),
     # The one-step period reduction: every bracket n periods from the strip
     # scaled by 1 + 0.1 n, the canonical solution's values and the frame
