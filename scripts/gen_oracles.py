@@ -1,16 +1,23 @@
-"""Generate frozen oracle values for the special-function layer.
+"""Generate frozen oracle values for the special-function layer and for
+the hypergeometric chain's values at levels 0 and 1.
 
 Every value here is computed by a deliberately naive, independent route
-(plain truncated products in mpmath at 30 digits), then written into
-tests/_oracles.py. Run from the repository root:
+(plain truncated products in mpmath at 30 digits, and a trapezoid rule on
+the unit circle over them), then written into tests/_oracles.py. Only the
+chain's points come from e8tau, drawn by its level sampler; every factor of
+their values is written here. Run from the repository root:
 
-    python3 scripts/gen_oracles.py
+    PYTHONPATH=src python3 scripts/gen_oracles.py
 """
 from __future__ import annotations
 
+import itertools
 import pathlib
 
 import mpmath as mp
+
+from e8tau.sampling import make_rng, sample_on_level
+from e8tau.specialfn import EllipticParams
 
 mp.mp.dps = 30
 
@@ -73,6 +80,85 @@ def qpoch_naive(x, terms=400):
     for k in range(1, terms):
         out *= 1 - mp.mpmathify(x) ** k
     return out
+
+
+def _monomials(p, q, cutoff):
+    """(p^i q^j, j) for every i, j >= 0 with |p^i q^j| above cutoff."""
+    out, i = [], 0
+    while abs(p) ** i > cutoff:
+        j = 0
+        while abs(p**i * q**j) > cutoff:
+            out.append((p**i * q**j, j))
+            j += 1
+        i += 1
+    return out
+
+
+def chain_values(p, q, points, cutoff=mp.mpf("1e-36"), nodes=(96, 72)):
+    """The chain (Thm 3C) at level 0 and 1, u = e(x):
+
+    level 0: prod_{i<j} Gamma(q u_i u_j; p, q, q);
+    level 1: e(-Q(x)) prod_{i<j} Gamma(u_i u_j; p, q, q) I(u), with
+    Q(x) = <x, x> / (2 delta), q = e(delta), and
+    I(u) = (p;p)(q;q) / 2 * oint prod_k Gamma(u_k z^(+-1); p, q) / Gamma(z^(+-2); p, q) dz / (2 pi i z),
+    by the trapezoid rule at N nodes e((m + 1/2) / N), off z^2 = 1 where
+    Gamma(z^2) has its pole. The integrand is even under z -> 1/z, which
+    pairs node m with node N - 1 - m, so the rule is twice its sum over
+    m < N / 2, and that 2 cancels the 1/2. The rule at the first N of nodes
+    is checked against the rule at the second.
+
+    Gamma(z; p, q) = prod_{i,j>=0} (1 - p^(i+1) q^(j+1) / z) / (1 - p^i q^j z), and
+    Gamma(z; p, q, q) = (z; p, q, q)(p q^2 / z; p, q, q), with
+    (x; p, q, q) = prod_{i,j,k>=0} (1 - p^i q^(j+k) x) = prod_{i,m>=0} (1 - p^i q^m x)^(m+1),
+    as plain products over every p^i q^j with modulus above cutoff."""
+    p, q = mp.mpf(p), mp.mpf(q)
+    delta = mp.log(q) / TWO_PI_I
+    mons = _monomials(p, q, cutoff)
+
+    def gamma2(z):
+        out = mp.mpc(1)
+        for c, _ in mons:
+            out *= (1 - p * q * c / z) / (1 - c * z)
+        return out
+
+    def gamma3(z):
+        out = mp.mpc(1)
+        for c, m in mons:
+            out *= ((1 - c * z) * (1 - p * q * q * c / z)) ** (m + 1)
+        return out
+
+    def integral(u, N):
+        total = []
+        for m in range(N // 2):
+            z = e((m + mp.mpf(1) / 2) / N)
+            h = 1 / (gamma2(z**2) * gamma2(z**-2))
+            for uk in u:
+                h *= gamma2(uk * z) * gamma2(uk / z)
+            total.append(h)
+        return mp.qp(p, p) * mp.qp(q, q) * mp.fsum(total) / N
+
+    out = []
+    for n, x in points:
+        x = [mp.mpc(v.real, v.imag) for v in x]
+        u = [e(v) for v in x]
+        scale = q if n == 0 else 1
+        value = mp.mpc(1)
+        for i, j in itertools.combinations(range(8), 2):
+            value *= gamma3(scale * u[i] * u[j])
+        if n == 1:
+            main, check = (integral(u, N) for N in nodes)
+            assert abs(main - check) < mp.mpf("1e-25") * abs(main), (main, check)
+            value *= e(-mp.fsum(v * v for v in x) / (2 * delta)) * main
+        out.append(value)
+    return out
+
+
+def chain_points():
+    """Three seeded points on each of chain levels 0 and 1 at the chain's
+    bases (0.03, 0.45): seeds 100 + n (scripts/report_matrix.py's PROBES),
+    110 + n and 120 + n."""
+    par = EllipticParams.from_bases(0.03, 0.45)
+    return [(n, sample_on_level(make_rng(seed + n), par, n)) for n in (0, 1) for seed in (100, 110, 120)]
 
 
 def main():
@@ -139,6 +225,14 @@ def main():
     for name, v in sorted(vals.items()):
         c = mp.mpc(v)
         lines.append(f"{name.upper()} = complex({mp.nstr(c.real, 17)}, {mp.nstr(c.imag, 17)})")
+
+    # the chain at the bases (0.03, 0.45): (level, point, value)
+    points = chain_points()
+    lines.append("CHAIN_VALUES = (")
+    for (n, x), v in zip(points, chain_values(0.03, 0.45, points)):
+        coords = ", ".join(f"complex({z.real!r}, {z.imag!r})" for z in x.tolist())
+        lines.append(f"    ({n}, ({coords}), complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)})),")
+    lines.append(")")
     out = pathlib.Path(__file__).resolve().parent.parent / "tests" / "_oracles.py"
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out} ({len(vals)} values)")

@@ -244,13 +244,14 @@ def _contiguity_once(rng, par: EllipticParams, quad_tol: float) -> Residual:
 def _ratio_once(rng, par: EllipticParams) -> Residual:
     """Level-0 shift ratio of the chain against its bracket ratio, cross
     multiplied: tau(x +- a1 delta) [<a0 +- a2, x>] - tau(x +- a2 delta)
-    [<a0 +- a1, x>], the four brackets first, in one batch."""
+    [<a0 +- a1, x>], the four brackets first, in one batch, and the four
+    points x +- a delta from the signed shift rows."""
     a0, a1, a2 = tau.oriented_triple(tau.A1_VECTORS[:3])
     x = sampling.sample_on_level(rng, par, 0)
-    d = par.delta
     p0, p1, p2 = (lattice.pairing_c(v, x) for v in (a0, a1, a2))
     br = bracket_scaled_many([p0 + p2, p0 - p2, p0 + p1, p0 - p1], par)
-    v1p, v1m, v2p, v2m = (tau.hg_tau0(x + s * d * a.true_coords(), par) for a in (a1, a2) for s in (1, -1))
+    ys = x + tau._shift_rows((a1, a2), signed=True) * (par.delta / 4.0)
+    v1p, v1m, v2p, v2m = (tau.hg_tau0(y, par) for y in ys)
     return normalized_residual([(v1p, v1m, br[0], br[1]), (-v2p, v2m, br[2], br[3])])
 
 
@@ -693,9 +694,7 @@ def _cmd_tau_probe(cfg: SuiteConfig, x_text: str, n: int | None, json_path: str 
     try:
         if n is None:
             n = chain.evaluator.domain.locate(x)
-        # an overflow ends in the typed error below, not in numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = chain.value(n, x)
+        value = chain.value(n, x)
         if not np.isfinite(value):
             raise DomainError(f"tau value {value!r} at level {n} is not finite")
     except (ValueError, ConvergenceError) as err:

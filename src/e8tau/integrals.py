@@ -178,11 +178,6 @@ def _plan(p: complex, q: complex, N: int) -> _Plan:
     )
 
 
-def _plan_for(params: EllipticParams, N: int) -> _Plan:
-    """The plan of params' bases at N nodes; the third base r plays no part."""
-    return _plan(params.p, params.q, N)
-
-
 @dataclass(frozen=True, eq=False)
 class _Rows:
     """Integrals on one pair of bases, one row each, each of its own
@@ -236,7 +231,7 @@ def _node_rows(rows: _Rows, N: int) -> np.ndarray:
     The values are a fresh array, with no numpy warning: a node value that
     leaves the float range is inf or nan there, which _quad_rows refuses,
     and a shift factor's theta pair that does raises _range_error."""
-    plan = _plan_for(rows.params, N)
+    plan = _plan(rows.params.p, rows.params.q, N)
     zs, rev = plan.zs, plan.rev
     b, c = _shift_bases(rows.params.p, rows.params.q)
     # per row, each shift factor's theta and whether it divides; theta runs
@@ -286,7 +281,7 @@ def _quad_rows(rows: _Rows, N: int) -> tuple[list[complex], list[float]]:
     One node table serves every row: the n = 1 rows sum their nodes, and
     the n >= 2 rows contract the FFT bins of theirs, under np.errstate. Node
     values or contractions out of the float range raise _range_error."""
-    plan = _plan_for(rows.params, N)
+    plan = _plan(rows.params.p, rows.params.q, N)
     h = _node_rows(rows, N)
     abs_sums = np.abs(h).sum(axis=1).tolist()
     if not all(map(math.isfinite, abs_sums)):
@@ -374,7 +369,7 @@ def _error_bounds(rows: _Rows, N: int, sizes: list[float]) -> list[float]:
     # the clip keeps the longer rows' m from overflowing cosh there
     m = np.arange(rows.coef.shape[1])
     series = (np.abs(rows.coef) * np.cosh(np.minimum(np.multiply.outer(log_r, m), 700.0))).sum(axis=1)
-    scales = _plan_for(params, N).bound_scales
+    scales = _plan(params.p, params.q, N).bound_scales
     out = []
     for n, lr, s, size, shifted in zip(rows.n, log_r.tolist(), series.tolist(), sizes, rows.shifts):
         if shifted:
@@ -464,10 +459,6 @@ def I_n_many(ctxs: Sequence[IntegrandContext], quad_tol: float = QUAD_TOL) -> li
     )
 
 
-def _theta_pm(a: complex, b: complex, p: complex) -> complex:
-    return theta(a * b, p) * theta(a / b, p)
-
-
 def contiguity_residual(
     ctx: IntegrandContext,
     i: int,
@@ -476,11 +467,12 @@ def contiguity_residual(
     quad_tol: float = QUAD_TOL,
 ) -> Residual:
     """Residual of the three-term contiguity relation in the q-shifts, its
-    three integrals one batch."""
+    three integrals one batch and its six theta factors
+    theta(a b^(+-1); p) one array theta call."""
     if len({i, j, k}) != 3:
         raise ValueError("need three distinct indices")
     u = list(ctx.u)
-    p, q = ctx.params.p, ctx.params.q
+    q = ctx.params.q
 
     def shifted(idx: int) -> IntegrandContext:
         v = list(u)
@@ -488,10 +480,12 @@ def contiguity_residual(
         return IntegrandContext(v, ctx.params)
 
     Ii, Ij, Ik = I_n_many([shifted(i), shifted(j), shifted(k)], quad_tol=quad_tol)
+    pairs = [(u[j], u[k]), (u[k], u[i]), (u[i], u[j])]
+    th = theta([w for a, b in pairs for w in (a * b, a / b)], ctx.params.p).tolist()
     return normalized_residual([
-        (u[k], _theta_pm(u[j], u[k], p), Ii),
-        (u[i], _theta_pm(u[k], u[i], p), Ij),
-        (u[j], _theta_pm(u[i], u[j], p), Ik),
+        (u[k], th[0] * th[1], Ii),
+        (u[i], th[2] * th[3], Ij),
+        (u[j], th[4] * th[5], Ik),
     ])
 
 
@@ -528,12 +522,15 @@ def _pair_gammas(ws, params: EllipticParams, scale=1.0) -> list[complex]:
     triple_gamma(scale_ij w_i w_j; p, q); scale is one number, one per
     pair in np.triu_indices(8, 1) order, or one per row and pair. All rows
     go through one triple_gamma call, whose series length follows the
-    largest rho among them, and whose error is the batch's. Each row's
-    product runs over its pairs in order; one row u is the batch [u]. A
-    product that overflows raises DomainError naming |p| and |q|."""
+    largest rho among them, and whose error is the batch's (DomainError for
+    an argument that overflows). Each row's product runs over its pairs in
+    order; one row u is the batch [u]. A product that overflows raises
+    DomainError naming |p| and |q|."""
     ws = np.asarray(ws, dtype=complex)
     i, j = _PAIRS
-    vals = triple_gamma((np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1), params.p, params.q)
+    with np.errstate(over="ignore", invalid="ignore"):  # triple_gamma refuses an argument that overflows
+        args = (np.asarray(scale) * ws[:, i] * ws[:, j]).reshape(-1)
+    vals = triple_gamma(args, params.p, params.q)
     # the rows of the fresh (B, 28) array are contiguous, so each product is
     # taken pair by pair, as np.prod of the row alone
     with np.errstate(over="ignore", invalid="ignore"):

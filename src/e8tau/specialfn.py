@@ -7,6 +7,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +59,9 @@ def _gamma_argument(z) -> tuple[np.ndarray, bool]:
         raise DomainError("gamma argument is not finite")
     if np.any(arr == 0):
         raise ValueError("gamma argument must be nonzero")
+    # below it, the reflection c / z of the series can leave the float range
+    if not np.minimum.reduce(np.abs(arr), axis=None, initial=math.inf) >= sys.float_info.min:
+        raise DomainError("gamma argument lies below the normal float range")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -90,7 +94,7 @@ def _factor_count(ap: float, big: float) -> int:
         raise DomainError(f"nome modulus {ap:.9g} needs more than {FACTOR_CAP} product factors")
     if ap * big < TRUNC_TOL:
         return 1
-    n = math.ceil(math.log(TRUNC_TOL / big) / math.log(ap))
+    n = math.ceil((math.log(TRUNC_TOL) - math.log(big)) / math.log(ap))  # TRUNC_TOL / big can underflow to 0
     if ap**n * big >= TRUNC_TOL:
         return n + 1
     return n - 1 if ap ** (n - 1) * big < TRUNC_TOL else n
@@ -121,14 +125,6 @@ def _power_prefix(p: complex, big: float) -> tuple[np.ndarray, int]:
     p^0 .. p^L: the table of the next power of two above L."""
     n = _factor_count(abs(p), big)
     return _power_table(p, 1 << n.bit_length()), n
-
-
-def _powers(p: complex, big: float) -> np.ndarray:
-    """p^0 .. p^(L-1), L the first i >= 1 with |p|^i big < TRUNC_TOL: a
-    read-only prefix of the cached table (DomainError first if
-    L > FACTOR_CAP)."""
-    table, n = _power_prefix(p, big)
-    return table[:n]
 
 
 # Entries of one factor table of theta. A batch whose table would hold more
@@ -206,9 +202,12 @@ def theta(z, p: complex):
 
 
 def qpoch(z, p: complex):
-    """(z; p)_infinity, for any shape of z as theta."""
+    """(z; p)_infinity, for any shape of z as theta: the factors 1 - p^i z,
+    i < L (_factor_count at the batch's largest max(|z|, 1)), the powers a
+    prefix of their cached table."""
     zz = np.asarray(z, dtype=complex)
-    t = np.multiply.outer(_powers(p, max(_modulus_bounds(zz, "qpoch")[0], 1.0)), zz)
+    table, n = _power_prefix(p, max(_modulus_bounds(zz, "qpoch")[0], 1.0))
+    t = np.multiply.outer(table[:n], zz)
     np.subtract(1.0, t, out=t)
     out = np.multiply.reduce(t, axis=0)
     return complex(out) if zz.ndim == 0 else out
@@ -348,7 +347,8 @@ def elliptic_gamma(z, p: complex, q: complex):
         for t in range(min(steps.min(), 0), max(steps.max(), 0)):
             idx = far[steps > t] if t >= 0 else far[steps <= t]
             th = theta(b**t * zz[idx], c)
-            out[idx] = moved = out[idx] / th if t >= 0 else out[idx] * th
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[idx] = moved = out[idx] / th if t >= 0 else out[idx] * th
             if not np.isfinite(moved).all():  # no later factor brings it back
                 raise DomainError("elliptic gamma value overflows the float range")
         zz[far] *= b**steps
@@ -383,13 +383,16 @@ def triple_gamma(z, p: complex, q: complex):
     (far,) = np.nonzero(_rho(zz, pqq) > _SHIFT_RHO)
     if far.size:
         zz = zz.copy()
-        inner = far[np.abs(zz[far]) ** 2 < abs(pqq)]
+        with np.errstate(over="ignore"):  # an infinite square is not below |pq^2|
+            inner = far[np.abs(zz[far]) ** 2 < abs(pqq)]
         zz[inner] = pqq / zz[inner]
         steps = _shift_count(zz[far], abs(pqq), abs(q))
         for t in range(steps.max()):
             idx = far[steps > t]
             y = q**t * zz[idx]
-            out[idx] = moved = out[idx] * (theta(y, q) * elliptic_gamma(q / y, p, q))
+            th, g = theta(y, q), elliptic_gamma(q / y, p, q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[idx] = moved = out[idx] * (th * g)
             if not np.isfinite(moved).all():
                 raise DomainError("triple gamma value overflows the float range")
         zz[far] *= q**steps

@@ -127,10 +127,6 @@ class LevelDomain:
         """Index n of the member hyperplane containing x: levels of one."""
         return self.levels(np.asarray(x, dtype=complex)[None])[0]
 
-    def require(self, x: np.ndarray, n: int) -> None:
-        """DomainError unless x lies on member hyperplane n: levels of one."""
-        self.levels(np.asarray(x, dtype=complex)[None], [n])
-
     @cached_property
     def _direction_row(self) -> np.ndarray:
         """The direction's true coordinates, which pair with a point."""
@@ -368,7 +364,7 @@ def ordered_c8_ii(frame: Frame) -> tuple[LatticeVector, ...]:
 def toda_step(
     tau_prev: TauEvaluator,
     tau_cur: TauEvaluator,
-    frame: Frame | Sequence[LatticeVector],
+    frame: Frame,
     i: int,
     j: int,
     x: np.ndarray,
@@ -378,7 +374,7 @@ def toda_step(
     """Next chain value at x from the two previous components: toda_steps
     of the one pair (i, j).
 
-    frame is an 8-vector paired-type frame (or its pre-ordered axis tuple);
+    frame is an 8-vector paired-type frame, which ordered_c8_ii orders;
     i, j pick two distinct zero-pairing axes in positions 2..7, and the
     result is independent of that choice. a0_index selects which member of
     the distinguished pair serves as the level direction.
@@ -389,7 +385,7 @@ def toda_step(
 def toda_steps(
     tau_prev: TauEvaluator,
     tau_cur: TauEvaluator,
-    frame: Frame | Sequence[LatticeVector],
+    frame: Frame,
     pairs: Sequence[tuple[int, int]],
     x: np.ndarray,
     params: EllipticParams,
@@ -410,7 +406,7 @@ def toda_steps(
         raise ValueError("need two distinct zero-pairing indices in 2..7")
     if a0_index not in (0, 1):
         raise ValueError("a0_index must be 0 or 1")
-    ordered = ordered_c8_ii(frame) if isinstance(frame, Frame) else tuple(frame)
+    ordered = ordered_c8_ii(frame)
     a0 = ordered[a0_index]
     x = np.asarray(x, dtype=complex)
     d = params.delta
@@ -537,7 +533,7 @@ def build_chain(
 def casorati_K(
     n: int,
     x: np.ndarray,
-    kernel: Callable[[list], list[complex]],
+    kernel: Callable[[np.ndarray], list[complex]],
     frame: Frame | Sequence[LatticeVector],
     params: EllipticParams,
 ) -> complex:
@@ -545,23 +541,16 @@ def casorati_K(
 
     Row i, column j is the kernel's value at
     x + delta*((1-n) a_0 + (n+1-i-j) a_1 + (j-i) a_2), the kernel a batch
-    function that takes all n^2 points at once; n = 0 gives 1.
+    function that takes all n^2 points at once, as one (n^2, 8) block: the
+    table of those integer coefficients times the triple's _shift_rows, then
+    times delta / 4. n = 0 gives 1.
     """
     if n < 0:
         raise ValueError("negative determinant order")
     if n == 0:
         return complex(1.0)
-    a0, a1, a2 = oriented_triple(frame)
-    x = np.asarray(x, dtype=complex)
-    d = params.delta
-    e0 = np.asarray(a0.true_coords(), dtype=complex)
-    e1 = np.asarray(a1.true_coords(), dtype=complex)
-    e2 = np.asarray(a2.true_coords(), dtype=complex)
-    ys = [
-        x + d * ((1 - n) * e0 + (n + 1 - i - j) * e1 + (j - i) * e2)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    ]
+    coef = [(1 - n, n + 1 - i - j, j - i) for i in range(1, n + 1) for j in range(1, n + 1)]
+    ys = x + (np.array(coef, dtype=float) @ _shift_rows(oriented_triple(frame))) * (params.delta / 4.0)
     return complex(np.linalg.det(np.array(kernel(ys), dtype=complex).reshape(n, n)))
 
 
@@ -592,14 +581,18 @@ def _chart_coefficients(variant: str, n: int, params: EllipticParams) -> tuple[c
     return p**a * q**b, p ** (2 * a) * q ** (2 * b)
 
 
+# The logs of the smallest normal float and of the largest float.
+_LOG_NORMAL_RANGE = (log(float_info.min), log(float_info.max))
+
+
 def _chart(
-    variant: str, route: str, u: np.ndarray, ns: Sequence[int], params: EllipticParams
+    variant: str, route: str, xs: np.ndarray, ns: Sequence[int], params: EllipticParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A sign variant's chart of a batch u = e(x) of points (B, 8), each on
-    its level n of ns: the eight integral parameters t of every row, shaped
-    as u, and the arguments w and per-pair scales s of the pair product over
-    s_ij w_i w_j, which runs over t_i t_j; s broadcasts against the 28 pairs
-    of every row. A single point is the batch u[None] at [n].
+    """A sign variant's chart of a batch xs of points (B, 8), each on its
+    level n of ns, at u = e(x): the eight integral parameters t of every
+    row, shaped as xs, and the arguments w and per-pair scales s of the pair
+    product over s_ij w_i w_j, which runs over t_i t_j; s broadcasts against
+    the 28 pairs of every row. A single point is the batch x[None] at [n].
 
     Route 'direct' is t = c u with the variant's coefficient c = p^a q^b
     from _CHARTS, so w = u and s = c^2 for every pair. Route 'inverse' is
@@ -607,7 +600,15 @@ def _chart(
     flipped), so w = 1/u and s = c'^2. Route 'tilde' is the chain's only: it
     balances each coordinate block of u to pq, with w = u and the pairs
     scaled by _block_scales.
+
+    DomainError first where some |e(x_k)| = exp(-2 pi Im x_k) may leave the
+    normal float range: 2 pi |Im x_k| is tested against the log of the
+    smallest normal float before the exp is taken.
     """
+    far = np.maximum.reduce(np.abs(xs.imag), axis=None)
+    if not 2 * pi * far <= -_LOG_NORMAL_RANGE[0]:
+        raise DomainError(f"e(x) leaves the normal float range at |Im x_k| = {far:.6g}")
+    u = np.exp(2j * np.pi * xs)
     p, q = params.p, params.q
     if route == "tilde":
         s = np.array([_block_scales(q, n) for n in ns])
@@ -617,11 +618,8 @@ def _chart(
     elif route != "direct":
         raise ValueError("route must be 'direct', 'inverse' or 'tilde'")
     c, s = np.array([_chart_coefficients(variant, n, params) for n in ns]).T[:, :, None]
-    return c * u, u, s
-
-
-# The logs of the smallest normal float and of the largest float.
-_LOG_NORMAL_RANGE = (log(float_info.min), log(float_info.max))
+    with np.errstate(over="ignore", invalid="ignore"):  # a t that overflows fails the integral's admissibility
+        return c * u, u, s
 
 
 def _gauge_prefactors(ns: Sequence[int], xs: np.ndarray, params: EllipticParams) -> list[complex]:
@@ -647,8 +645,8 @@ def _case_chart(n: int, x: np.ndarray, case: str, params: EllipticParams) -> tup
     """x as an array, checked on level n of the chain (DomainError), and the
     case's level-n chart (t, w, s) at x, the batch of one."""
     x = np.asarray(x, dtype=complex)
-    _levels("pp", params).require(x, n)
-    return x, _chart("pp", _case(case)[0], np.exp(2j * np.pi * x)[None], [n], params)
+    _levels("pp", params).levels(x[None], [n])
+    return x, _chart("pp", _case(case)[0], x[None], [n], params)
 
 
 def _dfactor(n: int, t: np.ndarray, params: EllipticParams) -> complex:
@@ -690,8 +688,8 @@ def tau_n_det(
     the integrals at the case's level-1 chart of all n^2 points in one batch."""
     route, triple = _case(case)
 
-    def kernel(ys: list) -> list[complex]:
-        t, _, _ = _chart("pp", route, np.exp(2j * np.pi * np.array(ys, dtype=complex)), [1] * len(ys), params)
+    def kernel(ys: np.ndarray) -> list[complex]:
+        t, _, _ = _chart("pp", route, ys, [1] * len(ys), params)
         return integrals.I_n_many([IntegrandContext(tuple(v), params) for v in t.tolist()], quad_tol=quad_tol)
 
     x = np.asarray(x, dtype=complex)
@@ -732,7 +730,7 @@ def _integral_values(
     every integral, the quadrature passes."""
     ns = list(ns)
     xs = np.asarray(xs, dtype=complex).reshape(len(ns), 8)
-    t, w, scales = _chart(variant, route, np.exp(2j * np.pi * xs), ns, params)
+    t, w, scales = _chart(variant, route, xs, ns, params)
     out = integrals._pair_gammas(w, params, scales)
     live = [k for k, n in enumerate(ns) if n]
     if live:

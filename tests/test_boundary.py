@@ -63,8 +63,13 @@ _QUAD_TOLS = ("1e-300", "1e-17")
 _PROBE_SHIFTS = (5, 50, 1e300, 1e300j)
 # the level-0 point off the strip, Im x_0 + d and Im x_1 - d, and how each
 # ends: at d = 1 a value near 1e132; past it the triple-gamma pair product,
-# the triple gamma and the elliptic gamma leave the float range in turn
-_OFF_STRIP = {1j: "value", 2j: "probe failed: DomainError", 3j: "probe failed: DomainError", 5j: "probe failed: DomainError"}
+# the triple gamma, the elliptic gamma and theta leave the float range in
+# turn, at d = 112.5 a pair argument falls below the normal floats, and at
+# d = 300 e(x_1) itself leaves them
+_OFF_STRIP = {
+    1j: "value",
+    **{d: "probe failed: DomainError" for d in (2j, 3j, 5j, 20j, 50j, 100j, 112.5j, 300j)},
+}
 # case id -> (command, config params or None, extra arguments)
 _CASES = {
     **{

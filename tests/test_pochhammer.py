@@ -72,7 +72,7 @@ def warnaar_sides_ref(a: complex, b: complex, zs, n: int, params: EllipticParams
 def dfactor_ref(n: int, x, case: str, params: EllipticParams) -> complex:
     """_reference.dfactor_d with each of its 4n products a scalar loop."""
     p, q = params.p, params.q
-    t = T._chart("pp", T._case(case)[0], np.exp(2j * np.pi * np.asarray(x, dtype=complex))[None], [n], params)[0][0]
+    t = T._chart("pp", T._case(case)[0], np.asarray(x, dtype=complex)[None], [n], params)[0][0]
     out = q ** (2 * comb(n, 3)) * (t[2] * t[3]) ** comb(n, 2)
     for k in range(1, n + 1):
         out *= poch_ref(q ** (k - 1) * t[0] * t[3], n - k, p, q)
@@ -200,7 +200,7 @@ def test_warnaar_sides_match_the_entrywise_matrix(monkeypatch, n):
 
 def _count_thetas(monkeypatch):
     """Count specialfn.theta calls made outside elliptic_gamma, and tau's
-    own theta lookups."""
+    and integrals' own theta lookups."""
     calls = {"theta": 0}
     inside = [0]
     theta_fn, gamma_fn = specialfn.theta, specialfn.elliptic_gamma
@@ -216,7 +216,7 @@ def _count_thetas(monkeypatch):
         finally:
             inside[0] -= 1
 
-    for module in (specialfn, T):
+    for module in (specialfn, T, integrals):
         monkeypatch.setattr(module, "theta", counted)
     for module in (specialfn, integrals):
         monkeypatch.setattr(module, "elliptic_gamma", gamma)
@@ -235,3 +235,11 @@ def test_warnaar_residual_takes_one_table(monkeypatch):
     calls = _count_thetas(monkeypatch)
     T.warnaar_det_residual(a, b, zs, 3, BAILEY)
     assert 1 <= calls["theta"] <= 2
+
+
+def test_contiguity_residual_takes_one_theta_call(monkeypatch):
+    ctx = integrals.IntegrandContext(tuple(0.4 * e(t) for t in sampling.make_rng(343).random(8)), BAILEY)
+    integrals.contiguity_residual(ctx, 0, 3, 6)  # the quadrature's node plans, cached
+    calls = _count_thetas(monkeypatch)
+    integrals.contiguity_residual(ctx, 0, 3, 6)
+    assert calls["theta"] == 1

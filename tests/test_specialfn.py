@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from e8tau import specialfn as S
-from e8tau.integrals import _plan_for
+from e8tau.integrals import _plan
 from e8tau.util import DomainError, PoleError, Scaled, e, split
 
 from . import _oracles as O
@@ -181,7 +181,8 @@ def test_theta_product_out_of_range_raises_without_a_warning():
     # no numpy warning, and the in-range call at the same z is a plain product
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for z, p in ((-0.5, 0.999), (1e-300, 0.05), (np.array([0.5, 1e-300]), 0.05)):
+        # at z = 1e-307, TRUNC_TOL / max|p/z| underflows to 0, which the factor count's log must not take
+        for z, p in ((-0.5, 0.999), (1e-300, 0.05), (np.array([0.5, 1e-300]), 0.05), (1e-307, 0.45)):
             with pytest.raises(DomainError, match=rf"^theta product overflows the float range at nome modulus {p}$"):
                 S.theta(z, p)
         assert cmath.isfinite(S.theta(-0.5, 0.05))
@@ -189,7 +190,7 @@ def test_theta_product_out_of_range_raises_without_a_warning():
         # at q = 0.997 it underflows, and the error names q's modulus
         message = r"^theta product of nonzero factors underflows to 0 at nome modulus 0.997$"
         with pytest.raises(DomainError, match=message):
-            _plan_for(S.EllipticParams.from_bases(0.03, 0.997), 64)
+            _plan(complex(0.03), complex(0.997), 64)
 
 
 def test_theta_and_qpoch_cap_their_factor_count():
@@ -201,7 +202,7 @@ def test_theta_and_qpoch_cap_their_factor_count():
                 kernel(z, 0.999999)
             assert time.perf_counter() - t0 < 1.0
     # p = 0.999 takes about 41 000 factors, inside the cap
-    n = len(S._powers(0.999, 1.0))
+    n = S._power_prefix(0.999, 1.0)[1]
     assert 40_000 < n < S.FACTOR_CAP
     ref = math.exp(math.fsum(math.log1p(-0.5 * 0.999**i) for i in range(n)))
     assert _rel(S.qpoch(0.5, 0.999), ref) < 1e-8
@@ -211,7 +212,7 @@ def test_theta_and_qpoch_cap_their_factor_count():
 
 def _powers_loop(p, big):
     """The reference powers: the recurrence run until |p|^L big < TRUNC_TOL,
-    p^0 .. p^(L-1), as _powers computed them by a while loop."""
+    p^0 .. p^(L-1), as qpoch's factor row once computed them by a while loop."""
     ap = abs(p)
     pows = [1.0 + 0j]
     while ap ** len(pows) * big >= S.TRUNC_TOL:
@@ -239,14 +240,13 @@ def test_power_table_prefix_is_the_recurrence_loop():
     for p, big in cases:
         if abs(p) ** S.FACTOR_CAP * big >= S.TRUNC_TOL:
             with pytest.raises(DomainError, match="needs more than"):
-                S._powers(p, big)
+                S._power_prefix(p, big)
             continue
         ref = _powers_loop(p, big)
-        got = S._powers(p, big)
-        assert len(got) == len(ref) and _bits(got) == _bits(ref), (p, big)
-        # theta's second factor row p^1 .. p^L: the loop's w * p
         table, n = S._power_prefix(p, big)
-        assert n == len(ref) and _bits(table[1 : n + 1]) == _bits([w * p for w in ref]), (p, big)
+        assert n == len(ref) and _bits(table[:n]) == _bits(ref), (p, big)
+        # theta's second factor row p^1 .. p^L: the loop's w * p
+        assert _bits(table[1 : n + 1]) == _bits([w * p for w in ref]), (p, big)
         checked += 1
     assert checked > 400
 
@@ -255,7 +255,7 @@ def test_power_tables_are_per_base_and_read_only():
     # equal moduli, different phases (and a float base beside the equal
     # complex one): each base has its own table, each the loop's
     bases = (0.3, 0.3 + 0j, 0.3j, -0.3, 0.3 * e(0.1))
-    tables = [S._powers(p, 2.0) for p in bases]
+    tables = [table[:n] for table, n in (S._power_prefix(p, 2.0) for p in bases)]
     for p, t in zip(bases, tables):
         assert _bits(t) == _bits(_powers_loop(p, 2.0)), p
         with pytest.raises(ValueError, match="read-only"):

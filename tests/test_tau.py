@@ -29,6 +29,7 @@ from e8tau.specialfn import (
 )
 from e8tau.util import RESAMPLE_ERRORS, AdmissibilityError, DomainError, e, normalized_residual, resampled
 
+from . import _oracles as O
 from . import _reference as R
 from ._reference import dfactor_d
 
@@ -98,16 +99,9 @@ def test_level_domain_locates_and_rejects():
 
 
 def test_level_domain_requires_the_named_member():
-    dom = T._levels("pp", PARAMS, n_min=0, n_max=3)
     rng = sampling.make_rng(14)
     x = _x_on(rng, 2)
-    dom.require(x, 2)
-    for n in (1, 3):
-        with pytest.raises(DomainError):
-            dom.require(x, n)
-    with pytest.raises(DomainError):
-        dom.require(_x_on(rng, 4), 4)  # on the family, index out of range
-    # the closed forms check their level through the same family
+    # the closed forms check their level through the chain's family
     with pytest.raises(DomainError):
         T.hg_tau0(x, PARAMS)
     with pytest.raises(DomainError):
@@ -216,6 +210,15 @@ def test_chain_value_refuses_a_level_outside_the_chain():
         with pytest.raises(DomainError, match=re.escape("hyperplane index 3 outside [-8, 2]")):
             entry()
     assert chain.evaluator.batch.cache_info() == (0, 0, T.TAU_MEMO_SIZE, 0)
+
+
+def test_chain_values_match_the_frozen_oracles():
+    # scripts/gen_oracles.py's 30-digit values at three seeded points on each
+    # of levels 0 and 1: naive products and a trapezoid rule in mpmath, with
+    # no factor taken from e8tau, so they pin tau's absolute value
+    assert sorted(n for n, _, _ in O.CHAIN_VALUES) == [0, 0, 0, 1, 1, 1]
+    for n, x, want in O.CHAIN_VALUES:
+        assert _rel(CHAIN2.value(n, np.array(x)), want) < 1e-12, (n, x)
 
 
 def test_chain_vanishes_below_base_level():
@@ -1063,7 +1066,7 @@ def test_level_zero_integral_value_skips_the_empty_integral_bit_for_bit():
     rng = sampling.make_rng(68)
     for route in ("direct", "tilde"):
         x = _x_on(rng, 0)
-        t, w, scales = T._chart("pp", route, np.exp(2j * np.pi * x)[None], [0], PARAMS)
+        t, w, scales = T._chart("pp", route, x[None], [0], PARAMS)
         full = (
             T._gauge_prefactors([0], [x], PARAMS)[0]
             * integrals.I_n(integrals.IntegrandContext(t[0], PARAMS, n=0))
@@ -1133,10 +1136,10 @@ def test_chart_rows_are_their_batch_of_one(route, variants):
     rng = sampling.make_rng(72)
     ns = [0, 3, 1, 2, 2, 0, 1, 3, 1]
     for variant in variants.split():
-        u = np.exp(2j * np.pi * np.array([_variant_x(rng, variant, n) for n in ns]))
-        batch = T._chart(variant, route, u, ns, PARAMS)
+        xs = np.array([_variant_x(rng, variant, n) for n in ns])
+        batch = T._chart(variant, route, xs, ns, PARAMS)
         for k, n in enumerate(ns):
-            one = T._chart(variant, route, u[k][None], [n], PARAMS)
+            one = T._chart(variant, route, xs[k][None], [n], PARAMS)
             for got, want in zip(batch, one):
                 assert got[k].tobytes() == want[0].tobytes(), (variant, k)
 
