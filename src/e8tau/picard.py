@@ -225,10 +225,11 @@ def quadruple_hirota_residual(
     For distinct i, j, k, l in 1..9 the three products
     tau_{e_a} tau_{e0 - e_a - e_l} (a cycling through i, j, k) combine with
     bracket coefficients in the canonical coordinates to a vanishing sum.
-    Normalized by the largest term modulus. The six brackets in one batch,
-    then the six points on one chart of eps from the quadruple's projected
-    classical parts (_quadruple_parts, computed once), then the kernel the
-    frame residual runs (tau._bilinear_residual) on the TauEvaluator tau.
+    Normalized by the largest term modulus. The kernel the frame residual
+    runs (tau._bilinear_residual) on the TauEvaluator tau, with this
+    module's bracket_scaled_many: the six bracket arguments, then the six
+    points on one chart of eps from the quadruple's projected classical
+    parts (_quadruple_parts, computed once).
     """
     shifts = _quadruple_parts(tuple(quad))
     i, j, k, l = quad
@@ -236,7 +237,7 @@ def quadruple_hirota_residual(
     ev = eps.tolist()  # Python complex differences, the same bits as numpy's
 
     args = [z for b, c in ((j, k), (k, i), (i, j)) for z in (ev[b] - ev[c], ev[0] - ev[b] - ev[c] - ev[l])]
-    return _bilinear_residual(tau, bracket_scaled_many(args, tau.params), _lattice_points(shifts, tau, w, eps))
+    return _bilinear_residual(tau, args, lambda: _lattice_points(shifts, tau, w, eps), bracket_scaled_many)
 
 
 def translation_hirota_residual(
@@ -249,11 +250,13 @@ def translation_hirota_residual(
     two axes.  Algebraically identical to the frame residual in the tau
     module, and no independent route to it: both run one kernel
     (tau._bilinear_residual) on the same six points: a consistency check,
-    parted only by brackets, which this module reads through its own import.
+    parted only by brackets, which this side reads through this module's
+    bracket_scaled_many (the coefficients, and on a tau with bracket data
+    its values too) and the frame side through the tau module's.
     """
     params = tau.params
     x = np.asarray(x, dtype=complex)
     p0, p1, p2 = (lattice.pairing_c(a, x) for a in axes)
     args = [p1 + p2, p1 - p2, p2 + p0, p2 - p0, p0 + p1, p0 - p1]
-    br = bracket_scaled_many(args, params)
-    return _bilinear_residual(tau, br, x - _shift_rows(axes, signed=True) * (params.delta / 4.0))
+    points = lambda: x - _shift_rows(axes, signed=True) * (params.delta / 4.0)
+    return _bilinear_residual(tau, args, points, bracket_scaled_many)

@@ -48,6 +48,7 @@ from .lattice import (
 )
 from .specialfn import (
     EllipticParams,
+    bracket_reductions,
     bracket_scaled_many,
     theta,
     theta_pochhammer,
@@ -169,14 +170,29 @@ class TauEvaluator:
     without a domain), and returns their Scaled values, or raises one error.
     fn(x) is the value at one point; a fn of None is the batch of one at the
     located point (eval), and a missing batch is fn adapted once, row by
-    row. One of them is required."""
+    row. One of them is required.
+
+    A tau whose values are brackets times prefactors e(S) (canonical_tau and
+    its transforms) gives brackets in place of both: brackets(xs) is the
+    bracket argument of each row of xs and the prefactor exponents, one list
+    a transform, innermost first. Its batch is _bracket_values, one
+    bracket_scaled_many call over those arguments followed by the
+    prefactors, and the bilinear kernel evaluates them in its coefficients'
+    batch. Such a tau is defined on all of V."""
 
     fn: Callable[[np.ndarray], complex] | None
     params: EllipticParams
     domain: LevelDomain | None = None
     batch: Callable[[list | None, np.ndarray], list[Scaled]] | None = field(default=None, repr=False, compare=False)
+    brackets: Callable[[np.ndarray], tuple[list[complex], list[list[complex]]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        if self.brackets is not None:
+            if self.batch is not None or self.domain is not None:
+                raise ValueError("a tau with bracket data takes its values from them, on all of V")
+            object.__setattr__(self, "batch", lambda ns, xs: _bracket_values(self, xs, bracket_scaled_many))
         if self.batch is None:
             if self.fn is None:
                 raise ValueError("a tau evaluator needs fn or batch")
@@ -188,7 +204,7 @@ class TauEvaluator:
         """The Scaled value at every row of xs, a (B, 8) block or a list of
         points stacked once here, as one batch: all points are located first,
         in one domain.levels call, so the first point off the domain raises."""
-        xs = np.ascontiguousarray(xs, dtype=complex).reshape(-1, 8)
+        xs = _block(xs)
         return self.batch(None if self.domain is None else self.domain.levels(xs), xs)
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[complex]:
@@ -201,10 +217,31 @@ class TauEvaluator:
     __call__ = eval
 
 
+def _block(xs: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """xs, a (B, 8) block or a list of points, as one C-ordered complex block."""
+    return np.ascontiguousarray(xs, dtype=complex).reshape(-1, 8)
+
+
+def _bracket_values(
+    tau: TauEvaluator, xs: np.ndarray, brackets: Callable, lead: Sequence[complex] = ()
+) -> list[Scaled]:
+    """The brackets at the arguments lead, then the values of a tau with
+    bracket data at the rows of the block xs, from one brackets call (a
+    bracket_scaled_many) over lead followed by tau's arguments at xs; each
+    value of tau times its prefactors e(S), innermost transform first."""
+    args, exponents = tau.brackets(xs)
+    vals = brackets([*lead, *args], tau.params)
+    n = len(lead)
+    for s in exponents:
+        vals[n:] = [product((e(t), v)) for t, v in zip(s, vals[n:])]
+    return vals
+
+
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
-    """The everywhere-defined solution [Q(x) + c] of all frame identities."""
-    batch = lambda ns, xs: bracket_scaled_many([q + c for q in qforms(xs, params.delta)], params)
-    return TauEvaluator(None, params, batch=batch)
+    """The everywhere-defined solution [Q(x) + c] of all frame identities,
+    as bracket data: the arguments Q(x) + c of the rows, from one qforms
+    call, and no prefactor."""
+    return TauEvaluator(None, params, brackets=lambda xs: ([q + c for q in qforms(xs, params.delta)], []))
 
 
 def oriented_triple(
@@ -234,10 +271,27 @@ def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
     return fixed
 
 
-def _bilinear_residual(tau: TauEvaluator, br: Sequence[Scaled], pts: np.ndarray) -> Residual:
-    """Every bilinear residual's kernel: sum_k br[2k] br[2k+1] tau(pts[2k]) tau(pts[2k+1]), k < 3, over its
-    largest term; the caller's six brackets, tau at the six rows of pts in one scaled_many, one normalized_residual."""
-    v = tau.scaled_many(pts)
+def _bilinear_residual(
+    tau: TauEvaluator, args: list[complex], points: Callable[[], np.ndarray], brackets: Callable
+) -> Residual:
+    """Every bilinear residual's kernel: sum_k [args[2k]] [args[2k+1]] tau(y_2k) tau(y_2k+1), k < 3, over
+    its largest term, y the six rows of the block points(), each bracket from the caller's brackets (its own
+    module's bracket_scaled_many); one normalized_residual. Any tau: the six brackets in one call, then the
+    points, then tau's one scaled_many. A tau with bracket data: one brackets call makes all twelve values,
+    the six arguments first and tau's six after them (_bracket_values). The six are reduced before the
+    points or tau's arguments are computed (bracket_reductions), and where any later step raises, the six
+    alone are evaluated first, so the residual's first error is the one the two-call order gives."""
+    if tau.brackets is None:
+        br = brackets(args, tau.params)
+        v = tau.scaled_many(points())
+    else:
+        bracket_reductions(args, tau.params)
+        try:
+            br = _bracket_values(tau, _block(points()), brackets, args)
+        except Exception:
+            brackets(args, tau.params)
+            raise
+        v = br[6:]
     return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
 
 
@@ -264,8 +318,8 @@ def hirota_residual(
     x = np.asarray(x, dtype=complex)
     pa, pb, pc = (pairing_c(v, x) for v in axes)
     args = [pb + pc, pb - pc, pc + pa, pc - pa, pa + pb, pa - pb]
-    br = bracket_scaled_many(args, params)
-    return _bilinear_residual(tau, br, x + _shift_rows(axes, signed=True) * (params.delta / 4.0))
+    points = lambda: x + _shift_rows(axes, signed=True) * (params.delta / 4.0)
+    return _bilinear_residual(tau, args, points, bracket_scaled_many)
 
 
 @dataclass(frozen=True)
@@ -320,12 +374,21 @@ def _block_maps(spec: ExpGauge | WeylMap | PeriodShift, params: EllipticParams) 
 def transform(
     tau: TauEvaluator, spec: ExpGauge | WeylMap | PeriodShift
 ) -> TauEvaluator:
-    """New evaluator obtained from tau by one of the three symmetry maps: tau's batch at the
-    mapped block (_block_maps), each value times its prefactor as a Scaled product (none
-    for a Weyl map). ValueError for a tau with a domain: no map moves one."""
+    """New evaluator obtained from tau by one of the three symmetry maps (_block_maps). A tau
+    with bracket data gives one: its data at the mapped block, with this map's prefactor
+    exponents after its own (none for a Weyl map), so nested transforms keep one bracket
+    call. Any other tau: its batch at the mapped block, each value times its prefactor as a
+    Scaled product. ValueError for a tau with a domain: no map moves one."""
     if tau.domain is not None:
         raise ValueError("transform takes an evaluator defined everywhere, not one on a level domain")
     point, exponent = _block_maps(spec, tau.params)
+    if tau.brackets is not None:
+
+        def brackets(xs: np.ndarray) -> tuple[list[complex], list[list[complex]]]:
+            args, exponents = tau.brackets(_block(point(xs)))
+            return args, exponents if exponent is None else [*exponents, exponent(xs).tolist()]
+
+        return TauEvaluator(None, tau.params, brackets=brackets)
 
     def batch(ns: list | None, xs: np.ndarray) -> list[Scaled]:
         vals = tau.scaled_many(point(xs))

@@ -9,7 +9,8 @@ import numpy as np
 from e8tau import integrals, tau
 from e8tau.integrals import IntegrandContext
 from e8tau.lattice import SIMPLE_ROOTS, LatticeVector, ip, pairing_c
-from e8tau.specialfn import EllipticParams
+from e8tau.specialfn import EllipticParams, bracket_scaled_many
+from e8tau.util import Residual, normalized_residual
 
 
 def quad(ctx: IntegrandContext, N: int) -> complex:
@@ -77,3 +78,23 @@ def prefactor_exponent(spec: tau.ExpGauge | tau.PeriodShift, x: np.ndarray, para
     shift = np.asarray(spec.v.true_coords(), dtype=complex) * (m + l * params.varpi)
     coef = -l / (2.0 * params.delta**2)
     return coef * pairing_c(spec.v, x) * complex(np.add.reduce(x * (x - shift), axis=None))
+
+
+def nested_canonical(c: complex, params: EllipticParams) -> tau.TauEvaluator:
+    """The canonical solution [Q(x) + c] with no bracket data: a batch that
+    brackets its rows' Q(x) + c in one bracket_scaled_many call, so
+    tau.transform of it takes the nested route, each transform's batch
+    reading its parent's values: the route that bracket data is checked
+    against."""
+    return tau.TauEvaluator(
+        None, params, batch=lambda ns, xs: bracket_scaled_many([q + c for q in tau.qforms(xs, params.delta)], params)
+    )
+
+
+def bilinear_two_calls(ev: tau.TauEvaluator, args: list, points, brackets) -> Residual:
+    """The bilinear kernel in two calls, with tau._bilinear_residual's
+    arguments: the six brackets at args in one brackets call, then ev's
+    values at the six rows of points() in one scaled_many."""
+    br = brackets(args, ev.params)
+    v = ev.scaled_many(points())
+    return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])

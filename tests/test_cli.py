@@ -201,6 +201,16 @@ _CORRUPTIONS = {
         lambda zetas, params: [split(1 + 0.1 * _period_count(z, params)) for z in zetas],
         {"canonical", "gauged", "weyl-mapped", "period-shifted"},
     ),
+    # Q(x) of the canonical solution's bracket data, which every hirota row
+    # reads in its residual's one bracket call (the canonical solution and
+    # its three transforms alike).
+    "canonical-qforms": (
+        "hirota",
+        tau,
+        "qforms",
+        lambda xs, *_: [1 + 0.1 * e(complex(np.dot(_W, x))) for x in np.reshape(xs, (-1, 8))],
+        {"canonical", "gauged", "weyl-mapped", "period-shifted"},
+    ),
     # The Toda and frame brackets of the chain's bilinear rows.
     "chain-bracket": (
         "chain",
@@ -210,7 +220,7 @@ _CORRUPTIONS = {
         {"toda-step", "chain-family-i", "chain-family-ii0", "chain-family-ii2"},
     ),
 }
-_BATCHES = {"_integral_values", "I_n_many", "bracket_scaled_many"}
+_BATCHES = {"_integral_values", "I_n_many", "bracket_scaled_many", "qforms"}
 
 
 def _corrupted(fn, factor, batch: bool):

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from e8tau import integrals, sampling
+from e8tau import picard as P
 from e8tau import tau as T
 from e8tau.lattice import (
     Frame,
@@ -253,6 +255,11 @@ def test_chain_memo_evaluates_a_point_once(monkeypatch):
 def test_an_evaluator_needs_fn_or_batch():
     with pytest.raises(ValueError, match="needs fn or batch"):
         T.TauEvaluator(None, PARAMS)
+    # bracket data is the one route of its values, on all of V
+    data = T.canonical_tau(0.0, PARAMS).brackets
+    for extra in ({"batch": CHAIN2.evaluator.batch}, {"domain": CHAIN2.evaluator.domain}):
+        with pytest.raises(ValueError, match="bracket data"):
+            T.TauEvaluator(None, PARAMS, brackets=data, **extra)
 
 
 def test_memo_is_bounded_and_eviction_keeps_values(monkeypatch):
@@ -651,6 +658,138 @@ def test_period_shifts_compose_up_to_exp_quadratic():
     assert _rel(second[0], second[1]) < 1e-9
     assert _rel(second[1], second[2]) < 1e-9
     assert abs(ratio(x + h) / ratio(x) - 1.0) > 1e-3
+
+
+# The transforms a tau with bracket data is checked under: each alone, and
+# two period shifts, each with its quadratic multiplier (a shift along delta
+# alone has none), so the order of their prefactors shows.
+_COMPOSED = {
+    "canonical": (),
+    "gauged": (_GAUGE,),
+    "weyl": (T.WeylMap((3, 0, 7, 5)),),
+    "period": (T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (1, 0)),),
+    "period-twice": (
+        T.PeriodShift(vec(2, 2, -2, -2, 0, 0, 0, 0), (0, 1)),
+        T.PeriodShift(vec(0, 0, 0, 0, 2, -2, 2, -2), (1, 1)),
+    ),
+}
+# The bases of the CLI's and perfbench's Hirota rows.
+_HIROTA_PARAMS = EllipticParams.from_bases(0.2, 0.35)
+
+
+def _composed(ev, specs):
+    for spec in specs:
+        ev = T.transform(ev, spec)
+    return ev
+
+
+def _two_call_route(monkeypatch):
+    """The residuals' kernel replaced by the two-call reference route."""
+    monkeypatch.setattr(T, "_bilinear_residual", R.bilinear_two_calls)
+    monkeypatch.setattr(P, "_bilinear_residual", R.bilinear_two_calls)
+
+
+def test_one_call_residuals_are_the_two_call_route_bit_for_bit(monkeypatch):
+    # on a tau with bracket data each residual makes one bracket call, its
+    # six coefficient arguments first and tau's after them; over 200 seeded
+    # draws every frame, translation and quadruple residual keeps the bits
+    # of the two-call route on the nested evaluators, and every value of a
+    # block is the nested route's
+    par, c = _HIROTA_PARAMS, 0.21 + 0.05j
+    fused = {k: _composed(T.canonical_tau(c, par), specs) for k, specs in _COMPOSED.items()}
+    nested = {k: _composed(R.nested_canonical(c, par), specs) for k, specs in _COMPOSED.items()}
+    assert all(ev.brackets is not None for ev in fused.values())
+    assert not any(ev.brackets is not None for ev in nested.values())
+    rng = sampling.make_rng(50)
+    frames = enumerate_frames(3)
+    quads = ((1, 2, 3, 4), (2, 5, 7, 3), (1, 3, 6, 7), (4, 6, 2, 9), (1, 2, 3, 8))
+    draws = []
+    for k in range(200):
+        f = frames[int(rng.integers(len(frames)))]
+        x = _x_general(rng)
+        eps = P.coords_forward(x, 0.3 * complex(rng.standard_normal(), rng.standard_normal()), par.delta)
+        draws.append((f, x, eps, quads[k % len(quads)]))
+
+    def residuals(evs):
+        out = []
+        for f, x, eps, quad in draws:
+            for ev in evs.values():
+                out += [
+                    T.hirota_residual(ev, f, x, par),
+                    P.translation_hirota_residual(ev, T.oriented_triple(f), x),
+                    P.quadruple_hirota_residual(ev, (), eps, quad),
+                ]
+        return [(float(r).hex(), r.degenerate) for r in out]
+
+    got = residuals(fused)
+    with monkeypatch.context() as m:
+        _two_call_route(m)
+        assert got == residuals(nested)
+    for f, x, _, _ in draws:
+        X = x + T._shift_rows(T.oriented_triple(f), signed=True) * (par.delta / 4.0)
+        for k, ev in fused.items():
+            assert _bits(ev.scaled_many(X)) == _bits(nested[k].scaled_many(X)), k
+
+
+def _first_error(fn) -> Exception:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            fn()
+    return info.value
+
+
+def _warned(exc) -> bool:
+    """Whether a warning was raised, and caught, on the way to exc."""
+    while exc is not None:
+        if isinstance(exc, Warning):
+            return True
+        exc = exc.__context__
+    return False
+
+
+@pytest.mark.parametrize(
+    "bases, s",
+    [((0.2, 0.35), 1e17), ((0.2, 0.35), 1e160), ((0.2, 0.35), 1e300), ((0.9999, 0.35), 1e7)],
+    ids=["1e17", "1e160", "1e300", "theta-first-1e7"],
+)
+def test_far_points_end_in_the_two_call_routes_first_error(monkeypatch, bases, s):
+    # x = s (0, ..., 7) + i s under warnings as errors: on the canonical and
+    # the Weyl-mapped tau every residual ends in the error of the two-call
+    # route, the coefficient bracket's, and no numpy warning comes first (at
+    # 1e160 and 1e300 tau's Q(x) overflows). At |p| = 0.9999 the six
+    # coefficient arguments reduce, and their theta call's error comes
+    # before tau's arguments (past 2^52) or the chart level of eps fail
+    par = EllipticParams.from_bases(*bases)
+    x = s * np.arange(8) + 1j * s
+    eps = s * (np.arange(10) + 1j)
+    frame = Frame.from_vectors(T._A0_TRIPLE)
+    weyl = T.WeylMap((3, 0, 7, 5))
+
+    def errors(base):
+        return [
+            _first_error(fn)
+            for ev in (base, T.transform(base, weyl))
+            for fn in (
+                lambda: T.hirota_residual(ev, frame, x, par),
+                lambda: P.translation_hirota_residual(ev, T.oriented_triple(frame), x),
+                lambda: P.quadruple_hirota_residual(ev, (), eps, (1, 2, 3, 4)),
+            )
+        ]
+
+    got = errors(T.canonical_tau(0.21 + 0.05j, par))
+    with monkeypatch.context() as m:
+        _two_call_route(m)
+        want = errors(R.nested_canonical(0.21 + 0.05j, par))
+    assert [(type(v), str(v)) for v in got] == [(type(v), str(v)) for v in want]
+    assert all(isinstance(v, DomainError) and not _warned(v) for v in got)
+    if bases[0] == 0.2:
+        pa, pb, pc = (pairing_c(v, x) for v in T.oriented_triple(frame))
+        with pytest.raises(DomainError, match="past 2\\^52") as coefficient:
+            bracket_scaled_many([pb + pc, pb - pc, pc + pa, pc - pa, pa + pb, pa - pb], par)
+        assert str(got[0]) == str(got[3]) == str(coefficient.value)
+    else:
+        assert all("nome modulus 0.9999" in str(v) for v in got)
 
 
 # ------------------------------------------------- closed forms, levels 0/1
