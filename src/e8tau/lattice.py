@@ -60,15 +60,25 @@ def _coords4_float(coords4: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _reflection_c(coords4: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """The true coordinates a, a read-only float array, and <a, a> = ip / 16
+    (exact), which reflect_c reflects in."""
+    a = np.array(coords4, dtype=float) / 4.0
+    a.flags.writeable = False
+    return a, sum(c * c for c in coords4) / 16.0
+
+
 @dataclass(frozen=True)
 class LatticeVector:
-    """A point of (1/4)Z^8; ``coords4`` holds 4x the true coordinates, and
+    """A point of (1/4)Z^8; ``coords4`` holds 4x the true coordinates,
     ``coords4_float`` the same as a read-only float array, which the
-    pairings and reflections with complex points read."""
+    pairings with complex points read, and ``reflection_c`` the true
+    coordinates and norm that reflect_c reads."""
 
     coords4: tuple[int, ...]
     phi_code = _OnFirstRead(_phi_code)
     coords4_float = _OnFirstRead(_coords4_float)
+    reflection_c = _OnFirstRead(_reflection_c)
 
     def __post_init__(self):
         if len(self.coords4) != 8:
@@ -177,8 +187,8 @@ def enumerate_norm(n: int) -> tuple[LatticeVector, ...]:
 def reflect_c(alpha: LatticeVector, x: np.ndarray) -> np.ndarray:
     """Reflection of x (..., 8) in the hyperplane orthogonal to alpha; row reductions give
     each row of a C-ordered block its own bits (<a, a> = ip / 16 is exact)."""
-    a = alpha.coords4_float / 4.0
-    return x - (2.0 * np.add.reduce(x * a, axis=-1) / (ip(alpha, alpha) / 16.0))[..., None] * a
+    a, aa = alpha.reflection_c
+    return x - (2.0 * np.add.reduce(x * a, axis=-1) / aa)[..., None] * a
 
 
 def apply_word_c(word: Sequence[int], x: np.ndarray) -> np.ndarray:

@@ -423,16 +423,26 @@ def theta_pochhammer(z, K: int, p: complex, q: complex) -> np.ndarray:
     return out
 
 
-def bracket_reductions(zetas: Sequence[complex], params: EllipticParams) -> list[tuple[complex, int, complex]]:
-    """bracket_scaled_many's step before its theta call, for each zeta of
-    zetas in turn: (z, n, e(z)), z = zeta - n varpi in the strip
-    |Im(z)/Im(varpi)| <= 1/2, n = round(Im(zeta)/Im(varpi)) (0 in the
-    strip). DomainError at the first non-finite zeta, or the first past 2^52
-    periods, where the float n varpi is spaced wider than varpi and z keeps
-    no correct digit."""
+def bracket_scaled_many(zetas: Sequence[complex], params: EllipticParams) -> list[Scaled]:
+    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p) at every zeta
+    of zetas, each a Scaled, from one array theta call.
+
+    One step takes each zeta into the strip |Im(z)/Im(varpi)| <= 1/2, where
+    |e(z)| lies in [sqrt|p|, 1/sqrt|p|]: z = zeta - n varpi,
+    n = round(Im(zeta)/Im(varpi)) (0 in the strip), and
+    [z + n varpi] = (-1)^n e(w) [z], w = -n z - n^2 varpi/2, with |e(w)|
+    taken as 2^k times a remainder. Every entry is reduced before theta is
+    called, so the first non-finite zeta, or the first past 2^52 periods
+    (where the float n varpi is spaced wider than varpi and z keeps no
+    correct digit), raises DomainError first. The array theta truncates at
+    the batch's largest modulus, so an entry can differ from the bracket of
+    that zeta alone in the last bits; a batch of one is that bracket. One
+    pass reduces every zeta, one array theta call follows, one pass makes
+    the values.
+    """
     varpi = params.varpi
     vi = varpi.imag
-    out = []
+    zs, ns, us = [], [], []
     for zeta in zetas:
         z = complex(zeta)
         if not cmath.isfinite(z):
@@ -442,30 +452,13 @@ def bracket_reductions(zetas: Sequence[complex], params: EllipticParams) -> list
             raise DomainError(f"bracket argument {zeta!r} lies {b:.3g} periods out, past 2^52")
         n = round(b) if abs(b) > 0.5 + 1e-12 else 0
         z = z - n * varpi
-        out.append((z, n, cmath.exp(TWO_PI_I * z)))  # e(z), inline on this hot path
-    return out
-
-
-def bracket_scaled_many(zetas: Sequence[complex], params: EllipticParams) -> list[Scaled]:
-    """Odd quasi-periodic bracket e(-zeta/2) theta(e(zeta); p) at every zeta
-    of zetas, each a Scaled, from one array theta call.
-
-    bracket_reductions takes each zeta into the strip, where |e(z)| lies in
-    [sqrt|p|, 1/sqrt|p|], and [z + n varpi] = (-1)^n e(w) [z],
-    w = -n z - n^2 varpi/2, with |e(w)| taken as 2^k times a remainder.
-    Every entry is reduced before theta is called, so the reduction's
-    DomainError for the first bad zeta comes first. The array theta
-    truncates at the batch's largest modulus, so an entry can differ from
-    the bracket of that zeta alone in the last bits; a batch of one is that
-    bracket. One pass reduces every zeta, one array theta call follows, one
-    pass makes the values.
-    """
-    reduced = bracket_reductions(zetas, params)
-    if not reduced:
+        zs.append(z)
+        ns.append(n)
+        us.append(cmath.exp(TWO_PI_I * z))  # e(z), inline on this hot path
+    if not zs:
         return []
-    varpi = params.varpi
     out = []
-    for (z, n, _), th in zip(reduced, theta([u for _, _, u in reduced], params.p).tolist()):
+    for z, n, th in zip(zs, ns, theta(us, params.p).tolist()):
         body = cmath.exp(TWO_PI_I * (-z / 2)) * th  # e(-z/2), inline
         if not n:
             out.append(Scaled(body, 0))

@@ -48,7 +48,6 @@ from .lattice import (
 )
 from .specialfn import (
     EllipticParams,
-    bracket_reductions,
     bracket_scaled_many,
     theta,
     theta_pochhammer,
@@ -174,17 +173,18 @@ class TauEvaluator:
 
     A tau whose values are brackets times prefactors e(S) (canonical_tau and
     its transforms) gives brackets in place of both: brackets(xs) is the
-    bracket argument of each row of xs and the prefactor exponents, one list
-    a transform, innermost first. Its batch is _bracket_values, one
-    bracket_scaled_many call over those arguments followed by the
-    prefactors, and the bilinear kernel evaluates them in its coefficients'
-    batch. Such a tau is defined on all of V."""
+    bracket argument of each row of xs and finish, which takes the brackets
+    at those arguments to tau's values, each times its prefactors,
+    innermost transform first. Its batch is _bracket_values, one
+    bracket_scaled_many call over those arguments and then finish, and the
+    bilinear kernel evaluates them in its coefficients' batch. Such a tau is
+    defined on all of V."""
 
     fn: Callable[[np.ndarray], complex] | None
     params: EllipticParams
     domain: LevelDomain | None = None
     batch: Callable[[list | None, np.ndarray], list[Scaled]] | None = field(default=None, repr=False, compare=False)
-    brackets: Callable[[np.ndarray], tuple[list[complex], list[list[complex]]]] | None = field(
+    brackets: Callable[[np.ndarray], tuple[list[complex], Callable[[list[Scaled]], list[Scaled]]]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -192,7 +192,7 @@ class TauEvaluator:
         if self.brackets is not None:
             if self.batch is not None or self.domain is not None:
                 raise ValueError("a tau with bracket data takes its values from them, on all of V")
-            object.__setattr__(self, "batch", lambda ns, xs: _bracket_values(self, xs, bracket_scaled_many))
+            object.__setattr__(self, "batch", lambda ns, xs: _bracket_values(self, xs))
         if self.batch is None:
             if self.fn is None:
                 raise ValueError("a tau evaluator needs fn or batch")
@@ -222,26 +222,24 @@ def _block(xs: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(xs, dtype=complex).reshape(-1, 8)
 
 
-def _bracket_values(
-    tau: TauEvaluator, xs: np.ndarray, brackets: Callable, lead: Sequence[complex] = ()
-) -> list[Scaled]:
-    """The brackets at the arguments lead, then the values of a tau with
-    bracket data at the rows of the block xs, from one brackets call (a
-    bracket_scaled_many) over lead followed by tau's arguments at xs; each
-    value of tau times its prefactors e(S), innermost transform first."""
-    args, exponents = tau.brackets(xs)
-    vals = brackets([*lead, *args], tau.params)
-    n = len(lead)
-    for s in exponents:
-        vals[n:] = [product((e(t), v)) for t, v in zip(s, vals[n:])]
-    return vals
+def _bracket_values(tau: TauEvaluator, xs: np.ndarray) -> list[Scaled]:
+    """The values of a tau with bracket data at the rows of the block xs: its
+    arguments there, one bracket_scaled_many call over them, then its
+    prefactors (finish), in the order of the nested transforms' batches."""
+    args, finish = tau.brackets(xs)
+    return finish(bracket_scaled_many(args, tau.params))
 
 
 def canonical_tau(c: complex, params: EllipticParams) -> TauEvaluator:
     """The everywhere-defined solution [Q(x) + c] of all frame identities,
     as bracket data: the arguments Q(x) + c of the rows, from one qforms
     call, and no prefactor."""
-    return TauEvaluator(None, params, brackets=lambda xs: ([q + c for q in qforms(xs, params.delta)], []))
+    return TauEvaluator(None, params, brackets=lambda xs: ([q + c for q in qforms(xs, params.delta)], _unchanged))
+
+
+def _unchanged(vals: list[Scaled]) -> list[Scaled]:
+    """The finish of a tau with no prefactor: its brackets are its values."""
+    return vals
 
 
 def oriented_triple(
@@ -262,13 +260,13 @@ def oriented_triple(
 
 def _oriented(vs: Sequence[LatticeVector]) -> list[LatticeVector]:
     """oriented_triple's signs and order, for any number of frame axes."""
-    fixed = []
+    keyed = []
     for a in vs:
         pa = ip(PHI, a)
-        fixed.append(-a if pa < 0 else (a if pa > 0 else sign_normalize(a)))
-    # descending (pairing, coordinates): no two axes of a frame tie
-    fixed.sort(key=lambda a: (ip(PHI, a), a.coords4), reverse=True)
-    return fixed
+        keyed.append((abs(pa), -a if pa < 0 else (a if pa > 0 else sign_normalize(a))))
+    # descending (pairing, coordinates) of the signed axes: no two axes of a frame tie
+    keyed.sort(key=lambda t: (t[0], t[1].coords4), reverse=True)
+    return [a for _, a in keyed]
 
 
 def _bilinear_residual(
@@ -276,22 +274,26 @@ def _bilinear_residual(
 ) -> Residual:
     """Every bilinear residual's kernel: sum_k [args[2k]] [args[2k+1]] tau(y_2k) tau(y_2k+1), k < 3, over
     its largest term, y the six rows of the block points(), each bracket from the caller's brackets (its own
-    module's bracket_scaled_many); one normalized_residual. Any tau: the six brackets in one call, then the
-    points, then tau's one scaled_many. A tau with bracket data: one brackets call makes all twelve values,
-    the six arguments first and tau's six after them (_bracket_values). The six are reduced before the
-    points or tau's arguments are computed (bracket_reductions), and where any later step raises, the six
-    alone are evaluated first, so the residual's first error is the one the two-call order gives."""
-    if tau.brackets is None:
-        br = brackets(args, tau.params)
-        v = tau.scaled_many(points())
-    else:
-        bracket_reductions(args, tau.params)
+    module's bracket_scaled_many); one normalized_residual. The two-call route, for any tau: the six brackets
+    in one call, then the points, then tau's one scaled_many. A tau with bracket data takes one call first:
+    the six arguments and tau's six after them in one brackets call, then tau's finish, all with numpy's
+    floating-point errors raised. Where anything in it raises (a warning under a filter that raises one), the
+    two-call route runs instead, so the residual's first error, and any warning, are that route's."""
+    if tau.brackets is not None:
         try:
-            br = _bracket_values(tau, _block(points()), brackets, args)
+            with np.errstate(all="raise"):
+                targs, finish = tau.brackets(_block(points()))
+                vals = brackets([*args, *targs], tau.params)
+                br, v = vals[:6], finish(vals[6:])
         except Exception:
-            brackets(args, tau.params)
-            raise
-        v = br[6:]
+            pass
+        else:
+            return _three_terms(br, v)
+    return _three_terms(brackets(args, tau.params), tau.scaled_many(points()))
+
+
+def _three_terms(br: Sequence[Scaled], v: Sequence[Scaled]) -> Residual:
+    """normalized_residual of the terms br[2k] br[2k+1] v[2k] v[2k+1], k < 3."""
     return normalized_residual([(br[2 * k], br[2 * k + 1], v[2 * k], v[2 * k + 1]) for k in range(3)])
 
 
@@ -375,26 +377,27 @@ def transform(
     tau: TauEvaluator, spec: ExpGauge | WeylMap | PeriodShift
 ) -> TauEvaluator:
     """New evaluator obtained from tau by one of the three symmetry maps (_block_maps). A tau
-    with bracket data gives one: its data at the mapped block, with this map's prefactor
-    exponents after its own (none for a Weyl map), so nested transforms keep one bracket
-    call. Any other tau: its batch at the mapped block, each value times its prefactor as a
-    Scaled product. ValueError for a tau with a domain: no map moves one."""
+    with bracket data gives one: its arguments at the mapped block, and a finish that applies
+    tau's, then computes this map's exponents and multiplies each value by its prefactor
+    (none for a Weyl map), so nested transforms keep one bracket call and each step comes
+    in the nested batches' order. Any other tau: its batch at the mapped block, each value
+    times its prefactor as a Scaled product. ValueError for a tau with a domain: no map
+    moves one."""
     if tau.domain is not None:
         raise ValueError("transform takes an evaluator defined everywhere, not one on a level domain")
     point, exponent = _block_maps(spec, tau.params)
-    if tau.brackets is not None:
 
-        def brackets(xs: np.ndarray) -> tuple[list[complex], list[list[complex]]]:
-            args, exponents = tau.brackets(_block(point(xs)))
-            return args, exponents if exponent is None else [*exponents, exponent(xs).tolist()]
-
-        return TauEvaluator(None, tau.params, brackets=brackets)
-
-    def batch(ns: list | None, xs: np.ndarray) -> list[Scaled]:
-        vals = tau.scaled_many(point(xs))
+    def prefactors(xs: np.ndarray, vals: list[Scaled]) -> list[Scaled]:
         return vals if exponent is None else [product((e(s), v)) for s, v in zip(exponent(xs).tolist(), vals)]
 
-    return TauEvaluator(None, tau.params, batch=batch)
+    if tau.brackets is not None:
+
+        def brackets(xs: np.ndarray) -> tuple[list[complex], Callable[[list[Scaled]], list[Scaled]]]:
+            args, finish = tau.brackets(_block(point(xs)))
+            return args, finish if exponent is None else (lambda vals: prefactors(xs, finish(vals)))
+
+        return TauEvaluator(None, tau.params, brackets=brackets)
+    return TauEvaluator(None, tau.params, batch=lambda ns, xs: prefactors(xs, tau.scaled_many(point(xs))))
 
 
 def hg_tau0(x: np.ndarray, params: EllipticParams) -> complex:
